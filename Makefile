@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke clean
+.PHONY: all build test race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
 
 all: build test
 
@@ -77,5 +77,15 @@ serve-smoke:
 			-connections 1,4,16 -shards 2 -json /tmp/BENCH_serve_smoke.json; \
 		kill -INT $$pid; wait $$pid
 
+# bench runs the repository benchmark (BENCHMARK.json): all four
+# workloads, ~23 s each, result JSON on the last line of each run.
+# bench-tiny checks the bench module and runs the seconds-long smoke.
+bench:
+	bash bench/run.sh
+
+bench-tiny:
+	cd bench && go vet ./... && go test ./...
+	bash bench/run.sh -scale tiny
+
 clean:
-	rm -rf bin
+	rm -rf bin .bench_build

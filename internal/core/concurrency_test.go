@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"spash/internal/alloc"
 	"spash/internal/pmem"
@@ -300,3 +303,65 @@ func TestConcurrentDeleteInsertChurn(t *testing.T) {
 }
 
 var _ = alloc.ClassSize // keep import when tests shrink
+
+// With line-granular HTM tracking an irrevocable body holds the stripe
+// of every line it touches — for the fallback paths that includes the
+// directory line carrying the very lock bits they took with bumping
+// stores. A bumping store issued from inside such a body would spin on
+// the body's own stripe forever, so every lock/unlock must sit outside
+// it. The directory here never outgrows one line (8 entries), which
+// makes any offender hang at once; all three irrevocable call sites
+// run.
+func TestFallbackBodiesNeverBumpTheirOwnLines(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: true})
+	const keys = 12
+	run := func() error {
+		for i := uint64(0); i < keys; i++ {
+			if err := h.Insert(k64(i), k64(i)); err != nil {
+				return err
+			}
+		}
+		// Operations on the per-segment lock path ...
+		for i := uint64(0); i < keys; i++ {
+			r := makeReq(k64(i))
+			err := h.execFallback(&r, func(m mem, seg uint64) error {
+				m.store(seg, m.load(seg))
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("execFallback: %w", err)
+			}
+		}
+		// ... a split under the covering entries' locks (after the
+		// doubling it needs first) ...
+		if err := ix.splitFallback(h, makeReq(k64(0)).h); err != nil {
+			return fmt.Errorf("splitFallback: %w", err)
+		}
+		// ... and a quarantine rebuild.
+		if _, err := h.Quarantine(makeReq(k64(1)).h, 0); err != nil {
+			return fmt.Errorf("Quarantine: %w", err)
+		}
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a fallback path deadlocked on a stripe its own irrevocable body holds")
+	}
+	if n := len(ix.dir.Load().entries); n > entriesPerPartition {
+		t.Fatalf("directory grew to %d entries; the test wants them on one line", n)
+	}
+	if st := ix.Stats(); st.Fallbacks < keys+1 || st.Splits == 0 {
+		t.Fatalf("fallbacks = %d, splits = %d: the fallback paths did not run", st.Fallbacks, st.Splits)
+	}
+	for i := uint64(0); i < keys; i++ {
+		if v, ok, err := h.Search(k64(i), nil); err != nil || !ok || !bytes.Equal(v, k64(i)) {
+			t.Fatalf("key %d after the fallbacks: %x, %v, %v", i, v, ok, err)
+		}
+	}
+}

@@ -32,6 +32,12 @@ func entryUnlock(e uint64) uint64 { return e &^ entryLock }
 // directory is one immutable-size snapshot of the volatile directory.
 // Entries are mutated in place (transactionally or under locks); the
 // slice itself is replaced only by doubling/halving.
+//
+// Eight entries share a cacheline, the HTM's unit of conflict: taking
+// or dropping one segment's fallback lock (a bumping store to its
+// canonical entry), or splitting it, costs the transactions in flight
+// on its seven line-neighbours one retry — what RTM does to a
+// directory packed this way.
 type directory struct {
 	entries []uint64
 	depth   uint
@@ -55,7 +61,11 @@ type doublingState struct {
 	old *directory
 	new *directory
 	// partDone has one word per partition of the old directory:
-	// 0 = pending, 1 = copied. Read/written transactionally.
+	// 0 = pending, 1 = copied. Read/written transactionally. The words
+	// are packed, so a stage's commit also retries the readers and
+	// copiers of the seven partitions sharing its progress line; that
+	// happens once per stage, and padding them apart would cost a second
+	// copy of the old directory.
 	partDone []uint64
 	// next is the next stage the doubling thread will claim;
 	// collaborators take specific stages out of order.

@@ -100,9 +100,14 @@ type Index struct {
 	shardID atomic.Int32
 
 	// dirGen is odd while a resize (doubling or halving) is in
-	// progress; every transaction reads it. dir is the current stable
-	// directory; doubling the in-progress resize state.
+	// progress; every transaction reads it, and the HTM tracks conflicts
+	// per cacheline, so it is padded to a line of its own: no other
+	// transactional word can ever share (and falsely bump) its version.
+	// dir is the current stable directory; doubling the in-progress
+	// resize state.
+	_          [7]uint64
 	dirGen     uint64
+	_          [7]uint64
 	dir        atomic.Pointer[directory]
 	doubling   atomic.Pointer[doublingState]
 	resizeFlag atomic.Int32

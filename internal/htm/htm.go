@@ -11,7 +11,9 @@
 // memory over the simulated persistent memory (package pmem) and over
 // ordinary volatile words (the DRAM directory):
 //
-//   - word-granularity versioned stripes with a global version clock,
+//   - versioned stripes keyed by cacheline, RTM's unit of conflict
+//     detection (two words of one 64 B line always share a stripe),
+//     with a global version clock,
 //   - buffered writes applied atomically at commit under striped
 //     locks, so concurrent transactions (and raw readers that follow
 //     the validation protocol) never observe partial transactions,
@@ -85,9 +87,9 @@ const (
 
 // Config sizes the emulated hardware.
 type Config struct {
-	// Stripes is the number of version stripes (power of two).
-	// Distinct words mapping to one stripe conflict falsely, like
-	// cacheline-granular HTM tracking.
+	// Stripes is the number of version stripes (power of two), one per
+	// tracked cacheline. Distinct lines hashing to one stripe conflict
+	// falsely, like addresses aliasing in a hardware tracking structure.
 	Stripes int
 	// WriteCapacityWords bounds a transaction's write set, modelling
 	// the L1-sized RTM write set (48 KB ≈ 6144 words on the paper's
@@ -111,19 +113,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// stripe layout: bit 0 = locked, bits 63..1 = version (shifted left 1).
-type stripe struct {
-	word   atomic.Uint64
-	serial atomic.Int64
-	_      [6]uint64 // pad to a cacheline to avoid real false sharing
-}
-
 // TM is a transactional memory domain. All transactions that may
 // conflict must share one TM.
 type TM struct {
-	cfg    Config
-	clock  atomic.Uint64
-	strips []stripe
+	cfg   Config
+	clock atomic.Uint64
+	// vers holds one version word per stripe: bit 0 = locked, bits
+	// 63..1 = version. Every transactional load reads it, so the words
+	// are packed; serial, the stripe's accumulated commit serialisation
+	// for the virtual-time model, is touched only at commit and lives
+	// apart.
+	vers   []atomic.Uint64
+	serial []atomic.Int64
 	mask   uint64
 	// irrevMu serialises irrevocable transactions (see irrevocable.go).
 	irrevMu sync.Mutex
@@ -167,22 +168,26 @@ func New(cfg Config) *TM {
 	}
 	return &TM{
 		cfg:    cfg,
-		strips: make([]stripe, n),
+		vers:   make([]atomic.Uint64, n),
+		serial: make([]atomic.Int64, n),
 		mask:   uint64(n - 1),
 	}
 }
 
-// stripeFor maps a location key to its stripe. PM locations use the
-// pool offset; volatile locations use the word's address. Keys are
-// hashed so neighbouring words spread across stripes, with deliberate
-// aliasing at cacheline granularity (key >> 3 keeps words of a line
-// distinct; real HTM conflicts at line granularity, which callers can
-// approximate by padding hot structures).
-func (tm *TM) stripeFor(key uintptr) *stripe {
-	x := uint64(key) >> 3
+// lineShift turns a location key into its cacheline number.
+const lineShift = 6
+
+// stripeFor maps a location key to the index of its stripe. PM
+// locations use the pool offset; volatile locations use the word's
+// address. The stripe is chosen by the key's cacheline (key >> 6), so
+// the words of one line conflict with each other exactly as under RTM —
+// callers keep hot words apart by padding them to a line — and line
+// numbers are hashed so neighbouring lines spread across the table.
+func (tm *TM) stripeFor(key uintptr) uint64 {
+	x := uint64(key) >> lineShift
 	x ^= x >> 17
 	x *= 0x9E3779B97F4A7C15
-	return &tm.strips[(x>>16)&tm.mask]
+	return (x >> 16) & tm.mask
 }
 
 // conflictSignal unwinds a doomed transaction body (the software
@@ -198,8 +203,8 @@ type wsEntry struct {
 }
 
 type rsEntry struct {
-	s   *stripe
-	ver uint64
+	stripe uint64
+	ver    uint64
 }
 
 // Txn is an in-flight transaction. It is valid only inside the body
@@ -211,6 +216,18 @@ type Txn struct {
 	rv   uint64
 	rs   []rsEntry
 	ws   []wsEntry
+	// nread counts transactional loads: the read footprint in words that
+	// ReadCapacityWords bounds, while rs holds one entry per line run.
+	nread int
+	// cur is the version word of the line the previous load read
+	// (curLine) and curVer the version recorded for it in rs: loads that
+	// stay on the line skip the hash, the pre-check and the rs append,
+	// never the re-validation after the data read.
+	cur     *atomic.Uint64
+	curLine uintptr
+	curVer  uint64
+	// locked is commit's scratch: the stripes it holds.
+	locked []uint64
 }
 
 // Run executes body as one transaction attempt on behalf of worker c.
@@ -230,6 +247,7 @@ func (tm *TM) Run(c *pmem.Ctx, pool *pmem.Pool, body func(tx *Txn) error) (code 
 	tx.tm, tx.ctx, tx.pool = tm, c, pool
 	tx.rs = tx.rs[:0]
 	tx.ws = tx.ws[:0]
+	tx.nread, tx.cur = 0, nil
 	tx.rv = tm.clock.Load()
 	c.Charge(beginCostNS)
 
@@ -283,13 +301,20 @@ func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 			return tx.ws[i].val
 		}
 	}
-	if len(tx.rs) >= tx.tm.cfg.ReadCapacityWords {
+	if tx.nread >= tx.tm.cfg.ReadCapacityWords {
 		panic(capacitySignal{})
 	}
-	s := tx.tm.stripeFor(key)
-	v1 := s.word.Load()
-	if v1&1 != 0 || v1>>1 > tx.rv {
-		tx.abortConflict()
+	tx.nread++
+	s, v1 := tx.cur, tx.curVer
+	if line := key >> lineShift; s == nil || line != tx.curLine {
+		i := tx.tm.stripeFor(key)
+		s = &tx.tm.vers[i]
+		v1 = s.Load()
+		if v1&1 != 0 || v1>>1 > tx.rv {
+			tx.abortConflict()
+		}
+		tx.rs = append(tx.rs, rsEntry{i, v1})
+		tx.cur, tx.curLine, tx.curVer = s, line, v1
 	}
 	var val uint64
 	if pm {
@@ -298,10 +323,9 @@ func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 		val = atomic.LoadUint64(ptr)
 		tx.ctx.ChargeDRAM(1)
 	}
-	if s.word.Load() != v1 {
+	if s.Load() != v1 {
 		tx.abortConflict()
 	}
-	tx.rs = append(tx.rs, rsEntry{s, v1})
 	return val
 }
 
@@ -348,54 +372,29 @@ func (tx *Txn) commit() bool {
 	}
 
 	// Acquire stripe locks (try-lock; abort on contention, so no
-	// deadlock). Duplicate stripes (two words aliasing one stripe)
-	// are locked once.
-	locked := make([]*stripe, 0, len(tx.ws))
-	lockedSet := func(s *stripe) bool {
-		for _, l := range locked {
-			if l == s {
-				return true
-			}
-		}
-		return false
-	}
-	release := func(ok bool) {
-		var wv uint64
-		if ok {
-			wv = tx.tm.clock.Add(1)
-		}
-		for _, s := range locked {
-			old := s.word.Load()
-			if ok {
-				s.word.Store(wv << 1)
-			} else {
-				s.word.Store(old &^ 1)
-			}
-			t := s.serial.Add(stripeSerialBase)
-			if g := tx.tm.Group; g != nil {
-				g.Bump(t)
-			}
-		}
-	}
-
+	// deadlock). Words sharing a stripe (one line, or two aliasing
+	// lines) lock it once.
+	tm := tx.tm
+	tx.locked = tx.locked[:0]
 	for i := range tx.ws {
-		s := tx.tm.stripeFor(tx.ws[i].key)
-		if lockedSet(s) {
+		si := tm.stripeFor(tx.ws[i].key)
+		if tx.holds(si) {
 			continue
 		}
-		v := s.word.Load()
-		if v&1 != 0 || v>>1 > tx.rv || !s.word.CompareAndSwap(v, v|1) {
-			release(false)
+		s := &tm.vers[si]
+		v := s.Load()
+		if v&1 != 0 || v>>1 > tx.rv || !s.CompareAndSwap(v, v|1) {
+			tx.release(false)
 			return false
 		}
-		locked = append(locked, s)
+		tx.locked = append(tx.locked, si)
 	}
 
 	// Validate the read set.
 	for _, r := range tx.rs {
-		v := r.s.word.Load()
-		if v != r.ver && !(v == r.ver|1 && lockedSet(r.s)) {
-			release(false)
+		v := tm.vers[r.stripe].Load()
+		if v != r.ver && !(v == r.ver|1 && tx.holds(r.stripe)) {
+			tx.release(false)
 			return false
 		}
 	}
@@ -426,15 +425,47 @@ func (tx *Txn) commit() bool {
 		}
 	}
 	c.Charge(commitBaseNS + int64(len(tx.ws))*commitPerWordNS)
-	release(true)
+	tx.release(true)
 	return true
+}
+
+// holds reports whether commit has locked stripe si.
+func (tx *Txn) holds(si uint64) bool {
+	for _, l := range tx.locked {
+		if l == si {
+			return true
+		}
+	}
+	return false
+}
+
+// release unlocks the stripes commit holds, stamping them with a new
+// version if it published, and accounts their serialisation.
+func (tx *Txn) release(published bool) {
+	tm := tx.tm
+	var wv uint64
+	if published {
+		wv = tm.clock.Add(1)
+	}
+	for _, si := range tx.locked {
+		s := &tm.vers[si]
+		if published {
+			s.Store(wv << 1)
+		} else {
+			s.Store(s.Load() &^ 1)
+		}
+		t := tm.serial[si].Add(stripeSerialBase)
+		if g := tm.Group; g != nil {
+			g.Bump(t)
+		}
+	}
 }
 
 // BumpStore64 performs a non-transactional PM store that concurrent
 // transactions observe as a conflict (the stripe version advances).
 // Used for lock words on the fallback path.
 func (tm *TM) BumpStore64(c *pmem.Ctx, pool *pmem.Pool, addr uint64, v uint64) {
-	s := tm.stripeFor(uintptr(addr))
+	s := &tm.vers[tm.stripeFor(uintptr(addr))]
 	tm.lockStripe(s)
 	pool.Store64(c, addr, v)
 	tm.unlockStripe(s)
@@ -443,7 +474,7 @@ func (tm *TM) BumpStore64(c *pmem.Ctx, pool *pmem.Pool, addr uint64, v uint64) {
 // BumpStoreVol performs a non-transactional volatile store with
 // stripe-version advancement.
 func (tm *TM) BumpStoreVol(c *pmem.Ctx, p *uint64, v uint64) {
-	s := tm.stripeFor(ptrKey(p))
+	s := &tm.vers[tm.stripeFor(ptrKey(p))]
 	tm.lockStripe(s)
 	atomic.StoreUint64(p, v)
 	c.ChargeDRAM(1)
@@ -453,7 +484,7 @@ func (tm *TM) BumpStoreVol(c *pmem.Ctx, p *uint64, v uint64) {
 // BumpCASVol performs a non-transactional volatile compare-and-swap
 // with stripe-version advancement. Returns whether it swapped.
 func (tm *TM) BumpCASVol(c *pmem.Ctx, p *uint64, old, new uint64) bool {
-	s := tm.stripeFor(ptrKey(p))
+	s := &tm.vers[tm.stripeFor(ptrKey(p))]
 	tm.lockStripe(s)
 	ok := atomic.CompareAndSwapUint64(p, old, new)
 	c.ChargeDRAM(1)
@@ -461,18 +492,18 @@ func (tm *TM) BumpCASVol(c *pmem.Ctx, p *uint64, old, new uint64) bool {
 	return ok
 }
 
-func (tm *TM) lockStripe(s *stripe) {
+func (tm *TM) lockStripe(s *atomic.Uint64) {
 	for {
-		v := s.word.Load()
-		if v&1 == 0 && s.word.CompareAndSwap(v, v|1) {
+		v := s.Load()
+		if v&1 == 0 && s.CompareAndSwap(v, v|1) {
 			return
 		}
 	}
 }
 
-func (tm *TM) unlockStripe(s *stripe) {
+func (tm *TM) unlockStripe(s *atomic.Uint64) {
 	wv := tm.clock.Add(1)
-	s.word.Store(wv << 1)
+	s.Store(wv << 1)
 }
 
 func ptrKey(p *uint64) uintptr {
@@ -487,8 +518,9 @@ func ptrKey(p *uint64) uintptr {
 var txnPool = sync.Pool{
 	New: func() any {
 		return &Txn{
-			rs: make([]rsEntry, 0, 64),
-			ws: make([]wsEntry, 0, 16),
+			rs:     make([]rsEntry, 0, 64),
+			ws:     make([]wsEntry, 0, 16),
+			locked: make([]uint64, 0, 16),
 		}
 	},
 }

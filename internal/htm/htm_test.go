@@ -174,42 +174,125 @@ func TestConcurrentCounterAtomicity(t *testing.T) {
 // Two words must always be observed consistent: writers keep
 // words[a] == words[b]; transactional readers must never see them
 // differ (multi-word atomicity, the property CAS-based designs lack).
+// The same-line pair goes through the reader's current-line memo: its
+// second load skips the pre-check but not the re-validation.
 func TestMultiWordInvariantUnderConcurrency(t *testing.T) {
-	tm, pool, _ := newTestTM()
-	const a, b = 1024, 4096 // distinct cachelines
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := pool.NewCtx()
-		for i := uint64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, pair := range []struct {
+		name string
+		a, b uint64
+	}{
+		{"distinct lines", 1024, 4096},
+		{"one line", 1024, 1032},
+	} {
+		t.Run(pair.name, func(t *testing.T) {
+			tm, pool, _ := newTestTM()
+			a, b := pair.a, pair.b
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := pool.NewCtx()
+				for i := uint64(1); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					tm.Run(c, pool, func(tx *Txn) error {
+						tx.Store(a, i)
+						tx.Store(b, i)
+						return nil
+					})
+				}
+			}()
+			c := pool.NewCtx()
+			for i := 0; i < 5000; i++ {
+				var va, vb uint64
+				code, _ := tm.Run(c, pool, func(tx *Txn) error {
+					va = tx.Load(a)
+					vb = tx.Load(b)
+					return nil
+				})
+				if code == Committed && va != vb {
+					t.Fatalf("observed torn state: %d != %d", va, vb)
+				}
 			}
-			tm.Run(c, pool, func(tx *Txn) error {
-				tx.Store(a, i)
-				tx.Store(b, i)
-				return nil
-			})
-		}
-	}()
-	c := pool.NewCtx()
-	for i := 0; i < 5000; i++ {
-		var va, vb uint64
-		code, _ := tm.Run(c, pool, func(tx *Txn) error {
-			va = tx.Load(a)
-			vb = tx.Load(b)
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
+// A writer committing to a line between a reader's first and second
+// load of it dooms the reader at that second load: the memo may not
+// hand out a word newer than the version it recorded.
+func TestSameLineLoadRevalidates(t *testing.T) {
+	tm, pool, c := newTestTM()
+	wc := pool.NewCtx()
+	second := false
+	code, _ := tm.Run(c, pool, func(tx *Txn) error {
+		tx.Load(64)
+		mustCommit(t, tm, wc, pool, func(w *Txn) error {
+			w.Store(64, 1)
+			w.Store(72, 1)
 			return nil
 		})
-		if code == Committed && va != vb {
-			t.Fatalf("observed torn state: %d != %d", va, vb)
+		tx.Load(72)
+		second = true
+		return nil
+	})
+	if code != Conflict || second {
+		t.Fatalf("code = %v, second load returned = %v; want a conflict at the second load", code, second)
+	}
+}
+
+// Conflicts are tracked per cacheline: writers of two words of one
+// line conflict, writers of words on two lines do not.
+func TestConflictGranularityIsTheLine(t *testing.T) {
+	tm, pool, c := newTestTM()
+	wc := pool.NewCtx()
+	const mine, sameLine, otherLine = 64, 64 + 56, 128
+	if tm.stripeFor(mine) != tm.stripeFor(sameLine) {
+		t.Fatal("two words of one line on different stripes")
+	}
+	if tm.stripeFor(mine) == tm.stripeFor(otherLine) {
+		t.Fatal("test lines alias; pick others")
+	}
+	for _, tc := range []struct {
+		theirs uint64
+		want   Code
+	}{
+		{sameLine, Conflict},
+		{otherLine, Committed},
+	} {
+		code, _ := tm.Run(c, pool, func(tx *Txn) error {
+			tx.Store(mine, 1)
+			mustCommit(t, tm, wc, pool, func(w *Txn) error {
+				w.Store(tc.theirs, 2)
+				return nil
+			})
+			return nil
+		})
+		if code != tc.want {
+			t.Errorf("concurrent write to %d: %v, want %v", tc.theirs, code, tc.want)
 		}
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// The read set holds one entry per line while the capacity budget
+// still counts words.
+func TestSegmentScanReadSet(t *testing.T) {
+	tm, pool, c := newTestTM()
+	mustCommit(t, tm, c, pool, func(tx *Txn) error {
+		for i := uint64(0); i < 32; i++ {
+			tx.Load(256 + 8*i)
+		}
+		if len(tx.rs) != 4 || tx.nread != 32 {
+			return fmt.Errorf("read set = %d entries, %d words; want 4, 32", len(tx.rs), tx.nread)
+		}
+		return nil
+	})
 }
 
 func TestReadOnlyTxnCommitsWithoutLocks(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 )
 
 // ITxn is an irrevocable transaction: instead of optimistic
-// validation it takes the stripe lock of every word it touches (reads
+// validation it takes the stripe lock of every line it touches (reads
 // included) and holds them until Done. It therefore never aborts and
-// is mutually exclusive, word by word, with committing optimistic
+// is mutually exclusive, line by line, with committing optimistic
 // transactions — the property hardware gets for free from instant
 // commits, and which a software TM must provide explicitly for its
 // lock-elision fallback path: without it, a fallback's raw reads could
@@ -20,12 +20,14 @@ import (
 // Deadlock freedom: optimistic commits only try-lock (they abort and
 // release on contention), and irrevocable transactions are serialised
 // among themselves by a TM-wide mutex, so an ITxn spinning on a stripe
-// always waits on a finite commit.
+// always waits on a finite commit. The body itself must not call
+// TM.Bump*: a bumping store to a line the ITxn holds (or one aliasing
+// it) would spin on the ITxn's own stripe lock.
 type ITxn struct {
 	tm   *TM
 	ctx  *pmem.Ctx
 	pool *pmem.Pool
-	held []*stripe
+	held []uint64 // stripe indices
 	// heldVer/heldDirty record each held stripe's pre-lock version and
 	// whether it was written (written stripes release with a bumped
 	// version so optimists conflict; read-only stripes restore their
@@ -51,16 +53,17 @@ func (tm *TM) Irrevocable(c *pmem.Ctx, pool *pmem.Pool, body func(it *ITxn) erro
 // acquire locks the stripe for key if not already held and returns its
 // index in the held set.
 func (it *ITxn) acquire(key uintptr) int {
-	s := it.tm.stripeFor(key)
+	si := it.tm.stripeFor(key)
 	for i, h := range it.held {
-		if h == s {
+		if h == si {
 			return i
 		}
 	}
+	s := &it.tm.vers[si]
 	var v uint64
 	for {
-		v = s.word.Load()
-		if v&1 == 0 && s.word.CompareAndSwap(v, v|1) {
+		v = s.Load()
+		if v&1 == 0 && s.CompareAndSwap(v, v|1) {
 			break
 		}
 		// The holder may have unwound at an injected power cut without
@@ -68,7 +71,7 @@ func (it *ITxn) acquire(key uintptr) int {
 		it.pool.CheckLive()
 		runtime.Gosched()
 	}
-	it.held = append(it.held, s)
+	it.held = append(it.held, si)
 	it.heldVer = append(it.heldVer, v)
 	it.heldDirty = append(it.heldDirty, false)
 	return len(it.held) - 1
@@ -82,11 +85,11 @@ func (it *ITxn) releaseAll() {
 			break
 		}
 	}
-	for i, s := range it.held {
+	for i, si := range it.held {
 		if it.heldDirty[i] {
-			s.word.Store(wv << 1)
+			it.tm.vers[si].Store(wv << 1)
 		} else {
-			s.word.Store(it.heldVer[i])
+			it.tm.vers[si].Store(it.heldVer[i])
 		}
 	}
 	it.held, it.heldVer, it.heldDirty = nil, nil, nil

@@ -198,7 +198,8 @@ func (c *cache) invalidateLine(line uint64) {
 // and empties the cache. In ADR mode every dirty line is rolled back
 // to its pre-dirty media image; the number of lines lost is returned.
 // In eADR mode dirty lines are (conceptually) flushed by the reserve
-// energy, so nothing is lost.
+// energy, so nothing is lost. Every context's current-line memo goes
+// stale with the pool's crash count.
 //
 // With an armed MediaFaultPlan (mp non-nil), up to mp.TornLines of the
 // ADR rollbacks are torn: a pseudorandom subset of the line's 8-byte
@@ -231,6 +232,7 @@ func (c *cache) crash(p *Pool, mode Mode, mp *MediaFaultPlan) (lost int) {
 		set.tick = 0
 		set.mu.Unlock()
 	}
+	p.crashes.Add(1) // after the sets are empty: see Pool.lookup
 	return lost
 }
 

@@ -34,6 +34,9 @@ type Pool struct {
 	fault      atomic.Pointer[FaultPlan]
 	inFlight   atomic.Int64
 	atomicOpen atomic.Int64
+	// crashes counts power failures; a context's current-line memo
+	// (Ctx.curLine) is only believed while it carries the current count.
+	crashes atomic.Uint64
 
 	// media is the armed media-fault plan (media.go); poison is the
 	// set of poisoned XPLine bases, with poisonN as its lock-free
@@ -128,16 +131,40 @@ func (p *Pool) checkAligned(addr uint64) {
 	p.check(addr, 8)
 }
 
+// lookup runs one line access through the cache set and makes line the
+// context's current line. The crash count is read before the set is
+// entered, so a power cut racing the access leaves a memo that is
+// already stale, never one that outlives the emptied cache.
+func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
+	c.curCrashes = p.crashes.Load()
+	hit = p.cache.access(p, c, line, store)
+	c.curLine = line | 1
+	return hit
+}
+
 // touch performs the cache-model bookkeeping for one line access and
 // charges the context's virtual clock, consuming a pending prefetch of
 // the line if one exists.
+//
+// A load of the context's current line — the line of its previous
+// access, with no store-side bookkeeping to do and no prefetch to
+// consume — is a hit that would leave the set exactly as it is (the
+// line is already its most recently used way), so it is charged without
+// taking the set lock. For a context alone on its pool that is the same
+// accounting as entering the set; with several contexts a neighbour may
+// have evicted the line in between, which the next miss absorbs.
 func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 	t := &p.cfg.Timing
+	if !store && c.nprefetch == 0 && c.curLine == line|1 && c.curCrashes == p.crashes.Load() {
+		c.clock += t.CacheHitLoad
+		c.stats.CacheHits++
+		return
+	}
 	done, prefetched := int64(0), false
 	if !store && c.nprefetch > 0 {
 		done, prefetched = c.takePrefetch(line)
 	}
-	hit := p.cache.access(p, c, line, store)
+	hit := p.lookup(c, line, store)
 	switch {
 	case prefetched && hit:
 		// Data arrives at the prefetch completion time; the load
@@ -253,6 +280,7 @@ func (p *Pool) NTStore(c *Ctx, addr uint64, src []byte) {
 	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + n - 1) &^ uint64(CachelineSize-1)
+	c.curLine = 0 // the range may cover it
 	for line := first; line <= last; line += CachelineSize {
 		p.cache.invalidateLine(line)
 		c.stats.CachelineWrites++
@@ -307,7 +335,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) {
 	p.check(addr, 1)
 	t := &p.cfg.Timing
 	line := addr &^ uint64(CachelineSize-1)
-	hit := p.cache.access(p, c, line, false)
+	hit := p.lookup(c, line, false)
 	c.clock += t.DRAMAccess // issue cost
 	lat := t.CacheMissLoad
 	if hit {
