@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
+.PHONY: all build test fmt-check race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
 
 all: build test
 
@@ -15,6 +15,11 @@ build:
 
 test:
 	go test ./...
+
+# fmt-check fails (listing the files) when anything is not gofmt-clean;
+# CI's build-test job runs the same check.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 race:
 	go test -race ./internal/core ./internal/pmem ./internal/htm ./internal/obs \

@@ -48,11 +48,11 @@ var ExemptPkgs = []string{
 type eventKind int
 
 const (
-	evStore eventKind = iota // pool.Store64 / pool.Write (cached)
-	evNTStore                // pool.NTStore (bypasses cache, needs fence)
-	evFlush                  // pool.Flush
-	evFence                  // pool.Fence
-	evPublish                // pool.CAS64, txn.BumpStore64
+	evStore   eventKind = iota // pool.Store64 / pool.Write (cached)
+	evNTStore                  // pool.NTStore (bypasses cache, needs fence)
+	evFlush                    // pool.Flush
+	evFence                    // pool.Fence
+	evPublish                  // pool.CAS64, txn.BumpStore64
 )
 
 type event struct {

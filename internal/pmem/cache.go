@@ -1,34 +1,59 @@
 package pmem
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// cacheEntry is one way of one cache set.
-type cacheEntry struct {
-	// tag is the line address + 1; 0 means the way is empty.
-	tag   uint64
-	tick  uint32
-	dirty bool
+// maxWays is the largest associativity a cacheSet can hold: its LRU
+// order is sixteen 4-bit ranks in one word.
+const maxWays = 16
+
+// maxPoolSize bounds the pool so that every line number + 1 fits a
+// cacheSet's 32-bit tag: 2^32-1 lines, just under 2^38 bytes.
+const maxPoolSize = (1<<32 - 1) * CachelineSize
+
+// cacheSet is one associativity set, packed so that everything one
+// simulated line access reads or writes sits in a single 128-byte,
+// 128-aligned block of the host's memory — one adjacent-line pair, one
+// real miss — instead of a header here and sixteen ways in another
+// array.
+//
+// order is the set's exact LRU order as a permutation of way numbers,
+// one nibble per rank: nibble 0 is the most recently used way, nibble
+// ways-1 the least. Every hit and every fill moves the way to rank 0,
+// so once the set is full its ways are ordered by their last access and
+// the last rank is the way a per-way access timestamp would pick. The
+// nibbles above ways-1 hold the way numbers the set does not have and
+// are never read.
+//
+// The mutex also covers the word stores performed by the pool while the
+// line's residency is being established, which keeps ADR snapshots
+// consistent.
+type cacheSet struct {
+	mu    sync.Mutex
+	order uint64
+	// tags holds line number + 1 per way; 0 means the way is empty.
+	tags [maxWays]uint32
+	// dirty has bit w set while way w holds a dirty line.
+	dirty uint16
+	_     [46]byte
 }
 
-// cacheSet is one associativity set. Its mutex also covers the word
-// stores performed by the pool while the line's residency is being
-// established, which keeps ADR snapshots consistent.
-type cacheSet struct {
-	mu   sync.Mutex
-	tick uint32
-}
+// initialOrder ranks way i at rank i.
+const initialOrder = 0xfedcba9876543210
 
 // cache models the shared CPU cache in front of the PM media.
 type cache struct {
-	sets    []cacheSet
-	entries []cacheEntry // len(sets) * ways, flat
-	ways    int
-	mask    uint64 // numSets - 1
+	sets []cacheSet
+	ways int
+	mask uint64 // numSets - 1
 	// snaps holds, in ADR mode, the pre-dirty media image of each
-	// dirty line (64 bytes per way). nil in eADR mode.
+	// dirty line (64 bytes per way, indexed set*ways+way). nil in eADR
+	// mode.
 	snaps []byte
 }
 
@@ -40,15 +65,29 @@ func newCache(cfg Config) *cache {
 		numSets = 1
 	}
 	c := &cache{
-		sets:    make([]cacheSet, numSets),
-		entries: make([]cacheEntry, numSets*uint64(ways)),
-		ways:    ways,
-		mask:    numSets - 1,
+		sets: newSets(numSets),
+		ways: ways,
+		mask: numSets - 1,
 	}
 	if cfg.Mode == ADR {
 		c.snaps = make([]byte, numSets*uint64(ways)*CachelineSize)
 	}
 	return c
+}
+
+// newSets returns n empty sets, the first on a 128-byte boundary. The
+// backing array is pointer-free words, as is cacheSet, so viewing one
+// as the other hides nothing from the collector.
+func newSets(n uint64) []cacheSet {
+	const size = unsafe.Sizeof(cacheSet{})
+	raw := make([]uint64, (uintptr(n)+1)*size/8)
+	base := unsafe.Pointer(&raw[0])
+	pad := -uintptr(base) & (size - 1)
+	sets := unsafe.Slice((*cacheSet)(unsafe.Add(base, pad)), n)
+	for i := range sets {
+		sets[i].order = initialOrder
+	}
+	return sets
 }
 
 func nextPow2(v uint64) uint64 {
@@ -60,6 +99,19 @@ func nextPow2(v uint64) uint64 {
 		p <<= 1
 	}
 	return p
+}
+
+// validateCache panics on a configuration the packed set would silently
+// alias: more ways than order has ranks, or a line number wider than a
+// tag.
+func validateCache(cfg Config) {
+	if cfg.CacheWays < 1 || cfg.CacheWays > maxWays {
+		panic(fmt.Sprintf("pmem: Config.CacheWays = %d, want 1..%d", cfg.CacheWays, maxWays))
+	}
+	if cfg.PoolSize > maxPoolSize {
+		panic(fmt.Sprintf("pmem: Config.PoolSize = %d exceeds the %d bytes (2^32-1 lines) the cache model can tag",
+			cfg.PoolSize, uint64(maxPoolSize)))
+	}
 }
 
 // setIndex maps a line to a set. The index is hashed rather than
@@ -77,6 +129,51 @@ func (c *cache) setIndex(line uint64) uint64 {
 	return x & c.mask
 }
 
+// tagOf is the tag a resident line carries.
+func tagOf(line uint64) uint32 { return uint32(line/CachelineSize) + 1 }
+
+// lineOf is the line address a non-empty tag stands for.
+func lineOf(tag uint32) uint64 { return uint64(tag-1) * CachelineSize }
+
+// isDirty reports whether way w holds a dirty line.
+func (s *cacheSet) isDirty(w int) bool { return s.dirty>>w&1 != 0 }
+
+// find returns the way holding tag, or -1. Ways the set does not have
+// keep tag 0 and never match.
+func (s *cacheSet) find(tag uint32) int {
+	for w, t := range &s.tags {
+		if t == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// promote moves way w to rank 0, shifting the ranks above it down one.
+func (s *cacheSet) promote(w int) {
+	o := s.order
+	if o&0xf == uint64(w) {
+		return
+	}
+	// The lowest zero nibble of o^(w repeated) is w's rank; the borrow
+	// of the subtraction can only raise false flags above it.
+	x := o ^ uint64(w)*0x1111111111111111
+	sh := uint(bits.TrailingZeros64((x-0x1111111111111111)&^x&0x8888888888888888)) &^ 3
+	below := o & (1<<sh - 1)
+	s.order = o&^(1<<(sh+4)-1) | below<<4 | uint64(w)
+}
+
+// victim returns the way a fill replaces: the lowest-numbered empty
+// way, else the least recently used one.
+func (s *cacheSet) victim(ways int) int {
+	for w, t := range s.tags[:ways] {
+		if t == 0 {
+			return w
+		}
+	}
+	return int(s.order >> (4 * uint(ways-1)) & 0xf)
+}
+
 // access looks up line, filling it on a miss (write-allocate policy).
 // It returns whether the line was already resident. All media traffic
 // caused by the access (fill, dirty victim write-back) is recorded on
@@ -84,55 +181,29 @@ func (c *cache) setIndex(line uint64) uint64 {
 func (c *cache) access(p *Pool, ctx *Ctx, line uint64, store bool) (hit bool) {
 	si := c.setIndex(line)
 	set := &c.sets[si]
-	base := si * uint64(c.ways)
+	tag := tagOf(line)
 	set.mu.Lock()
-	set.tick++
-	tag := line + 1
-
-	empty, lru := -1, 0
-	var lruTick uint32 = ^uint32(0)
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+uint64(w)]
-		if e.tag == tag {
-			e.tick = set.tick
-			if store && !e.dirty {
-				c.snapshot(p, base+uint64(w), line)
-				e.dirty = true
-			}
-			set.mu.Unlock()
-			return true
+	w := set.find(tag)
+	if hit = w >= 0; !hit {
+		// Miss: evict the LRU (or fill an empty) way.
+		w = set.victim(c.ways)
+		if set.isDirty(w) {
+			ctx.stats.CachelineWrites++
+			ctx.stats.Evictions++
+			p.xpb.write(ctx, lineOf(set.tags[w]))
 		}
-		if e.tag == 0 {
-			if empty < 0 {
-				empty = w
-			}
-		} else if e.tick < lruTick {
-			lru, lruTick = w, e.tick
-		}
+		set.tags[w] = tag
+		set.dirty &^= 1 << w
+		ctx.stats.CachelineReads++
+		p.xpb.read(ctx, line)
 	}
-	victim := lru
-	if empty >= 0 {
-		victim = empty
-	}
-
-	// Miss: evict the LRU (or an empty) way, then fill.
-	e := &c.entries[base+uint64(victim)]
-	if e.tag != 0 && e.dirty {
-		ctx.stats.CachelineWrites++
-		ctx.stats.Evictions++
-		p.xpb.write(ctx, e.tag-1)
-	}
-	e.tag = tag
-	e.tick = set.tick
-	e.dirty = false
-	ctx.stats.CachelineReads++
-	p.xpb.read(ctx, line)
-	if store {
-		c.snapshot(p, base+uint64(victim), line)
-		e.dirty = true
+	set.promote(w)
+	if store && !set.isDirty(w) {
+		c.snapshot(p, si*uint64(c.ways)+uint64(w), line)
+		set.dirty |= 1 << w
 	}
 	set.mu.Unlock()
-	return false
+	return hit
 }
 
 // snapshot captures the media image of line into the way's snapshot
@@ -149,26 +220,17 @@ func (c *cache) snapshot(p *Pool, way uint64, line uint64) {
 }
 
 // flushLine implements clwb: if the line is resident and dirty it is
-// written back to media and marked clean, remaining resident. Returns
-// whether a write-back happened.
+// written back to media and marked clean, remaining resident (and
+// keeping its LRU rank). Returns whether a write-back happened.
 func (c *cache) flushLine(p *Pool, ctx *Ctx, line uint64) bool {
-	si := c.setIndex(line)
-	set := &c.sets[si]
-	base := si * uint64(c.ways)
+	set := &c.sets[c.setIndex(line)]
 	set.mu.Lock()
-	tag := line + 1
 	wrote := false
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+uint64(w)]
-		if e.tag == tag {
-			if e.dirty {
-				e.dirty = false
-				ctx.stats.CachelineWrites++
-				p.xpb.write(ctx, line)
-				wrote = true
-			}
-			break
-		}
+	if w := set.find(tagOf(line)); w >= 0 && set.isDirty(w) {
+		set.dirty &^= 1 << w
+		ctx.stats.CachelineWrites++
+		p.xpb.write(ctx, line)
+		wrote = true
 	}
 	set.mu.Unlock()
 	return wrote
@@ -176,20 +238,14 @@ func (c *cache) flushLine(p *Pool, ctx *Ctx, line uint64) bool {
 
 // invalidateLine drops the line from the cache without writing it
 // back. Used by ntstore, whose data bypasses the cache and fully
-// overwrites the line in media.
+// overwrites the line in media. The emptied way keeps its rank; the
+// next fill of the set takes it and promotes it.
 func (c *cache) invalidateLine(line uint64) {
-	si := c.setIndex(line)
-	set := &c.sets[si]
-	base := si * uint64(c.ways)
+	set := &c.sets[c.setIndex(line)]
 	set.mu.Lock()
-	tag := line + 1
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+uint64(w)]
-		if e.tag == tag {
-			e.tag = 0
-			e.dirty = false
-			break
-		}
+	if w := set.find(tagOf(line)); w >= 0 {
+		set.tags[w] = 0
+		set.dirty &^= 1 << w
 	}
 	set.mu.Unlock()
 }
@@ -211,25 +267,23 @@ func (c *cache) crash(p *Pool, mode Mode, mp *MediaFaultPlan) (lost int) {
 		base := uint64(si) * uint64(c.ways)
 		set.mu.Lock()
 		for w := 0; w < c.ways; w++ {
-			e := &c.entries[base+uint64(w)]
-			if e.tag != 0 && e.dirty && mode == ADR {
-				lost++
-				line := e.tag - 1
-				snap := c.snaps[(base+uint64(w))*CachelineSize:]
-				w0 := line / 8
-				keep := mp.tearMask()
-				for i := 0; i < CachelineSize/8; i++ {
-					if keep>>i&1 == 1 {
-						continue // torn: this word's new value reached media
-					}
-					atomic.StoreUint64(&p.words[w0+uint64(i)], le64At(snap, i*8))
-				}
+			if mode != ADR || !set.isDirty(w) {
+				continue
 			}
-			e.tag = 0
-			e.dirty = false
-			e.tick = 0
+			lost++
+			snap := c.snaps[(base+uint64(w))*CachelineSize:]
+			w0 := lineOf(set.tags[w]) / 8
+			keep := mp.tearMask()
+			for i := 0; i < CachelineSize/8; i++ {
+				if keep>>i&1 == 1 {
+					continue // torn: this word's new value reached media
+				}
+				atomic.StoreUint64(&p.words[w0+uint64(i)], le64At(snap, i*8))
+			}
 		}
-		set.tick = 0
+		set.tags = [maxWays]uint32{}
+		set.dirty = 0
+		set.order = initialOrder
 		set.mu.Unlock()
 	}
 	p.crashes.Add(1) // after the sets are empty: see Pool.lookup
@@ -242,13 +296,8 @@ func (c *cache) dirtyLines() int {
 	n := 0
 	for si := range c.sets {
 		set := &c.sets[si]
-		base := uint64(si) * uint64(c.ways)
 		set.mu.Lock()
-		for w := 0; w < c.ways; w++ {
-			if e := &c.entries[base+uint64(w)]; e.tag != 0 && e.dirty {
-				n++
-			}
-		}
+		n += bits.OnesCount16(set.dirty)
 		set.mu.Unlock()
 	}
 	return n

@@ -1,0 +1,540 @@
+package pmem
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+)
+
+// refCache is the cache model the packed set replaced, kept as the
+// oracle of TestPackedSetMatchesTickLRU: one entry per way carrying its
+// own access timestamp, the victim being the lowest-numbered empty way,
+// else the occupied way with the oldest timestamp.
+type refCache struct {
+	sets  [][]refEntry
+	ticks []uint32
+	index func(line uint64) uint64
+	xpb   *xpbuffer
+	ctx   *Ctx // receives the stats the real context should end with
+}
+
+type refEntry struct {
+	tag   uint64 // line + 1; 0 means empty
+	tick  uint32
+	dirty bool
+	snap  [CachelineSize / 8]uint64 // words of the line when it went dirty
+}
+
+func newRefCache(p *Pool) *refCache {
+	r := &refCache{
+		sets:  make([][]refEntry, len(p.cache.sets)),
+		ticks: make([]uint32, len(p.cache.sets)),
+		index: p.cache.setIndex,
+		xpb:   newXPBuffer(p.cfg.XPBufferLines),
+		ctx:   &Ctx{},
+	}
+	for i := range r.sets {
+		r.sets[i] = make([]refEntry, p.cache.ways)
+	}
+	return r
+}
+
+// dirtied marks e dirty, capturing the line's current words: the image
+// an ADR crash must restore.
+func (e *refEntry) dirtied(p *Pool, line uint64) {
+	e.dirty = true
+	copy(e.snap[:], p.words[line/8:])
+}
+
+func (r *refCache) access(p *Pool, line uint64, store bool) (hit bool) {
+	si := r.index(line)
+	set := r.sets[si]
+	r.ticks[si]++
+	tick, tag := r.ticks[si], line+1
+	empty, lru := -1, 0
+	lruTick := ^uint32(0)
+	for w := range set {
+		e := &set[w]
+		if e.tag == tag {
+			e.tick = tick
+			if store && !e.dirty {
+				e.dirtied(p, line)
+			}
+			return true
+		}
+		if e.tag == 0 {
+			if empty < 0 {
+				empty = w
+			}
+		} else if e.tick < lruTick {
+			lru, lruTick = w, e.tick
+		}
+	}
+	victim := lru
+	if empty >= 0 {
+		victim = empty
+	}
+	e := &set[victim]
+	if e.tag != 0 && e.dirty {
+		r.ctx.stats.CachelineWrites++
+		r.ctx.stats.Evictions++
+		r.xpb.write(r.ctx, e.tag-1)
+	}
+	*e = refEntry{tag: tag, tick: tick}
+	r.ctx.stats.CachelineReads++
+	r.xpb.read(r.ctx, line)
+	if store {
+		e.dirtied(p, line)
+	}
+	return false
+}
+
+func (r *refCache) find(line uint64) *refEntry {
+	set := r.sets[r.index(line)]
+	for w := range set {
+		if set[w].tag == line+1 {
+			return &set[w]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) flushLine(line uint64) {
+	if e := r.find(line); e != nil && e.dirty {
+		e.dirty = false
+		r.ctx.stats.CachelineWrites++
+		r.xpb.write(r.ctx, line)
+	}
+}
+
+func (r *refCache) invalidateLine(line uint64) {
+	if e := r.find(line); e != nil {
+		e.tag, e.dirty = 0, false
+	}
+}
+
+// crash empties the model and returns the pool image a crash in mode
+// must leave behind, with the number of lines it loses.
+func (r *refCache) crash(p *Pool, mode Mode) (words []uint64, lost int) {
+	words = append(words, p.words...)
+	for si, set := range r.sets {
+		for w := range set {
+			if e := &set[w]; e.tag != 0 && e.dirty && mode == ADR {
+				lost++
+				copy(words[(e.tag-1)/8:], e.snap[:])
+			}
+			set[w] = refEntry{}
+		}
+		r.ticks[si] = 0
+	}
+	r.xpb.reset()
+	return words, lost
+}
+
+// sameState compares the packed sets with the reference way by way:
+// same line in the same way (the ADR snapshot slots are indexed by
+// way), same dirty bit, and the occupied ways in the same LRU order —
+// ranks run from the newest reference timestamp to the oldest — which
+// is what makes every later eviction pick the same line.
+func sameState(c *cache, r *refCache) error {
+	for si := range c.sets {
+		set, ref := &c.sets[si], r.sets[si]
+		for w := range ref {
+			var tag uint64
+			if t := set.tags[w]; t != 0 {
+				tag = lineOf(t) + 1
+			}
+			if tag != ref[w].tag || set.isDirty(w) != ref[w].dirty {
+				return fmt.Errorf("set %d way %d: line+1 %#x dirty %v, reference %#x dirty %v",
+					si, w, tag, set.isDirty(w), ref[w].tag, ref[w].dirty)
+			}
+		}
+		newer := uint64(math.MaxUint64)
+		for rank := 0; rank < c.ways; rank++ {
+			w := int(set.order >> (4 * uint(rank)) & 0xf)
+			if w >= c.ways {
+				return fmt.Errorf("set %d: order %#x ranks way %d of %d", si, set.order, w, c.ways)
+			}
+			if ref[w].tag == 0 {
+				continue
+			}
+			if tick := uint64(ref[w].tick); tick >= newer {
+				return fmt.Errorf("set %d: order %#x ranks way %d (reference tick %d) below a way last used at tick %d",
+					si, set.order, w, tick, newer)
+			} else {
+				newer = tick
+			}
+		}
+	}
+	return nil
+}
+
+// check verifies the invariants every cacheSet must hold between
+// accesses.
+func (c *cache) check() error {
+	for si := range c.sets {
+		set := &c.sets[si]
+		set.mu.Lock()
+		tags, order, dirty := set.tags, set.order, set.dirty
+		set.mu.Unlock()
+		var occupied, ranked uint16
+		seen := map[uint32]int{}
+		for w, t := range tags {
+			if t == 0 {
+				continue
+			}
+			if w >= c.ways {
+				return fmt.Errorf("set %d: way %d of a %d-way set holds tag %#x", si, w, c.ways, t)
+			}
+			if prev, dup := seen[t]; dup {
+				return fmt.Errorf("set %d: tag %#x in ways %d and %d", si, t, prev, w)
+			}
+			seen[t] = w
+			occupied |= 1 << w
+		}
+		for rank := 0; rank < c.ways; rank++ {
+			ranked |= 1 << (order >> (4 * uint(rank)) & 0xf)
+		}
+		if want := uint16(1<<c.ways - 1); ranked != want {
+			return fmt.Errorf("set %d: order %#x ranks ways %#b, want %#b", si, order, ranked, want)
+		}
+		if dirty&^occupied != 0 {
+			return fmt.Errorf("set %d: dirty %#b outside occupied %#b", si, dirty, occupied)
+		}
+	}
+	return nil
+}
+
+func linesOf(addr, n uint64) (first, last uint64) {
+	return addr &^ uint64(CachelineSize-1), (addr + n - 1) &^ uint64(CachelineSize-1)
+}
+
+// diffStream runs one seeded stream of every access kind through a pool
+// whose cache is a fraction of the address span, so most accesses
+// evict, and through the reference, comparing them after every
+// operation.
+func diffStream(t *testing.T, mode Mode, ways int, seed int64) {
+	const span = 64 << 10
+	p := New(Config{PoolSize: span, Mode: mode, CacheSize: uint64(4 * ways * CachelineSize),
+		CacheWays: ways, XPBufferLines: 8})
+	c := p.NewCtx()
+	r := newRefCache(p)
+	st := &r.ctx.stats
+	// touch mirrors Pool.touch's hit/miss accounting on the reference.
+	touch := func(addr, n uint64, store bool) {
+		first, last := linesOf(addr, n)
+		for line := first; line <= last; line += CachelineSize {
+			if r.access(p, line, store) {
+				st.CacheHits++
+			} else {
+				st.CacheMisses++
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	buf := make([]byte, 320)
+	var addr uint64
+	for i := 0; i < 12000; i++ {
+		if rng.Intn(2) == 0 {
+			addr = addr&^uint64(CachelineSize-1) + uint64(rng.Intn(8))*8
+		} else {
+			addr = uint64(rng.Intn(span/8)) * 8
+		}
+		n := uint64(1 + rng.Intn(len(buf)-1))
+		if addr+n > span {
+			n = span - addr
+		}
+		op := ""
+		switch k := rng.Intn(100); {
+		case k < 35:
+			op = "Load64"
+			touch(addr, 8, false)
+			p.Load64(c, addr)
+		case k < 55:
+			op = "Store64"
+			touch(addr, 8, true)
+			p.Store64(c, addr, uint64(i))
+		case k < 60:
+			op = "CAS64"
+			touch(addr, 8, true)
+			p.CAS64(c, addr, p.words[addr/8], uint64(i))
+		case k < 70:
+			op = "Read"
+			touch(addr, n, false)
+			p.Read(c, addr, buf[:n])
+		case k < 80:
+			op = "Write"
+			touch(addr, n, true)
+			rng.Read(buf[:n])
+			p.Write(c, addr, buf[:n])
+		case k < 87:
+			op = "Flush"
+			first, last := linesOf(addr, n)
+			for line := first; line <= last; line += CachelineSize {
+				st.Flushes++
+				r.flushLine(line)
+			}
+			p.Flush(c, addr, n)
+		case k < 91:
+			op = "NTStore"
+			first, last := linesOf(addr, n)
+			for line := first; line <= last; line += CachelineSize {
+				r.invalidateLine(line)
+				st.CachelineWrites++
+				st.NTStores++
+				r.xpb.write(r.ctx, line)
+			}
+			rng.Read(buf[:n])
+			p.NTStore(c, addr, buf[:n])
+		case k < 98:
+			op = "Prefetch"
+			if !r.access(p, addr&^uint64(CachelineSize-1), false) {
+				st.CacheMisses++
+			}
+			p.Prefetch(c, addr)
+		case k < 99:
+			op = "Fence"
+			st.Fences++
+			p.Fence(c)
+		default:
+			op = "Crash"
+			want, wantLost := r.crash(p, mode)
+			if lost := p.Crash(); lost != wantLost {
+				t.Fatalf("op %d Crash lost %d lines, reference %d", i, lost, wantLost)
+			}
+			for wi, w := range want {
+				if p.words[wi] != w {
+					t.Fatalf("op %d Crash: word %#x = %#x, reference %#x", i, wi*8, p.words[wi], w)
+				}
+			}
+		}
+		// Equal counters after every operation: each access agreed on
+		// hit or miss and on whether it evicted a dirty line; equal sets:
+		// it evicted the same line.
+		if c.stats != *st {
+			t.Fatalf("op %d %s(%#x, %d):\n got %+v\nwant %+v", i, op, addr, n, c.stats, *st)
+		}
+		if err := sameState(p.cache, r); err != nil {
+			t.Fatalf("op %d %s(%#x, %d): %v", i, op, addr, n, err)
+		}
+	}
+	dirty := 0
+	for _, set := range r.sets {
+		for _, e := range set {
+			if e.tag != 0 && e.dirty {
+				dirty++
+			}
+		}
+	}
+	if got := p.DirtyLines(); got != dirty {
+		t.Errorf("DirtyLines = %d, reference %d", got, dirty)
+	}
+	if err := p.cache.check(); err != nil {
+		t.Error(err)
+	}
+	if st.Evictions == 0 || st.CacheHits == 0 {
+		t.Errorf("stream exercised no evictions or no hits: %+v", *st)
+	}
+}
+
+func TestPackedSetMatchesTickLRU(t *testing.T) {
+	for _, mode := range []Mode{EADR, ADR} {
+		for _, ways := range []int{1, 2, 4, 8, 16} {
+			t.Run(fmt.Sprintf("%v/%dway", mode, ways), func(t *testing.T) {
+				for seed := int64(1); seed <= 3; seed++ {
+					diffStream(t, mode, ways, seed)
+				}
+			})
+		}
+	}
+}
+
+func panicOf(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
+func TestNewRejectsWhatThePackedSetCannotHold(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string // named by the panic; "" means accepted
+	}{
+		{"17 ways", Config{PoolSize: 1 << 20, CacheWays: 17}, "Config.CacheWays"},
+		{"negative ways", Config{PoolSize: 1 << 20, CacheWays: -1}, "Config.CacheWays"},
+		{"2^38 B pool", Config{PoolSize: 1 << 38}, "Config.PoolSize"},
+		{"largest taggable pool", Config{PoolSize: 1<<38 - XPLineSize}, ""},
+		{"16 ways", Config{PoolSize: 1 << 20, CacheWays: 16}, ""},
+	} {
+		// validateCache is what New runs before allocating anything; the
+		// accepted 2^38-256 B pool is not one a test can allocate.
+		msg := panicOf(func() { validateCache(tc.cfg.withDefaults()) })
+		if tc.field == "" {
+			if msg != "<nil>" {
+				t.Errorf("%s: rejected: %s", tc.name, msg)
+			}
+			continue
+		}
+		if !strings.HasPrefix(msg, "pmem: "+tc.field) {
+			t.Errorf("%s: panic %q does not name %s", tc.name, msg, tc.field)
+		}
+		if got := panicOf(func() { New(tc.cfg) }); got != msg {
+			t.Errorf("%s: New panicked with %q, want %q", tc.name, got, msg)
+		}
+	}
+}
+
+// A one-set cache of every supported associativity fills its ways in
+// order, hits on all of them, and then evicts exactly the least
+// recently used line — never a rank the set does not have.
+func TestEveryAssociativityEvictsItsLRU(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8, 16} {
+		p := New(Config{PoolSize: 1 << 20, CacheSize: uint64(ways * CachelineSize), CacheWays: ways})
+		c := p.NewCtx()
+		line := func(i int) uint64 { return uint64(i+1) * CachelineSize }
+		load := func(i int) uint64 { return missesOf(c, func() { p.Load64(c, line(i)) }) }
+		for i := 0; i < ways; i++ {
+			if load(i) != 1 {
+				t.Fatalf("%d-way: first load of line %d hit", ways, i)
+			}
+		}
+		for i := ways - 1; i >= 0; i-- { // line 0 ends most recent, line ways-1 least
+			if load(i) != 0 {
+				t.Fatalf("%d-way: resident line %d missed", ways, i)
+			}
+		}
+		for i := 0; i < 3*ways; i++ { // each fill must evict the oldest line and nothing else
+			if load(ways+i) != 1 {
+				t.Fatalf("%d-way: new line %d hit", ways, ways+i)
+			}
+			if err := p.cache.check(); err != nil {
+				t.Fatalf("%d-way after fill %d: %v", ways, i, err)
+			}
+			oldest := ways - 1 - i // the descending reload order, then the fills in order
+			if i >= ways {
+				oldest = i
+			}
+			if got := p.cache.sets[0].find(tagOf(line(oldest))); got >= 0 {
+				t.Fatalf("%d-way fill %d: LRU line %d still resident in way %d", ways, i, oldest, got)
+			}
+		}
+	}
+}
+
+func TestCacheSetIsOneAlignedLinePair(t *testing.T) {
+	if size := unsafe.Sizeof(cacheSet{}); size != 128 {
+		t.Fatalf("unsafe.Sizeof(cacheSet{}) = %d, want 128", size)
+	}
+	for _, n := range []uint64{1, 2, 64, 8192} {
+		sets := newSets(n)
+		if a := uintptr(unsafe.Pointer(&sets[0])); a%128 != 0 || uint64(len(sets)) != n {
+			t.Errorf("newSets(%d): %d sets at %#x, want %d sets on a 128-byte boundary", n, len(sets), a, n)
+		}
+	}
+}
+
+// Two contexts hammer a two-set cache with every kind of access; run
+// under -race this checks the set lock covers all of a set's fields.
+func TestTwoContextHammerKeepsSetInvariants(t *testing.T) {
+	for _, mode := range []Mode{EADR, ADR} {
+		const span = 16 << 10
+		p := New(Config{PoolSize: span, Mode: mode, CacheSize: 2 * 4 * CachelineSize, CacheWays: 4, XPBufferLines: 8})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				c := p.NewCtx()
+				defer c.Release()
+				rng := rand.New(rand.NewSource(seed))
+				buf := make([]byte, 200)
+				for i := 0; i < 20000; i++ {
+					addr := uint64(rng.Intn(span/8-len(buf)/8)) * 8
+					switch rng.Intn(8) {
+					case 0, 1:
+						p.Load64(c, addr)
+					case 2:
+						p.Store64(c, addr, uint64(i))
+					case 3:
+						p.CAS64(c, addr, 0, uint64(i))
+					case 4:
+						p.Read(c, addr, buf)
+					case 5:
+						p.Write(c, addr, buf)
+					case 6:
+						p.Flush(c, addr, uint64(len(buf)))
+					default:
+						p.NTStore(c, addr, buf[:CachelineSize])
+					}
+				}
+			}(int64(g + 1))
+		}
+		wg.Wait()
+		if err := p.cache.check(); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+		p.Crash()
+		if err := p.cache.check(); err != nil {
+			t.Errorf("%v after Crash: %v", mode, err)
+		}
+		if n := p.DirtyLines(); n != 0 {
+			t.Errorf("%v: %d dirty lines after Crash", mode, n)
+		}
+	}
+}
+
+// BenchmarkCacheAccess is the wall-clock cost of one simulated line
+// access (ROADMAP item 1's `pmem` ledger row) on the default platform.
+// Each case walks a fixed random permutation of lines, so consecutive
+// accesses never share a line and every one enters its set: the miss
+// case cycles through 4x the simulated cache, which LRU turns into a
+// miss (and a fill) every time; the hit cases stay inside half of it.
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := DefaultConfig()
+	for _, bc := range []struct {
+		name  string
+		span  uint64
+		store bool
+	}{
+		{"load_hit", cfg.CacheSize / 2, false},
+		{"load_miss", 4 * cfg.CacheSize, false},
+		{"store_hit", cfg.CacheSize / 2, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := New(cfg)
+			c := p.NewCtx()
+			addrs := make([]uint64, bc.span/CachelineSize)
+			for i, j := range rand.New(rand.NewSource(1)).Perm(len(addrs)) {
+				addrs[i] = uint64(j+1) * CachelineSize
+			}
+			access := func(a, v uint64) {
+				if bc.store {
+					p.Store64(c, a, v)
+				} else {
+					benchSink += p.Load64(c, a)
+				}
+			}
+			for _, a := range addrs { // one lap to reach the steady state
+				access(a, a)
+			}
+			before := c.Stats()
+			b.ResetTimer()
+			for i, k := 0, 0; i < b.N; i++ {
+				access(addrs[k], uint64(i))
+				if k++; k == len(addrs) {
+					k = 0
+				}
+			}
+			b.StopTimer()
+			d := c.Stats().Sub(before)
+			b.ReportMetric(float64(d.CacheHits)/float64(b.N), "hits/op")
+		})
+	}
+}
+
+var benchSink uint64

@@ -8,8 +8,8 @@ import (
 // goldenStream drives one seeded single-context stream over every
 // access kind, with half of the accesses landing on the line of the
 // previous one, and returns what the context accounted.
-func goldenStream(mode Mode) (Stats, int64, uint64) {
-	p := New(Config{PoolSize: 1 << 20, Mode: mode, CacheSize: 16 << 10, CacheWays: 4, XPBufferLines: 8})
+func goldenStream(mode Mode, ways int) (Stats, int64, uint64) {
+	p := New(Config{PoolSize: 1 << 20, Mode: mode, CacheSize: 16 << 10, CacheWays: ways, XPBufferLines: 8})
 	c := p.NewCtx()
 	rng := rand.New(rand.NewSource(42))
 	const span = 256 << 10
@@ -51,28 +51,42 @@ func goldenStream(mode Mode) (Stats, int64, uint64) {
 	return c.Stats(), c.Clock(), sum
 }
 
-// The figures below were captured from the word-at-a-time simulator
-// (every load through the set lock) before same-line load coalescing
-// existed; coalescing must reproduce them to the last count.
-func TestCoalescingReproducesGoldenAccounting(t *testing.T) {
-	// The accounting does not depend on the persistence domain; the
-	// data read back (sum) does, through the lines an ADR crash loses.
-	want := Stats{CacheHits: 19191, CacheMisses: 35560, CachelineReads: 35560, CachelineWrites: 6129,
-		XPLineReads: 22135, XPLineWrites: 3724, Flushes: 6661, Fences: 2020, Evictions: 1527, NTStores: 3833}
-	const wantClock = 7742600
+// checkGolden runs the golden stream in both persistence domains. The
+// accounting does not depend on the domain; the data read back (sum)
+// does, through the lines an ADR crash loses.
+func checkGolden(t *testing.T, ways int, want Stats, wantClock int64, eadrSum, adrSum uint64) {
+	t.Helper()
 	for _, g := range []struct {
 		mode Mode
 		sum  uint64
 	}{
-		{EADR, 2421301960484571907},
-		{ADR, 7257555627498282294},
+		{EADR, eadrSum},
+		{ADR, adrSum},
 	} {
-		stats, clock, sum := goldenStream(g.mode)
+		stats, clock, sum := goldenStream(g.mode, ways)
 		if stats != want || clock != wantClock || sum != g.sum {
 			t.Errorf("mode %v:\n got %+v clock %d sum %d\nwant %+v clock %d sum %d",
 				g.mode, stats, clock, sum, want, wantClock, g.sum)
 		}
 	}
+}
+
+// The figures below were captured from the word-at-a-time simulator
+// (every load through the set lock) before same-line load coalescing
+// existed; coalescing must reproduce them to the last count.
+func TestCoalescingReproducesGoldenAccounting(t *testing.T) {
+	want := Stats{CacheHits: 19191, CacheMisses: 35560, CachelineReads: 35560, CachelineWrites: 6129,
+		XPLineReads: 22135, XPLineWrites: 3724, Flushes: 6661, Fences: 2020, Evictions: 1527, NTStores: 3833}
+	checkGolden(t, 4, want, 7742600, 2421301960484571907, 7257555627498282294)
+}
+
+// The same stream through a 16-way cache (the default associativity,
+// every rank of a set's LRU order in use), captured from the per-way
+// timestamp LRU at b8779b4 before the packed set replaced it.
+func TestPackedSetReproduces16WayGoldenAccounting(t *testing.T) {
+	want := Stats{CacheHits: 19226, CacheMisses: 35523, CachelineReads: 35523, CachelineWrites: 5455,
+		XPLineReads: 22109, XPLineWrites: 3069, Flushes: 6661, Fences: 2020, Evictions: 854, NTStores: 3833}
+	checkGolden(t, 16, want, 7734780, 2421301960484571907, 16725629559435081344)
 }
 
 // missesOf returns how many cache misses f caused on c.

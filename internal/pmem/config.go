@@ -112,14 +112,15 @@ func DefaultTiming() Timing {
 // Config describes a simulated PM platform.
 type Config struct {
 	// PoolSize is the simulated PM capacity in bytes. It is rounded
-	// up to a whole number of XPLines.
+	// up to a whole number of XPLines and must stay below 2^38 (the
+	// cache model tags lines with 32 bits).
 	PoolSize uint64
 	// Mode selects the persistence domain (EADR by default).
 	Mode Mode
 	// CacheSize is the capacity of the simulated CPU cache in bytes
 	// (the paper's testbed has a 42 MB shared L3).
 	CacheSize uint64
-	// CacheWays is the cache associativity.
+	// CacheWays is the cache associativity, at most 16.
 	CacheWays int
 	// XPBufferLines is the number of XPLine entries in the media
 	// write-combining buffer.

@@ -22,15 +22,15 @@ func TestFaultStepCounting(t *testing.T) {
 	fp := &FaultPlan{}
 	p.ArmFault(fp)
 
-	p.Store64(c, 64, 1)            // 1
-	p.CAS64(c, 64, 1, 2)           // 2
-	p.Write(c, 128, []byte{1, 2})  // 3
-	p.NTStore(c, 256, []byte{3})   // 4
-	p.Flush(c, 64, 8)              // 5
-	p.Fence(c)                     // 6
-	p.NTStore(c, 512, nil)         // n==0: not a step
-	_ = p.Load64(c, 64)            // loads are not steps
-	p.Flush(c, 64, 0)              // size==0: not a step
+	p.Store64(c, 64, 1)           // 1
+	p.CAS64(c, 64, 1, 2)          // 2
+	p.Write(c, 128, []byte{1, 2}) // 3
+	p.NTStore(c, 256, []byte{3})  // 4
+	p.Flush(c, 64, 8)             // 5
+	p.Fence(c)                    // 6
+	p.NTStore(c, 512, nil)        // n==0: not a step
+	_ = p.Load64(c, 64)           // loads are not steps
+	p.Flush(c, 64, 0)             // size==0: not a step
 	if got := fp.Steps(); got != 6 {
 		t.Fatalf("Steps() = %d, want 6", got)
 	}
@@ -54,9 +54,9 @@ func TestFaultFiresAtStep(t *testing.T) {
 	p.ArmFault(fp)
 
 	err := CatchCrash(func() error {
-		p.Store64(c, 64, 11)  // step 1
-		p.Store64(c, 72, 22)  // step 2
-		p.Store64(c, 80, 33)  // step 3: crash fires, store suppressed
+		p.Store64(c, 64, 11) // step 1
+		p.Store64(c, 72, 22) // step 2
+		p.Store64(c, 80, 33) // step 3: crash fires, store suppressed
 		t.Fatal("unreachable: crash did not unwind")
 		return nil
 	})

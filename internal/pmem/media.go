@@ -184,7 +184,7 @@ func (p *Pool) checkPoison(c *Ctx, addr, size uint64) {
 	if p.poisonN.Load() == 0 || size == 0 {
 		return
 	}
-	first := addr &^ uint64(XPLineSize - 1)
+	first := addr &^ uint64(XPLineSize-1)
 	last := (addr + size - 1) &^ uint64(XPLineSize-1)
 	p.poisonMu.Lock()
 	for line := first; line <= last; line += XPLineSize {
@@ -204,7 +204,7 @@ func (p *Pool) clearPoison(addr, size uint64) {
 	if p.poisonN.Load() == 0 || size == 0 {
 		return
 	}
-	first := addr &^ uint64(XPLineSize - 1)
+	first := addr &^ uint64(XPLineSize-1)
 	last := (addr + size - 1) &^ uint64(XPLineSize-1)
 	p.poisonMu.Lock()
 	for line := first; line <= last; line += XPLineSize {

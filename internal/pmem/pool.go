@@ -51,6 +51,7 @@ type Pool struct {
 // (as after an initial provisioning of the DIMMs).
 func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
+	validateCache(cfg)
 	p := &Pool{
 		cfg:   cfg,
 		words: make([]uint64, cfg.PoolSize/8),
@@ -149,10 +150,11 @@ func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
 // A load of the context's current line — the line of its previous
 // access, with no store-side bookkeeping to do and no prefetch to
 // consume — is a hit that would leave the set exactly as it is (the
-// line is already its most recently used way), so it is charged without
-// taking the set lock. For a context alone on its pool that is the same
-// accounting as entering the set; with several contexts a neighbour may
-// have evicted the line in between, which the next miss absorbs.
+// line's way already holds rank 0 of the set's LRU order), so it is
+// charged without taking the set lock. For a context alone on its pool
+// that is the same accounting as entering the set; with several
+// contexts a neighbour may have evicted the line in between, which the
+// next miss absorbs.
 func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 	t := &p.cfg.Timing
 	if !store && c.nprefetch == 0 && c.curLine == line|1 && c.curCrashes == p.crashes.Load() {
@@ -194,11 +196,18 @@ func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 // Load64 atomically loads the 64-bit word at addr. Reading a poisoned
 // XPLine panics with a typed AccessError (the simulated machine
 // check); see media.go.
+//
+// The word is read before the cache bookkeeping: the value does not
+// depend on it, and issued first the host's miss on the word overlaps
+// the miss on the set instead of waiting behind the set lock. Stores
+// cannot be reordered the same way: the set must snapshot the line's
+// pre-store image (ADR) before the word changes.
 func (p *Pool) Load64(c *Ctx, addr uint64) uint64 {
 	p.checkAligned(addr)
 	p.checkPoison(c, addr, 8)
+	v := atomic.LoadUint64(&p.words[addr/8])
 	p.touch(c, addr&^uint64(CachelineSize-1), false)
-	return atomic.LoadUint64(&p.words[addr/8])
+	return v
 }
 
 // Store64 atomically stores v to the 64-bit word at addr. The line
