@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
+.PHONY: all build test fmt-check cross-build race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
 
 all: build test
 
@@ -20,6 +20,14 @@ test:
 # CI's build-test job runs the same check.
 fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
+
+# cross-build compiles the tree for an architecture with its own
+# internal/hostpf stub (arm64, vetted against its Go declaration) and
+# for one that gets the empty fallback; CI's build-test job runs it.
+cross-build:
+	GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/hostpf
+	GOARCH=riscv64 go build ./...
 
 race:
 	go test -race ./internal/core ./internal/pmem ./internal/htm ./internal/obs \

@@ -7,6 +7,7 @@ package spash
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -72,17 +73,76 @@ func BenchmarkSearchPipelined(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	keys := make([][]byte, 256)
+	bufs := make([][]byte, len(keys))
 	for i := range keys {
 		keys[i] = make([]byte, 8)
+		bufs[i] = make([]byte, 0, 8)
 	}
-	ops := make([]Op, 256)
+	ops := make([]Op, len(keys))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(ops) {
 		for j := range ops {
 			binary.LittleEndian.PutUint64(keys[j], rng.Uint64()%n)
-			ops[j] = Op{Kind: OpGet, Key: keys[j]}
+			ops[j] = Op{Kind: OpGet, Key: keys[j], ResultBuf: bufs[j]}
 		}
 		s.ExecBatch(ops)
+	}
+}
+
+// The cold pair: uniform reads of 250 k × 16 B keys / 64 B values, all
+// out of line (about 50 MB of records, slots and simulator state — past
+// any host cache), one at a time and in batches of 64. Same requests,
+// same engine work; the difference is what ExecBatch's pipeline overlaps
+// on the wall clock.
+const coldRecords = 250000
+
+func coldDB(b *testing.B) *Session {
+	_, s := benchDB(b)
+	val := make([]byte, 64)
+	for i := 0; i < coldRecords; i++ {
+		if err := s.Insert(coldKey(nil, i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+func coldKey(dst []byte, id int) []byte {
+	return fmt.Appendf(dst[:0], "user%012d", id)
+}
+
+func BenchmarkGetCold(b *testing.B) {
+	s := coldDB(b)
+	rng := rand.New(rand.NewSource(1))
+	kb, vb := make([]byte, 16), make([]byte, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, _ := s.Get(coldKey(kb, rng.Intn(coldRecords)), vb); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkExecBatchCold(b *testing.B) {
+	s := coldDB(b)
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]Op, 64)
+	keys, bufs := make([][]byte, len(ops)), make([][]byte, len(ops))
+	for i := range ops {
+		keys[i], bufs[i] = make([]byte, 16), make([]byte, 0, 64)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(ops) {
+		for j := range ops {
+			ops[j] = Op{Kind: OpGet, Key: coldKey(keys[j], rng.Intn(coldRecords)), ResultBuf: bufs[j]}
+		}
+		s.ExecBatch(ops)
+		if !ops[0].Found {
+			b.Fatal("miss")
+		}
 	}
 }
 

@@ -1,0 +1,284 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spash/internal/alloc"
+	"spash/internal/htm"
+	"spash/internal/pmem"
+)
+
+// batchAccount is everything a batch stream leaves behind in the
+// simulation.
+type batchAccount struct {
+	mem   pmem.Stats
+	clock int64
+	tm    htm.Stats
+	dirty int
+	found int
+}
+
+// goldenBatchStream drives one seeded single-worker stream of 20 000
+// requests through ExecBatch — all four kinds, inline and out-of-line
+// records, batches of 1, 2, 7 and 64 — over a cache small enough to
+// evict, and returns what it accounted.
+func goldenBatchStream(t *testing.T, pd int, mode pmem.Mode) batchAccount {
+	t.Helper()
+	pool := pmem.New(pmem.Config{PoolSize: 32 << 20, CacheSize: 64 << 10, Mode: mode})
+	c := pool.NewCtx()
+	al, err := alloc.New(c, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(c, pool, al, Config{PipelineDepth: pd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ix.NewHandle(c)
+	rng := rand.New(rand.NewSource(15))
+	key := func(id int) []byte {
+		if id%3 == 0 {
+			return k64(uint64(id)) // inline
+		}
+		return []byte(fmt.Sprintf("key-%012d", id))
+	}
+	val := func(id, gen int) []byte {
+		switch id % 3 {
+		case 0:
+			return k64(uint64(gen)) // inline
+		case 1:
+			return []byte(fmt.Sprintf("%024d", gen))
+		}
+		return []byte(fmt.Sprintf("%072d", gen))
+	}
+	sizes := []int{1, 2, 7, 64}
+	ops := make([]BatchOp, 0, 64)
+	found := 0
+	for done, b := 0, 0; done < 20000; b++ {
+		ops = ops[:0]
+		for len(ops) < sizes[b%len(sizes)] {
+			id := rng.Intn(12000)
+			switch k := rng.Intn(10); {
+			case k < 4:
+				ops = append(ops, BatchOp{Kind: OpSearch, Key: key(id)})
+			case k < 7:
+				ops = append(ops, BatchOp{Kind: OpInsert, Key: key(id), Value: val(id, done)})
+			case k < 9:
+				ops = append(ops, BatchOp{Kind: OpUpdate, Key: key(id), Value: val(id, done+1)})
+			default:
+				ops = append(ops, BatchOp{Kind: OpDelete, Key: key(id)})
+			}
+		}
+		h.ExecBatch(ops)
+		for i := range ops {
+			if ops[i].Err != nil {
+				t.Fatal(ops[i].Err)
+			}
+			if ops[i].Found {
+				found++
+			}
+		}
+		done += len(ops)
+	}
+	return batchAccount{mem: c.Stats(), clock: c.Clock(), tm: ix.tm.Stats(), dirty: pool.DirtyLines(), found: found}
+}
+
+// The accounts below were captured from the parent commit (aaf6246),
+// whose ExecBatch had no host hints, hashed each key three times and
+// copied sub-batches: a hint changes no simulated state, so the batch
+// path must reproduce them to the last count.
+func TestBatchStreamReproducesGoldenAccounting(t *testing.T) {
+	for _, g := range []struct {
+		pd   int
+		mode pmem.Mode
+		want batchAccount
+	}{
+		{1, pmem.EADR, goldenPD1},
+		{4, pmem.EADR, goldenPD4},
+		{1, pmem.ADR, goldenPD1},
+		{4, pmem.ADR, goldenPD4},
+	} {
+		if got := goldenBatchStream(t, g.pd, g.mode); got != g.want {
+			t.Errorf("PipelineDepth %d, %v:\n got %+v\nwant %+v", g.pd, g.mode, got, g.want)
+		}
+	}
+}
+
+var (
+	goldenPD1 = batchAccount{
+		mem: pmem.Stats{CacheHits: 295140, CacheMisses: 23544, CachelineReads: 23544, CachelineWrites: 16422,
+			XPLineReads: 14992, XPLineWrites: 9220, Flushes: 9093, Fences: 12, Evictions: 7344},
+		clock: 7684353, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 361, found: 8974}
+	goldenPD4 = batchAccount{
+		mem: pmem.Stats{CacheHits: 295133, CacheMisses: 23537, CachelineReads: 23537, CachelineWrites: 16416,
+			XPLineReads: 15007, XPLineWrites: 9209, Flushes: 9093, Fences: 12, Evictions: 7338},
+		clock: 7318302, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 361, found: 8974}
+)
+
+// hintIndex is an index on a small formatted pool.
+func hintIndex(t testing.TB) (*Index, *Handle, *pmem.Pool) {
+	t.Helper()
+	pool := pmem.New(pmem.Config{PoolSize: 8 << 20, CacheSize: 64 << 10})
+	c := pool.NewCtx()
+	al, err := alloc.New(c, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(c, pool, al, Config{InitialDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, ix.NewHandle(c), pool
+}
+
+// hintAll runs the three hint stages for key, back to back.
+func hintAll(h *Handle, key []byte) {
+	r := makeReq(key)
+	h.hintDir(&r)
+	h.hintBucket(&r)
+	h.hintRecords(&r)
+}
+
+// Hints at addresses no access could use, at poisoned media and under an
+// armed fault plan raise nothing and count nothing.
+func TestHostileHints(t *testing.T) {
+	ix, h, pool := hintIndex(t)
+	if err := h.Insert([]byte("a-key-out-of-line"), []byte("a value that is stored out of line")); err != nil {
+		t.Fatal(err)
+	}
+	seg := ix.SegmentAddrs(h.c)[0]
+	pool.PoisonLine(seg)
+	fp := &pmem.FaultPlan{CrashAtStep: 1}
+	pool.ArmFault(fp)
+	before, clock, dirty := pool.Stats(), h.c.Clock(), pool.DirtyLines()
+
+	for _, addr := range []uint64{0, 1, 7, 63, seg, seg + 3, pool.Size() - 1, pool.Size(), pool.Size() + 64, 1 << 47, ^uint64(0)} {
+		pool.Hint(addr)
+		ix.tm.Hint(pool, addr)
+		if v := pool.Peek(addr); v != 0 && (addr&7 != 0 || addr >= pool.Size()) {
+			t.Errorf("Peek(%#x) = %#x, want 0 for an address no word lives at", addr, v)
+		}
+	}
+	hintAll(h, []byte("a-key-out-of-line"))
+	hintAll(h, k64(1))
+
+	if got := pool.Stats(); got != before {
+		t.Errorf("hints moved the pool's counters:\n got %+v\nwant %+v", got, before)
+	}
+	if h.c.Clock() != clock || pool.DirtyLines() != dirty {
+		t.Errorf("hints moved the clock (%d → %d) or the dirty set (%d → %d)", clock, h.c.Clock(), dirty, pool.DirtyLines())
+	}
+	if fp.Steps() != 0 || fp.Fired() {
+		t.Errorf("hints advanced the fault plan: %d steps, fired %v", fp.Steps(), fp.Fired())
+	}
+	if pool.PoisonedLines() != 1 {
+		t.Errorf("PoisonedLines = %d after hinting a poisoned line, want 1", pool.PoisonedLines())
+	}
+}
+
+// The hint stages never wait for a resize: with a halving (and then a
+// doubling) held open for ever they still return.
+func TestHintStagesDoNotWaitForResize(t *testing.T) {
+	ix, h, _ := hintIndex(t)
+	old := ix.dir.Load()
+	for _, ds := range []*doublingState{
+		{old: old, new: newDirectory(old.depth - 1), halving: true},
+		{old: old, new: newDirectory(old.depth + 1), partDone: make([]uint64, 1)},
+	} {
+		ix.doubling.Store(ds)
+		atomic.StoreUint64(&ix.dirGen, 1)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := uint64(0); i < 64; i++ {
+				hintAll(h, k64(i))
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("hint stages blocked on a resize (halving=%v)", ds.halving)
+		}
+	}
+	ix.doubling.Store(nil)
+	atomic.StoreUint64(&ix.dirGen, 2)
+}
+
+// A stale bucket may hold anything: hintRecords over random slot words
+// must not panic, count or change a word.
+func FuzzHintRecordsPeek(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), kOccupied|1<<40, uint64(1)<<47)
+	f.Fuzz(func(t *testing.T, w0, w1, w2, w3 uint64) {
+		_, h, pool := hintIndex(t)
+		const bucket = 4 << 20 // unallocated space
+		words := [8]uint64{w0, w1, w2, w3, w1 ^ w2, w0 ^ w3, ^w0, ^w1}
+		for s := uint64(0); s < SlotsPerBucket; s++ {
+			// Every slot claims the probe's fingerprint, so each is chased.
+			r := makeReq(k64(7))
+			pool.Store64(h.c, bucket+s*slotSize, words[2*s]&^kFPMask|kOccupied|uint64(r.fp)<<kFPShift)
+			pool.Store64(h.c, bucket+s*slotSize+8, words[2*s+1])
+		}
+		before := pool.Stats()
+		r := makeReq(k64(7))
+		r.bucket = bucket
+		h.hintRecords(&r)
+		if got := pool.Stats(); got != before {
+			t.Fatalf("hintRecords moved the counters:\n got %+v\nwant %+v", got, before)
+		}
+	})
+}
+
+// Batches (hint stages included) racing an inserter that forces splits
+// and directory doublings: run under -race.
+func TestBatchesRaceSplitsAndDoubling(t *testing.T) {
+	ix, _ := newTestIndex(t, Config{InitialDepth: 1})
+	const preload, grow = 2000, 20000
+	load := ix.NewHandle(nil)
+	for i := uint64(0); i < preload; i++ {
+		if err := load.Insert(k64(i), k64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doubles := ix.Stats().Doubles
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := uint64(preload); i < preload+grow; i++ {
+			key := []byte(fmt.Sprintf("grow-%011d", i))
+			if err := load.Insert(key, key); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	h := ix.NewHandle(nil)
+	ops := make([]BatchOp, 64)
+	bufs := make([][]byte, len(ops))
+	for b := uint64(0); !stop.Load(); b++ {
+		for i := range ops {
+			ops[i] = BatchOp{Kind: OpSearch, Key: k64((b*64 + uint64(i)) % preload), ResultBuf: bufs[i][:0]}
+		}
+		h.ExecBatch(ops)
+		for i := range ops {
+			if ops[i].Err != nil || !ops[i].Found ||
+				binary.LittleEndian.Uint64(ops[i].Result) != binary.LittleEndian.Uint64(ops[i].Key) {
+				t.Fatalf("batch %d op %d: found %v err %v result %x", b, i, ops[i].Found, ops[i].Err, ops[i].Result)
+			}
+			bufs[i] = ops[i].Result
+		}
+	}
+	wg.Wait()
+	if s := ix.Stats(); s.Splits == 0 || s.Doubles == doubles {
+		t.Fatalf("the inserter forced %d splits and %d doublings; the race needs both", s.Splits, s.Doubles-doubles)
+	}
+}

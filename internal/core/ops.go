@@ -207,17 +207,24 @@ func (h *Handle) execFallback(r *req, body func(m mem, seg uint64) error) error 
 
 // Search looks key up and, when found, appends its value to dst.
 func (h *Handle) Search(key, dst []byte) ([]byte, bool, error) {
+	r := makeReq(key)
+	return h.search(&r, dst)
+}
+
+// search, insert, update and remove are the operations on a normalised
+// request: the public methods build one per call, ExecBatch builds each
+// of its requests' once and runs them here.
+func (h *Handle) search(r *req, dst []byte) ([]byte, bool, error) {
 	h.c.BeginOp()
 	defer h.c.EndOp()
-	r := makeReq(key)
 	h.beginSpan(obs.SpanGet, r.h)
 	defer h.endSpan()
 	found := false
 	out := dst
-	err := h.exec(&r, true, func(m mem, seg uint64) error {
+	err := h.exec(r, true, func(m mem, seg uint64) error {
 		found, out = false, dst
 		ps := h.spanLap()
-		idx, _, vw, pr := h.ix.locate(m, h.c, seg, &r)
+		idx, _, vw, pr := h.ix.locate(m, h.c, seg, r)
 		h.spanProbe(ps)
 		h.lane.Observe(obs.HProbeLen, pr)
 		if idx < 0 {
@@ -244,12 +251,17 @@ func (h *Handle) Search(key, dst []byte) ([]byte, bool, error) {
 // the compacted-flush policy (§III-C) small records are appended to
 // the handle's XPLine chunk and flushed once per chunk.
 func (h *Handle) Insert(key, val []byte) error {
+	r := makeReq(key)
+	return h.insert(&r, val)
+}
+
+func (h *Handle) insert(r *req, val []byte) error {
+	key := r.key
 	if len(key) == 0 || len(key) > MaxKVLen || len(val) > MaxKVLen {
 		return errKVTooLarge
 	}
 	h.c.BeginOp()
 	defer h.c.EndOp()
-	r := makeReq(key)
 	h.beginSpan(obs.SpanInsert, r.h)
 	defer h.endSpan()
 
@@ -276,10 +288,10 @@ func (h *Handle) Insert(key, val []byte) error {
 	replaced := false
 	var freeVal uint64
 	freeValLen := 0
-	err := h.exec(&r, false, func(m mem, seg uint64) error {
+	err := h.exec(r, false, func(m mem, seg uint64) error {
 		replaced, freeVal, freeValLen = false, 0, 0
 		ps := h.spanLap()
-		idx, _, oldVW, pr := h.ix.locate(m, h.c, seg, &r)
+		idx, _, oldVW, pr := h.ix.locate(m, h.c, seg, r)
 		h.spanProbe(ps)
 		h.lane.Observe(obs.HProbeLen, pr)
 		if idx >= 0 {
@@ -296,7 +308,7 @@ func (h *Handle) Insert(key, val []byte) error {
 		if !ok {
 			return errNeedSplit
 		}
-		placeEntry(m, seg, free, hintSlot, &r, kw, vwBase)
+		placeEntry(m, seg, free, hintSlot, r, kw, vwBase)
 		return nil
 	})
 	if err != nil {
@@ -322,12 +334,16 @@ func (h *Handle) Insert(key, val []byte) error {
 // afterwards follows the configured policy and the hotspot detector.
 // Returns false when the key is absent.
 func (h *Handle) Update(key, val []byte) (bool, error) {
-	if len(key) == 0 || len(key) > MaxKVLen || len(val) > MaxKVLen {
+	r := makeReq(key)
+	return h.update(&r, val)
+}
+
+func (h *Handle) update(r *req, val []byte) (bool, error) {
+	if len(r.key) == 0 || len(r.key) > MaxKVLen || len(val) > MaxKVLen {
 		return false, errKVTooLarge
 	}
 	h.c.BeginOp()
 	defer h.c.EndOp()
-	r := makeReq(key)
 	h.beginSpan(obs.SpanUpdate, r.h)
 	defer h.endSpan()
 	vpay, vInline := inlineValuePayload(val)
@@ -343,10 +359,10 @@ func (h *Handle) Update(key, val []byte) (bool, error) {
 	found, usedNew := false, false
 	var freeOld, flushAddr uint64
 	freeOldLen := 0
-	err := h.exec(&r, false, func(m mem, seg uint64) error {
+	err := h.exec(r, false, func(m mem, seg uint64) error {
 		found, usedNew, freeOld, freeOldLen, flushAddr = false, false, 0, 0, 0
 		ps := h.spanLap()
-		idx, _, vw, pr := h.ix.locate(m, h.c, seg, &r)
+		idx, _, vw, pr := h.ix.locate(m, h.c, seg, r)
 		h.spanProbe(ps)
 		h.lane.Observe(obs.HProbeLen, pr)
 		if idx < 0 {
@@ -395,7 +411,7 @@ func (h *Handle) Update(key, val []byte) (bool, error) {
 	if freeOld != 0 {
 		h.freeRecord(freeOld, freeOldLen)
 	}
-	h.updateFlushPolicy(&r, flushAddr, len(val))
+	h.updateFlushPolicy(r, flushAddr, len(val))
 	return true, nil
 }
 
@@ -446,18 +462,22 @@ func (h *Handle) updateFlushPolicy(r *req, recAddr uint64, size int) {
 // empty a segment (sampled, 1-in-16) attempt a merge with the buddy
 // segment.
 func (h *Handle) Delete(key []byte) (bool, error) {
+	r := makeReq(key)
+	return h.remove(&r)
+}
+
+func (h *Handle) remove(r *req) (bool, error) {
 	h.c.BeginOp()
 	defer h.c.EndOp()
-	r := makeReq(key)
 	h.beginSpan(obs.SpanDelete, r.h)
 	defer h.endSpan()
 	found := false
 	var freeKey, freeVal uint64
 	freeValLen := 0
-	err := h.exec(&r, false, func(m mem, seg uint64) error {
+	err := h.exec(r, false, func(m mem, seg uint64) error {
 		found, freeKey, freeVal, freeValLen = false, 0, 0, 0
 		ps := h.spanLap()
-		idx, kw, vw, pr := h.ix.locate(m, h.c, seg, &r)
+		idx, kw, vw, pr := h.ix.locate(m, h.c, seg, r)
 		h.spanProbe(ps)
 		h.lane.Observe(obs.HProbeLen, pr)
 		if idx < 0 {
@@ -478,7 +498,7 @@ func (h *Handle) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	if freeKey != 0 {
-		h.freeRecord(freeKey, len(key))
+		h.freeRecord(freeKey, len(r.key))
 	}
 	if freeVal != 0 {
 		h.freeRecord(freeVal, freeValLen)
@@ -488,7 +508,7 @@ func (h *Handle) Delete(key []byte) (bool, error) {
 	// maintenance is not part of this delete's latency story.
 	h.endSpan()
 	if r.h>>32&0xF == 0 {
-		h.TryMerge(key)
+		h.TryMerge(r.key)
 	}
 	return true, nil
 }

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"spash/internal/hostpf"
 	"spash/internal/pmem"
 	"spash/internal/vsync"
 )
@@ -188,6 +189,21 @@ func (tm *TM) stripeFor(key uintptr) uint64 {
 	x ^= x >> 17
 	x *= 0x9E3779B97F4A7C15
 	return (x >> 16) & tm.mask
+}
+
+// Hint asks the host to start fetching what a transactional access to
+// the PM word at addr will read: its line's version word and, through
+// pool.Hint, the data line and cache set. Like pool.Hint it changes no
+// state and accepts any address.
+func (tm *TM) Hint(pool *pmem.Pool, addr uint64) {
+	hostpf.Line(unsafe.Pointer(&tm.vers[tm.stripeFor(uintptr(addr))]))
+	pool.Hint(addr)
+}
+
+// HintVol is Hint for a volatile word.
+func (tm *TM) HintVol(p *uint64) {
+	hostpf.Line(unsafe.Pointer(&tm.vers[tm.stripeFor(ptrKey(p))]))
+	hostpf.Line(unsafe.Pointer(p))
 }
 
 // conflictSignal unwinds a doomed transaction body (the software

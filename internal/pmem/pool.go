@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"spash/internal/hostpf"
 )
 
 // Pool is a simulated persistent-memory device fronted by a simulated
@@ -353,6 +356,30 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) {
 		c.stats.CacheMisses++
 	}
 	c.notePrefetch(line, c.clock+lat)
+}
+
+// Hint asks the host (not the simulated device — that is Prefetch) to
+// start fetching what an access to addr's cacheline will read: the data
+// line and the line's cache set. A hint changes no simulated state: no
+// Stats, clock, LRU rank, current-line memo or fault step moves, a
+// poisoned line raises nothing, and an address outside the pool — the
+// caller may have read it from a stale bucket — is dropped.
+func (p *Pool) Hint(addr uint64) {
+	line := addr &^ uint64(CachelineSize-1)
+	if w := line / 8; w < uint64(len(p.words)) {
+		hostpf.Line(unsafe.Pointer(&p.words[w]))
+		hostpf.Line(unsafe.Pointer(&p.cache.sets[p.cache.setIndex(line)]))
+	}
+}
+
+// Peek returns the word at addr as it is right now, outside the
+// simulation like Hint, for callers deciding what to hint next; 0 for an
+// address that is misaligned or outside the pool.
+func (p *Pool) Peek(addr uint64) uint64 {
+	if addr&7 != 0 || addr/8 >= uint64(len(p.words)) {
+		return 0
+	}
+	return atomic.LoadUint64(&p.words[addr/8])
 }
 
 // Crash simulates a power failure. Under eADR the reserve energy

@@ -140,6 +140,15 @@ func (c *connState) flush() {
 	if len(c.ops) > 0 {
 		c.srv.reg.AddGauge(obs.GServeInflight, int64(len(c.ops)))
 		c.sess.ExecBatch(c.ops)
+		// A GET whose value outgrew its result buffer left Result on a
+		// larger array: the slot adopts it, so its next value of that size
+		// fits (the reply below renders from Result before queueOp hands
+		// the buffer out again).
+		for i := range c.ops {
+			if r := c.ops[i].Result; cap(r) > cap(c.resbufs[i]) && cap(r) <= maxResbuf {
+				c.resbufs[i] = r[:0]
+			}
+		}
 		c.lane.Inc(obs.CServeBatches)
 		c.lane.Observe(obs.HServeBatch, len(c.ops))
 	}
@@ -216,6 +225,11 @@ func (c *connState) writeOpError(err error) {
 		c.wr.Error("ERR " + err.Error())
 	}
 }
+
+// maxResbuf bounds the result buffer a slot keeps between batches: a
+// full window of slots (Config.MaxBatch, 128 by default) that each once
+// served a MaxKVLen value would otherwise pin 8 MB per idle connection.
+const maxResbuf = 4 << 10
 
 // queueOp appends one KV op to the batch, wiring a reused result
 // buffer for reads.

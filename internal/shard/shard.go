@@ -194,33 +194,15 @@ func RecoverAll(pools []*pmem.Pool, cfg core.Config) ([]*Unit, error) {
 }
 
 // SplitBatch executes a pipelined batch against per-shard handles:
-// ops are partitioned by key hash, each shard's sub-batch runs through
-// that shard's pipelined path, and results (Result/Found/Err) are
-// copied back into the caller's slice in place. Order within a shard
+// ops are partitioned by key hash and each shard's share runs through
+// that shard's pipelined path, in place (Result/Found/Err land in the
+// caller's slice; nothing is copied or allocated). Order within a shard
 // is preserved; cross-shard order is not observable to the caller
 // because batch results are positional.
 func SplitBatch(hs []*core.Handle, ops []core.BatchOp) {
-	n := len(hs)
-	if n == 1 {
+	if len(hs) == 1 {
 		hs[0].ExecBatch(ops)
 		return
 	}
-	idx := make([][]int, n)
-	for i := range ops {
-		s := Of(core.KeyHash(ops[i].Key), n)
-		idx[s] = append(idx[s], i)
-	}
-	for s, list := range idx {
-		if len(list) == 0 {
-			continue
-		}
-		sub := make([]core.BatchOp, len(list))
-		for j, i := range list {
-			sub[j] = ops[i]
-		}
-		hs[s].ExecBatch(sub)
-		for j, i := range list {
-			ops[i] = sub[j]
-		}
-	}
+	core.ExecSplit(hs, ops, Of)
 }
