@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check cross-build race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
+.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
 
 all: build test
 
@@ -28,6 +28,14 @@ cross-build:
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/hostpf
 	GOARCH=riscv64 go build ./...
+
+# loc prints the two size numbers ROADMAP item 5 tracks per PR: non-test
+# Go lines in the root module (bench/ and testdata excluded) and the
+# exported functions and methods of package spash. CI's build-test job
+# writes them to its job summary.
+loc:
+	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)"
+	@echo "package spash exported funcs+methods: $$(go doc -all . | grep -c '^func ')"
 
 race:
 	go test -race ./internal/core ./internal/pmem ./internal/htm ./internal/obs \

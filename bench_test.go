@@ -1,21 +1,16 @@
 package spash
 
-// Benchmark harness entry points: one testing.B benchmark per figure
-// and table of the paper's evaluation (regenerated at small scale —
-// use cmd/spash-bench for the full medium/large-scale tables), plus
-// conventional per-operation microbenchmarks of the index itself.
+// Conventional per-operation microbenchmarks of the public Session
+// API, in real time per op. The per-figure and per-index benchmarks
+// (BenchmarkFigure/<id>, BenchmarkIndex/<name>) live in
+// internal/harness, over its constructor table.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
-
-	"spash/internal/harness"
 )
-
-// --- per-operation microbenchmarks (real time per op) ---------------
 
 func benchDB(b *testing.B) (*DB, *Session) {
 	b.Helper()
@@ -178,72 +173,3 @@ func BenchmarkDelete(b *testing.B) {
 		}
 	}
 }
-
-// --- one benchmark per paper figure/table ---------------------------
-
-// benchFigure runs a figure runner once per iteration at small scale.
-func benchFigure(b *testing.B, run func(io.Writer, harness.Scale) error) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := run(io.Discard, harness.ScaleSmall); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig1FlushStrategies(b *testing.B)  { benchFigure(b, harness.Fig1) }
-func BenchmarkFig7Throughput(b *testing.B)       { benchFigure(b, harness.Fig7) }
-func BenchmarkFig8PMAccesses(b *testing.B)       { benchFigure(b, harness.Fig8) }
-func BenchmarkFig9LoadFactor(b *testing.B)       { benchFigure(b, harness.Fig9) }
-func BenchmarkFig10YCSBInline(b *testing.B)      { benchFigure(b, harness.Fig10) }
-func BenchmarkFig11YCSBVariable(b *testing.B)    { benchFigure(b, harness.Fig11) }
-func BenchmarkFig12aUpdatePolicy(b *testing.B)   { benchFigure(b, harness.Fig12a) }
-func BenchmarkFig12bCompactedFlush(b *testing.B) { benchFigure(b, harness.Fig12b) }
-func BenchmarkFig12cConcurrency(b *testing.B)    { benchFigure(b, harness.Fig12c) }
-func BenchmarkFig12dPipelineDepth(b *testing.B)  { benchFigure(b, harness.Fig12d) }
-func BenchmarkTable1FlushPolicy(b *testing.B)    { benchFigure(b, harness.Table1) }
-
-// --- comparative per-operation benchmarks across all indexes --------
-
-func benchIndexOps(b *testing.B, e harness.Entry) {
-	ix, err := e.New(harness.ScaleSmall.Platform())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := ix.NewWorker()
-	defer w.Close()
-	const preload = 50000
-	kb := make([]byte, 8)
-	for i := uint64(0); i < preload; i++ {
-		binary.LittleEndian.PutUint64(kb, i)
-		if err := w.Insert(kb, kb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	b.Run("search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			binary.LittleEndian.PutUint64(kb, rng.Uint64()%preload)
-			if _, ok, _ := w.Search(kb, nil); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("update", func(b *testing.B) {
-		vb := make([]byte, 8)
-		for i := 0; i < b.N; i++ {
-			binary.LittleEndian.PutUint64(kb, rng.Uint64()%preload)
-			binary.LittleEndian.PutUint64(vb, uint64(i))
-			if ok, _ := w.Update(kb, vb); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-}
-
-func BenchmarkIndexSpash(b *testing.B)  { benchIndexOps(b, harness.SpashEntry()) }
-func BenchmarkIndexCCEH(b *testing.B)   { benchIndexOps(b, harness.MicroRoster()[2]) }
-func BenchmarkIndexDash(b *testing.B)   { benchIndexOps(b, harness.MicroRoster()[3]) }
-func BenchmarkIndexLevel(b *testing.B)  { benchIndexOps(b, harness.MicroRoster()[4]) }
-func BenchmarkIndexCLevel(b *testing.B) { benchIndexOps(b, harness.MicroRoster()[5]) }
-func BenchmarkIndexPlush(b *testing.B)  { benchIndexOps(b, harness.MicroRoster()[6]) }

@@ -98,20 +98,14 @@ func main() {
 		CacheBytes: 1 << 20,
 	}
 
-	entries := harness.MacroRoster()
+	entries := append([]harness.Entry{}, harness.MacroRoster()...)
 	if *index != "all" {
-		found := false
-		for _, e := range entries {
-			if strings.EqualFold(e.Name, *index) || strings.EqualFold(strings.ReplaceAll(e.Name, "-", ""), *index) {
-				entries = []harness.Entry{e}
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown index %q\n", *index)
+		e, err := harness.ByName(*index)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		entries = []harness.Entry{e}
 	}
 	if *shards > 1 {
 		// Only Spash has a sharded build; other roster entries keep
@@ -119,7 +113,7 @@ func main() {
 		replaced := false
 		for i, e := range entries {
 			if e.Name == "Spash" {
-				entries[i] = harness.NewShardedEntry(fmt.Sprintf("Spash-%dsh", *shards), *shards)
+				entries[i] = harness.SpashEntry(fmt.Sprintf("Spash-%dsh", *shards), *shards, spash.IndexOptions{})
 				replaced = true
 			}
 		}
@@ -157,28 +151,36 @@ func main() {
 	fmt.Fprintln(tw, "-----\t-----------\t----------\t-----\t-----------\t------------")
 	exported := false
 	for _, e := range entries {
-		ix, err := e.New(scale.Platform())
+		ix, err := e.Open(scale.Platform())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, spash.DescribeError(err))
 			os.Exit(1)
 		}
-		if !exported {
-			if reg := harness.ObsRegistryOf(ix); reg != nil {
-				// First obs-capable index feeds the HTTP export surface:
-				// /metrics plus the /debug/spash snapshot, per-shard,
-				// slowlog and health JSON feeds.
-				obs.SetSources(obsSources(ix, reg))
-				exported = true
+		src, hasObs := harness.Observe(ix)
+		if hasObs && !exported {
+			// First observed index feeds the HTTP export surface:
+			// /metrics plus the /debug/spash snapshot, per-shard,
+			// slowlog and health JSON feeds. /metrics and /debug/vars
+			// serve the snapshot feed as is, so derive its rates here.
+			feeds := src
+			feeds.Snapshot = func() obs.Snapshot {
+				s := src.Snapshot()
+				s.Finalize()
+				return s
 			}
+			obs.SetSources(feeds)
+			exported = true
 		}
 		load := harness.LoadIndex(ix, *threads, *records, *valSize, false)
-		pre, hasObs := harness.ObsSnapshotOf(ix)
+		var pre obs.Snapshot
+		if hasObs {
+			pre = src.Snapshot()
+		}
 		run := runMix(ix, e, scale, mix, th, *valSize, rec != nil)
 		if rec != nil && hasObs {
 			// The artifact carries the run phase's obs delta (load
 			// excluded) so derived per-op rates describe the workload.
-			post, _ := harness.ObsSnapshotOf(ix)
-			d := post.Sub(pre)
+			d := src.Snapshot().Sub(pre)
 			d.Ops = run.Ops
 			d.Finalize()
 			rec.SetObs(d)
@@ -198,46 +200,17 @@ func main() {
 	}
 }
 
-func obsSource(ix ixapi.Index) obs.Source {
-	return func() obs.Snapshot {
-		s, _ := harness.ObsSnapshotOf(ix)
-		s.Finalize()
-		return s
-	}
-}
-
-// obsSources assembles the full export bundle the index under test can
-// offer: the aggregate snapshot always, per-shard snapshots, the
-// slow-op log and a default-watermark health verdict when available.
-func obsSources(ix ixapi.Index, reg *obs.Registry) obs.Sources {
-	src := obsSource(ix)
-	srcs := obs.Sources{Snapshot: src, Registry: reg}
-	if _, ok := harness.ObsSnapshotsOf(ix); ok {
-		srcs.Shards = func() []obs.Snapshot {
-			snaps, _ := harness.ObsSnapshotsOf(ix)
-			return snaps
-		}
-	}
-	if slow, ok := harness.SlowOpsOf(ix); ok {
-		srcs.SlowOps = slow
-	}
-	srcs.Health = func() obs.Health {
-		return obs.EvalHealth(src(), obs.HealthWatermarks{})
-	}
-	return srcs
-}
-
 func runMix(ix ixapi.Index, e harness.Entry, s harness.Scale, mix ycsb.Mix, theta float64, valSize int, withLatency bool) harness.Result {
 	per := s.YCSBOps / s.MaxThreads
 	if per == 0 {
 		per = 1
 	}
-	src := harness.MixSourceFor(mix, uint64(s.YCSBLoad), theta, valSize, 12345)
+	src := harness.MixSource(mix, uint64(s.YCSBLoad), theta, valSize, 12345)
+	var lat *harness.LatencyHist
 	if withLatency {
 		// Sequential per-worker execution so every operation's virtual
 		// latency is sampled into the artifact.
-		res, _ := harness.RunWithLatency(mix.Name(), ix, s.MaxThreads, per, src)
-		return res
+		lat = &harness.LatencyHist{}
 	}
-	return harness.RunWorkload(mix.Name(), ix, s.MaxThreads, per, e.Pipeline, src)
+	return harness.Run(mix.Name(), ix, s.MaxThreads, per, e.Pipeline, src, lat)
 }

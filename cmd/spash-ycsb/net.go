@@ -186,7 +186,7 @@ func wallResult(name string, ops int, d time.Duration) harness.ResultJSON {
 // latency = window round trips of the last scan point;
 // config.net_vs_inproc = slowest scan point over the baseline.
 func runNet(cfg netConfig) error {
-	src := harness.MixSourceFor(cfg.mix, uint64(cfg.records), cfg.theta, cfg.valSize, 12345)
+	src := harness.MixSource(cfg.mix, uint64(cfg.records), cfg.theta, cfg.valSize, 12345)
 	config := map[string]string{
 		"net": cfg.addr, "workload": cfg.mixName, "latency_unit": "window_rtt_wall_ns",
 		"records": strconv.Itoa(cfg.records), "ops": strconv.Itoa(cfg.ops),

@@ -19,7 +19,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	platform := db.Platform()
+	platform := db.Platforms()[0]
 	lost := db.Crash() // power failure; eADR cache is persistent
 	db2, err := spash.Recover(platform, spash.Options{})
 	if err != nil {
@@ -50,7 +50,7 @@ func ExampleSession_ExecBatch() {
 // The ablation knobs reproduce the paper's Fig 12 variants.
 func ExampleOptions() {
 	db, err := spash.Open(spash.Options{
-		Shards: 1, // single shard: db.Index() addresses the one index
+		Shards: 1, // single shard: Indexes()[0] is the one index
 		Index: spash.IndexOptions{
 			Concurrency:   spash.ModeWriteLock,    // Fig 12(c) variant
 			Update:        spash.UpdateNeverFlush, // Fig 12(a) variant
@@ -60,6 +60,6 @@ func ExampleOptions() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(db.Index().Config().Concurrency)
+	fmt.Println(db.Indexes()[0].Config().Concurrency)
 	// Output: write-lock
 }

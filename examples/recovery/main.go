@@ -109,7 +109,7 @@ func adr() {
 			log.Fatal(err)
 		}
 	}
-	platform := db.Platform()
+	platform := db.Platforms()[0]
 	lost := db.Crash()
 	fmt.Printf("power failure: %d dirty cachelines rolled back (volatile cache!)\n", lost)
 

@@ -95,19 +95,6 @@ func New(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator) (*CCEH, error) {
 	return t, nil
 }
 
-// NewFactory returns an ixapi factory for the harness.
-func NewFactory() ixapi.Factory {
-	return func(platform pmem.Config) (ixapi.Index, error) {
-		pool := pmem.New(platform)
-		c := pool.NewCtx()
-		al, err := alloc.New(c, pool)
-		if err != nil {
-			return nil, err
-		}
-		return New(c, pool, al)
-	}
-}
-
 func (t *CCEH) newSegment(c *pmem.Ctx, depth uint) (uint64, error) {
 	seg, err := t.al.AllocRaw(c, segBytes)
 	if err != nil {
@@ -134,11 +121,11 @@ func (t *CCEH) LoadFactor() float64 {
 	return float64(t.entries.Load()) / float64(segs*slotsPerSeg)
 }
 
-// Pool implements ixapi.Index.
-func (t *CCEH) Pool() *pmem.Pool { return t.pool }
+// Pools implements ixapi.Index: one device.
+func (t *CCEH) Pools() []*pmem.Pool { return []*pmem.Pool{t.pool} }
 
-// Group implements ixapi.Index.
-func (t *CCEH) Group() *vsync.Group { return t.grp }
+// Groups implements ixapi.Index: one serialisation domain.
+func (t *CCEH) Groups() []*vsync.Group { return []*vsync.Group{t.grp} }
 
 func (t *CCEH) segLock(seg uint64) *vsync.RWMutex {
 	return &t.segLocks[(seg/segBytes)%segLockStripes]
@@ -160,8 +147,10 @@ func (t *CCEH) NewWorker() ixapi.Worker {
 	return &Worker{t: t, c: t.pool.NewCtx(), ah: t.al.NewHandle()}
 }
 
-// Ctx implements ixapi.Worker.
-func (w *Worker) Ctx() *pmem.Ctx { return w.c }
+// ResetClock and Clock implement ixapi.Worker over the worker's one
+// pmem context.
+func (w *Worker) ResetClock()  { w.c.ResetClock() }
+func (w *Worker) Clock() int64 { return w.c.Clock() }
 
 // Close implements ixapi.Worker.
 func (w *Worker) Close() { w.ah.Close() }

@@ -74,19 +74,6 @@ func New(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator) (*CLevel, error) {
 	return t, nil
 }
 
-// NewFactory returns an ixapi factory.
-func NewFactory() ixapi.Factory {
-	return func(platform pmem.Config) (ixapi.Index, error) {
-		pool := pmem.New(platform)
-		c := pool.NewCtx()
-		al, err := alloc.New(c, pool)
-		if err != nil {
-			return nil, err
-		}
-		return New(c, pool, al)
-	}
-}
-
 func (t *CLevel) newLevel(c *pmem.Ctx, buckets uint64) (level, error) {
 	addr, err := t.al.AllocRaw(c, buckets*bucketBytes)
 	if err != nil {
@@ -110,11 +97,11 @@ func (t *CLevel) LoadFactor() float64 {
 	return float64(t.entries.Load()) / float64(cap)
 }
 
-// Pool implements ixapi.Index.
-func (t *CLevel) Pool() *pmem.Pool { return t.pool }
+// Pools implements ixapi.Index: one device.
+func (t *CLevel) Pools() []*pmem.Pool { return []*pmem.Pool{t.pool} }
 
-// Group implements ixapi.Index.
-func (t *CLevel) Group() *vsync.Group { return t.grp }
+// Groups implements ixapi.Index: one serialisation domain.
+func (t *CLevel) Groups() []*vsync.Group { return []*vsync.Group{t.grp} }
 
 // Record layout: [u64 klen<<32|vlen][key, word-padded][val].
 func pad8(n int) int { return (n + 7) &^ 7 }
@@ -169,8 +156,10 @@ func (t *CLevel) NewWorker() ixapi.Worker {
 	return &Worker{t: t, c: t.pool.NewCtx(), ah: t.al.NewHandle()}
 }
 
-// Ctx implements ixapi.Worker.
-func (w *Worker) Ctx() *pmem.Ctx { return w.c }
+// ResetClock and Clock implement ixapi.Worker over the worker's one
+// pmem context.
+func (w *Worker) ResetClock()  { w.c.ResetClock() }
+func (w *Worker) Clock() int64 { return w.c.Clock() }
 
 // Close implements ixapi.Worker.
 func (w *Worker) Close() { w.ah.Close() }

@@ -96,19 +96,6 @@ func New(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator) (*Dash, error) {
 	return t, nil
 }
 
-// NewFactory returns an ixapi factory.
-func NewFactory() ixapi.Factory {
-	return func(platform pmem.Config) (ixapi.Index, error) {
-		pool := pmem.New(platform)
-		c := pool.NewCtx()
-		al, err := alloc.New(c, pool)
-		if err != nil {
-			return nil, err
-		}
-		return New(c, pool, al)
-	}
-}
-
 func (t *Dash) newSegment(c *pmem.Ctx, depth uint) (uint64, error) {
 	seg, err := t.al.AllocRaw(c, segBytes)
 	if err != nil {
@@ -134,11 +121,11 @@ func (t *Dash) LoadFactor() float64 {
 	return float64(t.entries.Load()) / float64(segs*totalBuckets*slotsPerBucket)
 }
 
-// Pool implements ixapi.Index.
-func (t *Dash) Pool() *pmem.Pool { return t.pool }
+// Pools implements ixapi.Index: one device.
+func (t *Dash) Pools() []*pmem.Pool { return []*pmem.Pool{t.pool} }
 
-// Group implements ixapi.Index.
-func (t *Dash) Group() *vsync.Group { return t.grp }
+// Groups implements ixapi.Index: one serialisation domain.
+func (t *Dash) Groups() []*vsync.Group { return []*vsync.Group{t.grp} }
 
 func (t *Dash) segLock(seg uint64) *vsync.Mutex {
 	return &t.segLocks[(seg/segBytes)%segLockStripes]
@@ -174,8 +161,10 @@ func (t *Dash) NewWorker() ixapi.Worker {
 	return &Worker{t: t, c: t.pool.NewCtx(), ah: t.al.NewHandle()}
 }
 
-// Ctx implements ixapi.Worker.
-func (w *Worker) Ctx() *pmem.Ctx { return w.c }
+// ResetClock and Clock implement ixapi.Worker over the worker's one
+// pmem context.
+func (w *Worker) ResetClock()  { w.c.ResetClock() }
+func (w *Worker) Clock() int64 { return w.c.Clock() }
 
 // Close implements ixapi.Worker.
 func (w *Worker) Close() { w.ah.Close() }

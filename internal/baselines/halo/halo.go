@@ -70,19 +70,6 @@ func New(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator) (*Halo, error) {
 	return t, nil
 }
 
-// NewFactory returns an ixapi factory.
-func NewFactory() ixapi.Factory {
-	return func(platform pmem.Config) (ixapi.Index, error) {
-		pool := pmem.New(platform)
-		c := pool.NewCtx()
-		al, err := alloc.New(c, pool)
-		if err != nil {
-			return nil, err
-		}
-		return New(c, pool, al)
-	}
-}
-
 // Name implements ixapi.Index.
 func (t *Halo) Name() string { return "Halo" }
 
@@ -93,11 +80,11 @@ func (t *Halo) Len() int { return int(t.entries.Load()) }
 // paper's Fig 9 excludes Halo); reported as 1.
 func (t *Halo) LoadFactor() float64 { return 1 }
 
-// Pool implements ixapi.Index.
-func (t *Halo) Pool() *pmem.Pool { return t.pool }
+// Pools implements ixapi.Index: one device.
+func (t *Halo) Pools() []*pmem.Pool { return []*pmem.Pool{t.pool} }
 
-// Group implements ixapi.Index.
-func (t *Halo) Group() *vsync.Group { return t.grp }
+// Groups implements ixapi.Index: one serialisation domain.
+func (t *Halo) Groups() []*vsync.Group { return []*vsync.Group{t.grp} }
 
 // dramDirCost is the virtual cost of one operation on the full
 // DRAM-resident directory: the table is far larger than any cache, so
@@ -118,8 +105,10 @@ func (t *Halo) NewWorker() ixapi.Worker {
 	return &Worker{t: t, c: t.pool.NewCtx(), ah: t.al.NewHandle()}
 }
 
-// Ctx implements ixapi.Worker.
-func (w *Worker) Ctx() *pmem.Ctx { return w.c }
+// ResetClock and Clock implement ixapi.Worker over the worker's one
+// pmem context.
+func (w *Worker) ResetClock()  { w.c.ResetClock() }
+func (w *Worker) Clock() int64 { return w.c.Clock() }
 
 // Close implements ixapi.Worker.
 func (w *Worker) Close() { w.ah.Close() }

@@ -16,6 +16,7 @@
 package levelhash
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"spash/internal/alloc"
@@ -60,6 +61,12 @@ type Level struct {
 	locks   [lockStripes]vsync.Mutex
 	lockArr uint64
 
+	// moveMu makes one insert's eviction atomic with respect to other
+	// evictions (see insertAt). It is a host mutex, not a vsync one: it
+	// arbitrates the reimplementation's goroutines and costs nothing
+	// in the simulated machine.
+	moveMu sync.Mutex
+
 	entries atomic.Int64
 }
 
@@ -86,19 +93,6 @@ func New(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator) (*Level, error) {
 	return t, nil
 }
 
-// NewFactory returns an ixapi factory.
-func NewFactory() ixapi.Factory {
-	return func(platform pmem.Config) (ixapi.Index, error) {
-		pool := pmem.New(platform)
-		c := pool.NewCtx()
-		al, err := alloc.New(c, pool)
-		if err != nil {
-			return nil, err
-		}
-		return New(c, pool, al)
-	}
-}
-
 func (t *Level) newLevel(c *pmem.Ctx, buckets uint64) (level, error) {
 	addr, err := t.al.AllocRaw(c, buckets*bucketBytes)
 	if err != nil {
@@ -120,11 +114,11 @@ func (t *Level) LoadFactor() float64 {
 	return float64(t.entries.Load()) / float64(cap)
 }
 
-// Pool implements ixapi.Index.
-func (t *Level) Pool() *pmem.Pool { return t.pool }
+// Pools implements ixapi.Index: one device.
+func (t *Level) Pools() []*pmem.Pool { return []*pmem.Pool{t.pool} }
 
-// Group implements ixapi.Index.
-func (t *Level) Group() *vsync.Group { return t.grp }
+// Groups implements ixapi.Index: one serialisation domain.
+func (t *Level) Groups() []*vsync.Group { return []*vsync.Group{t.grp} }
 
 // Worker is the per-goroutine handle.
 type Worker struct {
@@ -138,8 +132,10 @@ func (t *Level) NewWorker() ixapi.Worker {
 	return &Worker{t: t, c: t.pool.NewCtx(), ah: t.al.NewHandle()}
 }
 
-// Ctx implements ixapi.Worker.
-func (w *Worker) Ctx() *pmem.Ctx { return w.c }
+// ResetClock and Clock implement ixapi.Worker over the worker's one
+// pmem context.
+func (w *Worker) ResetClock()  { w.c.ResetClock() }
+func (w *Worker) Clock() int64 { return w.c.Clock() }
 
 // Close implements ixapi.Worker.
 func (w *Worker) Close() { w.ah.Close() }
@@ -328,7 +324,12 @@ func (w *Worker) insertAt(tab *table, h1, h2 uint64, kw, vw uint64) bool {
 		}
 	}
 	// Movement: try to evict one resident of a candidate bucket to its
-	// own alternate bucket.
+	// own alternate bucket. The resident belongs to another stripe, so
+	// the stripe lock does not cover it: two inserts evicting the same
+	// resident would both repurpose its old slot and one of the two new
+	// keys would vanish.
+	t.moveMu.Lock()
+	defer t.moveMu.Unlock()
 	for _, c := range cands {
 		for s := 0; s < slotsPerBucket; s++ {
 			okw := t.pool.Load64(w.c, slotAddr(c.l, c.b, s))

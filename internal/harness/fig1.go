@@ -34,11 +34,6 @@ func (m flushMode) String() string {
 // fig1Bandwidth measures raw PM write bandwidth (GB/s) for one Fig 1
 // configuration on a fresh simulated device.
 func fig1Bandwidth(s Scale, zipf bool, mode flushMode, size int) float64 {
-	gb, _ := fig1BandwidthDebug(s, zipf, mode, size)
-	return gb
-}
-
-func fig1BandwidthDebug(s Scale, zipf bool, mode flushMode, size int) (float64, Result) {
 	// Fig 1 characterises the hardware model itself, so its platform is
 	// fixed rather than scaled with the index workloads: a 256 MB write
 	// region against a 16 MB cache, the same cache:working-set ratio as
@@ -103,7 +98,7 @@ func fig1BandwidthDebug(s Scale, zipf bool, mode flushMode, size int) (float64, 
 
 	res := combine("", pool.Config().Timing, clocks, []pmem.Stats{pool.Stats()}, 0, int64(workers)*int64(ops))
 	appBytes := float64(res.Ops) * float64(size)
-	return appBytes / float64(res.Elapsed), res // bytes per ns == GB/s
+	return appBytes / float64(res.Elapsed) // bytes per ns == GB/s
 }
 
 // Fig1 reproduces Fig 1: raw PM write bandwidth under different flush

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"spash/internal/adapters"
 	"spash/internal/core"
 	"spash/internal/hash"
 	"spash/internal/pmem"
@@ -60,13 +59,13 @@ func Fig12a(w io.Writer, s Scale) error {
 					return ok
 				}
 			}
-			ix, err := adapters.NewSpashFactory("Spash", cfg)(s.Platform())
+			ix, err := mustOpen(SpashEntry("Spash", 1, cfg), s)
 			if err != nil {
 				return err
 			}
-			loadIndex(ix, s.MaxThreads, s.YCSBLoad, vs, false)
-			r := RunWorkload("update", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, false,
-				mixSource(ycsb.UpdateOnly, uint64(s.YCSBLoad), ycsb.DefaultTheta, vs, 811))
+			LoadIndex(ix, s.MaxThreads, s.YCSBLoad, vs, false)
+			r := Run("update", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, false,
+				MixSource(ycsb.UpdateOnly, uint64(s.YCSBLoad), ycsb.DefaultTheta, vs, 811), nil)
 			cells = append(cells, mops(r))
 		}
 		t.row(cells...)
@@ -89,11 +88,11 @@ func Fig12b(w io.Writer, s Scale) error {
 	t := newTable(fmt.Sprintf("Fig 12(b): insertion ablation (insert-only uniform, 16B keys / 64B values, %d workers)", s.MaxThreads),
 		"policy", "Mops/s", "XPLine-writes/op")
 	for _, v := range variants {
-		ix, err := adapters.NewSpashFactory("Spash", core.Config{Insert: v.policy})(s.Platform())
+		ix, err := mustOpen(SpashEntry("Spash", 1, core.Config{Insert: v.policy}), s)
 		if err != nil {
 			return err
 		}
-		r := loadIndex(ix, s.MaxThreads, s.YCSBOps, 64, false)
+		r := LoadIndex(ix, s.MaxThreads, s.YCSBOps, 64, false)
 		t.row(v.name, mops(r), f2(r.PerOp(r.Mem.XPLineWrites)))
 	}
 	t.write(w)
@@ -118,18 +117,11 @@ func Fig12c(w io.Writer, s Scale) error {
 	}
 	t := newTable(fmt.Sprintf("Fig 12(c): concurrency-protocol ablation (Mops/s, inlined KV, zipf 0.99, %d workers)", s.MaxThreads), cols...)
 	for _, v := range variants {
-		ix, err := adapters.NewSpashFactory(v.name, core.Config{Concurrency: v.mode})(s.Platform())
+		row, err := ycsbRow(SpashEntry(v.name, 1, core.Config{Concurrency: v.mode}), s, 8, 901, "")
 		if err != nil {
 			return err
 		}
-		loadIndex(ix, s.MaxThreads, s.YCSBLoad, 8, false)
-		cells := []string{v.name}
-		for mi, mix := range ycsbMixes {
-			r := RunWorkload(mix.Name(), ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, v.mode == core.ModeHTM,
-				mixSource(mix, uint64(s.YCSBLoad), ycsb.DefaultTheta, 8, int64(901+mi)))
-			cells = append(cells, mops(r))
-		}
-		t.row(cells...)
+		t.row(mopsCells(v.name, row[1:])...) // no Load column
 	}
 	t.write(w)
 	return nil
@@ -147,13 +139,13 @@ func Fig12d(w io.Writer, s Scale) error {
 	for _, pd := range depths {
 		cells := []string{fmt.Sprintf("PD=%d", pd)}
 		for _, th := range s.Threads {
-			ix, err := adapters.NewSpashFactory("Spash", core.Config{PipelineDepth: pd})(s.Platform())
+			ix, err := mustOpen(SpashEntry("Spash", 1, core.Config{PipelineDepth: pd}), s)
 			if err != nil {
 				return err
 			}
-			loadIndex(ix, th, s.MicroLoad, 8, true)
-			r := RunWorkload("search", ix, th, s.MicroOps/th, true,
-				uniformSource(ycsb.OpSearch, uint64(s.MicroLoad), 404))
+			LoadIndex(ix, th, s.MicroLoad, 8, true)
+			r := Run("search", ix, th, s.MicroOps/th, true,
+				uniformSource(ycsb.OpSearch, uint64(s.MicroLoad), 404), nil)
 			cells = append(cells, mops(r))
 		}
 		t.row(cells...)
@@ -238,12 +230,13 @@ func ExtDoublingTail(w io.Writer, s Scale) error {
 		{"collaborative staged (paper)", false},
 		{"monolithic stop-the-world", true},
 	} {
-		ix, err := adapters.NewSpashFactory("Spash", core.Config{InitialDepth: 2, MonolithicResize: v.mono})(s.Platform())
+		ix, err := mustOpen(SpashEntry("Spash", 1, core.Config{InitialDepth: 2, MonolithicResize: v.mono}), s)
 		if err != nil {
 			return err
 		}
 		per := s.MicroOps / s.MaxThreads
-		res, hist := RunWithLatency("insert", ix, s.MaxThreads, per,
+		hist := &LatencyHist{}
+		res := Run("insert", ix, s.MaxThreads, per, false,
 			func(id int) func(i int) Op {
 				kb := make([]byte, 8)
 				vb := make([]byte, 8)
@@ -256,7 +249,7 @@ func ExtDoublingTail(w io.Writer, s Scale) error {
 					}
 					return Op{Kind: ycsb.OpInsert, Key: kb, Val: vb}
 				}
-			})
+			}, hist)
 		t.row(v.name, mops(res),
 			fmt.Sprintf("%dns", hist.Percentile(50)),
 			fmt.Sprintf("%dns", hist.Percentile(99)),
@@ -282,16 +275,16 @@ func ExtHotspotSweep(w io.Writer, s Scale) error {
 	for _, q := range qs {
 		cells := []string{fmt.Sprintf("q=%d", q)}
 		for _, p := range ps {
-			ix, err := adapters.NewSpashFactory("Spash", core.Config{
+			ix, err := mustOpen(SpashEntry("Spash", 1, core.Config{
 				HotspotPartitionBits: p,
 				HotKeysPerPartition:  q,
-			})(s.Platform())
+			}), s)
 			if err != nil {
 				return err
 			}
-			loadIndex(ix, s.MaxThreads, s.YCSBLoad, 256, false)
-			r := RunWorkload("update", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, false,
-				mixSource(ycsb.UpdateOnly, uint64(s.YCSBLoad), ycsb.DefaultTheta, 256, 977))
+			LoadIndex(ix, s.MaxThreads, s.YCSBLoad, 256, false)
+			r := Run("update", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, false,
+				MixSource(ycsb.UpdateOnly, uint64(s.YCSBLoad), ycsb.DefaultTheta, 256, 977), nil)
 			cells = append(cells, mops(r))
 		}
 		t.row(cells...)
@@ -308,7 +301,7 @@ func ExtHotspotSweep(w io.Writer, s Scale) error {
 // on a platform whose cache is volatile.
 func ExtEADRBenefit(w io.Writer, s Scale) error {
 	t := newTable(fmt.Sprintf("Extension: eADR+HTM vs legacy-ADR discipline (Mops/s, zipf 0.99, %d workers)", s.MaxThreads),
-		"configuration", "Load", "read-int(90/10)", "balanced(50/50)", "write-int(10/90)")
+		append([]string{"configuration"}, ycsbPhases...)...)
 	for _, v := range []struct {
 		name string
 		cfg  core.Config
@@ -321,18 +314,11 @@ func ExtEADRBenefit(w io.Writer, s Scale) error {
 			PersistBarrier: true,
 		}},
 	} {
-		ix, err := adapters.NewSpashFactory(v.name, v.cfg)(s.Platform())
+		row, err := ycsbRow(SpashEntry(v.name, 1, v.cfg), s, 64, 1100, "")
 		if err != nil {
 			return err
 		}
-		load := loadIndex(ix, s.MaxThreads, s.YCSBLoad, 64, false)
-		cells := []string{v.name, mops(load)}
-		for mi, mix := range ycsbMixes {
-			r := RunWorkload(mix.Name(), ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, v.cfg.Concurrency == core.ModeHTM,
-				mixSource(mix, uint64(s.YCSBLoad), ycsb.DefaultTheta, 64, int64(1100+mi)))
-			cells = append(cells, mops(r))
-		}
-		t.row(cells...)
+		t.row(mopsCells(v.name, row)...)
 	}
 	t.write(w)
 	return nil
@@ -348,49 +334,31 @@ func ExtEADRBenefit(w io.Writer, s Scale) error {
 // number an operator trades against detection of silent media
 // corruption.
 func ExtIntegrity(w io.Writer, s Scale) error {
-	phases := []string{"Load(insert)", "read-int(90/10)", "balanced(50/50)", "write-int(10/90)"}
+	phases := append([]string{"Load(insert)"}, ycsbPhases[1:]...)
 	t := newTable(fmt.Sprintf("Extension: checksum-seal overhead (Mops/s, zipf 0.99, 64B values, %d workers)", s.MaxThreads),
 		append([]string{"configuration"}, phases...)...)
-	thr := make([][]float64, 2)
+	var rows [2][]Result
 	for vi, v := range []struct {
 		name string
 		tag  string
 		cfg  core.Config
 	}{
-		{"Spash (seals off, default)", "seals-off", core.Config{}},
-		{"Spash (seals on)", "seals-on", core.Config{Checksums: true}},
+		{"Spash (seals off, default)", "-seals-off", core.Config{}},
+		{"Spash (seals on)", "-seals-on", core.Config{Checksums: true}},
 	} {
-		ix, err := adapters.NewSpashFactory(v.name, v.cfg)(s.Platform())
+		row, err := ycsbRow(SpashEntry(v.name, 1, v.cfg), s, 64, 1300, v.tag)
 		if err != nil {
 			return err
 		}
-		per := s.YCSBLoad / s.MaxThreads
-		load := RunWorkload("load-"+v.tag, ix, s.MaxThreads, per, false,
-			func(id int) func(i int) Op {
-				kb := make([]byte, keyBytes16)
-				vb := make([]byte, 64)
-				start := uint64(id * per)
-				return func(i int) Op {
-					kid := start + uint64(i)
-					ycsb.FillValue(vb, kid)
-					return Op{Kind: ycsb.OpInsert, Key: ycsb.KeyBytes(kb, kid), Val: vb}
-				}
-			})
-		cells := []string{v.name, mops(load)}
-		thr[vi] = append(thr[vi], load.Throughput())
-		for mi, mix := range ycsbMixes {
-			r := RunWorkload(mix.Name()+"-"+v.tag, ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, true,
-				mixSource(mix, uint64(s.YCSBLoad), ycsb.DefaultTheta, 64, int64(1300+mi)))
-			cells = append(cells, mops(r))
-			thr[vi] = append(thr[vi], r.Throughput())
-		}
-		t.row(cells...)
+		t.row(mopsCells(v.name, row)...)
+		rows[vi] = row
 	}
 	cells := []string{"seal overhead"}
 	for i := range phases {
+		off, on := rows[0][i].Throughput(), rows[1][i].Throughput()
 		over := 0.0
-		if thr[0][i] > 0 {
-			over = 100 * (thr[0][i] - thr[1][i]) / thr[0][i]
+		if off > 0 {
+			over = 100 * (off - on) / off
 		}
 		cells = append(cells, fmt.Sprintf("%.1f%%", over))
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"spash/internal/ixapi"
 	"spash/internal/ycsb"
 )
 
@@ -17,7 +16,7 @@ func microPhases(e Entry, s Scale, workers int) (map[string]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	loadIndex(ix, workers, s.MicroLoad, 8, e.Pipeline)
+	LoadIndex(ix, workers, s.MicroLoad, 8, e.Pipeline)
 	per := s.MicroOps / workers
 	if per == 0 {
 		per = 1
@@ -25,15 +24,15 @@ func microPhases(e Entry, s Scale, workers int) (map[string]Result, error) {
 	out := make(map[string]Result, 4)
 
 	// Insert fresh keys above the preloaded range.
-	out["insert"] = RunWorkload("insert", ix, workers, per, false,
-		insertSource(uint64(s.MicroLoad), per))
+	out["insert"] = Run("insert", ix, workers, per, false,
+		insertSource(uint64(s.MicroLoad), per), nil)
 	total := uint64(s.MicroLoad + workers*per)
-	out["search"] = RunWorkload("search", ix, workers, per, e.Pipeline,
-		uniformSource(ycsb.OpSearch, total, 101))
-	out["update"] = RunWorkload("update", ix, workers, per, false,
-		uniformSource(ycsb.OpUpdate, total, 202))
+	out["search"] = Run("search", ix, workers, per, e.Pipeline,
+		uniformSource(ycsb.OpSearch, total, 101), nil)
+	out["update"] = Run("update", ix, workers, per, false,
+		uniformSource(ycsb.OpUpdate, total, 202), nil)
 	// Delete exactly the keys this phase's workers inserted.
-	out["delete"] = RunWorkload("delete", ix, workers, per, false,
+	out["delete"] = Run("delete", ix, workers, per, false,
 		func(id int) func(i int) Op {
 			kb := make([]byte, 8)
 			start := uint64(s.MicroLoad) + uint64(id)*uint64(per)
@@ -41,7 +40,7 @@ func microPhases(e Entry, s Scale, workers int) (map[string]Result, error) {
 				binary.LittleEndian.PutUint64(kb, start+uint64(i))
 				return Op{Kind: ycsb.OpDelete, Key: kb}
 			}
-		})
+		}, nil)
 	return out, nil
 }
 
@@ -173,6 +172,3 @@ func Fig9(w io.Writer, s Scale) error {
 	t.write(w)
 	return nil
 }
-
-// avgLF is a helper for EXPERIMENTS.md claims checking.
-func avgLF(ix ixapi.Index) float64 { return ix.LoadFactor() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"spash/internal/adapters"
 	"spash/internal/core"
 	"spash/internal/ycsb"
 )
@@ -65,23 +64,24 @@ func FigShards(w io.Writer, s Scale) error {
 			name := fmt.Sprintf("Spash-%dsh", n)
 			// Fresh index per cell: inserts grow the table, so reuse
 			// would skew later cells.
-			ix, err := NewShardedEntry(name, n).New(s.Platform())
+			ix, err := mustOpen(SpashEntry(name, n, core.Config{}), s)
 			if err != nil {
-				return fmt.Errorf("building %s: %w", name, err)
+				return err
 			}
-			prev, _ := ObsSnapshotOf(ix)
-			r := RunWorkload(fmt.Sprintf("insert[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, false,
-				insertSource(0, s.YCSBOps/th))
-			now, _ := ObsSnapshotOf(ix)
+			src, _ := Observe(ix)
+			prev := src.Snapshot()
+			r := Run(fmt.Sprintf("insert[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, false,
+				insertSource(0, s.YCSBOps/th), nil)
+			now := src.Snapshot()
 			d := now.Sub(prev)
 			insert[n][th] = cell{res: r,
 				aborts: d.HTM.Conflicts + d.HTM.Capacities + d.HTM.Explicits,
 				wbytes: d.Mem.MediaWriteBytes()}
 
 			prev = now
-			r = RunWorkload(fmt.Sprintf("balanced[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, true,
-				mixSource(ycsb.Balanced, uint64(s.YCSBOps), ycsb.DefaultTheta, 8, int64(1109+ti)))
-			now, _ = ObsSnapshotOf(ix)
+			r = Run(fmt.Sprintf("balanced[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, true,
+				MixSource(ycsb.Balanced, uint64(s.YCSBOps), ycsb.DefaultTheta, 8, int64(1109+ti)), nil)
+			now = src.Snapshot()
 			d = now.Sub(prev)
 			mixed[n][th] = cell{res: r,
 				aborts: d.HTM.Conflicts + d.HTM.Capacities + d.HTM.Explicits,
@@ -115,10 +115,4 @@ func FigShards(w io.Writer, s Scale) error {
 	panel("Shard scaling: PM media writes per cell, insert run (MB, all devices)", insert,
 		func(c cell) string { return fmt.Sprintf("%.1f", float64(c.wbytes)/(1<<20)) })
 	return nil
-}
-
-// NewShardedEntry is the n-shard Spash roster entry (paper defaults
-// per shard, pipelined execution).
-func NewShardedEntry(name string, n int) Entry {
-	return Entry{Name: name, New: adapters.NewShardedFactory(name, n, core.Config{}), Pipeline: true}
 }

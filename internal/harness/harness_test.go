@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"spash/internal/adapters"
 	"spash/internal/core"
 	"spash/internal/ycsb"
 )
@@ -16,6 +15,16 @@ var tinyScale = Scale{
 	YCSBLoad: 10000, YCSBOps: 10000,
 	Threads: []int{1, 4}, MaxThreads: 4,
 	CacheBytes: 128 << 10,
+}
+
+// entry is ByName for a name the test knows is in the table.
+func entry(t testing.TB, name string) Entry {
+	t.Helper()
+	e, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // Observation 2: unflushed multi-cacheline writes to cold memory
@@ -51,7 +60,7 @@ func TestFig1Observation4(t *testing.T) {
 // about one XPLine per update, and its PM traffic per operation is the
 // lowest of the roster.
 func TestFig8SpashAccessCounts(t *testing.T) {
-	phases, err := microPhases(SpashEntry(), tinyScale, 1)
+	phases, err := microPhases(entry(t, "Spash"), tinyScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestFig8SpashAccessCounts(t *testing.T) {
 	}
 
 	// Dash (bucket-granular metadata) must cost more per search.
-	dashPhases, err := microPhases(MicroRoster()[3], tinyScale, 1)
+	dashPhases, err := microPhases(entry(t, "Dash"), tinyScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +94,14 @@ func TestFig8SpashAccessCounts(t *testing.T) {
 func TestFig10SpashWins(t *testing.T) {
 	s := tinyScale
 	results := map[string]float64{}
-	for _, e := range []Entry{SpashEntry(), {Name: "Level", New: MicroRoster()[4].New}, {Name: "CCEH", New: MicroRoster()[2].New}} {
+	for _, e := range []Entry{entry(t, "Spash"), entry(t, "Level"), entry(t, "CCEH")} {
 		ix, err := mustOpen(e, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loadIndex(ix, s.MaxThreads, s.YCSBLoad, 8, false)
-		r := RunWorkload("bal", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, e.Pipeline,
-			mixSource(ycsb.Balanced, uint64(s.YCSBLoad), ycsb.DefaultTheta, 8, 42))
+		LoadIndex(ix, s.MaxThreads, s.YCSBLoad, 8, false)
+		r := Run("bal", ix, s.MaxThreads, s.YCSBOps/s.MaxThreads, e.Pipeline,
+			MixSource(ycsb.Balanced, uint64(s.YCSBLoad), ycsb.DefaultTheta, 8, 42), nil)
 		results[e.Name] = r.Throughput()
 	}
 	if results["Spash"] <= results["Level"] || results["Spash"] <= results["CCEH"] {
@@ -100,11 +109,10 @@ func TestFig10SpashWins(t *testing.T) {
 	}
 }
 
-// The figure runners must produce output without errors at tiny scale.
+// The figure runners the golden (golden_test.go) does not pin must
+// produce output without errors at tiny scale.
 func TestFigureRunnersProduceOutput(t *testing.T) {
 	runners := map[string]func(*bytes.Buffer) error{
-		"fig8":   func(b *bytes.Buffer) error { return Fig8(b, tinyScale) },
-		"fig9":   func(b *bytes.Buffer) error { return Fig9(b, tinyScale) },
 		"fig12b": func(b *bytes.Buffer) error { return Fig12b(b, tinyScale) },
 		"table1": func(b *bytes.Buffer) error { return Table1(b, tinyScale) },
 	}
@@ -123,11 +131,11 @@ func TestFigureRunnersProduceOutput(t *testing.T) {
 // than the no-compaction policy.
 func TestFig12bShape(t *testing.T) {
 	measure := func(policy core.InsertPolicy) float64 {
-		ix, err := adapters.NewSpashFactory("Spash", core.Config{Insert: policy})(tinyScale.Platform())
+		ix, err := mustOpen(SpashEntry("Spash", 1, core.Config{Insert: policy}), tinyScale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := loadIndex(ix, tinyScale.MaxThreads, tinyScale.YCSBOps, 64, false)
+		r := LoadIndex(ix, tinyScale.MaxThreads, tinyScale.YCSBOps, 64, false)
 		return r.PerOp(r.Mem.XPLineWrites)
 	}
 	compacted := measure(core.InsertCompactedFlush)
@@ -142,13 +150,13 @@ func TestFig12bShape(t *testing.T) {
 func TestScalingImprovesSearchThroughput(t *testing.T) {
 	s := tinyScale
 	get := func(th int) float64 {
-		ix, err := mustOpen(SpashEntry(), s)
+		ix, err := mustOpen(entry(t, "Spash"), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loadIndex(ix, th, s.MicroLoad, 8, true)
-		r := RunWorkload("search", ix, th, s.MicroOps/th, true,
-			uniformSource(ycsb.OpSearch, uint64(s.MicroLoad), 7))
+		LoadIndex(ix, th, s.MicroLoad, 8, true)
+		r := Run("search", ix, th, s.MicroOps/th, true,
+			uniformSource(ycsb.OpSearch, uint64(s.MicroLoad), 7), nil)
 		return r.Throughput()
 	}
 	one := get(1)
@@ -159,11 +167,12 @@ func TestScalingImprovesSearchThroughput(t *testing.T) {
 }
 
 func TestLatencyHistogram(t *testing.T) {
-	ix, err := mustOpen(SpashEntry(), tinyScale)
+	ix, err := mustOpen(entry(t, "Spash"), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, hist := RunWithLatency("insert", ix, 4, 2000, insertSource(0, 2000))
+	hist := &LatencyHist{}
+	res := Run("insert", ix, 4, 2000, false, insertSource(0, 2000), hist)
 	if res.Ops != 8000 {
 		t.Fatalf("ops = %d", res.Ops)
 	}
@@ -176,17 +185,20 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
-// The sharded adapter must run through the multi-pool measure path:
-// media traffic is the sum over devices, worker time the sum of
+// The Spash adapter at n = 2 must run through the multi-device measure
+// path: media traffic is the sum over devices, worker time the sum of
 // per-shard clocks, and every op must land and be found again.
 func TestShardedAdapterWorkload(t *testing.T) {
 	s := tinyScale
-	ix, err := NewShardedEntry("Spash-2sh", 2).New(s.Platform())
+	ix, err := mustOpen(SpashEntry("Spash-2sh", 2, core.Config{}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(ix.Pools()); n != 2 {
+		t.Fatalf("Pools: %d devices, want 2", n)
+	}
 	per := s.YCSBOps / s.MaxThreads
-	r := RunWorkload("insert", ix, s.MaxThreads, per, false, insertSource(0, per))
+	r := Run("insert", ix, s.MaxThreads, per, false, insertSource(0, per), nil)
 	if r.Ops != int64(s.MaxThreads*per) {
 		t.Fatalf("ops = %d, want %d", r.Ops, s.MaxThreads*per)
 	}
@@ -196,10 +208,38 @@ func TestShardedAdapterWorkload(t *testing.T) {
 	if r.Mem.MediaWriteBytes() == 0 {
 		t.Fatal("no media writes metered across shard devices")
 	}
-	sr := RunWorkload("search", ix, s.MaxThreads, per, true,
-		uniformSource(ycsb.OpSearch, uint64(s.MaxThreads*per), 11))
+	sr := Run("search", ix, s.MaxThreads, per, true,
+		uniformSource(ycsb.OpSearch, uint64(s.MaxThreads*per), 11), nil)
 	if sr.Throughput() <= 0 {
 		t.Fatalf("search throughput %.2f", sr.Throughput())
+	}
+}
+
+// Its n = 1 twin: the same adapter over a one-shard DB is the
+// monolithic index of Figs 7-12 — one device, one group, and a worker
+// clock that is exactly the session's single context's.
+func TestSingleShardAdapterIsMonolithic(t *testing.T) {
+	ix, err := mustOpen(entry(t, "Spash"), tinyScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np, ng := len(ix.Pools()), len(ix.Groups()); np != 1 || ng != 1 {
+		t.Fatalf("Pools/Groups: %d/%d, want 1/1", np, ng)
+	}
+	w := ix.NewWorker().(spashWorker)
+	defer w.Close()
+	w.ResetClock()
+	kb := make([]byte, 8)
+	for i := 0; i < 1000; i++ {
+		if err := w.Insert(inlineKV(kb, uint64(i)), kb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := w.Clock(), w.ShardCtx(0).Clock(); got != want || got == 0 {
+		t.Fatalf("Clock() = %d, the single context's clock = %d", got, want)
+	}
+	if ix.Len() != 1000 {
+		t.Fatalf("Len = %d", ix.Len())
 	}
 }
 
@@ -220,9 +260,9 @@ func TestFigShardsProducesOutput(t *testing.T) {
 	}
 }
 
-func TestMixSourceForUniformAndZipf(t *testing.T) {
+func TestMixSourceUniformAndZipf(t *testing.T) {
 	for _, theta := range []float64{0, ycsb.DefaultTheta} {
-		src := MixSourceFor(ycsb.Balanced, 1000, theta, 8, 7)
+		src := MixSource(ycsb.Balanced, 1000, theta, 8, 7)
 		next := src(0)
 		counts := map[ycsb.OpKind]int{}
 		for i := 0; i < 2000; i++ {
@@ -242,14 +282,14 @@ func TestMixSourceForUniformAndZipf(t *testing.T) {
 // concurrent operations relative to staged doubling.
 func TestMonolithicDoublingHurtsTail(t *testing.T) {
 	run := func(mono bool) (float64, int64) {
-		ix, err := adapters.NewSpashFactory("Spash",
-			core.Config{InitialDepth: 2, MonolithicResize: mono})(tinyScale.Platform())
+		ix, err := mustOpen(SpashEntry("Spash", 1,
+			core.Config{InitialDepth: 2, MonolithicResize: mono}), tinyScale)
 		if err != nil {
 			t.Fatal(err)
 		}
 		per := 40000 / tinyScale.MaxThreads
-		res, hist := RunWithLatency("insert", ix, tinyScale.MaxThreads, per,
-			insertSource(0, per))
+		hist := &LatencyHist{}
+		res := Run("insert", ix, tinyScale.MaxThreads, per, false, insertSource(0, per), hist)
 		return res.Throughput(), hist.Percentile(99.9)
 	}
 	_, stagedTail := run(false)
@@ -258,5 +298,29 @@ func TestMonolithicDoublingHurtsTail(t *testing.T) {
 	// (the paper's §IV-B claim, modulo noise at tiny scale).
 	if stagedTail > monoTail*4 {
 		t.Fatalf("staged p99.9 %dns far above monolithic %dns", stagedTail, monoTail)
+	}
+}
+
+// Plush's rows must be a function of the op stream: its DRAM buffer
+// drains in insertion order, not in Go's per-run map order. ScaleSmall
+// is the smallest named scale whose single-worker phases overflow a
+// partition buffer (at tinyScale Plush never flushes, so the golden
+// cannot see this).
+func TestPlushRowsReproducible(t *testing.T) {
+	run := func() map[string]Result {
+		phases, err := microPhases(entry(t, "Plush"), ScaleSmall, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phases
+	}
+	first, second := run(), run()
+	for op, r := range first {
+		if r.Mem.XPLineWrites == 0 && op == "insert" {
+			t.Fatal("insert phase never reached PM: the buffers did not flush")
+		}
+		if r != second[op] {
+			t.Fatalf("%s phase differs between two runs:\n%+v\n%+v", op, r, second[op])
+		}
 	}
 }

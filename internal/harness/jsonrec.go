@@ -48,10 +48,10 @@ type Artifact struct {
 	// is where splits, doublings and segment churn show up).
 	Obs      *obs.Snapshot `json:"obs,omitempty"`
 	ObsTotal *obs.Snapshot `json:"obs_total,omitempty"`
-	// ObsShards are the per-shard cumulative snapshots (shard order) of
-	// a sharded index under test — the per-shard phase-latency and
-	// abort breakdown the attribution tooling (spash-top, obs-smoke)
-	// reads.
+	// ObsShards are the per-shard cumulative snapshots (shard order;
+	// one for a monolithic Spash) of an observed index under test — the
+	// per-shard phase-latency and abort breakdown the attribution
+	// tooling (spash-top, obs-smoke) reads.
 	ObsShards []obs.Snapshot `json:"obs_shards,omitempty"`
 }
 
@@ -59,10 +59,9 @@ type Artifact struct {
 const ArtifactSchema = "spash-bench/v1"
 
 // Recorder accumulates the phases of one benchmark invocation into an
-// Artifact. Install it with SetRecorder; the run functions
-// (RunWorkload, RunPhase, RunWithLatency) then record every measured
-// phase, the latest obs snapshot of the index under test, and latency
-// summaries automatically.
+// Artifact. Install it with SetRecorder; Run then records every
+// measured phase, the latest obs snapshot of the index under test, and
+// latency summaries automatically.
 type Recorder struct {
 	mu  sync.Mutex
 	art Artifact
@@ -183,64 +182,34 @@ func SetRecorder(r *Recorder) {
 
 func recorder() *Recorder { return activeRec.Load() }
 
-// recordPhase files a phase result plus the index's cumulative obs
-// snapshot (when it exposes one) with the active recorder.
+// Observe returns the export feeds of an index under test that has the
+// ixapi.Observed capability (Spash does; the baselines do not).
+func Observe(ix ixapi.Index) (obs.Sources, bool) {
+	if o, ok := ix.(ixapi.Observed); ok {
+		return o.ExportSources(), true
+	}
+	return obs.Sources{}, false
+}
+
+// recordPhase files a phase result plus, for an observed index, its
+// cumulative and per-shard obs snapshots with the active recorder.
 func recordPhase(ix ixapi.Index, res Result) {
 	rec := recorder()
 	if rec == nil {
 		return
 	}
 	rec.record(res)
-	if snap, ok := ObsSnapshotOf(ix); ok {
-		snap.Ops = res.Ops
-		snap.Finalize()
-		rec.SetObsTotal(snap)
+	src, ok := Observe(ix)
+	if !ok {
+		return
 	}
-	if snaps, ok := ObsSnapshotsOf(ix); ok {
-		for i := range snaps {
-			snaps[i].Finalize()
-		}
-		rec.SetObsShards(snaps)
+	snap := src.Snapshot()
+	snap.Ops = res.Ops
+	snap.Finalize()
+	rec.SetObsTotal(snap)
+	shards := src.Shards()
+	for i := range shards {
+		shards[i].Finalize()
 	}
-}
-
-// ObsSnapshotOf extracts the unified observability snapshot from an
-// index that supports it (the Spash adapter does; baselines need not).
-func ObsSnapshotOf(ix ixapi.Index) (obs.Snapshot, bool) {
-	type snapshotter interface{ ObsSnapshot() obs.Snapshot }
-	if s, ok := ix.(snapshotter); ok {
-		return s.ObsSnapshot(), true
-	}
-	return obs.Snapshot{}, false
-}
-
-// ObsSnapshotsOf extracts per-shard snapshots from a sharded index
-// that exposes them (the sharded adapter does).
-func ObsSnapshotsOf(ix ixapi.Index) ([]obs.Snapshot, bool) {
-	type sharded interface{ ObsSnapshots() []obs.Snapshot }
-	if s, ok := ix.(sharded); ok {
-		return s.ObsSnapshots(), true
-	}
-	return nil, false
-}
-
-// SlowOpsOf extracts the slow-op feed from an index that exposes one
-// (the Spash and sharded adapters do) — used to wire the slowlog HTTP
-// endpoint.
-func SlowOpsOf(ix ixapi.Index) (func(n int) []obs.SlowOp, bool) {
-	type slowOpser interface{ SlowOps(n int) []obs.SlowOp }
-	if s, ok := ix.(slowOpser); ok {
-		return s.SlowOps, true
-	}
-	return nil, false
-}
-
-// ObsRegistryOf extracts the obs registry from an index that exposes
-// one (nil otherwise) — used to wire the trace-ring HTTP endpoint.
-func ObsRegistryOf(ix ixapi.Index) *obs.Registry {
-	type regger interface{ Obs() *obs.Registry }
-	if s, ok := ix.(regger); ok {
-		return s.Obs()
-	}
-	return nil
+	rec.SetObsShards(shards)
 }

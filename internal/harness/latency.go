@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"spash/internal/ixapi"
-	"spash/internal/ycsb"
 )
 
 // LatencyHist collects per-operation virtual latencies (the delta of
@@ -19,17 +16,15 @@ type LatencyHist struct {
 	sorted  []int64 // cached ascending copy, invalidated by add
 }
 
-func (h *LatencyHist) add(batch []int64) {
+// Add records a batch of latency samples (ns): a worker's virtual
+// per-operation latencies from Run, or externally measured wall-clock
+// ones (spash-ycsb -net).
+func (h *LatencyHist) Add(batch []int64) {
 	h.mu.Lock()
 	h.samples = append(h.samples, batch...)
 	h.sorted = nil
 	h.mu.Unlock()
 }
-
-// Add records a batch of externally measured latency samples (ns) —
-// the wall-clock path of spash-ycsb -net, which never goes through
-// the virtual-clock sampling of RunWithLatency.
-func (h *LatencyHist) Add(batch []int64) { h.add(batch) }
 
 // sortedSamples returns an ascending copy of the samples, built under
 // the lock on first use after a mutation and cached so repeated
@@ -93,52 +88,4 @@ func (h *LatencyHist) Max() int64 { return h.Percentile(100) }
 func (h *LatencyHist) String() string {
 	return fmt.Sprintf("p50=%dns p99=%dns p99.9=%dns max=%dns",
 		h.Percentile(50), h.Percentile(99), h.Percentile(99.9), h.Max())
-}
-
-// RunWithLatency is RunWorkload (sequential path only) that also
-// samples every operation's virtual latency.
-func RunWithLatency(name string, ix ixapi.Index, workers, opsPerWorker int, src OpSource) (Result, *LatencyHist) {
-	m := startMeasure(ix)
-	clocks := make([]int64, workers)
-	hist := &LatencyHist{}
-
-	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := ix.NewWorker()
-			defer w.Close()
-			resetWorkerClock(w)
-			next := src(id)
-			local := make([]int64, 0, opsPerWorker)
-			prev := int64(0)
-			for i := 0; i < opsPerWorker; i++ {
-				op := next(i)
-				switch op.Kind {
-				case ycsb.OpSearch:
-					w.Search(op.Key, nil)
-				case ycsb.OpUpdate:
-					w.Update(op.Key, op.Val)
-				case ycsb.OpInsert:
-					w.Insert(op.Key, op.Val)
-				case ycsb.OpDelete:
-					w.Delete(op.Key)
-				}
-				// Per-op sampling reads the worker's total clock (the
-				// sum across shard contexts for partitioned workers),
-				// so each sample is the full virtual cost of that op.
-				now := workerClock(w)
-				local = append(local, now-prev)
-				prev = now
-			}
-			clocks[id] = prev
-			hist.add(local)
-		}(id)
-	}
-	wg.Wait()
-
-	res := m.finish(name, clocks, int64(workers)*int64(opsPerWorker))
-	recorder().SetLatency(hist.Summary())
-	return res, hist
 }

@@ -40,5 +40,3 @@ func (t *table) write(w io.Writer) {
 func mops(r Result) string { return fmt.Sprintf("%.2f", r.Throughput()) }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

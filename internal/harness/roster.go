@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 
+	"spash/internal/alloc"
 	"spash/internal/baselines/cceh"
 	"spash/internal/baselines/clevel"
 	"spash/internal/baselines/dash"
@@ -12,50 +14,78 @@ import (
 	"spash/internal/baselines/levelhash"
 	"spash/internal/baselines/plush"
 
-	"spash/internal/adapters"
 	"spash/internal/core"
 	"spash/internal/ixapi"
+	"spash/internal/pmem"
 	"spash/internal/ycsb"
 )
 
-// Entry is one competitor in a figure.
+// Entry is one row of the constructor table: an index under test.
 type Entry struct {
 	Name string
-	New  ixapi.Factory
+	// Open builds the index on a fresh device.
+	Open ixapi.Factory
 	// Pipeline enables Spash's batched pipelined execution for this
 	// entry's read paths.
 	Pipeline bool
+	// ApproxLen marks an index whose Len is only settled by background
+	// merges (LSM-style); the conformance suite then skips its
+	// exact-count assertions.
+	ApproxLen bool
 }
 
-// SpashEntry is the full-featured Spash configuration.
-func SpashEntry() Entry {
-	return Entry{Name: "Spash", New: adapters.NewSpashFactory("Spash", core.Config{}), Pipeline: true}
-}
-
-// SpashNoPipeEntry is Spash without pipelined execution (the "Spash
-// w/o pipeline" series of Fig 7/10/11).
-func SpashNoPipeEntry() Entry {
-	return Entry{Name: "Spash-noPipe", New: adapters.NewSpashFactory("Spash-noPipe", core.Config{PipelineDepth: 1})}
-}
-
-// MicroRoster is the Fig 7/8/9 competitor set (the paper excludes Halo
-// from the micro-benchmarks: its full-DRAM table does not survive the
-// large dataset).
-func MicroRoster() []Entry {
-	return []Entry{
-		SpashEntry(),
-		SpashNoPipeEntry(),
-		{Name: "CCEH", New: cceh.NewFactory()},
-		{Name: "Dash", New: dash.NewFactory()},
-		{Name: "Level", New: levelhash.NewFactory()},
-		{Name: "CLevel", New: clevel.NewFactory()},
-		{Name: "Plush", New: plush.NewFactory()},
+// baseline is the fresh-device constructor of every reimplemented
+// baseline: provision a pool, format its allocator, build the index.
+func baseline[T ixapi.Index](build func(*pmem.Ctx, *pmem.Pool, *alloc.Allocator) (T, error)) ixapi.Factory {
+	return func(platform pmem.Config) (ixapi.Index, error) {
+		pool := pmem.New(platform)
+		c := pool.NewCtx()
+		al, err := alloc.New(c, pool)
+		if err != nil {
+			return nil, err
+		}
+		ix, err := build(c, pool, al)
+		if err != nil {
+			return nil, err
+		}
+		return ix, nil
 	}
 }
 
-// MacroRoster is the YCSB competitor set (Fig 10/11), including Halo.
-func MacroRoster() []Entry {
-	return append(MicroRoster(), Entry{Name: "Halo", New: halo.NewFactory()})
+// roster is the constructor table: every figure, the conformance run
+// (TestConformance), BenchmarkIndex and spash-ycsb -index iterate it.
+// Adding an index under test is adding a row here.
+var roster = []Entry{
+	SpashEntry("Spash", 1, core.Config{}),
+	// Spash without pipelined execution (the "Spash w/o pipeline"
+	// series of Fig 7/10/11).
+	SpashEntry("Spash-noPipe", 1, core.Config{PipelineDepth: 1}),
+	{Name: "CCEH", Open: baseline(cceh.New)},
+	{Name: "Dash", Open: baseline(dash.New)},
+	{Name: "Level", Open: baseline(levelhash.New)},
+	{Name: "CLevel", Open: baseline(clevel.New)},
+	{Name: "Plush", Open: baseline(plush.New), ApproxLen: true},
+	{Name: "Halo", Open: baseline(halo.New)},
+}
+
+// MacroRoster is the YCSB competitor set (Fig 10/11): the whole table.
+func MacroRoster() []Entry { return roster }
+
+// MicroRoster is the Fig 7/8/9 competitor set (the paper excludes Halo
+// from the micro-benchmarks: its full-DRAM table does not survive the
+// large dataset). The capacity is clipped so that appending to the
+// result copies instead of overwriting Halo's row.
+func MicroRoster() []Entry { return roster[: len(roster)-1 : len(roster)-1] }
+
+// ByName looks an entry up by name, ignoring case and dashes (the
+// -index flag of spash-ycsb accepts "spash-nopipe" and "spashnopipe").
+func ByName(name string) (Entry, error) {
+	for _, e := range roster {
+		if strings.EqualFold(e.Name, name) || strings.EqualFold(strings.ReplaceAll(e.Name, "-", ""), name) {
+			return e, nil
+		}
+	}
+	return Entry{}, fmt.Errorf("unknown index %q", name)
 }
 
 // --- key/value generation -------------------------------------------
@@ -101,27 +131,30 @@ func insertSource(base uint64, perWorker int) OpSource {
 	}
 }
 
-// mixSource returns an OpSource issuing a YCSB mix over a scrambled-
-// zipfian key distribution, with values of valSize bytes (8 = inline).
-func mixSource(mix ycsb.Mix, n uint64, theta float64, valSize int, seed int64) OpSource {
-	base := ycsb.NewScrambled(n, theta, seed)
+// MixSource returns a run-phase OpSource issuing a YCSB mix with values
+// of valSize bytes (8 = inline) over a scrambled-zipfian key
+// distribution of the given skew, or over uniform keys when theta <= 0.
+func MixSource(mix ycsb.Mix, n uint64, theta float64, valSize int, seed int64) OpSource {
+	keys := func(workerSeed int64) ycsb.Generator { return ycsb.NewUniform(n, workerSeed) }
+	if theta > 0 {
+		// The zipfian constants are computed once; workers fork.
+		base := ycsb.NewScrambled(n, theta, seed)
+		keys = func(workerSeed int64) ycsb.Generator { return base.Fork(workerSeed) }
+	}
 	return func(id int) func(i int) Op {
-		gen := base.Fork(seed + int64(id)*104729)
+		gen := keys(seed + int64(id)*104729)
 		rng := rand.New(rand.NewSource(seed + int64(id)*15485863))
 		kb := make([]byte, keyBytes16)
 		vb := make([]byte, valSize)
 		return func(i int) Op {
 			kid := gen.Next()
 			kind := mix.Pick(rng)
-			var key []byte
 			if valSize == 8 {
-				key = inlineKV(kb, kid)
 				binary.LittleEndian.PutUint64(vb, kid^uint64(i))
-				return Op{Kind: kind, Key: key, Val: vb[:8]}
+				return Op{Kind: kind, Key: inlineKV(kb, kid), Val: vb[:8]}
 			}
-			key = ycsb.KeyBytes(kb, kid)
 			ycsb.FillValue(vb, kid^uint64(i))
-			return Op{Kind: kind, Key: key, Val: vb}
+			return Op{Kind: kind, Key: ycsb.KeyBytes(kb, kid), Val: vb}
 		}
 	}
 }
@@ -148,47 +181,18 @@ func LoadSource(per, valSize int) OpSource {
 	}
 }
 
-// loadIndex bulk-loads n keys with the given value size (8 = inline
+// LoadIndex bulk-loads n keys with the given value size (8 = inline
 // 8-byte keys, otherwise 16-byte keys). Returns the load-phase result.
-func loadIndex(ix ixapi.Index, workers, n, valSize int, pipeline bool) Result {
+func LoadIndex(ix ixapi.Index, workers, n, valSize int, pipeline bool) Result {
 	per := n / workers
-	return RunWorkload("load", ix, workers, per, pipeline, LoadSource(per, valSize))
+	return Run("load", ix, workers, per, pipeline, LoadSource(per, valSize), nil)
 }
 
 // mustOpen builds an entry's index on the scale's platform.
 func mustOpen(e Entry, s Scale) (ixapi.Index, error) {
-	ix, err := e.New(s.Platform())
+	ix, err := e.Open(s.Platform())
 	if err != nil {
 		return nil, fmt.Errorf("building %s: %w", e.Name, err)
 	}
 	return ix, nil
-}
-
-// LoadIndex is the exported bulk-load helper (see loadIndex).
-func LoadIndex(ix ixapi.Index, workers, n, valSize int, pipeline bool) Result {
-	return loadIndex(ix, workers, n, valSize, pipeline)
-}
-
-// MixSourceFor returns a run-phase OpSource: scrambled-zipfian with
-// the given skew, or uniform when theta <= 0.
-func MixSourceFor(mix ycsb.Mix, n uint64, theta float64, valSize int, seed int64) OpSource {
-	if theta > 0 {
-		return mixSource(mix, n, theta, valSize, seed)
-	}
-	return func(id int) func(i int) Op {
-		gen := ycsb.NewUniform(n, seed+int64(id)*104729)
-		rng := rand.New(rand.NewSource(seed + int64(id)*15485863))
-		kb := make([]byte, keyBytes16)
-		vb := make([]byte, valSize)
-		return func(i int) Op {
-			kid := gen.Next()
-			kind := mix.Pick(rng)
-			if valSize == 8 {
-				binary.LittleEndian.PutUint64(vb, kid^uint64(i))
-				return Op{Kind: kind, Key: inlineKV(kb, kid), Val: vb[:8]}
-			}
-			ycsb.FillValue(vb, kid^uint64(i))
-			return Op{Kind: kind, Key: ycsb.KeyBytes(kb, kid), Val: vb}
-		}
-	}
 }

@@ -25,7 +25,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"spash/internal/ixapi"
 	"spash/internal/pmem"
@@ -61,12 +60,11 @@ func (r Result) PerOp(count uint64) float64 {
 }
 
 // measure snapshots every device and serialisation group of an index
-// at phase start; finish computes the phase's deltas. Partitioned
-// indexes (ixapi.MultiPool/MultiGroup) are metered per shard: media
-// time is bounded by the hottest device (independent DIMM bandwidth)
-// and serial time by the hottest group, while the reported memory
-// delta sums all devices. For monolithic indexes this reduces exactly
-// to the previous single-pool arithmetic.
+// at phase start; finish computes the phase's deltas. Media time is
+// bounded by the hottest device (independent DIMM bandwidth) and serial
+// time by the hottest group, while the reported memory delta sums all
+// devices. For a monolithic index (one device, one group) this is the
+// single-pool arithmetic.
 type measure struct {
 	ix      ixapi.Index
 	pools   []*pmem.Pool
@@ -76,17 +74,7 @@ type measure struct {
 }
 
 func startMeasure(ix ixapi.Index) *measure {
-	m := &measure{ix: ix}
-	if mp, ok := ix.(ixapi.MultiPool); ok {
-		m.pools = mp.Pools()
-	} else {
-		m.pools = []*pmem.Pool{ix.Pool()}
-	}
-	if mg, ok := ix.(ixapi.MultiGroup); ok {
-		m.groups = mg.Groups()
-	} else {
-		m.groups = []*vsync.Group{ix.Group()}
-	}
+	m := &measure{ix: ix, pools: ix.Pools(), groups: ix.Groups()}
 	m.mem0 = make([]pmem.Stats, len(m.pools))
 	for i, p := range m.pools {
 		m.mem0[i] = p.Stats()
@@ -112,46 +100,6 @@ func (m *measure) finish(name string, clocks []int64, ops int64) Result {
 	res := combine(name, m.pools[0].Config().Timing, clocks, deltas, serial, ops)
 	recordPhase(m.ix, res)
 	return res
-}
-
-// resetWorkerClock and workerClock route through the per-shard clock
-// set of a partitioned worker when it has one.
-func resetWorkerClock(w ixapi.Worker) {
-	if mc, ok := w.(ixapi.MultiCtxWorker); ok {
-		mc.ResetClocks()
-		return
-	}
-	w.Ctx().ResetClock()
-}
-
-func workerClock(w ixapi.Worker) int64 {
-	if mc, ok := w.(ixapi.MultiCtxWorker); ok {
-		return mc.TotalClock()
-	}
-	return w.Ctx().Clock()
-}
-
-// RunPhase executes fn(worker, workerID, opIndex) for opsPerWorker
-// iterations on each of workers goroutines and measures the phase.
-func RunPhase(name string, ix ixapi.Index, workers, opsPerWorker int, fn func(w ixapi.Worker, id, i int)) Result {
-	m := startMeasure(ix)
-	clocks := make([]int64, workers)
-	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := ix.NewWorker()
-			defer w.Close()
-			resetWorkerClock(w)
-			for i := 0; i < opsPerWorker; i++ {
-				fn(w, id, i)
-			}
-			clocks[id] = workerClock(w)
-		}(id)
-	}
-	wg.Wait()
-	return m.finish(name, clocks, int64(workers)*int64(opsPerWorker))
 }
 
 // Scale bundles the workload sizes; the paper's 20M/100M-key, 8G-op

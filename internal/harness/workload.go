@@ -3,7 +3,6 @@ package harness
 import (
 	"sync"
 
-	"spash/internal/adapters"
 	"spash/internal/core"
 	"spash/internal/ixapi"
 	"spash/internal/pmem"
@@ -24,11 +23,15 @@ type OpSource func(id int) func(i int) Op
 // batchSize is the request-queue chunk handed to pipelined execution.
 const batchSize = 64
 
-// RunWorkload measures a phase of opsPerWorker requests on each of
-// workers goroutines. When pipeline is true and the index supports
-// batched execution (Spash), requests are issued through the pipelined
-// path (§III-D); otherwise one call per request.
-func RunWorkload(name string, ix ixapi.Index, workers, opsPerWorker int, pipeline bool, src OpSource) Result {
+// Run measures a phase of opsPerWorker requests on each of workers
+// goroutines. When pipeline is true and the index supports batched
+// execution (Spash), requests are issued through the pipelined path
+// (§III-D); otherwise one call per request. A non-nil lat samples
+// every operation's virtual latency — the delta of the worker's clock
+// across it, summed over shard contexts for a partitioned worker — and
+// forces the one-call-per-request path, where an operation has a
+// latency of its own.
+func Run(name string, ix ixapi.Index, workers, opsPerWorker int, pipeline bool, src OpSource, lat *LatencyHist) Result {
 	m := startMeasure(ix)
 	clocks := make([]int64, workers)
 
@@ -39,21 +42,30 @@ func RunWorkload(name string, ix ixapi.Index, workers, opsPerWorker int, pipelin
 			defer wg.Done()
 			w := ix.NewWorker()
 			defer w.Close()
-			resetWorkerClock(w)
+			w.ResetClock()
 			next := src(id)
-			if bw, ok := w.(adapters.BatchWorker); ok && pipeline {
+			if bw, ok := w.(ixapi.Batcher); ok && pipeline && lat == nil {
 				runBatched(bw, next, opsPerWorker)
 			} else {
-				runSequential(w, next, opsPerWorker)
+				runSequential(w, next, opsPerWorker, lat)
 			}
-			clocks[id] = workerClock(w)
+			clocks[id] = w.Clock()
 		}(id)
 	}
 	wg.Wait()
-	return m.finish(name, clocks, int64(workers)*int64(opsPerWorker))
+	res := m.finish(name, clocks, int64(workers)*int64(opsPerWorker))
+	if lat != nil {
+		recorder().SetLatency(lat.Summary())
+	}
+	return res
 }
 
-func runSequential(w ixapi.Worker, next func(i int) Op, n int) {
+func runSequential(w ixapi.Worker, next func(i int) Op, n int, lat *LatencyHist) {
+	var samples []int64
+	if lat != nil {
+		samples = make([]int64, 0, n)
+	}
+	prev := int64(0)
 	for i := 0; i < n; i++ {
 		op := next(i)
 		switch op.Kind {
@@ -66,10 +78,18 @@ func runSequential(w ixapi.Worker, next func(i int) Op, n int) {
 		case ycsb.OpDelete:
 			w.Delete(op.Key)
 		}
+		if lat != nil {
+			now := w.Clock()
+			samples = append(samples, now-prev)
+			prev = now
+		}
+	}
+	if lat != nil {
+		lat.Add(samples)
 	}
 }
 
-func runBatched(bw adapters.BatchWorker, next func(i int) Op, n int) {
+func runBatched(bw ixapi.Batcher, next func(i int) Op, n int) {
 	batch := make([]core.BatchOp, 0, batchSize)
 	// Keys/values must stay stable for the whole batch: the generator
 	// may reuse buffers, so copy into per-slot scratch.

@@ -1,5 +1,6 @@
 // Package indextest is a conformance suite run against Spash and
-// every baseline: one set of behavioural tests, six implementations.
+// every baseline: one set of behavioural tests, one call site
+// (internal/harness's TestConformance, over the constructor table).
 package indextest
 
 import (
@@ -24,40 +25,40 @@ func defaultPlatform() pmem.Config {
 	return pmem.Config{PoolSize: 256 << 20, CacheSize: 1 << 20}
 }
 
+// suite is one conformance run: the index's constructor and whether
+// its Len is exact.
+type suite struct {
+	factory  ixapi.Factory
+	exactLen bool
+}
+
 // Run executes the whole conformance suite against the factory.
-func Run(t *testing.T, factory ixapi.Factory) {
-	t.Run("BasicCRUD", func(t *testing.T) { testBasicCRUD(t, factory) })
-	t.Run("AbsentKeys", func(t *testing.T) { testAbsentKeys(t, factory) })
-	t.Run("Growth", func(t *testing.T) { testGrowth(t, factory) })
-	t.Run("VariableKV", func(t *testing.T) { testVariableKV(t, factory) })
-	t.Run("DeleteReinsert", func(t *testing.T) { testDeleteReinsert(t, factory) })
-	t.Run("ModelCheck", func(t *testing.T) { testModelCheck(t, factory) })
-	t.Run("ConcurrentDisjoint", func(t *testing.T) { testConcurrentDisjoint(t, factory) })
-	t.Run("ConcurrentSharedUpdates", func(t *testing.T) { testConcurrentShared(t, factory) })
-	t.Run("LoadFactorSanity", func(t *testing.T) { testLoadFactor(t, factory) })
+// approxLen skips the exact-count assertions, for an index that only
+// settles its live count at merge time (LSM-style designs).
+func Run(t *testing.T, factory ixapi.Factory, approxLen bool) {
+	s := suite{factory: factory, exactLen: !approxLen}
+	t.Run("BasicCRUD", s.testBasicCRUD)
+	t.Run("AbsentKeys", s.testAbsentKeys)
+	t.Run("Growth", s.testGrowth)
+	t.Run("VariableKV", s.testVariableKV)
+	t.Run("DeleteReinsert", s.testDeleteReinsert)
+	t.Run("ModelCheck", s.testModelCheck)
+	t.Run("ConcurrentDisjoint", s.testConcurrentDisjoint)
+	t.Run("ConcurrentSharedUpdates", s.testConcurrentShared)
+	t.Run("LoadFactorSanity", s.testLoadFactor)
 }
 
-// exactLen reports whether the index maintains an exact live count
-// (LSM-style designs settle counts at merge time and opt out via a
-// LenIsExact method).
-func exactLen(ix ixapi.Index) bool {
-	if e, ok := ix.(interface{ LenIsExact() bool }); ok {
-		return e.LenIsExact()
-	}
-	return true
-}
-
-func open(t *testing.T, factory ixapi.Factory) ixapi.Index {
+func (s suite) open(t *testing.T) ixapi.Index {
 	t.Helper()
-	ix, err := factory(defaultPlatform())
+	ix, err := s.factory(defaultPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ix
 }
 
-func testBasicCRUD(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testBasicCRUD(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	if err := w.Insert([]byte("alpha"), []byte("1")); err != nil {
@@ -81,7 +82,7 @@ func testBasicCRUD(t *testing.T, factory ixapi.Factory) {
 	if string(v) != "3" {
 		t.Fatalf("after upsert: %q", v)
 	}
-	if exactLen(ix) && ix.Len() != 1 {
+	if s.exactLen && ix.Len() != 1 {
 		t.Fatalf("len = %d", ix.Len())
 	}
 	if found, err := w.Delete([]byte("alpha")); err != nil || !found {
@@ -90,13 +91,13 @@ func testBasicCRUD(t *testing.T, factory ixapi.Factory) {
 	if _, ok, _ := w.Search([]byte("alpha"), nil); ok {
 		t.Fatal("present after delete")
 	}
-	if exactLen(ix) && ix.Len() != 0 {
+	if s.exactLen && ix.Len() != 0 {
 		t.Fatalf("len = %d after delete", ix.Len())
 	}
 }
 
-func testAbsentKeys(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testAbsentKeys(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	for i := uint64(0); i < 100; i++ {
@@ -113,8 +114,8 @@ func testAbsentKeys(t *testing.T, factory ixapi.Factory) {
 	}
 }
 
-func testGrowth(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testGrowth(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	const n = 30000
@@ -123,7 +124,7 @@ func testGrowth(t *testing.T, factory ixapi.Factory) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if exactLen(ix) && ix.Len() != n {
+	if s.exactLen && ix.Len() != n {
 		t.Fatalf("len = %d, want %d", ix.Len(), n)
 	}
 	for i := uint64(0); i < n; i++ {
@@ -134,8 +135,8 @@ func testGrowth(t *testing.T, factory ixapi.Factory) {
 	}
 }
 
-func testVariableKV(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testVariableKV(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	rng := rand.New(rand.NewSource(4))
@@ -173,8 +174,8 @@ func testVariableKV(t *testing.T, factory ixapi.Factory) {
 	}
 }
 
-func testDeleteReinsert(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testDeleteReinsert(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	for round := 0; round < 4; round++ {
@@ -189,13 +190,13 @@ func testDeleteReinsert(t *testing.T, factory ixapi.Factory) {
 			}
 		}
 	}
-	if exactLen(ix) && ix.Len() != 0 {
+	if s.exactLen && ix.Len() != 0 {
 		t.Fatalf("len = %d", ix.Len())
 	}
 }
 
-func testModelCheck(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testModelCheck(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	model := map[string][]byte{}
@@ -243,13 +244,13 @@ func testModelCheck(t *testing.T, factory ixapi.Factory) {
 			}
 		}
 	}
-	if exactLen(ix) && ix.Len() != len(model) {
+	if s.exactLen && ix.Len() != len(model) {
 		t.Fatalf("len %d vs model %d", ix.Len(), len(model))
 	}
 }
 
-func testConcurrentDisjoint(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testConcurrentDisjoint(t *testing.T) {
+	ix := s.open(t)
 	const workers, per = 6, 4000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -268,7 +269,7 @@ func testConcurrentDisjoint(t *testing.T, factory ixapi.Factory) {
 		}(w)
 	}
 	wg.Wait()
-	if exactLen(ix) && ix.Len() != workers*per {
+	if s.exactLen && ix.Len() != workers*per {
 		t.Fatalf("len = %d, want %d", ix.Len(), workers*per)
 	}
 	wk := ix.NewWorker()
@@ -281,8 +282,8 @@ func testConcurrentDisjoint(t *testing.T, factory ixapi.Factory) {
 	}
 }
 
-func testConcurrentShared(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testConcurrentShared(t *testing.T) {
+	ix := s.open(t)
 	wk0 := ix.NewWorker()
 	const keys = 64
 	mkval := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, 128) }
@@ -342,8 +343,8 @@ func testConcurrentShared(t *testing.T, factory ixapi.Factory) {
 	rwg.Wait()
 }
 
-func testLoadFactor(t *testing.T, factory ixapi.Factory) {
-	ix := open(t, factory)
+func (s suite) testLoadFactor(t *testing.T) {
+	ix := s.open(t)
 	w := ix.NewWorker()
 	defer w.Close()
 	for i := uint64(0); i < 20000; i++ {
@@ -352,7 +353,7 @@ func testLoadFactor(t *testing.T, factory ixapi.Factory) {
 		}
 	}
 	lf := ix.LoadFactor()
-	if exactLen(ix) && (lf <= 0 || lf > 1.0001) {
+	if s.exactLen && (lf <= 0 || lf > 1.0001) {
 		t.Fatalf("load factor %v out of range", lf)
 	}
 }

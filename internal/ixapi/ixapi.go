@@ -1,15 +1,19 @@
-// Package ixapi defines the common interface implemented by Spash and
-// by every reimplemented baseline (CCEH, Dash, Level hashing, CLevel,
-// Plush, Halo), so the conformance tests and the benchmark harness can
-// drive them uniformly.
+// Package ixapi defines the one interface "an index under test" has:
+// Spash (through its public spash.DB) and every reimplemented baseline
+// (CCEH, Dash, Level hashing, CLevel, Plush, Halo) implement it, and
+// the conformance suite and the benchmark harness drive them through
+// nothing else. The constructor table that names the implementations
+// is internal/harness's roster.
 package ixapi
 
 import (
+	"spash/internal/core"
+	"spash/internal/obs"
 	"spash/internal/pmem"
 	"spash/internal/vsync"
 )
 
-// Index is a persistent hash index over a simulated PM pool.
+// Index is a persistent hash index over one or more simulated PM pools.
 type Index interface {
 	// Name identifies the index in benchmark output.
 	Name() string
@@ -19,11 +23,16 @@ type Index interface {
 	Len() int
 	// LoadFactor returns entries / slot capacity (Fig 9).
 	LoadFactor() float64
-	// Pool returns the simulated device, for memory-event counters.
-	Pool() *pmem.Pool
-	// Group returns the lock/commit serialisation group, for the
-	// virtual-time elapsed model.
-	Group() *vsync.Group
+	// Pools returns the simulated devices the index lives on, one per
+	// partition (a monolithic index has one). The harness meters media
+	// traffic per device and bounds elapsed time by the hottest one:
+	// partitioned DIMMs have independent bandwidth.
+	Pools() []*pmem.Pool
+	// Groups returns the lock/commit serialisation domains, one per
+	// partition. The harness bounds elapsed time by the hottest group:
+	// commit serialisation does not accumulate across independent
+	// partitions.
+	Groups() []*vsync.Group
 }
 
 // Worker is a per-goroutine handle. Implementations are not safe for
@@ -33,39 +42,28 @@ type Worker interface {
 	Search(key, dst []byte) ([]byte, bool, error)
 	Update(key, val []byte) (bool, error)
 	Delete(key []byte) (bool, error)
-	// Ctx returns the worker's pmem context (virtual clock).
-	Ctx() *pmem.Ctx
+	// ResetClock zeroes the worker's virtual clock and Clock reads it,
+	// in virtual ns. A worker that keeps one pmem context per
+	// partition reports their sum: one thread executes its operations
+	// serially, whichever partition they land on.
+	ResetClock()
+	Clock() int64
 	Close()
 }
 
-// MultiPool is optionally implemented by partitioned indexes whose
-// data lives on several devices (one per shard). The harness then
-// meters media traffic per device and bounds elapsed time by the
-// hottest one — partitioned DIMMs have independent bandwidth. Pool()
-// must still return a representative device (shard 0) for timing
-// parameters.
-type MultiPool interface {
-	Pools() []*pmem.Pool
+// Batcher is the optional Worker capability of pipelined batch
+// execution (§III-D); of the indexes in the tree only Spash has it.
+type Batcher interface {
+	ExecBatch(ops []core.BatchOp)
 }
 
-// MultiGroup is optionally implemented by partitioned indexes with one
-// serialisation domain per shard. The harness bounds elapsed time by
-// the hottest group — commit serialisation does not accumulate across
-// independent shards.
-type MultiGroup interface {
-	Groups() []*vsync.Group
+// Observed is the optional Index capability of exporting the unified
+// observability feeds (aggregate and per-partition snapshots, slow-op
+// log, health, trace registry); of the indexes in the tree only Spash
+// has it.
+type Observed interface {
+	ExportSources() obs.Sources
 }
 
-// MultiCtxWorker is optionally implemented by workers that keep one
-// pmem context per shard: a worker's virtual time is the sum of its
-// per-shard clocks (a single thread executes its operations serially,
-// whichever shard they land on). Ctx() must still return a
-// representative context.
-type MultiCtxWorker interface {
-	ResetClocks()
-	TotalClock() int64
-}
-
-// Factory creates a fresh index on a fresh device. Used by conformance
-// tests and the harness.
+// Factory creates a fresh index on a fresh device.
 type Factory func(platform pmem.Config) (Index, error)

@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"spash/internal/alloc"
-	"spash/internal/indextest"
-	"spash/internal/ixapi"
 	"spash/internal/pmem"
-	"spash/internal/vsync"
 )
 
 // smallPlatform keeps multi-shard tests fast: 4 shards on a default
@@ -134,31 +131,6 @@ func TestShardedCrashRecoverAll(t *testing.T) {
 	}
 }
 
-func TestShardedSingleAccessorsPanic(t *testing.T) {
-	db, err := Open(Options{Platform: smallPlatform(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for _, tc := range []struct {
-		name string
-		call func()
-	}{
-		{"Platform", func() { db.Platform() }},
-		{"Index", func() { db.Index() }},
-		{"Group", func() { db.Group() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic on a 2-shard DB", tc.name)
-				}
-			}()
-			tc.call()
-		})
-	}
-}
-
 func TestCloseInvalidatesSessions(t *testing.T) {
 	db, err := Open(Options{Platform: smallPlatform(), Shards: 2})
 	if err != nil {
@@ -247,7 +219,7 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 	if err := s.Insert([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	platform := db.Platform()
+	platform := db.Platforms()[0]
 	db.Crash()
 	_, err = Recover(platform, Options{Index: IndexOptions{Checksums: true}})
 	if !errors.Is(err, ErrGeometry) {
@@ -264,7 +236,7 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := db2.Platform()
+	p2 := db2.Platforms()[0]
 	c := p2.NewCtx()
 	const rootGeomWord = 3 // core's rootGeom slot
 	geom := p2.Load64(c, alloc.RootAddr(rootGeomWord))
@@ -277,38 +249,6 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 	if !errors.As(err, &ge) || ge.Field != "segment-size" {
 		t.Fatalf("corrupt stamp detail: %v", err)
 	}
-}
-
-// shardedIndex adapts a multi-shard DB to ixapi.Index so the full
-// conformance suite runs against the sharded public API.
-type shardedIndex struct{ db *DB }
-
-func (x shardedIndex) Name() string            { return "spash-sharded" }
-func (x shardedIndex) Len() int                { return x.db.Len() }
-func (x shardedIndex) LoadFactor() float64     { return x.db.LoadFactor() }
-func (x shardedIndex) Pool() *pmem.Pool        { return x.db.Platforms()[0] }
-func (x shardedIndex) Group() *vsync.Group     { return x.db.Groups()[0] }
-func (x shardedIndex) NewWorker() ixapi.Worker { return &shardedWorker{s: x.db.Session()} }
-
-type shardedWorker struct{ s *Session }
-
-func (w *shardedWorker) Insert(key, val []byte) error { return w.s.Insert(key, val) }
-func (w *shardedWorker) Search(key, dst []byte) ([]byte, bool, error) {
-	return w.s.Get(key, dst)
-}
-func (w *shardedWorker) Update(key, val []byte) (bool, error) { return w.s.Update(key, val) }
-func (w *shardedWorker) Delete(key []byte) (bool, error)      { return w.s.Delete(key) }
-func (w *shardedWorker) Ctx() *pmem.Ctx                       { return w.s.Ctx() }
-func (w *shardedWorker) Close()                               { w.s.Close() }
-
-func TestShardedConformance(t *testing.T) {
-	indextest.Run(t, func(platform pmem.Config) (ixapi.Index, error) {
-		db, err := Open(Options{Platform: platform, Shards: 4})
-		if err != nil {
-			return nil, err
-		}
-		return shardedIndex{db: db}, nil
-	})
 }
 
 // Shards=1 must keep LoadFactor bit-identical to the direct index
@@ -326,7 +266,7 @@ func TestSingleShardLoadFactorUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := db.LoadFactor(), db.Index().LoadFactor(); got != want {
+	if got, want := db.LoadFactor(), db.Indexes()[0].LoadFactor(); got != want {
 		t.Fatalf("LoadFactor %v != index %v", got, want)
 	}
 }

@@ -45,10 +45,10 @@
 //	db.Crash()               // power failure (eADR: nothing is lost)
 //	db2, err := spash.RecoverAll(imgs, spash.Options{})
 //
-// (With Shards: 1, db.Platform() and spash.Recover reopen the single
-// device.) Under the default eADR mode every completed operation
-// survives; in ADR mode (Options.Platform.Mode = spash.ADR) unflushed
-// data rolls back, demonstrating the gap the paper closes.
+// (With Shards: 1, spash.Recover reopens the single device,
+// db.Platforms()[0].) Under the default eADR mode every completed
+// operation survives; in ADR mode (Options.Platform.Mode = spash.ADR)
+// unflushed data rolls back, demonstrating the gap the paper closes.
 package spash
 
 import (
@@ -199,8 +199,8 @@ type Options struct {
 	Index core.Config
 	// Shards is the number of independent partitions. 0 means
 	// GOMAXPROCS; 1 preserves the exact single-index behaviour of
-	// earlier versions (Platform(), Index(), and spash.Recover work
-	// only in that configuration).
+	// earlier versions (spash.Recover works only in that
+	// configuration).
 	Shards int
 	// Replica opens the DB in the replica role: client writes fail
 	// typed with ErrNotPrimary (reads stay available) and only the
@@ -290,18 +290,9 @@ func RecoverAll(platforms []*pmem.Pool, opts Options) (*DB, error) {
 // Shards returns the number of partitions.
 func (db *DB) Shards() int { return len(db.units) }
 
-// Platform returns the simulated PM device (for stats, crash
-// injection, and Recover) of a single-shard DB. It panics on a
-// multi-shard DB — use Platforms there.
-func (db *DB) Platform() *pmem.Pool {
-	if len(db.units) != 1 {
-		panic(fmt.Sprintf("spash: Platform() on a %d-shard DB; use Platforms()", len(db.units)))
-	}
-	return db.units[0].Pool
-}
-
-// Platforms returns every shard's simulated PM device, in shard order
-// (the order RecoverAll requires).
+// Platforms returns every shard's simulated PM device (for stats,
+// crash injection and recovery), in shard order (the order RecoverAll
+// requires).
 func (db *DB) Platforms() []*pmem.Pool {
 	out := make([]*pmem.Pool, len(db.units))
 	for i, u := range db.units {
@@ -310,17 +301,8 @@ func (db *DB) Platforms() []*pmem.Pool {
 	return out
 }
 
-// Index returns the underlying core index (advanced use: ablation
-// toggles, maintenance operations) of a single-shard DB. It panics on
-// a multi-shard DB — use Indexes there.
-func (db *DB) Index() *core.Index {
-	if len(db.units) != 1 {
-		panic(fmt.Sprintf("spash: Index() on a %d-shard DB; use Indexes()", len(db.units)))
-	}
-	return db.units[0].Ix
-}
-
-// Indexes returns every shard's core index, in shard order.
+// Indexes returns every shard's core index (advanced use: ablation
+// toggles, maintenance operations), in shard order.
 func (db *DB) Indexes() []*core.Index {
 	out := make([]*core.Index, len(db.units))
 	for i, u := range db.units {
@@ -488,18 +470,9 @@ func (db *DB) Obs() *obs.Registry {
 	return db.units[0].Ix.Obs()
 }
 
-// Group exposes the virtual-time serialisation group (benchmarking) of
-// a single-shard DB. It panics on a multi-shard DB — use Groups there
-// (each shard serialises independently; the harness bounds elapsed
-// time by the hottest group).
-func (db *DB) Group() *vsync.Group {
-	if len(db.units) != 1 {
-		panic(fmt.Sprintf("spash: Group() on a %d-shard DB; use Groups()", len(db.units)))
-	}
-	return db.units[0].Ix.Group()
-}
-
-// Groups returns every shard's serialisation group, in shard order.
+// Groups returns every shard's virtual-time serialisation group
+// (benchmarking), in shard order. Each shard serialises independently;
+// the harness bounds elapsed time by the hottest group.
 func (db *DB) Groups() []*vsync.Group {
 	out := make([]*vsync.Group, len(db.units))
 	for i, u := range db.units {
@@ -617,11 +590,10 @@ func (s *Session) Close() {
 	}
 }
 
-// Ctx returns the session's pmem context (virtual clock + counters)
-// on the first shard; ShardCtx addresses the others.
-func (s *Session) Ctx() *pmem.Ctx { return s.hs[0].Ctx() }
-
-// ShardCtx returns the session's pmem context on shard i.
+// ShardCtx returns the session's pmem context (virtual clock +
+// counters) on shard i. A session's virtual time is the sum over its
+// shards: one thread executes its operations serially, whichever shard
+// they land on.
 func (s *Session) ShardCtx(i int) *pmem.Ctx { return s.hs[i].Ctx() }
 
 // shardOfKey returns the shard index owning key.

@@ -76,7 +76,7 @@ func TestPublicCrashRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	platform := db.Platform()
+	platform := db.Platforms()[0]
 	if lost := db.Crash(); lost != 0 {
 		t.Fatalf("eADR crash lost %d lines", lost)
 	}
