@@ -29,12 +29,13 @@ cross-build:
 	GOARCH=arm64 go vet ./internal/hostpf
 	GOARCH=riscv64 go build ./...
 
-# loc prints the two size numbers ROADMAP item 5 tracks per PR: non-test
-# Go lines in the root module (bench/ and testdata excluded) and the
-# exported functions and methods of package spash. CI's build-test job
-# writes them to its job summary.
+# loc prints the size numbers ROADMAP item 5 tracks per PR: non-test Go
+# lines in the root module (bench/ and testdata excluded) and in
+# internal/repl, and the exported functions and methods of package
+# spash. CI's build-test job writes them to its job summary.
 loc:
 	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)"
+	@echo "non-test Go lines, internal/repl: $$(git ls-files 'internal/repl/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "package spash exported funcs+methods: $$(go doc -all . | grep -c '^func ')"
 
 race:

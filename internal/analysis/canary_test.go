@@ -106,8 +106,8 @@ func TestDeletedShardBoundsCheckIsCaught(t *testing.T) {
 	path := filepath.Join(root, "internal", "repl", "repl.go")
 	const guard = `	if f.Shard < 0 || f.Shard >= r.db.Shards() {
 		// Apply refuses out-of-range shards on entry; this guards the
-		// indexing below against frames resurfacing from the reorder
-		// window or pause buffer of an older process image.
+		// indexing below against frames resurfacing from the pending
+		// log of an older process image.
 		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
 			Epoch: r.db.Epoch(),
 			Err:   fmt.Errorf("no such shard (have %d)", r.db.Shards())}

@@ -42,9 +42,13 @@ type level struct {
 }
 
 // ctab is the published level list, newest (insert target) first. Two
-// levels normally; three while the old bottom drains.
+// levels normally, one more while the old bottom drains (and from then
+// on, if a drain had to leave entries behind). drain is the address of
+// the level a migration is emptying right now, 0 when none is: an
+// insert that lands there may already be behind the migration cursor.
 type ctab struct {
 	levels []level
+	drain  uint64
 }
 
 // CLevel is the index.
@@ -218,6 +222,12 @@ func (w *Worker) Insert(key, val []byte) error {
 	for {
 		tab := t.tab.Load()
 		if sa, p, ok := w.findSlot(tab, h1, h2, key); ok {
+			if p == rec {
+				// Our own placement from an earlier pass, carried
+				// here by a migration; it has not been counted yet.
+				t.entries.Add(1)
+				return nil
+			}
 			if t.pool.CAS64(w.c, sa, p, rec) {
 				return nil
 			}
@@ -239,21 +249,29 @@ func (w *Worker) Insert(key, val []byte) error {
 			}
 		}
 		if placedAt != 0 {
-			// Re-check the published context: if our target level has
-			// become (or is about to be dropped as) the draining
-			// bottom, the migration cursor may already have passed our
-			// slot. Undo and retry in that case; a failed undo means a
-			// migration or update has taken responsibility for the
-			// entry.
+			// Re-check the published context: if our target level is
+			// being drained (or was already dropped), the migration
+			// cursor may have passed our slot. The placement must not be
+			// undone: the migrator may already hold a copy of rec, would
+			// take the cleared source slot for a racing update, and
+			// would remove that copy — the only reference left. Wait the
+			// migration out instead and look: either it carried rec
+			// along, or rec sits in a dropped level and the insert
+			// starts over.
 			tab2 := t.tab.Load()
 			safe := false
-			for i, l2 := range tab2.levels {
-				if l2.addr == l.addr && !(len(tab2.levels) == 3 && i == len(tab2.levels)-1) {
+			for _, l2 := range tab2.levels {
+				if l2.addr == l.addr && l.addr != tab2.drain {
 					safe = true
 				}
 			}
-			if !safe && t.pool.CAS64(w.c, placedAt, rec, 0) {
-				continue
+			if !safe {
+				for t.resizing.Load() != 0 {
+					runtime.Gosched()
+				}
+				if _, _, ok := w.findSlot(t.tab.Load(), h1, h2, key); !ok {
+					continue
+				}
 			}
 			t.entries.Add(1)
 			return nil
@@ -323,7 +341,7 @@ func (t *CLevel) resize(w *Worker) {
 	if err != nil {
 		return
 	}
-	mid := &ctab{levels: append([]level{newTop}, old.levels...)}
+	mid := &ctab{levels: append([]level{newTop}, old.levels...), drain: bottom.addr}
 	t.tab.Store(mid)
 
 	// Drain the bottom level into the new top.
@@ -352,9 +370,11 @@ func (t *CLevel) resize(w *Worker) {
 			}
 		}
 	}
+	levels := mid.levels
 	if drained {
-		t.tab.Store(&ctab{levels: mid.levels[:len(mid.levels)-1]})
+		levels = levels[:len(levels)-1]
 	}
+	t.tab.Store(&ctab{levels: levels})
 }
 
 // migrate CASes record p into a free new-top slot, returning the slot

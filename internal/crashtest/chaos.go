@@ -234,8 +234,6 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 		// passes so the trial is deterministic for its seed.
 		Retry: repl.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {},
 			Deadline: -1, JitterSeed: arm.Seed + 1},
-		SpillLimit:    ops + 16, // overflow shedding is its own drill
-		ReplayLog:     64,
 		ProbeInterval: -1,
 	})
 	if err != nil {

@@ -72,13 +72,14 @@ type HealthWatermarks struct {
 	// this many passes marks the index DEGRADED (coverage unknown).
 	// Default 0 (disabled): an index without a scrubber is healthy.
 	MinScrubPasses int64 `json:"min_scrub_passes"`
-	// SpillDegraded / SpillCritical: frames parked in the primary's
-	// degraded-mode spill queue (shipping circuit breaker tripped).
-	// Default 1 / 4096. A non-closed breaker is itself DEGRADED
-	// regardless of these thresholds (set SpillDegraded negative to
-	// disable the spill-depth checks only).
+	// SpillDegraded: frames a replication primary still owes its peer
+	// (shipping circuit breaker tripped). Default 1. A non-closed
+	// breaker is itself DEGRADED regardless of this threshold (set it
+	// negative to disable the spill-depth checks only). The critical
+	// level is not a watermark: it is the primary's own log bound
+	// (repl_spill_limit), where acknowledged writes' frames start
+	// being shed and a full re-seed becomes inevitable.
 	SpillDegraded int64 `json:"spill_degraded"`
-	SpillCritical int64 `json:"spill_critical"`
 }
 
 // withDefaults fills zero thresholds with the defaults above.
@@ -107,9 +108,6 @@ func (w HealthWatermarks) withDefaults() HealthWatermarks {
 	if w.SpillDegraded == 0 {
 		w.SpillDegraded = 1
 	}
-	if w.SpillCritical == 0 {
-		w.SpillCritical = 4096
-	}
 	return w
 }
 
@@ -127,7 +125,7 @@ type Health struct {
 	ScrubPasses       int64   `json:"scrub_passes"`
 	// BreakerState is the shipping circuit breaker's state on a
 	// replication primary (0 closed, 1 half-open, 2 open) and
-	// SpillDepth the frames parked in its degraded-mode spill queue.
+	// SpillDepth the frames its log still owes the peer.
 	BreakerState int64 `json:"repl_breaker_state"`
 	SpillDepth   int64 `json:"repl_spill_depth"`
 }
@@ -185,10 +183,12 @@ func EvalHealth(s Snapshot, w HealthWatermarks) Health {
 	case 2:
 		raise(HealthDegraded, "replication breaker open (degraded-async shipping)")
 	}
-	if w.SpillCritical > 0 && h.SpillDepth >= w.SpillCritical {
-		raise(HealthCritical, "%d frame(s) in the replication spill queue (critical >= %d)", h.SpillDepth, w.SpillCritical)
-	} else if w.SpillDegraded > 0 && h.SpillDepth >= w.SpillDegraded {
-		raise(HealthDegraded, "%d frame(s) in the replication spill queue", h.SpillDepth)
+	if w.SpillDegraded > 0 && h.SpillDepth >= w.SpillDegraded {
+		if limit := s.Gauges[GaugeNames[GReplSpillLimit]]; limit > 0 && h.SpillDepth >= limit {
+			raise(HealthCritical, "%d frame(s) owed to the replica fill the primary's log (bound %d): writes shed, re-seed inevitable", h.SpillDepth, limit)
+		} else {
+			raise(HealthDegraded, "%d frame(s) owed to the replica", h.SpillDepth)
+		}
 	}
 
 	h.Status = worst

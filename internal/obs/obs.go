@@ -96,18 +96,17 @@ const (
 	// Unreliable-transport hardening (internal/repl): CReplRetries
 	// counts ship re-attempts after a transport timeout;
 	// CReplApplyDupes counts duplicate frames the replica acked and
-	// dropped; CReplReorderBuffered counts ahead-of-cursor frames held
-	// in the reorder window; CReplSheds counts frames a replica
-	// rejected over a full pause buffer or reorder window;
-	// CReplBreakerTrips counts circuit-breaker openings on the
-	// primary; CReplSpills counts frames diverted to the degraded-mode
-	// spill queue; CReplSpillSheds counts writes refused over a full
-	// spill queue; CReplResyncs counts cursor-handshake resyncs that
-	// found work; CReplReplays counts frames re-shipped from the
-	// replay log; CReplReseeds counts automated FullSync re-seeds.
+	// dropped; CReplSheds counts frames a replica refused over a full
+	// pending log; CReplBreakerTrips counts circuit-breaker openings
+	// on the primary; CReplSpills counts writes acknowledged with
+	// their frame still owed to the peer (degraded-async mode);
+	// CReplSpillSheds counts writes whose frame pushed an
+	// unacknowledged one out of the full frame log; CReplResyncs
+	// counts cursor handshakes; CReplReplays counts frames the peer
+	// had acknowledged and a handshake re-shipped from the log;
+	// CReplReseeds counts automated FullSync re-seeds.
 	CReplRetries
 	CReplApplyDupes
-	CReplReorderBuffered
 	CReplSheds
 	CReplBreakerTrips
 	CReplSpills
@@ -168,24 +167,23 @@ var CounterNames = [...]string{
 	CReplFetches:       "repl_fetches",
 	CReplRepairKeys:    "repl_repair_keys",
 
-	CReplRetries:         "repl_retries",
-	CReplApplyDupes:      "repl_apply_dupes",
-	CReplReorderBuffered: "repl_reorder_buffered",
-	CReplSheds:           "repl_sheds",
-	CReplBreakerTrips:    "repl_breaker_trips",
-	CReplSpills:          "repl_spills",
-	CReplSpillSheds:      "repl_spill_sheds",
-	CReplResyncs:         "repl_resyncs",
-	CReplReplays:         "repl_replays",
-	CReplReseeds:         "repl_reseeds",
-	CServeAccepts:        "serve_accepts",
-	CServeCmds:           "serve_cmds",
-	CServeCmdGet:         "serve_cmd_get",
-	CServeCmdSet:         "serve_cmd_set",
-	CServeCmdDel:         "serve_cmd_del",
-	CServeCmdOther:       "serve_cmd_other",
-	CServeBatches:        "serve_batches",
-	CServeErrors:         "serve_errors",
+	CReplRetries:      "repl_retries",
+	CReplApplyDupes:   "repl_apply_dupes",
+	CReplSheds:        "repl_sheds",
+	CReplBreakerTrips: "repl_breaker_trips",
+	CReplSpills:       "repl_spills",
+	CReplSpillSheds:   "repl_spill_sheds",
+	CReplResyncs:      "repl_resyncs",
+	CReplReplays:      "repl_replays",
+	CReplReseeds:      "repl_reseeds",
+	CServeAccepts:     "serve_accepts",
+	CServeCmds:        "serve_cmds",
+	CServeCmdGet:      "serve_cmd_get",
+	CServeCmdSet:      "serve_cmd_set",
+	CServeCmdDel:      "serve_cmd_del",
+	CServeCmdOther:    "serve_cmd_other",
+	CServeBatches:     "serve_batches",
+	CServeErrors:      "serve_errors",
 }
 
 // Gauge identifies one last-value metric: a level (not a rate) that a
@@ -195,7 +193,8 @@ type Gauge int
 
 const (
 	// GReplLagRecords / GReplLagBytes: how far a replica is behind the
-	// primary, in committed records and payload bytes (internal/repl).
+	// primary — the frames and payload bytes of its pending log, per
+	// owning shard (internal/repl).
 	GReplLagRecords Gauge = iota
 	GReplLagBytes
 	// GScrubPasses: completed full passes of the online scrubber.
@@ -204,11 +203,13 @@ const (
 	GFsckUnrecoverable
 	// GReplBreakerState: the shipping circuit breaker's state on a
 	// replication primary (0 closed, 1 half-open, 2 open; see
-	// internal/repl). GReplSpillDepth / GReplSpillBytes: frames and
-	// payload bytes parked in the degraded-mode spill queue.
+	// internal/repl). GReplSpillDepth: frames its log retains that the
+	// peer has not acknowledged. GReplSpillLimit: that log's bound —
+	// the depth at which the next write sheds; EvalHealth reads it for
+	// the CRITICAL spill verdict.
 	GReplBreakerState
 	GReplSpillDepth
-	GReplSpillBytes
+	GReplSpillLimit
 	// GServeConns: currently open server connections.
 	// GServeInflight: ops parsed but not yet replied to, summed over
 	// connections — the live pipelining depth the backpressure window
@@ -227,7 +228,7 @@ var GaugeNames = [...]string{
 	GFsckUnrecoverable: "fsck_unrecoverable",
 	GReplBreakerState:  "repl_breaker_state",
 	GReplSpillDepth:    "repl_spill_depth",
-	GReplSpillBytes:    "repl_spill_bytes",
+	GReplSpillLimit:    "repl_spill_limit",
 	GServeConns:        "serve_conns",
 	GServeInflight:     "serve_inflight",
 }

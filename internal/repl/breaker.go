@@ -1,13 +1,14 @@
 // Graceful degradation: when retries exhaust, the primary trips a
 // circuit breaker into degraded-async mode — client writes keep
-// succeeding locally, their frames spill to a bounded queue, health
-// reports DEGRADED (obs.EvalHealth reads the breaker-state and
-// spill-depth gauges), and a background prober half-opens the breaker
-// and drains the queue once the transport answers again. The primary
-// never blocks a write indefinitely on a dead transport.
+// succeeding locally, their frames wait in the frame log above the
+// peer's cursor, health reports DEGRADED (obs.EvalHealth reads the
+// breaker-state and spill-depth gauges), and a background prober runs
+// the catch-up loop (resync.go) once the transport answers again. The
+// primary never blocks a write indefinitely on a dead transport.
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,11 +24,11 @@ const (
 	// BreakerClosed: the transport is healthy; frames ship
 	// synchronously and a nil write return means both nodes have it.
 	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen: a probe is testing the transport; new frames
-	// still spill until the drain completes.
+	// BreakerHalfOpen: a catch-up pass is testing the transport; new
+	// frames still wait in the log until it completes.
 	BreakerHalfOpen
 	// BreakerOpen: retries exhausted; degraded-async mode. Writes
-	// succeed locally and spill.
+	// succeed locally and their frames wait in the log.
 	BreakerOpen
 )
 
@@ -47,18 +48,6 @@ func (s BreakerState) String() string {
 type PrimaryOptions struct {
 	// Retry bounds each frame's delivery attempts.
 	Retry RetryPolicy
-	// SpillLimit caps the degraded-mode spill queue. Past it, a
-	// write's frame is shed with a typed ErrRetryExhausted (the local
-	// apply stands; the shed is counted as repl_spill_sheds and the
-	// replica needs a resync once the transport heals — which the
-	// drain's finishing handshake performs). Default 1024; negative
-	// means unbounded.
-	SpillLimit int
-	// ReplayLog caps the delivered-frame log kept for cursor-handshake
-	// replay. A replica whose cursor fell behind the log's horizon is
-	// re-seeded instead. Default 1024; negative disables replay
-	// (every gap re-seeds).
-	ReplayLog int
 	// ProbeInterval is the background prober's period while the
 	// breaker is open. Default 25ms; negative disables the prober
 	// (tests drive recovery with TryDrain).
@@ -67,18 +56,6 @@ type PrimaryOptions struct {
 
 func (po PrimaryOptions) withDefaults() PrimaryOptions {
 	po.Retry = po.Retry.withDefaults()
-	if po.SpillLimit == 0 {
-		po.SpillLimit = 1024
-	}
-	if po.SpillLimit < 0 {
-		po.SpillLimit = 1 << 30
-	}
-	if po.ReplayLog == 0 {
-		po.ReplayLog = 1024
-	}
-	if po.ReplayLog < 0 {
-		po.ReplayLog = 0
-	}
 	if po.ProbeInterval == 0 {
 		po.ProbeInterval = 25 * time.Millisecond
 	}
@@ -93,11 +70,16 @@ func (p *Primary) Breaker() (BreakerState, string) {
 	return p.state, p.reason
 }
 
-// SpillDepth returns the number of frames parked in the spill queue.
+// SpillDepth returns the number of retained frames the peer has not
+// acknowledged: what degraded-async mode still owes it.
 func (p *Primary) SpillDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.spill)
+	return p.spillDepthLocked()
+}
+
+func (p *Primary) spillDepthLocked() int {
+	return int(p.seq - max(p.acked, p.base-1))
 }
 
 // Deposed reports whether shipping observed a newer promotion epoch
@@ -109,89 +91,89 @@ func (p *Primary) Deposed() bool {
 	return p.deposed
 }
 
-// shipFrameLocked routes one freshly sequenced frame: fenced if
-// deposed, spilled while the breaker is not closed OR older spilled
-// frames exist (stream order: a frame must never overtake a spilled
-// predecessor), otherwise shipped synchronously through the retry
-// policy — with one automated resync-and-reship when the replica's
-// cursor refuses the frame, and a breaker trip (plus spill of this
-// frame) when retries exhaust. Caller holds p.mu.
-func (p *Primary) shipFrameLocked(f *Frame) error {
+// shipLocked sequences one record frame into the log and delivers it:
+// fenced if deposed; shipped synchronously through the retry policy
+// while the breaker is closed — with one catch-up pass when the
+// replica's cursor refuses the frame, and a breaker trip when retries
+// exhaust; otherwise left in the log above acked for the catch-up loop
+// (stream order: a frame must never overtake an unacknowledged
+// predecessor). Caller holds p.mu.
+func (p *Primary) shipLocked(f *Frame) error {
 	if p.deposed {
 		return &spash.ReplicationError{Op: "ship", Shard: f.Shard,
 			Epoch: f.Epoch, Err: spash.ErrNotPrimary}
 	}
-	if p.state != BreakerClosed || len(p.spill) > 0 {
-		return p.spillLocked(f)
+	// A full log evicts its oldest frame. That is silent while the peer
+	// has acknowledged it; once it has not, the frame is shed: its
+	// payload now exists only in the local image, base has moved past
+	// acked+1, and the next handshake re-seeds.
+	p.seq++
+	f.Seq = p.seq
+	shed := false
+	if p.seq-p.base == primaryLogFrames {
+		shed = p.base > p.acked
+		p.base++
 	}
-	err := p.shipRetryLocked(f)
-	if err == nil {
-		p.logDeliveredLocked(f.Seq, f)
-		return nil
-	}
-	if isAny(err, spash.ErrNotPrimary) {
-		p.deposeLocked(err)
-		return err
-	}
-	if isAny(err, spash.ErrNeedsReseed, spash.ErrReplicaLag) {
-		// The replica's cursor cannot take this frame as-is: resync
-		// (replay the gap or re-seed), then re-ship once.
-		if rerr := p.resyncLocked(); rerr != nil {
-			p.tripLocked(fmt.Sprintf("resync failed: %v", rerr))
-			return p.spillLocked(f)
-		}
-		if err = p.shipRetryLocked(f); err == nil {
-			p.logDeliveredLocked(f.Seq, f)
+	p.ring[p.seq%primaryLogFrames] = f
+	if p.state == BreakerClosed {
+		err := p.shipRetryLocked(f)
+		if err == nil {
+			p.acked = f.Seq
 			return nil
 		}
-		if isAny(err, spash.ErrNotPrimary) {
-			p.deposeLocked(err)
+		if isAny(err, spash.ErrNeedsReseed, spash.ErrReplicaLag) {
+			// The replica's cursor cannot take this frame as-is: catch
+			// up (replay the gap or re-seed), this frame included.
+			if _, err = p.catchUpLocked(); err == nil {
+				return nil
+			}
+		} else {
+			p.settleLocked(err)
+		}
+		if p.deposed {
 			return err
 		}
 	}
-	// Retries exhausted (or the post-resync re-ship failed): degrade.
-	p.tripLocked(err.Error())
-	return p.spillLocked(f)
-}
-
-// spillLocked parks a frame in the bounded spill queue. The frame's
-// local apply already stands, so a full queue sheds the frame with a
-// typed error rather than blocking the write; the shed leaves a
-// cursor gap the drain's finishing resync repairs (replay log
-// permitting) or re-seeds. Caller holds p.mu.
-func (p *Primary) spillLocked(f *Frame) error {
-	sh := boundShard(p.db, f.Shard)
-	if len(p.spill) >= p.opts.SpillLimit {
-		p.shedGap = true
-		p.db.Indexes()[sh].Obs().Inc(obs.CReplSpillSheds)
+	// Degraded-async: the local apply stands, so the write is
+	// acknowledged with its frame still owed — unless queueing it shed
+	// another, which the writer is told with a typed error.
+	reg := p.db.Indexes()[boundShard(p.db, f.Shard)].Obs()
+	reg.Inc(obs.CReplSpills)
+	p.publishDepthLocked()
+	if shed {
+		reg.Inc(obs.CReplSpillSheds)
 		return &spash.ReplicationError{Op: "ship", Shard: f.Shard,
 			Epoch: f.Epoch,
-			Err: fmt.Errorf("spill queue full (%d frames), frame %d shed: %w",
-				len(p.spill), f.Seq, spash.ErrRetryExhausted)}
+			Err: fmt.Errorf("frame log full (%d frames unacknowledged), frame %d shed: %w",
+				primaryLogFrames, p.base-1, spash.ErrRetryExhausted)}
 	}
-	p.spill = append(p.spill, f)
-	p.spillBytes += int64(frameBytes(f))
-	p.db.Indexes()[sh].Obs().Inc(obs.CReplSpills)
-	p.setSpillGaugesLocked()
 	return nil
 }
 
-// tripLocked opens the breaker (degraded-async mode) and starts the
-// background prober. Caller holds p.mu.
-func (p *Primary) tripLocked(reason string) {
-	if p.state == BreakerOpen {
-		return
+// settleLocked moves the breaker after a shipping pass, the one place
+// its transitions are decided: closed when the pass delivered
+// everything (acked == seq); permanently fenced when the peer answered
+// from a newer epoch — nothing this primary ships can ever apply
+// again; open (degraded-async) on any other failure, which counts a
+// trip and starts the background prober when it leaves closed. Caller
+// holds p.mu.
+func (p *Primary) settleLocked(err error) {
+	switch {
+	case err == nil:
+		if p.state != BreakerClosed {
+			p.setBreakerLocked(BreakerClosed, "")
+		}
+	case errors.Is(err, spash.ErrNotPrimary):
+		p.deposed = true
+		p.setBreakerLocked(BreakerOpen, fmt.Sprintf("deposed: %v", err))
+	default:
+		if p.state == BreakerClosed {
+			p.db.Indexes()[0].Obs().Inc(obs.CReplBreakerTrips)
+			p.startProberLocked()
+		}
+		p.setBreakerLocked(BreakerOpen, err.Error())
 	}
-	p.setBreakerLocked(BreakerOpen, reason)
-	p.db.Indexes()[0].Obs().Inc(obs.CReplBreakerTrips)
-	p.startProberLocked()
-}
-
-// deposeLocked permanently fences the transport path: a newer epoch
-// exists, so nothing this primary ships can ever apply again.
-func (p *Primary) deposeLocked(cause error) {
-	p.deposed = true
-	p.setBreakerLocked(BreakerOpen, fmt.Sprintf("deposed: %v", cause))
+	p.publishDepthLocked()
 }
 
 // setBreakerLocked moves the breaker and republishes the state gauge
@@ -202,98 +184,33 @@ func (p *Primary) setBreakerLocked(s BreakerState, reason string) {
 	p.db.Indexes()[0].Obs().SetGauge(obs.GReplBreakerState, int64(s))
 }
 
-// setSpillGaugesLocked republishes the spill-queue levels.
-func (p *Primary) setSpillGaugesLocked() {
-	reg := p.db.Indexes()[0].Obs()
-	reg.SetGauge(obs.GReplSpillDepth, int64(len(p.spill)))
-	reg.SetGauge(obs.GReplSpillBytes, p.spillBytes)
+// publishDepthLocked republishes the spill-depth gauge.
+func (p *Primary) publishDepthLocked() {
+	p.db.Indexes()[0].Obs().SetGauge(obs.GReplSpillDepth, int64(p.spillDepthLocked()))
 }
 
-// TryDrain attempts one recovery pass: half-open the breaker, probe
-// the transport with the cursor handshake, ship the spill queue in
-// order, and close the breaker (finishing with a resync that repairs
-// any shed-induced gap). Returns the number of frames drained. A
-// transport still down re-opens the breaker and returns the frames
-// drained so far with the error; a fencing error deposes. Safe to
-// call in any state; the background prober calls it on its period.
+// TryDrain attempts one recovery pass when the breaker is not closed:
+// the catch-up loop half-opens it, probes the transport with the
+// cursor handshake, ships what the peer is owed in order, and closes
+// it. Returns the number of owed frames delivered. A transport still
+// down re-opens the breaker and returns the frames delivered so far
+// with the error; a fencing error deposes. Safe to call in any state
+// (a closed breaker owes nothing, so it costs no handshake); the
+// background prober does the same on its period.
 func (p *Primary) TryDrain() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.drainLocked()
-}
-
-func (p *Primary) drainLocked() (int, error) {
-	if p.deposed {
-		return 0, &spash.ReplicationError{Op: "drain", Shard: -1,
-			Epoch: p.db.Epoch(), Err: spash.ErrNotPrimary}
-	}
-	if p.state == BreakerClosed && len(p.spill) == 0 {
+	if p.state == BreakerClosed {
 		return 0, nil
 	}
-	p.setBreakerLocked(BreakerHalfOpen, p.reason)
-	// Probe: the handshake proves the transport answers before any
-	// frame is committed to it — and its epoch fences a deposed
-	// primary before it wastes ships on frames that can never apply.
-	h, err := p.t.Hello()
-	if err != nil {
-		p.setBreakerLocked(BreakerOpen, fmt.Sprintf("probe failed: %v", err))
-		return 0, fmt.Errorf("repl: probe: %w", err)
-	}
-	if h.Epoch > p.db.Epoch() {
-		ferr := &spash.ReplicationError{Op: "drain", Shard: -1,
-			Epoch: p.db.Epoch(),
-			Err: fmt.Errorf("peer at epoch %d: %w", h.Epoch,
-				spash.ErrNotPrimary)}
-		p.deposeLocked(ferr)
-		return 0, ferr
-	}
-	drained := 0
-	resynced := false
-	for len(p.spill) > 0 {
-		f := p.spill[0]
-		err := p.shipRetryLocked(f)
-		if err != nil && !resynced && isAny(err, spash.ErrNeedsReseed, spash.ErrReplicaLag) {
-			// One automated resync per drain pass: replay or re-seed,
-			// then retry the head frame (a re-seed may have subsumed
-			// it, in which case the re-ship acks as a duplicate).
-			if rerr := p.resyncLocked(); rerr == nil {
-				resynced = true
-				err = p.shipRetryLocked(f)
-			}
-		}
-		if err != nil {
-			if isAny(err, spash.ErrNotPrimary) {
-				p.deposeLocked(err)
-				return drained, err
-			}
-			p.setBreakerLocked(BreakerOpen, fmt.Sprintf("drain stalled: %v", err))
-			return drained, fmt.Errorf("repl: draining spill: %w", err)
-		}
-		p.logDeliveredLocked(f.Seq, f)
-		p.spill = p.spill[1:]
-		p.spillBytes -= int64(frameBytes(f))
-		p.setSpillGaugesLocked()
-		drained++
-	}
-	// Close with a finishing resync: spill sheds left cursor gaps the
-	// queue no longer carries, and only the handshake can see them.
-	if err := p.resyncLocked(); err != nil {
-		if isAny(err, spash.ErrNotPrimary) {
-			p.deposeLocked(err)
-			return drained, err
-		}
-		p.setBreakerLocked(BreakerOpen, fmt.Sprintf("resync failed: %v", err))
-		return drained, err
-	}
-	p.setBreakerLocked(BreakerClosed, "")
-	return drained, nil
+	return p.catchUpLocked()
 }
 
 // startProberLocked launches the background prober (at most one) that
-// periodically half-opens the breaker and tries a drain until the
-// queue is empty, the primary is deposed, or it is closed. Caller
-// holds p.mu. A negative ProbeInterval disables it (recovery is then
-// driven manually through TryDrain).
+// periodically runs the catch-up loop until the breaker closes, the
+// primary is deposed, or it is closed. Caller holds p.mu. A negative
+// ProbeInterval disables it (recovery is then driven manually through
+// TryDrain).
 func (p *Primary) startProberLocked() {
 	if p.proberOn || p.closed || p.opts.ProbeInterval < 0 {
 		return
@@ -320,12 +237,12 @@ func (p *Primary) proberLoop() {
 		case <-ticker.C:
 		}
 		p.mu.Lock()
-		if p.closed || p.deposed || (p.state == BreakerClosed && len(p.spill) == 0) {
+		if p.closed || p.deposed || p.state == BreakerClosed {
 			p.proberOn = false
 			p.mu.Unlock()
 			return
 		}
-		_, _ = p.drainLocked()
+		_, _ = p.catchUpLocked()
 		p.mu.Unlock()
 	}
 }

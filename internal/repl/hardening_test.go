@@ -273,19 +273,22 @@ func TestProberDrainsInBackground(t *testing.T) {
 	}
 }
 
-func TestSpillOverflowShedsTypedAndResyncRepairs(t *testing.T) {
+// overflowed drives a primary past its log bound with the transport
+// down: extra writes beyond the bound, each of which must shed typed.
+func overflowed(t *testing.T, extra int) (*repl.Primary, *repl.Replica, *flakyTransport, int) {
+	t.Helper()
 	var ft *flakyTransport
 	prim, rep := pairOver(t, 2,
-		repl.PrimaryOptions{Retry: fastRetry(2), SpillLimit: 2, ProbeInterval: -1},
+		repl.PrimaryOptions{Retry: fastRetry(2), ProbeInterval: -1},
 		func(inner repl.Transport) repl.Transport {
 			ft = &flakyTransport{inner: inner}
 			return ft
 		})
 	ft.setDown(true)
-	const n = 8
+	n := repl.PrimaryLogFrames + extra
 	sheds := 0
-	for i := uint64(0); i < n; i++ {
-		err := prim.Insert(key64(i), key64(i))
+	for i := 0; i < n; i++ {
+		err := prim.Insert(key64(uint64(i)), key64(uint64(i)))
 		if err == nil {
 			continue
 		}
@@ -298,16 +301,26 @@ func TestSpillOverflowShedsTypedAndResyncRepairs(t *testing.T) {
 		}
 		sheds++
 	}
-	if sheds != n-2 {
-		t.Fatalf("sheds = %d, want %d (spill limit 2)", sheds, n-2)
+	if sheds != extra {
+		t.Fatalf("sheds = %d, want %d (writes past the log bound)", sheds, extra)
 	}
 	// Shed or not, every write applied locally.
 	if got := prim.DB().Len(); got != n {
 		t.Fatalf("primary holds %d keys, want %d (sheds must not undo local applies)", got, n)
 	}
-	// Recovery: the drain ships the spill and its finishing resync
-	// repairs the shed-induced gap from the replay log (the shed
-	// frames never entered it, so this pass re-seeds).
+	return prim, rep, ft, n
+}
+
+func reseeds(prim *repl.Primary) int64 {
+	return prim.DB().ObsSnapshot().Counters[obs.CounterNames[obs.CReplReseeds]]
+}
+
+func TestSpillOverflowShedsTypedAndResyncRepairs(t *testing.T) {
+	const extra = 6
+	prim, rep, ft, n := overflowed(t, extra)
+	// Recovery: the shed frames are in no log, so the one drain's
+	// handshake finds the peer's cursor behind the log's base and
+	// re-seeds from the local image.
 	ft.setDown(false)
 	if _, err := prim.TryDrain(); err != nil {
 		t.Fatalf("TryDrain: %v", err)
@@ -315,9 +328,55 @@ func TestSpillOverflowShedsTypedAndResyncRepairs(t *testing.T) {
 	if got := rep.DB().Len(); got != n {
 		t.Fatalf("replica holds %d keys after resync, want %d", got, n)
 	}
+	if st, reason := prim.Breaker(); st != repl.BreakerClosed || prim.SpillDepth() != 0 {
+		t.Fatalf("after drain: breaker %v (%s) spill %d, want closed and 0", st, reason, prim.SpillDepth())
+	}
 	snap := prim.DB().ObsSnapshot()
-	if got := snap.Counters[obs.CounterNames[obs.CReplSpillSheds]]; got != int64(sheds) {
-		t.Fatalf("repl_spill_sheds = %d, want %d", got, sheds)
+	if got := snap.Counters[obs.CounterNames[obs.CReplSpillSheds]]; got != extra {
+		t.Fatalf("repl_spill_sheds = %d, want %d", got, extra)
+	}
+	if got := reseeds(prim); got != 1 {
+		t.Fatalf("repl_reseeds = %d, want 1", got)
+	}
+}
+
+// TestFullSyncAfterShedIsNotRepeated: an operator FullSync that
+// converges the replica after a shed leaves nothing to repair, so the
+// drain and the resync that follow must ship no frame at all. (With
+// the gap kept as a flag only the automated re-seed cleared, they
+// shipped a second full image of every shard.)
+func TestFullSyncAfterShedIsNotRepeated(t *testing.T) {
+	prim, rep, ft, n := overflowed(t, 6)
+	ft.setDown(false)
+	if _, err := prim.FullSync(); err != nil {
+		t.Fatalf("FullSync: %v", err)
+	}
+	if got := rep.DB().Len(); got != n {
+		t.Fatalf("replica holds %d keys after FullSync, want %d", got, n)
+	}
+	before := prim.DB().ObsSnapshot()
+	if _, err := prim.TryDrain(); err != nil {
+		t.Fatalf("TryDrain: %v", err)
+	}
+	if err := prim.Resync(); err != nil {
+		t.Fatalf("Resync: %v", err)
+	}
+	after := prim.DB().ObsSnapshot()
+	for _, c := range []obs.Counter{obs.CReplReseeds, obs.CReplShipSegments, obs.CReplReplays} {
+		name := obs.CounterNames[c]
+		if d := after.Counters[name] - before.Counters[name]; d != 0 {
+			t.Fatalf("%s moved by %d after a converging FullSync, want 0", name, d)
+		}
+	}
+	rsnap := rep.DB().ObsSnapshot()
+	if got := rsnap.Counters[obs.CounterNames[obs.CReplApplySegments]]; got != 2 {
+		t.Fatalf("replica applied %d segment frames, want 2 (one image per shard)", got)
+	}
+	if got := rsnap.Counters[obs.CounterNames[obs.CReplApplyDupes]]; got != 0 {
+		t.Fatalf("replica saw %d duplicate frames, want 0 (nothing left to ship)", got)
+	}
+	if st, reason := prim.Breaker(); st != repl.BreakerClosed || prim.SpillDepth() != 0 {
+		t.Fatalf("breaker %v (%s) spill %d, want closed and 0", st, reason, prim.SpillDepth())
 	}
 }
 
@@ -465,50 +524,49 @@ func TestDuplicateFramesAckedAndDropped(t *testing.T) {
 }
 
 func TestPauseBufferCapSheds(t *testing.T) {
-	_, rep := pairWith(t, 2, repl.PrimaryOptions{},
-		repl.ReplicaOptions{PauseLimit: 4})
+	_, rep := pair(t, 2)
 	rep.Pause()
-	for seq := uint64(1); seq <= 4; seq++ {
+	const bound = repl.ReplicaLogFrames
+	for seq := uint64(1); seq <= bound; seq++ {
 		if err := rep.Apply(mkRecord(seq, seq)); err != nil {
-			t.Fatalf("buffered frame %d: %v", seq, err)
+			t.Fatalf("held frame %d: %v", seq, err)
 		}
 	}
-	// The next in-stream frame hits the cap and is shed, not acked.
-	if err := rep.Apply(mkRecord(5, 5)); !errors.Is(err, spash.ErrReplicaLag) {
-		t.Fatalf("frame 5 past pause cap: %v, want ErrReplicaLag", err)
+	// The next in-stream frame hits the bound and is shed, not acked —
+	// and so is a frame past it: held and parked frames share one log.
+	for _, seq := range []uint64{bound + 1, bound + 2} {
+		if err := rep.Apply(mkRecord(seq, seq)); !errors.Is(err, spash.ErrReplicaLag) {
+			t.Fatalf("frame %d past the log bound: %v, want ErrReplicaLag", seq, err)
+		}
 	}
-	// A frame past the shed one is ahead of the cursor now: the
-	// reorder window holds it (bounded separately from the pause
-	// buffer) until the shed frame is re-shipped.
-	if err := rep.Apply(mkRecord(6, 6)); err != nil {
-		t.Fatalf("ahead frame 6: %v, want window buffering", err)
-	}
-	if lag := rep.Lag(); lag != 5 {
-		t.Fatalf("lag = %d, want 5 (4 pause-capped + 1 windowed)", lag)
+	if lag := rep.Lag(); lag != bound {
+		t.Fatalf("lag = %d, want %d", lag, bound)
 	}
 	if err := rep.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	// The shed frame was refused, not acked: the sender re-ships it
-	// and the stream (including the windowed frame) drains.
-	if err := rep.Apply(mkRecord(5, 5)); err != nil {
-		t.Fatalf("re-shipped frame 5: %v", err)
+	// The shed frames were refused, not acked: the sender re-ships them
+	// and the stream drains.
+	for _, seq := range []uint64{bound + 1, bound + 2} {
+		if err := rep.Apply(mkRecord(seq, seq)); err != nil {
+			t.Fatalf("re-shipped frame %d: %v", seq, err)
+		}
 	}
 	if lag := rep.Lag(); lag != 0 {
 		t.Fatalf("lag after re-ship = %d, want 0", lag)
 	}
-	if got := rep.DB().Len(); got != 6 {
-		t.Fatalf("replica holds %d keys, want 6", got)
+	if got := rep.DB().Len(); got != bound+2 {
+		t.Fatalf("replica holds %d keys, want %d", got, bound+2)
 	}
 	snap := rep.DB().ObsSnapshot()
-	if got := snap.Counters[obs.CounterNames[obs.CReplSheds]]; got != 1 {
-		t.Fatalf("repl_sheds = %d, want 1", got)
+	if got := snap.Counters[obs.CounterNames[obs.CReplSheds]]; got != 2 {
+		t.Fatalf("repl_sheds = %d, want 2", got)
 	}
 }
 
 // TestShuffledDeliveryConverges is the property-style drill: a seeded
 // stream of insert/update/delete frames is delivered with duplicates
-// and bounded reordering (displacement under the reorder window), a
+// and bounded reordering (displacement far under the log bound), a
 // replica power-cycle lands mid-shuffle, and a final in-order sweep
 // (the resync replay) must leave the replica byte-identical to the
 // in-order model image.
@@ -517,8 +575,7 @@ func TestShuffledDeliveryConverges(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			_, rep := pairWith(t, 2, repl.PrimaryOptions{},
-				repl.ReplicaOptions{ReorderWindow: 16})
+			_, rep := pair(t, 2)
 
 			// Build the canonical stream and its in-order model image.
 			const n = 400
@@ -540,8 +597,8 @@ func TestShuffledDeliveryConverges(t *testing.T) {
 				frames = append(frames, f)
 			}
 
-			// Shuffled delivery: bounded displacement (under the window)
-			// plus random duplicates; every frame delivered at least once.
+			// Shuffled delivery: bounded displacement plus random
+			// duplicates; every frame delivered at least once.
 			deliver := func(lo, hi int) {
 				order := make([]int, hi-lo)
 				for i := range order {

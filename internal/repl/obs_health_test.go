@@ -1,11 +1,13 @@
 package repl_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"spash"
 	"spash/internal/obs"
+	"spash/internal/repl"
 )
 
 // Every operation sampled: the slow-op log must retain ops with
@@ -158,5 +160,57 @@ func TestPausedReplicaHealthDegraded(t *testing.T) {
 	aggr := prim.DB().ObsSnapshot()
 	if aggr.Phases[obs.PhaseNames[obs.PhaseReplShip]].Count() == 0 {
 		t.Fatal("no repl_ship phase samples on the primary")
+	}
+}
+
+// A primary whose log is full of frames the peer has not acknowledged
+// is about to shed — the worst state the shipping path has, since a
+// full re-seed is then inevitable — and must read CRITICAL under
+// default watermarks, not DEGRADED like one owed frame. The level
+// clears when the drain does.
+func TestFullLogHealthCritical(t *testing.T) {
+	var ft *flakyTransport
+	prim, _ := pairOver(t, 2,
+		repl.PrimaryOptions{Retry: fastRetry(2), ProbeInterval: -1},
+		func(inner repl.Transport) repl.Transport {
+			ft = &flakyTransport{inner: inner}
+			return ft
+		})
+	ft.setDown(true)
+	i := uint64(0)
+	write := func(n int) error {
+		var err error
+		for ; n > 0; n-- {
+			err = prim.Insert(key64(i), key64(i))
+			i++
+		}
+		return err
+	}
+	if err := write(repl.PrimaryLogFrames - 1); err != nil {
+		t.Fatalf("degraded write: %v", err)
+	}
+	if h := prim.DB().Health(); h.Status != obs.HealthDegraded {
+		t.Fatalf("health one frame short of the bound = %v (%v), want DEGRADED", h.Status, h.Reasons)
+	}
+	if err := write(1); err != nil {
+		t.Fatalf("write filling the log: %v", err)
+	}
+	if h := prim.DB().Health(); h.Status != obs.HealthCritical {
+		t.Fatalf("health with a full log = %v (%v), want CRITICAL", h.Status, h.Reasons)
+	}
+	if err := write(1); !errors.Is(err, spash.ErrRetryExhausted) {
+		t.Fatalf("write past the bound: %v, want ErrRetryExhausted", err)
+	}
+	h := prim.DB().Health()
+	if h.Status != obs.HealthCritical || h.SpillDepth != repl.PrimaryLogFrames {
+		t.Fatalf("health while shedding = %v, spill %d (%v), want CRITICAL at %d",
+			h.Status, h.SpillDepth, h.Reasons, repl.PrimaryLogFrames)
+	}
+	ft.setDown(false)
+	if _, err := prim.TryDrain(); err != nil {
+		t.Fatalf("TryDrain: %v", err)
+	}
+	if h := prim.DB().Health(); h.Status != obs.HealthOK {
+		t.Fatalf("health after heal + drain = %v (%v), want OK", h.Status, h.Reasons)
 	}
 }

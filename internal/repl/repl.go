@@ -24,26 +24,36 @@
 //
 // Delivery is hardened against an arbitrarily hostile transport
 // (drop, delay, duplication, reordering, partition — see
-// FaultyTransport and the chaos drills in internal/crashtest):
+// FaultyTransport and the chaos drills in internal/crashtest). Each
+// side keeps ONE bounded, sequence-indexed frame log, and everything
+// the hardening does is a cursor moving over it (DESIGN.md §6 has the
+// cursor table):
 //
 //   - Shipping is at-least-once: every Ship attempt runs under a
 //     per-frame deadline and a bounded retry policy with exponential
 //     backoff and jitter (RetryPolicy). A timed-out frame may still
 //     have been delivered, so retries produce duplicates by design.
-//   - Apply is exactly-once: the replica acks-and-drops duplicates
-//     (Seq at or below its cursor), buffers ahead-of-cursor frames in
-//     a bounded reorder window, and persists a durable applied-seq
-//     cursor (core.Index.SetAppliedSeq on shard 0) after every apply.
-//   - When retries exhaust, the primary trips a circuit breaker into
-//     degraded-async mode: writes keep succeeding locally, frames
-//     spill to a bounded queue, health reports DEGRADED, and a
-//     background prober half-opens the breaker and drains the queue
-//     once the transport recovers.
-//   - A cursor handshake (Transport.Hello) lets the primary detect
-//     what the replica is missing: gaps inside the replay log are
-//     re-shipped, anything older — including an ADR Rejoin that
-//     rolled back applies the cursor covers — triggers an automated
-//     seal-verified FullSync re-seed. No operator step is needed.
+//   - Apply is exactly-once and in order: the replica acks-and-drops
+//     duplicates (Seq at or below its cursor), keeps every accepted
+//     but unapplied frame — held back by Pause or parked ahead of a
+//     gap by reordering — in its pending log, and persists a durable
+//     applied-seq cursor (core.Index.SetAppliedSeq on shard 0) after
+//     every apply. A frame is acknowledged on acceptance into that
+//     log; that is safe because the primary's log still covers every
+//     frame above the peer's durable cursor, and re-seeds otherwise.
+//   - The primary's log retains the record frames [base, seq]; acked
+//     is the peer's cursor into it. When retries exhaust, a circuit
+//     breaker trips into degraded-async mode: writes keep succeeding
+//     locally, their frames wait in the log above acked, health
+//     reports DEGRADED, and a background prober runs the catch-up
+//     loop once the transport recovers.
+//   - One catch-up loop serves the prober, TryDrain, Resync and a
+//     cursor refusal on the write path: the handshake
+//     (Transport.Hello) returns the peer's durable cursor, the
+//     primary ships every retained frame above it in order, and when
+//     the cursor has fallen behind base — the log overflowed, or an
+//     ADR Rejoin rolled back applies the cursor covers — it re-seeds
+//     with a seal-verified FullSync instead. No operator step.
 //
 // The Transport is in-process today; the interface is shaped so a
 // future spash-serve wire layer can slot in (frames and fetch
@@ -54,6 +64,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -158,19 +170,16 @@ func (t *InProc) Ship(f *Frame) error              { return t.R.Apply(f) }
 func (t *InProc) Fetch(req FetchReq) ([]KV, error) { return t.R.Serve(req) }
 func (t *InProc) Hello() (Hello, error)            { return t.R.Hello() }
 
-// replayEntry is one delivered frame retained for cursor-handshake
-// replay. f is nil for frames that cannot be replayed (segment
-// ranges): a gap covering one forces a re-seed.
-type replayEntry struct {
-	seq uint64
-	f   *Frame
-}
+// primaryLogFrames bounds the primary's frame log: how many frames
+// degraded-async mode can owe the peer before a write sheds, and how
+// far back a handshake can replay. No caller needs another value.
+const primaryLogFrames = 2048
 
 // Primary wraps a primary-role DB with shipping: every write applies
 // locally first and then ships to the peer before it is acknowledged
-// (synchronously while the circuit breaker is closed; via the spill
-// queue in degraded-async mode). Like the Session it wraps, a Primary
-// is single-worker state for writes — one per goroutine; the
+// (synchronously while the circuit breaker is closed; from the frame
+// log, later, in degraded-async mode). Like the Session it wraps, a
+// Primary is single-worker state for writes — one per goroutine; the
 // background prober synchronises with the write path internally.
 type Primary struct {
 	db   *spash.DB
@@ -179,23 +188,24 @@ type Primary struct {
 	opts PrimaryOptions
 
 	mu      sync.Mutex
-	seq     uint64 // last allocated frame sequence
 	rng     *rand.Rand
 	state   BreakerState
 	reason  string
 	deposed bool
 	closed  bool
 
-	spill      []*Frame
-	spillBytes int64
-	// shedGap marks that a spill-queue overflow shed at least one
-	// frame: its sequence number is burned and its payload exists only
-	// in the local image, so the next resync must re-seed rather than
-	// trust the delivered cursor.
-	shedGap bool
-
-	replay    []replayEntry
-	delivered uint64 // highest sequence the peer acknowledged
+	// The frame log. Every record frame with a sequence in [base, seq]
+	// is retained at ring[Seq%primaryLogFrames]; appending to a full log
+	// overwrites — evicts — the frame at base. acked is the peer's
+	// cursor: it has acknowledged everything at or below it. So
+	// (acked, seq] is what degraded-async mode still owes the peer,
+	// [base, acked] is what a handshake can replay to a peer that lost
+	// acknowledged frames, and base > cursor+1 is a gap only a re-seed
+	// repairs. While the breaker is closed, acked == seq.
+	ring  [primaryLogFrames]*Frame
+	base  uint64
+	seq   uint64 // last allocated frame sequence
+	acked uint64
 
 	proberOn bool
 	// done is closed (once) by Close to wake the prober out of its
@@ -211,17 +221,18 @@ func NewPrimary(db *spash.DB, t Transport) (*Primary, error) {
 	return NewPrimaryWith(db, t, PrimaryOptions{})
 }
 
-// NewPrimaryWith wraps db for shipping over t under explicit retry,
-// spill, replay and prober options.
+// NewPrimaryWith wraps db for shipping over t under explicit retry and
+// prober options.
 func NewPrimaryWith(db *spash.DB, t Transport, popts PrimaryOptions) (*Primary, error) {
 	if db.IsReplica() {
 		return nil, &spash.ReplicationError{Op: "new-primary", Shard: -1,
 			Epoch: db.Epoch(), Err: spash.ErrNotPrimary}
 	}
 	popts = popts.withDefaults()
+	db.Indexes()[0].Obs().SetGauge(obs.GReplSpillLimit, primaryLogFrames)
 	return &Primary{db: db, s: db.Session(), t: t, opts: popts,
 		rng:  rand.New(rand.NewSource(popts.Retry.JitterSeed)),
-		done: make(chan struct{})}, nil
+		base: 1, done: make(chan struct{})}, nil
 }
 
 // DB returns the wrapped database.
@@ -255,8 +266,8 @@ func (p *Primary) Get(key, dst []byte) ([]byte, bool, error) {
 
 // Insert applies the upsert locally, then ships it. A nil return
 // means the write is on both nodes while the breaker is closed, or
-// acknowledged locally and parked in the spill queue in
-// degraded-async mode (health reports DEGRADED for the duration).
+// acknowledged locally and waiting in the frame log in degraded-async
+// mode (health reports DEGRADED for the duration).
 func (p *Primary) Insert(key, val []byte) error {
 	if err := p.s.Insert(key, val); err != nil {
 		return err
@@ -291,14 +302,12 @@ func (p *Primary) shipRecord(op RecOp, key, val []byte) error {
 	// wire layer) is outside the performance model's clock. It feeds
 	// the repl_ship phase histogram directly, retries included.
 	start := time.Now()
-	p.mu.Lock()
-	p.seq++
 	// The frame owns its payload: callers reuse key/val buffers, and
-	// the frame may outlive the call in the spill queue or replay log.
-	f := &Frame{Kind: FrameRecord, Epoch: p.db.Epoch(), Seq: p.seq,
-		Shard: sh, Op: op,
+	// the frame outlives the call in the log.
+	f := &Frame{Kind: FrameRecord, Epoch: p.db.Epoch(), Shard: sh, Op: op,
 		Key: append([]byte(nil), key...), Val: append([]byte(nil), val...)}
-	err := p.shipFrameLocked(f)
+	p.mu.Lock()
+	err := p.shipLocked(f)
 	p.mu.Unlock()
 	reg := p.db.Indexes()[sh].Obs()
 	reg.ObservePhaseNS(obs.PhaseReplShip, f.Seq, time.Since(start).Nanoseconds())
@@ -318,29 +327,41 @@ func (p *Primary) shipRecord(op RecOp, key, val []byte) error {
 func (p *Primary) FullSync() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.syncLocked("full-sync")
+	shipped, err := p.syncLocked("full-sync")
+	p.settleLocked(err)
+	return shipped, err
 }
 
 // syncLocked ships one Replace segment frame per shard through the
-// retry policy. Caller holds p.mu.
+// retry policy. The image subsumes every retained frame and segment
+// frames are rebuilt from the live image, never replayed, so the log
+// restarts empty above the sync's own sequence numbers. Those are
+// allocated up front and acked moves only once every shard is
+// delivered: a sync that fails midway leaves the peer's cursor below
+// base, which is the gap the next handshake re-seeds. Caller holds
+// p.mu and settles the breaker with the returned error.
 func (p *Primary) syncLocked(op string) (int, error) {
+	ixs := p.db.Indexes()
+	first := p.seq + 1
+	p.seq += uint64(len(ixs))
+	p.base = p.seq + 1
+	clear(p.ring[:])
 	shipped := 0
-	for i, ix := range p.db.Indexes() {
+	for i, ix := range ixs {
 		kvs, err := exportRange(p.db, i, 0, 0)
 		if err != nil {
 			return shipped, &spash.ReplicationError{Op: op, Shard: i,
 				Epoch: p.db.Epoch(), Err: err}
 		}
-		p.seq++
-		f := &Frame{Kind: FrameSegment, Epoch: p.db.Epoch(), Seq: p.seq,
+		f := &Frame{Kind: FrameSegment, Epoch: p.db.Epoch(), Seq: first + uint64(i),
 			Shard: i, Prefix: 0, Depth: 0, Replace: true, KVs: kvs}
 		if err := p.shipRetryLocked(f); err != nil {
 			return shipped, fmt.Errorf("repl: shipping segment range: %w", err)
 		}
-		p.logDeliveredLocked(f.Seq, nil) // segment ranges are not replayable
 		ix.Obs().Inc(obs.CReplShipSegments)
 		shipped += len(kvs)
 	}
+	p.acked = p.seq
 	return shipped, nil
 }
 
@@ -388,84 +409,58 @@ func (p *Primary) ReadRepair(rep *spash.FsckReport) (*RepairReport, error) {
 	return out, nil
 }
 
-// ReplicaOptions bound the replica's buffering.
-type ReplicaOptions struct {
-	// ReorderWindow caps the ahead-of-cursor frames buffered while a
-	// gap fills (out-of-order delivery). Past the cap — or with the
-	// window disabled — an ahead frame is rejected with ErrReplicaLag
-	// and the sender must retry or resync. Default 64; negative
-	// disables buffering (strict in-order apply).
-	ReorderWindow int
-	// PauseLimit caps the Pause buffer: past it, incoming frames are
-	// shed with ErrReplicaLag (counted in obs as repl_sheds) instead
-	// of growing memory without bound. Default 4096; negative means
-	// unbounded.
-	PauseLimit int
-}
-
-func (ro ReplicaOptions) withDefaults() ReplicaOptions {
-	if ro.ReorderWindow == 0 {
-		ro.ReorderWindow = 64
-	}
-	if ro.ReorderWindow < 0 {
-		ro.ReorderWindow = 0
-	}
-	if ro.PauseLimit == 0 {
-		ro.PauseLimit = 4096
-	}
-	return ro
-}
+// replicaLogFrames bounds the replica's pending log. No caller needs
+// another value; obs.EvalHealth's default critical lag watermark is
+// the same number, so a full log reads CRITICAL.
+const replicaLogFrames = 4096
 
 // Replica wraps a replica-role DB with the apply side of the
 // protocol. All entry points (Apply, Serve, Hello, Pause/Resume,
 // Promote) are serialised by one mutex: apply order is cursor order.
 type Replica struct {
-	mu   sync.Mutex
-	db   *spash.DB
-	s    *spash.Session // applier session (write-fence exempt)
-	opts ReplicaOptions
+	mu sync.Mutex
+	db *spash.DB
+	s  *spash.Session // applier session (write-fence exempt)
 
-	// next is the highest accepted (applied or pause-buffered)
-	// sequence; applied mirrors the durable applied-seq cursor on
-	// shard 0 (everything at or below it is on the devices).
-	next    uint64
+	// applied mirrors the durable applied-seq cursor on shard 0
+	// (everything at or below it is on the devices); next is the
+	// highest sequence accepted in order (applied <= next).
 	applied uint64
+	next    uint64
+	// pending is the replica's frame log: every acknowledged frame
+	// above applied, sorted by Seq. The run at or below next is what
+	// Pause holds back (empty unless paused); anything past next+1 was
+	// parked by reordering and waits for its gap to fill. pendingBytes
+	// is its payload size, kept as a running total like the per-shard
+	// lag gauges.
+	pending      []*Frame
+	pendingBytes int
+	paused       bool
 	// needsReseed marks an image that can no longer anchor the record
 	// stream: an ADR rejoin rolled back applies the cursor covers.
 	// Only a Replace segment frame (automated re-seed) clears it.
 	needsReseed bool
 	// fresh is set while no frame has been accepted since (re)joining.
 	// A fresh replica provably has nothing in reorder flight (its
-	// window was dropped with the rest of volatile state), so an
+	// pending log was dropped with the rest of volatile state), so an
 	// ahead-of-cursor frame means loss, not reordering: it is refused
 	// with ErrReplicaLag — the signal that makes the primary replay or
-	// re-seed the gap instead of the window silently acking a frame
-	// whose predecessors will never arrive.
+	// re-seed the gap instead of the log silently acking a frame whose
+	// predecessors will never arrive.
 	fresh bool
-
-	paused bool
-	buf    []*Frame
-	window map[uint64]*Frame
 }
 
 // NewReplica wraps db, which must hold the replica role
-// (spash.Options.Replica), with default buffering bounds.
+// (spash.Options.Replica). The stream cursor starts at the durable
+// applied cursor on the image (0 on a fresh replica).
 func NewReplica(db *spash.DB) (*Replica, error) {
-	return NewReplicaWith(db, ReplicaOptions{})
-}
-
-// NewReplicaWith wraps db under explicit buffering bounds. The stream
-// cursor starts at the durable applied cursor on the image (0 on a
-// fresh replica).
-func NewReplicaWith(db *spash.DB, ropts ReplicaOptions) (*Replica, error) {
 	if !db.IsReplica() {
 		return nil, &spash.ReplicationError{Op: "new-replica", Shard: -1,
 			Epoch: db.Epoch(), Err: errors.New("db holds the primary role")}
 	}
 	applied := db.Indexes()[0].AppliedSeq()
-	return &Replica{db: db, s: db.ApplierSession(), opts: ropts.withDefaults(),
-		next: applied, applied: applied, fresh: true,
-		window: map[uint64]*Frame{}}, nil
+	return &Replica{db: db, s: db.ApplierSession(),
+		next: applied, applied: applied, fresh: true}, nil
 }
 
 // DB returns the wrapped database (reads via its ordinary Sessions).
@@ -494,39 +489,34 @@ func (r *Replica) AppliedSeq() uint64 {
 	return r.applied
 }
 
-// Pause buffers incoming frames instead of applying them (models a
-// slow or stalled applier; the buffered frames are the replica's
-// lag). The buffer is bounded by ReplicaOptions.PauseLimit: past it,
-// frames are shed with ErrReplicaLag.
+// Pause holds incoming frames in the pending log instead of applying
+// them (models a slow or stalled applier; the held frames are the
+// replica's lag). A full log sheds with ErrReplicaLag.
 func (r *Replica) Pause() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.paused = true
 }
 
-// Resume drains the buffered frames through the apply path and stops
-// buffering.
+// Resume drains the held frames through the apply path and stops
+// holding. If an apply fails the replica stays paused with the
+// remainder still held.
 func (r *Replica) Resume() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	defer r.setLagGauges()
-	r.paused = false
-	buf := r.buf
-	r.buf = nil
-	for _, f := range buf {
-		if err := r.applyLocked(f); err != nil {
-			return err
-		}
+	if err := r.drainLocked(); err != nil {
+		return err
 	}
-	return r.drainWindowLocked()
+	r.paused = false
+	return nil
 }
 
-// Lag returns the number of shipped frames not yet applied (the pause
-// buffer plus the reorder window).
+// Lag returns the number of shipped frames not yet applied (the
+// pending log's length).
 func (r *Replica) Lag() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf) + len(r.window)
+	return len(r.pending)
 }
 
 // LagBytes returns the payload bytes of the shipped frames not yet
@@ -534,14 +524,7 @@ func (r *Replica) Lag() int {
 func (r *Replica) LagBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for _, f := range r.buf {
-		n += frameBytes(f)
-	}
-	for _, f := range r.window {
-		n += frameBytes(f)
-	}
-	return n
+	return r.pendingBytes
 }
 
 // frameBytes is a frame's payload size (key + value bytes, summed
@@ -555,8 +538,8 @@ func frameBytes(f *Frame) int {
 }
 
 // cloneFrame deep-copies a frame the receiver retains beyond the call
-// (reorder window, pause buffer, transport hold queues): senders own
-// and may reuse the original's payload slices.
+// (pending log, transport hold queues): senders own and may reuse the
+// original's payload slices.
 func cloneFrame(f *Frame) *Frame {
 	c := *f
 	c.Key = append([]byte(nil), f.Key...)
@@ -573,45 +556,44 @@ func cloneFrame(f *Frame) *Frame {
 	return &c
 }
 
-// setLagGauges republishes the per-shard lag levels (records and
-// bytes behind) onto each shard's registry, where Snapshot and the
-// Prometheus exporter pick them up. Caller holds r.mu.
-func (r *Replica) setLagGauges() {
-	nsh := r.db.Shards()
-	recs := make([]int64, nsh)
-	bytes := make([]int64, nsh)
-	count := func(f *Frame) {
-		if f.Shard >= 0 && f.Shard < nsh {
-			recs[f.Shard]++
-			bytes[f.Shard] += int64(frameBytes(f))
-		}
-	}
-	for _, f := range r.buf {
-		count(f)
-	}
-	for _, f := range r.window {
-		count(f)
-	}
-	for i, ix := range r.db.Indexes() {
-		ix.Obs().SetGauge(obs.GReplLagRecords, recs[i])
-		ix.Obs().SetGauge(obs.GReplLagBytes, bytes[i])
-	}
+// searchLocked returns the index of the first pending frame whose
+// sequence is at or above seq.
+func (r *Replica) searchLocked(seq uint64) int {
+	return sort.Search(len(r.pending), func(i int) bool { return r.pending[i].Seq >= seq })
 }
 
-// pauseFullLocked reports whether the pause buffer is at its cap.
-func (r *Replica) pauseFullLocked() bool {
-	return r.opts.PauseLimit > 0 && len(r.buf) >= r.opts.PauseLimit
+// replaceLocked swaps pending[lo:hi] for with — the one place the
+// pending log changes, so the lag totals (LagBytes and the per-shard
+// repl_lag_records / repl_lag_bytes gauges, which Snapshot and the
+// Prometheus exporter pick up) move with it instead of being
+// recounted. Caller holds r.mu.
+func (r *Replica) replaceLocked(lo, hi int, with ...*Frame) {
+	for _, f := range r.pending[lo:hi] {
+		r.lagLocked(f.Shard, -1, -frameBytes(f))
+	}
+	for _, f := range with {
+		r.lagLocked(f.Shard, 1, frameBytes(f))
+	}
+	r.pending = slices.Replace(r.pending, lo, hi, with...)
+}
+
+func (r *Replica) lagLocked(sh, recs, bytes int) {
+	r.pendingBytes += bytes
+	reg := r.db.Indexes()[sh].Obs()
+	reg.AddGauge(obs.GReplLagRecords, int64(recs))
+	reg.AddGauge(obs.GReplLagBytes, int64(bytes))
 }
 
 // Apply ingests one frame: epoch fencing first, then idempotent
-// cursor accounting — duplicates (Seq at or below the cursor) are
-// acked and dropped, ahead-of-cursor frames buffer in the bounded
-// reorder window, and only the next-in-stream frame reaches the
-// payload path, which goes through the ordinary crash-consistent
-// operation paths of the applier session — never a raw image install,
-// so the replica's devices are recoverable at every instant. A
-// Replace segment frame re-anchors the cursor (FullSync / automated
-// re-seed).
+// cursor accounting — duplicates (Seq at or below the cursor, or
+// already pending) are acked and dropped, ahead-of-cursor frames park
+// in the pending log, and only the next-in-stream frame reaches the
+// payload path (or is held, while paused), which goes through the
+// ordinary crash-consistent operation paths of the applier session —
+// never a raw image install, so the replica's devices are recoverable
+// at every instant. A Replace segment frame re-anchors the cursor
+// (FullSync / automated re-seed). A nil return acknowledges the
+// frame: it is applied or in the pending log.
 func (r *Replica) Apply(f *Frame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -647,103 +629,83 @@ func (r *Replica) Apply(f *Frame) error {
 			Err: fmt.Errorf("applied cursor %d unanchored after rollback: %w",
 				r.applied, spash.ErrNeedsReseed)}
 	}
+	// An ahead frame has a gap still in flight below it. A re-anchor is
+	// never ahead: the authoritative range image subsumes whatever sits
+	// between the cursor and its Seq.
+	ahead := f.Seq > r.next+1 && !anchor
+	at := r.searchLocked(f.Seq)
 	switch {
-	case anchor && f.Seq > r.next:
-		// Re-anchor below: the authoritative range image subsumes
-		// whatever sits between the cursor and Seq.
-	case f.Seq <= r.next:
-		reg.Inc(obs.CReplApplyDupes)
-		return nil // duplicate: acked and dropped
-	case f.Seq == r.next+1:
-		// In order: accepted below.
+	case f.Seq <= r.next, at < len(r.pending) && r.pending[at].Seq == f.Seq:
+		reg.Inc(obs.CReplApplyDupes) // duplicate: acked and dropped
+	case ahead && r.fresh:
+		// Nothing has been accepted since (re)joining, so the gap is
+		// known loss and parking would ack a frame that can never
+		// apply. Refuse typed; the sender resyncs.
+		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
+			Epoch: r.db.Epoch(),
+			Err: fmt.Errorf("stream unanchored since (re)join (cursor %d, got %d): %w",
+				r.next, f.Seq, spash.ErrReplicaLag)}
+	case (ahead || r.paused) && len(r.pending) >= replicaLogFrames:
+		// Refused, not acknowledged: the sender retries or resyncs.
+		reg.Inc(obs.CReplSheds)
+		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
+			Epoch: r.db.Epoch(),
+			Err: fmt.Errorf("pending log full (%d frames above applied cursor %d), frame %d refused: %w",
+				len(r.pending), r.applied, f.Seq, spash.ErrReplicaLag)}
+	case ahead:
+		r.replaceLocked(at, at, cloneFrame(f))
 	default:
-		// Ahead of the cursor: a gap is still in flight somewhere —
-		// unless nothing has been accepted since (re)joining, in which
-		// case the gap is known loss and buffering would ack a frame
-		// that can never apply. Refuse typed; the sender resyncs.
-		if r.fresh {
-			return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
-				Epoch: r.db.Epoch(),
-				Err: fmt.Errorf("stream unanchored since (re)join (cursor %d, got %d): %w",
-					r.next, f.Seq, spash.ErrReplicaLag)}
-		}
-		if _, held := r.window[f.Seq]; held {
-			reg.Inc(obs.CReplApplyDupes)
-			return nil
-		}
-		if r.opts.ReorderWindow > 0 && len(r.window) < r.opts.ReorderWindow {
-			r.window[f.Seq] = cloneFrame(f)
-			reg.Inc(obs.CReplReorderBuffered)
-			r.setLagGauges()
-			return nil
-		}
-		reg.Inc(obs.CReplSheds)
-		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
-			Epoch: r.db.Epoch(),
-			Err: fmt.Errorf("sequence gap (want %d, got %d, reorder window full): %w",
-				r.next+1, f.Seq, spash.ErrReplicaLag)}
-	}
-	if r.paused && r.pauseFullLocked() {
-		reg.Inc(obs.CReplSheds)
-		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
-			Epoch: r.db.Epoch(),
-			Err: fmt.Errorf("pause buffer full (%d frames): %w",
-				len(r.buf), spash.ErrReplicaLag)}
-	}
-	if err := r.acceptLocked(f); err != nil {
-		return err
-	}
-	return r.drainWindowLocked()
-}
-
-// drainWindowLocked applies (or pause-buffers) every now-consecutive
-// frame held in the reorder window. Frames that cannot move into a
-// full pause buffer stay in the window — they were already
-// acknowledged, so they must not be shed.
-func (r *Replica) drainWindowLocked() error {
-	for {
-		nf, ok := r.window[r.next+1]
-		if !ok {
-			return nil
-		}
-		if r.paused && r.pauseFullLocked() {
-			return nil
-		}
-		delete(r.window, r.next+1)
-		if err := r.acceptLocked(nf); err != nil {
-			return err
-		}
-	}
-}
-
-// acceptLocked advances the cursor over f and applies it (or buffers
-// it while paused). Caller holds r.mu and has validated the sequence.
-func (r *Replica) acceptLocked(f *Frame) error {
-	if f.Kind == FrameSegment && f.Replace {
-		// The re-anchor subsumes every held frame at or below it.
-		for seq := range r.window {
-			if seq <= f.Seq {
-				delete(r.window, seq)
+		// In order. Parked frames below a re-anchor are subsumed by
+		// it; frames held back by Pause are not — they apply first, on
+		// Resume.
+		held := r.searchLocked(r.next + 1)
+		if r.paused {
+			r.replaceLocked(held, at, cloneFrame(f))
+		} else {
+			if err := r.applyLocked(f); err != nil {
+				// No cursor moved: the sender's retry re-applies
+				// (upserts and deletes are idempotent).
+				return err
 			}
+			r.replaceLocked(held, at)
 		}
-		r.needsReseed = false
+		if anchor {
+			r.needsReseed = false
+		}
+		r.fresh = false
+		r.next = f.Seq
 	}
-	r.fresh = false
-	r.next = f.Seq
 	if r.paused {
-		r.buf = append(r.buf, cloneFrame(f))
-		r.setLagGauges()
 		return nil
 	}
-	r.setLagGauges()
-	return r.applyLocked(f)
+	return r.drainLocked()
+}
+
+// drainLocked applies, in order, every pending frame the cursor has
+// reached: the run Pause held back, then each parked frame as it
+// becomes next+1. A frame whose apply fails stays at the head of the
+// log with everything behind it — acknowledged frames are never
+// dropped — and the next drain tries it again. Caller holds r.mu.
+func (r *Replica) drainLocked() error {
+	n := 0
+	var err error
+	for n < len(r.pending) && r.pending[n].Seq <= r.next+1 {
+		f := r.pending[n]
+		if err = r.applyLocked(f); err != nil {
+			break
+		}
+		r.next = max(r.next, f.Seq)
+		n++
+	}
+	r.replaceLocked(0, n)
+	return err
 }
 
 func (r *Replica) applyLocked(f *Frame) error {
 	if f.Shard < 0 || f.Shard >= r.db.Shards() {
 		// Apply refuses out-of-range shards on entry; this guards the
-		// indexing below against frames resurfacing from the reorder
-		// window or pause buffer of an older process image.
+		// indexing below against frames resurfacing from the pending
+		// log of an older process image.
 		return &spash.ReplicationError{Op: "apply", Shard: f.Shard,
 			Epoch: r.db.Epoch(),
 			Err:   fmt.Errorf("no such shard (have %d)", r.db.Shards())}
@@ -860,7 +822,7 @@ func (r *Replica) Serve(req FetchReq) ([]KV, error) {
 func (r *Replica) Promote() (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := len(r.buf) + len(r.window); n > 0 {
+	if n := len(r.pending); n > 0 {
 		return 0, &spash.ReplicationError{Op: "promote", Shard: -1,
 			Epoch: r.db.Epoch(),
 			Err:   fmt.Errorf("%d frames unapplied: %w", n, spash.ErrReplicaLag)}
@@ -880,16 +842,18 @@ func (r *Replica) Promote() (uint64, error) {
 // database uses, which is the point: because apply only ever goes
 // through ordinary operation paths, a replica image is always
 // recoverable. The stream cursor is re-derived from the durable
-// applied cursor on the recovered image; buffered (acknowledged but
-// unapplied) frames are gone, and the primary's cursor handshake
-// replays or re-seeds them — no caller bookkeeping. Under eADR
-// nothing applied is lost; under ADR the crash may roll back applies
-// the cursor already covers, in which case the replica marks itself
-// reseed-pending and Rejoin returns a typed ErrNeedsReseed (the
-// replica stays wired: the primary's next ship auto-resyncs).
+// applied cursor on the recovered image; the pending log's
+// (acknowledged but unapplied) frames are gone, and the primary's
+// cursor handshake replays or re-seeds them — no caller bookkeeping.
+// Under eADR nothing applied is lost; under ADR the crash may roll
+// back applies the cursor already covers, in which case the replica
+// marks itself reseed-pending and Rejoin returns a typed
+// ErrNeedsReseed (the replica stays wired: the primary's next ship
+// auto-resyncs).
 func (r *Replica) Rejoin(opts spash.Options) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.replaceLocked(0, len(r.pending))
 	r.s.Close()
 	r.db.Close()
 	platforms := r.db.Platforms()
@@ -902,12 +866,9 @@ func (r *Replica) Rejoin(opts spash.Options) error {
 	r.db = db
 	r.s = db.ApplierSession()
 	r.paused = false
-	r.buf = nil
-	r.window = map[uint64]*Frame{}
 	r.applied = db.Indexes()[0].AppliedSeq()
 	r.next = r.applied
 	r.fresh = true
-	r.setLagGauges()
 	if lost > 0 {
 		// Unflushed lines rolled back: the image may no longer hold
 		// applies the cursor vouches for. Only a re-seed re-anchors.

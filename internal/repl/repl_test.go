@@ -28,37 +28,8 @@ func testOpts(n int) spash.Options {
 // transport with default hardening options.
 func pair(t *testing.T, n int) (*repl.Primary, *repl.Replica) {
 	t.Helper()
-	return pairWith(t, n, repl.PrimaryOptions{}, repl.ReplicaOptions{})
-}
-
-// pairWith is pair with explicit hardening options on both ends.
-func pairWith(t *testing.T, n int, popts repl.PrimaryOptions, ropts repl.ReplicaOptions) (*repl.Primary, *repl.Replica) {
-	t.Helper()
-	pdb, err := spash.Open(testOpts(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dopts := testOpts(n)
-	dopts.Replica = true
-	rdb, err := spash.Open(dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := repl.NewReplicaWith(rdb, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prim, err := repl.NewPrimaryWith(pdb, &repl.InProc{R: rep}, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		prim.Close()
-		rep.Close()
-		pdb.Close()
-		rep.DB().Close()
-	})
-	return prim, rep
+	return pairOver(t, n, repl.PrimaryOptions{},
+		func(inner repl.Transport) repl.Transport { return inner })
 }
 
 func key64(i uint64) []byte {
@@ -262,19 +233,31 @@ func TestSequenceGapBuffersInReorderWindow(t *testing.T) {
 }
 
 func TestSequenceGapDetected(t *testing.T) {
-	// With the reorder window disabled the replica is strict: a gap is
-	// refused typed, and the missing frame still applies cleanly.
-	_, rep := pairWith(t, 2, repl.PrimaryOptions{},
-		repl.ReplicaOptions{ReorderWindow: -1})
+	// Frames parked ahead of a gap fill the pending log; past its bound
+	// a gap is refused typed, and the missing frame still applies
+	// cleanly — draining everything that was parked behind it.
+	_, rep := pair(t, 2)
 	if err := rep.Apply(mkRecord(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	err := rep.Apply(mkRecord(3, 3)) // skipped seq 2
+	const parked = repl.ReplicaLogFrames
+	for seq := uint64(3); seq < 3+parked; seq++ { // skipped seq 2
+		if err := rep.Apply(mkRecord(seq, seq)); err != nil {
+			t.Fatalf("parking frame %d: %v", seq, err)
+		}
+	}
+	err := rep.Apply(mkRecord(3+parked, 3+parked))
 	if !errors.Is(err, spash.ErrReplicaLag) {
-		t.Fatalf("gap: %v, want ErrReplicaLag", err)
+		t.Fatalf("gap past the log bound: %v, want ErrReplicaLag", err)
+	}
+	if got := rep.AppliedSeq(); got != 1 {
+		t.Fatalf("applied cursor = %d with the gap open, want 1", got)
 	}
 	if err := rep.Apply(mkRecord(2, 2)); err != nil {
 		t.Fatalf("in-order frame after gap report: %v", err)
+	}
+	if lag, got := rep.Lag(), rep.AppliedSeq(); lag != 0 || got != 2+parked {
+		t.Fatalf("after the gap filled: lag %d applied %d, want 0 and %d", lag, got, 2+parked)
 	}
 }
 

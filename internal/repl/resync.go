@@ -1,9 +1,9 @@
-// Auto-resync: the cursor handshake (Transport.Hello) tells the
+// The catch-up loop: the cursor handshake (Transport.Hello) tells the
 // primary the replica's durable applied cursor and whether its image
-// rolled back (ADR rejoin). Gaps the bounded replay log still covers
-// are re-shipped frame by frame; anything past the replayable horizon
-// — or a reseed-pending image — gets an automated seal-verified
-// FullSync re-seed. No operator step in either path.
+// rolled back (ADR rejoin). Every frame the log retains above that
+// cursor is re-shipped in order; a cursor that has fallen behind the
+// log's base — or a reseed-pending image — gets an automated
+// seal-verified FullSync re-seed. No operator step in either path.
 package repl
 
 import (
@@ -13,107 +13,70 @@ import (
 	"spash/internal/obs"
 )
 
-// logDeliveredLocked records a delivered frame for cursor-handshake
-// replay. Segment-range frames are logged as nil markers (they are
-// rebuilt from the live image, not replayed), which still lets the
-// contiguity check see the hole they occupy in the stream. The log is
-// trimmed to the configured horizon. Caller holds p.mu.
-func (p *Primary) logDeliveredLocked(seq uint64, f *Frame) {
-	if seq > p.delivered {
-		p.delivered = seq
-	}
-	if p.opts.ReplayLog <= 0 {
-		return
-	}
-	p.replay = append(p.replay, replayEntry{seq: seq, f: f})
-	if excess := len(p.replay) - p.opts.ReplayLog; excess > 0 {
-		p.replay = append([]replayEntry(nil), p.replay[excess:]...)
-	}
-}
-
-// replayableLocked returns the record frames that bridge the replica
-// from applied (exclusive) to the primary's delivered cursor, or nil
-// if the log cannot bridge it: the cursor predates the log's horizon,
-// an entry in the span is a non-replayable marker (segment range), or
-// the stream has a hole (a shed frame never entered the log). Caller
-// holds p.mu.
-func (p *Primary) replayableLocked(applied uint64) []*Frame {
-	if applied >= p.delivered {
-		return []*Frame{}
-	}
-	var out []*Frame
-	want := applied + 1
-	for i := range p.replay {
-		e := &p.replay[i]
-		if e.seq <= applied {
-			continue
-		}
-		if e.seq != want || e.f == nil {
-			return nil
-		}
-		out = append(out, e.f)
-		want++
-	}
-	if want != p.delivered+1 {
-		return nil // log starts past the cursor, or ends short of it
-	}
-	return out
-}
-
-// Resync runs one cursor handshake and whatever repair it calls for
-// (replay or re-seed). Shipping does this automatically — on cursor
-// refusals and when a drain finishes — but a caller can force a pass,
-// e.g. right after wiring a primary to a rejoined replica.
+// Resync forces one catch-up pass. Shipping runs it automatically —
+// on cursor refusals and from the prober — but a caller can force the
+// handshake, e.g. right after wiring a primary to a rejoined replica.
 func (p *Primary) Resync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.deposed {
-		return &spash.ReplicationError{Op: "resync", Shard: -1,
-			Epoch: p.db.Epoch(), Err: spash.ErrNotPrimary}
-	}
-	return p.resyncLocked()
+	_, err := p.catchUpLocked()
+	return err
 }
 
-// resyncLocked converges the replica's cursor with the handshake:
-// replay the record frames the log still holds, or re-seed the whole
-// image when it cannot anchor (rollback) or the gap is past the
-// replayable horizon. Caller holds p.mu.
-func (p *Primary) resyncLocked() error {
+// catchUpLocked is the one recovery loop: half-open the breaker, run
+// the handshake, ship what it calls for, and settle the breaker on the
+// outcome. The handshake proves the transport answers before any frame
+// is committed to it, and its epoch fences a deposed primary before it
+// wastes ships on frames that can never apply. Returns how many owed
+// frames — those above acked — it delivered. Caller holds p.mu.
+func (p *Primary) catchUpLocked() (drained int, err error) {
+	if p.deposed {
+		return 0, &spash.ReplicationError{Op: "catch-up", Shard: -1,
+			Epoch: p.db.Epoch(), Err: spash.ErrNotPrimary}
+	}
+	if p.state == BreakerOpen {
+		p.setBreakerLocked(BreakerHalfOpen, p.reason)
+	}
+	defer func() { p.settleLocked(err) }()
 	h, err := p.t.Hello()
 	if err != nil {
-		return fmt.Errorf("repl: hello: %w", err)
+		return 0, fmt.Errorf("repl: hello: %w", err)
 	}
 	if h.Epoch > p.db.Epoch() {
-		return &spash.ReplicationError{Op: "resync", Shard: -1,
+		return 0, &spash.ReplicationError{Op: "catch-up", Shard: -1,
 			Epoch: p.db.Epoch(),
 			Err: fmt.Errorf("peer at epoch %d: %w", h.Epoch,
 				spash.ErrNotPrimary)}
 	}
 	reg := p.db.Indexes()[0].Obs()
 	reg.Inc(obs.CReplResyncs)
-	// A shed frame's payload exists only in the local image — no log
-	// entry, no queue slot — so the delivered cursor cannot be trusted
-	// until a re-seed rebuilds the replica from that image.
-	if !h.NeedsReseed && !p.shedGap {
-		if h.AppliedSeq >= p.delivered {
-			return nil // caught up (or ahead of anything we delivered)
+	// A peer ahead of everything this wrapper sequenced has nothing to
+	// receive; a peer ahead of acked had acknowledgements lost in
+	// flight.
+	cursor := min(h.AppliedSeq, p.seq)
+	p.acked = max(p.acked, cursor)
+	if h.NeedsReseed || cursor+1 < p.base {
+		// The image rolled back under its cursor, or the frames above
+		// the cursor are no longer all retained (the log overflowed, or
+		// an earlier sync failed midway): rebuild from the local image.
+		reg.Inc(obs.CReplReseeds)
+		_, err = p.syncLocked("reseed")
+		return 0, err
+	}
+	// The peer acknowledges on acceptance but reports its durable
+	// cursor, so frames at or below acked go out again whenever it
+	// holds some unapplied — as duplicates if it still has them, as
+	// the replay that restores them if a rejoin dropped them.
+	for seq := cursor + 1; seq <= p.seq; seq++ {
+		if err = p.shipRetryLocked(p.ring[seq%primaryLogFrames]); err != nil {
+			return drained, fmt.Errorf("repl: catching up at frame %d: %w", seq, err)
 		}
-		if frames := p.replayableLocked(h.AppliedSeq); frames != nil {
-			for _, f := range frames {
-				if err := p.shipRetryLocked(f); err != nil {
-					return fmt.Errorf("repl: replaying frame %d: %w", f.Seq, err)
-				}
-				reg.Inc(obs.CReplReplays)
-			}
-			return nil
+		if seq <= p.acked {
+			reg.Inc(obs.CReplReplays)
+		} else {
+			p.acked = seq
+			drained++
 		}
 	}
-	// Re-seed: rollback, shed gap, or a cursor past the replayable
-	// horizon.
-	reg.Inc(obs.CReplReseeds)
-	if _, err := p.syncLocked("reseed"); err != nil {
-		return err
-	}
-	p.shedGap = false
-	return nil
+	return drained, nil
 }

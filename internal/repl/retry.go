@@ -114,8 +114,8 @@ func retryableShip(err error) bool {
 // bounded attempts with exponential backoff and jitter between them.
 // Non-retryable errors surface immediately; exhaustion returns a
 // typed ErrRetryExhausted that also wraps the last attempt's error.
-// On success the frame is recorded as delivered. Caller holds p.mu —
-// the backoff sleeps with the lock held by design (the primary is
+// Caller holds p.mu and moves the cursors on success — the backoff
+// sleeps with the lock held by design (the primary is
 // single-worker for writes, and an in-flight frame must finish or
 // fail before the next one ships to preserve stream order).
 func (p *Primary) shipRetryLocked(f *Frame) error {
@@ -125,9 +125,6 @@ func (p *Primary) shipRetryLocked(f *Frame) error {
 	for attempt := 1; ; attempt++ {
 		err := p.shipOnceLocked(f)
 		if err == nil {
-			if f.Seq > p.delivered {
-				p.delivered = f.Seq
-			}
 			return nil
 		}
 		last = err

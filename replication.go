@@ -28,9 +28,10 @@ var (
 	// an operation requires a fully caught-up replica — promotion with
 	// unapplied frames buffered loses acknowledged writes, so it is
 	// refused. The replica's apply path also wraps it when a frame
-	// cannot be accepted yet (sequence gap past the reorder window, or
-	// a full pause buffer sheds the frame): the sender must retry or
-	// resync.
+	// cannot be accepted: it is ahead of the cursor of a replica that
+	// has accepted nothing since (re)joining (known loss, not
+	// reordering), or it would have to enter a full pending log. The
+	// frame is not acknowledged; the sender must retry or resync.
 	ErrReplicaLag = errors.New("spash: replica lags the primary")
 	// ErrTransportTimeout is returned (wrapped in a *ReplicationError)
 	// when one Ship attempt misses its per-frame deadline. The retry
@@ -40,8 +41,9 @@ var (
 	ErrTransportTimeout = errors.New("spash: replication transport timeout")
 	// ErrRetryExhausted is returned (wrapped in a *ReplicationError)
 	// when every retry of a frame failed and the primary tripped its
-	// circuit breaker into degraded-async mode, or when the bounded
-	// spill queue is full and a write's frame had to be refused.
+	// circuit breaker into degraded-async mode, or when a write's frame
+	// pushed an unacknowledged one out of the primary's full frame log
+	// (the local apply stands; the next handshake re-seeds the peer).
 	ErrRetryExhausted = errors.New("spash: replication retries exhausted")
 	// ErrNeedsReseed is returned (wrapped in a *ReplicationError) when
 	// a replica's durable applied cursor can no longer anchor the
