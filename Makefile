@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke bench bench-tiny clean
+.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate bench bench-tiny clean
 
 all: build test
 
@@ -98,6 +98,16 @@ serve-smoke:
 		bin/spash-ycsb -net 127.0.0.1:6399 -records 20000 -ops 40000 \
 			-connections 1,4,16 -shards 2 -json /tmp/BENCH_serve_smoke.json; \
 		kill -INT $$pid; wait $$pid
+
+# alloc-gate fails when Search, UpdateHot, Insert or Delete allocates:
+# allocation counts are deterministic, so unlike a wall-clock number they
+# can be gated exactly (20 000 inserts cross ~11 doublings, whose
+# directories round to 0 allocs/op). CI's bench-smoke job runs it.
+alloc-gate:
+	go test -run '^$$' -bench 'Benchmark(Search|UpdateHot|Insert|Delete)$$' -benchtime 20000x -benchmem . | \
+		awk '{ print } /^Benchmark/ { n++; if ($$(NF-1) > 0) bad = bad " " $$1 } \
+			END { if (n != 4) { print "alloc-gate: " n " of 4 benchmarks ran"; exit 1 } \
+			      if (bad != "") { print "alloc-gate: allocs/op > 0:" bad; exit 1 } }'
 
 # bench runs the repository benchmark (BENCHMARK.json): all four
 # workloads, ~23 s each, result JSON on the last line of each run.

@@ -31,6 +31,7 @@ func bkey(buf []byte, v uint64) []byte {
 func BenchmarkInsert(b *testing.B) {
 	_, s := benchDB(b)
 	kb := make([]byte, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Insert(bkey(kb, uint64(i)), bkey(kb, uint64(i))); err != nil {
@@ -166,6 +167,7 @@ func BenchmarkDelete(b *testing.B) {
 	for i := uint64(0); i < uint64(b.N); i++ {
 		s.Insert(bkey(kb, i), bkey(kb, i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ok, _ := s.Delete(bkey(kb, uint64(i))); !ok {

@@ -189,15 +189,29 @@ func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, 
 	}
 }
 
-// errRetry signals the caller to restart the operation from the
-// preparation phase (the "actively abort and retry" of §IV-A).
-type retryError struct{ reason string }
+// retryError signals the caller to restart the operation from the
+// preparation phase (the "actively abort and retry" of §IV-A). A body
+// returns one on its ordinary paths — every insert into a full segment
+// ends in errNeedSplit — so the type is one byte: converting it to error
+// allocates nothing.
+type retryError uint8
 
-func (e retryError) Error() string { return "core: retry: " + e.reason }
-
-var (
-	errSegMoved  = retryError{"segment changed"}
-	errLocked    = retryError{"segment fallback-locked"}
-	errNeedSplit = retryError{"segment full, split needed"}
-	errResizing  = retryError{"directory resize in progress"}
+const (
+	errSegMoved retryError = iota + 1
+	errLocked
+	errNeedSplit
+	errResizing
+	// errNeedDouble is the lock modes' signal that a split requires the
+	// directory to grow first (ops_lock.go).
+	errNeedDouble
 )
+
+func (e retryError) Error() string {
+	return "core: retry: " + [...]string{
+		errSegMoved:   "segment changed",
+		errLocked:     "segment fallback-locked",
+		errNeedSplit:  "segment full, split needed",
+		errResizing:   "directory resize in progress",
+		errNeedDouble: "directory full",
+	}[e]
+}

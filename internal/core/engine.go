@@ -192,29 +192,46 @@ type segEntry struct {
 	h      uint64
 }
 
-// decodeSegment collects the live entries of a segment with their key
-// hashes (re-hashing inline keys, reading key records raw for
-// out-of-line ones).
-func (ix *Index) decodeSegment(c *pmem.Ctx, m mem, seg uint64) []segEntry {
-	entries := make([]segEntry, 0, SlotsPerSegment)
-	var kb [8]byte
+// segEntries is a list of decoded entries with room for a whole segment:
+// split, merge and relayout build theirs on the stack.
+type segEntries struct {
+	e [SlotsPerSegment]segEntry
+	n int
+}
+
+func (l *segEntries) add(e segEntry)   { l.e[l.n] = e; l.n++ }
+func (l *segEntries) live() []segEntry { return l.e[:l.n] }
+
+// segSnap is a captured segment image that serves engine reads: the
+// snapshot a split decodes and its transaction validates.
+type segSnap struct {
+	base  uint64
+	words [SegmentSize / 8]uint64
+}
+
+func (s *segSnap) load(addr uint64) uint64 { return s.words[(addr-s.base)/8] }
+func (s *segSnap) store(uint64, uint64)    { panic("core: store into snapshot") }
+
+// decodeSegment collects into out the live entries of the segment read
+// through m, with their key hashes (re-hashing inline keys, reading key
+// records raw for out-of-line ones).
+func (h *Handle) decodeSegment(m mem, seg uint64, out *segEntries) {
+	out.n = 0
 	for s := 0; s < SlotsPerSegment; s++ {
 		kw := m.load(slotAddr(seg, s))
 		if !keyOccupied(kw) {
 			continue
 		}
 		vw := m.load(slotAddr(seg, s) + 8)
-		var h uint64
+		var kh uint64
 		if keyIsInline(kw) {
-			binary.LittleEndian.PutUint64(kb[:], wordPayload(kw))
-			h = hashKey(kb[:])
+			kh = hash.Sum64Uint64(wordPayload(kw))
 		} else {
-			buf := readRecord(rawMem{ix.pool, c}, wordPayload(kw), nil)
-			h = hashKey(buf)
+			h.keyBuf = readKeyRecord(h.c, h.ix.pool, wordPayload(kw), h.keyBuf[:0])
+			kh = hashKey(h.keyBuf)
 		}
-		entries = append(entries, segEntry{kw: kw, vw: vw &^ hintMask, h: h})
+		out.add(segEntry{kw: kw, vw: vw &^ hintMask, h: kh})
 	}
-	return entries
 }
 
 // layoutSegment arranges entries into a fresh segment image: each
@@ -226,29 +243,31 @@ func layoutSegment(entries []segEntry) (img [SegmentSize / 8]uint64, ok bool) {
 	if len(entries) > SlotsPerSegment {
 		return img, false
 	}
-	kwAt := func(i int) *uint64 { return &img[i*2] }
-	vwAt := func(i int) *uint64 { return &img[i*2+1] }
-	var overflow []segEntry
-	for _, e := range entries {
-		b := mainBucket(e.h)
-		placed := false
+	// place puts e in the first free slot of bucket b, reporting the slot
+	// (-1: the bucket is full). Key words sit at img[2s], value words at
+	// img[2s+1].
+	place := func(e *segEntry, b int) int {
 		for s := b * SlotsPerBucket; s < (b+1)*SlotsPerBucket; s++ {
-			if *kwAt(s) == 0 {
-				*kwAt(s) = e.kw
-				*vwAt(s) |= e.vw
-				placed = true
-				break
+			if img[s*2] == 0 {
+				img[s*2] = e.kw
+				img[s*2+1] |= e.vw
+				return s
 			}
 		}
-		if !placed {
-			overflow = append(overflow, e)
+		return -1
+	}
+	var overflow segEntries
+	for i := range entries {
+		if e := &entries[i]; place(e, mainBucket(e.h)) < 0 {
+			overflow.add(*e)
 		}
 	}
-	for _, e := range overflow {
+	for i := range overflow.live() {
+		e := &overflow.e[i]
 		b := mainBucket(e.h)
 		hintSlot := -1
 		for s := b * SlotsPerBucket; s < (b+1)*SlotsPerBucket; s++ {
-			if !hintValid(*vwAt(s)) {
+			if !hintValid(img[s*2+1]) {
 				hintSlot = s
 				break
 			}
@@ -256,22 +275,14 @@ func layoutSegment(entries []segEntry) (img [SegmentSize / 8]uint64, ok bool) {
 		if hintSlot < 0 {
 			return img, false
 		}
-		placed := false
-		for off := 1; off < BucketsPerSegment && !placed; off++ {
-			ob := (b + off) % BucketsPerSegment
-			for s := ob * SlotsPerBucket; s < (ob+1)*SlotsPerBucket; s++ {
-				if *kwAt(s) == 0 {
-					*kwAt(s) = e.kw
-					*vwAt(s) |= e.vw
-					*vwAt(hintSlot) |= makeHint(hash.OverflowFingerprint(e.h), s)
-					placed = true
-					break
-				}
-			}
+		at := -1
+		for off := 1; off < BucketsPerSegment && at < 0; off++ {
+			at = place(e, (b+off)%BucketsPerSegment)
 		}
-		if !placed {
+		if at < 0 {
 			return img, false
 		}
+		img[hintSlot*2+1] |= makeHint(hash.OverflowFingerprint(e.h), at)
 	}
 	return img, true
 }

@@ -121,6 +121,120 @@ var (
 		clock: 7318302, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 361, found: 8974}
 )
 
+// singleOpAccount is batchAccount for a stream that also restructures:
+// the index's own counters (entries, segments, splits, merges, doublings)
+// ride along, and mem is the pool's total so the doubling role's retired
+// contexts are included.
+type singleOpAccount struct {
+	batchAccount
+	ix Stats
+}
+
+// goldenSingleOpStream drives one seeded single-worker stream of 90 000
+// Insert/Update/Delete/Search calls through the Handle methods — inline,
+// 16 B and 64 B out-of-line keys, three value sizes — over a cache small
+// enough to evict: two thirds of it grow the index from depth 2 (1 739
+// splits, 10 doublings), the last third drains it so sampled deletes
+// merge (37 times).
+func goldenSingleOpStream(t *testing.T, mode pmem.Mode, checksums bool) singleOpAccount {
+	t.Helper()
+	pool := pmem.New(pmem.Config{PoolSize: 32 << 20, CacheSize: 64 << 10, Mode: mode})
+	c := pool.NewCtx()
+	al, err := alloc.New(c, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(c, pool, al, Config{InitialDepth: 2, Checksums: checksums})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ix.NewHandle(c)
+	rng := rand.New(rand.NewSource(18))
+	key := func(id int) []byte {
+		switch id % 3 {
+		case 0:
+			return k64(uint64(id)) // inline
+		case 1:
+			return []byte(fmt.Sprintf("key-%012d", id)) // 16 B record
+		}
+		return []byte(fmt.Sprintf("a-longer-key-that-takes-a-whole-line-%027d", id)) // 64 B record
+	}
+	val := func(id, gen int) []byte {
+		switch id % 4 {
+		case 0:
+			return k64(uint64(gen)) // inline
+		case 1:
+			return []byte(fmt.Sprintf("%024d", gen))
+		}
+		return []byte(fmt.Sprintf("%072d", gen))
+	}
+	found := 0
+	var buf []byte
+	const ops = 90000
+	for i := 0; i < ops; i++ {
+		id := rng.Intn(30000)
+		ins, upd, del := 55, 75, 85
+		if i >= ops*2/3 {
+			ins, upd, del = 5, 15, 90
+		}
+		var ok bool
+		var err error
+		switch k := rng.Intn(100); {
+		case k < ins:
+			err = h.Insert(key(id), val(id, i))
+		case k < upd:
+			ok, err = h.Update(key(id), val(id, i+1))
+		case k < del:
+			ok, err = h.Delete(key(id))
+		default:
+			buf, ok, err = h.Search(key(id), buf[:0])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			found++
+		}
+	}
+	return singleOpAccount{batchAccount{mem: pool.Stats(), clock: c.Clock(), tm: ix.tm.Stats(), dirty: pool.DirtyLines(), found: found}, ix.Stats()}
+}
+
+// The accounts below were captured from the parent commit (c90fffd),
+// whose split decoded through the mem interface onto the Go heap, whose
+// stores entered a cache set per word and which hinted nothing on the
+// write path: none of that is simulated state, so the single-op path
+// must reproduce them to the last count.
+func TestSingleOpStreamReproducesGoldenAccounting(t *testing.T) {
+	for _, g := range []struct {
+		mode      pmem.Mode
+		checksums bool
+		want      singleOpAccount
+	}{
+		{pmem.EADR, false, goldenSingleOp},
+		{pmem.ADR, false, goldenSingleOp},
+		{pmem.EADR, true, goldenSingleOpSealed},
+		{pmem.ADR, true, goldenSingleOpSealed},
+	} {
+		if got := goldenSingleOpStream(t, g.mode, g.checksums); got != g.want {
+			t.Errorf("%v, Checksums %v:\n got %+v\nwant %+v", g.mode, g.checksums, got, g.want)
+		}
+	}
+}
+
+var (
+	goldenSingleOpIndex = Stats{Entries: 9369, Segments: 1706, Splits: 1739, Merges: 37, Doubles: 10, HotHits: 837}
+	goldenSingleOp      = singleOpAccount{batchAccount{
+		mem: pmem.Stats{CacheHits: 1389499, CacheMisses: 250302, CachelineReads: 250302, CachelineWrites: 140482,
+			XPLineReads: 160156, XPLineWrites: 95688, Flushes: 55403, Fences: 48, Evictions: 85155},
+		clock: 80883327, tm: htm.Stats{Commits: 93031, Explicits: 1739}, dirty: 275, found: 22701},
+		goldenSingleOpIndex}
+	goldenSingleOpSealed = singleOpAccount{batchAccount{
+		mem: pmem.Stats{CacheHits: 6746164, CacheMisses: 477219, CachelineReads: 477219, CachelineWrites: 170334,
+			XPLineReads: 181212, XPLineWrites: 118426, Flushes: 55408, Fences: 49, Evictions: 115015},
+		clock: 192317586, tm: htm.Stats{Commits: 93031, Explicits: 1739}, dirty: 224, found: 22701},
+		goldenSingleOpIndex}
+)
+
 // hintIndex is an index on a small formatted pool.
 func hintIndex(t testing.TB) (*Index, *Handle, *pmem.Pool) {
 	t.Helper()
@@ -167,6 +281,15 @@ func TestHostileHints(t *testing.T) {
 	}
 	hintAll(h, []byte("a-key-out-of-line"))
 	hintAll(h, k64(1))
+	// A split's hint passes, over a snapshot whose key words name a
+	// record on the poisoned line, a misaligned one and two past the pool,
+	// and over a new segment no pool holds.
+	var snap [SegmentSize / 8]uint64
+	for s, rec := range []uint64{seg + 8, seg + 3, pool.Size() + 64, 1<<48 - 8} {
+		snap[s*2] = makeKeyWord(false, 0, rec)
+	}
+	ix.hintKeyRecords(&snap)
+	ix.hintSplitTargets(seg, 1<<47)
 
 	if got := pool.Stats(); got != before {
 		t.Errorf("hints moved the pool's counters:\n got %+v\nwant %+v", got, before)

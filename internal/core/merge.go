@@ -88,13 +88,12 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 				// words under a fresh seal; leave it for scrub/fsck.
 				return nil
 			}
-			entsA := ix.decodeSegment(h.c, m, seg)
-			entsB := ix.decodeSegment(h.c, m, buddySeg)
-			if len(entsA)+len(entsB) > mergeThreshold {
+			live, ok := h.decodeBuddies(m, seg, buddySeg)
+			if !ok {
 				return nil
 			}
-			liveAfter, mergedDepth = len(entsA)+len(entsB), depth-1
-			img, ok := layoutSegment(append(entsA, entsB...))
+			liveAfter, mergedDepth = live.n, depth-1
+			img, ok := layoutSegment(live.live())
 			if !ok {
 				return nil // pathological bucket skew; keep both
 			}
@@ -143,6 +142,22 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 	return false
 }
 
+// decodeBuddies decodes both segments of a buddy pair through m and
+// returns their live entries as one list, seg's first; ok=false when
+// together they exceed mergeThreshold.
+func (h *Handle) decodeBuddies(m mem, seg, buddySeg uint64) (live segEntries, ok bool) {
+	var b segEntries
+	h.decodeSegment(m, seg, &live)
+	h.decodeSegment(m, buddySeg, &b)
+	if live.n+b.n > mergeThreshold {
+		return live, false
+	}
+	for _, e := range b.live() {
+		live.add(e)
+	}
+	return live, true
+}
+
 // mergeLocked is the lock-mode merge: it requires the buddy pair to
 // fall inside one lock stripe (depth-1 ≥ LockStripeBits), which the
 // stripe-covers-whole-segments invariant guarantees for all but the
@@ -168,12 +183,11 @@ func (ix *Index) mergeLocked(h *Handle, r *req) bool {
 	if ix.sealAddr != 0 && (ix.verifySeal(m, seg) != 0 || ix.verifySeal(m, buddySeg) != 0) {
 		return false
 	}
-	entsA := ix.decodeSegment(h.c, m, seg)
-	entsB := ix.decodeSegment(h.c, m, buddySeg)
-	if len(entsA)+len(entsB) > mergeThreshold {
+	live, ok := h.decodeBuddies(m, seg, buddySeg)
+	if !ok {
 		return false
 	}
-	img, ok := layoutSegment(append(entsA, entsB...))
+	img, ok := layoutSegment(live.live())
 	if !ok {
 		return false
 	}
@@ -196,7 +210,7 @@ func (ix *Index) mergeLocked(h *Handle, r *req) bool {
 	ix.merges.Add(1)
 	h.lane.Inc(obs.CMerges)
 	h.lane.Inc(obs.CSegFree)
-	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth-1), int64(len(entsA)+len(entsB)))
-	ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, len(entsA)+len(entsB))
+	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth-1), int64(live.n))
+	ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, live.n)
 	return true
 }

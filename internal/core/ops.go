@@ -39,6 +39,12 @@ type Handle struct {
 
 	// batch is the pipeline scratch state (pipeline.go).
 	batch batchState
+
+	// snap and keyBuf are a split's working memory: the segment snapshot
+	// its transaction validates, and the bytes of the out-of-line key being
+	// re-hashed. They live here so that a split allocates nothing.
+	snap   segSnap
+	keyBuf []byte
 }
 
 // NewHandle returns a worker handle bound to ctx. Passing nil creates
@@ -279,6 +285,9 @@ func (h *Handle) insert(r *req, val []byte) error {
 	if !vInline {
 		addr, err := h.allocRecord(val)
 		if err != nil {
+			if !kInline {
+				h.freeRecord(kpay, len(key))
+			}
 			return err
 		}
 		vpay = addr
@@ -312,6 +321,14 @@ func (h *Handle) insert(r *req, val []byte) error {
 		return nil
 	})
 	if err != nil {
+		// Nothing was published (a failed split's ErrOutOfMemory, a typed
+		// corruption error): the records carved above go back.
+		if !kInline {
+			h.freeRecord(kpay, len(key))
+		}
+		if !vInline {
+			h.freeRecord(vpay, len(val))
+		}
 		return err
 	}
 	if replaced {
@@ -394,14 +411,11 @@ func (h *Handle) update(r *req, val []byte) (bool, error) {
 		flushAddr = newAddr
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	if newAddr != 0 && (!found || !usedNew) {
+	if newAddr != 0 && (err != nil || !found || !usedNew) {
 		h.freeRecord(newAddr, len(val))
 	}
-	if !found {
-		return false, nil
+	if err != nil || !found {
+		return false, err
 	}
 	if usedNew {
 		h.lane.Inc(obs.CUpdateAppend)

@@ -9,10 +9,6 @@ import (
 	"spash/internal/pmem"
 )
 
-// errNeedDouble is the lock-mode signal that a split requires the
-// directory to grow first.
-var errNeedDouble = retryError{"directory full"}
-
 // stripeOf maps a key hash to its lock stripe. Because the stripe is a
 // hash prefix no longer than any segment's local depth (enforced by
 // withDefaults), one stripe always covers whole segments.
@@ -118,12 +114,12 @@ func (ix *Index) splitLocked(h *Handle, hh uint64) error {
 	if depth == d.depth {
 		return errNeedDouble
 	}
-	var snap [SegmentSize / 8]uint64
+	snap := h.snapshot(seg)
 	for i := range snap {
 		snap[i] = ix.pool.Load64(c, seg+uint64(i)*8)
 	}
 	prefix := hash.Prefix(hh, depth)
-	imgA, imgB, liveA, liveB, err := ix.splitImages(c, seg, &snap, depth)
+	imgA, imgB, liveA, liveB, err := h.splitImages(depth)
 	if err != nil {
 		return err
 	}
@@ -131,6 +127,7 @@ func (ix *Index) splitLocked(h *Handle, hh uint64) error {
 	if err != nil {
 		return err
 	}
+	ix.hintSplitTargets(seg, newSeg)
 	m := rawMem{ix.pool, c}
 	for i, w := range imgB {
 		m.store(newSeg+uint64(i)*8, w)

@@ -105,6 +105,21 @@ func readRecord(m mem, addr uint64, dst []byte) []byte {
 	return dst
 }
 
+// readKeyRecord is readRecord for an immutable key record, read raw like
+// keyRecordEquals: the same loads in the same order as readRecord through
+// a rawMem, with no interface value to box per record.
+func readKeyRecord(c *pmem.Ctx, pool *pmem.Pool, addr uint64, dst []byte) []byte {
+	n := int(pool.Load64(c, addr) & recordLenMask)
+	if n > MaxKVLen {
+		n = 0
+	}
+	end := len(dst) + n
+	for off := 0; off < n; off += 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, pool.Load64(c, addr+recordHeader+uint64(off)))
+	}
+	return dst[:end]
+}
+
 // recordLen returns the record's payload length through m.
 func recordLen(m mem, addr uint64) int { return int(m.load(addr) & recordLenMask) }
 

@@ -12,15 +12,6 @@ import (
 	"spash/internal/pmem"
 )
 
-// snapMem serves engine reads from a captured segment snapshot.
-type snapMem struct {
-	base  uint64
-	words *[SegmentSize / 8]uint64
-}
-
-func (m snapMem) load(addr uint64) uint64 { return m.words[(addr-m.base)/8] }
-func (m snapMem) store(uint64, uint64)    { panic("core: store into snapshot") }
-
 // errMaxDepth is returned when a segment cannot split further; with a
 // 44-bit directory limit this indicates pathological hash collisions.
 var errMaxDepth = errors.New("core: maximum directory depth reached")
@@ -97,12 +88,12 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 
 		// Snapshot and relayout the segment (preparation phase; the
 		// transaction validates the snapshot).
-		var snap [SegmentSize / 8]uint64
+		snap := h.snapshot(seg)
 		for i := range snap {
 			snap[i] = ix.pool.Load64(c, seg+uint64(i)*8)
 		}
 		prefix := hash.Prefix(hh, depth)
-		imgA, imgB, liveA, liveB, err := ix.splitImages(c, seg, &snap, depth)
+		imgA, imgB, liveA, liveB, err := h.splitImages(depth)
 		if err != nil {
 			return err
 		}
@@ -110,6 +101,7 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 		if err != nil {
 			return err
 		}
+		ix.hintSplitTargets(seg, newSeg)
 		for i, w := range imgB {
 			//spash:allow pmstore -- populates the freshly allocated segment image; the directory pointer to it is published only inside the transaction below
 			ix.pool.Store64(c, newSeg+uint64(i)*8, w)
@@ -206,26 +198,61 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 	}
 }
 
-// splitImages decodes a segment snapshot and lays out the two child
+// snapshot returns the handle's segment snapshot, about to hold seg's
+// words.
+func (h *Handle) snapshot(seg uint64) *[SegmentSize / 8]uint64 {
+	h.snap.base = seg
+	return &h.snap.words
+}
+
+// hintKeyRecords asks the host for every out-of-line key record the
+// snapshot names, all at once; the decode then reads them one after
+// another. The words may be anything — the transaction has not validated
+// them yet — which Pool.Hint tolerates.
+func (ix *Index) hintKeyRecords(snap *[SegmentSize / 8]uint64) {
+	for s := 0; s < SlotsPerSegment; s++ {
+		if kw := snap[s*2]; keyOccupied(kw) && !keyIsInline(kw) {
+			ix.pool.Hint(wordPayload(kw))
+		}
+	}
+}
+
+// hintSplitTargets asks the host for what a split of seg into seg and
+// newSeg writes next and has not touched yet: the new segment's lines and
+// both halves' registry (and seal) words.
+func (ix *Index) hintSplitTargets(seg, newSeg uint64) {
+	for off := uint64(0); off < SegmentSize; off += pmem.CachelineSize {
+		ix.tm.Hint(ix.pool, newSeg+off)
+	}
+	ix.tm.Hint(ix.pool, ix.regAddrOf(seg))
+	ix.tm.Hint(ix.pool, ix.regAddrOf(newSeg))
+	if ix.sealAddr != 0 {
+		ix.tm.Hint(ix.pool, ix.sealAddrOf(seg))
+		ix.tm.Hint(ix.pool, ix.sealAddrOf(newSeg))
+	}
+}
+
+// splitImages decodes the handle's snapshot and lays out the two child
 // images: entries whose bit (63-depth) of the hash is 0 stay, 1 move.
 // liveA/liveB are the live-entry counts of the two halves (the
 // post-split occupancy observable).
-func (ix *Index) splitImages(c *pmem.Ctx, seg uint64, snap *[SegmentSize / 8]uint64, depth uint) (imgA, imgB [SegmentSize / 8]uint64, liveA, liveB int, err error) {
-	entries := ix.decodeSegment(c, snapMem{seg, snap}, seg)
-	var stay, move []segEntry
-	for _, en := range entries {
+func (h *Handle) splitImages(depth uint) (imgA, imgB [SegmentSize / 8]uint64, liveA, liveB int, err error) {
+	var all, stay, move segEntries
+	h.ix.hintKeyRecords(&h.snap.words)
+	h.decodeSegment(&h.snap, h.snap.base, &all)
+	for _, en := range all.live() {
 		if en.h>>(63-depth)&1 == 1 {
-			move = append(move, en)
+			move.add(en)
 		} else {
-			stay = append(stay, en)
+			stay.add(en)
 		}
 	}
-	liveA, liveB = len(stay), len(move)
+	liveA, liveB = stay.n, move.n
 	var ok bool
-	if imgA, ok = layoutSegment(stay); !ok {
+	if imgA, ok = layoutSegment(stay.live()); !ok {
 		return imgA, imgB, liveA, liveB, fmt.Errorf("core: split relayout failed (stay half)")
 	}
-	if imgB, ok = layoutSegment(move); !ok {
+	if imgB, ok = layoutSegment(move.live()); !ok {
 		return imgA, imgB, liveA, liveB, fmt.Errorf("core: split relayout failed (move half)")
 	}
 	return imgA, imgB, liveA, liveB, nil
@@ -329,11 +356,11 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 		// make our writes conflicting-visible).
 		err := ix.tm.Irrevocable(c, ix.pool, func(it *htm.ITxn) error {
 			m := iMem{it}
-			var snap [SegmentSize / 8]uint64
+			snap := h.snapshot(seg)
 			for i := range snap {
 				snap[i] = m.load(seg + uint64(i)*8)
 			}
-			imgA, imgB, liveA, liveB, ierr := ix.splitImages(c, seg, &snap, depth)
+			imgA, imgB, liveA, liveB, ierr := h.splitImages(depth)
 			if ierr != nil {
 				return ierr
 			}
@@ -341,6 +368,7 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 			if ierr != nil {
 				return ierr
 			}
+			ix.hintSplitTargets(seg, newSeg)
 			for i, w := range imgB {
 				ix.pool.Store64(c, newSeg+uint64(i)*8, w)
 			}

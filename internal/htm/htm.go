@@ -404,6 +404,9 @@ func (tx *Txn) commit() bool {
 			return false
 		}
 		tx.locked = append(tx.locked, si)
+		// release adds to the stripe's serial word after the publish;
+		// asked for now, those misses overlap the rest of the commit.
+		hostpf.Line(unsafe.Pointer(&tm.serial[si]))
 	}
 
 	// Validate the read set.

@@ -30,9 +30,13 @@ const maxPoolSize = (1<<32 - 1) * CachelineSize
 // nibbles above ways-1 hold the way numbers the set does not have and
 // are never read.
 //
-// The mutex also covers the word stores performed by the pool while the
-// line's residency is being established, which keeps ADR snapshots
-// consistent.
+// The mutex orders a line's ADR snapshot read with its dirty mark: one
+// store's entry captures the pre-store image and sets the bit before any
+// later entry sees the line dirty. It does not cover the pool's word
+// stores, which happen after access has unlocked (and, for a repeat store
+// to a context's current line, without entering the set at all): a word
+// written while a neighbour evicts or flushes the line is one that
+// reached media early.
 type cacheSet struct {
 	mu    sync.Mutex
 	order uint64

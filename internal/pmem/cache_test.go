@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -216,8 +217,12 @@ func linesOf(addr, n uint64) (first, last uint64) {
 // diffStream runs one seeded stream of every access kind through a pool
 // whose cache is a fraction of the address span, so most accesses
 // evict, and through the reference, comparing them after every
-// operation.
-func diffStream(t *testing.T, mode Mode, ways int, seed int64) {
+// operation. With storeRuns, one operation in eight is instead a run of 2
+// to 16 Store64/CAS64 to one line — what a record publish or a segment
+// fill looks like, and what the current-line memo serves without entering
+// the set — half of them with a Flush, NTStore or Crash of that line
+// somewhere inside, after which the next store must enter it again.
+func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 	const span = 64 << 10
 	p := New(Config{PoolSize: span, Mode: mode, CacheSize: uint64(4 * ways * CachelineSize),
 		CacheWays: ways, XPBufferLines: 8})
@@ -237,50 +242,34 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, 320)
-	var addr uint64
-	for i := 0; i < 12000; i++ {
-		if rng.Intn(2) == 0 {
-			addr = addr&^uint64(CachelineSize-1) + uint64(rng.Intn(8))*8
-		} else {
-			addr = uint64(rng.Intn(span/8)) * 8
-		}
-		n := uint64(1 + rng.Intn(len(buf)-1))
-		if addr+n > span {
-			n = span - addr
-		}
-		op := ""
-		switch k := rng.Intn(100); {
-		case k < 35:
-			op = "Load64"
+	// do runs operation i, of kind op over [addr, addr+n), through both
+	// models and compares them.
+	do := func(i int, op string, addr, n uint64) {
+		switch op {
+		case "Load64":
 			touch(addr, 8, false)
 			p.Load64(c, addr)
-		case k < 55:
-			op = "Store64"
+		case "Store64":
 			touch(addr, 8, true)
 			p.Store64(c, addr, uint64(i))
-		case k < 60:
-			op = "CAS64"
+		case "CAS64":
 			touch(addr, 8, true)
 			p.CAS64(c, addr, p.words[addr/8], uint64(i))
-		case k < 70:
-			op = "Read"
+		case "Read":
 			touch(addr, n, false)
 			p.Read(c, addr, buf[:n])
-		case k < 80:
-			op = "Write"
+		case "Write":
 			touch(addr, n, true)
 			rng.Read(buf[:n])
 			p.Write(c, addr, buf[:n])
-		case k < 87:
-			op = "Flush"
+		case "Flush":
 			first, last := linesOf(addr, n)
 			for line := first; line <= last; line += CachelineSize {
 				st.Flushes++
 				r.flushLine(line)
 			}
 			p.Flush(c, addr, n)
-		case k < 91:
-			op = "NTStore"
+		case "NTStore":
 			first, last := linesOf(addr, n)
 			for line := first; line <= last; line += CachelineSize {
 				r.invalidateLine(line)
@@ -290,18 +279,15 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64) {
 			}
 			rng.Read(buf[:n])
 			p.NTStore(c, addr, buf[:n])
-		case k < 98:
-			op = "Prefetch"
+		case "Prefetch":
 			if !r.access(p, addr&^uint64(CachelineSize-1), false) {
 				st.CacheMisses++
 			}
 			p.Prefetch(c, addr)
-		case k < 99:
-			op = "Fence"
+		case "Fence":
 			st.Fences++
 			p.Fence(c)
-		default:
-			op = "Crash"
+		case "Crash":
 			want, wantLost := r.crash(p, mode)
 			if lost := p.Crash(); lost != wantLost {
 				t.Fatalf("op %d Crash lost %d lines, reference %d", i, lost, wantLost)
@@ -320,6 +306,56 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64) {
 		}
 		if err := sameState(p.cache, r); err != nil {
 			t.Fatalf("op %d %s(%#x, %d): %v", i, op, addr, n, err)
+		}
+	}
+	var addr uint64
+	for i := 0; i < 12000; i++ {
+		if rng.Intn(2) == 0 {
+			addr = addr&^uint64(CachelineSize-1) + uint64(rng.Intn(8))*8
+		} else {
+			addr = uint64(rng.Intn(span/8)) * 8
+		}
+		n := uint64(1 + rng.Intn(len(buf)-1))
+		if addr+n > span {
+			n = span - addr
+		}
+		if storeRuns && rng.Intn(8) == 0 {
+			line := addr &^ uint64(CachelineSize-1)
+			length := 2 + rng.Intn(15)
+			breakAt := 1 + rng.Intn(2*(length-1)) // past the run: no break
+			for j := 0; j < length; j++ {
+				if j == breakAt {
+					do(i, []string{"Flush", "NTStore", "Crash"}[rng.Intn(3)], line+uint64(rng.Intn(8))*8, 8)
+				}
+				op := "Store64"
+				if rng.Intn(4) == 0 {
+					op = "CAS64"
+				}
+				do(i, op, line+uint64(rng.Intn(8))*8, 8)
+			}
+			continue
+		}
+		switch k := rng.Intn(100); {
+		case k < 35:
+			do(i, "Load64", addr, n)
+		case k < 55:
+			do(i, "Store64", addr, n)
+		case k < 60:
+			do(i, "CAS64", addr, n)
+		case k < 70:
+			do(i, "Read", addr, n)
+		case k < 80:
+			do(i, "Write", addr, n)
+		case k < 87:
+			do(i, "Flush", addr, n)
+		case k < 91:
+			do(i, "NTStore", addr, n)
+		case k < 98:
+			do(i, "Prefetch", addr, n)
+		case k < 99:
+			do(i, "Fence", addr, n)
+		default:
+			do(i, "Crash", addr, n)
 		}
 	}
 	dirty := 0
@@ -346,9 +382,114 @@ func TestPackedSetMatchesTickLRU(t *testing.T) {
 		for _, ways := range []int{1, 2, 4, 8, 16} {
 			t.Run(fmt.Sprintf("%v/%dway", mode, ways), func(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
-					diffStream(t, mode, ways, seed)
+					diffStream(t, mode, ways, seed, false)
+					diffStream(t, mode, ways, seed, true)
 				}
 			})
+		}
+	}
+}
+
+// A store that follows the context's own Flush, NTStore or a Crash of its
+// line is a new dirtying of it, even though the context has touched no
+// other line since: under ADR the next power cut rolls that store back
+// and keeps the first, which the write-back made durable. A current-line
+// memo that survived the break would skip the set, leave the line clean
+// and let the second store survive.
+func TestStoreAfterOwnWriteBackDirtiesTheLineAgain(t *testing.T) {
+	const line = 4 * CachelineSize
+	for _, br := range []struct {
+		name  string
+		do    func(p *Pool, c *Ctx)
+		first uint64 // the first word after the break
+	}{
+		{"Flush", func(p *Pool, c *Ctx) { p.Flush(c, line, 8) }, 1},
+		{"NTStore", func(p *Pool, c *Ctx) { p.NTStore(c, line, []byte{3, 0, 0, 0, 0, 0, 0, 0}) }, 3},
+		{"Crash", func(p *Pool, c *Ctx) { p.Crash() }, 0}, // ADR: the first store is lost here
+	} {
+		p := New(Config{PoolSize: 1 << 20, Mode: ADR})
+		c := p.NewCtx()
+		p.Store64(c, line, 1)
+		br.do(p, c)
+		p.Store64(c, line+8, 2)
+		if lost := p.Crash(); lost != 1 {
+			t.Errorf("%s: Crash lost %d lines, want the re-dirtied one", br.name, lost)
+		}
+		if w0, w1 := p.words[line/8], p.words[line/8+1]; w0 != br.first || w1 != 0 {
+			t.Errorf("%s: words after the crash = %d, %d; want %d (durable before the second store) and 0 (rolled back)",
+				br.name, w0, w1, br.first)
+		}
+	}
+}
+
+// One context stores a counter round-robin into the words of one line —
+// store k puts k into word (k-1)%8, and now and then it looks at another
+// line — while a neighbour keeps flushing that line and evicting it from
+// the one-set cache. The writer's memo lets stores land while the
+// neighbour has the line clean or gone; those reach media early, which
+// any eviction may do, so whatever a power cut then leaves must still be
+// the line as it stood after some prefix of the stores. Run under -race.
+func TestNeighbourWriteBackMidRunLeavesALegalImage(t *testing.T) {
+	const line = 8 * CachelineSize
+	for _, mode := range []Mode{EADR, ADR} {
+		p := New(Config{PoolSize: 1 << 20, Mode: mode, CacheSize: 4 * CachelineSize, CacheWays: 4})
+		var wg sync.WaitGroup
+		var stores uint64        // the writer's, once it is done
+		var rounds atomic.Uint64 // the neighbour's
+		var done atomic.Bool
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer done.Store(true)
+			c := p.NewCtx()
+			defer c.Release()
+			// Long enough for the neighbour to have cut in many times.
+			for k := uint64(1); k <= 40000 || rounds.Load() < 400; k++ {
+				p.Store64(c, line+(k-1)%8*8, k)
+				stores = k
+				if k%61 == 0 { // leave the line: the next store enters the set
+					p.Load64(c, line+5*CachelineSize)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			c := p.NewCtx()
+			defer c.Release()
+			for i := uint64(0); !done.Load(); i++ {
+				if i%2 == 0 {
+					p.Flush(c, line, CachelineSize)
+				} else {
+					for l := uint64(1); l <= 4; l++ { // fills the set: evicts line
+						p.Load64(c, line+l*CachelineSize)
+					}
+				}
+				rounds.Add(1)
+			}
+		}()
+		wg.Wait()
+		if n := p.DirtyLines(); n > 1 {
+			t.Errorf("%v: %d dirty lines, but only one line was ever stored to", mode, n)
+		}
+		if err := p.cache.check(); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+		lost := p.Crash()
+		var prefix uint64 // the stores the image holds: its largest counter
+		for j := uint64(0); j < 8; j++ {
+			prefix = max(prefix, p.words[line/8+j])
+		}
+		for j := uint64(0); j < 8; j++ {
+			want := uint64(0) // the last k <= prefix with (k-1)%8 == j
+			if prefix > j {
+				want = prefix - (prefix-1-j)%8
+			}
+			if got := p.words[line/8+j]; got != want {
+				t.Errorf("%v: word %d = %d after the crash, but the image holds store %d: want %d", mode, j, got, prefix, want)
+			}
+		}
+		if mode == EADR && (prefix != stores || lost != 0) {
+			t.Errorf("eADR: the crash kept %d of %d stores and lost %d lines", prefix, stores, lost)
 		}
 	}
 }

@@ -30,11 +30,13 @@ type Ctx struct {
 	nprefetch int
 
 	// curLine is the line (|1, so 0 means none) this context last ran
-	// through a cache set, and curCrashes the pool's crash count read
-	// just before it did: Pool.touch serves further loads of that line
-	// without re-entering the set.
+	// through a cache set, curCrashes the pool's crash count read just
+	// before it did, and curStored whether it entered as a store and has
+	// not flushed since: Pool.touch serves further loads of that line —
+	// and, while curStored, further stores — without re-entering the set.
 	curLine    uint64
 	curCrashes uint64
+	curStored  bool
 
 	// opDepth tracks BeginOp/EndOp nesting: while > 0 this worker has an
 	// operation in flight and the pool refuses quiescent-only Crash

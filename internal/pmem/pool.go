@@ -136,13 +136,14 @@ func (p *Pool) checkAligned(addr uint64) {
 }
 
 // lookup runs one line access through the cache set and makes line the
-// context's current line. The crash count is read before the set is
-// entered, so a power cut racing the access leaves a memo that is
-// already stale, never one that outlives the emptied cache.
+// context's current line, remembering whether it entered as a store. The
+// crash count is read before the set is entered, so a power cut racing
+// the access leaves a memo that is already stale, never one that
+// outlives the emptied cache.
 func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
 	c.curCrashes = p.crashes.Load()
 	hit = p.cache.access(p, c, line, store)
-	c.curLine = line | 1
+	c.curLine, c.curStored = line|1, store
 	return hit
 }
 
@@ -150,20 +151,32 @@ func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
 // charges the context's virtual clock, consuming a pending prefetch of
 // the line if one exists.
 //
-// A load of the context's current line — the line of its previous
-// access, with no store-side bookkeeping to do and no prefetch to
-// consume — is a hit that would leave the set exactly as it is (the
-// line's way already holds rank 0 of the set's LRU order), so it is
-// charged without taking the set lock. For a context alone on its pool
-// that is the same accounting as entering the set; with several
-// contexts a neighbour may have evicted the line in between, which the
-// next miss absorbs.
+// An access to the context's current line — the line of its previous
+// access — is a hit that would leave the set exactly as it is, and is
+// charged without taking the set lock: the line's way already holds rank
+// 0 of the set's LRU order, so a load with no prefetch to consume has
+// nothing to do; and when the context last entered the set as a store
+// (curStored) the way is dirty and its ADR snapshot taken, so neither has
+// a store. The context's own Flush (which cleans the line: the next store
+// must re-snapshot and re-dirty it), NTStore and any Crash end the memo.
+// For a context alone on its pool that is the same accounting as
+// entering the set. With several contexts a neighbour may have evicted
+// or flushed the line in between: the next miss absorbs the eviction,
+// and a store that misses its dirty mark reaches media early, which
+// under ADR an eviction may make any store do.
 func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 	t := &p.cfg.Timing
-	if !store && c.nprefetch == 0 && c.curLine == line|1 && c.curCrashes == p.crashes.Load() {
-		c.clock += t.CacheHitLoad
-		c.stats.CacheHits++
-		return
+	if c.curLine == line|1 && c.curCrashes == p.crashes.Load() {
+		if store && c.curStored {
+			c.clock += t.CacheHitStore
+			c.stats.CacheHits++
+			return
+		}
+		if !store && c.nprefetch == 0 {
+			c.clock += t.CacheHitLoad
+			c.stats.CacheHits++
+			return
+		}
 	}
 	done, prefetched := int64(0), false
 	if !store && c.nprefetch > 0 {
@@ -316,6 +329,7 @@ func (p *Pool) Flush(c *Ctx, addr, size uint64) {
 	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + size - 1) &^ uint64(CachelineSize-1)
+	c.curStored = false // the range may clean the current line
 	for line := first; line <= last; line += CachelineSize {
 		c.stats.Flushes++
 		c.clock += t.FlushIssue
