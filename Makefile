@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate bench bench-tiny clean
+.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate count-gate count-gate-update bench bench-tiny clean
 
 all: build test
 
@@ -30,12 +30,15 @@ cross-build:
 	GOARCH=riscv64 go build ./...
 
 # loc prints the size numbers ROADMAP item 5 tracks per PR: non-test Go
-# lines in the root module (bench/ and testdata excluded) and in
-# internal/repl, and the exported functions and methods of package
-# spash. CI's build-test job writes them to its job summary.
+# lines in the root module (bench/ and testdata excluded), in
+# internal/repl, internal/crashtest and cmd/, and the exported functions
+# and methods of package spash. CI's build-test job writes them to its
+# job summary.
 loc:
 	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)"
 	@echo "non-test Go lines, internal/repl: $$(git ls-files 'internal/repl/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "non-test Go lines, internal/crashtest: $$(git ls-files 'internal/crashtest/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "non-test Go lines, cmd/: $$(git ls-files 'cmd/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "package spash exported funcs+methods: $$(go doc -all . | grep -c '^func ')"
 
 race:
@@ -85,18 +88,17 @@ fuzz-smoke:
 	go test ./internal/resp -run '^$$' -fuzz=FuzzReadCommand -fuzztime=30s
 	go test ./internal/resp -run '^$$' -fuzz=FuzzReadReply -fuzztime=30s
 
-# serve-smoke starts spash-serve on loopback, runs a short pipelined
-# YCSB scan against it and checks the artifact, mirroring CI's job.
+# serve-smoke starts spash-serve on loopback, holds a RESP conversation
+# with it and drains it with SIGINT, mirroring CI's job. Serve numbers
+# come from the repository benchmark's wire workloads (make bench), not
+# from here.
 serve-smoke:
 	mkdir -p bin
 	go build -o bin/spash-serve ./cmd/spash-serve
 	go build -o bin/spash-cli ./cmd/spash-cli
-	go build -o bin/spash-ycsb ./cmd/spash-ycsb
 	bin/spash-serve -addr 127.0.0.1:6399 -shards 2 & \
 		pid=$$!; sleep 1; \
 		printf 'put smoke v1\nget smoke\nquit\n' | bin/spash-cli -connect 127.0.0.1:6399; \
-		bin/spash-ycsb -net 127.0.0.1:6399 -records 20000 -ops 40000 \
-			-connections 1,4,16 -shards 2 -json /tmp/BENCH_serve_smoke.json; \
 		kill -INT $$pid; wait $$pid
 
 # alloc-gate fails when Search, UpdateHot, Insert or Delete allocates:
@@ -108,6 +110,19 @@ alloc-gate:
 		awk '{ print } /^Benchmark/ { n++; if ($$(NF-1) > 0) bad = bad " " $$1 } \
 			END { if (n != 4) { print "alloc-gate: " n " of 4 benchmarks ran"; exit 1 } \
 			      if (bad != "") { print "alloc-gate: allocs/op > 0:" bad; exit 1 } }'
+
+# count-gate is the counted gate (ROADMAP item 1): each workload of the
+# repository benchmark runs for one second at full scale and its
+# deterministic counts are compared with testdata/bench_counts.golden —
+# exactly on get_uniform, wire_pipe64 and wire_rtt, within 1 % on
+# mix_zipf (two real-time-interleaved writers), failed == 0 everywhere.
+# A PR that means to move a count runs count-gate-update and says why in
+# CHANGES.md. CI's bench-module job runs the gate.
+count-gate:
+	python3 scripts/count-gate.py
+
+count-gate-update:
+	python3 scripts/count-gate.py -update
 
 # bench runs the repository benchmark (BENCHMARK.json): all four
 # workloads, ~23 s each, result JSON on the last line of each run.

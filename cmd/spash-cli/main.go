@@ -3,8 +3,8 @@
 // memory statistics, and inject power failures with recovery.
 //
 // With -connect host:port it instead speaks RESP to a running
-// spash-serve (same client code as spash-ycsb -net), so the wire
-// front end is testable without redis-cli.
+// spash-serve (the client code the replication wire transport uses),
+// so the wire front end is testable without redis-cli.
 //
 // Usage:
 //

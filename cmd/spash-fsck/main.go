@@ -1,10 +1,14 @@
 // Command spash-fsck is the offline consistency checker and repair
-// tool. It builds an index from a seeded workload, optionally crashes
-// the device — at a quiescent point (-crash) or mid-operation at an
-// exact persistence-primitive step (-crashstep N) — optionally injects
-// seeded media damage at the crash (-bitflips, -torn, -poison), then
-// recovers and verifies: segment seals and record CRCs (-checksums),
-// the full structural invariant scan, and an entry-count cross-check.
+// tool, and the command line of the drill engine (internal/crashtest):
+// the flags become one crashtest.Drill, crashtest.Run executes it, and
+// the outcome is printed and mapped to an exit status. The drill builds
+// an index from a seeded workload, optionally cuts power — at a
+// quiescent point (-crash) or mid-operation at an exact
+// persistence-primitive step (-crashstep N) — with seeded media damage
+// riding the cut (-bitflips, -torn, -poison), then recovers and
+// verifies: segment seals and record CRCs (-checksums), the full
+// structural invariant scan, an entry-count cross-check and the
+// durability oracle against what the workload was acknowledged.
 // With -repair, damaged segments are quarantined and rebuilt from
 // their salvageable entries, and the report lists every key lost.
 // With -repair-from replica an in-process replica is fed by the
@@ -16,14 +20,17 @@
 //
 // The run is reproducible: workload randomness comes from -seed and
 // media damage from -faultseed. With -report the full repair report is
-// written as one JSON document.
+// written as one JSON document. -torn composes with -crashstep
+// (write-backs torn mid-operation); -bitflips and -poison aim at the
+// live segment frames, which can only be listed at a quiescent cut, so
+// that combination is refused.
 //
 // Exit status:
 //
 //	0  clean — no damage found
 //	1  damage found and fully repaired (-repair)
-//	2  damage remains (repair disabled or impossible), or the check
-//	   itself failed
+//	2  damage remains (repair disabled or impossible), the drill's
+//	   contract was violated, or the check itself failed
 //
 // Usage:
 //
@@ -41,15 +48,14 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"spash"
-	"spash/internal/pmem"
+	"spash/internal/crashtest"
 	"spash/internal/repl"
 )
 
@@ -86,259 +92,138 @@ type chaosInfo struct {
 	SpillLost int             `json:"spill_lost"`
 }
 
-func main() {
-	records := flag.Int("records", 100000, "records inserted")
-	churn := flag.Int("churn", 3, "delete/reinsert rounds before checking")
-	seed := flag.Int64("seed", 1, "seed for the workload's randomness (reproducible torture runs)")
-	mode := flag.String("mode", "eadr", "persistence domain of the simulated device (eadr, adr)")
-	poolMB := flag.Int("poolmb", 1024, "simulated PM pool size in MB")
-	cacheKB := flag.Int("cachekb", 8192, "simulated CPU cache size in KB (small values force evictions, making ADR torture bite)")
-	crash := flag.Bool("crash", true, "power-cycle the device (quiescent) before checking")
-	crashStep := flag.Int64("crashstep", 0,
-		"inject a power failure before the N-th persistence-primitive step of the workload (0 = disabled)")
-	checksums := flag.Bool("checksums", true, "maintain + verify per-segment checksum seals")
-	bitFlips := flag.Int("bitflips", 0, "single-bit flips injected into live segment frames at the crash")
-	torn := flag.Int("torn", 0, "max dirty cachelines torn (old/new words interleaved) at an ADR crash")
-	poison := flag.Int("poison", 0, "XPLines poisoned (reads become machine checks) at the crash")
-	faultSeed := flag.Uint64("faultseed", 1, "seed for media-fault placement")
-	repair := flag.Bool("repair", false, "quarantine and rebuild damaged segments")
-	repairFrom := flag.String("repair-from", "",
-		"heal quarantine losses from a peer after -repair (only value: replica — an in-process replica the workload ships to)")
-	chaosRate := flag.Float64("chaos", 0,
-		"inject seeded transport faults (drop/dup/reorder at this aggregate rate) into the replica ship path; requires -repair-from replica")
-	reportPath := flag.String("report", "", "write the repair report as JSON to this file")
-	shards := flag.Int("shards", 1, "shard count (faults target shard 0; checks cover every shard)")
-	flag.Parse()
+// config is what the flags say beyond the drill itself.
+type config struct {
+	records, churn int
+	seed           int64
+	mode           string
+	chaos          bool
+	reportPath     string
+}
 
-	var pmode pmem.Mode
-	switch *mode {
-	case "eadr":
-		pmode = spash.EADR
-	case "adr":
-		pmode = spash.ADR
-	default:
-		fmt.Fprintf(os.Stderr, "spash-fsck: unknown -mode %q (want eadr or adr)\n", *mode)
-		os.Exit(2)
+// parse turns the command line into the drill it describes.
+func parse(args []string) (crashtest.Drill, config, error) {
+	fs := flag.NewFlagSet("spash-fsck", flag.ContinueOnError)
+	var cfg config
+	fs.IntVar(&cfg.records, "records", 100000, "records inserted")
+	fs.IntVar(&cfg.churn, "churn", 3, "delete/reinsert rounds before checking")
+	fs.Int64Var(&cfg.seed, "seed", 1, "seed for the workload's randomness (reproducible torture runs)")
+	fs.StringVar(&cfg.mode, "mode", "eadr", "persistence domain of the simulated device (eadr, adr)")
+	poolMB := fs.Int("poolmb", 1024, "simulated PM pool size in MB")
+	cacheKB := fs.Int("cachekb", 8192, "simulated CPU cache size in KB (small values force evictions, making ADR torture bite)")
+	crash := fs.Bool("crash", true, "power-cycle the device (quiescent) before checking")
+	crashStep := fs.Int64("crashstep", 0,
+		"inject a power failure before the N-th persistence-primitive step of the workload (0 = disabled)")
+	checksums := fs.Bool("checksums", true, "maintain + verify per-segment checksum seals")
+	bitFlips := fs.Int("bitflips", 0, "single-bit flips injected into live segment frames at the crash")
+	torn := fs.Int("torn", 0, "max dirty cachelines torn (old/new words interleaved) at an ADR crash")
+	poison := fs.Int("poison", 0, "XPLines poisoned (reads become machine checks) at the crash")
+	faultSeed := fs.Uint64("faultseed", 1, "seed for media-fault placement")
+	repair := fs.Bool("repair", false, "quarantine and rebuild damaged segments")
+	repairFrom := fs.String("repair-from", "",
+		"heal quarantine losses from a peer after -repair (only value: replica — an in-process replica the workload ships to)")
+	chaosRate := fs.Float64("chaos", 0,
+		"inject seeded transport faults (drop/dup/reorder at this aggregate rate) into the replica ship path; requires -repair-from replica")
+	fs.StringVar(&cfg.reportPath, "report", "", "write the repair report as JSON to this file")
+	shards := fs.Int("shards", 1, "shard count (faults target shard 0; checks cover every shard)")
+	if err := fs.Parse(args); err != nil {
+		return crashtest.Drill{}, cfg, err
 	}
-	wantMedia := *bitFlips > 0 || *torn > 0 || *poison > 0
 
 	platform := spash.DefaultPlatform()
 	platform.PoolSize = uint64(*poolMB) << 20
 	platform.CacheSize = uint64(*cacheKB) << 10
-	platform.Mode = pmode
-	opts := spash.Options{Platform: platform, Shards: *shards}
-	opts.Index.Checksums = *checksums
-	db, err := spash.Open(opts)
-	if err != nil {
-		fail(err)
+	switch cfg.mode {
+	case "eadr":
+		platform.Mode = spash.EADR
+	case "adr":
+		platform.Mode = spash.ADR
+	default:
+		return crashtest.Drill{}, cfg, fmt.Errorf("unknown -mode %q (want eadr or adr)", cfg.mode)
 	}
-	s := db.Session()
-	// Injected faults aim at shard 0's device; a single-shard database
-	// makes that the whole pool.
-	target := db.Platforms()[0]
-	rng := rand.New(rand.NewSource(*seed))
-	kb := make([]byte, 8)
+	d := crashtest.Drill{
+		Name:   "spash-fsck",
+		Opts:   spash.Options{Platform: platform, Shards: *shards},
+		Script: crashtest.ChurnScript(cfg.records, cfg.churn, cfg.seed),
+		// Injected faults aim at shard 0's device; -crashstep, when
+		// given, is the only cut.
+		CrashStep:  max(*crashStep, 0),
+		PowerCycle: *crash && *crashStep <= 0,
+		Media: crashtest.Media{Seed: *faultSeed, BitFlips: *bitFlips,
+			TornLines: *torn, PoisonLines: *poison},
+		Repair: *repair,
+	}
+	d.Opts.Index.Checksums = *checksums
+	cfg.chaos = *chaosRate > 0
+	switch {
+	case *repairFrom == "replica":
+		d.Peer = &crashtest.Peer{Faults: repl.FaultSpec{Seed: cfg.seed,
+			Drop: *chaosRate / 2, Dup: *chaosRate / 4, Reorder: *chaosRate / 4}}
+	case *repairFrom != "":
+		return d, cfg, fmt.Errorf("unknown -repair-from %q (want replica)", *repairFrom)
+	case cfg.chaos:
+		return d, cfg, errors.New("-chaos requires -repair-from replica")
+	}
+	return d, cfg, d.Validate()
+}
 
-	// -repair-from replica: the workload ships every write to an
-	// in-process peer before acknowledging it, so after local repair
-	// the peer holds the authoritative copy of every quarantined range.
-	var rrep *repl.Replica
-	var prim *repl.Primary
-	var faulty *repl.FaultyTransport
-	ins, del := s.Insert, s.Delete
-	if *repairFrom != "" {
-		if *repairFrom != "replica" {
-			fmt.Fprintf(os.Stderr, "spash-fsck: unknown -repair-from %q (want replica)\n", *repairFrom)
-			os.Exit(2)
-		}
-		ropts := opts
-		ropts.Replica = true
-		rdb, err := spash.Open(ropts)
-		if err != nil {
-			fail(err)
-		}
-		rrep, err = repl.NewReplica(rdb)
-		if err != nil {
-			fail(err)
-		}
-		var tport repl.Transport = &repl.InProc{R: rrep}
-		if *chaosRate > 0 {
-			faulty = repl.NewFaultyTransport(tport, repl.FaultSpec{
-				Seed:    *seed,
-				Drop:    *chaosRate / 2,
-				Dup:     *chaosRate / 4,
-				Reorder: *chaosRate / 4,
-			})
-			tport = faulty
-		}
-		// The prober is off: after an injected crash this wrapper holds
-		// a dead pool, and a background drain touching it would panic.
-		// Recovery is driven explicitly (drain after the workload; a
-		// fresh wrapper for read-repair).
-		prim, err = repl.NewPrimaryWith(db, tport, repl.PrimaryOptions{ProbeInterval: -1})
-		if err != nil {
-			fail(err)
-		}
-		ins, del = prim.Insert, prim.Delete
-		if faulty != nil {
-			// With the prober off, recovery from a tripped breaker is
-			// driven inline: a cheap TryDrain every few hundred ops (a
-			// no-op while the breaker is closed and the spill empty)
-			// keeps the bounded spill queue from overflowing into
-			// write sheds during long degraded stretches.
-			var nops int
-			maybeDrain := func() {
-				if nops++; nops%256 == 0 {
-					_, _ = prim.TryDrain()
-				}
-			}
-			ins = func(k, v []byte) error { maybeDrain(); return prim.Insert(k, v) }
-			del = func(k []byte) (bool, error) { maybeDrain(); return prim.Delete(k) }
-		}
-	} else if *chaosRate > 0 {
-		fmt.Fprintln(os.Stderr, "spash-fsck: -chaos requires -repair-from replica")
+func main() {
+	d, cfg, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spash-fsck: %v\n", err)
 		os.Exit(2)
 	}
-
-	var plan *pmem.FaultPlan
-	if *crashStep > 0 {
-		plan = &pmem.FaultPlan{CrashAtStep: *crashStep}
-		target.ArmFault(plan)
-	}
-
 	fmt.Printf("building: %d records, %d churn rounds (seed %d, %s, checksums %v, %d shards)...\n",
-		*records, *churn, *seed, *mode, *checksums, db.Shards())
-	werr := pmem.CatchCrash(func() error {
-		for i := uint64(0); i < uint64(*records); i++ {
-			binary.LittleEndian.PutUint64(kb, i)
-			if err := ins(kb, kb); err != nil {
-				return err
-			}
-		}
-		for r := 0; r < *churn; r++ {
-			for i := 0; i < *records/2; i++ {
-				binary.LittleEndian.PutUint64(kb, uint64(rng.Intn(*records)))
-				if _, err := del(kb); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < *records/2; i++ {
-				binary.LittleEndian.PutUint64(kb, uint64(rng.Intn(*records)))
-				if err := ins(kb, kb); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-
-	// With -chaos, the transport may have degraded mid-workload: heal
-	// it and (when the pool is still alive — an injected crash leaves
-	// the wrapper over a dead device) drain the spill so the replica
-	// holds everything it can before damage is assessed. Whatever is
-	// still spilled at a crash is the documented degraded-async loss
-	// bound, reported as chaos.spill_lost.
-	var chaos *chaosInfo
-	if faulty != nil {
-		faulty.Heal()
-		if werr == nil {
-			for i := 0; i < 50; i++ {
-				if _, derr := prim.TryDrain(); derr == nil {
-					if prim.Resync() == nil {
-						break
-					}
-				}
-			}
-		}
-		st, _ := prim.Breaker()
-		chaos = &chaosInfo{Stats: faulty.Stats(), Breaker: st.String(),
-			SpillLost: prim.SpillDepth()}
-		fmt.Printf("chaos transport: %+v; breaker %s, %d acknowledged frame(s) undeliverable\n",
-			chaos.Stats, chaos.Breaker, chaos.SpillLost)
-	}
-
-	// Media damage is injected when the power actually cuts — that is
-	// when real bit rot and torn write-backs become visible. Bit flips
-	// and poison aim at live segment frames; torn consumes whatever is
-	// dirty in the cache, so targeting (which would scan — and thereby
-	// clean — the cache) is skipped when only torn damage is asked for.
-	var mp *pmem.MediaFaultPlan
-	if wantMedia {
-		mp = &pmem.MediaFaultPlan{
-			Seed:        *faultSeed,
-			BitFlips:    *bitFlips,
-			TornLines:   *torn,
-			PoisonLines: *poison,
-		}
-		if *bitFlips > 0 || *poison > 0 {
-			mp.Frames = db.Indexes()[0].SegmentAddrs(s.ShardCtx(0))
-		}
-		target.ArmMediaFault(mp)
-	}
-
-	crashed := false
-	switch {
-	case plan != nil:
-		target.DisarmFault()
-		if !plan.Fired() {
-			fmt.Printf("fault injection: step %d beyond workload's %d steps; no crash fired\n",
-				*crashStep, plan.Steps())
-			if werr != nil {
-				fail(werr)
-			}
-		} else {
-			fmt.Printf("fault injection: power cut at step %d (mid-operation, %d cachelines lost)\n",
-				*crashStep, plan.LinesLost())
-			// Power fails on every device at once: the sibling shards
-			// (quiescent at the cut) take a plain power cycle.
-			for _, p := range db.Platforms()[1:] {
-				p.Crash()
-			}
-			crashed = true
-		}
-	case werr != nil:
-		fail(werr)
-	case *crash:
-		lost := db.Crash()
-		fmt.Printf("power cycle: %d cachelines lost\n", lost)
-		crashed = true
-	}
-	if crashed {
-		db, err = spash.RecoverAll(db.Platforms(), opts)
-		if err != nil {
-			fail(fmt.Errorf("recovery: %w", err))
-		}
-		s = db.Session()
-		target = db.Platforms()[0]
-	}
-
-	rep := report{Schema: "spash-fsck/v1", Mode: *mode, Shards: db.Shards(), Seed: *seed,
-		FaultSeed: *faultSeed, Checksums: *checksums, Chaos: chaos}
-	if mp != nil {
-		target.DisarmMediaFault()
-		inj := mp.Injected()
-		rep.Injected.BitFlips = inj.MediaBitFlips
-		rep.Injected.TornLines = inj.MediaTornLines
-		rep.Injected.PoisonLines = inj.MediaPoisonedLines
-		if !mp.Applied() {
-			fmt.Println("warning: media faults requested but no crash fired; nothing was injected")
-		} else {
-			fmt.Printf("media faults injected: %d bit flips, %d torn lines, %d poisoned XPLines (faultseed %d)\n",
-				inj.MediaBitFlips, inj.MediaTornLines, inj.MediaPoisonedLines, *faultSeed)
-		}
-	}
-
-	fmt.Print("verifying segments... ")
-	fsck, err := s.Fsck(*repair)
+		cfg.records, cfg.churn, cfg.seed, cfg.mode, d.Opts.Index.Checksums, d.Opts.Shards)
+	out, err := crashtest.Run(d)
 	if err != nil {
-		fmt.Println("FAIL")
 		fail(err)
 	}
+	os.Exit(render(&out, cfg))
+}
+
+// render prints the outcome, writes the -report document and returns
+// the exit status.
+func render(out *crashtest.Outcome, cfg config) int {
+	d := &out.Drill
+	rep := report{Schema: "spash-fsck/v1", Mode: cfg.mode, Shards: out.DB.Shards(), Seed: cfg.seed,
+		FaultSeed: d.Media.Seed, Checksums: d.Opts.Index.Checksums}
+	if cfg.chaos {
+		rep.Chaos = &chaosInfo{Stats: out.Transport, Breaker: out.Breaker, SpillLost: out.SpillLost}
+		fmt.Printf("chaos transport: %+v; breaker %s, %d acknowledged frame(s) undeliverable\n",
+			rep.Chaos.Stats, rep.Chaos.Breaker, rep.Chaos.SpillLost)
+	}
+	switch {
+	case out.Fired:
+		fmt.Printf("fault injection: power cut at step %d (mid-operation, %d cachelines lost)\n",
+			d.CrashStep, out.LinesLost)
+	case d.CrashStep > 0:
+		fmt.Printf("fault injection: step %d beyond workload's %d steps; no crash fired\n",
+			d.CrashStep, out.Steps)
+	case d.PowerCycle:
+		fmt.Printf("power cycle: %d cachelines lost\n", out.LinesLost)
+	}
+	inj := out.Injected
+	rep.Injected.BitFlips, rep.Injected.TornLines, rep.Injected.PoisonLines =
+		inj.MediaBitFlips, inj.MediaTornLines, inj.MediaPoisonedLines
+	if out.MediaApplied {
+		fmt.Printf("media faults injected: %d bit flips, %d torn lines, %d poisoned XPLines (faultseed %d)\n",
+			inj.MediaBitFlips, inj.MediaTornLines, inj.MediaPoisonedLines, d.Media.Seed)
+	}
+	if out.RecoverErr != nil {
+		fail(fmt.Errorf("recovery: %w", out.RecoverErr))
+	}
+
+	fsck := out.Fsck
 	rep.Fsck = fsck
+	fmt.Print("verifying segments... ")
 	switch {
 	case fsck.Clean():
 		fmt.Printf("ok (%d segments)\n", fsck.Segments)
-	case *repair:
+	case d.Repair:
 		fmt.Printf("%d damaged of %d segments; %d repaired, %d unrecoverable\n",
 			len(fsck.Faults), fsck.Segments, len(fsck.Repairs), len(fsck.Failed))
 		salvaged, dropped := 0, 0
@@ -347,7 +232,7 @@ func main() {
 			dropped += fsck.Repairs[i].Dropped
 		}
 		fmt.Printf("repair: %d entries salvaged, %d dropped (%d lost keys identified)\n",
-			salvaged, dropped, len(fsck.LostKeys()))
+			salvaged, dropped, out.LostListed)
 	default:
 		fmt.Printf("%d damaged of %d segments (run with -repair to rebuild)\n",
 			len(fsck.Faults), fsck.Segments)
@@ -356,94 +241,53 @@ func main() {
 		f := &fsck.Faults[i]
 		fmt.Printf("  fault: segment %#x (prefix %#x depth %d): %s\n", f.Seg, f.Prefix, f.Depth, f.Cause)
 	}
-
-	// Replica-backed read-repair: fetch every quarantined range's
-	// authoritative contents from the peer and restore the keys the
-	// local rebuild lost. (A fresh Primary wrapper — after a crash the
-	// pre-crash one wraps the dead pool.)
-	if rrep != nil && *repair && len(fsck.Repairs) > 0 {
-		fmt.Print("read-repair from replica... ")
-		p2, err := repl.NewPrimary(db, &repl.InProc{R: rrep})
-		if err != nil {
-			fmt.Println("FAIL")
-			fail(err)
-		}
-		rr, err := p2.ReadRepair(fsck)
-		if err != nil {
-			fmt.Println("FAIL")
-			fail(err)
-		}
+	if rr := out.ReadRepair; rr != nil && len(fsck.Repairs) > 0 {
 		rep.ReadRepair = rr
-		fmt.Printf("%d ranges fetched (%d pairs offered), %d lost keys restored\n",
+		fmt.Printf("read-repair from replica... %d ranges fetched (%d pairs offered), %d lost keys restored\n",
 			rr.Ranges, rr.Fetched, rr.Restored)
 	}
 
-	fmt.Print("checking structural invariants... ")
-	var iErr error
-	for i, ix := range db.Indexes() {
-		if err := ix.CheckInvariants(s.ShardCtx(i)); err != nil {
-			iErr = fmt.Errorf("shard %d: %w", i, err)
-			break
-		}
-	}
-	if iErr != nil {
-		fmt.Println("FAIL")
-		rep.Invariant = iErr.Error()
+	rep.Misplaced, rep.Entries = out.Misplaced, out.Entries
+	if out.InvariantErr != nil {
+		fmt.Printf("checking structural invariants... FAIL: %s\n", spash.DescribeError(out.InvariantErr))
+		rep.Invariant = out.InvariantErr.Error()
 	} else {
-		fmt.Println("ok")
+		fmt.Printf("checking structural invariants... ok\nentry count cross-check: %d entries ok\n", out.Entries)
 	}
-	for i, ix := range db.Indexes() {
-		rep.Misplaced += ix.CheckPlacement(s.ShardCtx(i))
-	}
-	if rep.Misplaced > 0 {
-		fmt.Printf("silent misplacement: %d records route to the wrong segment\n", rep.Misplaced)
+	if out.Misplaced > 0 {
+		fmt.Printf("silent misplacement: %d records route to the wrong segment\n", out.Misplaced)
 	}
 
-	// Cross-check the entry counter against a full iteration (only
-	// meaningful once the pool is readable, i.e. clean or repaired).
-	if iErr == nil {
-		n := 0
-		if err := s.ForEach(func(k, v []byte) bool { n++; return true }); err != nil {
-			fmt.Printf("iteration: %s\n", spash.DescribeError(err))
-			rep.Invariant = err.Error()
-			iErr = err
-		} else if n != db.Len() {
-			iErr = fmt.Errorf("iteration found %d entries, counter says %d", n, db.Len())
-			rep.Invariant = iErr.Error()
-		} else {
-			fmt.Printf("entry count cross-check: %d entries ok\n", n)
-			rep.Entries = n
-		}
+	violations := out.Violations()
+	rep.Exit = fsck.ExitCode()
+	if len(violations) > 0 {
+		rep.Exit = 2
 	}
-
-	exit := fsck.ExitCode()
-	if iErr != nil || rep.Misplaced > 0 {
-		exit = 2
-	}
-	rep.Exit = exit
-	if *reportPath != "" {
+	if cfg.reportPath != "" {
 		buf, err := json.MarshalIndent(&rep, "", "  ")
 		if err == nil {
-			err = os.WriteFile(*reportPath, append(buf, '\n'), 0o644)
+			err = os.WriteFile(cfg.reportPath, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
 			fail(fmt.Errorf("writing report: %w", err))
 		}
-		fmt.Printf("report: %s\n", *reportPath)
+		fmt.Printf("report: %s\n", cfg.reportPath)
 	}
 
-	st := db.Stats()
+	st := out.DB.Stats()
 	fmt.Printf("\nsummary: %d entries in %d segments (load factor %.3f)\n",
-		st.Index.Entries, st.Index.Segments, db.LoadFactor())
-	switch exit {
-	case 0:
+		st.Index.Entries, st.Index.Segments, out.DB.LoadFactor())
+	switch {
+	case len(violations) > 0:
+		fmt.Printf("\nspash-fsck: FAIL: %s\n", violations[0])
+	case rep.Exit == 0:
 		fmt.Println("\nspash-fsck: PASS (clean)")
-	case 1:
+	case rep.Exit == 1:
 		fmt.Println("\nspash-fsck: REPAIRED")
 	default:
 		fmt.Println("\nspash-fsck: FAIL: damage remains")
 	}
-	os.Exit(exit)
+	return rep.Exit
 }
 
 func fail(err error) {

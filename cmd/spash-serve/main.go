@@ -1,7 +1,7 @@
 // Command spash-serve exposes a sharded spash DB as a RESP2 network
-// service: redis-cli, spash-cli -connect, and spash-ycsb -net all
-// speak to it. Each connection's read bursts drain through the
-// engine's batched, shard-splitting pipeline; a bounded per-connection
+// service: redis-cli and spash-cli -connect both speak to it. Each
+// connection's read bursts drain through the engine's batched,
+// shard-splitting pipeline; a bounded per-connection
 // window provides backpressure; SIGINT drains gracefully (stop
 // accepting, finish and acknowledge in-flight batches, then exit).
 //
@@ -11,7 +11,6 @@
 //	spash-serve -addr :6399 -metrics-addr 127.0.0.1:8080
 //	redis-cli -p 6399 SET k v
 //	spash-cli -connect 127.0.0.1:6399
-//	spash-ycsb -net 127.0.0.1:6399 -connections 64
 //
 // With -metrics-addr the process serves /metrics (Prometheus text),
 // /debug/vars, /debug/obs/trace, the /debug/spash JSON feeds (so

@@ -48,9 +48,6 @@ func main() {
 		jsonPath    = flag.String("json", "", "write a machine-readable artifact (results + latency + obs snapshot) to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/obs/trace and /debug/pprof on this address (off when empty)")
 		shards      = flag.Int("shards", 1, "partition Spash into N shards (independent devices + HTM domains; Spash only)")
-		netAddr     = flag.String("net", "", "drive a running spash-serve at host:port over loopback instead of an in-process index")
-		connections = flag.String("connections", "1,4,16,64", "net mode: comma-separated connection counts to scan")
-		window      = flag.Int("window", 128, "net mode: pipelined commands in flight per connection")
 	)
 	flag.Parse()
 
@@ -73,22 +70,6 @@ func main() {
 	th := *theta
 	if *dist == "uniform" {
 		th = 0 // signalled below
-	}
-
-	if *netAddr != "" {
-		scan, err := parseConnScan(*connections)
-		if err != nil {
-			fatalNet(err)
-		}
-		if err := runNet(netConfig{
-			addr: *netAddr, mix: mix, mixName: *workload,
-			records: *records, ops: *ops, valSize: *valSize, theta: th,
-			shards: *shards, window: *window, connScan: scan,
-			jsonPath: *jsonPath,
-		}); err != nil {
-			fatalNet(err)
-		}
-		return
 	}
 
 	scale := harness.Scale{

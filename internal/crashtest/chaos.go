@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"spash"
+	"spash/internal/core"
 	"spash/internal/obs"
 	"spash/internal/pmem"
 	"spash/internal/repl"
@@ -34,12 +35,18 @@ import (
 // ChaosFault names a transport fault family.
 type ChaosFault string
 
-const (
-	ChaosDrop      ChaosFault = "drop"
-	ChaosDup       ChaosFault = "dup"
-	ChaosReorder   ChaosFault = "reorder"
-	ChaosPartition ChaosFault = "partition"
-)
+const ChaosPartition ChaosFault = "partition"
+
+// chaosRates maps each family onto FaultyTransport rates. The
+// partition family injects no byzantine rates — its cut is driven
+// deterministically at the workload midpoint — while the others keep
+// the transport lossy for the entire run, drain included.
+var chaosRates = map[ChaosFault]repl.FaultSpec{
+	"drop":         {Drop: 0.3},
+	"dup":          {Dup: 0.3, Delay: 0.15},     // lost acks: the other way duplicates happen
+	"reorder":      {Reorder: 0.25, Drop: 0.05}, // stragglers need gaps to land out-of-order into
+	ChaosPartition: {},
+}
 
 // ChaosArm is one cell of the chaos matrix.
 type ChaosArm struct {
@@ -51,60 +58,34 @@ type ChaosArm struct {
 	Seed     int64 `json:"seed"`
 }
 
+// spec is the arm's family's rates under the arm's seed.
+func (a ChaosArm) spec() repl.FaultSpec {
+	s := chaosRates[a.Fault]
+	s.Seed = a.Seed
+	return s
+}
+
 // Name is the arm's report identifier, e.g. "drop/eadr/steady".
 func (a ChaosArm) Name() string {
-	mode := "eadr"
-	if a.Mode == pmem.ADR {
-		mode = "adr"
-	}
 	phase := "steady"
 	if a.Failover {
 		phase = "failover"
 	}
-	return fmt.Sprintf("%s/%s/%s", a.Fault, mode, phase)
-}
-
-// spec maps the arm's fault family onto FaultyTransport rates. The
-// partition family injects no byzantine rates — its cut is driven
-// deterministically at the workload midpoint — while the others keep
-// the transport lossy for the entire run, drain included.
-func (a ChaosArm) spec() repl.FaultSpec {
-	s := repl.FaultSpec{Seed: a.Seed}
-	switch a.Fault {
-	case ChaosDrop:
-		s.Drop = 0.3
-	case ChaosDup:
-		s.Dup = 0.3
-		s.Delay = 0.15 // lost acks: the other way duplicates happen
-	case ChaosReorder:
-		s.Reorder = 0.25
-		s.Drop = 0.05 // stragglers need gaps to land out-of-order into
-	case ChaosPartition:
-	}
-	return s
+	return fmt.Sprintf("%s/%s/%s", a.Fault, modeName(a.Mode), phase)
 }
 
 // ChaosArms enumerates the full 16-arm matrix with per-arm seeds
 // derived from base.
 func ChaosArms(base int64) []ChaosArm {
 	var out []ChaosArm
-	i := int64(0)
-	for _, f := range []ChaosFault{ChaosDrop, ChaosDup, ChaosReorder, ChaosPartition} {
+	for _, f := range []ChaosFault{"drop", "dup", "reorder", ChaosPartition} {
 		for _, m := range []pmem.Mode{pmem.EADR, pmem.ADR} {
 			for _, fo := range []bool{false, true} {
-				out = append(out, ChaosArm{Fault: f, Mode: m, Failover: fo, Seed: base + i})
-				i++
+				out = append(out, ChaosArm{Fault: f, Mode: m, Failover: fo, Seed: base + int64(len(out))})
 			}
 		}
 	}
 	return out
-}
-
-// chaosOpts is shardedOpts with the arm's persistence mode.
-func chaosOpts(mode pmem.Mode) spash.Options {
-	o := shardedOpts(2)
-	o.Platform.Mode = mode
-	return o
 }
 
 // ChaosTrial is the outcome of one chaos-matrix cell.
@@ -157,88 +138,53 @@ type ChaosTrial struct {
 }
 
 // Failed reports whether the trial violated the chaos contract.
-func (tr *ChaosTrial) Failed() bool {
-	if tr.LostAcked > 0 || tr.LenMismatch || tr.InvariantErr != "" || tr.Misplaced > 0 {
-		return true
-	}
-	if tr.Arm.Failover {
-		return tr.PromoteErr != "" || !tr.FencedDeposed || !tr.DegradedSeen
-	}
-	if tr.ConvergeErr != "" || tr.BreakerEnd != "closed" || tr.SpillEnd > 0 ||
-		tr.LagEnd > 0 || tr.HealthEnd != "OK" {
-		return true
-	}
-	if tr.Arm.Fault == ChaosPartition && !tr.DegradedSeen {
-		return true
-	}
-	return false
-}
+func (tr *ChaosTrial) Failed() bool { return tr.Err() != nil }
 
-// Err formats the trial's violation, or nil.
+// Err formats the trial's first violation, or nil. Every arm must hold
+// the survivor oracle; a failover arm must also promote, fence and have
+// shown the partition as DEGRADED; a steady arm must close the loop
+// completely (and a partitioned one must have shown it too).
 func (tr *ChaosTrial) Err() error {
+	name, steady := tr.Arm.Name(), !tr.Arm.Failover
 	switch {
 	case tr.LostAcked > 0:
-		return fmt.Errorf("%s: %d acknowledged writes lost on survivor", tr.Arm.Name(), tr.LostAcked)
+		return fmt.Errorf("%s: %d acknowledged writes lost on survivor", name, tr.LostAcked)
 	case tr.LenMismatch:
-		return fmt.Errorf("%s: survivor length disagrees with acknowledged model", tr.Arm.Name())
+		return fmt.Errorf("%s: survivor length disagrees with acknowledged model", name)
 	case tr.InvariantErr != "":
-		return fmt.Errorf("%s: survivor invariants: %s", tr.Arm.Name(), tr.InvariantErr)
+		return fmt.Errorf("%s: survivor invariants: %s", name, tr.InvariantErr)
 	case tr.Misplaced > 0:
-		return fmt.Errorf("%s: %d misplaced records on survivor", tr.Arm.Name(), tr.Misplaced)
-	case tr.Arm.Failover && tr.PromoteErr != "":
-		return fmt.Errorf("%s: promotion failed: %s", tr.Arm.Name(), tr.PromoteErr)
-	case tr.Arm.Failover && !tr.FencedDeposed:
-		return fmt.Errorf("%s: deposed primary's drain was not fenced typed", tr.Arm.Name())
-	case (tr.Arm.Failover || tr.Arm.Fault == ChaosPartition) && !tr.DegradedSeen:
-		return fmt.Errorf("%s: partition did not surface as DEGRADED health", tr.Arm.Name())
-	case tr.ConvergeErr != "":
-		return fmt.Errorf("%s: did not converge in %d passes: %s", tr.Arm.Name(), tr.DrainPasses, tr.ConvergeErr)
-	case tr.BreakerEnd != "closed" || tr.SpillEnd > 0 || tr.LagEnd > 0:
+		return fmt.Errorf("%s: %d misplaced records on survivor", name, tr.Misplaced)
+	case !steady && tr.PromoteErr != "":
+		return fmt.Errorf("%s: promotion failed: %s", name, tr.PromoteErr)
+	case !steady && !tr.FencedDeposed:
+		return fmt.Errorf("%s: deposed primary's drain was not fenced typed", name)
+	case (!steady || tr.Arm.Fault == ChaosPartition) && !tr.DegradedSeen:
+		return fmt.Errorf("%s: partition did not surface as DEGRADED health", name)
+	case steady && tr.ConvergeErr != "":
+		return fmt.Errorf("%s: did not converge in %d passes: %s", name, tr.DrainPasses, tr.ConvergeErr)
+	case steady && (tr.BreakerEnd != "closed" || tr.SpillEnd > 0 || tr.LagEnd > 0):
 		return fmt.Errorf("%s: loop not closed (breaker=%s spill=%d lag=%d)",
-			tr.Arm.Name(), tr.BreakerEnd, tr.SpillEnd, tr.LagEnd)
-	case tr.HealthEnd != "OK":
-		return fmt.Errorf("%s: health after convergence = %s", tr.Arm.Name(), tr.HealthEnd)
+			name, tr.BreakerEnd, tr.SpillEnd, tr.LagEnd)
+	case steady && tr.HealthEnd != "OK":
+		return fmt.Errorf("%s: health after convergence = %s", name, tr.HealthEnd)
 	}
 	return nil
 }
 
-// chaosConvergeLimit bounds the drain passes a trial may spend: a
-// correct implementation converges in a handful even at the matrix's
-// loss rates, so hitting the bound is a liveness failure, not bad
-// luck.
-const chaosConvergeLimit = 50
-
 // RunChaosTrial executes one matrix cell over ops seeded operations.
 func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 	tr := ChaosTrial{Arm: arm, Ops: ops}
-	opts := chaosOpts(arm.Mode)
-
-	pdb, err := spash.Open(opts)
+	// Fail fast, no wall-clock: backoff sleeps are a no-op — convergence
+	// is driven by explicit passes so the trial is deterministic for its
+	// seed.
+	opts := options(2, arm.Mode, core.Config{})
+	sys, err := open(opts, &Peer{Faults: arm.spec()}, repl.RetryPolicy{MaxAttempts: 3,
+		Sleep: func(time.Duration) {}, Deadline: -1, JitterSeed: arm.Seed + 1})
 	if err != nil {
 		return tr, err
 	}
-	ropts := opts
-	ropts.Replica = true
-	rdb, err := spash.Open(ropts)
-	if err != nil {
-		return tr, err
-	}
-	rep, err := repl.NewReplica(rdb)
-	if err != nil {
-		return tr, err
-	}
-	ft := repl.NewFaultyTransport(&repl.InProc{R: rep}, arm.spec())
-	prim, err := repl.NewPrimaryWith(pdb, ft, repl.PrimaryOptions{
-		// Fail fast, no wall-clock: backoff sleeps are a no-op and the
-		// prober is off — convergence is driven by explicit TryDrain
-		// passes so the trial is deterministic for its seed.
-		Retry: repl.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {},
-			Deadline: -1, JitterSeed: arm.Seed + 1},
-		ProbeInterval: -1,
-	})
-	if err != nil {
-		return tr, err
-	}
+	pdb, rep, ft, prim := sys.db, sys.rep, sys.ft, sys.prim
 	defer func() {
 		prim.Close()
 		rep.Close()
@@ -247,42 +193,29 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 	}()
 
 	script := SeededScript(arm.Seed, ops)
-	model := map[string]string{}
+	m := newModel(script)
 	mid := len(script) / 2
 	rejoinAt := len(script) / 4
 
-	run := func(lo, hi int, rejoin bool) error {
-		for i := lo; i < hi; i++ {
-			if rejoin && i == rejoinAt {
-				// Replica node power-cycle mid-stream: under eADR the
-				// cursor anchors a handshake replay; under ADR a
-				// rollback takes the typed reseed path. Both repair on
-				// the next ship with no operator step.
-				if rerr := rep.Rejoin(chaosOpts(arm.Mode)); rerr != nil {
-					if !errors.Is(rerr, spash.ErrNeedsReseed) {
-						return fmt.Errorf("rejoin at op %d: %w", i, rerr)
-					}
-					tr.RejoinReseeded = true
-				}
-			}
-			if oerr := applyPrimaryOp(prim, &script[i]); oerr != nil {
-				return fmt.Errorf("op %d (%v %q): %w", i, script[i].Kind, script[i].Key, oerr)
-			}
-			applyModel(model, &script[i])
+	// The first half ships with a replica node power-cycle mid-stream:
+	// under eADR the cursor anchors a handshake replay; under ADR a
+	// rollback takes the typed reseed path. Both repair on the next ship
+	// with no operator step.
+	firstHalf := func() error {
+		if err := play(prim, script, 0, rejoinAt, m); err != nil {
+			return err
 		}
-		return nil
+		if rerr := rep.Rejoin(opts); rerr != nil {
+			if !errors.Is(rerr, spash.ErrNeedsReseed) {
+				return fmt.Errorf("rejoin at op %d: %w", rejoinAt, rerr)
+			}
+			tr.RejoinReseeded = true
+		}
+		return play(prim, script, rejoinAt, mid, m)
 	}
-	converge := func() error {
-		var cerr error
-		for pass := 0; pass < chaosConvergeLimit; pass++ {
-			tr.DrainPasses++
-			if _, cerr = prim.TryDrain(); cerr != nil {
-				continue
-			}
-			if cerr = prim.Resync(); cerr == nil {
-				return nil
-			}
-		}
+	settle := func() error {
+		passes, cerr := converge(prim)
+		tr.DrainPasses += passes
 		return cerr
 	}
 
@@ -290,23 +223,20 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 		// Phase A ships synchronously (faults and all), then converges:
 		// everything acknowledged so far is on the replica — the
 		// synchronously-acknowledged model the survivor must hold.
-		if err := run(0, mid, true); err != nil {
+		if err := firstHalf(); err != nil {
 			return tr, err
 		}
-		if cerr := converge(); cerr != nil {
+		if cerr := settle(); cerr != nil {
 			tr.ConvergeErr = cerr.Error()
 			return tr, nil
 		}
-		ackedSync := make(map[string]string, len(model))
-		for k, v := range model {
-			ackedSync[k] = v
-		}
+		ackedSync := m.snapshot()
 		// The cut: phase B's writes keep succeeding locally (the
 		// primary must never block indefinitely) but spill — they are
 		// acknowledged degraded-async, visible as DEGRADED health, and
 		// are NOT part of the survivor oracle.
 		ft.Cut()
-		if err := run(mid, len(script), false); err != nil {
+		if err := play(prim, script, mid, len(script), m); err != nil {
 			return tr, err
 		}
 		st, _ := prim.Breaker()
@@ -325,15 +255,15 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 		if _, derr := prim.TryDrain(); errors.Is(derr, spash.ErrNotPrimary) && prim.Deposed() {
 			tr.FencedDeposed = true
 		}
-		tr.collectOracle(rep, script, ackedSync)
+		tr.judgeSurvivor(rep.DB(), ackedSync)
 	} else {
-		if err := run(0, mid, true); err != nil {
+		if err := firstHalf(); err != nil {
 			return tr, err
 		}
 		if arm.Fault == ChaosPartition {
 			ft.Cut()
 		}
-		if err := run(mid, len(script), false); err != nil {
+		if err := play(prim, script, mid, len(script), m); err != nil {
 			return tr, err
 		}
 		if arm.Fault == ChaosPartition {
@@ -342,10 +272,10 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 				pdb.Health().Status == obs.HealthDegraded
 			ft.Heal()
 		}
-		if cerr := converge(); cerr != nil {
+		if cerr := settle(); cerr != nil {
 			tr.ConvergeErr = cerr.Error()
 		}
-		tr.collectOracle(rep, script, model)
+		tr.judgeSurvivor(rep.DB(), m)
 	}
 
 	// End state and evidence.
@@ -371,19 +301,17 @@ func RunChaosTrial(arm ChaosArm, ops int) (ChaosTrial, error) {
 	return tr, nil
 }
 
-// collectOracle runs the durability oracle and structural checks
+// judgeSurvivor holds the exact oracle and the structural checks
 // against the surviving replica image.
-func (tr *ChaosTrial) collectOracle(rep *repl.Replica, script Script, acked map[string]string) {
-	sdb := rep.DB()
+func (tr *ChaosTrial) judgeSurvivor(sdb *spash.DB, m *model) {
 	s := sdb.Session()
 	defer s.Close()
-	lost, _ := checkSessionOracle(s, script, acked, -1)
-	tr.LostAcked = lost
-	tr.LenMismatch = sdb.Len() != len(acked)
-	if ierr := checkShardInvariants(sdb, s); ierr != nil {
+	v := judge(s, sdb.Len(), m, false, false, nil)
+	tr.LostAcked, tr.LenMismatch = v.StillLost+v.Wrong+v.Unreadable+v.Untyped, v.LenMismatch
+	var ierr error
+	if tr.Misplaced, ierr = structure(sdb, s); ierr != nil {
 		tr.InvariantErr = ierr.Error()
 	}
-	tr.Misplaced = countMisplaced(sdb, s)
 }
 
 // ChaosResult aggregates a matrix sweep.

@@ -8,10 +8,13 @@
 // value (torn or mixed values are the failure), every key a writer
 // acknowledged before the cut must be present under eADR, and
 // CheckInvariants must hold. ADR trials interpose the documented
-// recover-then-fsck flow first: without persist barriers an ADR cut
-// leaves line-granular tears (a slot durable while its record rolled
-// back) that only quarantine repair can reconcile, at the price of
-// the repaired segments' lost keys — which the ADR oracle tolerates.
+// recover-then-fsck flow first: without the persist-barrier discipline
+// ADR gives no ordering between a cut's surviving cachelines (the
+// paper's argument for eADR), so the image can hold line-granular
+// tears — a slot durable while its out-of-line record rolled back, a
+// split's migration half-applied — that only quarantine repair can
+// reconcile, at the price of the repaired segments' lost keys, which
+// the ADR oracle tolerates.
 package crashtest
 
 import (
@@ -22,9 +25,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spash/internal/alloc"
 	"spash/internal/core"
 	"spash/internal/pmem"
+	"spash/internal/repl"
 )
 
 // concKey returns writer w's i-th key (disjoint across writers).
@@ -55,21 +58,14 @@ type ConcurrentTrial struct {
 	Torn int
 	// Present is the total recovered key count (diagnostics).
 	Present int
-	// FsckFaults/FsckUnrepaired report the post-recovery repair pass
-	// that ADR trials run (recover-then-fsck is the documented ADR
-	// flow); any unrepaired fault fails the trial.
+	// FsckFaults/FsckUnrepaired report the repair pass ADR trials run;
+	// any unrepaired fault fails the trial.
 	FsckFaults     int
 	FsckUnrepaired int
 }
 
-// Failed reports whether the trial violated the concurrent-crash
-// contract for mode.
-func (tr *ConcurrentTrial) Failed(mode pmem.Mode) bool {
-	if tr.RecoverErr != nil || tr.InvariantErr != nil || tr.Torn > 0 || tr.FsckUnrepaired > 0 {
-		return true
-	}
-	return mode == pmem.EADR && tr.LostAcked > 0
-}
+// Failed reports whether the trial violated its contract for mode.
+func (tr *ConcurrentTrial) Failed(mode pmem.Mode) bool { return tr.Err(mode) != nil }
 
 // Err formats the trial's violation for mode, or nil.
 func (tr *ConcurrentTrial) Err(mode pmem.Mode) error {
@@ -97,20 +93,16 @@ func (tr *ConcurrentTrial) Err(mode pmem.Mode) error {
 // counted acked was fully acknowledged strictly before the cut.
 func RunConcurrentTrial(mode pmem.Mode, writers, perWriter int, crashStep int64) (ConcurrentTrial, error) {
 	tr := ConcurrentTrial{}
-	pool := poolFor(mode)
-	c := pool.NewCtx()
-	al, err := alloc.New(c, pool)
+	opts := options(1, mode, core.Config{})
+	opts.Index.InitialDepth = 2
+	sys, err := open(opts, nil, repl.RetryPolicy{})
 	if err != nil {
 		return tr, err
 	}
-	cfg := core.Config{InitialDepth: 2, Concurrency: core.ModeHTM}
-	ix, err := core.Open(c, pool, al, cfg)
-	if err != nil {
-		return tr, err
-	}
+	platforms := sys.db.Platforms()
 
 	fp := &pmem.FaultPlan{CrashAtStep: crashStep}
-	pool.ArmFault(fp)
+	platforms[0].ArmFault(fp)
 
 	ackedHW := make([]atomic.Int64, writers)
 	werrs := make([]error, writers)
@@ -120,10 +112,10 @@ func RunConcurrentTrial(mode pmem.Mode, writers, perWriter int, crashStep int64)
 		go func(w int) {
 			defer wg.Done()
 			werrs[w] = pmem.CatchCrash(func() error {
-				h := ix.NewHandle(nil)
-				defer h.Close()
+				s := sys.db.Session()
+				defer s.Close()
 				for i := 0; i < perWriter; i++ {
-					if err := h.Insert(concKey(w, i), concVal(w, i)); err != nil {
+					if err := s.Insert(concKey(w, i), concVal(w, i)); err != nil {
 						return fmt.Errorf("writer %d insert %d: %w", w, i, err)
 					}
 					ackedHW[w].Store(int64(i + 1))
@@ -133,7 +125,7 @@ func RunConcurrentTrial(mode pmem.Mode, writers, perWriter int, crashStep int64)
 		}(w)
 	}
 	wg.Wait()
-	pool.DisarmFault()
+	platforms[0].DisarmFault()
 	tr.Fired = fp.Fired()
 	tr.Steps = fp.Steps()
 	for _, werr := range werrs {
@@ -142,23 +134,16 @@ func RunConcurrentTrial(mode pmem.Mode, writers, perWriter int, crashStep int64)
 		}
 	}
 
-	c2 := pool.NewCtx()
-	ix2, _, rerr := core.Recover(c2, pool, cfg)
+	db, _, rerr := restore(platforms, tr.Fired, 0, opts)
 	if rerr != nil {
 		tr.RecoverErr = rerr
 		return tr, nil
 	}
-	h2 := ix2.NewHandle(c2)
+	s := db.Session()
 	if mode == pmem.ADR && tr.Fired {
-		// ADR without the persist-barrier discipline gives no ordering
-		// between a cut's surviving cachelines (the paper's argument
-		// for eADR): the image can hold line-granular tears — a slot
-		// durable while its out-of-line record rolled back, a split's
-		// migration half-applied — that recovery alone cannot
-		// reconcile. The documented ADR operational flow is
-		// recover-then-fsck; run it, and hold the oracle against the
-		// repaired image.
-		fr, ferr := h2.Fsck(true)
+		// Recover-then-fsck (see the file comment): hold the oracle
+		// against the repaired image.
+		fr, ferr := s.Fsck(true)
 		if ferr != nil {
 			tr.RecoverErr = ferr
 			return tr, nil
@@ -166,11 +151,11 @@ func RunConcurrentTrial(mode pmem.Mode, writers, perWriter int, crashStep int64)
 		tr.FsckFaults = len(fr.Faults)
 		tr.FsckUnrepaired = len(fr.Failed)
 	}
-	tr.InvariantErr = ix2.CheckInvariants(c2)
+	_, tr.InvariantErr = structure(db, s)
 	for w := 0; w < writers; w++ {
 		hw := int(ackedHW[w].Load())
 		for i := 0; i < perWriter; i++ {
-			got, found, serr := h2.Search(concKey(w, i), nil)
+			got, found, serr := s.Get(concKey(w, i), nil)
 			if serr != nil {
 				return tr, fmt.Errorf("writer %d key %d: %w", w, i, serr)
 			}

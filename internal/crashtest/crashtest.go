@@ -1,408 +1,488 @@
-// Package crashtest is the crash-point fault-injection harness: it
-// replays a scripted workload against a fresh index, injects a
-// simulated power failure at one exact persistence-primitive step
-// (pmem.FaultPlan), recovers the pool, and checks both the structural
-// invariants (core.CheckInvariants) and a durability oracle. Sweeping
-// the crash step across the whole workload enumerates every mid-
-// operation crash state a given platform (eADR or ADR) can produce —
-// the coverage RECIPE showed is where PM indexes actually break.
+// Package crashtest is the fault-injection harness behind the paper's
+// §II-C claim: under eADR visibility implies durability, so a power cut
+// at any instant recovers. A trial is data — a Drill — and Run is the
+// one engine that executes it: the only place a system is opened, ops
+// applied, devices power-cycled, a database recovered, repaired, healed,
+// promoted or judged (by the one oracle, judge). The arm tables are
+// rows of Drills; SweepSteps runs a row at every crash step — the
+// coverage RECIPE showed is where PM indexes actually break — and
+// SweepSeeds across a seed set. DESIGN.md §5 *Drills* has the table of
+// drills, the oracle's contract and the rule for the two scenarios
+// (chaos.go, concurrent.go) that keep bodies of their own on the
+// engine's parts.
 //
-// The durability oracle is the paper's eADR claim made executable:
-// after recovery, every acknowledged operation must be present with
-// its exact value, and the single in-flight operation must be atomic —
-// the recovered index reflects either its pre-state or its post-state,
-// nothing in between. Under ADR the same sweep demonstrates the gap
-// the paper predicts: unflushed acknowledged writes sit in the volatile
-// cache and roll back, so the oracle (or recovery itself) fails at some
-// crash steps.
-//
-// Scripts run single-threaded in ModeHTM, which makes each sweep fully
-// deterministic: trial N and trial N+1 count the same step stream, so
-// the sweep terminates exactly when N exceeds the workload's total step
-// count. The lock-based ablation modes are deliberately out of scope —
-// their raw stores tear mid-operation by design, which is the very
-// reason the paper builds on HTM.
+// Scripts run single-threaded in ModeHTM, which makes every sweep
+// deterministic. The lock-based ablation modes are deliberately out of
+// scope — their raw stores tear mid-operation by design, which is the
+// very reason the paper builds on HTM.
 package crashtest
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"spash/internal/alloc"
-	"spash/internal/core"
+	"spash"
 	"spash/internal/pmem"
+	"spash/internal/repl"
 )
 
-// OpKind is a scripted operation type.
-type OpKind int
-
-const (
-	OpInsert OpKind = iota
-	OpUpdate
-	OpDelete
-)
-
-// Op is one scripted, acknowledged index operation.
-type Op struct {
-	Kind OpKind
-	Key  string
-	Val  string
+// Media is the damage a power cut carries: single-bit rot, torn ADR
+// write-backs (a budget — it tears what is dirty at the cut, honestly
+// nothing under eADR), poisoned XPLines.
+type Media struct {
+	Seed                             uint64
+	BitFlips, TornLines, PoisonLines int
 }
 
-// Script is a deterministic workload.
-type Script []Op
+func (m Media) armed() bool { return m.BitFlips > 0 || m.TornLines > 0 || m.PoisonLines > 0 }
 
-// key8 builds an 8-byte key whose inline payload fits 48 bits, hitting
-// the inline-key slot path.
-func key8(i int) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(i))
-	return string(b[:])
+// needsFrames: bit flips and poison aim at live segment frames (the
+// segment layout is what is self-verifying), and listing those scans
+// the registry — possible only at a quiescent point.
+func (m Media) needsFrames() bool { return m.BitFlips > 0 || m.PoisonLines > 0 }
+
+// Peer attaches an in-process replica in its own fault domain: it
+// takes no crash, so it holds exactly the stream the primary shipped.
+type Peer struct {
+	Faults repl.FaultSpec // the wire between the two (zero: perfect)
+	// SyncAt > 0 runs the first SyncAt ops unshipped, then seeds the
+	// replica with a sealed-segment full sync — the bulk path — before
+	// the rest ships record by record.
+	SyncAt int
+	// Promote says what the replica is for. True: the primary's cut is
+	// final and the promoted replica is the survivor the oracle judges.
+	// False: the primary recovers and heals what its repair pass
+	// quarantined from the replica (read-repair).
+	Promote bool
 }
 
-// val8 builds an 8-byte inline-value payload.
-func val8(i int) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(i)*2654435761%1<<47)
-	return string(b[:])
-}
-
-// pad returns a deterministic printable payload of n bytes.
-func pad(seed, n int) string {
-	b := make([]byte, n)
-	x := uint32(seed)*2654435761 + 12345
-	for i := range b {
-		x = x*1664525 + 1013904223
-		b[i] = 'a' + byte(x>>24%26)
-	}
-	return string(b)
-}
-
-// DefaultScript returns the standard workload: it drives every
-// structure-changing path of the index — inline and out-of-line
-// inserts (small records through the compacted-flush chunk path, large
-// multi-XPLine records), adaptive updates (inline overwrite, same-class
-// in-place, class-changing reallocation, repeated updates that turn a
-// key hot), deletes (including the sampled merge path), segment splits
-// and, from InitialDepth 1, staged directory doubling.
-func DefaultScript() Script {
-	var s Script
-	// Phase 1: inline inserts, enough to split segments repeatedly and
-	// double the directory several times from depth 1.
-	for i := 0; i < 56; i++ {
-		s = append(s, Op{OpInsert, key8(i), val8(i)})
-	}
-	// Phase 2: small out-of-line records exercising the compacted-flush
-	// XPLine chunk (fills several 256 B chunks with 24..88 B records).
-	for i := 0; i < 20; i++ {
-		s = append(s, Op{OpInsert, fmt.Sprintf("okey-%03d", i), pad(i, 24+i*3)})
-	}
-	// Phase 3: large records (several XPLines) and long keys.
-	for i := 0; i < 6; i++ {
-		s = append(s, Op{OpInsert, "long-key-" + pad(100+i, 24), pad(200+i, 300+i*90)})
-	}
-	// Phase 4: updates — inline rewrite, same-class in-place,
-	// class-changing, and a hot key hammered repeatedly.
-	for i := 0; i < 12; i++ {
-		s = append(s, Op{OpUpdate, key8(i), val8(1000 + i)})
-	}
-	for i := 0; i < 10; i++ {
-		s = append(s, Op{OpUpdate, fmt.Sprintf("okey-%03d", i), pad(300+i, 24+i*3)}) // same class
-	}
-	for i := 0; i < 6; i++ {
-		s = append(s, Op{OpUpdate, fmt.Sprintf("okey-%03d", i), pad(400+i, 200)}) // class change
-	}
-	for r := 0; r < 8; r++ {
-		s = append(s, Op{OpUpdate, key8(3), val8(2000 + r)}) // hot
-	}
-	// Phase 5: deletes (sampled merges) interleaved with re-inserts.
-	for i := 40; i < 56; i++ {
-		s = append(s, Op{OpDelete, key8(i), ""})
-	}
-	for i := 0; i < 5; i++ {
-		s = append(s, Op{OpDelete, fmt.Sprintf("okey-%03d", 15+i), ""})
-	}
-	for i := 56; i < 72; i++ {
-		s = append(s, Op{OpInsert, key8(i), pad(500+i, 48)})
-	}
-	return s
-}
-
-// Arm is one cell of the crash matrix: a persistence domain crossed
-// with the flush policies under test.
-type Arm struct {
+// Drill is one trial, as data.
+type Drill struct {
 	Name   string
-	Mode   pmem.Mode
-	Insert core.InsertPolicy
-	Update core.UpdatePolicy
+	Opts   spash.Options // shards, persistence domain, pool and cache, flush policies, checksums
+	Script Script
+
+	// CrashStep > 0 cuts power just before that persistence-primitive
+	// step (1-based) of shard Target's device, mid-operation; the
+	// siblings, between operations, lose power with it. A step beyond
+	// the workload never fires; 0 only counts steps.
+	CrashStep  int64
+	Target     int
+	PowerCycle bool  // cut every device once the script completes, unless CrashStep fired first
+	Media      Media // rides whichever cut fires
+	Peer       *Peer
+	Repair     bool // fsck may quarantine and rebuild damaged segments
 }
 
-// Arms returns the full eADR/ADR × flush-policy matrix.
-func Arms() []Arm {
-	return []Arm{
-		{"eadr-compacted-adaptive", pmem.EADR, core.InsertCompactedFlush, core.UpdateAdaptive},
-		{"eadr-nocompact-always", pmem.EADR, core.InsertNoCompact, core.UpdateAlwaysFlush},
-		{"eadr-compactnoflush-never", pmem.EADR, core.InsertCompactNoFlush, core.UpdateNeverFlush},
-		{"adr-compacted-adaptive", pmem.ADR, core.InsertCompactedFlush, core.UpdateAdaptive},
-	}
-}
+func (d *Drill) adr() bool { return d.Opts.Platform.Mode == pmem.ADR }
 
-// Trial is the outcome of one crash-point trial.
-type Trial struct {
-	Step  int64
-	Fired bool
-	// Steps is the total step count observed (meaningful when !Fired:
-	// the workload completed, sizing the sweep).
-	Steps int64
-	// RecoverErr is the error from core.Recover after the crash.
-	RecoverErr error
-	// InvariantErr is the CheckInvariants result on the recovered index.
-	InvariantErr error
-	// LostAcked counts acknowledged operations whose effect is missing
-	// or wrong in the recovered index (always 0 on a healthy eADR run).
-	LostAcked int
-	// InFlightTorn reports that the in-flight operation was neither
-	// fully applied nor fully absent.
-	InFlightTorn bool
-	// Misplaced counts records that decode cleanly but whose key
-	// routes to a different segment — silent misplacement a value
-	// comparison alone cannot see (the lookup simply misses the key,
-	// which under ADR is indistinguishable from legal rollback).
-	Misplaced int
-}
+// tolerant selects the oracle from the spec, never from the caller:
+// exact unless the drill's own damage may legitimately cost
+// acknowledged data — an armed media plan, or quarantine repair of an
+// ADR image (ADR's documented recover-then-fsck flow trades the torn
+// segments' keys for consistency). ADR without repair is held to the
+// exact contract on purpose: that is how the §II-C gap is shown.
+func (d *Drill) tolerant() bool { return d.Media.armed() || d.adr() && d.Repair }
 
-// Failed reports whether the trial violated the durability contract.
-func (tr *Trial) Failed() bool {
-	return tr.RecoverErr != nil || tr.InvariantErr != nil || tr.LostAcked > 0 ||
-		tr.InFlightTorn || tr.Misplaced > 0
-}
-
-// Err formats the trial's violation, or nil.
-func (tr *Trial) Err() error {
-	switch {
-	case tr.RecoverErr != nil:
-		return fmt.Errorf("crash at step %d: recovery failed: %w", tr.Step, tr.RecoverErr)
-	case tr.InvariantErr != nil:
-		return fmt.Errorf("crash at step %d: invariants violated: %w", tr.Step, tr.InvariantErr)
-	case tr.InFlightTorn:
-		return fmt.Errorf("crash at step %d: in-flight operation torn", tr.Step)
-	case tr.Misplaced > 0:
-		return fmt.Errorf("crash at step %d: %d records silently misplaced", tr.Step, tr.Misplaced)
-	case tr.LostAcked > 0:
-		return fmt.Errorf("crash at step %d: %d acknowledged operations lost", tr.Step, tr.LostAcked)
+// Validate refuses the one spec no run could honour.
+func (d *Drill) Validate() error {
+	if d.CrashStep > 0 && d.Media.needsFrames() {
+		return errors.New("bit flips and poison aim at live segment frames, which can only be listed at a quiescent point: a mid-operation crash step composes with torn write-backs only")
 	}
 	return nil
 }
 
-// Result aggregates a sweep.
-type Result struct {
-	Arm        Arm
-	TotalSteps int64
-	Trials     int
-	Failures   []Trial // trials violating the durability contract
+// Outcome is everything one Run observed.
+type Outcome struct {
+	Drill Drill
+
+	Fired        bool       // CrashStep cut power mid-operation
+	Steps        int64      // the target device's step count: the workload's total when !Fired, which sizes a sweep
+	LinesLost    int        // cachelines the cut rolled back (always 0 under eADR)
+	Injected     pmem.Stats // what the media plan applied
+	MediaApplied bool       // a cut reached the plan at all
+
+	// What the wire did, the breaker, and the acknowledged frames still
+	// undelivered when the script ended (degraded-async writes: the
+	// bound on what the replica can give back).
+	Transport     repl.FaultStats
+	Breaker       string
+	SpillLost     int
+	PromoteErr    error
+	Epoch         uint64 // the survivor's, after promotion
+	FencedDeposed bool   // the deposed primary's stale frame was refused with ErrNotPrimary
+
+	RecoverErr error // RecoverAll's typed failure; nothing after it ran
+	// DB is the system that was judged — recovered primary, promoted
+	// replica, or the live database when no cut fired — left open.
+	DB *spash.DB
+
+	// CorruptReads counts pre-repair reads that surfaced typed
+	// corruption: detection working, on drills that arm media.
+	CorruptReads  int
+	Fsck          *spash.FsckReport
+	FsckExit      int // the report's spash-fsck exit code
+	Unrecoverable int // segments repair gave up on
+	LostListed    int // keys repair could only name as lost
+	ReadRepair    *repl.RepairReport
+	RangesFetched int
+	KeysRestored  int
+
+	// Verdict is the oracle's, after everything the drill could do;
+	// Wrong and Untyped include what the pre-repair sweep saw.
+	Verdict
+	InvariantErr error
+	Misplaced    int // records that decode cleanly but route to another segment
+	Entries      int // live entries by full iteration, cross-checked against the counter
 }
 
-// runCfg builds the index configuration for an arm.
-func runCfg(arm Arm) core.Config {
-	return core.Config{
-		InitialDepth: 1,
-		Concurrency:  core.ModeHTM,
-		Insert:       arm.Insert,
-		Update:       arm.Update,
-		// Single-worker scripts never conflict; keep retries minimal so
-		// an unexpected fallback shows up as a step-count change.
-	}
-}
-
-func poolFor(mode pmem.Mode) *pmem.Pool {
-	return pmem.New(pmem.Config{
-		PoolSize: 4 << 20,
-		Mode:     mode,
-		// A small cache forces evictions, so ADR runs exhibit the
-		// mixed durable/rolled-back images real crashes produce.
-		CacheSize: 64 << 10,
-	})
-}
-
-func applyOp(h *core.Handle, op *Op) error {
-	switch op.Kind {
-	case OpInsert:
-		return h.Insert([]byte(op.Key), []byte(op.Val))
-	case OpUpdate:
-		_, err := h.Update([]byte(op.Key), []byte(op.Val))
-		return err
-	case OpDelete:
-		_, err := h.Delete([]byte(op.Key))
-		return err
-	}
-	return fmt.Errorf("crashtest: unknown op kind %d", op.Kind)
-}
-
-func applyModel(m map[string]string, op *Op) {
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		if op.Kind == OpUpdate {
-			if _, ok := m[op.Key]; !ok {
-				return // update of absent key is a no-op
-			}
+// Violations lists every way the outcome breaks its drill's contract.
+func (o *Outcome) Violations() []string {
+	d := &o.Drill
+	var v []string
+	note := func(bad bool, format string, a ...any) {
+		if bad {
+			v = append(v, fmt.Sprintf(format, a...))
 		}
-		m[op.Key] = op.Val
-	case OpDelete:
-		delete(m, op.Key)
 	}
+	note(d.Media.armed() && !o.MediaApplied, "media faults armed but no power cut fired: nothing was injected")
+	if o.RecoverErr != nil {
+		// An ADR cut that tears or rolls back a metadata line can leave
+		// the registry itself inconsistent — the documented gap — so a
+		// typed failure ends a tolerant ADR trial quietly. Everywhere
+		// else damage is confined to segment frames and recovery must
+		// succeed.
+		note(!(d.tolerant() && d.adr()), "recovery failed: %v", o.RecoverErr)
+	}
+	note(o.PromoteErr != nil, "promotion failed: %v", o.PromoteErr)
+	if o.Fsck == nil {
+		return v // recovery or promotion failed: nothing after it ran
+	}
+	note(o.Epoch > 0 && !o.FencedDeposed, "deposed primary's frame was not fenced")
+	note(o.Untyped > 0, "%d reads failed with an untyped error", o.Untyped)
+	note(o.Wrong > 0, "%d keys hold a value they were never given", o.Wrong)
+	note(!d.tolerant() && !o.Fsck.Clean(), "fsck found %d damaged segments on undamaged media", len(o.Fsck.Faults))
+	note(o.Unrecoverable > 0, "fsck left %d segments unrecoverable (exit %d)", o.Unrecoverable, o.FsckExit)
+	note(o.InvariantErr != nil, "invariants violated: %v", o.InvariantErr)
+	note(o.Misplaced > 0, "%d records silently misplaced", o.Misplaced)
+	note(o.Unreadable > 0, "%d reads still corrupt at the end", o.Unreadable)
+	note(o.Torn, "in-flight operation torn")
+	note(o.StillLost > 0, "%d acknowledged keys lost without excuse", o.StillLost)
+	note(o.LenMismatch, "entry count disagrees with the acknowledged model")
+	return v
 }
 
-// RunTrial executes one crash-point trial of script under arm,
-// injecting the power cut at crashStep (1-based; a step beyond the
-// workload's total completes without firing).
-func RunTrial(arm Arm, script Script, crashStep int64) (Trial, error) {
-	tr := Trial{Step: crashStep}
-	pool := poolFor(arm.Mode)
-	c := pool.NewCtx()
-	al, err := alloc.New(c, pool)
-	if err != nil {
-		return tr, err
-	}
-	cfg := runCfg(arm)
-	ix, err := core.Open(c, pool, al, cfg)
-	if err != nil {
-		return tr, err
-	}
-	h := ix.NewHandle(c)
-
-	// acked is the model of acknowledged state; it trails the index by
-	// exactly the in-flight operation.
-	acked := make(map[string]string, len(script))
-	inFlight := -1
-	fp := &pmem.FaultPlan{CrashAtStep: crashStep}
-	pool.ArmFault(fp)
-	werr := pmem.CatchCrash(func() error {
-		for i := range script {
-			inFlight = i
-			if err := applyOp(h, &script[i]); err != nil {
-				return fmt.Errorf("op %d (%v %q): %w", i, script[i].Kind, script[i].Key, err)
-			}
-			applyModel(acked, &script[i])
-			inFlight = -1
-		}
+// Err is the first violation, or nil. It names the drill, crash step
+// and media seed: Run of that row with those two set replays the trial.
+func (o *Outcome) Err() error {
+	v := o.Violations()
+	if len(v) == 0 {
 		return nil
-	})
-	pool.DisarmFault()
-	tr.Fired = fp.Fired()
-	tr.Steps = fp.Steps()
+	}
+	return fmt.Errorf("%s (crash step %d, media seed %d): %s", o.Drill.Name, o.Drill.CrashStep, o.Drill.Media.Seed, v[0])
+}
+
+// system is a database under test and the replica it ships to, if any.
+type system struct {
+	db   *spash.DB
+	s    *spash.Session // the local writer (the primary's own session when there is one)
+	rep  *repl.Replica
+	ft   *repl.FaultyTransport
+	prim *repl.Primary
+}
+
+// open is the one place a system is provisioned. The prober is always
+// off: after an injected crash the primary wraps a dead pool, which a
+// background drain must not touch — catch-up is driven explicitly.
+func open(opts spash.Options, peer *Peer, retry repl.RetryPolicy) (*system, error) {
+	db, err := spash.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	if peer == nil {
+		return &system{db: db, s: db.Session()}, nil
+	}
+	opts.Replica = true
+	rdb, err := spash.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	sys := &system{db: db}
+	if sys.rep, err = repl.NewReplica(rdb); err != nil {
+		return nil, err
+	}
+	sys.ft = repl.NewFaultyTransport(&repl.InProc{R: sys.rep}, peer.Faults)
+	sys.prim, err = repl.NewPrimaryWith(db, sys.ft, repl.PrimaryOptions{Retry: retry, ProbeInterval: -1})
+	if err != nil {
+		return nil, err
+	}
+	sys.s = sys.prim.Session()
+	return sys, nil
+}
+
+// convergeLimit bounds the catch-up passes a drill may spend: a correct
+// implementation converges in a handful even at the chaos matrix's loss
+// rates, so hitting the bound is a liveness failure, not bad luck.
+const convergeLimit = 50
+
+// converge drives the primary's catch-up until a drain and a finishing
+// resync both come back clean, and reports the passes it took.
+func converge(p *repl.Primary) (passes int, err error) {
+	for passes < convergeLimit {
+		passes++
+		if _, err = p.TryDrain(); err != nil {
+			continue
+		}
+		if err = p.Resync(); err == nil {
+			break
+		}
+	}
+	return passes, err
+}
+
+// drainEvery is how often a shipping script drives catch-up inline (a
+// no-op while the breaker is closed), so long degraded stretches do not
+// overflow the primary's bounded frame log into write sheds.
+const drainEvery = 256
+
+// run plays the drill's script: straight into the session without a
+// peer; otherwise the unshipped prefix, the full sync, then the rest
+// through the primary.
+func (sys *system) run(d *Drill, m *model) error {
+	n := len(d.Script)
+	if sys.prim == nil {
+		return play(sys.s, d.Script, 0, n, m)
+	}
+	lo := min(d.Peer.SyncAt, n)
+	if lo > 0 {
+		if err := play(sys.s, d.Script, 0, lo, m); err != nil {
+			return err
+		}
+		if _, err := sys.prim.FullSync(); err != nil {
+			return fmt.Errorf("full sync: %w", err)
+		}
+	}
+	for i := lo; i < n; i++ {
+		if (i-lo+1)%drainEvery == 0 {
+			_, _ = sys.prim.TryDrain() // best effort; the breaker state is reported either way
+		}
+		if err := play(sys.prim, d.Script, i, i+1, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restore is the power cut's other half. Power fails on every device
+// at once, so each one still up — all of them at a quiescent cut, else
+// the siblings of the target a fired plan already killed — takes a
+// plain power cycle; then the database is recovered.
+func restore(platforms []*pmem.Pool, fired bool, target int, opts spash.Options) (db *spash.DB, lost int, err error) {
+	for i, p := range platforms {
+		if !(fired && i == target) {
+			lost += p.Crash()
+		}
+	}
+	db, err = spash.RecoverAll(platforms, opts)
+	return db, lost, err
+}
+
+// Run executes one drill. The error is infrastructure failure only (a
+// spec Validate refuses, a workload or fsck error that is not the
+// injected crash); contract violations land in the Outcome.
+func Run(d Drill) (Outcome, error) {
+	out := Outcome{Drill: d}
+	if err := d.Validate(); err != nil {
+		return out, fmt.Errorf("crashtest: %s: %w", d.Name, err)
+	}
+	sys, err := open(d.Opts, d.Peer, repl.RetryPolicy{})
+	if err != nil {
+		return out, err
+	}
+	platforms := sys.db.Platforms()
+	target := platforms[d.Target]
+
+	fp := &pmem.FaultPlan{CrashAtStep: d.CrashStep}
+	target.ArmFault(fp)
+	// The media plan is armed before the first op, so whichever cut
+	// fires carries it — unless it needs the frame list, which exists
+	// only at the quiescent cut (Validate refused the other case). A
+	// torn-only plan must NOT list frames first: tearing consumes the
+	// dirty lines still in the cache at the cut, and a registry scan
+	// through the (small) cache would evict — and thereby write back —
+	// every one of them, leaving nothing to tear.
+	var mp *pmem.MediaFaultPlan
+	if d.Media.armed() {
+		mp = &pmem.MediaFaultPlan{Seed: d.Media.Seed, BitFlips: d.Media.BitFlips,
+			TornLines: d.Media.TornLines, PoisonLines: d.Media.PoisonLines}
+		if !d.Media.needsFrames() {
+			target.ArmMediaFault(mp)
+		}
+	}
+
+	m := newModel(d.Script)
+	werr := pmem.CatchCrash(func() error { return sys.run(&d, m) })
+	target.DisarmFault()
+	out.Fired, out.Steps, out.LinesLost = fp.Fired(), fp.Steps(), fp.LinesLost()
 	if werr != nil && !errors.Is(werr, pmem.ErrInjectedCrash) {
-		return tr, werr // genuine workload failure, not a crash
+		return out, werr // genuine workload failure, not a crash
 	}
-	if !tr.Fired {
-		// Workload completed; the sweep is done. Sanity: the live index
-		// must satisfy the oracle too.
-		tr.LostAcked, tr.InFlightTorn = checkOracle(ix, c, script, acked, -1)
-		tr.InvariantErr = ix.CheckInvariants(c)
-		tr.Misplaced = ix.CheckPlacement(c)
-		return tr, nil
-	}
-
-	// Power is restored: attach with a fresh context, rebuild, verify.
-	c2 := pool.NewCtx()
-	ix2, _, rerr := core.Recover(c2, pool, cfg)
-	if rerr != nil {
-		tr.RecoverErr = rerr
-		return tr, nil
-	}
-	tr.InvariantErr = ix2.CheckInvariants(c2)
-	tr.Misplaced = ix2.CheckPlacement(c2)
-	tr.LostAcked, tr.InFlightTorn = checkOracle(ix2, c2, script, acked, inFlight)
-	if n := ix2.Len(); n != len(acked) && (inFlight < 0 || !lenExplainedByInFlight(n, script, acked, inFlight)) {
-		tr.LostAcked++
-	}
-	return tr, nil
-}
-
-// lenExplainedByInFlight reports whether the recovered entry count
-// matches the post-state of the in-flight operation.
-func lenExplainedByInFlight(n int, script Script, acked map[string]string, inFlight int) bool {
-	post := make(map[string]string, len(acked)+1)
-	for k, v := range acked {
-		post[k] = v
-	}
-	applyModel(post, &script[inFlight])
-	return n == len(post)
-}
-
-// checkOracle verifies the durability oracle over the script's key
-// universe: every acknowledged key maps to its acknowledged value, keys
-// acknowledged deleted (or never inserted) are absent, and the key of
-// the in-flight operation may reflect either its pre- or post-state.
-// Returns the number of acknowledged violations and whether the
-// in-flight key was torn.
-func checkOracle(ix *core.Index, c *pmem.Ctx, script Script, acked map[string]string, inFlight int) (lost int, torn bool) {
-	h := ix.NewHandle(c)
-	universe := make(map[string]struct{}, len(script))
-	for i := range script {
-		universe[script[i].Key] = struct{}{}
-	}
-	var inKey string
-	var postVal string
-	var postPresent bool
-	if inFlight >= 0 {
-		op := &script[inFlight]
-		inKey = op.Key
-		post := map[string]string{}
-		if v, ok := acked[inKey]; ok {
-			post[inKey] = v
+	if sys.prim != nil {
+		// Heal the wire and, while the primary's pool is alive, drain it:
+		// the replica holds all it can before damage is assessed.
+		sys.ft.Heal()
+		if !out.Fired {
+			_, _ = converge(sys.prim) // what did not converge is reported as SpillLost
 		}
-		applyModel(post, op)
-		postVal, postPresent = post[inKey]
+		st, _ := sys.prim.Breaker()
+		out.Transport, out.Breaker, out.SpillLost = sys.ft.Stats(), st.String(), sys.prim.SpillDepth()
 	}
-	for k := range universe {
-		got, found, err := h.Search([]byte(k), nil)
+
+	cut := out.Fired || d.PowerCycle
+	db := sys.db
+	switch {
+	case d.Peer != nil && d.Peer.Promote:
+		// The primary's cut is final and the survivor is the replica;
+		// nothing on its devices was ever touched by a fault plan. The
+		// primary acknowledges only after the replica accepted, and the
+		// cut always lands in a local primitive, before the ship — so
+		// the survivor holds exactly the acknowledged model, with no
+		// in-flight ambiguity at all.
+		db, m.inFlight = sys.rep.DB(), nil
+		if !cut {
+			break // the script completed: the replica must have converged on it
+		}
+		if out.Epoch, out.PromoteErr = sys.rep.Promote(); out.PromoteErr != nil {
+			return out, nil
+		}
+		// The deposed primary limps back and ships one more frame (built
+		// by hand — its own pool is dead — carrying its stale epoch 1):
+		// the promoted node must refuse it.
+		ferr := (&repl.InProc{R: sys.rep}).Ship(&repl.Frame{
+			Kind: repl.FrameRecord, Epoch: 1, Seq: uint64(out.Steps),
+			Shard: 0, Op: repl.RecInsert,
+			Key: []byte("deposed"), Val: []byte("write"),
+		})
+		out.FencedDeposed = errors.Is(ferr, spash.ErrNotPrimary)
+	case cut:
+		if mp != nil && d.Media.needsFrames() {
+			mp.Frames = db.Indexes()[d.Target].SegmentAddrs(sys.s.ShardCtx(d.Target))
+			target.ArmMediaFault(mp)
+		}
+		var lost int
+		db, lost, out.RecoverErr = restore(platforms, out.Fired, d.Target, d.Opts)
+		out.LinesLost += lost
+	}
+	if mp != nil {
+		target.DisarmMediaFault()
+		out.Injected, out.MediaApplied = mp.Injected(), mp.Applied()
+	}
+	if out.RecoverErr != nil {
+		return out, nil
+	}
+	out.DB = db
+	s := db.Session()
+	tolerant, adr := d.tolerant(), d.adr()
+
+	var pre Verdict
+	if mp != nil {
+		// Detection: before repair, damage may surface only as typed
+		// corruption. Absence is judged after repair, when the report
+		// can excuse it.
+		pre = judge(s, -1, m, tolerant, adr, nil)
+		out.CorruptReads = pre.Unreadable
+	}
+	if out.Fsck, err = s.Fsck(d.Repair); err != nil {
+		return out, fmt.Errorf("fsck: %w", err)
+	}
+	out.FsckExit, out.Unrecoverable, out.LostListed = out.Fsck.ExitCode(), len(out.Fsck.Failed), len(out.Fsck.LostKeys())
+	excuse := out.Fsck
+	if d.Peer != nil && !d.Peer.Promote {
+		// A fresh wrapper: after a cut the script's one wraps the dead
+		// pool. The peer is asked for every quarantined range, so
+		// afterwards the repair report excuses nothing.
+		p, err := repl.NewPrimary(db, &repl.InProc{R: sys.rep})
 		if err != nil {
-			lost++
-			continue
+			return out, err
 		}
-		wantVal, wantPresent := acked[k]
-		matches := func(val string, present bool) bool {
-			if !present {
-				return !found
-			}
-			return found && bytes.Equal(got, []byte(val))
+		defer p.Close()
+		if out.ReadRepair, err = p.ReadRepair(out.Fsck); err != nil {
+			return out, fmt.Errorf("read-repair: %w", err)
 		}
-		if inFlight >= 0 && k == inKey {
-			if !matches(wantVal, wantPresent) && !matches(postVal, postPresent) {
-				torn = true
-			}
-			continue
-		}
-		if !matches(wantVal, wantPresent) {
-			lost++
-		}
+		out.RangesFetched, out.KeysRestored, excuse = out.ReadRepair.Ranges, out.ReadRepair.Restored, nil
 	}
-	return lost, torn
+
+	out.Misplaced, out.InvariantErr = structure(db, s)
+	if out.InvariantErr == nil {
+		out.Entries, out.InvariantErr = census(db, s)
+	}
+	out.Verdict = judge(s, db.Len(), m, tolerant, adr, excuse)
+	out.Wrong, out.Untyped = out.Wrong+pre.Wrong, out.Untyped+pre.Untyped
+	return out, nil
 }
 
-// Sweep enumerates crash steps 1, 1+stride, 1+2*stride, … of script
-// under arm until a trial completes without firing (every step of the
-// workload with stride 1). It returns the aggregated result; trial
-// infrastructure errors (not durability violations) abort the sweep.
-func Sweep(arm Arm, script Script, stride int64) (Result, error) {
-	if stride < 1 {
-		stride = 1
+// Result aggregates a sweep of one drill.
+type Result struct {
+	Drill      Drill
+	TotalSteps int64 // the workload's step count (step sweeps)
+	Trials     int
+	Failures   []Outcome // trials with Violations
+
+	// Sums over every trial.
+	Injected      pmem.Stats
+	CorruptReads  int
+	Repaired      int // trials where fsck performed repairs (exit 1)
+	LostExcused   int
+	LostListed    int
+	RangesFetched int
+	KeysRestored  int
+}
+
+func (r *Result) add(o *Outcome) {
+	r.Trials++
+	r.Injected = r.Injected.Add(o.Injected)
+	r.CorruptReads += o.CorruptReads
+	r.LostExcused += o.LostExcused
+	r.LostListed += o.LostListed
+	r.RangesFetched += o.RangesFetched
+	r.KeysRestored += o.KeysRestored
+	if o.FsckExit == 1 {
+		r.Repaired++
 	}
-	res := Result{Arm: arm}
-	for step := int64(1); ; step += stride {
-		tr, err := RunTrial(arm, script, step)
+	if len(o.Violations()) > 0 {
+		o.DB = nil // a failure is kept for its evidence, not its 4 MB pools
+		r.Failures = append(r.Failures, *o)
+	}
+}
+
+// SweepSteps runs d at crash steps 1, 1+stride, 1+2*stride, … until a
+// trial completes without firing (every step of the workload with
+// stride 1). Infrastructure errors abort; violations fill Failures.
+func SweepSteps(d Drill, stride int64) (Result, error) {
+	res := Result{Drill: d}
+	for d.CrashStep = 1; ; d.CrashStep += max(stride, 1) {
+		o, err := Run(d)
 		if err != nil {
-			return res, fmt.Errorf("%s step %d: %w", arm.Name, step, err)
+			return res, fmt.Errorf("%s step %d: %w", d.Name, d.CrashStep, err)
 		}
-		res.Trials++
-		if tr.Failed() {
-			res.Failures = append(res.Failures, tr)
-		}
-		if !tr.Fired {
-			res.TotalSteps = tr.Steps
+		res.add(&o)
+		if !o.Fired {
+			res.TotalSteps = o.Steps
 			return res, nil
 		}
 	}
+}
+
+// SweepSeeds runs d once per media-fault seed.
+func SweepSeeds(d Drill, seeds []uint64) (Result, error) {
+	res := Result{Drill: d}
+	for _, seed := range seeds {
+		d.Media.Seed = seed
+		o, err := Run(d)
+		if err != nil {
+			return res, fmt.Errorf("%s seed %d: %w", d.Name, d.Media.Seed, err)
+		}
+		res.add(&o)
+	}
+	return res, nil
 }

@@ -10,7 +10,7 @@ import (
 // injected crash) and satisfies the oracle and invariants on every arm.
 func TestScriptCompletes(t *testing.T) {
 	for _, arm := range Arms() {
-		tr, err := RunTrial(arm, DefaultScript(), 0)
+		tr, err := Run(arm)
 		if err != nil {
 			t.Fatalf("%s: %v", arm.Name, err)
 		}
@@ -42,15 +42,11 @@ func TestExhaustiveEADR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep skipped in -short")
 	}
-	script := DefaultScript()
 	for _, arm := range Arms() {
-		if arm.Mode != pmem.EADR {
+		if arm.Opts.Platform.Mode != pmem.EADR {
 			continue
 		}
-		res, err := Sweep(arm, script, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.Name, err)
-		}
+		res := sweepSteps(t, arm, 1)
 		t.Logf("%s: %d trials over %d steps, %d failures", arm.Name, res.Trials, res.TotalSteps, len(res.Failures))
 		for i, tr := range res.Failures {
 			if i >= 5 {
@@ -70,17 +66,8 @@ func TestADRGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ADR sweep skipped in -short")
 	}
-	script := DefaultScript()
-	var arm Arm
-	for _, a := range Arms() {
-		if a.Name == "adr-compacted-adaptive" {
-			arm = a
-		}
-	}
-	res, err := Sweep(arm, script, 1)
-	if err != nil {
-		t.Fatalf("%s: %v", arm.Name, err)
-	}
+	arm := ByName(Arms(), "adr-compacted-adaptive")
+	res := sweepSteps(t, arm, 1)
 	t.Logf("%s: %d trials over %d steps, %d lossy crash points", arm.Name, res.Trials, res.TotalSteps, len(res.Failures))
 	if len(res.Failures) == 0 {
 		t.Fatalf("%s: ADR sweep shows no durability gap; either the cache rollback or the oracle is broken", arm.Name)
@@ -90,12 +77,7 @@ func TestADRGap(t *testing.T) {
 // TestSmoke is the short-budget CI job: a strided sweep of the default
 // eADR arm, cheap enough for every push.
 func TestSmoke(t *testing.T) {
-	script := DefaultScript()
-	arm := Arms()[0]
-	res, err := Sweep(arm, script, 37)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
+	res := sweepSteps(t, Arms()[0], 37)
 	for _, tr := range res.Failures {
 		t.Errorf("%v", tr.Err())
 	}

@@ -1,0 +1,401 @@
+package crashtest
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"spash"
+	"spash/internal/core"
+	"spash/internal/pmem"
+)
+
+// sweeps memoises sweeps by row and parameters, so TestDrillLedger and
+// a drill's own test share one run (tests here are sequential).
+var sweeps = map[string]Result{}
+
+func memo(t *testing.T, d Drill, params string, sweep func() (Result, error)) Result {
+	t.Helper()
+	key := fmt.Sprintf("%s/%dsh/peer=%v/%s", d.Name, d.Opts.Shards, d.Peer != nil, params)
+	if r, ok := sweeps[key]; ok {
+		return r
+	}
+	r, err := sweep()
+	if err != nil {
+		t.Fatalf("%s: %v", d.Name, err)
+	}
+	sweeps[key] = r
+	return r
+}
+
+func sweepSteps(t *testing.T, d Drill, stride int64) Result {
+	t.Helper()
+	return memo(t, d, fmt.Sprintf("stride=%d", stride), func() (Result, error) { return SweepSteps(d, stride) })
+}
+
+func sweepSeeds(t *testing.T, d Drill, seeds []uint64) Result {
+	t.Helper()
+	return memo(t, d, fmt.Sprintf("seeds=%d", len(seeds)), func() (Result, error) { return SweepSeeds(d, seeds) })
+}
+
+// fakeReader answers Gets from a map; a key mapped to an error fails.
+type fakeReader map[string]any
+
+func (f fakeReader) Get(key, dst []byte) ([]byte, bool, error) {
+	switch v := f[string(key)].(type) {
+	case string:
+		return []byte(v), true, nil
+	case error:
+		return nil, false, v
+	}
+	return nil, false, nil
+}
+
+// TestOracleCanaries pins the single oracle function: every way a
+// recovered system can disagree with the acknowledged model must yield
+// exactly its finding and nothing else, and every finding exactly one
+// violation. Five runners' worth of checks were merged into judge;
+// this is the proof none was lost.
+func TestOracleCanaries(t *testing.T) {
+	// The acknowledged history: a=1→2, b=1 then deleted, c=1, never: z.
+	acked := Script{{OpInsert, "a", "1"}, {OpUpdate, "a", "2"}, {OpInsert, "b", "1"},
+		{OpDelete, "b", ""}, {OpInsert, "c", "1"}, {OpDelete, "z", ""}}
+	good := fakeReader{"a": "2", "c": "1"}
+	with := func(k string, v any) fakeReader {
+		f := fakeReader{}
+		for gk, gv := range good {
+			f[gk] = gv
+		}
+		if v == nil {
+			delete(f, k)
+		} else {
+			f[k] = v
+		}
+		return f
+	}
+	hc := core.KeyHash([]byte("c"))
+	named := &spash.FsckReport{Repairs: []core.QuarantineReport{{Prefix: ^hc >> 56, Depth: 8, LostKeys: [][]byte{[]byte("c")}}}}
+	covered := &spash.FsckReport{Repairs: []core.QuarantineReport{{Prefix: hc >> 56, Depth: 8}}}
+	elsewhere := &spash.FsckReport{Repairs: []core.QuarantineReport{{Prefix: ^hc >> 56, Depth: 8, LostKeys: [][]byte{[]byte("a")}}}}
+
+	for _, tc := range []struct {
+		name          string
+		r             fakeReader
+		n             int // live-entry count; 0 = what the acknowledged model says
+		inFlight      *Op
+		tolerant, adr bool
+		rep           *spash.FsckReport
+		want          Verdict
+	}{
+		{name: "clean", r: good},
+		{name: "acknowledged key absent", r: with("c", nil), want: Verdict{StillLost: 1}},
+		{name: "wrong value", r: with("a", "1"), want: Verdict{Wrong: 1}},
+		{name: "acknowledged-deleted key present", r: with("b", "1"), want: Verdict{Wrong: 1}},
+		{name: "never-inserted key present", r: with("z", "9"), want: Verdict{Wrong: 1}},
+		{name: "typed corruption", r: with("a", error(&core.CorruptionError{})), want: Verdict{Unreadable: 1}},
+		{name: "poisoned read", r: with("a", fmt.Errorf("get: %w", pmem.ErrPoisoned)), want: Verdict{Unreadable: 1}},
+		{name: "untyped error", r: with("a", errors.New("boom")), want: Verdict{Untyped: 1}},
+
+		{name: "in-flight update at pre-state", r: good, inFlight: &Op{OpUpdate, "a", "3"}},
+		{name: "in-flight update at post-state", r: with("a", "3"), inFlight: &Op{OpUpdate, "a", "3"}},
+		{name: "in-flight update at a third value", r: with("a", "1"), inFlight: &Op{OpUpdate, "a", "3"}, want: Verdict{Torn: true}},
+		{name: "in-flight delete landed", r: with("c", nil), n: 1, inFlight: &Op{OpDelete, "c", ""}},
+		{name: "in-flight insert landed", r: with("b", "7"), n: 3, inFlight: &Op{OpInsert, "b", "7"}},
+		{name: "in-flight op excuses only its own key", r: with("c", nil), inFlight: &Op{OpUpdate, "a", "3"}, want: Verdict{StillLost: 1}},
+
+		{name: "adr: value from the key's history", r: with("a", "1"), tolerant: true, adr: true},
+		{name: "adr: deleted key rolled back in", r: with("b", "1"), tolerant: true, adr: true},
+		{name: "adr: value never held", r: with("a", "9"), tolerant: true, adr: true, want: Verdict{Wrong: 1}},
+		{name: "adr: acknowledged key rolled back out", r: with("c", nil), tolerant: true, adr: true, want: Verdict{LostExcused: 1}},
+		{name: "adr but exact: history is no excuse", r: with("a", "1"), adr: true, want: Verdict{Wrong: 1}},
+
+		{name: "eadr: loss excused by LostKeys", r: with("c", nil), tolerant: true, rep: named, want: Verdict{LostExcused: 1}},
+		{name: "eadr: loss excused by Covers", r: with("c", nil), tolerant: true, rep: covered, want: Verdict{LostExcused: 1}},
+		{name: "eadr: loss the report does not mention", r: with("c", nil), tolerant: true, rep: elsewhere, want: Verdict{StillLost: 1}},
+		{name: "eadr: no report, no excuse", r: with("c", nil), tolerant: true, want: Verdict{StillLost: 1}},
+		{name: "eadr: stale value is wrong even when tolerant", r: with("a", "1"), tolerant: true, rep: covered, want: Verdict{Wrong: 1}},
+		{name: "exact: a report excuses nothing", r: with("c", nil), rep: covered, want: Verdict{StillLost: 1}},
+
+		{name: "length off by one", r: good, n: 3, want: Verdict{LenMismatch: true}},
+		{name: "length explained by the in-flight insert", r: good, n: 3, inFlight: &Op{OpInsert, "b", "7"}},
+		{name: "length the in-flight update cannot explain", r: good, n: 3, inFlight: &Op{OpUpdate, "a", "3"}, want: Verdict{LenMismatch: true}},
+		{name: "tolerant: length is not judged", r: good, n: 1, tolerant: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			script := acked
+			if tc.inFlight != nil {
+				script = append(script[:len(script):len(script)], *tc.inFlight)
+			}
+			m := newModel(script)
+			for i := range acked {
+				m.ack(&acked[i])
+			}
+			m.inFlight = tc.inFlight
+			n := tc.n
+			if n == 0 {
+				n = len(m.acked)
+			}
+			got := judge(tc.r, n, m, tc.tolerant, tc.adr, tc.rep)
+			if got != tc.want {
+				t.Fatalf("verdict %+v, want %+v", got, tc.want)
+			}
+			// Every finding but an excused loss is exactly one violation.
+			finding, violations := got, 0
+			finding.LostExcused = 0
+			if finding != (Verdict{}) {
+				violations = 1
+			}
+			o := Outcome{Verdict: got, Fsck: &spash.FsckReport{}}
+			if v := o.Violations(); len(v) != violations {
+				t.Fatalf("violations %q for verdict %+v", v, got)
+			}
+		})
+	}
+}
+
+// TestOutcomeViolationsFollowTheSpec: the same evidence is judged by
+// the drill's own contract.
+func TestOutcomeViolationsFollowTheSpec(t *testing.T) {
+	adrTorn, eadrTorn := ByName(MediaArms(), "adr-torn"), ByName(MediaArms(), "eadr-torn")
+	clean := &spash.FsckReport{}
+	for _, tc := range []struct {
+		name string
+		o    Outcome
+		want string // substring of the single violation; "" = none
+	}{
+		{"media never applied", Outcome{Drill: adrTorn, Fsck: clean}, "nothing was injected"},
+		{"recovery failure, eADR media", Outcome{Drill: eadrTorn, MediaApplied: true, RecoverErr: errors.New("x")}, "recovery failed"},
+		{"recovery failure, ADR media: the documented gap", Outcome{Drill: adrTorn, MediaApplied: true, RecoverErr: errors.New("x")}, ""},
+		{"recovery failure, ADR exact", Outcome{Drill: ByName(Arms(), "adr-compacted-adaptive"), RecoverErr: errors.New("x")}, "recovery failed"},
+		{"promotion failure", Outcome{Drill: FailoverArm(), PromoteErr: errors.New("x")}, "promotion failed"},
+		{"promoted but not fenced", Outcome{Drill: FailoverArm(), Epoch: 2, Fsck: clean}, "not fenced"},
+		{"promoted and fenced", Outcome{Drill: FailoverArm(), Epoch: 2, FencedDeposed: true, Fsck: clean}, ""},
+		{"faults on undamaged media", Outcome{Drill: Arms()[0], Fsck: &spash.FsckReport{Faults: make([]core.SegmentFault, 1)}}, "undamaged media"},
+		{"faults under a media plan are the point", Outcome{Drill: eadrTorn, MediaApplied: true, Fsck: &spash.FsckReport{Faults: make([]core.SegmentFault, 1)}}, ""},
+		{"unrecoverable segment", Outcome{Drill: eadrTorn, MediaApplied: true, Fsck: clean, Unrecoverable: 1}, "unrecoverable"},
+		{"misplaced record", Outcome{Drill: Arms()[0], Fsck: clean, Misplaced: 1}, "misplaced"},
+		{"invariant", Outcome{Drill: Arms()[0], Fsck: clean, InvariantErr: errors.New("x")}, "invariants"},
+	} {
+		v := tc.o.Violations()
+		if tc.want == "" && len(v) != 0 || tc.want != "" && (len(v) != 1 || !strings.Contains(v[0], tc.want)) {
+			t.Errorf("%s: violations %q, want %q", tc.name, v, tc.want)
+		}
+	}
+	o := Outcome{Drill: adrTorn, MediaApplied: true, Fsck: clean, Verdict: Verdict{Wrong: 2}}
+	o.Drill.CrashStep = 41
+	o.Drill.Media.Seed = 7
+	if got, want := fmt.Sprint(o.Err()), "adr-torn (crash step 41, media seed 7): 2 keys hold a value they were never given"; got != want {
+		t.Errorf("Err() = %q, want %q", got, want)
+	}
+}
+
+// TestCrashStepCarriesMedia is the regression test for the defect the
+// engine fixed: at b7572a8 the only runner that could cross a crash
+// step with media damage (spash-fsck -crashstep N -torn K) armed its
+// media plan after the cut had fired, injected nothing and passed. The
+// plan is armed before the first op, so the mid-operation cut carries
+// it; the combination that cannot work is refused, not run vacuously.
+func TestCrashStepCarriesMedia(t *testing.T) {
+	d := ByName(MediaArms(), "adr-torn")
+	d.PowerCycle, d.CrashStep, d.Media.Seed = false, 300, 3
+	o, err := Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.Fired || !o.MediaApplied || o.Injected.MediaTornLines == 0 {
+		t.Fatalf("cut at step 300: fired %v, media applied %v, %d lines torn — the cut dropped its media plan",
+			o.Fired, o.MediaApplied, o.Injected.MediaTornLines)
+	}
+	if e := o.Err(); e != nil {
+		t.Fatal(e)
+	}
+
+	// A step beyond the workload with no quiescent cut behind it injects
+	// nothing, and says so instead of passing.
+	d.CrashStep = 1 << 40
+	if o, err = Run(d); err != nil {
+		t.Fatal(err)
+	}
+	if o.Fired || o.MediaApplied || o.Err() == nil || !strings.Contains(o.Err().Error(), "nothing was injected") {
+		t.Fatalf("vacuous media trial: fired %v, applied %v, err %v", o.Fired, o.MediaApplied, o.Err())
+	}
+
+	for _, name := range []string{"eadr-bitflip", "adr-poison"} {
+		d := ByName(MediaArms(), name)
+		d.CrashStep = 300
+		if _, err := Run(d); err == nil || !strings.Contains(err.Error(), "quiescent") {
+			t.Fatalf("%s at a crash step: err = %v, want the frame-list refusal", name, err)
+		}
+	}
+}
+
+// The three rows no runner could express before the engine, each one
+// line of table swept with an existing helper.
+
+// TestADRGapSharded is TestADRGap's multi-shard twin: with the cut on
+// shard 0 of four ADR devices the sweep must show the §II-C gap —
+// lossy crash points, never a panic.
+func TestADRGapSharded(t *testing.T) {
+	stride := int64(5)
+	if testing.Short() {
+		stride = 47
+	}
+	res := sweepSteps(t, ByName(ShardedArms(), "adr-4sh"), stride)
+	t.Logf("%s: %d trials over %d shard-0 steps, %d lossy crash points", res.Drill.Name, res.Trials, res.TotalSteps, len(res.Failures))
+	if len(res.Failures) == 0 {
+		t.Fatalf("%s: ADR sweep shows no durability gap", res.Drill.Name)
+	}
+}
+
+// TestShardedSweepLastShard moves the step counter to the last
+// shard's device: shard 0 is now one of the siblings cut quiescent,
+// and under eADR every trial must still come back clean.
+func TestShardedSweepLastShard(t *testing.T) {
+	stride := int64(5)
+	if testing.Short() {
+		stride = 47
+	}
+	res := sweepSteps(t, ByName(ShardedArms(), "eadr-4sh-t3"), stride)
+	for _, tr := range res.Failures {
+		t.Errorf("%v", tr.Err())
+	}
+	if res.TotalSteps < 50 {
+		t.Fatalf("shard 3 saw only %d steps", res.TotalSteps)
+	}
+	t.Logf("%s: %d trials over %d shard-3 steps, %d failures", res.Drill.Name, res.Trials, res.TotalSteps, len(res.Failures))
+}
+
+// TestTornAtCrashStep crosses crash steps with torn write-backs under
+// ADR — lines torn mid-operation, the natural case: the history-
+// tolerant oracle must hold at every strided step (and at the
+// quiescent cut that ends the sweep), and the sweep must really tear.
+func TestTornAtCrashStep(t *testing.T) {
+	stride := int64(7)
+	if testing.Short() {
+		stride = 97
+	}
+	res := sweepSteps(t, ByName(MediaArms(), "adr-torn"), stride)
+	for i, tr := range res.Failures {
+		if i >= 5 {
+			t.Errorf("… and %d more failures", len(res.Failures)-i)
+			break
+		}
+		t.Errorf("%v", tr.Err())
+	}
+	if res.Injected.MediaTornLines == 0 {
+		t.Fatal("no crash step tore a line")
+	}
+	t.Logf("%s: %d trials over %d steps, %d lines torn, %d repaired, %d failures",
+		res.Drill.Name, res.Trials, res.TotalSteps, res.Injected.MediaTornLines, res.Repaired, len(res.Failures))
+}
+
+// ledger is what the deterministic -v lines of this suite reported at
+// b7572a8 — the commit before the eight hand-written trial runners
+// became one engine — captured there with `go test ./internal/crashtest
+// -v` before any change was made, and transcribed row for row. The
+// engine must reproduce every number: a sweep that changes size, an
+// injection that changes count or a chaos arm that takes another path
+// is a behaviour change, not a refactor. EXPERIMENTS.md cites the same
+// rows. (The multi-writer smoke's six lines are schedule-dependent by
+// design and are not pinned.)
+const ledger = `crash eadr-compacted-adaptive: 575 trials over 574 steps, 0 failures
+crash eadr-nocompact-always: 640 trials over 639 steps, 0 failures
+crash eadr-compactnoflush-never: 552 trials over 551 steps, 0 failures
+crash adr-compacted-adaptive: 575 trials over 574 steps, 573 failures
+crash eadr-compacted-adaptive stride 37: 17 trials over 574 steps, 0 failures
+sharded eadr-4sh: 33 trials over 156 steps, 0 failures
+sharded eadr-1sh: 13 trials over 459 steps, 0 failures
+failover failover-2sh: 61 trials over 297 steps, 0 failures
+media eadr-bitflip: 4 trials, injected {flips 16 torn 0 poison 0}, 150 corrupt reads, 4 repaired, 38 lost-excused, 0 failures
+media eadr-torn: 4 trials, injected {flips 0 torn 0 poison 0}, 0 corrupt reads, 0 repaired, 0 lost-excused, 0 failures
+media eadr-poison: 4 trials, injected {flips 0 torn 0 poison 8}, 82 corrupt reads, 4 repaired, 60 lost-excused, 0 failures
+media adr-bitflip: 4 trials, injected {flips 16 torn 0 poison 0}, 150 corrupt reads, 4 repaired, 38 lost-excused, 0 failures
+media adr-torn: 4 trials, injected {flips 0 torn 24 poison 0}, 392 corrupt reads, 4 repaired, 308 lost-excused, 0 failures
+media adr-poison: 4 trials, injected {flips 0 torn 0 poison 8}, 82 corrupt reads, 4 repaired, 60 lost-excused, 0 failures
+read-repair eadr-bitflip: 3 trials, injected {flips 12 torn 0 poison 0}, 27 keys listed lost locally, 7 ranges fetched, 30 keys restored, 0 failures
+read-repair eadr-torn: 3 trials, injected {flips 0 torn 0 poison 0}, 0 keys listed lost locally, 0 ranges fetched, 0 keys restored, 0 failures
+read-repair eadr-poison: 3 trials, injected {flips 0 torn 0 poison 6}, 0 keys listed lost locally, 6 ranges fetched, 43 keys restored, 0 failures
+read-repair adr-bitflip: 3 trials, injected {flips 12 torn 0 poison 0}, 63 keys listed lost locally, 13 ranges fetched, 162 keys restored, 0 failures
+read-repair adr-torn: 3 trials, injected {flips 0 torn 18 poison 0}, 26 keys listed lost locally, 4 ranges fetched, 77 keys restored, 0 failures
+read-repair adr-poison: 3 trials, injected {flips 0 torn 0 poison 6}, 36 keys listed lost locally, 12 ranges fetched, 175 keys restored, 0 failures
+chaos drop/eadr/steady: converged in 4 passes (faults {Ships:234 Drops:74 Delays:0 Dups:0 Reorders:0 PartitionDrops:0}, retries 70, trips 1, resyncs 5, replays 0, reseeds 0, dup-acks 0)
+chaos drop/eadr/failover: converged in 5 passes (faults {Ships:127 Drops:44 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 41, trips 2, resyncs 6, replays 0, reseeds 0, dup-acks 0)
+chaos drop/adr/steady: converged in 1 passes (faults {Ships:49 Drops:11 Delays:0 Dups:0 Reorders:0 PartitionDrops:0}, retries 10, trips 1, resyncs 2, replays 0, reseeds 1, dup-acks 0)
+chaos drop/adr/failover: converged in 1 passes (faults {Ships:20 Drops:5 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 6, trips 2, resyncs 2, replays 0, reseeds 1, dup-acks 0)
+chaos dup/eadr/steady: converged in 1 passes (faults {Ships:184 Drops:0 Delays:24 Dups:47 Reorders:0 PartitionDrops:0}, retries 24, trips 0, resyncs 1, replays 0, reseeds 0, dup-acks 56)
+chaos dup/eadr/failover: converged in 1 passes (faults {Ships:90 Drops:0 Delays:7 Dups:24 Reorders:0 PartitionDrops:3}, retries 9, trips 1, resyncs 1, replays 0, reseeds 0, dup-acks 16)
+chaos dup/adr/steady: converged in 1 passes (faults {Ships:189 Drops:0 Delays:27 Dups:58 Reorders:0 PartitionDrops:0}, retries 27, trips 0, resyncs 2, replays 0, reseeds 1, dup-acks 62)
+chaos dup/adr/failover: converged in 1 passes (faults {Ships:95 Drops:0 Delays:10 Dups:32 Reorders:0 PartitionDrops:3}, retries 12, trips 1, resyncs 2, replays 0, reseeds 1, dup-acks 24)
+chaos reorder/eadr/steady: converged in 3 passes (faults {Ships:225 Drops:11 Delays:0 Dups:0 Reorders:54 PartitionDrops:0}, retries 62, trips 1, resyncs 4, replays 0, reseeds 0, dup-acks 47)
+chaos reorder/eadr/failover: converged in 4 passes (faults {Ships:113 Drops:8 Delays:0 Dups:0 Reorders:22 PartitionDrops:3}, retries 28, trips 2, resyncs 5, replays 0, reseeds 0, dup-acks 14)
+chaos reorder/adr/steady: converged in 1 passes (faults {Ships:45 Drops:0 Delays:0 Dups:0 Reorders:13 PartitionDrops:0}, retries 12, trips 1, resyncs 2, replays 0, reseeds 1, dup-acks 4)
+chaos reorder/adr/failover: converged in 1 passes (faults {Ships:11 Drops:0 Delays:0 Dups:0 Reorders:5 PartitionDrops:3}, retries 6, trips 2, resyncs 2, replays 0, reseeds 1, dup-acks 5)
+chaos partition/eadr/steady: converged in 1 passes (faults {Ships:163 Drops:0 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 2, trips 1, resyncs 2, replays 0, reseeds 0, dup-acks 0)
+chaos partition/eadr/failover: converged in 1 passes (faults {Ships:83 Drops:0 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 2, trips 1, resyncs 1, replays 0, reseeds 0, dup-acks 0)
+chaos partition/adr/steady: converged in 1 passes (faults {Ships:165 Drops:0 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 2, trips 1, resyncs 3, replays 0, reseeds 1, dup-acks 0)
+chaos partition/adr/failover: converged in 1 passes (faults {Ships:85 Drops:0 Delays:0 Dups:0 Reorders:0 PartitionDrops:3}, retries 2, trips 1, resyncs 2, replays 0, reseeds 1, dup-acks 0)`
+
+// TestDrillLedger re-derives every pinned row through the engine (the
+// sweeps are shared with the drills' own tests) and compares it with
+// the parent's.
+func TestDrillLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ledger's rows are full-scale sweeps")
+	}
+	var got []string
+	steps := func(family string, d Drill, stride int64) {
+		res := sweepSteps(t, d, stride)
+		name := d.Name
+		if family == "crash" && stride > 1 {
+			name += fmt.Sprintf(" stride %d", stride)
+		}
+		got = append(got, fmt.Sprintf("%s %s: %d trials over %d steps, %d failures",
+			family, name, res.Trials, res.TotalSteps, len(res.Failures)))
+	}
+	for _, d := range Arms() {
+		steps("crash", d, 1)
+	}
+	steps("crash", Arms()[0], 37)
+	steps("sharded", ByName(ShardedArms(), "eadr-4sh"), 5)
+	steps("sharded", ByName(ShardedArms(), "eadr-1sh"), 41)
+	steps("failover", FailoverArm(), 5)
+	injected := func(res *Result) string {
+		return fmt.Sprintf("%d trials, injected {flips %d torn %d poison %d}", res.Trials,
+			res.Injected.MediaBitFlips, res.Injected.MediaTornLines, res.Injected.MediaPoisonedLines)
+	}
+	for _, d := range MediaArms() {
+		res := sweepSeeds(t, d, mediaSeeds(4))
+		got = append(got, fmt.Sprintf("media %s: %s, %d corrupt reads, %d repaired, %d lost-excused, %d failures",
+			d.Name, injected(&res), res.CorruptReads, res.Repaired, res.LostExcused, len(res.Failures)))
+	}
+	for _, d := range ReadRepairArms() {
+		res := sweepSeeds(t, d, mediaSeeds(3))
+		got = append(got, fmt.Sprintf("read-repair %s: %s, %d keys listed lost locally, %d ranges fetched, %d keys restored, %d failures",
+			d.Name, injected(&res), res.LostListed, res.RangesFetched, res.KeysRestored, len(res.Failures)))
+	}
+	for _, arm := range ChaosArms(1) {
+		tr, err := RunChaosTrial(arm, 160)
+		if err != nil {
+			t.Fatalf("chaos %s: %v", arm.Name(), err)
+		}
+		got = append(got, fmt.Sprintf("chaos %s: converged in %d passes (faults %+v, retries %d, trips %d, resyncs %d, replays %d, reseeds %d, dup-acks %d)",
+			arm.Name(), tr.DrainPasses, tr.Faults, tr.Retries, tr.Trips, tr.Resyncs, tr.Replays, tr.Reseeds, tr.ApplyDup))
+	}
+	want := strings.Split(ledger, "\n")
+	if !reflect.DeepEqual(got, want) {
+		for i := 0; i < len(got) || i < len(want); i++ {
+			g, w := "(none)", "(none)"
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(want) {
+				w = want[i]
+			}
+			if g != w {
+				t.Errorf("row %d:\n  here:    %s\n  b7572a8: %s", i, g, w)
+			}
+		}
+	}
+}

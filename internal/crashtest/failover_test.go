@@ -1,17 +1,13 @@
 package crashtest
 
-import (
-	"testing"
-
-	"spash/internal/pmem"
-)
+import "testing"
 
 // TestFailoverScriptCompletes: the replicated workload runs clean end
 // to end (count-only plan), and the replica converges on exactly the
 // acknowledged state — the replication-correctness baseline the crash
 // trials build on.
 func TestFailoverScriptCompletes(t *testing.T) {
-	tr, err := RunFailoverTrial(2, SeededScript(7, 160), 0)
+	tr, err := Run(FailoverArm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +34,7 @@ func TestFailoverSweep(t *testing.T) {
 	if testing.Short() {
 		stride = 47
 	}
-	res, err := FailoverSweep(2, SeededScript(7, 160), stride)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepSteps(t, FailoverArm(), stride)
 	for i, tr := range res.Failures {
 		if i >= 5 {
 			t.Errorf("… and %d more failures", len(res.Failures)-i)
@@ -57,7 +50,9 @@ func TestFailoverSweep(t *testing.T) {
 // details: the survivor must land on epoch 2 and fence the deposed
 // primary's stale frame.
 func TestFailoverPromotionEpoch(t *testing.T) {
-	tr, err := RunFailoverTrial(2, SeededScript(7, 160), 25)
+	arm := FailoverArm()
+	arm.CrashStep = 25
+	tr, err := Run(arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +76,13 @@ func TestFailoverPromotionEpoch(t *testing.T) {
 // healthy replica must bring back every key the local repair pass
 // could only report lost — StillLost must hit zero.
 func TestReadRepairMatrix(t *testing.T) {
-	script := DefaultScript()
 	seeds := mediaSeeds(3)
 	if testing.Short() {
 		seeds = mediaSeeds(1)
 	}
 	lostListed := 0
-	for _, arm := range MediaArms() {
-		res, err := ReadRepairSweep(arm, script, seeds)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.Name, err)
-		}
+	for _, arm := range ReadRepairArms() {
+		res := sweepSeeds(t, arm, seeds)
 		lostListed += res.LostListed
 		t.Logf("%s: %d trials, injected {flips %d torn %d poison %d}, %d keys listed lost locally, %d ranges fetched, %d keys restored, %d failures",
 			arm.Name, res.Trials, res.Injected.MediaBitFlips, res.Injected.MediaTornLines,
@@ -121,10 +112,10 @@ func TestReadRepairMatrix(t *testing.T) {
 // missing (it restores only absent keys) and StillLost hits zero only
 // because the replica supplied them.
 func TestReadRepairHealsPoisonLosses(t *testing.T) {
-	script := DefaultScript()
-	arm := MediaArm{Name: "eadr-poison", Mode: pmem.EADR, Fault: FaultPoison}
+	arm := ByName(ReadRepairArms(), "eadr-poison")
 	for _, seed := range mediaSeeds(5) {
-		tr, err := RunReadRepairTrial(arm, script, seed)
+		arm.Media.Seed = seed
+		tr, err := Run(arm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +139,10 @@ func TestReadRepairHealsPoisonLosses(t *testing.T) {
 // leave key bytes readable, so the quarantine lists the lost keys in
 // the report (LostKeys) and every listed key must come back.
 func TestReadRepairRestoresNamedLosses(t *testing.T) {
-	script := DefaultScript()
-	arm := MediaArm{Name: "eadr-bitflip", Mode: pmem.EADR, Fault: FaultBitFlip}
+	arm := ByName(ReadRepairArms(), "eadr-bitflip")
 	for _, seed := range mediaSeeds(5) {
-		tr, err := RunReadRepairTrial(arm, script, seed)
+		arm.Media.Seed = seed
+		tr, err := Run(arm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,16 +21,12 @@ func mediaSeeds(n int) []uint64 {
 // bring the pool back to CheckInvariants-clean, and every lost key
 // must be excused by the repair report.
 func TestMediaSweepAllArms(t *testing.T) {
-	script := DefaultScript()
 	seeds := mediaSeeds(4)
 	if testing.Short() {
 		seeds = mediaSeeds(1)
 	}
 	for _, arm := range MediaArms() {
-		res, err := MediaSweep(arm, script, seeds)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.Name, err)
-		}
+		res := sweepSeeds(t, arm, seeds)
 		t.Logf("%s: %d trials, injected {flips %d torn %d poison %d}, %d corrupt reads, %d repaired, %d lost-excused, %d failures",
 			arm.Name, res.Trials, res.Injected.MediaBitFlips, res.Injected.MediaTornLines,
 			res.Injected.MediaPoisonedLines, res.CorruptReads, res.Repaired, res.LostExcused, len(res.Failures))
@@ -48,16 +44,12 @@ func TestMediaSweepAllArms(t *testing.T) {
 // vacuous: the damaging arms must inject their budget and the read
 // path must actually observe typed corruption across the seed set.
 func TestMediaInjectionActuallyDamages(t *testing.T) {
-	script := DefaultScript()
 	seeds := mediaSeeds(3)
 	for _, arm := range MediaArms() {
-		if arm.Fault == FaultTorn {
+		if arm.Media.TornLines > 0 {
 			continue // budget only tears what is dirty; checked below
 		}
-		res, err := MediaSweep(arm, script, seeds)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.Name, err)
-		}
+		res := sweepSeeds(t, arm, seeds)
 		if res.Injected.MediaBitFlips == 0 && res.Injected.MediaPoisonedLines == 0 {
 			t.Errorf("%s: sweep injected nothing", arm.Name)
 		}
@@ -71,7 +63,9 @@ func TestMediaInjectionActuallyDamages(t *testing.T) {
 // energy completing every write-back, the torn budget must inject
 // zero lines and the trial must come back byte-clean (exit 0).
 func TestMediaTornEADRIsNoOp(t *testing.T) {
-	tr, err := RunMediaTrial(MediaArm{Name: "eadr-torn", Mode: pmem.EADR, Fault: FaultTorn}, DefaultScript(), 42)
+	arm := ByName(MediaArms(), "eadr-torn")
+	arm.Media.Seed = 42
+	tr, err := Run(arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +84,7 @@ func TestMediaTornEADRIsNoOp(t *testing.T) {
 // ADR with a small write-back cache, dirty lines exist at the cut and
 // the torn budget must actually tear some across a few seeds.
 func TestMediaTornADRInjects(t *testing.T) {
-	arm := MediaArm{Name: "adr-torn", Mode: pmem.ADR, Fault: FaultTorn}
-	res, err := MediaSweep(arm, DefaultScript(), mediaSeeds(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepSeeds(t, ByName(MediaArms(), "adr-torn"), mediaSeeds(3))
 	if res.Injected.MediaTornLines == 0 {
 		t.Fatal("ADR torn sweep never tore a line; the cache rollback hook is dead")
 	}

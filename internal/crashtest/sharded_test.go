@@ -6,7 +6,7 @@ import "testing"
 // to end against a 4-shard database and satisfies the oracle, the
 // per-shard invariants and the placement check.
 func TestShardedScriptCompletes(t *testing.T) {
-	tr, err := ShardedTrial(4, SeededScript(7, 160), 0)
+	tr, err := Run(ByName(ShardedArms(), "eadr-4sh"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,7 @@ func TestShardedSweep(t *testing.T) {
 	if testing.Short() {
 		stride = 47
 	}
-	res, err := ShardedSweep(4, SeededScript(7, 160), stride)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepSteps(t, ByName(ShardedArms(), "eadr-4sh"), stride)
 	for i, tr := range res.Failures {
 		if i >= 5 {
 			t.Errorf("… and %d more failures", len(res.Failures)-i)
@@ -58,7 +55,7 @@ func TestShardedSweep(t *testing.T) {
 		t.Errorf("%v", tr.Err())
 	}
 	t.Logf("%s: %d trials over %d shard-0 steps, %d failures",
-		res.Arm.Name, res.Trials, res.TotalSteps, len(res.Failures))
+		res.Drill.Name, res.Trials, res.TotalSteps, len(res.Failures))
 }
 
 // TestShardedSweepSingleShard pins the n=1 case to the same oracle:
@@ -67,10 +64,7 @@ func TestShardedSweepSingleShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("single-shard sharded sweep skipped in -short")
 	}
-	res, err := ShardedSweep(1, SeededScript(11, 100), 41)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepSteps(t, ByName(ShardedArms(), "eadr-1sh"), 41)
 	for _, tr := range res.Failures {
 		t.Errorf("%v", tr.Err())
 	}

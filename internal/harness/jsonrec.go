@@ -82,18 +82,6 @@ func (r *Recorder) record(res Result) {
 	r.mu.Unlock()
 }
 
-// AddResult appends an externally measured phase — e.g. a wall-clock
-// network run, which never passes through the virtual-time measure
-// path — to the artifact.
-func (r *Recorder) AddResult(res ResultJSON) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.art.Results = append(r.art.Results, res)
-	r.mu.Unlock()
-}
-
 // SetObs attaches (or replaces) the artifact's phase obs snapshot.
 func (r *Recorder) SetObs(s obs.Snapshot) {
 	if r == nil {

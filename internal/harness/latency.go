@@ -17,8 +17,7 @@ type LatencyHist struct {
 }
 
 // Add records a batch of latency samples (ns): a worker's virtual
-// per-operation latencies from Run, or externally measured wall-clock
-// ones (spash-ycsb -net).
+// per-operation latencies from Run.
 func (h *LatencyHist) Add(batch []int64) {
 	h.mu.Lock()
 	h.samples = append(h.samples, batch...)

@@ -161,9 +161,7 @@ func MixSource(mix ycsb.Mix, n uint64, theta float64, valSize int, seed int64) O
 
 // LoadSource is the bulk-load op stream: worker id inserts keys
 // [id*per, (id+1)*per) with the standard key/value encoding (8 =
-// inline 8-byte keys, otherwise 16-byte keys). Shared by the harness
-// load phase and the network load of spash-ycsb -net, so both sides
-// of a net-vs-inproc comparison populate an identical keyspace.
+// inline 8-byte keys, otherwise 16-byte keys).
 func LoadSource(per, valSize int) OpSource {
 	return func(id int) func(i int) Op {
 		kb := make([]byte, keyBytes16)

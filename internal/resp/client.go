@@ -1,5 +1,5 @@
-// Client-side RESP: a pipelined connection used by spash-cli -connect,
-// spash-ycsb -net, and the replication wire transport.
+// Client-side RESP: a pipelined connection used by spash-cli -connect
+// and the replication wire transport.
 package resp
 
 import (

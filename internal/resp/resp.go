@@ -1,8 +1,8 @@
 // Package resp implements the subset of the RESP2 wire protocol the
 // spash-serve front end speaks: a zero-copy request reader (inline and
 // multibulk commands), a reply writer, and a reply reader for the
-// client side (spash-cli -connect, spash-ycsb -net, and the
-// replication wire transport all share it).
+// client side (spash-cli -connect and the replication wire transport
+// share it).
 //
 // Zero copy here means the reader hands out argument slices that alias
 // its internal buffer: between Release calls no key or value byte is

@@ -1,6 +1,6 @@
 // Package server is spash's wire front end: a RESP2-compatible TCP
-// server over the sharded DB, speakable with redis-cli, spash-cli
-// -connect, and spash-ycsb -net.
+// server over the sharded DB, speakable with redis-cli and spash-cli
+// -connect.
 //
 // The design goal is to keep the engine's batch pipeline fed. Each
 // connection parses commands zero-copy (internal/resp), accumulates
