@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate count-gate count-gate-update bench bench-tiny clean
+.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate count-gate count-gate-update pairs bench bench-tiny clean
 
 all: build test
 
@@ -123,6 +123,15 @@ count-gate:
 
 count-gate-update:
 	python3 scripts/count-gate.py -update
+
+# pairs is the wall-clock evidence of the standing pair rule (ROADMAP):
+# AGAINST's committed files and this checkout, built with bench/run.sh and
+# run in alternating pairs, e.g.
+#   make pairs AGAINST=HEAD~1 WORKLOAD=wire_pipe64 PAIRS=10 SEED=1
+PAIRS ?= 10
+SEED ?= 1
+pairs:
+	python3 scripts/bench-pairs.py -against $(AGAINST) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # bench runs the repository benchmark (BENCHMARK.json): all four
 # workloads, ~23 s each, result JSON on the last line of each run.

@@ -34,7 +34,7 @@ const maxPoolSize = (1<<32 - 1) * CachelineSize
 // store's entry captures the pre-store image and sets the bit before any
 // later entry sees the line dirty. It does not cover the pool's word
 // stores, which happen after access has unlocked (and, for a repeat store
-// to a context's current line, without entering the set at all): a word
+// to a line in the context's memo, without entering the set at all): a word
 // written while a neighbour evicts or flushes the line is one that
 // reached media early.
 type cacheSet struct {
@@ -178,12 +178,12 @@ func (s *cacheSet) victim(ways int) int {
 	return int(s.order >> (4 * uint(ways-1)) & 0xf)
 }
 
-// access looks up line, filling it on a miss (write-allocate policy).
-// It returns whether the line was already resident. All media traffic
+// access looks up line in its set si, filling it on a miss
+// (write-allocate policy). It returns whether the line was already
+// resident, and whether it leaves the set dirty. All media traffic
 // caused by the access (fill, dirty victim write-back) is recorded on
 // ctx and coalesced through the pool's XPBuffer.
-func (c *cache) access(p *Pool, ctx *Ctx, line uint64, store bool) (hit bool) {
-	si := c.setIndex(line)
+func (c *cache) access(p *Pool, ctx *Ctx, line, si uint64, store bool) (hit, dirty bool) {
 	set := &c.sets[si]
 	tag := tagOf(line)
 	set.mu.Lock()
@@ -202,12 +202,13 @@ func (c *cache) access(p *Pool, ctx *Ctx, line uint64, store bool) (hit bool) {
 		p.xpb.read(ctx, line)
 	}
 	set.promote(w)
-	if store && !set.isDirty(w) {
+	if dirty = set.isDirty(w); store && !dirty {
 		c.snapshot(p, si*uint64(c.ways)+uint64(w), line)
 		set.dirty |= 1 << w
+		dirty = true
 	}
 	set.mu.Unlock()
-	return hit
+	return hit, dirty
 }
 
 // snapshot captures the media image of line into the way's snapshot
@@ -226,8 +227,8 @@ func (c *cache) snapshot(p *Pool, way uint64, line uint64) {
 // flushLine implements clwb: if the line is resident and dirty it is
 // written back to media and marked clean, remaining resident (and
 // keeping its LRU rank). Returns whether a write-back happened.
-func (c *cache) flushLine(p *Pool, ctx *Ctx, line uint64) bool {
-	set := &c.sets[c.setIndex(line)]
+func (c *cache) flushLine(p *Pool, ctx *Ctx, line, si uint64) bool {
+	set := &c.sets[si]
 	set.mu.Lock()
 	wrote := false
 	if w := set.find(tagOf(line)); w >= 0 && set.isDirty(w) {
@@ -244,8 +245,8 @@ func (c *cache) flushLine(p *Pool, ctx *Ctx, line uint64) bool {
 // back. Used by ntstore, whose data bypasses the cache and fully
 // overwrites the line in media. The emptied way keeps its rank; the
 // next fill of the set takes it and promotes it.
-func (c *cache) invalidateLine(line uint64) {
-	set := &c.sets[c.setIndex(line)]
+func (c *cache) invalidateLine(line, si uint64) {
+	set := &c.sets[si]
 	set.mu.Lock()
 	if w := set.find(tagOf(line)); w >= 0 {
 		set.tags[w] = 0
@@ -258,8 +259,8 @@ func (c *cache) invalidateLine(line uint64) {
 // and empties the cache. In ADR mode every dirty line is rolled back
 // to its pre-dirty media image; the number of lines lost is returned.
 // In eADR mode dirty lines are (conceptually) flushed by the reserve
-// energy, so nothing is lost. Every context's current-line memo goes
-// stale with the pool's crash count.
+// energy, so nothing is lost. Every context's line memo goes stale with
+// the pool's crash count.
 //
 // With an armed MediaFaultPlan (mp non-nil), up to mp.TornLines of the
 // ADR rollbacks are torn: a pseudorandom subset of the line's 8-byte

@@ -217,31 +217,60 @@ func linesOf(addr, n uint64) (first, last uint64) {
 // diffStream runs one seeded stream of every access kind through a pool
 // whose cache is a fraction of the address span, so most accesses
 // evict, and through the reference, comparing them after every
-// operation. With storeRuns, one operation in eight is instead a run of 2
-// to 16 Store64/CAS64 to one line — what a record publish or a segment
-// fill looks like, and what the current-line memo serves without entering
-// the set — half of them with a Flush, NTStore or Crash of that line
-// somewhere inside, after which the next store must enter it again.
-func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
+// operation: counters, set state and the virtual clock, which the
+// reference charges from Timing (hit, miss, prefetched hit, flush, fence,
+// NTStore) with the context's own prefetch table.
+//
+// With storeRuns, one operation in eight is instead a run of 2 to 16
+// Store64/CAS64 to one line — what a record publish or a segment fill
+// looks like, and what the line memo serves without entering the set —
+// half of them with a Flush, NTStore or Crash of that line somewhere
+// inside, after which the next store must enter it again.
+//
+// With revisits the stream also does what an index operation does and a
+// random walk does not: it returns to one of the last few lines it
+// touched (a bucket, its key record, the bucket again), it prefetches a
+// line and then loads it several times while other prefetches are still
+// pending (a pipelined batch), and it opens and closes operations
+// (BeginOp/EndOp) around all of it.
+func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns, revisits bool) {
 	const span = 64 << 10
 	p := New(Config{PoolSize: span, Mode: mode, CacheSize: uint64(4 * ways * CachelineSize),
 		CacheWays: ways, XPBufferLines: 8})
 	c := p.NewCtx()
 	r := newRefCache(p)
-	st := &r.ctx.stats
-	// touch mirrors Pool.touch's hit/miss accounting on the reference.
+	st, tm := &r.ctx.stats, &p.cfg.Timing
+	// touch mirrors Pool.touch's accounting on the reference: every line
+	// enters its set, a load first consuming the line's pending prefetch.
 	touch := func(addr, n uint64, store bool) {
 		first, last := linesOf(addr, n)
 		for line := first; line <= last; line += CachelineSize {
-			if r.access(p, line, store) {
-				st.CacheHits++
-			} else {
+			done, prefetched := int64(0), false
+			if !store {
+				done, prefetched = r.ctx.takePrefetch(line)
+			}
+			switch hit := r.access(p, line, store); {
+			case !hit && store:
+				r.ctx.clock += tm.CacheMissStore
 				st.CacheMisses++
+			case !hit:
+				r.ctx.clock += tm.CacheMissLoad
+				st.CacheMisses++
+			case store:
+				r.ctx.clock += tm.CacheHitStore
+				st.CacheHits++
+			default:
+				if prefetched {
+					r.ctx.clock = max(r.ctx.clock, done)
+				}
+				r.ctx.clock += tm.CacheHitLoad
+				st.CacheHits++
 			}
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, 320)
+	inOp := false
 	// do runs operation i, of kind op over [addr, addr+n), through both
 	// models and compares them.
 	do := func(i int, op string, addr, n uint64) {
@@ -266,6 +295,8 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 			first, last := linesOf(addr, n)
 			for line := first; line <= last; line += CachelineSize {
 				st.Flushes++
+				r.ctx.clock += tm.FlushIssue
+				r.ctx.pendingFlushes++
 				r.flushLine(line)
 			}
 			p.Flush(c, addr, n)
@@ -276,18 +307,34 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 				st.CachelineWrites++
 				st.NTStores++
 				r.xpb.write(r.ctx, line)
+				r.ctx.clock += tm.NTStoreLine
 			}
 			rng.Read(buf[:n])
 			p.NTStore(c, addr, buf[:n])
 		case "Prefetch":
-			if !r.access(p, addr&^uint64(CachelineSize-1), false) {
+			line := addr &^ uint64(CachelineSize-1)
+			r.ctx.clock += tm.DRAMAccess
+			if r.access(p, line, false) {
+				r.ctx.notePrefetch(line, r.ctx.clock+tm.CacheHitLoad)
+			} else {
 				st.CacheMisses++
+				r.ctx.notePrefetch(line, r.ctx.clock+tm.CacheMissLoad)
 			}
 			p.Prefetch(c, addr)
 		case "Fence":
 			st.Fences++
+			if r.ctx.pendingFlushes > 0 {
+				r.ctx.clock += tm.FenceDrain
+			} else {
+				r.ctx.clock += tm.FenceIdle
+			}
+			r.ctx.pendingFlushes = 0
 			p.Fence(c)
 		case "Crash":
+			if inOp { // a quiescent cut: no operation may be open
+				c.EndOp()
+				inOp = false
+			}
 			want, wantLost := r.crash(p, mode)
 			if lost := p.Crash(); lost != wantLost {
 				t.Fatalf("op %d Crash lost %d lines, reference %d", i, lost, wantLost)
@@ -297,22 +344,37 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 					t.Fatalf("op %d Crash: word %#x = %#x, reference %#x", i, wi*8, p.words[wi], w)
 				}
 			}
+		case "OpBoundary":
+			if inOp {
+				c.EndOp()
+			} else {
+				c.BeginOp()
+			}
+			inOp = !inOp
 		}
 		// Equal counters after every operation: each access agreed on
 		// hit or miss and on whether it evicted a dirty line; equal sets:
-		// it evicted the same line.
+		// it evicted the same line; equal clocks: it was charged the same.
 		if c.stats != *st {
 			t.Fatalf("op %d %s(%#x, %d):\n got %+v\nwant %+v", i, op, addr, n, c.stats, *st)
+		}
+		if c.clock != r.ctx.clock {
+			t.Fatalf("op %d %s(%#x, %d): clock %d, reference %d", i, op, addr, n, c.clock, r.ctx.clock)
 		}
 		if err := sameState(p.cache, r); err != nil {
 			t.Fatalf("op %d %s(%#x, %d): %v", i, op, addr, n, err)
 		}
 	}
 	var addr uint64
+	var recent [4]uint64 // lines of the last few operations
 	for i := 0; i < 12000; i++ {
-		if rng.Intn(2) == 0 {
+		recent[i%len(recent)] = addr &^ uint64(CachelineSize-1)
+		switch k := rng.Intn(2); {
+		case revisits && rng.Intn(3) == 0:
+			addr = recent[rng.Intn(len(recent))] + uint64(rng.Intn(8))*8
+		case k == 0:
 			addr = addr&^uint64(CachelineSize-1) + uint64(rng.Intn(8))*8
-		} else {
+		default:
 			addr = uint64(rng.Intn(span/8)) * 8
 		}
 		n := uint64(1 + rng.Intn(len(buf)-1))
@@ -334,6 +396,27 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 				do(i, op, line+uint64(rng.Intn(8))*8, 8)
 			}
 			continue
+		}
+		if revisits {
+			switch k := rng.Intn(16); {
+			case k == 0:
+				do(i, "OpBoundary", 0, 0)
+				continue
+			case k < 3:
+				// A pipelined request: its line is prefetched behind another
+				// still pending, then loaded a few times, now and then
+				// looking at a recent line in between.
+				do(i, "Prefetch", uint64(rng.Intn(span/8))*8, 8)
+				do(i, "Prefetch", addr, 8)
+				line := addr &^ uint64(CachelineSize-1)
+				for j := 2 + rng.Intn(4); j > 0; j-- {
+					if rng.Intn(4) == 0 {
+						do(i, "Load64", recent[rng.Intn(len(recent))], 8)
+					}
+					do(i, "Load64", line+uint64(rng.Intn(8))*8, 8)
+				}
+				continue
+			}
 		}
 		switch k := rng.Intn(100); {
 		case k < 35:
@@ -357,6 +440,9 @@ func diffStream(t *testing.T, mode Mode, ways int, seed int64, storeRuns bool) {
 		default:
 			do(i, "Crash", addr, n)
 		}
+	}
+	if inOp {
+		c.EndOp()
 	}
 	dirty := 0
 	for _, set := range r.sets {
@@ -382,8 +468,9 @@ func TestPackedSetMatchesTickLRU(t *testing.T) {
 		for _, ways := range []int{1, 2, 4, 8, 16} {
 			t.Run(fmt.Sprintf("%v/%dway", mode, ways), func(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
-					diffStream(t, mode, ways, seed, false)
-					diffStream(t, mode, ways, seed, true)
+					diffStream(t, mode, ways, seed, false, false)
+					diffStream(t, mode, ways, seed, true, false)
+					diffStream(t, mode, ways, seed, true, true)
 				}
 			})
 		}
@@ -422,17 +509,40 @@ func TestStoreAfterOwnWriteBackDirtiesTheLineAgain(t *testing.T) {
 	}
 }
 
-// One context stores a counter round-robin into the words of one line —
-// store k puts k into word (k-1)%8, and now and then it looks at another
-// line — while a neighbour keeps flushing that line and evicting it from
-// the one-set cache. The writer's memo lets stores land while the
-// neighbour has the line clean or gone; those reach media early, which
-// any eviction may do, so whatever a power cut then leaves must still be
-// the line as it stood after some prefix of the stores. Run under -race.
+// setLines returns n+1 distinct lines of cache set si: one to work on and
+// n more that, loaded after it, evict it from an n-way set.
+func setLines(p *Pool, si uint64, n int) (line uint64, evictors []uint64) {
+	for l := uint64(CachelineSize); line == 0 || len(evictors) < n; l += CachelineSize {
+		switch {
+		case p.cache.setIndex(l) != si:
+		case line == 0:
+			line = l
+		default:
+			evictors = append(evictors, l)
+		}
+	}
+	return line, evictors
+}
+
+// One context stores a counter round-robin over three lines of three
+// sets — store k puts k into the next word of line (k-1)%3 — inside
+// operations of a few dozen stores, so all three lines keep a memo entry
+// while a neighbour keeps flushing them and evicting them from their
+// sets; now and then the writer looks at a line of a fourth set. The
+// memo lets stores land while the neighbour has a line clean or gone;
+// those reach media early, which any eviction may do, so whatever a power
+// cut then leaves of each line must still be that line as it stood after
+// some prefix of the stores to it. Run under -race.
 func TestNeighbourWriteBackMidRunLeavesALegalImage(t *testing.T) {
-	const line = 8 * CachelineSize
+	const nlines, ways = 3, 4
 	for _, mode := range []Mode{EADR, ADR} {
-		p := New(Config{PoolSize: 1 << 20, Mode: mode, CacheSize: 4 * CachelineSize, CacheWays: 4})
+		p := New(Config{PoolSize: 1 << 20, Mode: mode, CacheSize: 4 * ways * CachelineSize, CacheWays: ways})
+		var lines [nlines]uint64
+		var evictors [nlines][]uint64
+		for l := range lines { // sets 0..2 are memo slots 0..2
+			lines[l], evictors[l] = setLines(p, uint64(l), ways)
+		}
+		elsewhere, _ := setLines(p, nlines, 0)
 		var wg sync.WaitGroup
 		var stores uint64        // the writer's, once it is done
 		var rounds atomic.Uint64 // the neighbour's
@@ -443,13 +553,23 @@ func TestNeighbourWriteBackMidRunLeavesALegalImage(t *testing.T) {
 			defer done.Store(true)
 			c := p.NewCtx()
 			defer c.Release()
-			// Long enough for the neighbour to have cut in many times.
-			for k := uint64(1); k <= 40000 || rounds.Load() < 400; k++ {
-				p.Store64(c, line+(k-1)%8*8, k)
-				stores = k
-				if k%61 == 0 { // leave the line: the next store enters the set
-					p.Load64(c, line+5*CachelineSize)
+			// Long enough for the neighbour to have cut in many times since
+			// the first store.
+			for k, r0 := uint64(1), rounds.Load(); k <= 60000 || rounds.Load()-r0 < 400; k++ {
+				if k%48 == 1 {
+					c.BeginOp()
 				}
+				p.Store64(c, lines[(k-1)%nlines]+(k-1)/nlines%8*8, k)
+				stores = k
+				if k%61 == 0 { // a fourth entry, in a slot of its own
+					p.Load64(c, elsewhere)
+				}
+				if k%48 == 0 {
+					c.EndOp()
+				}
+			}
+			if stores%48 != 0 {
+				c.EndOp()
 			}
 		}()
 		go func() {
@@ -457,39 +577,94 @@ func TestNeighbourWriteBackMidRunLeavesALegalImage(t *testing.T) {
 			c := p.NewCtx()
 			defer c.Release()
 			for i := uint64(0); !done.Load(); i++ {
+				l := i / 2 % nlines
 				if i%2 == 0 {
-					p.Flush(c, line, CachelineSize)
+					p.Flush(c, lines[l], CachelineSize)
 				} else {
-					for l := uint64(1); l <= 4; l++ { // fills the set: evicts line
-						p.Load64(c, line+l*CachelineSize)
+					for _, e := range evictors[l] { // fills the set: evicts the line
+						p.Load64(c, e)
 					}
 				}
 				rounds.Add(1)
 			}
 		}()
 		wg.Wait()
-		if n := p.DirtyLines(); n > 1 {
-			t.Errorf("%v: %d dirty lines, but only one line was ever stored to", mode, n)
+		if n := p.DirtyLines(); n > nlines {
+			t.Errorf("%v: %d dirty lines, but only %d lines were ever stored to", mode, n, nlines)
 		}
 		if err := p.cache.check(); err != nil {
 			t.Errorf("%v: %v", mode, err)
 		}
 		lost := p.Crash()
-		var prefix uint64 // the stores the image holds: its largest counter
-		for j := uint64(0); j < 8; j++ {
-			prefix = max(prefix, p.words[line/8+j])
-		}
-		for j := uint64(0); j < 8; j++ {
-			want := uint64(0) // the last k <= prefix with (k-1)%8 == j
-			if prefix > j {
-				want = prefix - (prefix-1-j)%8
+		for l, line := range lines {
+			// Store number m (from 0) to this line was k = m*nlines+l+1,
+			// into word m%8.
+			k := func(m uint64) uint64 { return m*nlines + uint64(l) + 1 }
+			var prefix uint64 // the stores the image holds: its largest counter
+			for j := uint64(0); j < 8; j++ {
+				prefix = max(prefix, p.words[line/8+j])
 			}
-			if got := p.words[line/8+j]; got != want {
-				t.Errorf("%v: word %d = %d after the crash, but the image holds store %d: want %d", mode, j, got, prefix, want)
+			if prefix != 0 && (prefix-1)%nlines != uint64(l) {
+				t.Errorf("%v: line %d holds %d, not one of its stores", mode, l, prefix)
+				continue
+			}
+			for j := uint64(0); j < 8; j++ {
+				want := uint64(0) // the last m <= last with m%8 == j; none of an empty prefix
+				if last := (prefix - 1) / nlines; prefix != 0 && last >= j {
+					want = k(last - (last-j)%8)
+				}
+				if got := p.words[line/8+j]; got != want {
+					t.Errorf("%v: line %d word %d = %d after the crash, but the image holds store %d: want %d",
+						mode, l, j, got, prefix, want)
+				}
+			}
+			if final := k((stores - 1 - uint64(l)) / nlines); mode == EADR && prefix != final {
+				t.Errorf("eADR: the crash kept line %d up to store %d of %d", l, prefix, final)
 			}
 		}
-		if mode == EADR && (prefix != stores || lost != 0) {
-			t.Errorf("eADR: the crash kept %d of %d stores and lost %d lines", prefix, stores, lost)
+		if mode == EADR && lost != 0 {
+			t.Errorf("eADR: the crash lost %d lines", lost)
+		}
+	}
+}
+
+// What a neighbour does to a line between two of a context's operations
+// is never hidden by a memo entry from the first: the outermost BeginOp
+// empties the table, and outside any operation an entry lives only until
+// the context's next pass through a set. Here the neighbour's Flush makes
+// the first store durable and the line clean, so the second store must
+// dirty it again and an ADR power cut rolls exactly that one back; with
+// the stale entry believed it would skip the set and survive.
+func TestMemoEntryDoesNotOutliveItsOperation(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		first, between func(p *Pool, c *Ctx, line, other uint64)
+	}{
+		{"the next operation",
+			func(p *Pool, c *Ctx, line, _ uint64) { c.BeginOp(); p.Store64(c, line, 1); c.EndOp() },
+			func(p *Pool, c *Ctx, _, _ uint64) { c.BeginOp() }},
+		{"outside any operation, another line later",
+			func(p *Pool, c *Ctx, line, other uint64) { p.Store64(c, line, 1); p.Store64(c, other, 7) },
+			func(p *Pool, c *Ctx, _, _ uint64) {}},
+	} {
+		p := New(Config{PoolSize: 1 << 20, Mode: ADR, CacheSize: 16 * CachelineSize, CacheWays: 4})
+		line, _ := setLines(p, 1, 0)
+		other, _ := setLines(p, 2, 0) // another memo slot: does not replace line's entry
+		c, neighbour := p.NewCtx(), p.NewCtx()
+		tc.first(p, c, line, other)
+		p.Flush(neighbour, line, 8)
+		p.Flush(neighbour, other, 8)
+		tc.between(p, c, line, other)
+		p.Store64(c, line+8, 2)
+		if c.opDepth > 0 {
+			c.EndOp()
+		}
+		if lost := p.Crash(); lost != 1 {
+			t.Errorf("%s: Crash lost %d lines, want the re-dirtied one", tc.name, lost)
+		}
+		if w0, w1 := p.words[line/8], p.words[line/8+1]; w0 != 1 || w1 != 0 {
+			t.Errorf("%s: words after the crash = %d, %d; want 1 (written back by the neighbour) and 0 (rolled back)",
+				tc.name, w0, w1)
 		}
 	}
 }

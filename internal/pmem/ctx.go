@@ -1,5 +1,14 @@
 package pmem
 
+// memoSlots is the number of lines a context's memo can hold, a power
+// of two picked by the 4/8/16 sweep in EXPERIMENTS.md; the low bits of
+// an entry flag it valid and dirty.
+const (
+	memoSlots = 8
+	memoValid = 1
+	memoDirty = 2
+)
+
 // maxPrefetch bounds the number of in-flight asynchronous loads a
 // single worker can track. The paper's pipeline depth tops out at 8.
 const maxPrefetch = 16
@@ -29,14 +38,22 @@ type Ctx struct {
 	}
 	nprefetch int
 
-	// curLine is the line (|1, so 0 means none) this context last ran
-	// through a cache set, curCrashes the pool's crash count read just
-	// before it did, and curStored whether it entered as a store and has
-	// not flushed since: Pool.touch serves further loads of that line —
-	// and, while curStored, further stores — without re-entering the set.
-	curLine    uint64
-	curCrashes uint64
-	curStored  bool
+	// memo is the line memo (DESIGN.md §2 "The line memo"), a direct-mapped
+	// table indexed by the low bits of a line's cache-set index. An entry
+	// line|memoValid in a slot means this context's last pass through any
+	// set that maps to the slot was for that line, so — for a context
+	// alone on its pool — the line still holds rank 0 of its set, and with
+	// memoDirty it is dirty with its ADR snapshot taken: entering the set
+	// again would change nothing, and Pool.touch does not. The entries are
+	// believed only while memoCrashes is the pool's crash count, and none
+	// outlives the operation that made it (BeginOp). memoLast is the slot
+	// of the last access, checked before the line is hashed.
+	memo        [memoSlots]uint64
+	memoLast    uint64
+	memoCrashes uint64
+	// setEntries counts this context's passes through a cache set, for the
+	// gate that pins how many an operation makes (setentries_test.go).
+	setEntries uint64
 
 	// opDepth tracks BeginOp/EndOp nesting: while > 0 this worker has an
 	// operation in flight and the pool refuses quiescent-only Crash
@@ -58,9 +75,14 @@ type Ctx struct {
 // operation is in flight, Pool.Crash without an armed FaultPlan
 // panics, because a mid-operation power cut is only well-defined when
 // taken through the deterministic fault injector.
+//
+// The outermost BeginOp empties the line memo: what a neighbour did to
+// a line between two operations is never papered over by an entry made
+// in the first.
 func (c *Ctx) BeginOp() {
 	if c.opDepth == 0 {
 		c.pool.inFlight.Add(1)
+		c.memo = [memoSlots]uint64{}
 	}
 	c.opDepth++
 }
@@ -100,6 +122,15 @@ func (c *Ctx) Stats() Stats { return c.stats }
 func (c *Ctx) Release() {
 	c.pool.retire(c)
 	c.pool = nil
+}
+
+// memoSlot returns the memo slot of set index si when it holds line,
+// else nil.
+func (c *Ctx) memoSlot(line, si uint64) *uint64 {
+	if e := &c.memo[si&(memoSlots-1)]; *e&^memoDirty == line|memoValid {
+		return e
+	}
+	return nil
 }
 
 // notePrefetch records that line will be available at virtual time

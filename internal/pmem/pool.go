@@ -37,8 +37,8 @@ type Pool struct {
 	fault      atomic.Pointer[FaultPlan]
 	inFlight   atomic.Int64
 	atomicOpen atomic.Int64
-	// crashes counts power failures; a context's current-line memo
-	// (Ctx.curLine) is only believed while it carries the current count.
+	// crashes counts power failures; a context's line memo (Ctx.memo) is
+	// only believed while it carries the current count.
 	crashes atomic.Uint64
 
 	// media is the armed media-fault plan (media.go); poison is the
@@ -135,15 +135,27 @@ func (p *Pool) checkAligned(addr uint64) {
 	p.check(addr, 8)
 }
 
-// lookup runs one line access through the cache set and makes line the
-// context's current line, remembering whether it entered as a store. The
-// crash count is read before the set is entered, so a power cut racing
-// the access leaves a memo that is already stale, never one that
-// outlives the emptied cache.
-func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
-	c.curCrashes = p.crashes.Load()
-	hit = p.cache.access(p, c, line, store)
-	c.curLine, c.curStored = line|1, store
+// lookup runs one line access through cache set si — the one door into
+// cache.access — and leaves the line's memo entry behind, flagged when
+// the access leaves the line dirty. The crash count is read before the
+// set is entered, so a power cut racing the access leaves a memo that is
+// already stale, never one that outlives the emptied cache; a count that
+// moved empties the table, and so does every entry made outside an
+// operation, where no BeginOp bounds how long a neighbour could make the
+// others wrong.
+func (p *Pool) lookup(c *Ctx, line, si uint64, store bool) (hit bool) {
+	if n := p.crashes.Load(); n != c.memoCrashes || c.opDepth == 0 {
+		c.memo = [memoSlots]uint64{}
+		c.memoCrashes = n
+	}
+	c.setEntries++
+	hit, dirty := p.cache.access(p, c, line, si, store)
+	e := line | memoValid
+	if dirty {
+		e |= memoDirty
+	}
+	c.memoLast = si & (memoSlots - 1)
+	c.memo[c.memoLast] = e
 	return hit
 }
 
@@ -151,38 +163,59 @@ func (p *Pool) lookup(c *Ctx, line uint64, store bool) (hit bool) {
 // charges the context's virtual clock, consuming a pending prefetch of
 // the line if one exists.
 //
-// An access to the context's current line — the line of its previous
-// access — is a hit that would leave the set exactly as it is, and is
-// charged without taking the set lock: the line's way already holds rank
-// 0 of the set's LRU order, so a load with no prefetch to consume has
-// nothing to do; and when the context last entered the set as a store
-// (curStored) the way is dirty and its ADR snapshot taken, so neither has
-// a store. The context's own Flush (which cleans the line: the next store
-// must re-snapshot and re-dirty it), NTStore and any Crash end the memo.
-// For a context alone on its pool that is the same accounting as
-// entering the set. With several contexts a neighbour may have evicted
-// or flushed the line in between: the next miss absorbs the eviction,
-// and a store that misses its dirty mark reaches media early, which
-// under ADR an eviction may make any store do.
+// An access to a line with a memo entry (Ctx.memo) is a hit that would
+// leave the set exactly as it is, and is charged without taking the set
+// lock: the line's way already holds rank 0 of the set's LRU order, so a
+// load has nothing to do there but consume the line's pending prefetch;
+// and when the entry is memoDirty the way is dirty and its ADR snapshot
+// taken, so neither has a store. A pass through any set of the slot
+// replaces the entry, the context's own Flush (which cleans the line:
+// the next store must re-snapshot and re-dirty it) clears memoDirty, its
+// NTStore drops the entry, and any Crash or the next outermost BeginOp
+// empties the table. For a context alone on its pool that is the same
+// accounting as entering the set. With several contexts a neighbour may
+// have evicted or flushed a memoed line since: the next miss absorbs the
+// eviction, and a store that misses its dirty mark reaches media early,
+// which under ADR an eviction may make any store do — for at most the
+// rest of one operation.
 func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 	t := &p.cfg.Timing
-	if c.curLine == line|1 && c.curCrashes == p.crashes.Load() {
-		if store && c.curStored {
+	// The slot of the previous access is tried before the line is
+	// hashed: a run of accesses to one line costs one compare each. (The
+	// mask only tells the compiler memoLast is in range.)
+	const unhashed = ^uint64(0)
+	want := line | memoValid
+	si, e := unhashed, c.memo[c.memoLast&(memoSlots-1)]
+	if e&^memoDirty != want {
+		si = p.cache.setIndex(line)
+		c.memoLast = si & (memoSlots - 1)
+		e = c.memo[c.memoLast]
+	}
+	if e&^memoDirty == want && c.memoCrashes == p.crashes.Load() {
+		switch {
+		case !store:
+			if c.nprefetch > 0 {
+				if done, ok := c.takePrefetch(line); ok && done > c.clock {
+					c.clock = done // as a prefetched hit in the set would wait
+				}
+			}
+			c.clock += t.CacheHitLoad
+			c.stats.CacheHits++
+			return
+		case e&memoDirty != 0:
 			c.clock += t.CacheHitStore
 			c.stats.CacheHits++
 			return
 		}
-		if !store && c.nprefetch == 0 {
-			c.clock += t.CacheHitLoad
-			c.stats.CacheHits++
-			return
-		}
+	}
+	if si == unhashed {
+		si = p.cache.setIndex(line)
 	}
 	done, prefetched := int64(0), false
 	if !store && c.nprefetch > 0 {
 		done, prefetched = c.takePrefetch(line)
 	}
-	hit := p.lookup(c, line, store)
+	hit := p.lookup(c, line, si, store)
 	switch {
 	case prefetched && hit:
 		// Data arrives at the prefetch completion time; the load
@@ -305,9 +338,12 @@ func (p *Pool) NTStore(c *Ctx, addr uint64, src []byte) {
 	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + n - 1) &^ uint64(CachelineSize-1)
-	c.curLine = 0 // the range may cover it
 	for line := first; line <= last; line += CachelineSize {
-		p.cache.invalidateLine(line)
+		si := p.cache.setIndex(line)
+		if e := c.memoSlot(line, si); e != nil {
+			*e = 0 // the line is gone from the cache
+		}
+		p.cache.invalidateLine(line, si)
 		c.stats.CachelineWrites++
 		c.stats.NTStores++
 		p.xpb.write(c, line)
@@ -329,11 +365,14 @@ func (p *Pool) Flush(c *Ctx, addr, size uint64) {
 	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + size - 1) &^ uint64(CachelineSize-1)
-	c.curStored = false // the range may clean the current line
 	for line := first; line <= last; line += CachelineSize {
 		c.stats.Flushes++
 		c.clock += t.FlushIssue
-		p.cache.flushLine(p, c, line)
+		si := p.cache.setIndex(line)
+		if e := c.memoSlot(line, si); e != nil {
+			*e &^= memoDirty // clean again: the next store must enter the set
+		}
+		p.cache.flushLine(p, c, line, si)
 		c.pendingFlushes++
 	}
 }
@@ -361,7 +400,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) {
 	p.check(addr, 1)
 	t := &p.cfg.Timing
 	line := addr &^ uint64(CachelineSize-1)
-	hit := p.lookup(c, line, false)
+	hit := p.lookup(c, line, p.cache.setIndex(line), false)
 	c.clock += t.DRAMAccess // issue cost
 	lat := t.CacheMissLoad
 	if hit {
@@ -375,7 +414,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) {
 // Hint asks the host (not the simulated device — that is Prefetch) to
 // start fetching what an access to addr's cacheline will read: the data
 // line and the line's cache set. A hint changes no simulated state: no
-// Stats, clock, LRU rank, current-line memo or fault step moves, a
+// Stats, clock, LRU rank, line-memo entry or fault step moves, a
 // poisoned line raises nothing, and an address outside the pool — the
 // caller may have read it from a stale bucket — is dropped.
 func (p *Pool) Hint(addr uint64) {
