@@ -22,12 +22,16 @@ fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 # cross-build compiles the tree for an architecture with its own
-# internal/hostpf stub (arm64, vetted against its Go declaration) and
-# for one that gets the empty fallback; CI's build-test job runs it.
+# internal/hostpf stub (arm64, vetted against its Go declaration), for
+# one that gets the empty fallback, and for two systems that keep pool
+# words in a Go slice (internal/pmem/storage_other.go); CI's build-test
+# job runs it.
 cross-build:
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/hostpf
 	GOARCH=riscv64 go build ./...
+	GOOS=windows go build ./...
+	GOOS=darwin go build ./...
 
 # loc prints the size numbers ROADMAP item 5 tracks per PR: non-test Go
 # lines in the root module (bench/ and testdata excluded), in
@@ -128,6 +132,7 @@ count-gate-update:
 # AGAINST's committed files and this checkout, built with bench/run.sh and
 # run in alternating pairs, e.g.
 #   make pairs AGAINST=HEAD~1 WORKLOAD=wire_pipe64 PAIRS=10 SEED=1
+# (WORKLOAD=all runs the four workloads in turn)
 PAIRS ?= 10
 SEED ?= 1
 pairs:

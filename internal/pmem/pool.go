@@ -15,8 +15,12 @@ import (
 // aligned (the backing store is word-granular and word accesses are
 // atomic, like real hardware).
 type Pool struct {
-	cfg   Config
+	cfg Config
+	// words is the device's content; mem owns the storage behind it
+	// (storage_linux.go). No pointer or slice into words may outlive the
+	// caller's reference to the Pool.
 	words []uint64
+	mem   *mapping
 	cache *cache
 	xpb   *xpbuffer
 
@@ -56,10 +60,10 @@ func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	validateCache(cfg)
 	p := &Pool{
-		cfg:   cfg,
-		words: make([]uint64, cfg.PoolSize/8),
-		ctxs:  make(map[*Ctx]struct{}),
+		cfg:  cfg,
+		ctxs: make(map[*Ctx]struct{}),
 	}
+	p.words, p.mem = newStorage(cfg.PoolSize)
 	p.cache = newCache(cfg)
 	p.xpb = newXPBuffer(cfg.XPBufferLines)
 	return p
@@ -279,12 +283,6 @@ func (p *Pool) CAS64(c *Ctx, addr uint64, old, new uint64) bool {
 	p.step(c)
 	p.touch(c, addr&^uint64(CachelineSize-1), true)
 	return atomic.CompareAndSwapUint64(&p.words[addr/8], old, new)
-}
-
-// wordPtr exposes the backing word for transactional commit paths
-// (package htm); it performs no cache simulation.
-func (p *Pool) wordPtr(addr uint64) *uint64 {
-	return &p.words[addr/8]
 }
 
 // touchRange touches every cacheline overlapped by [addr, addr+n).
