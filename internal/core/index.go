@@ -146,6 +146,11 @@ type Index struct {
 	epoch   atomic.Uint64
 	applied atomic.Uint64
 
+	// The counters below are written by operations on every worker —
+	// entries by every insert and delete — and read only by Stats and
+	// Len, so they sit a host line apart from the words above that every
+	// operation reads.
+	_       [7]uint64
 	entries atomic.Int64
 	// entriesApprox is set when a quarantine dropped an unreadable
 	// (poisoned) segment: its pre-loss occupancy was undiscoverable, so

@@ -117,8 +117,7 @@ func (c Config) withDefaults() Config {
 // TM is a transactional memory domain. All transactions that may
 // conflict must share one TM.
 type TM struct {
-	cfg   Config
-	clock atomic.Uint64
+	cfg Config
 	// vers holds one version word per stripe: bit 0 = locked, bits
 	// 63..1 = version. Every transactional load reads it, so the words
 	// are packed; serial, the stripe's accumulated commit serialisation
@@ -132,6 +131,17 @@ type TM struct {
 	// Group receives commit serialisation totals for the virtual-time
 	// model; may be nil.
 	Group *vsync.Group
+
+	// The words above are read by every transaction and written by none.
+	// clock, TL2's global version clock, is read at every begin and
+	// written by every publishing commit; the counters are written by
+	// every attempt. Each group has a host line of its own, so a commit
+	// on one core does not evict the configuration and slice headers
+	// every load on another core reads, and a read-only commit's counter
+	// does not evict the clock.
+	_     [7]uint64
+	clock atomic.Uint64
+	_     [7]uint64
 
 	commits     atomic.Int64
 	conflicts   atomic.Int64

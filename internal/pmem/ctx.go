@@ -1,5 +1,7 @@
 package pmem
 
+import "sync/atomic"
+
 // memoSlots is the number of lines a context's memo can hold, a power
 // of two picked by the 4/8/16 sweep in EXPERIMENTS.md; the low bits of
 // an entry flag it valid and dirty.
@@ -61,11 +63,14 @@ type Ctx struct {
 	// fault injector's failure-atomic sections (fault.go).
 	opDepth     int
 	atomicDepth int
-	// atomicPending is set while BeginAtomic has registered an
-	// outermost section on the pool but not yet passed its counted
-	// step: a crash firing on that very step must not drain the
-	// firing worker's own registration (fault.go).
-	atomicPending bool
+	// inOp and inAtomic publish the outermost operation and section to
+	// the pool's counts (Pool.InFlightOps, the firing fault's drain),
+	// which read them under Pool.mu. Only this context writes them, so
+	// the per-operation write stays on a line no other worker writes;
+	// inAtomic is set before the section's counted step, so a cut firing
+	// on another worker either drains the section or unwinds it.
+	inOp     atomic.Bool
+	inAtomic atomic.Bool
 
 	stats Stats
 }
@@ -81,7 +86,7 @@ type Ctx struct {
 // in the first.
 func (c *Ctx) BeginOp() {
 	if c.opDepth == 0 {
-		c.pool.inFlight.Add(1)
+		c.inOp.Store(true)
 		c.memo = [memoSlots]uint64{}
 	}
 	c.opDepth++
@@ -95,7 +100,7 @@ func (c *Ctx) EndOp() {
 	}
 	c.opDepth--
 	if c.opDepth == 0 {
-		c.pool.inFlight.Add(-1)
+		c.inOp.Store(false)
 	}
 }
 

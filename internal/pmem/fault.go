@@ -126,14 +126,12 @@ func (p *Pool) step(c *Ctx) {
 		// before the cut takes effect: hardware RTM retires a commit
 		// atomically, so a cut racing with a commit on another core
 		// serialises after it, never inside it. fired is already set,
-		// so no new section (or primitive) can start. A section whose
-		// own counted step fired (atomicPending) is the victim, not a
-		// survivor — never wait on it.
-		self := int64(0)
-		if c.atomicPending {
-			self = 1
-		}
-		for p.atomicOpen.Load() > self {
+		// so no new section (or primitive) can start. A section open on
+		// c itself is the one whose own counted step fired: the victim,
+		// not a survivor — never wait on it. The count takes the pool's
+		// lock once per poll and releases it before yielding.
+		open := func(o *Ctx) bool { return o != c && o.inAtomic.Load() }
+		for p.countCtxs(open) > 0 {
 			runtime.Gosched()
 		}
 		mp := p.media.Load()
@@ -169,13 +167,11 @@ func (p *Pool) BeginAtomic(c *Ctx) {
 		// section is visible to a concurrently-firing fault, which
 		// drains it before snapshotting (see step). If the crash
 		// lands on the section's own step, unwind the registration.
-		p.atomicOpen.Add(1)
-		c.atomicPending = true
+		c.inAtomic.Store(true)
 		defer func() {
-			c.atomicPending = false
 			if r := recover(); r != nil {
 				if c.atomicDepth == 0 {
-					p.atomicOpen.Add(-1)
+					c.inAtomic.Store(false)
 				}
 				panic(r)
 			}
@@ -192,7 +188,7 @@ func (p *Pool) EndAtomic(c *Ctx) {
 	}
 	c.atomicDepth--
 	if c.atomicDepth == 0 {
-		p.atomicOpen.Add(-1)
+		c.inAtomic.Store(false)
 	}
 }
 

@@ -2,7 +2,9 @@ package pmem
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 )
 
 func faultTestPool(mode Mode) *Pool {
@@ -208,6 +210,103 @@ func TestCrashQuiescencePanics(t *testing.T) {
 	p.Crash()
 	p.DisarmFault()
 	c.EndOp()
+}
+
+// TestInFlightOpsCountsContexts checks that InFlightOps counts the
+// contexts with an operation open, not BeginOp depth, and forgets a
+// released context.
+func TestInFlightOpsCountsContexts(t *testing.T) {
+	p := faultTestPool(EADR)
+	want := func(n int) {
+		t.Helper()
+		if got := p.InFlightOps(); got != n {
+			t.Fatalf("InFlightOps = %d, want %d", got, n)
+		}
+	}
+	a, b := p.NewCtx(), p.NewCtx()
+	a.BeginOp()
+	a.BeginOp() // nested: still one operation
+	want(1)
+	b.BeginOp()
+	want(2)
+	a.EndOp()
+	want(2)
+	a.EndOp()
+	want(1)
+	b.EndOp()
+	want(0)
+
+	// A released context is gone from the count, even one released with
+	// its operation open: nothing can end that operation any more.
+	r := p.NewCtx()
+	r.BeginOp()
+	r.EndOp()
+	r.BeginOp()
+	want(1)
+	r.Release()
+	want(0)
+	p.Crash() // quiescent again
+
+	// Counted from another goroutine while the owners open and close
+	// operations (the race detector checks the publication).
+	const workers = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		c := p.NewCtx()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.BeginOp()
+				c.BeginOp()
+				c.EndOp()
+				c.EndOp()
+			}
+		}()
+	}
+	for i := 0; i < 1000; i++ {
+		if n := p.InFlightOps(); n > workers {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("InFlightOps = %d with %d contexts", n, workers)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	want(0)
+}
+
+// TestCutWaitsForOpenSection checks the drain from the firing side: a cut
+// fired while another context has a failure-atomic section open takes
+// effect only once that section closes. (Under eADR the section's stores
+// survive either way, so only the firing worker's wait shows it.)
+func TestCutWaitsForOpenSection(t *testing.T) {
+	p := faultTestPool(EADR)
+	ca, cb := p.NewCtx(), p.NewCtx()
+	p.ArmFault(&FaultPlan{CrashAtStep: 2}) // step 1 is cb's section
+	p.BeginAtomic(cb)
+	fired := make(chan error)
+	go func() {
+		fired <- CatchCrash(func() error {
+			p.Store64(ca, 0, 1)
+			return nil
+		})
+	}()
+	select {
+	case err := <-fired:
+		t.Fatalf("the cut took effect with a section open (%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.EndAtomic(cb)
+	if err := <-fired; !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("firing worker: got %v, want ErrInjectedCrash", err)
+	}
 }
 
 // TestCatchCrashPassthrough verifies CatchCrash re-panics foreign

@@ -31,16 +31,11 @@ type Pool struct {
 	// MediaFaultPlans (guarded by mu).
 	injected Stats
 
-	// fault is the armed crash-injection plan (fault.go); inFlight
-	// counts operations currently executing between Ctx.BeginOp and
-	// Ctx.EndOp, so Crash can refuse non-quiescent power cuts that do
-	// not go through a FaultPlan. atomicOpen counts failure-atomic
-	// sections currently open across all workers: a firing fault
-	// drains them before snapshotting, so a concurrent cut can never
-	// tear a transactional commit publish.
-	fault      atomic.Pointer[FaultPlan]
-	inFlight   atomic.Int64
-	atomicOpen atomic.Int64
+	// fault is the armed crash-injection plan (fault.go). Which contexts
+	// have an operation or a failure-atomic section open is each
+	// context's own word (Ctx.inOp, Ctx.inAtomic), counted over ctxs
+	// under mu: no per-operation write lands on the pool.
+	fault atomic.Pointer[FaultPlan]
 	// crashes counts power failures; a context's line memo (Ctx.memo) is
 	// only believed while it carries the current count.
 	crashes atomic.Uint64
@@ -444,7 +439,7 @@ func (p *Pool) Peek(addr uint64) uint64 {
 // producing an image no real power failure could. It returns the
 // number of cachelines whose contents were lost.
 func (p *Pool) Crash() int {
-	if n := p.inFlight.Load(); n > 0 && p.fault.Load() == nil {
+	if n := p.InFlightOps(); n > 0 && p.fault.Load() == nil {
 		panic(fmt.Sprintf("pmem: Crash with %d operations in flight and no armed FaultPlan; "+
 			"mid-operation power cuts must use fault injection (Pool.ArmFault)", n))
 	}
@@ -461,8 +456,25 @@ func (p *Pool) Crash() int {
 }
 
 // InFlightOps returns the number of operations currently executing
-// (between Ctx.BeginOp and Ctx.EndOp) on this pool.
-func (p *Pool) InFlightOps() int { return int(p.inFlight.Load()) }
+// (between Ctx.BeginOp and Ctx.EndOp) on this pool: the live contexts
+// with an operation open, since a context has at most one outermost
+// operation.
+func (p *Pool) InFlightOps() int {
+	return p.countCtxs(func(c *Ctx) bool { return c.inOp.Load() })
+}
+
+// countCtxs returns the number of live contexts for which pred holds.
+func (p *Pool) countCtxs(pred func(*Ctx) bool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for c := range p.ctxs {
+		if pred(c) {
+			n++
+		}
+	}
+	return n
+}
 
 // DirtyLines reports how many cachelines are currently dirty in the
 // simulated cache (diagnostic).

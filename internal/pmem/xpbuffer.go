@@ -28,10 +28,13 @@ type xpEntry struct {
 	lastTouch uint32
 }
 
+// xpShard is padded to a 64 B line: every access to a shard writes its
+// lock and tick, and a neighbouring shard is another XPLine's.
 type xpShard struct {
 	mu      sync.Mutex
 	tick    uint32
 	entries []xpEntry
+	_       [24]byte
 }
 
 // xpbuffer models the small write-combining buffer in front of the PM
