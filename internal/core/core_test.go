@@ -659,14 +659,15 @@ func TestDataCarryingMerge(t *testing.T) {
 	}
 }
 
-// segmentEmpty helper still used by tests and future callers.
+// keyWords counts no occupied slot in a fresh segment.
 func TestSegmentEmptyHelper(t *testing.T) {
 	ix, h := newTestIndex(t, Config{})
 	m := rawMem{ix.pool, h.c}
 	d := ix.dir.Load()
 	seg := entrySeg(d.entries[0])
-	if !segmentEmpty(m, seg) {
-		t.Fatal("fresh segment not empty")
+	var kws [SlotsPerSegment]uint64
+	if n := keyWords(m, seg, &kws); n != 0 {
+		t.Fatalf("fresh segment has %d occupied slots", n)
 	}
 }
 

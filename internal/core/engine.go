@@ -165,16 +165,6 @@ func clearEntry(m mem, seg uint64, idx int, h uint64) {
 	}
 }
 
-// segmentEmpty reports whether no slot of the segment is occupied.
-func segmentEmpty(m mem, seg uint64) bool {
-	for s := 0; s < SlotsPerSegment; s++ {
-		if keyOccupied(m.load(slotAddr(seg, s))) {
-			return false
-		}
-	}
-	return true
-}
-
 // loadValue appends the value identified by vw to dst through m.
 func loadValue(m mem, vw uint64, dst []byte) []byte {
 	if valueIsInline(vw) {
@@ -212,13 +202,25 @@ type segSnap struct {
 func (s *segSnap) load(addr uint64) uint64 { return s.words[(addr-s.base)/8] }
 func (s *segSnap) store(uint64, uint64)    { panic("core: store into snapshot") }
 
-// decodeSegment collects into out the live entries of the segment read
-// through m, with their key hashes (re-hashing inline keys, reading key
-// records raw for out-of-line ones).
-func (h *Handle) decodeSegment(m mem, seg uint64, out *segEntries) {
-	out.n = 0
-	for s := 0; s < SlotsPerSegment; s++ {
-		kw := m.load(slotAddr(seg, s))
+// keyWords loads every slot's key word of the segment through m into kws
+// and returns how many are occupied: the number of entries decodeSegment
+// will find among them.
+func keyWords(m mem, seg uint64, kws *[SlotsPerSegment]uint64) (occupied int) {
+	for s := range kws {
+		kws[s] = m.load(slotAddr(seg, s))
+		if keyOccupied(kws[s]) {
+			occupied++
+		}
+	}
+	return occupied
+}
+
+// decodeSegment appends to out the live entries among the segment's key
+// words kws (as keyWords loaded them), reading their value words through m
+// and their key hashes (re-hashing inline keys, reading key records raw
+// for out-of-line ones).
+func (h *Handle) decodeSegment(m mem, seg uint64, kws *[SlotsPerSegment]uint64, out *segEntries) {
+	for s, kw := range kws {
 		if !keyOccupied(kw) {
 			continue
 		}

@@ -18,11 +18,12 @@ const mergeAttempts = 4
 // slack for subsequent inserts).
 const mergeThreshold = SlotsPerSegment / 2
 
-// TryMerge merges the (empty) segment responsible for key into its
-// buddy segment, undoing a split (§III-A: "segment merging is the
-// reverse process of segment splitting"). It is called automatically
-// on a sample of deletions and may be called explicitly after bulk
-// deletes. Returns whether a merge happened.
+// TryMerge merges the segment responsible for key and its buddy segment
+// into one when their combined live entries are at most mergeThreshold,
+// undoing a split (§III-A: "segment merging is the reverse process of
+// segment splitting"). Delete calls it on a 1-in-16 hash-bit sample of
+// deletes; it may also be called explicitly after bulk deletes. Returns
+// whether a merge happened.
 func (h *Handle) TryMerge(key []byte) (merged bool) {
 	h.c.BeginOp()
 	defer h.c.EndOp()
@@ -144,17 +145,16 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 
 // decodeBuddies decodes both segments of a buddy pair through m and
 // returns their live entries as one list, seg's first; ok=false when
-// together they exceed mergeThreshold.
+// together they exceed mergeThreshold. The occupied key words alone
+// decide that (decodeSegment finds one entry per occupied key word), so a
+// declined pair costs its key words and no value word or key record.
 func (h *Handle) decodeBuddies(m mem, seg, buddySeg uint64) (live segEntries, ok bool) {
-	var b segEntries
-	h.decodeSegment(m, seg, &live)
-	h.decodeSegment(m, buddySeg, &b)
-	if live.n+b.n > mergeThreshold {
+	var kws, bkws [SlotsPerSegment]uint64
+	if keyWords(m, seg, &kws)+keyWords(m, buddySeg, &bkws) > mergeThreshold {
 		return live, false
 	}
-	for _, e := range b.live() {
-		live.add(e)
-	}
+	h.decodeSegment(m, seg, &kws, &live)
+	h.decodeSegment(m, buddySeg, &bkws, &live)
 	return live, true
 }
 

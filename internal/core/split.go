@@ -238,8 +238,10 @@ func (ix *Index) hintSplitTargets(seg, newSeg uint64) {
 // post-split occupancy observable).
 func (h *Handle) splitImages(depth uint) (imgA, imgB [SegmentSize / 8]uint64, liveA, liveB int, err error) {
 	var all, stay, move segEntries
+	var kws [SlotsPerSegment]uint64
 	h.ix.hintKeyRecords(&h.snap.words)
-	h.decodeSegment(&h.snap, h.snap.base, &all)
+	keyWords(&h.snap, h.snap.base, &kws)
+	h.decodeSegment(&h.snap, h.snap.base, &kws, &all)
 	for _, en := range all.live() {
 		if en.h>>(63-depth)&1 == 1 {
 			move.add(en)

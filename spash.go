@@ -705,8 +705,9 @@ func (s *Session) ExecBatch(ops []Op) {
 	shard.SplitBatch(s.hs, ops)
 }
 
-// TryMerge attempts to merge the (empty) segment responsible for key
-// with its buddy (maintenance after bulk deletes). On a replica-role
+// TryMerge attempts to merge the segment responsible for key with its
+// buddy, which succeeds when their combined live entries fit in half a
+// segment (maintenance after bulk deletes). On a replica-role
 // DB it reports false without merging (structural maintenance arrives
 // through the apply stream).
 func (s *Session) TryMerge(key []byte) bool {
