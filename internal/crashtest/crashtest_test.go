@@ -23,8 +23,8 @@ func TestScriptCompletes(t *testing.T) {
 		// The sweep sizes EXPERIMENTS.md's crash matrix reports. A step is
 		// a persistence primitive, so these move only when an operation's
 		// store/flush/fence sequence does — never for a host-side hint.
-		want := map[string]int64{"eadr-compacted-adaptive": 574, "eadr-nocompact-always": 639,
-			"eadr-compactnoflush-never": 551, "adr-compacted-adaptive": 574}
+		want := map[string]int64{"eadr-compacted-adaptive": 554, "eadr-nocompact-always": 591,
+			"eadr-compactnoflush-never": 531, "adr-compacted-adaptive": 554}
 		if tr.Steps != want[arm.Name] {
 			t.Fatalf("%s: %d steps, EXPERIMENTS.md's crash matrix says %d", arm.Name, tr.Steps, want[arm.Name])
 		}

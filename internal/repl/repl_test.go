@@ -92,6 +92,40 @@ func TestShipApplyMirrors(t *testing.T) {
 	}
 }
 
+// Updates between size classes and between inline and out-of-line values
+// need a fresh record on the primary; they still report success and ship,
+// and the replica converges on the same values.
+func TestRecordChangingUpdatesMirror(t *testing.T) {
+	prim, rep := pair(t, 2)
+	sized := func(n int) func(i int) []byte {
+		return func(i int) []byte { return []byte(fmt.Sprintf("%0*d", n, i)) }
+	}
+	inline := func(i int) []byte { return key64(uint64(i)) }
+	vals := []func(i int) []byte{sized(24), sized(72), inline, sized(300), sized(24)}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := prim.Insert(key64(uint64(i)), vals[0](i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, val := range vals[1:] {
+		for i := 0; i < n; i++ {
+			if found, err := prim.Update(key64(uint64(i)), val(i)); err != nil || !found {
+				t.Fatalf("update of key %d to %d bytes: %v %v", i, len(val(i)), found, err)
+			}
+		}
+	}
+	rs := rep.DB().Session()
+	defer rs.Close()
+	last := vals[len(vals)-1]
+	for i := 0; i < n; i++ {
+		got, found, err := rs.Get(key64(uint64(i)), nil)
+		if err != nil || !found || string(got) != string(last(i)) {
+			t.Fatalf("replica key %d: %q %v %v", i, got, found, err)
+		}
+	}
+}
+
 func TestReplicaWriteFence(t *testing.T) {
 	_, rep := pair(t, 2)
 	s := rep.DB().Session()
