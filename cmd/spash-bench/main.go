@@ -4,9 +4,10 @@
 //
 // Usage:
 //
-//	spash-bench [-fig all|1|7|8|9|10|11|12a|12b|12c|12d|table1|ext-doubling|ext-hotspot|ext-eadr|ext-integrity] [-scale small|medium|large]
+//	spash-bench [-fig all|NAME[,NAME...]] [-scale small|medium|large] [-shards N[,N...]]
 //	            [-json DIR] [-metrics-addr HOST:PORT]
 //
+// The figure names are the rows of harness.Figures (-h lists them).
 // Output is a sequence of labelled tables (one per figure panel); see
 // EXPERIMENTS.md for the mapping to the paper's figures and the
 // expected shapes. With -json each figure additionally writes a
@@ -19,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -32,37 +32,16 @@ import (
 	"spash/internal/obs"
 )
 
-type figure struct {
-	name string
-	desc string
-	run  func(io.Writer, harness.Scale) error
-}
-
-var figures = []figure{
-	{"1", "PM write bandwidth under flush strategies (Fig 1)", harness.Fig1},
-	{"7", "single-operation throughput vs workers (Fig 7)", harness.Fig7},
-	{"8", "PM accesses per operation (Fig 8)", harness.Fig8},
-	{"9", "load factor vs inserted entries (Fig 9)", harness.Fig9},
-	{"10", "YCSB, inlined key-values (Fig 10)", harness.Fig10},
-	{"11", "YCSB, variable-sized values (Fig 11)", harness.Fig11},
-	{"12a", "adaptive in-place update ablation (Fig 12a)", harness.Fig12a},
-	{"12b", "compacted-flush insertion ablation (Fig 12b)", harness.Fig12b},
-	{"12c", "concurrency-protocol ablation (Fig 12c)", harness.Fig12c},
-	{"12d", "pipeline depth (Fig 12d)", harness.Fig12d},
-	{"table1", "adaptive flush policy validation (Table I)", harness.Table1},
-	{"ext-doubling", "staged vs monolithic doubling tail latency (extension)", harness.ExtDoublingTail},
-	{"ext-hotspot", "hotspot detector sizing sweep (extension)", harness.ExtHotspotSweep},
-	{"ext-eadr", "eADR+HTM vs legacy-ADR discipline (extension)", harness.ExtEADRBenefit},
-	{"ext-integrity", "checksum-seal overhead, off vs on (extension)", harness.ExtIntegrity},
-	{"shards", "shard scaling: throughput vs shards × threads (extension)", harness.FigShards},
-}
-
 // curRec is the recorder of the figure currently running; the
 // /metrics source reads it so scrapes follow the active figure.
 var curRec atomic.Pointer[harness.Recorder]
 
 func main() {
-	figFlag := flag.String("fig", "all", "figure to regenerate (all, 1, 7-11, 12a-12d, table1, ext-doubling, ext-hotspot, ext-eadr, ext-integrity, shards)")
+	var figNames []string
+	for _, f := range harness.Figures() {
+		figNames = append(figNames, f.Name)
+	}
+	figFlag := flag.String("fig", "all", "comma-separated figures to regenerate: all, "+strings.Join(figNames, ", "))
 	scaleFlag := flag.String("scale", "medium", "workload scale (small, medium, large)")
 	jsonDir := flag.String("json", "", "write one BENCH_<fig>.json artifact per figure into this directory")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/obs/trace and /debug/pprof on this address (off when empty)")
@@ -74,8 +53,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	var counts []int
 	if *shardsFlag != "" {
-		var counts []int
 		for _, f := range strings.Split(*shardsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 1 {
@@ -84,7 +63,6 @@ func main() {
 			}
 			counts = append(counts, n)
 		}
-		harness.SetShardCounts(counts)
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
@@ -116,24 +94,25 @@ func main() {
 	fmt.Printf("spash-bench: scale=%s (micro %d keys / %d ops, ycsb %d keys / %d ops, %d workers)\n",
 		*scaleFlag, scale.MicroLoad, scale.MicroOps, scale.YCSBLoad, scale.YCSBOps, scale.MaxThreads)
 	ran := 0
-	for _, f := range figures {
-		if !match(f.name) {
+	for _, f := range harness.Figures() {
+		if !match(f.Name) {
 			continue
 		}
 		ran++
-		fmt.Printf("\n==> %s\n", f.desc)
+		fmt.Printf("\n==> %s\n", f.Desc)
 		start := time.Now()
-		artName := f.name
+		artName := f.Name
 		if artName[0] >= '0' && artName[0] <= '9' {
 			artName = "fig" + artName
 		}
 		rec := harness.NewRecorder(artName, map[string]string{"scale": *scaleFlag})
 		curRec.Store(rec)
 		harness.SetRecorder(rec)
-		err := f.run(os.Stdout, scale)
+		// A fresh sheet per figure: each artifact records its own phases.
+		err := harness.NewSheet(scale, counts).Render(os.Stdout, f)
 		harness.SetRecorder(nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %s\n", f.name, spash.DescribeError(err))
+			fmt.Fprintf(os.Stderr, "figure %s: %s\n", f.Name, spash.DescribeError(err))
 			os.Exit(1)
 		}
 		if *jsonDir != "" {
@@ -144,7 +123,7 @@ func main() {
 			}
 			fmt.Printf("artifact: %s\n", path)
 		}
-		fmt.Printf("\n(%s regenerated in %.1fs wall time)\n", f.desc, time.Since(start).Seconds())
+		fmt.Printf("\n(%s regenerated in %.1fs wall time)\n", f.Desc, time.Since(start).Seconds())
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no figure matches %q\n", *figFlag)

@@ -7,20 +7,14 @@ import (
 	"testing"
 )
 
-// BenchmarkFigure regenerates one figure or table of the paper's
-// evaluation per iteration at small scale (use cmd/spash-bench for the
-// full medium/large-scale tables).
+// BenchmarkFigure regenerates one figure or table of the figure table
+// per iteration at small scale (use cmd/spash-bench for the full
+// medium/large-scale tables).
 func BenchmarkFigure(b *testing.B) {
-	for _, f := range []struct {
-		name string
-		run  func(io.Writer, Scale) error
-	}{
-		{"1", Fig1}, {"7", Fig7}, {"8", Fig8}, {"9", Fig9}, {"10", Fig10}, {"11", Fig11},
-		{"12a", Fig12a}, {"12b", Fig12b}, {"12c", Fig12c}, {"12d", Fig12d}, {"table1", Table1},
-	} {
-		b.Run(f.name, func(b *testing.B) {
+	for _, f := range Figures() {
+		b.Run(f.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := f.run(io.Discard, ScaleSmall); err != nil {
+				if err := NewSheet(ScaleSmall, nil).Render(io.Discard, f); err != nil {
 					b.Fatal(err)
 				}
 			}

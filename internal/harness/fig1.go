@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 
@@ -59,6 +57,13 @@ func fig1Bandwidth(s Scale, zipf bool, mode flushMode, size int) float64 {
 		ops = 1
 	}
 
+	// The zipfian constants are computed once; workers fork (as in
+	// MixSource).
+	var zipfian *ycsb.Zipfian
+	if zipf {
+		zipfian = ycsb.NewZipfian(chunks, ycsb.DefaultTheta, 1)
+	}
+
 	clocks := make([]int64, workers)
 	var wg sync.WaitGroup
 	for id := 0; id < workers; id++ {
@@ -71,7 +76,7 @@ func fig1Bandwidth(s Scale, zipf bool, mode flushMode, size int) float64 {
 			var zg *ycsb.Zipfian
 			rng := rand.New(rand.NewSource(int64(id)*2654435761 + 3))
 			if zipf {
-				zg = ycsb.NewZipfian(chunks, ycsb.DefaultTheta, int64(id)*7+1)
+				zg = zipfian.Fork(int64(id)*7 + 1)
 			}
 			for i := 0; i < ops; i++ {
 				var chunk uint64
@@ -101,30 +106,23 @@ func fig1Bandwidth(s Scale, zipf bool, mode flushMode, size int) float64 {
 	return appBytes / float64(res.Elapsed) // bytes per ns == GB/s
 }
 
-// Fig1 reproduces Fig 1: raw PM write bandwidth under different flush
+// fig1 reproduces Fig 1: raw PM write bandwidth under different flush
 // strategies, access sizes and access distributions (§II-B,
 // Observations 2-4). No index is involved: this exercises the cache +
 // XPBuffer model directly.
-func Fig1(w io.Writer, s Scale) error {
+func fig1(sh *Sheet) []panel {
 	sizes := []int{16, 64, 256, 1024, 4096}
-
-	ta := newTable("Fig 1(a): PM write bandwidth, uniform (GB/s, 56 workers)",
-		"size", "write-f", "write-nf")
-	for _, size := range sizes {
-		ta.row(fmt.Sprintf("%dB", size),
-			f2(fig1Bandwidth(s, false, writeF, size)),
-			f2(fig1Bandwidth(s, false, writeNF, size)))
+	modes := []flushMode{writeF, writeNF, writeHybrid}
+	bandwidth := func(title string, zipf bool, modes []flushMode) panel {
+		return panel{title, append([]string{"size"}, labels("%v", modes)...), labels("%dB", sizes),
+			func(r, c int) value {
+				return num(measured(sh, func() (float64, error) {
+					return fig1Bandwidth(sh.scale, zipf, modes[c], sizes[r]), nil
+				}, "fig1", zipf, modes[c], sizes[r]))
+			}}
 	}
-	ta.write(w)
-
-	tb := newTable("Fig 1(b): PM write bandwidth, zipfian 0.99 (GB/s, 56 workers)",
-		"size", "write-f", "write-nf", "nf-hot1%")
-	for _, size := range sizes {
-		tb.row(fmt.Sprintf("%dB", size),
-			f2(fig1Bandwidth(s, true, writeF, size)),
-			f2(fig1Bandwidth(s, true, writeNF, size)),
-			f2(fig1Bandwidth(s, true, writeHybrid, size)))
+	return []panel{
+		bandwidth("Fig 1(a): PM write bandwidth, uniform (GB/s, 56 workers)", false, modes[:2]),
+		bandwidth("Fig 1(b): PM write bandwidth, zipfian 0.99 (GB/s, 56 workers)", true, modes),
 	}
-	tb.write(w)
-	return nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"spash/internal/ycsb"
 )
@@ -32,47 +31,38 @@ func ycsbRow(e Entry, s Scale, valSize int, seed int64, tag string) ([]Result, e
 	return row, nil
 }
 
-// mopsCells renders a label followed by each phase's throughput.
-func mopsCells(label string, row []Result) []string {
-	cells := []string{label}
-	for _, r := range row {
-		cells = append(cells, mops(r))
-	}
-	return cells
+// ycsb is ycsbRow of e, measured once per sheet.
+func (sh *Sheet) ycsb(e Entry, valSize int, seed int64, tag string) []Result {
+	return measured(sh, func() ([]Result, error) { return ycsbRow(e, sh.scale, valSize, seed, tag) },
+		"ycsb", e.Name, valSize, seed, tag)
 }
 
-// Fig10 reproduces Fig 10: YCSB throughput with inlined 8B key-value
+// ycsbPanel is a panel of ycsbRow throughputs, one row per entry. head
+// is the row-label header and then either every phase or, one shorter,
+// the three mixtures without the load phase.
+func ycsbPanel(sh *Sheet, title string, head []string, entries []Entry, valSize int, seed int64) panel {
+	skip := len(ycsbPhases) + 1 - len(head)
+	return panel{title, head, names(entries), func(r, c int) value {
+		return mops(sh.ycsb(entries[r], valSize, seed, "")[skip+c])
+	}}
+}
+
+// fig10 reproduces Fig 10: YCSB throughput with inlined 8B key-value
 // entries — the load phase plus the three search/update mixtures under
 // a zipfian(0.99) distribution.
-func Fig10(w io.Writer, s Scale) error {
-	t := newTable(fmt.Sprintf("Fig 10: YCSB, inlined KV (Mops/s, zipf 0.99, %d workers)", s.MaxThreads),
-		append([]string{"index"}, ycsbPhases...)...)
-	for _, e := range MacroRoster() {
-		row, err := ycsbRow(e, s, 8, 303, "")
-		if err != nil {
-			return err
-		}
-		t.row(mopsCells(e.Name, row)...)
-	}
-	t.write(w)
-	return nil
+func fig10(sh *Sheet) []panel {
+	return []panel{ycsbPanel(sh, fmt.Sprintf("Fig 10: YCSB, inlined KV (Mops/s, zipf 0.99, %d workers)", sh.scale.MaxThreads),
+		append([]string{"index"}, ycsbPhases...), MacroRoster(), 8, 303)}
 }
 
-// Fig11 reproduces Fig 11: YCSB with 16-byte keys and variable-sized
+// fig11 reproduces Fig 11: YCSB with 16-byte keys and variable-sized
 // values (compacted-flush insertion and adaptive in-place updates at
 // work).
-func Fig11(w io.Writer, s Scale) error {
+func fig11(sh *Sheet) []panel {
+	var ps []panel
 	for _, valSize := range []int{16, 64, 256, 1024} {
-		t := newTable(fmt.Sprintf("Fig 11: YCSB, 16B keys / %dB values (Mops/s, zipf 0.99, %d workers)", valSize, s.MaxThreads),
-			append([]string{"index"}, ycsbPhases...)...)
-		for _, e := range MacroRoster() {
-			row, err := ycsbRow(e, s, valSize, 707, "")
-			if err != nil {
-				return err
-			}
-			t.row(mopsCells(e.Name, row)...)
-		}
-		t.write(w)
+		ps = append(ps, ycsbPanel(sh, fmt.Sprintf("Fig 11: YCSB, 16B keys / %dB values (Mops/s, zipf 0.99, %d workers)", valSize, sh.scale.MaxThreads),
+			append([]string{"index"}, ycsbPhases...), MacroRoster(), valSize, 707))
 	}
-	return nil
+	return ps
 }

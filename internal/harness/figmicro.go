@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"spash/internal/ycsb"
 )
@@ -44,131 +43,88 @@ func microPhases(e Entry, s Scale, workers int) (map[string]Result, error) {
 	return out, nil
 }
 
-// Fig7 reproduces Fig 7: single-operation throughput versus worker
+// micro is the micro-benchmark sequence of e with workers workers.
+func (sh *Sheet) micro(e Entry, workers int) map[string]Result {
+	return measured(sh, func() (map[string]Result, error) { return microPhases(e, sh.scale, workers) },
+		"micro", e.Name, workers)
+}
+
+// fig7 reproduces Fig 7: single-operation throughput versus worker
 // count for every index (uniform distribution, inline 8B-8B entries).
-func Fig7(w io.Writer, s Scale) error {
-	ops := []string{"search", "insert", "update", "delete"}
+func fig7(sh *Sheet) []panel {
+	threads := sh.scale.Threads
 	roster := MicroRoster()
-
-	// results[op][entry][threads]
-	results := make(map[string]map[string]map[int]Result)
-	for _, op := range ops {
-		results[op] = make(map[string]map[int]Result)
-		for _, e := range roster {
-			results[op][e.Name] = make(map[int]Result)
-		}
+	var ps []panel
+	for i, op := range []string{"search", "insert", "update", "delete"} {
+		ps = append(ps, panel{fmt.Sprintf("Fig 7(%c): %s throughput (Mops/s, uniform)", 'a'+i, op),
+			append([]string{"index"}, labels("%dthr", threads)...), names(roster),
+			func(r, c int) value { return mops(sh.micro(roster[r], threads[c])[op]) }})
 	}
-	for _, e := range roster {
-		for _, th := range s.Threads {
-			phases, err := microPhases(e, s, th)
-			if err != nil {
-				return err
-			}
-			for _, op := range ops {
-				results[op][e.Name][th] = phases[op]
-			}
-		}
-	}
-
-	for fi, op := range ops {
-		cols := []string{"index"}
-		for _, th := range s.Threads {
-			cols = append(cols, fmt.Sprintf("%dthr", th))
-		}
-		t := newTable(fmt.Sprintf("Fig 7(%c): %s throughput (Mops/s, uniform)", 'a'+fi, op), cols...)
-		for _, e := range roster {
-			cells := []string{e.Name}
-			for _, th := range s.Threads {
-				cells = append(cells, mops(results[op][e.Name][th]))
-			}
-			t.row(cells...)
-		}
-		t.write(w)
-	}
-	return nil
+	return ps
 }
 
-// Fig8 reproduces Fig 8: the average number of XPLine and cacheline
+// fig8 reproduces Fig 8: the average number of XPLine and cacheline
 // accesses to PM per operation (single worker, counting only).
-func Fig8(w io.Writer, s Scale) error {
-	roster := MicroRoster()
-	ta := newTable("Fig 8(a): avg PM reads per operation",
-		"index", "search CL-rd", "search XP-rd", "update CL-rd", "update XP-rd")
-	tb := newTable("Fig 8(b): avg PM writes per operation",
-		"index", "insert CL-wr", "insert XP-wr", "update CL-wr", "update XP-wr", "delete CL-wr", "delete XP-wr")
-	for _, e := range roster {
-		if e.Name == "Spash-noPipe" {
-			continue // identical access counts to Spash
+func fig8(sh *Sheet) []panel {
+	roster := distinctRoster()
+	perOp := func(title, dir string, ops ...string) panel {
+		head := []string{"index"}
+		for _, op := range ops {
+			head = append(head, op+" CL-"+dir, op+" XP-"+dir)
 		}
-		phases, err := microPhases(e, s, 1)
-		if err != nil {
-			return err
-		}
-		se, up, in, de := phases["search"], phases["update"], phases["insert"], phases["delete"]
-		ta.row(e.Name,
-			f2(se.PerOp(se.Mem.CachelineReads)), f2(se.PerOp(se.Mem.XPLineReads)),
-			f2(up.PerOp(up.Mem.CachelineReads)), f2(up.PerOp(up.Mem.XPLineReads)))
-		tb.row(e.Name,
-			f2(in.PerOp(in.Mem.CachelineWrites)), f2(in.PerOp(in.Mem.XPLineWrites)),
-			f2(up.PerOp(up.Mem.CachelineWrites)), f2(up.PerOp(up.Mem.XPLineWrites)),
-			f2(de.PerOp(de.Mem.CachelineWrites)), f2(de.PerOp(de.Mem.XPLineWrites)))
+		return panel{title, head, names(roster), func(r, c int) value {
+			res := sh.micro(roster[r], 1)[ops[c/2]]
+			m := res.Mem
+			if dir == "rd" {
+				return num(res.PerOp([2]uint64{m.CachelineReads, m.XPLineReads}[c%2]))
+			}
+			return num(res.PerOp([2]uint64{m.CachelineWrites, m.XPLineWrites}[c%2]))
+		}}
 	}
-	ta.write(w)
-	tb.write(w)
-	return nil
+	return []panel{
+		perOp("Fig 8(a): avg PM reads per operation", "rd", "search", "update"),
+		perOp("Fig 8(b): avg PM writes per operation", "wr", "insert", "update", "delete"),
+	}
 }
 
-// Fig9 reproduces Fig 9: load factor versus the number of inserted
+// fig9 reproduces Fig 9: load factor versus the number of inserted
 // entries (insert-only, single worker; Halo is excluded as in the
 // paper).
-func Fig9(w io.Writer, s Scale) error {
+func fig9(sh *Sheet) []panel {
 	const checkpoints = 10
-	roster := MicroRoster()
-	cols := []string{"entries"}
-	for _, e := range roster {
-		if e.Name == "Spash-noPipe" {
-			continue
-		}
-		cols = append(cols, e.Name)
+	roster := distinctRoster()
+	step := sh.scale.MicroLoad / checkpoints
+	rows := make([]string, checkpoints)
+	for cp := range rows {
+		rows[cp] = fmt.Sprint((cp + 1) * step)
 	}
-	t := newTable("Fig 9: load factor vs inserted entries", cols...)
+	return []panel{{"Fig 9: load factor vs inserted entries", append([]string{"entries"}, names(roster)...), rows,
+		func(r, c int) value {
+			e := roster[c]
+			return num(measured(sh, func() ([]float64, error) { return loadFactors(e, sh.scale, step, checkpoints) },
+				"fig9", e.Name)[r])
+		}}}
+}
 
-	lfs := make(map[string][]float64)
-	for _, e := range roster {
-		if e.Name == "Spash-noPipe" {
-			continue
-		}
-		ix, err := mustOpen(e, s)
-		if err != nil {
-			return err
-		}
-		wk := ix.NewWorker()
-		kb := make([]byte, 8)
-		vb := make([]byte, 8)
-		step := s.MicroLoad / checkpoints
-		for cp := 0; cp < checkpoints; cp++ {
-			for i := 0; i < step; i++ {
-				id := uint64(cp*step + i)
-				binary.LittleEndian.PutUint64(kb, id)
-				binary.LittleEndian.PutUint64(vb, id)
-				if err := wk.Insert(kb, vb); err != nil {
-					return err
-				}
-			}
-			lfs[e.Name] = append(lfs[e.Name], ix.LoadFactor())
-		}
-		wk.Close()
+// loadFactors inserts step keys at a time into a fresh e with one
+// worker, sampling the load factor after each of checkpoints steps.
+func loadFactors(e Entry, s Scale, step, checkpoints int) ([]float64, error) {
+	ix, err := mustOpen(e, s)
+	if err != nil {
+		return nil, err
 	}
+	wk := ix.NewWorker()
+	defer wk.Close()
+	kb := make([]byte, 8) // the value is the key
+	var lfs []float64
 	for cp := 0; cp < checkpoints; cp++ {
-		cells := []string{fmt.Sprintf("%d", (cp+1)*(s.MicroLoad/checkpoints))}
-		for _, e := range roster {
-			if e.Name == "Spash-noPipe" {
-				continue
+		for i := 0; i < step; i++ {
+			binary.LittleEndian.PutUint64(kb, uint64(cp*step+i))
+			if err := wk.Insert(kb, kb); err != nil {
+				return nil, err
 			}
-			cells = append(cells, f2(lfs[e.Name][cp]))
 		}
-		t.row(cells...)
+		lfs = append(lfs, ix.LoadFactor())
 	}
-	t.write(w)
-	return nil
+	return lfs, nil
 }

@@ -2,23 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"spash/internal/core"
 	"spash/internal/ycsb"
 )
-
-// shardCounts is the partition-count axis of the shard-scaling figure;
-// spash-bench overrides it via -shards.
-var shardCounts = []int{1, 2, 4, 8}
-
-// SetShardCounts overrides the shard-count axis of FigShards (the
-// -shards flag of spash-bench). An empty list keeps the default.
-func SetShardCounts(list []int) {
-	if len(list) > 0 {
-		shardCounts = list
-	}
-}
 
 // shardThreads is the thread axis: it extends past Scale.MaxThreads to
 // 4× (224 at the default scale, the paper's top thread count), because
@@ -34,7 +21,7 @@ func shardThreads(s Scale) []int {
 	return []int{low, m, 2 * m, 4 * m}
 }
 
-// FigShards measures the sharding extension: aggregate throughput of
+// figShards measures the sharding extension: aggregate throughput of
 // an N-way partitioned Spash versus shard count and thread count.
 //
 // Panel (a) is insert-only (fresh keys, compacted-flush path): every
@@ -46,73 +33,50 @@ func shardThreads(s Scale) []int {
 // independent version-stripe tables. The HTM-abort and media-write
 // tables underneath show the mechanism: per-cell abort counts and
 // media traffic behind the throughput numbers.
-func FigShards(w io.Writer, s Scale) error {
-	type cell struct {
+func figShards(sh *Sheet) []panel {
+	s := sh.scale
+	threads := shardThreads(s)
+	type run struct {
 		res    Result
 		aborts int64
 		wbytes uint64
 	}
-	threads := shardThreads(s)
-	// insert[n][th], mixed[n][th]
-	insert := make(map[int]map[int]cell)
-	mixed := make(map[int]map[int]cell)
-
-	for _, n := range shardCounts {
-		insert[n] = make(map[int]cell)
-		mixed[n] = make(map[int]cell)
-		for ti, th := range threads {
-			name := fmt.Sprintf("Spash-%dsh", n)
+	// runs is the insert run and then the balanced run of one cell.
+	runs := func(n, ti int) [2]run {
+		th := threads[ti]
+		return measured(sh, func() ([2]run, error) {
 			// Fresh index per cell: inserts grow the table, so reuse
 			// would skew later cells.
-			ix, err := mustOpen(SpashEntry(name, n, core.Config{}), s)
+			ix, err := mustOpen(SpashEntry(fmt.Sprintf("Spash-%dsh", n), n, core.Config{}), s)
 			if err != nil {
-				return err
+				return [2]run{}, err
 			}
 			src, _ := Observe(ix)
-			prev := src.Snapshot()
-			r := Run(fmt.Sprintf("insert[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, false,
-				insertSource(0, s.YCSBOps/th), nil)
-			now := src.Snapshot()
-			d := now.Sub(prev)
-			insert[n][th] = cell{res: r,
-				aborts: d.HTM.Conflicts + d.HTM.Capacities + d.HTM.Explicits,
-				wbytes: d.Mem.MediaWriteBytes()}
-
-			prev = now
-			r = Run(fmt.Sprintf("balanced[s=%d,t=%d]", n, th), ix, th, s.YCSBOps/th, true,
-				MixSource(ycsb.Balanced, uint64(s.YCSBOps), ycsb.DefaultTheta, 8, int64(1109+ti)), nil)
-			now = src.Snapshot()
-			d = now.Sub(prev)
-			mixed[n][th] = cell{res: r,
-				aborts: d.HTM.Conflicts + d.HTM.Capacities + d.HTM.Explicits,
-				wbytes: d.Mem.MediaWriteBytes()}
-		}
-	}
-
-	cols := []string{"threads"}
-	for _, n := range shardCounts {
-		cols = append(cols, fmt.Sprintf("%dsh", n))
-	}
-	panel := func(title string, cells map[int]map[int]cell, f func(cell) string) {
-		t := newTable(title, cols...)
-		for _, th := range threads {
-			row := []string{fmt.Sprintf("%d", th)}
-			for _, n := range shardCounts {
-				row = append(row, f(cells[n][th]))
+			per := s.YCSBOps / th
+			phase := func(name string, pipeline bool, ops OpSource) run {
+				prev := src.Snapshot()
+				r := Run(fmt.Sprintf("%s[s=%d,t=%d]", name, n, th), ix, th, per, pipeline, ops, nil)
+				d := src.Snapshot().Sub(prev)
+				return run{r, d.HTM.Conflicts + d.HTM.Capacities + d.HTM.Explicits, d.Mem.MediaWriteBytes()}
 			}
-			t.row(row...)
-		}
-		t.write(w)
+			return [2]run{phase("insert", false, insertSource(0, per)),
+				phase("balanced", true, MixSource(ycsb.Balanced, uint64(s.YCSBOps), ycsb.DefaultTheta, 8, int64(1109+ti)))}, nil
+		}, "shards", n, th)
 	}
-	panel("Shard scaling (a): insert-only throughput (Mops/s)", insert,
-		func(c cell) string { return mops(c.res) })
-	panel(fmt.Sprintf("Shard scaling (b): balanced(50/50) zipf %.2f throughput (Mops/s)", ycsb.DefaultTheta),
-		mixed, func(c cell) string { return mops(c.res) })
-	panel("Shard scaling: insert bound per cell", insert,
-		func(c cell) string { return c.res.Bound })
-	panel("Shard scaling: HTM aborts per cell, balanced run", mixed,
-		func(c cell) string { return fmt.Sprintf("%d", c.aborts) })
-	panel("Shard scaling: PM media writes per cell, insert run (MB, all devices)", insert,
-		func(c cell) string { return fmt.Sprintf("%.1f", float64(c.wbytes)/(1<<20)) })
-	return nil
+	head := append([]string{"threads"}, labels("%dsh", sh.shards)...)
+	grid := func(title string, phase int, f func(run) value) panel {
+		return panel{title, head, labels("%d", threads), func(r, c int) value { return f(runs(sh.shards[c], r)[phase]) }}
+	}
+	return []panel{
+		grid("Shard scaling (a): insert-only throughput (Mops/s)", 0, func(x run) value { return mops(x.res) }),
+		grid(fmt.Sprintf("Shard scaling (b): balanced(50/50) zipf %.2f throughput (Mops/s)", ycsb.DefaultTheta), 1,
+			func(x run) value { return mops(x.res) }),
+		grid("Shard scaling: insert bound per cell", 0, func(x run) value { return value{text: x.res.Bound} }),
+		grid("Shard scaling: HTM aborts per cell, balanced run", 1,
+			func(x run) value { return value{float64(x.aborts), fmt.Sprint(x.aborts)} }),
+		grid("Shard scaling: PM media writes per cell, insert run (MB, all devices)", 0, func(x run) value {
+			mb := float64(x.wbytes) / (1 << 20)
+			return value{mb, fmt.Sprintf("%.1f", mb)}
+		}),
+	}
 }

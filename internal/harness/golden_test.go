@@ -4,28 +4,35 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"slices"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden from this build's output")
+
+// tiny is the tiny-scale sheet TestClaims starts (claims_test.go sorts
+// first, and -count=N starts one per run) and TestFiguresGolden renders
+// from, so a full run measures each shared cell once.
+var tiny *Sheet
 
 // Fig 8 and Fig 9 (one worker) and the 1-thread column of Fig 12(d) are
 // pure functions of the code: every PM access count, load factor and
 // virtual nanosecond in them is deterministic. The golden pins them
 // byte for byte, so a change to the harness, the constructor table or
 // the Spash adapter that moves any simulated count fails here. A PR
-// that means to move one regenerates the file with -update and says
-// why in CHANGES.md.
+// that means to move one regenerates the file with -update, says why
+// in CHANGES.md and keeps TestClaims green (DESIGN.md §5).
 func TestFiguresGolden(t *testing.T) {
-	oneThread := tinyScale
-	oneThread.Threads = []int{1}
+	if tiny == nil {
+		tiny = NewSheet(tinyScale, nil)
+	}
 	var got bytes.Buffer
-	for _, fig := range []func() error{
-		func() error { return Fig8(&got, tinyScale) },
-		func() error { return Fig9(&got, tinyScale) },
-		func() error { return Fig12d(&got, oneThread) },
-	} {
-		if err := fig(); err != nil {
+	for _, name := range []string{"8", "9", "12d"} {
+		ps := figure(name).panels(tiny)
+		if name == "12d" {
+			ps[0].head = ps[0].head[:2] // its 1-thread column
+		}
+		if err := tiny.write(&got, ps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,4 +50,9 @@ func TestFiguresGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("figure output differs from %s\n--- got\n%s\n--- want\n%s", path, got.Bytes(), want)
 	}
+}
+
+// figure is the table entry named name.
+func figure(name string) Figure {
+	return figureTable[slices.IndexFunc(figureTable, func(f Figure) bool { return f.Name == name })]
 }

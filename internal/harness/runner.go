@@ -1,7 +1,8 @@
 // Package harness drives the reproduction of the paper's evaluation
 // (§VI): it runs workloads against the indexes through the common
 // ixapi interface, measures them in virtual time, and regenerates
-// every table and figure (see figures.go and EXPERIMENTS.md).
+// every table and figure of the figure table (figures.go), whose cells
+// claims_test.go checks the paper's claims against (EXPERIMENTS.md).
 //
 // # The virtual-time elapsed model
 //

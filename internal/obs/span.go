@@ -148,75 +148,23 @@ type DurSnapshot struct {
 }
 
 // Count returns the total number of samples.
-func (d DurSnapshot) Count() int64 {
-	var n int64
-	for _, c := range d.Counts {
-		n += c
-	}
-	return n
-}
+func (d DurSnapshot) Count() int64 { return buckets(d.Counts).count() }
 
 // PercentileNS returns a representative duration (bucket lower bound)
 // such that at least p percent of samples are ≤ its bucket. p in
 // [0, 100]; 0 when empty.
 func (d DurSnapshot) PercentileNS(p float64) int64 {
-	total := d.Count()
-	if total == 0 {
-		return 0
-	}
-	need := int64(p / 100 * float64(total))
-	if need < 1 {
-		need = 1
-	}
-	if need > total {
-		need = total
-	}
-	var cum int64
-	for b, c := range d.Counts {
-		cum += c
-		if cum >= need {
-			return durBucketNS(b)
-		}
-	}
-	return durBucketNS(len(d.Counts) - 1)
+	return durBucketNS(buckets(d.Counts).percentile(p))
 }
 
 // Sub returns d - o bucket-wise.
 func (d DurSnapshot) Sub(o DurSnapshot) DurSnapshot {
-	n := len(d.Counts)
-	if len(o.Counts) > n {
-		n = len(o.Counts)
-	}
-	out := DurSnapshot{Counts: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		var a, b int64
-		if i < len(d.Counts) {
-			a = d.Counts[i]
-		}
-		if i < len(o.Counts) {
-			b = o.Counts[i]
-		}
-		out.Counts[i] = a - b
-	}
-	return out
+	return DurSnapshot{Counts: buckets(d.Counts).plus(o.Counts, -1)}
 }
 
 // Add returns d + o bucket-wise.
 func (d DurSnapshot) Add(o DurSnapshot) DurSnapshot {
-	n := len(d.Counts)
-	if len(o.Counts) > n {
-		n = len(o.Counts)
-	}
-	out := DurSnapshot{Counts: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		if i < len(d.Counts) {
-			out.Counts[i] += d.Counts[i]
-		}
-		if i < len(o.Counts) {
-			out.Counts[i] += o.Counts[i]
-		}
-	}
-	return out
+	return DurSnapshot{Counts: buckets(d.Counts).plus(o.Counts, 1)}
 }
 
 // RecordSpan folds a completed sampled span into the lane's per-phase
