@@ -14,9 +14,12 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"spash"
@@ -25,18 +28,27 @@ import (
 )
 
 func main() {
-	records := flag.Int("records", 100000, "records to insert")
-	valSize := flag.Int("valuesize", 8, "value size in bytes")
-	deletes := flag.Float64("deletes", 0.2, "fraction of records deleted afterwards")
-	shards := flag.Int("shards", 1, "shard count (independent devices + HTM domains)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run builds the index the flags describe and writes the report to w.
+// A bad flag exits 2 and -h exits 0, as with the default flag set.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("spash-dump", flag.ExitOnError)
+	records := fs.Int("records", 100000, "records to insert")
+	valSize := fs.Int("valuesize", 8, "value size in bytes")
+	deletes := fs.Float64("deletes", 0.2, "fraction of records deleted afterwards")
+	shards := fs.Int("shards", 1, "shard count (independent devices + HTM domains)")
+	fs.Parse(args)
 
 	platform := spash.DefaultPlatform()
 	platform.PoolSize = 1 << 30
 	db, err := spash.Open(spash.Options{Platform: platform, Shards: *shards})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	s := db.Session()
 
@@ -55,8 +67,7 @@ func main() {
 			val = vb
 		}
 		if err := s.Insert(key, val); err != nil {
-			fmt.Fprintln(os.Stderr, spash.DescribeError(err))
-			os.Exit(1)
+			return errors.New(spash.DescribeError(err))
 		}
 	}
 	del := uint64(float64(*records) * *deletes)
@@ -77,8 +88,8 @@ func main() {
 	dump := mergeDumps(dumps)
 	st := db.Stats()
 
-	fmt.Printf("spash-dump: %d inserts, %d deletes, %dB values, %d shard(s)\n\n", *records, del, *valSize, db.Shards())
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "spash-dump: %d inserts, %d deletes, %dB values, %d shard(s)\n\n", *records, del, *valSize, db.Shards())
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	if db.Shards() > 1 {
 		for i := range dumps {
 			fmt.Fprintf(tw, "shard %d\tentries %d, segments %d, global depth %d\n",
@@ -98,7 +109,7 @@ func main() {
 	fmt.Fprintf(tw, "HTM conflicts / capacity / fallbacks\t%d / %d / %d\n",
 		st.Index.TxConflicts, st.Index.TxCapacity, st.Index.Fallbacks)
 	fmt.Fprintf(tw, "overflow entries (hinted)\t%d (%.1f%% of entries)\n",
-		dump.OverflowEntries, 100*float64(dump.OverflowEntries)/float64(max64(st.Index.Entries, 1)))
+		dump.OverflowEntries, 100*float64(dump.OverflowEntries)/float64(max(st.Index.Entries, 1)))
 	fmt.Fprintf(tw, "out-of-line keys / values\t%d / %d\n", dump.KeyRecords, dump.ValueRecords)
 	fmt.Fprintf(tw, "PM media traffic\t%d XPLine reads, %d XPLine writes\n",
 		st.Memory.XPLineReads, st.Memory.XPLineWrites)
@@ -107,16 +118,19 @@ func main() {
 	}
 	tw.Flush()
 
-	fmt.Println("\nlocal-depth histogram (segments per depth):")
+	fmt.Fprintln(w, "\nlocal-depth histogram (segments per depth):")
+	maxDepth := slices.Max(dump.DepthHistogram)
 	for d, n := range dump.DepthHistogram {
 		if n > 0 {
-			fmt.Printf("  depth %2d: %6d %s\n", d, n, bar(n, dump.MaxDepthCount))
+			fmt.Fprintf(w, "  depth %2d: %6d %s\n", d, n, bar(n, maxDepth))
 		}
 	}
-	fmt.Println("\nsegment occupancy histogram (entries per 16-slot segment):")
+	fmt.Fprintln(w, "\nsegment occupancy histogram (entries per 16-slot segment):")
+	maxOcc := slices.Max(dump.OccupancyHistogram)
 	for o, n := range dump.OccupancyHistogram {
-		fmt.Printf("  %2d/16: %6d %s\n", o, n, bar(n, dump.MaxOccupancyCount))
+		fmt.Fprintf(w, "  %2d/16: %6d %s\n", o, n, bar(n, maxOcc))
 	}
+	return nil
 }
 
 // mergeDumps folds per-shard structure reports into one: histograms
@@ -143,17 +157,6 @@ func mergeDumps(dumps []core.DumpInfo) core.DumpInfo {
 		out.ValueRecords += d.ValueRecords
 		out.PoisonedSegments += d.PoisonedSegments
 	}
-	out.MaxDepthCount, out.MaxOccupancyCount = 0, 0
-	for _, n := range out.DepthHistogram {
-		if n > out.MaxDepthCount {
-			out.MaxDepthCount = n
-		}
-	}
-	for _, n := range out.OccupancyHistogram {
-		if n > out.MaxOccupancyCount {
-			out.MaxOccupancyCount = n
-		}
-	}
 	return out
 }
 
@@ -167,11 +170,4 @@ func bar(n, max int) string {
 		out[i] = '#'
 	}
 	return string(out)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

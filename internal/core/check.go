@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"spash/internal/hash"
@@ -25,21 +24,26 @@ import (
 //     slot homed in that bucket;
 //   - the live-entry counter equals the number of occupied slots.
 func (ix *Index) CheckInvariants(c *pmem.Ctx) (err error) {
-	// Backstop: a poisoned XPLine or CRC-failing key record reached by
+	// Backstop: unreadable media or a CRC-failing key record reached by
 	// the scan is an invariant violation to report, not a panic.
 	defer func() {
 		if r := recover(); r != nil {
-			if ae, ok := r.(pmem.AccessError); ok {
-				err = fmt.Errorf("unreadable media reached by scan: %w", ae)
-				return
+			rf, ok := r.(recordFault)
+			if !ok {
+				panic(r)
 			}
-			if rf, ok := r.(recordFault); ok {
-				err = fmt.Errorf("key record %#x fails its CRC", rf.addr)
-				return
-			}
-			panic(r)
+			err = fmt.Errorf("key record %#x fails its CRC", rf.addr)
 		}
 	}()
+	if ae := tolerate(anyAccess, func() { err = ix.checkInvariants(c) }); ae != nil {
+		return fmt.Errorf("unreadable media reached by scan: %w", *ae)
+	}
+	return err
+}
+
+// checkInvariants is CheckInvariants' scan; its first failure is the
+// result.
+func (ix *Index) checkInvariants(c *pmem.Ctx) error {
 	d := ix.dir.Load()
 	g := d.depth
 	m := rawMem{ix.pool, c}
@@ -116,68 +120,47 @@ func (ix *Index) CheckInvariants(c *pmem.Ctx) (err error) {
 // checkSegment validates one segment's slots and hints, returning the
 // occupied-slot count.
 func (ix *Index) checkSegment(c *pmem.Ctx, m mem, seg, prefix uint64, depth uint) (int64, error) {
-	var kb [8]byte
+	snap := loadSegment(m, seg)
 	count := int64(0)
 	for s := 0; s < SlotsPerSegment; s++ {
-		kw := m.load(slotAddr(seg, s))
+		kw := snap[s*2]
 		if !keyOccupied(kw) {
 			continue
 		}
 		count++
-		var key []byte
-		if keyIsInline(kw) {
-			binary.LittleEndian.PutUint64(kb[:], wordPayload(kw))
-			key = kb[:]
-		} else {
-			key = readRecord(m, wordPayload(kw), nil)
-		}
-		h := hashKey(key)
-		if hash.Prefix(h, depth) != prefix {
+		v := judgeSlot(m, &snap, s, prefix, depth)
+		switch {
+		case !v.decodes:
+			return 0, fmt.Errorf("key record %#x fails its CRC", wordPayload(kw))
+		case !v.routes:
 			return 0, fmt.Errorf("segment %#x slot %d: key routes to prefix %#x, segment owns %#x",
-				seg, s, hash.Prefix(h, depth), prefix)
-		}
-		if keyFP(kw) != hash.KeyFingerprint(h) {
+				seg, s, hash.Prefix(v.h, depth), prefix)
+		case !v.fpOK:
 			return 0, fmt.Errorf("segment %#x slot %d: stored fingerprint mismatch", seg, s)
-		}
-		b := mainBucket(h)
-		if bucketOf(s) != b {
-			// Overflow entry: a hint in the main bucket must identify it.
-			found := false
-			for hs := b * SlotsPerBucket; hs < (b+1)*SlotsPerBucket; hs++ {
-				hv := m.load(slotAddr(seg, hs) + 8)
-				if hintValid(hv) && hintIdx(hv) == s {
-					if hintFP(hv) != hash.OverflowFingerprint(h) {
-						return 0, fmt.Errorf("segment %#x slot %d: hint fingerprint mismatch", seg, s)
-					}
-					found = true
-				}
-			}
-			if !found {
-				return 0, fmt.Errorf("segment %#x slot %d: overflow entry without hint", seg, s)
-			}
+		case v.hintBadFP:
+			return 0, fmt.Errorf("segment %#x slot %d: hint fingerprint mismatch", seg, s)
+		case !v.hinted:
+			return 0, fmt.Errorf("segment %#x slot %d: overflow entry without hint", seg, s)
 		}
 		// The entry must be locatable through the public read path.
-		r := makeReq(key)
+		r := makeReq(v.key)
 		if idx, _, _, _ := ix.locate(m, c, seg, &r); idx != s {
 			return 0, fmt.Errorf("segment %#x slot %d: locate found %d", seg, s, idx)
 		}
 	}
-	// Hint hygiene: every valid hint points at a live overflow entry
-	// of its bucket.
-	for b := 0; b < BucketsPerSegment; b++ {
-		for hs := b * SlotsPerBucket; hs < (b+1)*SlotsPerBucket; hs++ {
-			hv := m.load(slotAddr(seg, hs) + 8)
-			if !hintValid(hv) {
-				continue
-			}
-			oi := hintIdx(hv)
-			okw := m.load(slotAddr(seg, oi))
-			if !keyOccupied(okw) {
-				return 0, fmt.Errorf("segment %#x bucket %d: dangling hint to slot %d", seg, b, oi)
-			}
-			if bucketOf(oi) == b {
-				return 0, fmt.Errorf("segment %#x bucket %d: hint to non-overflow slot %d", seg, b, oi)
-			}
+	// Hint hygiene: every valid hint points at a live overflow entry of
+	// its bucket.
+	for hs := 0; hs < SlotsPerSegment; hs++ {
+		hv := snap[hs*2+1]
+		if !hintValid(hv) {
+			continue
+		}
+		b, oi := bucketOf(hs), hintIdx(hv)
+		if !keyOccupied(snap[oi*2]) {
+			return 0, fmt.Errorf("segment %#x bucket %d: dangling hint to slot %d", seg, b, oi)
+		}
+		if bucketOf(oi) == b {
+			return 0, fmt.Errorf("segment %#x bucket %d: hint to non-overflow slot %d", seg, b, oi)
 		}
 	}
 	return count, nil

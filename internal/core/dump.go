@@ -23,9 +23,6 @@ type DumpInfo struct {
 	OverflowEntries int64
 	// KeyRecords/ValueRecords count out-of-line keys and values.
 	KeyRecords, ValueRecords int64
-	// MaxDepthCount / MaxOccupancyCount are the histogram maxima
-	// (rendering convenience).
-	MaxDepthCount, MaxOccupancyCount int
 	// PoisonedSegments counts segments that could not be scanned
 	// because their media is poisoned (uncorrectable); their entries
 	// are missing from every other statistic.
@@ -56,55 +53,37 @@ func (ix *Index) Dump(c *pmem.Ctx) DumpInfo {
 			info.PoisonedSegments++
 		}
 	}
-	for _, n := range info.DepthHistogram {
-		if n > info.MaxDepthCount {
-			info.MaxDepthCount = n
-		}
-	}
-	for _, n := range info.OccupancyHistogram {
-		if n > info.MaxOccupancyCount {
-			info.MaxOccupancyCount = n
-		}
-	}
 	return info
 }
 
 // dumpSegment accumulates one segment's statistics, reporting false
 // (and counting nothing) when its media is poisoned.
 func dumpSegment(m mem, seg uint64, info *DumpInfo) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ae, pok := r.(pmem.AccessError); pok && ae.Poisoned {
-				ok = false
-				return
+	return tolerate(poisonOnly, func() {
+		occ := 0
+		for s := 0; s < SlotsPerSegment; s++ {
+			kw := m.load(slotAddr(seg, s))
+			if !keyOccupied(kw) {
+				continue
 			}
-			panic(r)
+			occ++
+			if !keyIsInline(kw) {
+				info.KeyRecords++
+			}
+			vw := m.load(slotAddr(seg, s) + 8)
+			if !valueIsInline(vw) {
+				info.ValueRecords++
+			}
 		}
-	}()
-	occ := 0
-	for s := 0; s < SlotsPerSegment; s++ {
-		kw := m.load(slotAddr(seg, s))
-		if !keyOccupied(kw) {
-			continue
+		info.OccupancyHistogram[occ]++
+		// Overflow entries: occupied slots referenced by a hint.
+		for s := 0; s < SlotsPerSegment; s++ {
+			hv := m.load(slotAddr(seg, s) + 8)
+			if hintValid(hv) && keyOccupied(m.load(slotAddr(seg, hintIdx(hv)))) {
+				info.OverflowEntries++
+			}
 		}
-		occ++
-		if !keyIsInline(kw) {
-			info.KeyRecords++
-		}
-		vw := m.load(slotAddr(seg, s) + 8)
-		if !valueIsInline(vw) {
-			info.ValueRecords++
-		}
-	}
-	info.OccupancyHistogram[occ]++
-	// Overflow entries: occupied slots referenced by a hint.
-	for s := 0; s < SlotsPerSegment; s++ {
-		hv := m.load(slotAddr(seg, s) + 8)
-		if hintValid(hv) && keyOccupied(m.load(slotAddr(seg, hintIdx(hv)))) {
-			info.OverflowEntries++
-		}
-	}
-	return true
+	}) == nil
 }
 
 // ForEach visits every live entry once, calling fn with the key and
@@ -113,16 +92,16 @@ func dumpSegment(m mem, seg uint64, info *DumpInfo) (ok bool) {
 // iteration as a whole is not a snapshot — concurrent writers may be
 // seen or missed, like iterating any live hash table. Returns early if
 // fn returns false.
-func (ix *Index) ForEach(h *Handle, fn func(key, val []byte) bool) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ae, ok := r.(pmem.AccessError); ok && ae.Poisoned {
-				err = &CorruptionError{Seg: ae.Addr &^ (SegmentSize - 1), Bucket: -1, Cause: ae}
-				return
-			}
-			panic(r)
-		}
-	}()
+func (ix *Index) ForEach(h *Handle, fn func(key, val []byte) bool) error {
+	if ae := tolerate(poisonOnly, func() { ix.forEach(h, fn) }); ae != nil {
+		return &CorruptionError{Seg: ae.Addr &^ (SegmentSize - 1), Bucket: -1, Cause: *ae}
+	}
+	return nil
+}
+
+// forEach is ForEach's walk; poisoned media unwinds it to ForEach's
+// guard.
+func (ix *Index) forEach(h *Handle, fn func(key, val []byte) bool) {
 	d := ix.dir.Load()
 	seen := make(map[uint64]bool)
 	var kb [8]byte
@@ -172,9 +151,8 @@ func (ix *Index) ForEach(h *Handle, fn func(key, val []byte) bool) (err error) {
 		}
 		for _, kv := range batch {
 			if !fn(kv.k, kv.v) {
-				return nil
+				return
 			}
 		}
 	}
-	return nil
 }

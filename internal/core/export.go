@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"spash/internal/hash"
 	"spash/internal/pmem"
 )
 
@@ -34,57 +33,47 @@ func rangeIntersects(p1 uint64, d1 uint, p2 uint64, d2 uint) bool {
 // (Quarantine) before they can ship, never forwarded. depth 0 exports
 // the whole index. The index must be quiescent (same contract as
 // Fsck); fn's slices are only valid during the callback.
-func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key, val []byte) error) error {
+func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key, val []byte) error) (err error) {
 	m := rawMem{ix.pool, c}
-	for i := uint64(0); i < ix.registryCap; i++ {
-		e, rok := loadTolerant(ix, c, ix.registryAddr+i*8)
-		if !rok {
-			return &CorruptionError{Seg: i * SegmentSize, Bucket: -1,
+	ix.eachRegistered(c, func(seg, p uint64, d uint, poisoned bool) bool {
+		switch {
+		case poisoned:
+			err = &CorruptionError{Seg: seg, Bucket: -1,
 				Cause: fmt.Errorf("registry frame unreadable: %w", pmem.ErrPoisoned)}
+		case !rangeIntersects(p, d, prefix, depth):
+		default:
+			if f := ix.verifySegment(c, seg, p, d); f != nil {
+				err = &CorruptionError{Seg: seg, Bucket: firstBadBucket(f.BadBuckets),
+					Cause: fmt.Errorf("refusing to export unverified segment: %s", f.Cause)}
+			} else {
+				err = exportSegment(m, seg, prefix, depth, fn)
+			}
 		}
-		if e&regValid == 0 {
-			continue
-		}
-		seg, p, d := i*SegmentSize, regPrefix(e), regDepth(e)
-		if !rangeIntersects(p, d, prefix, depth) {
-			continue
-		}
-		if f := ix.verifySegment(c, seg, p, d); f != nil {
-			return &CorruptionError{Seg: seg, Bucket: firstBadBucket(f.BadBuckets),
-				Cause: fmt.Errorf("refusing to export unverified segment: %s", f.Cause)}
-		}
-		if err := exportSegment(m, seg, prefix, depth, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // exportSegment decodes one seal-verified segment's live slots and
 // feeds the pairs inside the requested range to fn. Verification has
 // already proven every occupied slot decodable and CRC-clean, so a
-// residual access fault here (a racing writer would violate the
-// quiescence contract) surfaces as a CorruptionError via the caller's
-// verify pass on the next attempt rather than a panic: reads go
-// through the tolerant decoders.
+// residual record fault here (a racing writer would violate the
+// quiescence contract) surfaces as a CorruptionError rather than a
+// panic: the slot verdict reads records tolerantly.
 func exportSegment(m mem, seg uint64, prefix uint64, depth uint, fn func(key, val []byte) error) error {
+	snap := loadSegment(m, seg)
 	for s := 0; s < SlotsPerSegment; s++ {
-		kw := m.load(slotAddr(seg, s))
-		if !keyOccupied(kw) {
+		if !keyOccupied(snap[s*2]) {
 			continue
 		}
-		key, ok := decodeSlotKeyTolerant(m, kw)
-		if !ok {
+		v := judgeSlot(m, &snap, s, prefix, depth)
+		switch {
+		case !v.decodes || v.routes && !v.valueOK:
 			return &CorruptionError{Seg: seg, Bucket: bucketOf(s), Cause: ErrRecordChecksum}
-		}
-		if hash.Prefix(hashKey(key), depth) != prefix {
+		case !v.routes:
 			continue
 		}
-		vw := m.load(slotAddr(seg, s)+8) &^ hintMask
-		if !valueIsInline(vw) && !recordCRCOKTolerant(m, wordPayload(vw)) {
-			return &CorruptionError{Seg: seg, Bucket: bucketOf(s), Cause: ErrRecordChecksum}
-		}
-		if err := fn(key, loadValue(m, vw, nil)); err != nil {
+		if err := fn(v.key, loadValue(m, snap[s*2+1]&^hintMask, nil)); err != nil {
 			return err
 		}
 	}

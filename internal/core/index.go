@@ -307,15 +307,16 @@ func (ix *Index) sealAddrOf(seg uint64) uint64 {
 }
 
 // SegmentAddrs returns the PM address of every live segment, read from
-// the persistent registry. The index must be quiescent. Used by fault-
-// injection harnesses (to aim media damage at index frames) and tests.
-func (ix *Index) SegmentAddrs(c *pmem.Ctx) []uint64 {
-	var out []uint64
-	for i := uint64(0); i < ix.registryCap; i++ {
-		if ix.pool.Load64(c, ix.registryAddr+i*8)&regValid != 0 {
-			out = append(out, i*SegmentSize)
+// the persistent registry in frame order (unreadable registry words are
+// skipped). The index must be quiescent. Used by fault-injection
+// harnesses (to aim media damage at index frames) and tests.
+func (ix *Index) SegmentAddrs(c *pmem.Ctx) (out []uint64) {
+	ix.eachRegistered(c, func(seg, _ uint64, _ uint, poisoned bool) bool {
+		if !poisoned {
+			out = append(out, seg)
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -87,10 +87,7 @@ func sealOfImage(img *[SegmentSize / 8]uint64) uint64 {
 // loads; inside a transaction they join the read set, so the seal is
 // consistent with the image the transaction commits against).
 func sealOfMem(m mem, seg uint64) uint64 {
-	var img [SegmentSize / 8]uint64
-	for i := range img {
-		img[i] = m.load(seg + uint64(i)*8)
-	}
+	img := loadSegment(m, seg)
 	return sealOfImage(&img)
 }
 
@@ -105,8 +102,14 @@ func (ix *Index) reseal(m mem, seg uint64) {
 // verifySeal compares the segment's stored seal with its contents and
 // returns the mismatching buckets as a 4-bit mask (0 = clean).
 func (ix *Index) verifySeal(m mem, seg uint64) (badMask int) {
-	want := m.load(ix.sealAddrOf(seg))
-	got := sealOfMem(m, seg)
+	return sealMask(m.load(ix.sealAddrOf(seg)), sealOfMem(m, seg))
+}
+
+// sealMask compares a stored seal word with the seal computed from the
+// segment's contents and returns the mismatching buckets as a 4-bit
+// mask (0 = clean). Every seal check — the operation guard, fsck's
+// verification, salvage and the scrubber — reads its verdict here.
+func sealMask(want, got uint64) (badMask int) {
 	for b := 0; b < BucketsPerSegment; b++ {
 		if (want^got)>>(16*b)&0xFFFF != 0 {
 			badMask |= 1 << b
@@ -201,6 +204,104 @@ func poisonAsCorruption(seg *uint64, err *error) {
 	}
 }
 
+// The maintenance readers — Fsck, the scrubber, ExportRange, the
+// invariant and placement checks, Dump, ForEach and recovery's mark
+// phase — share three primitives: one poison guard (tolerate), one
+// registry walk (eachRegistered) and one slot verdict (judgeSlot).
+
+// mediaFaults names the class of pmem.AccessError a guard turns into a
+// result; every other panic passes through it.
+type mediaFaults int
+
+const (
+	// anyAccess: poison, or the misaligned / out-of-range access a
+	// damaged word's pointer produces.
+	anyAccess mediaFaults = iota
+	// poisonOnly: poison alone; any other access error is a bug.
+	poisonOnly
+)
+
+// tolerate runs fn and returns the access error of class faults that
+// cut it short, or nil when fn ran to the end. Anything else re-raises
+// the recovered value itself, the one panic the panicfree analyzer
+// allows on these paths.
+func tolerate(faults mediaFaults, fn func()) (fault *pmem.AccessError) {
+	defer func() {
+		if r := recover(); r != nil {
+			ae, ok := r.(pmem.AccessError)
+			if !ok || faults == poisonOnly && !ae.Poisoned {
+				panic(r)
+			}
+			fault = &ae
+		}
+	}()
+	fn()
+	return nil
+}
+
+// eachRegistered walks the persistent registry in frame order and calls
+// fn for every word naming a live segment and for every word it cannot
+// read (poisoned, with prefix and depth 0), until fn returns false.
+// What an unreadable word means is fn's to decide.
+func (ix *Index) eachRegistered(c *pmem.Ctx, fn func(seg, prefix uint64, depth uint, poisoned bool) bool) {
+	for i := uint64(0); i < ix.registryCap; i++ {
+		var e uint64
+		poisoned := tolerate(anyAccess, func() { e = ix.pool.Load64(c, ix.registryAddr+i*8) }) != nil
+		if !poisoned && e&regValid == 0 {
+			continue
+		}
+		if !fn(i*SegmentSize, regPrefix(e), regDepth(e), poisoned) {
+			return
+		}
+	}
+}
+
+// slotVerdict is what judgeSlot found out about one occupied slot, one
+// field per check; each validator reads the checks it needs.
+type slotVerdict struct {
+	key     []byte // the key bytes, when they decode
+	h       uint64 // hashKey(key), when the key decodes
+	decodes bool   // inline, or a key record whose CRC matches
+	routes  bool   // the key's hash prefix is the range's
+	fpOK    bool   // the key word's fingerprint is the hash's
+	valueOK bool   // inline, or a value record whose CRC matches
+	// hinted: the entry sits in its main bucket, or a hint there names
+	// its slot with the right overflow fingerprint; hintBadFP: a hint
+	// there names its slot with another.
+	hinted, hintBadFP bool
+}
+
+// judgeSlot checks the occupied slot s of the segment image snap
+// against the hash range (prefix, depth), reading records through m.
+// An access fault on a record — poison, or the wild pointer of a
+// damaged word — fails the check it hit instead of panicking.
+func judgeSlot(m mem, snap *[SegmentSize / 8]uint64, s int, prefix uint64, depth uint) (v slotVerdict) {
+	kw, vw := snap[s*2], snap[s*2+1]
+	tolerate(anyAccess, func() { v.key, v.decodes = decodeSlotKey(m, kw) })
+	v.valueOK = valueIsInline(vw)
+	if !v.valueOK {
+		tolerate(anyAccess, func() { v.valueOK = recordCRCOK(m, wordPayload(vw)) })
+	}
+	if !v.decodes {
+		return v
+	}
+	v.h = hashKey(v.key)
+	v.routes = hash.Prefix(v.h, depth) == prefix
+	v.fpOK = keyFP(kw) == hash.KeyFingerprint(v.h)
+	b := mainBucket(v.h)
+	if v.hinted = bucketOf(s) == b; v.hinted {
+		return v
+	}
+	for hs := b * SlotsPerBucket; hs < (b+1)*SlotsPerBucket; hs++ {
+		if hv := snap[hs*2+1]; hintValid(hv) && hintIdx(hv) == s {
+			ok := hintFP(hv) == hash.OverflowFingerprint(v.h)
+			v.hinted = v.hinted || ok
+			v.hintBadFP = v.hintBadFP || !ok
+		}
+	}
+	return v
+}
+
 // SegmentFault describes one damaged segment found by verification.
 type SegmentFault struct {
 	Seg    uint64 `json:"seg"`
@@ -226,36 +327,31 @@ type SegmentFault struct {
 // poison is reported as a fault. Read-only; usable on a live index
 // only when the segment is quiesced (Fsck) — the online path is the
 // scrubber, which verifies transactionally.
-func (ix *Index) verifySegment(c *pmem.Ctx, seg, prefix uint64, depth uint) (f *SegmentFault) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ae, ok := r.(pmem.AccessError); ok {
-				f = &SegmentFault{Seg: seg, Prefix: prefix, Depth: depth,
-					Poisoned: ae.Poisoned, Cause: ae.Error()}
-				return
-			}
-			panic(r)
-		}
-	}()
+//
+// A slot is valid when every check of its verdict passes: decodable key
+// (record CRC for out-of-line keys), correct routing prefix, matching
+// fingerprint, a CRC-clean out-of-line value and — for overflow
+// entries — a hint in the main bucket.
+func (ix *Index) verifySegment(c *pmem.Ctx, seg, prefix uint64, depth uint) *SegmentFault {
 	m := rawMem{ix.pool, c}
-	var snap [SegmentSize / 8]uint64
-	for i := range snap {
-		snap[i] = m.load(seg + uint64(i)*8)
-	}
 	fault := SegmentFault{Seg: seg, Prefix: prefix, Depth: depth}
-	if ix.sealAddr != 0 {
-		want := m.load(ix.sealAddrOf(seg))
-		got := sealOfImage(&snap)
-		for b := 0; b < BucketsPerSegment; b++ {
-			if (want^got)>>(16*b)&0xFFFF != 0 {
-				fault.BadBuckets |= 1 << b
+	ae := tolerate(anyAccess, func() {
+		snap := loadSegment(m, seg)
+		if ix.sealAddr != 0 {
+			fault.BadBuckets = sealMask(m.load(ix.sealAddrOf(seg)), sealOfImage(&snap))
+		}
+		for s := 0; s < SlotsPerSegment; s++ {
+			if !keyOccupied(snap[s*2]) {
+				continue
+			}
+			v := judgeSlot(m, &snap, s, prefix, depth)
+			if !v.decodes || !v.routes || !v.fpOK || !v.valueOK || !v.hinted {
+				fault.BadSlots++
 			}
 		}
-	}
-	for s := 0; s < SlotsPerSegment; s++ {
-		if !slotValid(m, &snap, seg, s, prefix, depth) {
-			fault.BadSlots++
-		}
+	})
+	if ae != nil {
+		return &SegmentFault{Seg: seg, Prefix: prefix, Depth: depth, Poisoned: ae.Poisoned, Cause: ae.Error()}
 	}
 	if fault.BadBuckets == 0 && fault.BadSlots == 0 {
 		return nil
@@ -264,42 +360,12 @@ func (ix *Index) verifySegment(c *pmem.Ctx, seg, prefix uint64, depth uint) (f *
 	return &fault
 }
 
-// slotValid performs the semantic validation of one occupied slot
-// against its segment's hash range: decodable key (record CRC for
-// out-of-line keys), correct routing prefix, matching fingerprint, a
-// CRC-clean out-of-line value, and — for overflow entries — a hint in
-// the main bucket. Free slots are trivially valid. Panics on poison
-// (callers guard).
-func slotValid(m mem, snap *[SegmentSize / 8]uint64, seg uint64, s int, prefix uint64, depth uint) bool {
-	kw := snap[s*2]
-	if !keyOccupied(kw) {
-		return true
+// loadSegment reads a segment's words through m.
+func loadSegment(m mem, seg uint64) (img [SegmentSize / 8]uint64) {
+	for i := range img {
+		img[i] = m.load(seg + uint64(i)*8)
 	}
-	key, ok := decodeSlotKeyTolerant(m, kw)
-	if !ok {
-		return false
-	}
-	h := hashKey(key)
-	if hash.Prefix(h, depth) != prefix || keyFP(kw) != hash.KeyFingerprint(h) {
-		return false
-	}
-	vw := snap[s*2+1]
-	if !valueIsInline(vw) && !recordCRCOKTolerant(m, wordPayload(vw)) {
-		return false
-	}
-	if b := mainBucket(h); bucketOf(s) != b {
-		found := false
-		for hs := b * SlotsPerBucket; hs < (b+1)*SlotsPerBucket; hs++ {
-			hv := snap[hs*2+1]
-			if hintValid(hv) && hintIdx(hv) == s && hintFP(hv) == hash.OverflowFingerprint(h) {
-				found = true
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return img
 }
 
 // decodeSlotKey extracts the key bytes of an occupied key word: the
@@ -482,18 +548,8 @@ func (h *Handle) Quarantine(hh uint64, expectSeg uint64) (*QuarantineReport, err
 // readSegmentTolerant snapshots a segment through m, reporting (zero
 // image, true) when the frame is poisoned.
 func readSegmentTolerant(m mem, seg uint64) (snap [SegmentSize / 8]uint64, poisoned bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.AccessError); ok {
-				snap = [SegmentSize / 8]uint64{}
-				poisoned = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	for i := range snap {
-		snap[i] = m.load(seg + uint64(i)*8)
+	if tolerate(anyAccess, func() { snap = loadSegment(m, seg) }) != nil {
+		return [SegmentSize / 8]uint64{}, true
 	}
 	return snap, false
 }
@@ -516,70 +572,24 @@ func (ix *Index) salvageSegment(m mem, snap *[SegmentSize / 8]uint64, seg uint64
 	}
 	badMask := 0
 	if ix.sealAddr != 0 {
-		want := m.load(ix.sealAddrOf(seg))
-		got := sealOfImage(snap)
-		for b := 0; b < BucketsPerSegment; b++ {
-			if (want^got)>>(16*b)&0xFFFF != 0 {
-				badMask |= 1 << b
-			}
-		}
+		badMask = sealMask(m.load(ix.sealAddrOf(seg)), sealOfImage(snap))
 	}
 	for s := 0; s < SlotsPerSegment; s++ {
-		kw := snap[s*2]
-		if !keyOccupied(kw) {
+		if !keyOccupied(snap[s*2]) {
 			continue
 		}
-		key, keyOK := decodeSlotKeyTolerant(m, kw)
-		var hh uint64
-		routeOK := false
-		if keyOK {
-			hh = hashKey(key)
-			routeOK = hash.Prefix(hh, depth) == prefix && keyFP(kw) == hash.KeyFingerprint(hh)
-		}
-		vw := snap[s*2+1]
-		valueOK := valueIsInline(vw) || recordCRCOKTolerant(m, wordPayload(vw))
-		if badMask>>bucketOf(s)&1 == 1 || !keyOK || !routeOK || !valueOK {
+		v := judgeSlot(m, snap, s, prefix, depth)
+		routed := v.decodes && v.routes && v.fpOK
+		if badMask>>bucketOf(s)&1 == 1 || !routed || !v.valueOK {
 			dropped++
-			if keyOK && routeOK {
-				lost = append(lost, append([]byte(nil), key...))
+			if routed {
+				lost = append(lost, append([]byte(nil), v.key...))
 			}
 			continue
 		}
-		keep = append(keep, segEntry{kw: kw, vw: vw &^ hintMask, h: hh})
+		keep = append(keep, segEntry{kw: snap[s*2], vw: snap[s*2+1] &^ hintMask, h: v.h})
 	}
 	return keep, lost, dropped
-}
-
-// decodeSlotKeyTolerant is decodeSlotKey with any access fault —
-// poison, or the misaligned/out-of-range pointers a corrupted key
-// word produces — treated as an undecodable key instead of a panic.
-func decodeSlotKeyTolerant(m mem, kw uint64) (key []byte, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, pok := r.(pmem.AccessError); pok {
-				key, ok = nil, false
-				return
-			}
-			panic(r)
-		}
-	}()
-	return decodeSlotKey(m, kw)
-}
-
-// recordCRCOKTolerant is recordCRCOK with any access fault (poison,
-// or a garbage pointer from a corrupted value word) treated as a
-// failed check instead of a panic.
-func recordCRCOKTolerant(m mem, addr uint64) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, pok := r.(pmem.AccessError); pok {
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
-	return recordCRCOK(m, addr)
 }
 
 // FsckReport is the result of one verification (and optional repair)
@@ -647,41 +657,35 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 		repairing = 1
 	}
 	ix.reg.Trace(obs.EvFsckStart, c.Clock(), repairing, 0)
-	for i := uint64(0); i < ix.registryCap; i++ {
-		e, rok := loadTolerant(ix, c, ix.registryAddr+i*8)
-		if !rok {
-			rep.Faults = append(rep.Faults, SegmentFault{Seg: i * SegmentSize,
-				Poisoned: true, Cause: "registry frame unreadable (poisoned)"})
-			rep.Failed = append(rep.Failed, rep.Faults[len(rep.Faults)-1])
-			continue
-		}
-		if e&regValid == 0 {
-			continue
+	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+		if poisoned {
+			f := SegmentFault{Seg: seg, Poisoned: true, Cause: "registry frame unreadable (poisoned)"}
+			rep.Faults = append(rep.Faults, f)
+			rep.Failed = append(rep.Failed, f)
+			return true
 		}
 		rep.Segments++
-		seg, prefix, depth := i*SegmentSize, regPrefix(e), regDepth(e)
 		f := ix.verifySegment(c, seg, prefix, depth)
 		if f == nil {
-			continue
+			return true
 		}
 		rep.Faults = append(rep.Faults, *f)
 		if !repair {
-			continue
+			return true
 		}
-		hh := prefix << (64 - depth)
-		qr, err := h.Quarantine(hh, seg)
-		if err != nil || qr == nil {
-			f2 := *f
-			if err != nil {
-				f2.Cause = fmt.Sprintf("repair failed: %v", err)
-			} else {
-				f2.Cause = "repair skipped: segment restructured concurrently"
-			}
-			rep.Failed = append(rep.Failed, f2)
-			continue
+		qr, err := h.Quarantine(prefix<<(64-depth), seg)
+		switch {
+		case err != nil:
+			f.Cause = fmt.Sprintf("repair failed: %v", err)
+		case qr == nil:
+			f.Cause = "repair skipped: segment restructured concurrently"
+		default:
+			rep.Repairs = append(rep.Repairs, *qr)
+			return true
 		}
-		rep.Repairs = append(rep.Repairs, *qr)
-	}
+		rep.Failed = append(rep.Failed, *f)
+		return true
+	})
 	if len(rep.Repairs) > 0 {
 		// Corruption can destroy occupancy information (a flipped
 		// occupied bit), so the live-entry counter delta applied by
@@ -697,35 +701,20 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 
 // countOccupied walks every live segment and counts occupied slots,
 // skipping unreadable frames.
-func (ix *Index) countOccupied(c *pmem.Ctx) int64 {
-	total := int64(0)
-	for i := uint64(0); i < ix.registryCap; i++ {
-		e, rok := loadTolerant(ix, c, ix.registryAddr+i*8)
-		if !rok || e&regValid == 0 {
-			continue
+func (ix *Index) countOccupied(c *pmem.Ctx) (total int64) {
+	ix.eachRegistered(c, func(seg, _ uint64, _ uint, poisoned bool) bool {
+		if poisoned {
+			return true
 		}
-		seg := i * SegmentSize
-		for s := 0; s < SlotsPerSegment; s++ {
-			if kw, kok := loadTolerant(ix, c, slotAddr(seg, s)); kok && keyOccupied(kw) {
+		snap, bad := readSegmentTolerant(rawMem{ix.pool, c}, seg)
+		for s := 0; s < SlotsPerSegment && !bad; s++ {
+			if keyOccupied(snap[s*2]) {
 				total++
 			}
 		}
-	}
+		return true
+	})
 	return total
-}
-
-// loadTolerant reads one PM word, reporting ok=false on poison.
-func loadTolerant(ix *Index, c *pmem.Ctx, addr uint64) (v uint64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, pok := r.(pmem.AccessError); pok {
-				v, ok = 0, false
-				return
-			}
-			panic(r)
-		}
-	}()
-	return ix.pool.Load64(c, addr), true
 }
 
 // KeyHash exposes the index's key-hash function so external oracles
@@ -743,25 +732,20 @@ func KeyHash(key []byte) uint64 { return hashKey(key) }
 // quiescent.
 func (ix *Index) CheckPlacement(c *pmem.Ctx) (misplaced int) {
 	m := rawMem{ix.pool, c}
-	for i := uint64(0); i < ix.registryCap; i++ {
-		e, rok := loadTolerant(ix, c, ix.registryAddr+i*8)
-		if !rok || e&regValid == 0 {
-			continue
+	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+		if poisoned {
+			return true
 		}
-		seg, prefix, depth := i*SegmentSize, regPrefix(e), regDepth(e)
-		for s := 0; s < SlotsPerSegment; s++ {
-			kw, kok := loadTolerant(ix, c, slotAddr(seg, s))
-			if !kok || !keyOccupied(kw) {
+		snap, bad := readSegmentTolerant(m, seg)
+		for s := 0; s < SlotsPerSegment && !bad; s++ {
+			if !keyOccupied(snap[s*2]) {
 				continue
 			}
-			key, ok := decodeSlotKeyTolerant(m, kw)
-			if !ok {
-				continue
-			}
-			if hash.Prefix(hashKey(key), depth) != prefix {
+			if v := judgeSlot(m, &snap, s, prefix, depth); v.decodes && !v.routes {
 				misplaced++
 			}
 		}
-	}
+		return true
+	})
 	return misplaced
 }

@@ -323,6 +323,57 @@ func TestSealMaintainedAcrossSplitsAndMerges(t *testing.T) {
 	}
 }
 
+// TestPoisonedRegistryFrame poisons the XPLine holding live segments'
+// registry words and pins each registry reader's response to it: Fsck
+// records every unreadable word as an unrepairable fault, ExportRange
+// refuses with a typed poison error, CheckPlacement and a scrub pass
+// skip the frame, and Recover fails with an error instead of a panic.
+func TestPoisonedRegistryFrame(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: true})
+	c := h.c
+	fillIntegrity(t, h, 1500)
+	segs := ix.SegmentAddrs(c)
+	ix.pool.PoisonLine(ix.regAddrOf(segs[len(segs)/2]))
+
+	rep, err := h.Fsck(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words = pmem.XPLineSize / 8
+	if rep.ExitCode() != 2 || len(rep.Faults) != words || len(rep.Failed) != words {
+		t.Fatalf("fsck: exit %d, %d faults, %d failed; want 2, %d, %d",
+			rep.ExitCode(), len(rep.Faults), len(rep.Failed), words, words)
+	}
+	for _, f := range rep.Faults {
+		if !f.Poisoned || f.Cause != "registry frame unreadable (poisoned)" {
+			t.Fatalf("fault %+v", f)
+		}
+	}
+	if rep.Segments != len(segs)-words {
+		t.Fatalf("fsck walked %d segments, want %d readable", rep.Segments, len(segs)-words)
+	}
+
+	err = ix.ExportRange(c, 0, 0, func(_, _ []byte) error { return nil })
+	var ce *CorruptionError
+	if !errors.As(err, &ce) || !errors.Is(err, pmem.ErrPoisoned) {
+		t.Fatalf("ExportRange over a poisoned registry: %v", err)
+	}
+
+	if got := ix.CheckPlacement(c); got != 0 {
+		t.Fatalf("CheckPlacement = %d, want 0", got)
+	}
+	s := ix.StartScrub(ScrubOptions{Passes: 1, Repair: true})
+	s.Wait()
+	if st := s.Stop(); st.Passes != 1 || st.Corruptions != 0 || st.Segments != int64(len(segs)-words) {
+		t.Fatalf("scrub stats %+v, want one clean pass over %d segments", st, len(segs)-words)
+	}
+
+	ix.pool.Crash()
+	if _, _, err := Recover(ix.pool.NewCtx(), ix.pool, Config{}); err == nil {
+		t.Fatal("Recover accepted a pool whose registry is unreadable")
+	}
+}
+
 // TestCheckInvariantsPoisonWrapsErrPoisoned guards the %w fix in
 // CheckInvariants' AccessError backstop: the wrapped scan error must
 // still match pmem.ErrPoisoned through errors.Is, so fsck callers can

@@ -177,28 +177,23 @@ func Recover(c *pmem.Ctx, pool *pmem.Pool, cfg Config) (_ *Index, _ *alloc.Alloc
 // exactly what the later quarantine/repair of that segment assumes —
 // so a single bad XPLine cannot fail the entire recovery.
 func markSegment(al *alloc.Allocator, m mem, seg uint64) (live int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ae, ok := r.(pmem.AccessError); ok && ae.Poisoned {
-				live = 0
-				return
+	if tolerate(poisonOnly, func() {
+		for slot := 0; slot < SlotsPerSegment; slot++ {
+			kw := m.load(slotAddr(seg, slot))
+			if !keyOccupied(kw) {
+				continue
 			}
-			panic(r)
+			live++
+			if !keyIsInline(kw) {
+				al.MarkLive(wordPayload(kw))
+			}
+			vw := m.load(slotAddr(seg, slot) + 8)
+			if !valueIsInline(vw) {
+				al.MarkLive(wordPayload(vw))
+			}
 		}
-	}()
-	for slot := 0; slot < SlotsPerSegment; slot++ {
-		kw := m.load(slotAddr(seg, slot))
-		if !keyOccupied(kw) {
-			continue
-		}
-		live++
-		if !keyIsInline(kw) {
-			al.MarkLive(wordPayload(kw))
-		}
-		vw := m.load(slotAddr(seg, slot) + 8)
-		if !valueIsInline(vw) {
-			al.MarkLive(wordPayload(vw))
-		}
+	}) != nil {
+		return 0
 	}
 	return live
 }

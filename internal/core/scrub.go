@@ -6,7 +6,6 @@ import (
 	"spash/internal/hash"
 	"spash/internal/htm"
 	"spash/internal/obs"
-	"spash/internal/pmem"
 )
 
 // The online scrubber re-verifies segment seals in the background
@@ -138,23 +137,21 @@ func (s *Scrubber) run() {
 // scanPass walks the registry once, verifying every live segment.
 func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 	ix := s.ix
-	c := s.h.c
 	var next time.Time
-	for i := uint64(0); i < ix.registryCap; i++ {
+	ix.eachRegistered(s.h.c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		select {
 		case <-s.stop:
-			return segs, corr
+			return false
 		default:
 		}
-		e, rok := loadTolerant(ix, c, ix.registryAddr+i*8)
-		if !rok || e&regValid == 0 {
-			continue
+		if poisoned {
+			return true
 		}
 		if gap > 0 {
 			if now := time.Now(); now.Before(next) {
 				select {
 				case <-s.stop:
-					return segs, corr
+					return false
 				case <-time.After(next.Sub(now)):
 				}
 				next = next.Add(gap)
@@ -162,33 +159,32 @@ func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 				next = now.Add(gap)
 			}
 		}
-		seg, prefix, depth := i*SegmentSize, regPrefix(e), regDepth(e)
 		corrupt, skipped := s.verifyOnline(seg, prefix, depth)
 		if skipped {
 			s.stats.Skipped++
-			continue
+			return true
 		}
 		segs++
 		s.stats.Segments++
 		ix.reg.Inc(obs.CScrubSegments)
 		if !corrupt {
-			continue
+			return true
 		}
 		corr++
 		s.stats.Corruptions++
 		ix.reg.Inc(obs.CScrubCorruptions)
 		if !s.opt.Repair {
-			continue
+			return true
 		}
-		hh := prefix << (64 - depth)
-		qr, err := s.h.Quarantine(hh, seg)
+		qr, err := s.h.Quarantine(prefix<<(64-depth), seg)
 		switch {
 		case err != nil:
 			s.stats.Errors++
 		case qr != nil:
 			s.stats.Quarantines++
 		}
-	}
+		return true
+	})
 	return segs, corr
 }
 
@@ -202,17 +198,8 @@ func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 func (s *Scrubber) verifyOnline(seg, prefix uint64, depth uint) (corrupt, skipped bool) {
 	ix := s.ix
 	c := s.h.c
-	defer func() {
-		if r := recover(); r != nil {
-			if ae, ok := r.(pmem.AccessError); ok && ae.Poisoned {
-				corrupt, skipped = true, false
-				return
-			}
-			panic(r)
-		}
-	}()
 	hh := prefix << (64 - depth)
-	code, _ := ix.tm.Run(c, ix.pool, func(tx *htm.Txn) error {
+	verify := func(tx *htm.Txn) error {
 		corrupt = false
 		if tx.LoadVol(&ix.dirGen)&1 == 1 {
 			return errResizing
@@ -230,12 +217,14 @@ func (s *Scrubber) verifyOnline(seg, prefix uint64, depth uint) (corrupt, skippe
 		if ix.sealAddr != 0 {
 			corrupt = ix.verifySeal(m, seg) != 0
 		} else {
-			for i := uint64(0); i < SegmentSize/8; i++ {
-				m.load(seg + i*8) // poison probe
-			}
+			loadSegment(m, seg) // poison probe
 		}
 		return nil
-	})
+	}
+	var code htm.Code
+	if tolerate(poisonOnly, func() { code, _ = ix.tm.Run(c, ix.pool, verify) }) != nil {
+		return true, false
+	}
 	if code != htm.Committed {
 		return false, true
 	}
