@@ -52,6 +52,7 @@ race:
 		./internal/resp ./internal/server
 	go test -race . -run 'Sharded|Shard|Close|Scrubber'
 	go test -race ./internal/crashtest -short
+	go test -race ./internal/core -run 'Concurrent|Linearizab|LockModes|Merge|Shrink' -count=3
 
 # lint runs the invariant suite plus the external linters when they are
 # installed. The external tools are skipped (with a note) when absent so

@@ -365,3 +365,24 @@ func TestFallbackBodiesNeverBumpTheirOwnLines(t *testing.T) {
 		}
 	}
 }
+
+// Every split path writes both halves back as whole XPLines once it has
+// published them (DP2, §VI-B), the covering-entry-lock fallback included.
+func TestSplitFallbackFlushesBothHalves(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2})
+	for i := uint64(0); i < 12; i++ {
+		if err := h.Insert(k64(i), k64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := h.c.Stats().Flushes
+	if err := ix.splitFallback(h, makeReq(k64(0)).h); err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.Splits != 1 {
+		t.Fatalf("splits = %d, want the fallback's one", st.Splits)
+	}
+	if got, want := h.c.Stats().Flushes-before, uint64(2*SegmentSize/pmem.CachelineSize); got != want {
+		t.Fatalf("the fallback split flushed %d lines, want both halves' %d", got, want)
+	}
+}

@@ -427,74 +427,82 @@ func TestHotspotDetector(t *testing.T) {
 }
 
 func TestMergeAfterMassDelete(t *testing.T) {
-	ix, h := newTestIndex(t, Config{InitialDepth: 2})
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		if err := h.Insert(k64(i), k64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segsBefore := ix.Stats().Segments
-	for i := uint64(0); i < n; i++ {
-		if ok, _ := h.Delete(k64(i)); !ok {
-			t.Fatalf("delete %d", i)
-		}
-	}
-	// Deletions sample merges; sweep explicitly for determinism.
-	for i := uint64(0); i < n; i += 4 {
-		h.TryMerge(k64(i))
-	}
-	st := ix.Stats()
-	if st.Merges == 0 {
-		t.Fatal("no merges happened")
-	}
-	if st.Segments >= segsBefore {
-		t.Fatalf("segments %d did not shrink from %d", st.Segments, segsBefore)
-	}
-	// Index still behaves.
-	for i := uint64(0); i < 100; i++ {
-		if err := h.Insert(k64(i), k64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-		v, ok, _ := h.Search(k64(i), nil)
-		if !ok || binary.LittleEndian.Uint64(v) != i+1 {
-			t.Fatalf("post-merge key %d", i)
-		}
+	for _, cfg := range updateModes {
+		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
+			ix, h := newTestIndex(t, cfg)
+			const n = 20000
+			for i := uint64(0); i < n; i++ {
+				if err := h.Insert(k64(i), k64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segsBefore := ix.Stats().Segments
+			for i := uint64(0); i < n; i++ {
+				if ok, _ := h.Delete(k64(i)); !ok {
+					t.Fatalf("delete %d", i)
+				}
+			}
+			// Deletions sample merges; sweep explicitly for determinism.
+			for i := uint64(0); i < n; i += 4 {
+				h.TryMerge(k64(i))
+			}
+			st := ix.Stats()
+			if st.Merges == 0 {
+				t.Fatal("no merges happened")
+			}
+			if st.Segments >= segsBefore {
+				t.Fatalf("segments %d did not shrink from %d", st.Segments, segsBefore)
+			}
+			// Index still behaves.
+			for i := uint64(0); i < 100; i++ {
+				if err := h.Insert(k64(i), k64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+				v, ok, _ := h.Search(k64(i), nil)
+				if !ok || binary.LittleEndian.Uint64(v) != i+1 {
+					t.Fatalf("post-merge key %d", i)
+				}
+			}
+		})
 	}
 }
 
 func TestTryShrink(t *testing.T) {
-	ix, h := newTestIndex(t, Config{InitialDepth: 2})
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		if err := h.Insert(k64(i), k64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		h.Delete(k64(i))
-	}
-	for i := uint64(0); i < n; i += 2 {
-		h.TryMerge(k64(i))
-	}
-	before := ix.Depth()
-	shrunk := false
-	for ix.TryShrink(h.c) {
-		shrunk = true
-	}
-	if !shrunk {
-		t.Skip("no shrink possible (all segments still at max depth)")
-	}
-	if ix.Depth() >= before {
-		t.Fatalf("depth %d did not shrink from %d", ix.Depth(), before)
-	}
-	for i := uint64(0); i < 100; i++ {
-		if err := h.Insert(k64(i), k64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, _ := h.Search(k64(i), nil); !ok {
-			t.Fatalf("post-shrink key %d", i)
-		}
+	for _, cfg := range updateModes {
+		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
+			ix, h := newTestIndex(t, cfg)
+			const n = 20000
+			for i := uint64(0); i < n; i++ {
+				if err := h.Insert(k64(i), k64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(0); i < n; i++ {
+				h.Delete(k64(i))
+			}
+			for i := uint64(0); i < n; i += 2 {
+				h.TryMerge(k64(i))
+			}
+			before := ix.Depth()
+			shrunk := false
+			for ix.TryShrink(h.c) {
+				shrunk = true
+			}
+			if !shrunk {
+				t.Skip("no shrink possible (all segments still at max depth)")
+			}
+			if ix.Depth() >= before {
+				t.Fatalf("depth %d did not shrink from %d", ix.Depth(), before)
+			}
+			for i := uint64(0); i < 100; i++ {
+				if err := h.Insert(k64(i), k64(i)); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, _ := h.Search(k64(i), nil); !ok {
+					t.Fatalf("post-shrink key %d", i)
+				}
+			}
+		})
 	}
 }
 
@@ -621,41 +629,45 @@ func TestOpenTwiceFails(t *testing.T) {
 // Data-carrying merges: buddies with few remaining entries combine
 // into one segment, and every surviving key stays reachable.
 func TestDataCarryingMerge(t *testing.T) {
-	ix, h := newTestIndex(t, Config{InitialDepth: 2})
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		if err := h.Insert(k64(i), k64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Delete 90%, keeping a sparse survivor set spread over segments.
-	for i := uint64(0); i < n; i++ {
-		if i%10 != 0 {
-			h.Delete(k64(i))
-		}
-	}
-	segsBefore := ix.Stats().Segments
-	for i := uint64(0); i < n; i += 2 {
-		h.TryMerge(k64(i))
-	}
-	st := ix.Stats()
-	if st.Merges == 0 {
-		t.Fatal("no data-carrying merges happened")
-	}
-	if st.Segments >= segsBefore {
-		t.Fatalf("segments %d did not shrink from %d", st.Segments, segsBefore)
-	}
-	for i := uint64(0); i < n; i += 10 {
-		v, ok, err := h.Search(k64(i), nil)
-		if err != nil || !ok || binary.LittleEndian.Uint64(v) != i {
-			t.Fatalf("survivor %d lost after merges (ok=%v)", i, ok)
-		}
-	}
-	if err := ix.CheckInvariants(h.c); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Len(); got != n/10 {
-		t.Fatalf("len = %d, want %d", got, n/10)
+	for _, cfg := range updateModes {
+		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
+			ix, h := newTestIndex(t, cfg)
+			const n = 20000
+			for i := uint64(0); i < n; i++ {
+				if err := h.Insert(k64(i), k64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Delete 90%, keeping a sparse survivor set spread over segments.
+			for i := uint64(0); i < n; i++ {
+				if i%10 != 0 {
+					h.Delete(k64(i))
+				}
+			}
+			segsBefore := ix.Stats().Segments
+			for i := uint64(0); i < n; i += 2 {
+				h.TryMerge(k64(i))
+			}
+			st := ix.Stats()
+			if st.Merges == 0 {
+				t.Fatal("no data-carrying merges happened")
+			}
+			if st.Segments >= segsBefore {
+				t.Fatalf("segments %d did not shrink from %d", st.Segments, segsBefore)
+			}
+			for i := uint64(0); i < n; i += 10 {
+				v, ok, err := h.Search(k64(i), nil)
+				if err != nil || !ok || binary.LittleEndian.Uint64(v) != i {
+					t.Fatalf("survivor %d lost after merges (ok=%v)", i, ok)
+				}
+			}
+			if err := ix.CheckInvariants(h.c); err != nil {
+				t.Fatal(err)
+			}
+			if got := ix.Len(); got != n/10 {
+				t.Fatalf("len = %d, want %d", got, n/10)
+			}
+		})
 	}
 }
 

@@ -202,7 +202,7 @@ const (
 	errNeedSplit
 	errResizing
 	// errNeedDouble is the lock modes' signal that a split requires the
-	// directory to grow first (ops_lock.go).
+	// directory to grow first (splitLocked).
 	errNeedDouble
 )
 

@@ -27,20 +27,7 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 		// Ablation: traditional stop-the-world doubling. Concurrent
 		// operations wait out the whole copy — the blocking the
 		// paper's staged design eliminates (§IV-B).
-		ix.stopWorldResize(c, func(old *directory) *directory {
-			if old.depth >= maxDepth {
-				return nil
-			}
-			nd := newDirectory(old.depth + 1)
-			for j := range old.entries {
-				// Atomic: late HTM commits may still be storing entries
-				// while the resize drains (same as TryShrink's copy).
-				e := atomic.LoadUint64(&old.entries[j])
-				nd.entries[2*j] = e
-				nd.entries[2*j+1] = e
-			}
-			return nd
-		})
+		ix.stopWorldResize(c, doubled)
 		ix.doubles.Add(1)
 		ix.reg.Inc(obs.CDoubles)
 		return
@@ -143,30 +130,78 @@ func (ix *Index) copyStage(c *pmem.Ctx, ds *doublingState, part int, collab bool
 // below the global depth. Unlike doubling — which the paper engineers
 // to be fully concurrent because it sits on the insert path — halving
 // is a maintenance operation here: it briefly quiesces the index
-// (concurrent operations wait out the resize) and swaps in the halved
-// directory. Returns whether a halving was performed.
-func (ix *Index) TryShrink(c *pmem.Ctx) bool {
-	if ix.cfg.Concurrency != ModeHTM {
-		return ix.tryShrinkLocked(c)
+// (concurrent operations wait out the resize, or every stripe lock in
+// the lock modes) and swaps in the halved directory. Returns whether a
+// halving was performed.
+func (ix *Index) TryShrink(c *pmem.Ctx) (shrunk bool) {
+	if ix.stripes != nil {
+		ix.allStripes(c, func() {
+			if nd := halve(ix.dir.Load(), ix.stripeBits); nd != nil {
+				ix.dir.Store(nd)
+				shrunk = true
+			}
+		})
+		return shrunk
 	}
 	if !ix.resizeFlag.CompareAndSwap(0, 1) {
 		return false
 	}
 	return ix.stopWorldResize(c, func(old *directory) *directory {
-		if old.depth <= 1 {
-			return nil
-		}
-		for i := range old.entries {
-			if entryDepth(atomic.LoadUint64(&old.entries[i])) >= old.depth {
-				return nil
+		return halve(old, ix.stripeBits)
+	})
+}
+
+// doubleLocked grows the directory in the lock modes, under every stripe
+// lock. fullDir is the directory the caller found insufficient: if
+// another worker already replaced it, the doubling is skipped — without
+// this guard, a burst of workers hitting the same full directory would
+// double it once each.
+func (ix *Index) doubleLocked(c *pmem.Ctx, fullDir *directory) {
+	ix.allStripes(c, func() {
+		if old := ix.dir.Load(); old == fullDir {
+			if nd := doubled(old); nd != nil {
+				c.ChargeDRAM(3 * len(old.entries))
+				ix.dir.Store(nd)
+				ix.doubles.Add(1)
 			}
 		}
-		nd := newDirectory(old.depth - 1)
-		for j := range nd.entries {
-			nd.entries[j] = atomic.LoadUint64(&old.entries[2*j])
-		}
-		return nd
 	})
+}
+
+// doubled returns old at twice its depth, each entry copied to both of
+// its halves, or nil at maxDepth. Loads are atomic: under HTM, late
+// commits may still be storing entries while a stop-the-world resize
+// drains.
+func doubled(old *directory) *directory {
+	if old.depth >= maxDepth {
+		return nil
+	}
+	nd := newDirectory(old.depth + 1)
+	for j := range old.entries {
+		e := atomic.LoadUint64(&old.entries[j])
+		nd.entries[2*j] = e
+		nd.entries[2*j+1] = e
+	}
+	return nd
+}
+
+// halve returns old at half its depth, or nil when some segment is as
+// deep as old or old is at floor (depth 1 at least): no directory is
+// shallower than the stripes it is locked by.
+func halve(old *directory, floor uint) *directory {
+	if old.depth <= max(floor, 1) {
+		return nil
+	}
+	for i := range old.entries {
+		if entryDepth(atomic.LoadUint64(&old.entries[i])) >= old.depth {
+			return nil
+		}
+	}
+	nd := newDirectory(old.depth - 1)
+	for j := range nd.entries {
+		nd.entries[j] = atomic.LoadUint64(&old.entries[2*j])
+	}
+	return nd
 }
 
 // stopWorldResize quiesces the index (in-flight transactions abort on

@@ -122,11 +122,12 @@ type Index struct {
 
 	hot *hotspot
 
-	// Lock-mode state: one lock (and seqlock word) per hash-prefix
-	// stripe.
-	locks   []vsync.Mutex
-	rwlocks []vsync.RWMutex
-	seqs    []uint64
+	// stripes is the lock modes' per-stripe lock table; nil under HTM,
+	// whose operations run exec's transaction instead. stripeBits is the
+	// stripes' hash-prefix width (0 under HTM): no merge and no halving
+	// takes a segment or the directory below it.
+	stripes    stripeLocks
+	stripeBits uint
 
 	// lastResizeCost is the virtual duration of the most recent
 	// stop-the-world resize; operations that waited it out charge it
@@ -244,15 +245,21 @@ func newIndex(pool *pmem.Pool, al *alloc.Allocator, cfg Config) *Index {
 		ix.reg = obs.NewRegistry()
 	}
 	ix.hot = newHotspot(cfg.HotspotPartitionBits, cfg.HotKeysPerPartition)
-	if cfg.Concurrency != ModeHTM {
-		n := 1 << cfg.LockStripeBits
-		ix.locks = make([]vsync.Mutex, n)
-		ix.rwlocks = make([]vsync.RWMutex, n)
-		ix.seqs = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			ix.locks[i].G = ix.group
-			ix.rwlocks[i].G = ix.group
+	// The protocol is chosen here, once: the op path asks ix.stripes.
+	n := 1 << cfg.LockStripeBits
+	switch cfg.Concurrency {
+	case ModeWriteLock:
+		st := &seqStripes{mu: make([]vsync.Mutex, n), seqs: make([]atomic.Uint64, n)}
+		for i := range st.mu {
+			st.mu[i].G = ix.group
 		}
+		ix.stripes, ix.stripeBits = st, cfg.LockStripeBits
+	case ModeRWLock:
+		st := make(rwStripes, n)
+		for i := range st {
+			st[i].G = ix.group
+		}
+		ix.stripes, ix.stripeBits = st, cfg.LockStripeBits
 	}
 	return ix
 }

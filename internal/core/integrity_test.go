@@ -396,3 +396,41 @@ func TestCheckInvariantsPoisonWrapsErrPoisoned(t *testing.T) {
 		t.Fatalf("CheckInvariants error lost its cause (want errors.Is ErrPoisoned): %v", err)
 	}
 }
+
+// A split whose segment turns out poisoned fails typed on every path —
+// the transaction, its covering-entry-lock fallback and the lock modes'
+// split — and the fallback leaves no covering entry locked behind it.
+func TestSplitOfPoisonedSegmentFailsTyped(t *testing.T) {
+	for _, cfg := range updateModes {
+		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
+			ix, h := newTestIndex(t, cfg)
+			key := k64(7)
+			if err := h.Insert(key, key); err != nil {
+				t.Fatal(err)
+			}
+			hh := makeReq(key).h
+			_, e := ix.resolveRaw(hh)
+			ix.pool.PoisonLine(entrySeg(e))
+			type path struct {
+				name  string
+				split func() error
+			}
+			paths := []path{
+				{"split", func() error { return ix.split(h, hh) }},
+				{"splitFallback", func() error { return ix.splitFallback(h, hh) }},
+			}
+			if ix.stripes != nil {
+				ix.doubleLocked(h.c, ix.dir.Load())
+				paths = []path{{"splitLocked", func() error { return h.splitLocked(hh) }}}
+			}
+			for _, p := range paths {
+				if err := p.split(); !errors.Is(err, pmem.ErrPoisoned) {
+					t.Fatalf("%s of a poisoned segment: %v, want a poisoned CorruptionError", p.name, err)
+				}
+				if _, e := ix.resolveRaw(hh); entryLocked(e) {
+					t.Fatalf("%s left the poisoned segment fallback-locked", p.name)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -72,4 +77,55 @@ func TestWriteHotWordsLayout(t *testing.T) {
 		{"q", unsafe.Offsetof(hs.q), unsafe.Sizeof(hs.q)},
 		{"parts", unsafe.Offsetof(hs.parts), unsafe.Sizeof(hs.parts)},
 	})
+}
+
+// concurrencyReaders are the only functions allowed to read
+// Config.Concurrency: the protocol is chosen once, when the index is
+// built, and the op path runs whatever was chosen without asking again.
+var concurrencyReaders = map[string]bool{
+	"Config.withDefaults":    true,
+	"newIndex":               true,
+	"ConcurrencyMode.String": true,
+}
+
+// TestConcurrencyReadOnlyAtConstruction parses the package's non-test
+// files and fails on any .Concurrency selector outside concurrencyReaders.
+func TestConcurrencyReadOnlyAtConstruction(t *testing.T) {
+	files, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, fi := range files {
+		name := fi.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			fn := fd.Name.Name
+			if fd.Recv != nil {
+				typ := fd.Recv.List[0].Type
+				if st, ok := typ.(*ast.StarExpr); ok {
+					typ = st.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					fn = id.Name + "." + fn
+				}
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Concurrency" && !concurrencyReaders[fn] {
+					t.Errorf("%s: %s reads Concurrency; choose the protocol in newIndex", fset.Position(sel.Pos()), fn)
+				}
+				return true
+			})
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"spash/internal/hash"
 	"spash/internal/htm"
 	"spash/internal/obs"
@@ -39,108 +37,129 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 		}
 	}()
 	r := makeReq(key)
-	if h.ix.cfg.Concurrency != ModeHTM {
-		return h.ix.mergeLocked(h, &r)
-	}
 	ix := h.ix
-	var freedSeg uint64
-	liveAfter := 0
-	mergedDepth := uint(0)
+	var freed uint64
+	var depth uint
+	var live int
+	if ix.stripes != nil {
+		freed, depth, live = h.mergeLocked(r.h)
+	} else {
+		freed, depth, live = h.mergeTx(r.h)
+	}
+	if freed == 0 {
+		return false
+	}
+	h.ah.Free(h.c, freed, SegmentSize)
+	ix.segments.Add(-1)
+	ix.merges.Add(1)
+	h.lane.Inc(obs.CMerges)
+	h.lane.Inc(obs.CSegFree)
+	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth), int64(live))
+	ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, live)
+	return true
+}
+
+// mergeTx runs mergeBody in an HTM transaction, giving up after
+// mergeAttempts conflicts or at any other abort.
+func (h *Handle) mergeTx(hh uint64) (freed uint64, depth uint, live int) {
+	ix := h.ix
 	for attempt := 0; attempt < mergeAttempts; attempt++ {
 		code, _ := ix.tm.Run(h.c, ix.pool, func(tx *htm.Txn) error {
-			freedSeg = 0
-			if tx.LoadVol(&ix.dirGen)&1 == 1 {
-				return nil // skip during resizes
-			}
-			d := ix.dir.Load()
-			e := tx.LoadVol(&d.entries[d.index(r.h)])
-			if entryLocked(e) {
-				return nil
-			}
-			seg, depth := entrySeg(e), entryDepth(e)
-			if depth == 0 {
-				return nil
-			}
-			p := hash.Prefix(r.h, depth)
-			buddyBase := (p ^ 1) << (d.depth - depth)
-			be := tx.LoadVol(&d.entries[buddyBase])
-			if entryLocked(be) || entryDepth(be) != depth {
-				return nil
-			}
-			buddySeg := entrySeg(be)
-			lo := p >> 1 << (d.depth - depth + 1)
-			n := uint64(1) << (d.depth - depth + 1)
-			// Validate every covering entry of both buddies before
-			// rewriting them (see the matching check in split).
-			for j := uint64(0); j < n; j++ {
-				cur := tx.LoadVol(&d.entries[lo+j])
-				if entryLocked(cur) || entryDepth(cur) != depth {
-					return nil
-				}
-				if s := entrySeg(cur); s != seg && s != buddySeg {
-					return nil
-				}
-			}
-			// Merge carries data: both segments' live entries must fit
-			// comfortably in one (the reverse of a split, §III-A).
-			m := txMem{tx}
-			if ix.sealAddr != 0 && (ix.verifySeal(m, seg) != 0 || ix.verifySeal(m, buddySeg) != 0) {
-				// Relayouting a damaged buddy would launder corrupt
-				// words under a fresh seal; leave it for scrub/fsck.
-				return nil
-			}
-			live, ok := h.decodeBuddies(m, seg, buddySeg)
-			if !ok {
-				return nil
-			}
-			liveAfter, mergedDepth = live.n, depth-1
-			img, ok := layoutSegment(live.live())
-			if !ok {
-				return nil // pathological bucket skew; keep both
-			}
-			for i, w := range img {
-				addr := buddySeg + uint64(i)*8
-				if tx.Load(addr) != w {
-					tx.Store(addr, w)
-				}
-			}
-			for j := uint64(0); j < n; j++ {
-				tx.StoreVol(&d.entries[lo+j], makeEntry(buddySeg, depth-1))
-			}
-			tx.Store(ix.regAddrOf(seg), 0)
-			tx.Store(ix.regAddrOf(buddySeg), makeRegEntry(p>>1, depth-1))
-			if ix.sealAddr != 0 {
-				tx.Store(ix.sealAddrOf(buddySeg), sealOfImage(&img))
-				tx.Store(ix.sealAddrOf(seg), 0)
-			}
-			freedSeg = seg
+			freed, depth, live = h.mergeBody(txMem{tx}, hh)
 			return nil
 		})
 		switch code {
 		case htm.Committed:
-			if freedSeg == 0 {
-				return false
-			}
-			h.ah.Free(h.c, freedSeg, SegmentSize)
-			ix.segments.Add(-1)
-			ix.merges.Add(1)
-			h.lane.Inc(obs.CMerges)
-			h.lane.Inc(obs.CSegFree)
-			ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(mergedDepth), int64(liveAfter))
-			ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, liveAfter)
-			return true
+			return freed, depth, live
 		case htm.Conflict:
 			ix.txConflicts.Add(1)
 			h.lane.Inc(obs.CHTMConflicts)
+			continue
 		case htm.Capacity:
 			ix.txCapacity.Add(1)
-			h.lane.Inc(obs.CHTMCapacity)
-			return false // covering range too wide; not worth forcing
-		case htm.Explicit:
-			return false
+			h.lane.Inc(obs.CHTMCapacity) // covering range too wide; not worth forcing
+		}
+		return 0, 0, 0
+	}
+	return 0, 0, 0
+}
+
+// mergeLocked runs mergeBody under hh's stripe lock. mergeBody declines
+// any pair shallower than the stripes, so the lock covers both buddies.
+func (h *Handle) mergeLocked(hh uint64) (freed uint64, depth uint, live int) {
+	s := h.ix.stripeOf(hh)
+	h.ix.stripes.lock(h.c, s)
+	defer h.ix.stripes.unlock(h.c, s)
+	return h.mergeBody(&h.raw, hh)
+}
+
+// mergeBody merges hh's segment into its buddy through s when together
+// they hold at most mergeThreshold live entries. It declines (freed = 0)
+// during a resize, on a locked or moved entry, below the stripes, on a
+// damaged seal, and when the survivors do not lay out in one segment.
+// Otherwise it rewrites the buddy with the survivors, storing only the
+// words that change, repoints every covering entry of the pair at it, and
+// reports the freed segment, the merged depth and its live entries.
+func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live int) {
+	ix := h.ix
+	if s.loadVol(&ix.dirGen)&1 == 1 {
+		return 0, 0, 0 // skip during resizes
+	}
+	d := ix.dir.Load()
+	e := s.loadVol(&d.entries[d.index(hh)])
+	seg, depth := entrySeg(e), entryDepth(e)
+	if entryLocked(e) || depth <= ix.stripeBits {
+		return 0, 0, 0
+	}
+	p := hash.Prefix(hh, depth)
+	be := s.loadVol(&d.entries[(p^1)<<(d.depth-depth)])
+	if entryLocked(be) || entryDepth(be) != depth {
+		return 0, 0, 0
+	}
+	buddySeg := entrySeg(be)
+	lo := p >> 1 << (d.depth - depth + 1)
+	n := uint64(1) << (d.depth - depth + 1)
+	// Validate every covering entry of both buddies before rewriting
+	// them (see the matching check in split).
+	for j := uint64(0); j < n; j++ {
+		cur := s.loadVol(&d.entries[lo+j])
+		if entryLocked(cur) || entryDepth(cur) != depth {
+			return 0, 0, 0
+		}
+		if cs := entrySeg(cur); cs != seg && cs != buddySeg {
+			return 0, 0, 0
 		}
 	}
-	return false
+	// Merge carries data: both segments' live entries must fit
+	// comfortably in one (the reverse of a split, §III-A).
+	if ix.sealAddr != 0 && (ix.verifySeal(s, seg) != 0 || ix.verifySeal(s, buddySeg) != 0) {
+		// Relayouting a damaged buddy would launder corrupt words
+		// under a fresh seal; leave it for scrub/fsck.
+		return 0, 0, 0
+	}
+	entries, ok := h.decodeBuddies(s, seg, buddySeg)
+	if !ok {
+		return 0, 0, 0
+	}
+	img, ok := layoutSegment(entries.live())
+	if !ok {
+		return 0, 0, 0 // pathological bucket skew; keep both
+	}
+	for i, w := range img {
+		if addr := buddySeg + uint64(i)*8; s.load(addr) != w {
+			s.store(addr, w)
+		}
+	}
+	for j := uint64(0); j < n; j++ {
+		s.storeVol(&d.entries[lo+j], makeEntry(buddySeg, depth-1))
+	}
+	s.store(ix.regAddrOf(seg), 0)
+	s.store(ix.regAddrOf(buddySeg), makeRegEntry(p>>1, depth-1))
+	if ix.sealAddr != 0 {
+		s.store(ix.sealAddrOf(buddySeg), sealOfImage(&img))
+		s.store(ix.sealAddrOf(seg), 0)
+	}
+	return seg, depth - 1, entries.n
 }
 
 // decodeBuddies decodes both segments of a buddy pair through m and
@@ -156,61 +175,4 @@ func (h *Handle) decodeBuddies(m mem, seg, buddySeg uint64) (live segEntries, ok
 	h.decodeSegment(m, seg, &kws, &live)
 	h.decodeSegment(m, buddySeg, &bkws, &live)
 	return live, true
-}
-
-// mergeLocked is the lock-mode merge: it requires the buddy pair to
-// fall inside one lock stripe (depth-1 ≥ LockStripeBits), which the
-// stripe-covers-whole-segments invariant guarantees for all but the
-// shallowest segments — those simply stay unmerged.
-func (ix *Index) mergeLocked(h *Handle, r *req) bool {
-	stripe := ix.stripeOf(r.h)
-	ix.lockStripe(h.c, stripe)
-	defer ix.unlockStripe(h.c, stripe)
-	d := ix.dir.Load()
-	_, e := ix.resolveRaw(r.h)
-	seg, depth := entrySeg(e), entryDepth(e)
-	if depth == 0 || depth-1 < ix.cfg.LockStripeBits {
-		return false
-	}
-	m := rawMem{ix.pool, h.c}
-	p := hash.Prefix(r.h, depth)
-	buddyBase := (p ^ 1) << (d.depth - depth)
-	be := atomic.LoadUint64(&d.entries[buddyBase])
-	if entryDepth(be) != depth {
-		return false
-	}
-	buddySeg := entrySeg(be)
-	if ix.sealAddr != 0 && (ix.verifySeal(m, seg) != 0 || ix.verifySeal(m, buddySeg) != 0) {
-		return false
-	}
-	live, ok := h.decodeBuddies(m, seg, buddySeg)
-	if !ok {
-		return false
-	}
-	img, ok := layoutSegment(live.live())
-	if !ok {
-		return false
-	}
-	for i, w := range img {
-		m.store(buddySeg+uint64(i)*8, w)
-	}
-	lo := p >> 1 << (d.depth - depth + 1)
-	n := uint64(1) << (d.depth - depth + 1)
-	for j := uint64(0); j < n; j++ {
-		atomic.StoreUint64(&d.entries[lo+j], makeEntry(buddySeg, depth-1))
-	}
-	m.store(ix.regAddrOf(seg), 0)
-	m.store(ix.regAddrOf(buddySeg), makeRegEntry(p>>1, depth-1))
-	if ix.sealAddr != 0 {
-		m.store(ix.sealAddrOf(buddySeg), sealOfImage(&img))
-		m.store(ix.sealAddrOf(seg), 0)
-	}
-	h.ah.Free(h.c, seg, SegmentSize)
-	ix.segments.Add(-1)
-	ix.merges.Add(1)
-	h.lane.Inc(obs.CMerges)
-	h.lane.Inc(obs.CSegFree)
-	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth-1), int64(live.n))
-	ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, live.n)
-	return true
 }

@@ -21,6 +21,9 @@ type Handle struct {
 	ix *Index
 	c  *pmem.Ctx
 	ah *alloc.Handle
+	// raw is the raw section over c: a lock mode's operations and split
+	// preparation pass &raw, which boxes into a mem without allocating.
+	raw rawMem
 	// lane is this worker's private observability stripe (nil when
 	// the registry is disabled; all methods nil-safe).
 	lane *obs.Lane
@@ -40,10 +43,12 @@ type Handle struct {
 	// batch is the pipeline scratch state (pipeline.go).
 	batch batchState
 
-	// snap and keyBuf are a split's working memory: the segment snapshot
-	// its transaction validates, and the bytes of the out-of-line key being
-	// re-hashed. They live here so that a split allocates nothing.
+	// snap, split and keyBuf are a split's working memory: the segment
+	// snapshot its transaction validates, the plan it commits, and the
+	// bytes of the out-of-line key being re-hashed. They live here so
+	// that a split allocates nothing.
 	snap   segSnap
+	split  splitPlan
 	keyBuf []byte
 }
 
@@ -53,7 +58,7 @@ func (ix *Index) NewHandle(c *pmem.Ctx) *Handle {
 	if c == nil {
 		c = ix.pool.NewCtx()
 	}
-	h := &Handle{ix: ix, c: c, ah: ix.alloc.NewHandle(), lane: ix.reg.Lane()}
+	h := &Handle{ix: ix, c: c, ah: ix.alloc.NewHandle(), raw: rawMem{ix.pool, c}, lane: ix.reg.Lane()}
 	if ix.reg != nil && ix.cfg.SpanSample > 0 {
 		h.spanEvery = uint64(ix.cfg.SpanSample)
 	}
@@ -71,18 +76,19 @@ func (h *Handle) Close() {
 	h.ah.Close()
 }
 
-// exec runs body atomically against the authoritative segment for r,
-// dispatching on the concurrency mode. body must be idempotent (it can
-// run several times) and reset its captured outputs on entry; it
-// performs all shared-memory access through m. readonly enables the
-// lock-free/read-lock read paths of the lock modes.
+// exec runs body atomically against the authoritative segment for r:
+// in an HTM transaction, or under r's stripe lock in the lock modes.
+// body must be idempotent (it can run several times) and reset its
+// captured outputs on entry; it performs all shared-memory access
+// through m. readonly enables the lock-free/read-lock read paths of the
+// lock modes.
 func (h *Handle) exec(r *req, readonly bool, body func(m mem, seg uint64) error) error {
 	// The corruption boundary wraps every mode's body: poisoned-media
 	// and record-CRC panics become *CorruptionError returns, and (with
 	// checksums on) the segment seal is verified before / recomputed
 	// after the body (integrity.go).
 	body = h.guardBody(readonly, body)
-	if h.ix.cfg.Concurrency != ModeHTM {
+	if h.ix.stripes != nil {
 		return h.execLocked(r, readonly, body)
 	}
 	ix := h.ix
@@ -208,6 +214,53 @@ func (h *Handle) execFallback(r *req, body func(m mem, seg uint64) error) error 
 			continue
 		}
 		return err
+	}
+}
+
+// execLocked is exec under the lock-mode protocols of Fig 12(c): a
+// writer holds r's stripe lock, splitting and (after dropping it)
+// doubling on the way; a reader follows the stripe flavour's protocol.
+func (h *Handle) execLocked(r *req, readonly bool, body func(m mem, seg uint64) error) error {
+	ix, st := h.ix, h.ix.stripes
+	stripe, raw := ix.stripeOf(r.h), &h.raw
+	if readonly {
+		for {
+			seq := st.readBegin(h.c, stripe)
+			_, e := ix.resolveRaw(r.h)
+			err := body(raw, entrySeg(e))
+			if st.readEnd(h.c, stripe, seq) {
+				return err
+			}
+		}
+	}
+	for {
+		st.lock(h.c, stripe)
+		var err error
+		var seg uint64
+		var fullDir *directory
+		for {
+			_, e := ix.resolveRaw(r.h)
+			seg = entrySeg(e)
+			if err = body(raw, seg); err != errNeedSplit {
+				break
+			}
+			fullDir = ix.dir.Load()
+			if err = h.splitLocked(r.h); err != nil {
+				break
+			}
+		}
+		if err == nil && ix.cfg.PersistBarrier {
+			// Classic ADR discipline: persist the modified bucket
+			// before the operation returns.
+			line := seg + uint64(mainBucket(r.h))*pmem.CachelineSize
+			ix.pool.Flush(h.c, line, pmem.CachelineSize)
+			ix.pool.Fence(h.c)
+		}
+		st.unlock(h.c, stripe)
+		if err != errNeedDouble {
+			return err
+		}
+		ix.doubleLocked(h.c, fullDir)
 	}
 }
 

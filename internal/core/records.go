@@ -3,25 +3,37 @@ package core
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"sync/atomic"
 
 	"spash/internal/htm"
 	"spash/internal/pmem"
 )
 
-// mem abstracts word access to PM so the slot/record engine can run in
-// three modes: inside an HTM transaction (txMem), raw under a lock
-// (rawMem), and raw with stripe-version bumps on the fallback path
-// (bumpMem), where concurrent optimistic transactions must observe the
-// writes as conflicts.
+// mem abstracts word access to PM so the slot/record engine can run
+// inside any atomic section (below) and over a captured segment image.
 type mem interface {
 	load(addr uint64) uint64
 	store(addr uint64, v uint64)
 }
 
+// section is the atomic section every operation body and structural
+// change (split, merge) runs in: PM words through mem, volatile directory
+// words through loadVol/storeVol. Three disciplines provide it: the HTM
+// transaction (txMem), the HTM fallback's irrevocable transaction (iMem),
+// and raw access while the caller holds the covering stripe lock(s) of a
+// lock mode (rawMem, which single-threaded recovery and fsck use too).
+type section interface {
+	mem
+	loadVol(p *uint64) uint64
+	storeVol(p *uint64, v uint64)
+}
+
 type txMem struct{ tx *htm.Txn }
 
-func (m txMem) load(addr uint64) uint64     { return m.tx.Load(addr) }
-func (m txMem) store(addr uint64, v uint64) { m.tx.Store(addr, v) }
+func (m txMem) load(addr uint64) uint64      { return m.tx.Load(addr) }
+func (m txMem) store(addr uint64, v uint64)  { m.tx.Store(addr, v) }
+func (m txMem) loadVol(p *uint64) uint64     { return m.tx.LoadVol(p) }
+func (m txMem) storeVol(p *uint64, v uint64) { m.tx.StoreVol(p, v) }
 
 type rawMem struct {
 	pool *pmem.Pool
@@ -30,17 +42,22 @@ type rawMem struct {
 
 func (m rawMem) load(addr uint64) uint64 { return m.pool.Load64(m.c, addr) }
 
-//spash:guarded rawMem is constructed only on recovery, fsck, and lock-held fallback paths, where raw stores are serialised outside the HTM domain
+//spash:guarded rawMem stores only on recovery and fsck, under a lock mode's covering stripe lock, and into a fresh split segment no directory entry points at yet: serialised outside the HTM domain
 func (m rawMem) store(addr uint64, v uint64) { m.pool.Store64(m.c, addr, v) }
 
-// iMem adapts an irrevocable transaction (fallback path) to the mem
-// interface: every touched word's stripe is locked until the
-// irrevocable section ends, so the fallback never observes (or is
-// observed at) a half-published optimistic commit.
+func (rawMem) loadVol(p *uint64) uint64     { return atomic.LoadUint64(p) }
+func (rawMem) storeVol(p *uint64, v uint64) { atomic.StoreUint64(p, v) }
+
+// iMem adapts an irrevocable transaction (fallback path) to the section:
+// every touched word's stripe is locked until the irrevocable section
+// ends, so the fallback never observes (or is observed at) a
+// half-published optimistic commit.
 type iMem struct{ it *htm.ITxn }
 
-func (m iMem) load(addr uint64) uint64     { return m.it.Load(addr) }
-func (m iMem) store(addr uint64, v uint64) { m.it.Store(addr, v) }
+func (m iMem) load(addr uint64) uint64      { return m.it.Load(addr) }
+func (m iMem) store(addr uint64, v uint64)  { m.it.Store(addr, v) }
+func (m iMem) loadVol(p *uint64) uint64     { return m.it.LoadVol(p) }
+func (m iMem) storeVol(p *uint64, v uint64) { m.it.StoreVol(p, v) }
 
 // Out-of-line record layout: one header word — CRC32C of the payload
 // in the high 32 bits, the byte length in the low 32 — followed by the

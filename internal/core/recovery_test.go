@@ -28,72 +28,76 @@ func openFresh(t *testing.T, mode pmem.Mode, cfg Config) (*pmem.Pool, *Index, *H
 }
 
 func TestRecoverRebuildsIndex(t *testing.T) {
-	pool, ix, h := openFresh(t, pmem.EADR, Config{InitialDepth: 2})
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		var val []byte
-		if i%3 == 0 {
-			val = bytes.Repeat([]byte{byte(i)}, 100+int(i%400))
-		} else {
-			val = k64(i * 7)
-		}
-		if err := h.Insert(k64(i), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < n; i += 5 {
-		h.Delete(k64(i))
-	}
-	wantLen := ix.Len()
-	wantDepth := ix.Depth()
-	wantSegs := ix.Stats().Segments
-
-	pool.Crash()
-	ix2, _, err := Recover(pool.NewCtx(), pool, Config{InitialDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.Len() != wantLen {
-		t.Fatalf("recovered len %d, want %d", ix2.Len(), wantLen)
-	}
-	if ix2.Depth() != wantDepth {
-		t.Fatalf("recovered depth %d, want %d", ix2.Depth(), wantDepth)
-	}
-	if got := ix2.Stats().Segments; got != wantSegs {
-		t.Fatalf("recovered segments %d, want %d", got, wantSegs)
-	}
-	h2 := ix2.NewHandle(nil)
-	for i := uint64(0); i < n; i++ {
-		v, ok, err := h2.Search(k64(i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i%5 != 0; ok != want {
-			t.Fatalf("key %d: present=%v want=%v", i, ok, want)
-		}
-		if ok {
-			if i%3 == 0 {
-				if len(v) != 100+int(i%400) || v[0] != byte(i) {
-					t.Fatalf("key %d: bad recovered value", i)
+	for _, cfg := range updateModes {
+		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
+			pool, ix, h := openFresh(t, pmem.EADR, cfg)
+			const n = 20000
+			for i := uint64(0); i < n; i++ {
+				var val []byte
+				if i%3 == 0 {
+					val = bytes.Repeat([]byte{byte(i)}, 100+int(i%400))
+				} else {
+					val = k64(i * 7)
 				}
-			} else if binary.LittleEndian.Uint64(v) != i*7 {
-				t.Fatalf("key %d: bad recovered inline value", i)
+				if err := h.Insert(k64(i), val); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	// The recovered index keeps working, including growth, and the
-	// recovered allocator does not hand out live blocks.
-	for i := uint64(n); i < n+5000; i++ {
-		if err := h2.Insert(k64(i), bytes.Repeat([]byte{1}, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < n+5000; i++ {
-		_, ok, _ := h2.Search(k64(i), nil)
-		want := i >= n || i%5 != 0
-		if ok != want {
-			t.Fatalf("post-recovery key %d: present=%v want=%v", i, ok, want)
-		}
+			for i := uint64(0); i < n; i += 5 {
+				h.Delete(k64(i))
+			}
+			wantLen := ix.Len()
+			wantDepth := ix.Depth()
+			wantSegs := ix.Stats().Segments
+
+			pool.Crash()
+			ix2, _, err := Recover(pool.NewCtx(), pool, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix2.Len() != wantLen {
+				t.Fatalf("recovered len %d, want %d", ix2.Len(), wantLen)
+			}
+			if ix2.Depth() != wantDepth {
+				t.Fatalf("recovered depth %d, want %d", ix2.Depth(), wantDepth)
+			}
+			if got := ix2.Stats().Segments; got != wantSegs {
+				t.Fatalf("recovered segments %d, want %d", got, wantSegs)
+			}
+			h2 := ix2.NewHandle(nil)
+			for i := uint64(0); i < n; i++ {
+				v, ok, err := h2.Search(k64(i), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := i%5 != 0; ok != want {
+					t.Fatalf("key %d: present=%v want=%v", i, ok, want)
+				}
+				if ok {
+					if i%3 == 0 {
+						if len(v) != 100+int(i%400) || v[0] != byte(i) {
+							t.Fatalf("key %d: bad recovered value", i)
+						}
+					} else if binary.LittleEndian.Uint64(v) != i*7 {
+						t.Fatalf("key %d: bad recovered inline value", i)
+					}
+				}
+			}
+			// The recovered index keeps working, including growth, and the
+			// recovered allocator does not hand out live blocks.
+			for i := uint64(n); i < n+5000; i++ {
+				if err := h2.Insert(k64(i), bytes.Repeat([]byte{1}, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(0); i < n+5000; i++ {
+				_, ok, _ := h2.Search(k64(i), nil)
+				want := i >= n || i%5 != 0
+				if ok != want {
+					t.Fatalf("post-recovery key %d: present=%v want=%v", i, ok, want)
+				}
+			}
+		})
 	}
 }
 

@@ -24,6 +24,17 @@ const splitConflictBudget = 32
 // of one split when recording their post-split occupancies.
 const splitOccSalt = 0x9E3779B97F4A7C15
 
+// splitPlan is one split in the making: seg (local depth depth, hash
+// prefix prefix) splits into imgA, which stays, and imgB, which moves to
+// the fresh segment newSeg; liveA/liveB are the halves' live entries (the
+// post-split occupancy observable).
+type splitPlan struct {
+	seg, newSeg, prefix uint64
+	depth               uint
+	imgA, imgB          [SegmentSize / 8]uint64
+	liveA, liveB        int
+}
+
 // split divides the segment holding hash hh into two fine-grained
 // segments (§III-A, Fig 3): entries whose next prefix bit is 1 move to
 // a freshly allocated segment; the covering directory entries are
@@ -31,14 +42,9 @@ const splitOccSalt = 0x9E3779B97F4A7C15
 // transaction. Returns nil when the split succeeded or when another
 // thread changed the segment first (the caller re-runs its operation
 // either way).
-func (ix *Index) split(h *Handle, hh uint64) (err error) {
+func (ix *Index) split(h *Handle, hh uint64) error {
 	c := h.c
 	conflicts := 0
-	// Split reads the segment and its key records raw during
-	// preparation; a poisoned XPLine must surface as a typed error, not
-	// a panic (the caller is outside the guarded operation body).
-	var curSeg uint64
-	defer poisonAsCorruption(&curSeg, &err)
 	for {
 		_, e := ix.resolveRaw(hh)
 		if entryLocked(e) {
@@ -47,7 +53,6 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 			continue
 		}
 		seg, depth := entrySeg(e), entryDepth(e)
-		curSeg = seg
 		if depth >= maxDepth {
 			return errMaxDepth
 		}
@@ -86,33 +91,17 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 			continue
 		}
 
-		// Snapshot and relayout the segment (preparation phase; the
-		// transaction validates the snapshot).
-		snap := h.snapshot(seg)
-		for i := range snap {
-			snap[i] = ix.pool.Load64(c, seg+uint64(i)*8)
-		}
-		prefix := hash.Prefix(hh, depth)
-		imgA, imgB, liveA, liveB, err := h.splitImages(depth)
-		if err != nil {
+		// Preparation phase; the transaction validates the snapshot.
+		if err := h.prepareSplit(&h.raw, hh, seg, depth); err != nil {
 			return err
 		}
-		newSeg, _, err := h.ah.Alloc(c, SegmentSize)
-		if err != nil {
-			return err
-		}
-		ix.hintSplitTargets(seg, newSeg)
-		for i, w := range imgB {
-			//spash:allow pmstore -- populates the freshly allocated segment image; the directory pointer to it is published only inside the transaction below
-			ix.pool.Store64(c, newSeg+uint64(i)*8, w)
-		}
-
+		p, snap := &h.split, &h.snap.words
 		code, terr := ix.tm.Run(c, ix.pool, func(tx *htm.Txn) error {
 			ents, g2, rerr := ix.splitView(tx, hh, depth)
 			if rerr != nil {
 				return rerr
 			}
-			base := prefix << (g2 - depth)
+			base := p.prefix << (g2 - depth)
 			n := uint64(1) << (g2 - depth)
 			// Validate every covering entry, not just the first: a
 			// fallback holder may have locked any one of them, and
@@ -132,44 +121,17 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 					return errSegMoved
 				}
 			}
-			for i, w := range imgA {
-				if w != snap[i] {
-					tx.Store(seg+uint64(i)*8, w)
-				}
-			}
-			for j := uint64(0); j < n/2; j++ {
-				tx.StoreVol(&ents[base+j], makeEntry(seg, depth+1))
-				tx.StoreVol(&ents[base+n/2+j], makeEntry(newSeg, depth+1))
-			}
-			tx.Store(ix.regAddrOf(seg), makeRegEntry(prefix<<1, depth+1))
-			tx.Store(ix.regAddrOf(newSeg), makeRegEntry(prefix<<1|1, depth+1))
-			if ix.sealAddr != 0 {
-				tx.Store(ix.sealAddrOf(seg), sealOfImage(&imgA))
-				tx.Store(ix.sealAddrOf(newSeg), sealOfImage(&imgB))
-			}
+			h.commitSplit(txMem{tx}, ents, base, n)
 			return nil
 		})
 		switch code {
 		case htm.Committed:
-			// DP2: both halves are cold multi-cacheline writes; one
-			// sequential flush each writes them back as single
-			// XPLines instead of scattered evictions ("the split
-			// operations are bandwidth-efficient due to the XPLine
-			// granularity", §VI-B).
-			ix.pool.Flush(c, seg, SegmentSize)
-			ix.pool.Flush(c, newSeg, SegmentSize)
-			ix.splits.Add(1)
-			ix.segments.Add(1)
-			h.lane.Inc(obs.CSplits)
-			h.lane.Inc(obs.CSegAlloc)
-			ix.reg.Trace(obs.EvSplit, c.Clock(), int64(depth+1), int64(liveA+liveB))
-			ix.reg.ObserveKeyed(obs.HSegOccupancy, hh, liveA)
-			ix.reg.ObserveKeyed(obs.HSegOccupancy, hh^splitOccSalt, liveB)
+			h.splitDone(hh)
 			return nil
 		case htm.Conflict:
 			ix.txConflicts.Add(1)
 			h.lane.Inc(obs.CHTMConflicts)
-			h.ah.Free(c, newSeg, SegmentSize)
+			h.ah.Free(c, p.newSeg, SegmentSize)
 			conflicts++
 			if conflicts > splitConflictBudget {
 				return ix.splitFallback(h, hh)
@@ -177,10 +139,10 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 		case htm.Capacity:
 			ix.txCapacity.Add(1)
 			h.lane.Inc(obs.CHTMCapacity)
-			h.ah.Free(c, newSeg, SegmentSize)
+			h.ah.Free(c, p.newSeg, SegmentSize)
 			return ix.splitFallback(h, hh)
 		case htm.Explicit:
-			h.ah.Free(c, newSeg, SegmentSize)
+			h.ah.Free(c, p.newSeg, SegmentSize)
 			if re, ok := terr.(retryError); ok {
 				switch re {
 				case errSegMoved:
@@ -198,11 +160,118 @@ func (ix *Index) split(h *Handle, hh uint64) (err error) {
 	}
 }
 
-// snapshot returns the handle's segment snapshot, about to hold seg's
-// words.
-func (h *Handle) snapshot(seg uint64) *[SegmentSize / 8]uint64 {
+// splitLocked splits the segment for hh in a lock mode: the caller holds
+// the covering stripe lock, so the split runs raw. It asks the caller to
+// double the directory (errNeedDouble) when the segment is as deep as it.
+func (h *Handle) splitLocked(hh uint64) error {
+	ix := h.ix
+	d := ix.dir.Load()
+	_, e := ix.resolveRaw(hh)
+	seg, depth := entrySeg(e), entryDepth(e)
+	if depth >= maxDepth {
+		return errMaxDepth
+	}
+	if depth == d.depth {
+		return errNeedDouble
+	}
+	if err := h.prepareSplit(&h.raw, hh, seg, depth); err != nil {
+		return err
+	}
+	h.commitSplit(&h.raw, d.entries, h.split.prefix<<(d.depth-depth), uint64(1)<<(d.depth-depth))
+	h.splitDone(hh)
+	return nil
+}
+
+// prepareSplit plans the split of seg (local depth depth, holding hh)
+// into h.split: it snapshots seg through m into h.snap, lays out both
+// halves, carves the fresh segment and fills it with the moving half. No
+// path reads the fresh segment before the commit repoints the directory
+// at it, so it is filled raw. Poisoned media surfaces as a typed error.
+func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
+	defer poisonAsCorruption(&seg, &err)
+	ix, c, p := h.ix, h.c, &h.split
 	h.snap.base = seg
-	return &h.snap.words
+	for i := range h.snap.words {
+		h.snap.words[i] = m.load(seg + uint64(i)*8)
+	}
+	p.seg, p.depth, p.prefix = seg, depth, hash.Prefix(hh, depth)
+
+	// Entries whose bit (63-depth) of the hash is 0 stay, 1 move.
+	var all, stay, move segEntries
+	var kws [SlotsPerSegment]uint64
+	ix.hintKeyRecords(&h.snap.words)
+	keyWords(&h.snap, seg, &kws)
+	h.decodeSegment(&h.snap, seg, &kws, &all)
+	for _, en := range all.live() {
+		if en.h>>(63-depth)&1 == 1 {
+			move.add(en)
+		} else {
+			stay.add(en)
+		}
+	}
+	p.liveA, p.liveB = stay.n, move.n
+	var ok bool
+	if p.imgA, ok = layoutSegment(stay.live()); !ok {
+		return fmt.Errorf("core: split relayout failed (stay half)")
+	}
+	if p.imgB, ok = layoutSegment(move.live()); !ok {
+		return fmt.Errorf("core: split relayout failed (move half)")
+	}
+	if p.newSeg, _, err = h.ah.Alloc(c, SegmentSize); err != nil {
+		return err
+	}
+	ix.hintSplitTargets(seg, p.newSeg)
+	for i, w := range p.imgB {
+		h.raw.store(p.newSeg+uint64(i)*8, w)
+	}
+	return nil
+}
+
+// commitSplit publishes h.split through s: the words of seg that change,
+// the covering directory entries ents[base:base+n] (the low half
+// repointed at seg, the high half at the fresh segment), and both halves'
+// registry words and seals.
+func (h *Handle) commitSplit(s section, ents []uint64, base, n uint64) {
+	ix, p := h.ix, &h.split
+	for i, w := range p.imgA {
+		if w != h.snap.words[i] {
+			s.store(p.seg+uint64(i)*8, w)
+		}
+	}
+	for j := uint64(0); j < n/2; j++ {
+		s.storeVol(&ents[base+j], makeEntry(p.seg, p.depth+1))
+		s.storeVol(&ents[base+n/2+j], makeEntry(p.newSeg, p.depth+1))
+	}
+	s.store(ix.regAddrOf(p.seg), makeRegEntry(p.prefix<<1, p.depth+1))
+	s.store(ix.regAddrOf(p.newSeg), makeRegEntry(p.prefix<<1|1, p.depth+1))
+	if ix.sealAddr != 0 {
+		s.store(ix.sealAddrOf(p.seg), sealOfImage(&p.imgA))
+		s.store(ix.sealAddrOf(p.newSeg), sealOfImage(&p.imgB))
+	}
+}
+
+// splitDone follows every committed split. DP2: both halves are cold
+// multi-cacheline writes; one sequential flush each writes them back as
+// single XPLines instead of scattered evictions ("the split operations
+// are bandwidth-efficient due to the XPLine granularity", §VI-B).
+func (h *Handle) splitDone(hh uint64) {
+	ix, c, p := h.ix, h.c, &h.split
+	ix.pool.Flush(c, p.seg, SegmentSize)
+	ix.pool.Flush(c, p.newSeg, SegmentSize)
+	if ix.cfg.PersistBarrier {
+		// Legacy-ADR discipline: the registry entries must be durable
+		// before the split is visible to a post-crash recovery.
+		ix.pool.Flush(c, ix.regAddrOf(p.seg), 8)
+		ix.pool.Flush(c, ix.regAddrOf(p.newSeg), 8)
+		ix.pool.Fence(c)
+	}
+	ix.splits.Add(1)
+	ix.segments.Add(1)
+	h.lane.Inc(obs.CSplits)
+	h.lane.Inc(obs.CSegAlloc)
+	ix.reg.Trace(obs.EvSplit, c.Clock(), int64(p.depth+1), int64(p.liveA+p.liveB))
+	ix.reg.ObserveKeyed(obs.HSegOccupancy, hh, p.liveA)
+	ix.reg.ObserveKeyed(obs.HSegOccupancy, hh^splitOccSalt, p.liveB)
 }
 
 // hintKeyRecords asks the host for every out-of-line key record the
@@ -230,34 +299,6 @@ func (ix *Index) hintSplitTargets(seg, newSeg uint64) {
 		ix.tm.Hint(ix.pool, ix.sealAddrOf(seg))
 		ix.tm.Hint(ix.pool, ix.sealAddrOf(newSeg))
 	}
-}
-
-// splitImages decodes the handle's snapshot and lays out the two child
-// images: entries whose bit (63-depth) of the hash is 0 stay, 1 move.
-// liveA/liveB are the live-entry counts of the two halves (the
-// post-split occupancy observable).
-func (h *Handle) splitImages(depth uint) (imgA, imgB [SegmentSize / 8]uint64, liveA, liveB int, err error) {
-	var all, stay, move segEntries
-	var kws [SlotsPerSegment]uint64
-	h.ix.hintKeyRecords(&h.snap.words)
-	keyWords(&h.snap, h.snap.base, &kws)
-	h.decodeSegment(&h.snap, h.snap.base, &kws, &all)
-	for _, en := range all.live() {
-		if en.h>>(63-depth)&1 == 1 {
-			move.add(en)
-		} else {
-			stay.add(en)
-		}
-	}
-	liveA, liveB = stay.n, move.n
-	var ok bool
-	if imgA, ok = layoutSegment(stay.live()); !ok {
-		return imgA, imgB, liveA, liveB, fmt.Errorf("core: split relayout failed (stay half)")
-	}
-	if imgB, ok = layoutSegment(move.live()); !ok {
-		return imgA, imgB, liveA, liveB, fmt.Errorf("core: split relayout failed (move half)")
-	}
-	return imgA, imgB, liveA, liveB, nil
 }
 
 // splitView returns the authoritative directory slice and depth for a
@@ -358,44 +399,10 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 		// make our writes conflicting-visible).
 		err := ix.tm.Irrevocable(c, ix.pool, func(it *htm.ITxn) error {
 			m := iMem{it}
-			snap := h.snapshot(seg)
-			for i := range snap {
-				snap[i] = m.load(seg + uint64(i)*8)
+			if err := h.prepareSplit(m, hh, seg, depth); err != nil {
+				return err
 			}
-			imgA, imgB, liveA, liveB, ierr := h.splitImages(depth)
-			if ierr != nil {
-				return ierr
-			}
-			newSeg, _, ierr := h.ah.Alloc(c, SegmentSize)
-			if ierr != nil {
-				return ierr
-			}
-			ix.hintSplitTargets(seg, newSeg)
-			for i, w := range imgB {
-				ix.pool.Store64(c, newSeg+uint64(i)*8, w)
-			}
-			for i, w := range imgA {
-				if w != snap[i] {
-					m.store(seg+uint64(i)*8, w)
-				}
-			}
-			m.store(ix.regAddrOf(seg), makeRegEntry(prefix<<1, depth+1))
-			m.store(ix.regAddrOf(newSeg), makeRegEntry(prefix<<1|1, depth+1))
-			if ix.sealAddr != 0 {
-				m.store(ix.sealAddrOf(seg), sealOfImage(&imgA))
-				m.store(ix.sealAddrOf(newSeg), sealOfImage(&imgB))
-			}
-			for j := uint64(0); j < n/2; j++ {
-				it.StoreVol(&d.entries[base+j], makeEntry(seg, depth+1))
-				it.StoreVol(&d.entries[base+n/2+j], makeEntry(newSeg, depth+1))
-			}
-			ix.splits.Add(1)
-			ix.segments.Add(1)
-			h.lane.Inc(obs.CSplits)
-			h.lane.Inc(obs.CSegAlloc)
-			ix.reg.Trace(obs.EvSplit, c.Clock(), int64(depth+1), int64(liveA+liveB))
-			ix.reg.ObserveKeyed(obs.HSegOccupancy, hh, liveA)
-			ix.reg.ObserveKeyed(obs.HSegOccupancy, hh^splitOccSalt, liveB)
+			h.commitSplit(m, d.entries, base, n)
 			return nil
 		})
 		if err != nil {
@@ -406,6 +413,7 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 			}
 			return err
 		}
+		h.splitDone(hh)
 		return nil
 	}
 }
