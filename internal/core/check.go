@@ -47,6 +47,7 @@ func (ix *Index) checkInvariants(c *pmem.Ctx) error {
 	d := ix.dir.Load()
 	g := d.depth
 	m := rawMem{ix.pool, c}
+	buf := new([SegmentSize]byte)
 
 	type segInfo struct {
 		first uint64
@@ -93,11 +94,11 @@ func (ix *Index) checkInvariants(c *pmem.Ctx) error {
 		}
 
 		if ix.sealAddr != 0 {
-			if bad := ix.verifySeal(m, seg); bad != 0 {
+			if bad := ix.verifySeal(m, seg, buf); bad != 0 {
 				return fmt.Errorf("segment %#x seal mismatch (bucket mask %#x)", seg, bad)
 			}
 		}
-		n, err := ix.checkSegment(c, m, seg, prefix, si.depth)
+		n, err := ix.checkSegment(c, m, buf, seg, prefix, si.depth)
 		if err != nil {
 			return err
 		}
@@ -118,9 +119,9 @@ func (ix *Index) checkInvariants(c *pmem.Ctx) error {
 }
 
 // checkSegment validates one segment's slots and hints, returning the
-// occupied-slot count.
-func (ix *Index) checkSegment(c *pmem.Ctx, m mem, seg, prefix uint64, depth uint) (int64, error) {
-	snap := loadSegment(m, seg)
+// occupied-slot count, staging the segment's copy in buf.
+func (ix *Index) checkSegment(c *pmem.Ctx, m mem, buf *[SegmentSize]byte, seg, prefix uint64, depth uint) (int64, error) {
+	snap := loadSegment(m, seg, buf)
 	count := int64(0)
 	for s := 0; s < SlotsPerSegment; s++ {
 		kw := snap[s*2]

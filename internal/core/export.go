@@ -35,6 +35,7 @@ func rangeIntersects(p1 uint64, d1 uint, p2 uint64, d2 uint) bool {
 // Fsck); fn's slices are only valid during the callback.
 func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key, val []byte) error) (err error) {
 	m := rawMem{ix.pool, c}
+	buf := new([SegmentSize]byte)
 	ix.eachRegistered(c, func(seg, p uint64, d uint, poisoned bool) bool {
 		switch {
 		case poisoned:
@@ -46,7 +47,7 @@ func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key
 				err = &CorruptionError{Seg: seg, Bucket: firstBadBucket(f.BadBuckets),
 					Cause: fmt.Errorf("refusing to export unverified segment: %s", f.Cause)}
 			} else {
-				err = exportSegment(m, seg, prefix, depth, fn)
+				err = exportSegment(m, buf, seg, prefix, depth, fn)
 			}
 		}
 		return err == nil
@@ -60,8 +61,8 @@ func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key
 // residual record fault here (a racing writer would violate the
 // quiescence contract) surfaces as a CorruptionError rather than a
 // panic: the slot verdict reads records tolerantly.
-func exportSegment(m mem, seg uint64, prefix uint64, depth uint, fn func(key, val []byte) error) error {
-	snap := loadSegment(m, seg)
+func exportSegment(m mem, buf *[SegmentSize]byte, seg uint64, prefix uint64, depth uint, fn func(key, val []byte) error) error {
+	snap := loadSegment(m, seg, buf)
 	for s := 0; s < SlotsPerSegment; s++ {
 		if !keyOccupied(snap[s*2]) {
 			continue

@@ -132,7 +132,7 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 	}
 	// Merge carries data: both segments' live entries must fit
 	// comfortably in one (the reverse of a split, §III-A).
-	if ix.sealAddr != 0 && (ix.verifySeal(s, seg) != 0 || ix.verifySeal(s, buddySeg) != 0) {
+	if ix.sealAddr != 0 && (ix.verifySeal(s, seg, &h.segBuf) != 0 || ix.verifySeal(s, buddySeg, &h.segBuf) != 0) {
 		// Relayouting a damaged buddy would launder corrupt words
 		// under a fresh seal; leave it for scrub/fsck.
 		return 0, 0, 0

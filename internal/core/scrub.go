@@ -215,9 +215,9 @@ func (s *Scrubber) verifyOnline(seg, prefix uint64, depth uint) (corrupt, skippe
 		}
 		m := txMem{tx}
 		if ix.sealAddr != 0 {
-			corrupt = ix.verifySeal(m, seg) != 0
+			corrupt = ix.verifySeal(m, seg, &s.h.segBuf) != 0
 		} else {
-			loadSegment(m, seg) // poison probe
+			loadSegment(m, seg, &s.h.segBuf) // poison probe
 		}
 		return nil
 	}

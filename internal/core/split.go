@@ -116,10 +116,8 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 					return errSegMoved
 				}
 			}
-			for i := range snap {
-				if tx.Load(seg+uint64(i)*8) != snap[i] {
-					return errSegMoved
-				}
+			if loadSegment(txMem{tx}, seg, &h.segBuf) != *snap {
+				return errSegMoved
 			}
 			h.commitSplit(txMem{tx}, ents, base, n)
 			return nil
@@ -190,10 +188,7 @@ func (h *Handle) splitLocked(hh uint64) error {
 func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
 	defer poisonAsCorruption(&seg, &err)
 	ix, c, p := h.ix, h.c, &h.split
-	h.snap.base = seg
-	for i := range h.snap.words {
-		h.snap.words[i] = m.load(seg + uint64(i)*8)
-	}
+	h.snap.base, h.snap.words = seg, loadSegment(m, seg, &h.segBuf)
 	p.seg, p.depth, p.prefix = seg, depth, hash.Prefix(hh, depth)
 
 	// Entries whose bit (63-depth) of the hash is 0 stay, 1 move.

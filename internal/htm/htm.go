@@ -322,10 +322,8 @@ func (tx *Txn) LoadVol(p *uint64) uint64 {
 
 func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 	// Read-own-writes.
-	for i := len(tx.ws) - 1; i >= 0; i-- {
-		if tx.ws[i].key == key {
-			return tx.ws[i].val
-		}
+	if v, ok := tx.buffered(key); ok {
+		return v
 	}
 	if tx.nread >= tx.tm.cfg.ReadCapacityWords {
 		panic(capacitySignal{})
@@ -353,6 +351,100 @@ func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 		tx.abortConflict()
 	}
 	return val
+}
+
+// buffered returns the value the transaction has stored at key, if any.
+func (tx *Txn) buffered(key uintptr) (uint64, bool) {
+	for i := len(tx.ws) - 1; i >= 0; i-- {
+		if tx.ws[i].key == key {
+			return tx.ws[i].val, true
+		}
+	}
+	return 0, false
+}
+
+// Read copies len(dst) bytes of PM starting at addr into dst
+// transactionally, charged like Pool.Read: one access per cacheline, not
+// one per word as a Load loop over the range would be. Each line's
+// stripe version is checked once before the line is copied (with one
+// poison check and one cache access) and again after the whole range is,
+// every word counts against ReadCapacityWords, and words the transaction
+// has stored read back buffered. A line whose words in the range are all
+// buffered is not read at all, as Load would not read it.
+func (tx *Txn) Read(addr uint64, dst []byte) {
+	from := len(tx.rs)
+	tx.copyLines(addr, dst)
+	tx.validateFrom(from)
+}
+
+// copyLines is Read up to its validation: for each line of the range
+// holding a word the transaction has not stored, the capacity count, the
+// stripe pre-check (one read-set entry) and the copy; then the buffered
+// words.
+func (tx *Txn) copyLines(addr uint64, dst []byte) {
+	end := addr + uint64(len(dst))
+	for a := addr; a < end; {
+		line := a &^ (pmem.CachelineSize - 1)
+		next := min(line+pmem.CachelineSize, end)
+		chunk := dst[a-addr : next-addr]
+		if k := tx.unbuffered(a, next); k > 0 {
+			if tx.nread+k > tx.tm.cfg.ReadCapacityWords {
+				panic(capacitySignal{})
+			}
+			tx.nread += k
+			i := tx.tm.stripeFor(uintptr(line))
+			s := &tx.tm.vers[i]
+			v := s.Load()
+			if v&1 != 0 || v>>1 > tx.rv {
+				tx.abortConflict()
+			}
+			tx.rs = append(tx.rs, rsEntry{i, v})
+			tx.cur, tx.curLine, tx.curVer = s, uintptr(line)>>lineShift, v
+			tx.pool.Read(tx.ctx, a, chunk)
+		}
+		if len(tx.ws) > 0 {
+			tx.overlay(a, chunk)
+		}
+		a = next
+	}
+}
+
+// unbuffered counts the words overlapping [a, next) that the transaction
+// has not stored.
+func (tx *Txn) unbuffered(a, next uint64) int {
+	n := 0
+	for w := a &^ 7; w < next; w += 8 {
+		if _, ok := tx.buffered(uintptr(w)); !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// overlay writes the bytes of every buffered PM word that fall in
+// [a, a+len(dst)) into dst.
+func (tx *Txn) overlay(a uint64, dst []byte) {
+	end := a + uint64(len(dst))
+	for _, w := range tx.ws {
+		if !w.pm || w.addr+8 <= a || w.addr >= end {
+			continue
+		}
+		for i := uint64(0); i < 8; i++ {
+			if b := w.addr + i; b >= a && b < end {
+				dst[b-a] = byte(w.val >> (8 * i))
+			}
+		}
+	}
+}
+
+// validateFrom re-checks the stripe versions of the read-set entries from
+// index from on, aborting when a line changed since its pre-check.
+func (tx *Txn) validateFrom(from int) {
+	for _, r := range tx.rs[from:] {
+		if tx.tm.vers[r.stripe].Load() != r.ver {
+			tx.abortConflict()
+		}
+	}
 }
 
 // Store buffers a 64-bit PM store; it becomes visible (and durable

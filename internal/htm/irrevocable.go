@@ -101,6 +101,19 @@ func (it *ITxn) Load(addr uint64) uint64 {
 	return it.pool.Load64(it.ctx, addr)
 }
 
+// Read copies len(dst) bytes of PM starting at addr into dst, taking the
+// stripe lock of each line before copying it: Pool.Read's accounting,
+// one access per cacheline.
+func (it *ITxn) Read(addr uint64, dst []byte) {
+	end := addr + uint64(len(dst))
+	for a := addr; a < end; {
+		next := min(a&^(pmem.CachelineSize-1)+pmem.CachelineSize, end)
+		it.acquire(uintptr(a))
+		it.pool.Read(it.ctx, a, dst[a-addr:next-addr])
+		a = next
+	}
+}
+
 // Store writes a PM word under the stripe lock; the write becomes
 // conflicting-visible to optimistic transactions at release.
 func (it *ITxn) Store(addr uint64, v uint64) {

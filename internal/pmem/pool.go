@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -486,6 +487,12 @@ func (p *Pool) copyOut(addr uint64, dst []byte) {
 	for len(dst) > 0 {
 		w := atomic.LoadUint64(&p.words[addr/8])
 		off := int(addr & 7)
+		if off == 0 && len(dst) >= 8 {
+			binary.LittleEndian.PutUint64(dst, w)
+			dst = dst[8:]
+			addr += 8
+			continue
+		}
 		n := 8 - off
 		if n > len(dst) {
 			n = len(dst)
