@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"testing"
+
+	"spash/internal/pmem"
 )
 
 // The write path's structural operations stay off the Go heap. (Not
@@ -137,5 +139,39 @@ func TestDeleteWindowWithMergesDoesNotAllocate(t *testing.T) {
 				t.Errorf("%d deletes with ~%d merges: %v allocs, want 0", window, merges/2, n)
 			}
 		})
+	}
+}
+
+// With checksums on, a Get of a 64 B out-of-line value and its in-place
+// Update allocate nothing, and the Get reads the value record once: it
+// accesses exactly the lines the same Get with checksums off does plus
+// the seal check's (the seal word and the segment's lines).
+func TestChecksummedGetAndUpdateDoNotAllocate(t *testing.T) {
+	key, val := k64(7), make([]byte, 64)
+	lines := map[bool]uint64{}
+	for _, checksums := range []bool{false, true} {
+		_, h := newTestIndex(t, Config{Checksums: checksums})
+		if err := h.Insert(key, val); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, len(val))
+		before := h.c.Stats()
+		if _, ok, err := h.Search(key, buf); !ok || err != nil {
+			t.Fatalf("Search = %v, %v", ok, err)
+		}
+		d := h.c.Stats().Sub(before)
+		lines[checksums] = d.CacheHits + d.CacheMisses
+		if !checksums {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { h.Search(key, buf) }); n != 0 {
+			t.Errorf("checksummed Get: %v allocs, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { h.Update(key, val) }); n != 0 {
+			t.Errorf("checksummed in-place Update: %v allocs, want 0", n)
+		}
+	}
+	if got, want := lines[true]-lines[false], uint64(1+SegmentSize/pmem.CachelineSize); got != want {
+		t.Errorf("checksummed Get accessed %d lines more than the plain one, want %d (the seal check alone)", got, want)
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -432,5 +434,25 @@ func TestSplitOfPoisonedSegmentFailsTyped(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A seal lane is the low 16 bits of the CRC32C of its bucket's bytes:
+// the word-wise fold in bucketCRC computes what crc32.Checksum does over
+// the encoded image.
+func TestBucketCRCIsCRC32COfTheBucketBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		var ws [SlotsPerBucket * 2]uint64
+		var b [pmem.CachelineSize]byte
+		for j := range ws {
+			if i > 0 { // the first bucket stays empty
+				ws[j] = rng.Uint64()
+			}
+			binary.LittleEndian.PutUint64(b[j*8:], ws[j])
+		}
+		if got, want := bucketCRC(ws[:]), uint64(crc32.Checksum(b[:], crcTable)&0xFFFF); got != want {
+			t.Fatalf("bucket %x: lane %#x, want %#x", ws, got, want)
+		}
 	}
 }
