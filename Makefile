@@ -108,14 +108,16 @@ serve-smoke:
 		printf 'put smoke v1\nget smoke\nquit\n' | bin/spash-cli -connect 127.0.0.1:6399; \
 		kill -INT $$pid; wait $$pid
 
-# alloc-gate fails when Search, UpdateHot, Insert or Delete allocates:
-# allocation counts are deterministic, so unlike a wall-clock number they
-# can be gated exactly (20 000 inserts cross ~11 doublings, whose
-# directories round to 0 allocs/op). CI's bench-smoke job runs it.
+# alloc-gate fails when Search, UpdateHot, Insert or Delete allocates, or
+# when a Get of an out-of-line key and value does, alone (GetCold) or in
+# a batch (ExecBatchCold): allocation counts are deterministic, so unlike
+# a wall-clock number they can be gated exactly (20 000 inserts cross ~11
+# doublings, whose directories round to 0 allocs/op). CI's bench-smoke
+# job runs it.
 alloc-gate:
-	go test -run '^$$' -bench 'Benchmark(Search|UpdateHot|Insert|Delete)$$' -benchtime 20000x -benchmem . | \
+	go test -run '^$$' -bench 'Benchmark(Search|UpdateHot|Insert|Delete|GetCold|ExecBatchCold)$$' -benchtime 20000x -benchmem . | \
 		awk '{ print } /^Benchmark/ { n++; if ($$(NF-1) > 0) bad = bad " " $$1 } \
-			END { if (n != 4) { print "alloc-gate: " n " of 4 benchmarks ran"; exit 1 } \
+			END { if (n != 6) { print "alloc-gate: " n " of 6 benchmarks ran"; exit 1 } \
 			      if (bad != "") { print "alloc-gate: allocs/op > 0:" bad; exit 1 } }'
 
 # count-gate is the counted gate (ROADMAP item 1): each workload of the
