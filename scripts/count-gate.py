@@ -15,7 +15,8 @@ failed must be 0 everywhere. Wall-clock metrics are not looked at: they
 do not hold still on a shared runner.
 
   count-gate.py           check against the golden, exit 1 on a difference
-  count-gate.py -update   rewrite the golden (say why in CHANGES.md)
+  count-gate.py -update   rewrite the golden (say why in CHANGES.md), printing
+                          every field of every row as old -> new, or unchanged
 """
 import json
 import os
@@ -51,14 +52,30 @@ def differences(row, want, tol):
     return lines, bad
 
 
+def read_golden():
+    with open(GOLDEN) as f:
+        return {row["workload"]: row for row in map(json.loads, f)}
+
+
+def moves(row, old):
+    """Every field of row against the old golden row, as printable lines."""
+    return [f"{row['workload']:12} {k:16} " +
+            ("unchanged" if old is not None and old.get(k) == v else
+             f"{(old or {}).get(k)!r} -> {v!r}")
+            for k, v in row.items() if k != "workload"]
+
+
 def main():
     if sys.argv[1:] == ["-update"]:
+        old = read_golden() if os.path.exists(GOLDEN) else {}
+        rows = [run(w) for w in TOLERANCE]
         with open(GOLDEN, "w") as f:
-            f.writelines(json.dumps(run(w)) + "\n" for w in TOLERANCE)
+            f.writelines(json.dumps(row) + "\n" for row in rows)
+        for row in rows:
+            print("\n".join(moves(row, old.get(row["workload"]))))
         print(f"count-gate: wrote {os.path.relpath(GOLDEN, ROOT)}")
         return
-    with open(GOLDEN) as f:
-        golden = {row["workload"]: row for row in map(json.loads, f)}
+    golden = read_golden()
     failed = 0
     for w, tol in TOLERANCE.items():
         for attempt in range(3 if tol else 1):
