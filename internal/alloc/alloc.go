@@ -25,8 +25,14 @@ import (
 	"spash/internal/pmem"
 )
 
+// ErrNoSpace is matched (errors.Is) by every error that refuses a write
+// because the device has no room left for it: ErrOutOfMemory here, and
+// the index's full directory. The root package exports it as
+// spash.ErrNoSpace.
+var ErrNoSpace = errors.New("no space left")
+
 // ErrOutOfMemory is returned when the pool is exhausted.
-var ErrOutOfMemory = errors.New("alloc: pool exhausted")
+var ErrOutOfMemory = fmt.Errorf("alloc: pool exhausted: %w", ErrNoSpace)
 
 // arenaBytes is the size of one arena; every arena serves one class.
 const arenaBytes = 64 << 10

@@ -56,7 +56,7 @@ var scope = []string{"internal/repl", "internal/core", "internal/server", "epoch
 var mutatingNames = map[string]bool{
 	"Insert": true, "Update": true, "Delete": true,
 	"SetAppliedSeq": true, "BumpEpoch": true, "Promote": true,
-	"Store64": true, "CAS64": true, "Write": true, "NTStore": true,
+	"Store64": true, "StoreLine": true, "CAS64": true, "Write": true, "NTStore": true,
 }
 
 func run(pass *framework.Pass) error {

@@ -1,6 +1,6 @@
 // Package pmstore enforces the two-phase HTM protocol's write
-// discipline: a mutating pmem.Pool call (Store64, CAS64, Write,
-// NTStore) outside internal/pmem and internal/htm must be reachable
+// discipline: a mutating pmem.Pool call (Store64, StoreLine, CAS64,
+// Write, NTStore) outside internal/pmem and internal/htm must be reachable
 // only from an htm transaction body, a recovery/format path, or a
 // function annotated //spash:guarded with a justification.
 //
@@ -204,7 +204,7 @@ func (st *state) recordCall(call *ast.CallExpr, cur *fn) {
 	// the record arena's mem.store) may mutate PM; remember that for
 	// the staleness check.
 	switch fnObj.Name() {
-	case "store", "store64", "Store64", "CAS64", "Write", "NTStore":
+	case "store", "store64", "Store64", "StoreLine", "CAS64", "Write", "NTStore":
 		cur.storish = true
 	}
 }

@@ -108,10 +108,11 @@ func TxnMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 // MutatingPoolMethods are the pmem.Pool methods that change PM
 // contents. Load64/Read/Flush/Fence/Prefetch are not mutations.
 var MutatingPoolMethods = map[string]bool{
-	"Store64": true,
-	"CAS64":   true,
-	"Write":   true,
-	"NTStore": true,
+	"Store64":   true,
+	"StoreLine": true,
+	"CAS64":     true,
+	"Write":     true,
+	"NTStore":   true,
 }
 
 // ErrorType returns the universe error interface.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"spash/internal/alloc"
 	"spash/internal/hash"
 	"spash/internal/htm"
 	"spash/internal/obs"
@@ -14,7 +15,12 @@ import (
 
 // errMaxDepth is returned when a segment cannot split further; with a
 // 44-bit directory limit this indicates pathological hash collisions.
-var errMaxDepth = errors.New("core: maximum directory depth reached")
+// It wraps alloc.ErrNoSpace: the key has no room, as on a full pool.
+var errMaxDepth = fmt.Errorf("core: maximum directory depth reached: %w", alloc.ErrNoSpace)
+
+// errRelayout is returned when a half of a split segment does not fit a
+// fresh segment, which a consistent snapshot cannot produce.
+var errRelayout = errors.New("core: split relayout failed")
 
 // splitConflictBudget is the number of transactional split attempts
 // before falling back to locking every covering directory entry.
@@ -92,8 +98,19 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 		}
 
 		// Preparation phase; the transaction validates the snapshot.
+		// Until then it is raw: one taken across another worker's
+		// commit to the segment may hold an entry twice and not lay
+		// out, which is a conflict, not an error (the fallback
+		// snapshots under its locks).
 		if err := h.prepareSplit(&h.raw, hh, seg, depth); err != nil {
-			return err
+			if !errors.Is(err, errRelayout) {
+				return err
+			}
+			if conflicts++; conflicts > splitConflictBudget {
+				return ix.splitFallback(h, hh)
+			}
+			runtime.Gosched()
+			continue
 		}
 		p, snap := &h.split, &h.snap.words
 		code, terr := ix.tm.Run(c, ix.pool, func(tx *htm.Txn) error {
@@ -207,10 +224,10 @@ func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
 	p.liveA, p.liveB = stay.n, move.n
 	var ok bool
 	if p.imgA, ok = layoutSegment(stay.live()); !ok {
-		return fmt.Errorf("core: split relayout failed (stay half)")
+		return fmt.Errorf("%w (stay half)", errRelayout)
 	}
 	if p.imgB, ok = layoutSegment(move.live()); !ok {
-		return fmt.Errorf("core: split relayout failed (move half)")
+		return fmt.Errorf("%w (move half)", errRelayout)
 	}
 	if p.newSeg, _, err = h.ah.Alloc(c, SegmentSize); err != nil {
 		return err

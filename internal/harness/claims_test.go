@@ -102,7 +102,7 @@ var claims = []claim{
 			return c.at(0, "adaptive", "256B") >= 1.2*c.at(0, "in-place w/ flush", "256B") &&
 				c.at(0, "adaptive", "1024B") >= 1.2*c.at(0, "in-place w/ flush", "1024B")
 		},
-		"at 4 workers on 10 000 keys the update runs are CPU-bound, so the saved flushes buy only 1.05-1.15×"},
+		"at 4 workers on 10 000 keys the update runs are CPU-bound, so the saved flushes buy only 1.1× at 256 B (1.15-1.25× at 1 KB)"},
 	{"fig12a-1024B", "12a", "§VI-D: the adaptive policy flushes cold large values, so always-flush does not beat it at 1 KB (beyond the cell's ±20% spread)",
 		func(c *cells) bool { return 1.2*c.at(0, "adaptive", "1024B") >= c.at(0, "in-place w/ flush", "1024B") }, ""},
 	{"fig12b-xpline-writes", "12b", "§VI-D (Fig 12b): compacted-flush insertion halves the XPLines written per insert (active flushing up to 2.2×)",

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"spash/internal/core"
@@ -40,9 +42,27 @@ func updateRun(cfg core.Config, s Scale, valSize int, seed int64) (Result, error
 		MixSource(ycsb.UpdateOnly, uint64(s.YCSBLoad), ycsb.DefaultTheta, valSize, seed), nil), nil
 }
 
+// medianRun runs run three times and returns the run of median
+// throughput.
+func medianRun(run func() (Result, error)) (Result, error) {
+	var rs [3]Result
+	for i := range rs {
+		var err error
+		if rs[i], err = run(); err != nil {
+			return Result{}, err
+		}
+	}
+	slices.SortFunc(rs[:], func(a, b Result) int { return cmp.Compare(a.Throughput(), b.Throughput()) })
+	return rs[1], nil
+}
+
 // fig12a reproduces Fig 12(a): the adaptive in-place update ablation —
 // adaptive vs always-flush vs never-flush vs oracle-hotness, across
-// value sizes, on update-only zipfian workloads.
+// value sizes, on update-only zipfian workloads. A cell is the median of
+// three runs: a multi-worker update run's throughput varies with how its
+// workers interleave in real time (ROADMAP item 8), and one run of the
+// flushing policy now and then reads 10-15 % low, enough to move the
+// ratio the claims table reads against its 1.2× threshold.
 func fig12a(sh *Sheet) []panel {
 	s := sh.scale
 	policies := []core.UpdatePolicy{core.UpdateAdaptive, core.UpdateAlwaysFlush, core.UpdateNeverFlush, core.UpdateOracle}
@@ -60,7 +80,7 @@ func fig12a(sh *Sheet) []panel {
 						return ok
 					}
 				}
-				return updateRun(cfg, s, sizes[c], 811)
+				return medianRun(func() (Result, error) { return updateRun(cfg, s, sizes[c], 811) })
 			}, "12a", r, c))
 		}}}
 }

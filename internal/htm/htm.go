@@ -80,9 +80,13 @@ var ErrAbort = errors.New("htm: explicit abort")
 
 // Virtual-time costs of the transactional machinery.
 const (
-	beginCostNS      = 15
-	commitBaseNS     = 30
-	commitPerWordNS  = 8
+	beginCostNS  = 15
+	commitBaseNS = 30
+	// commitPerLineNS is what retiring one unit of the write set adds to
+	// a commit: RTM drains its write set from L1 a cacheline at a time,
+	// so a run of buffered PM words on one line is one unit, as is each
+	// volatile word.
+	commitPerLineNS  = 8
 	stripeSerialBase = 25
 )
 
@@ -254,6 +258,8 @@ type Txn struct {
 	curVer  uint64
 	// locked is commit's scratch: the stripes it holds.
 	locked []uint64
+	// run is commit's scratch: the words of the line being published.
+	run [pmem.CachelineSize / 8]pmem.Word
 }
 
 // Run executes body as one transaction attempt on behalf of worker c.
@@ -537,17 +543,35 @@ func (tx *Txn) commit() bool {
 		tx.pool.BeginAtomic(c)
 		defer tx.pool.EndAtomic(c)
 	}
-	for _, w := range tx.ws {
-		if w.pm {
-			tx.pool.Store64(c, w.addr, w.val)
-		} else {
-			atomic.StoreUint64(w.ptr, w.val)
-			c.ChargeDRAM(1)
-		}
-	}
-	c.Charge(commitBaseNS + int64(len(tx.ws))*commitPerWordNS)
+	c.Charge(commitBaseNS + int64(tx.publish())*commitPerLineNS)
 	tx.release(true)
 	return true
+}
+
+// publish makes the write set visible in buffer order and returns how
+// many units it retired. Each run of consecutive PM words on one
+// cacheline is one unit, stored under one access to the line
+// (Pool.StoreLine); each volatile word is one unit of its own. Merging
+// only consecutive words keeps the lines dirtied, and their order, those
+// of a store per word, so only cache hits and the clock tell the two
+// apart.
+func (tx *Txn) publish() (units int) {
+	ws := tx.ws
+	for i := 0; i < len(ws); units++ {
+		if !ws[i].pm {
+			atomic.StoreUint64(ws[i].ptr, ws[i].val)
+			tx.ctx.ChargeDRAM(1)
+			i++
+			continue
+		}
+		line, n := ws[i].addr&^uint64(pmem.CachelineSize-1), 0
+		for ; i < len(ws) && ws[i].pm && ws[i].addr&^uint64(pmem.CachelineSize-1) == line && n < len(tx.run); i++ {
+			tx.run[n] = pmem.Word{Addr: ws[i].addr, Val: ws[i].val}
+			n++
+		}
+		tx.pool.StoreLine(tx.ctx, tx.run[:n])
+	}
+	return units
 }
 
 // holds reports whether commit has locked stripe si.

@@ -347,3 +347,46 @@ func TestAccessErrorTyped(t *testing.T) {
 		t.Errorf("OOB read: got (%v, %v)", ae, ok)
 	}
 }
+
+// StoreLine steps once per word like the Store64 calls it stands for, so
+// a crash at any of its steps leaves exactly the words before it stored;
+// it touches the line once, and refuses a word of another line.
+func TestStoreLineStepsPerWord(t *testing.T) {
+	words := []Word{{Addr: 64, Val: 11}, {Addr: 80, Val: 22}, {Addr: 72, Val: 33}}
+	n := int64(len(words))
+	for at := int64(1); at <= n+1; at++ {
+		p := faultTestPool(EADR)
+		c := p.NewCtx()
+		fp := &FaultPlan{CrashAtStep: at} // at n+1: no crash
+		p.ArmFault(fp)
+		err := CatchCrash(func() error {
+			p.StoreLine(c, words)
+			return nil
+		})
+		p.DisarmFault()
+		stored := min(at-1, n) // the words before the crashing step
+		if errors.Is(err, ErrInjectedCrash) != (at <= n) || fp.Steps() != min(at, n) {
+			t.Fatalf("crash at step %d: err %v after %d steps", at, err, fp.Steps())
+		}
+		if s := c.Stats(); stored > 0 && s.CacheHits+s.CacheMisses != 1 {
+			t.Errorf("crash at step %d: %d line accesses, want 1", at, s.CacheHits+s.CacheMisses)
+		}
+		c2 := p.NewCtx()
+		for i, w := range words {
+			want := w.Val
+			if int64(i) >= stored {
+				want = 0
+			}
+			if got := p.Load64(c2, w.Addr); got != want {
+				t.Errorf("crash at step %d: word %d = %d, want %d", at, w.Addr, got, want)
+			}
+		}
+	}
+	p := faultTestPool(EADR)
+	defer func() {
+		if recover() == nil {
+			t.Error("StoreLine across two lines did not panic")
+		}
+	}()
+	p.StoreLine(p.NewCtx(), []Word{{Addr: 64, Val: 1}, {Addr: 128, Val: 2}})
+}

@@ -271,6 +271,37 @@ func (p *Pool) Store64(c *Ctx, addr uint64, v uint64) {
 	atomic.StoreUint64(&p.words[addr/8], v)
 }
 
+// Word is one 64-bit store of a StoreLine run: Val goes to Addr.
+type Word struct{ Addr, Val uint64 }
+
+// StoreLine stores a run of words that share one cacheline, in order,
+// exactly as a Store64 of each would — alignment check, poison clearing
+// and crash step per word, atomic store per word — except that the line
+// is touched once, before the first store: the run is one cache access,
+// as a line retired from a store buffer or a transaction's write set is.
+// The line is dirtied (and under ADR its pre-store image snapshotted)
+// by that access, so the later stores would only have hit it again;
+// what the run saves is those hits. It panics when a word lies outside
+// the first word's line.
+func (p *Pool) StoreLine(c *Ctx, words []Word) {
+	if len(words) == 0 {
+		return
+	}
+	line := words[0].Addr &^ uint64(CachelineSize-1)
+	for i, w := range words {
+		p.checkAligned(w.Addr)
+		if w.Addr&^uint64(CachelineSize-1) != line {
+			panic(fmt.Sprintf("pmem: StoreLine word %#x outside line %#x", w.Addr, line))
+		}
+		p.clearPoison(w.Addr, 8)
+		p.step(c)
+		if i == 0 {
+			p.touch(c, line, true)
+		}
+		atomic.StoreUint64(&p.words[w.Addr/8], w.Val)
+	}
+}
+
 // CAS64 performs a compare-and-swap on the word at addr. The embedded
 // read machine-checks on a poisoned XPLine like Load64.
 func (p *Pool) CAS64(c *Ctx, addr uint64, old, new uint64) bool {

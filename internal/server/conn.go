@@ -221,6 +221,8 @@ func (c *connState) writeOpError(err error) {
 		c.wr.Error("READONLY You can't write against a read only replica.")
 	case errors.Is(err, spash.ErrClosed):
 		c.wr.Error("ERR server is shutting down")
+	case errors.Is(err, spash.ErrNoSpace):
+		c.wr.Error("OOM command not allowed when used memory > 'maxmemory'.")
 	default:
 		c.wr.Error("ERR " + err.Error())
 	}

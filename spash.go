@@ -57,6 +57,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spash/internal/alloc"
 	"spash/internal/core"
 	"spash/internal/obs"
 	"spash/internal/pmem"
@@ -128,6 +129,11 @@ var (
 	// ErrClosed is returned by Session operations (and reported in
 	// batch results) after DB.Close.
 	ErrClosed = errors.New("spash: database is closed")
+	// ErrNoSpace matches (errors.Is) every write refused because its
+	// shard's device has no room left: a full pool, or a directory at
+	// its maximum depth. Nothing of the refused write is published;
+	// reads and deletes keep working.
+	ErrNoSpace = alloc.ErrNoSpace
 )
 
 type (
@@ -159,6 +165,9 @@ func DescribeError(err error) string {
 			loc = fmt.Sprintf("%s bucket %d", loc, ce.Bucket)
 		}
 		return fmt.Sprintf("media corruption in %s: %v (repair: spash-fsck -repair, or online via StartScrub)", loc, ce.Cause)
+	}
+	if errors.Is(err, ErrNoSpace) {
+		return fmt.Sprintf("%v (the shard's device is full: delete keys, or open a larger Platform.PoolSize; reads and deletes still work)", err)
 	}
 	var ae pmem.AccessError
 	if errors.As(err, &ae) && ae.Poisoned {

@@ -3,7 +3,9 @@ package spash
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -152,6 +154,51 @@ func TestPublicBatch(t *testing.T) {
 		if !gets[i].Found {
 			t.Fatalf("op %d not found", i)
 		}
+	}
+}
+
+// A write the device has no room for fails with ErrNoSpace, alone and in
+// a batch, and DescribeError says what to do; the full DB still serves
+// reads and deletes, and a delete makes room for its key again.
+func TestFullPoolRefusesWritesWithErrNoSpace(t *testing.T) {
+	db, err := Open(Options{Shards: 1, Platform: pmem.Config{PoolSize: 2 << 20, CacheSize: 64 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.Session()
+	defer s.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
+	val := bytes.Repeat([]byte{7}, 100)
+	n := 0
+	for ; err == nil; n++ {
+		if n > 1<<20 {
+			t.Fatal("pool never filled")
+		}
+		err = s.Insert(key(n), val)
+	}
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("insert %d on a full pool: %v, want ErrNoSpace", n-1, err)
+	}
+	if d := DescribeError(err); !strings.Contains(d, "device is full") {
+		t.Fatalf("DescribeError(%v) = %q", err, d)
+	}
+	ops := []Op{{Kind: OpInsert, Key: key(n), Value: val}, {Kind: OpGet, Key: key(0)}}
+	s.ExecBatch(ops)
+	if !errors.Is(ops[0].Err, ErrNoSpace) {
+		t.Fatalf("batched insert on a full pool: %v, want ErrNoSpace", ops[0].Err)
+	}
+	if ops[1].Err != nil || !ops[1].Found || !bytes.Equal(ops[1].Result, val) {
+		t.Fatalf("batched Get on a full pool: %q, %v, %v", ops[1].Result, ops[1].Found, ops[1].Err)
+	}
+	if v, ok, err := s.Get(key(1), nil); err != nil || !ok || !bytes.Equal(v, val) {
+		t.Fatalf("Get on a full pool: %q, %v, %v", v, ok, err)
+	}
+	if ok, err := s.Delete(key(0)); err != nil || !ok {
+		t.Fatalf("Delete on a full pool: %v, %v", ok, err)
+	}
+	if err := s.Insert(key(0), val); err != nil {
+		t.Fatalf("re-insert after a delete: %v", err)
 	}
 }
 
