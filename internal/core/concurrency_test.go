@@ -386,3 +386,26 @@ func TestSplitFallbackFlushesBothHalves(t *testing.T) {
 		t.Fatalf("the fallback split flushed %d lines, want both halves' %d", got, want)
 	}
 }
+
+// A stop-the-world resize builds its directory after draining fallback
+// locks, so a lock bit it still sees belongs to an execFallback that
+// locked after the drain and will back off, restoring the old entry:
+// neither builder may copy that bit into the new directory, where no one
+// would ever clear it.
+func TestStopWorldBuildersDropFallbackLocks(t *testing.T) {
+	old := newDirectory(3)
+	for j := range old.entries {
+		old.entries[j] = makeEntry(uint64(j/2+1)*SegmentSize, 2)
+	}
+	old.entries[4] |= entryLock // read by both builders
+	for j, e := range doubled(old).entries {
+		if e != entryUnlock(old.entries[j/2]) {
+			t.Errorf("doubled: entry %d = %#x, want %#x", j, e, entryUnlock(old.entries[j/2]))
+		}
+	}
+	for j, e := range halve(old, 1).entries {
+		if e != entryUnlock(old.entries[2*j]) {
+			t.Errorf("halve: entry %d = %#x, want %#x", j, e, entryUnlock(old.entries[2*j]))
+		}
+	}
+}

@@ -171,14 +171,17 @@ func (ix *Index) doubleLocked(c *pmem.Ctx, fullDir *directory) {
 // doubled returns old at twice its depth, each entry copied to both of
 // its halves, or nil at maxDepth. Loads are atomic: under HTM, late
 // commits may still be storing entries while a stop-the-world resize
-// drains.
+// drains. A copy never carries a fallback lock: after the drain, a lock
+// bit belongs to an execFallback that locked between the drain and the
+// copy, which then finds the resize, restores the old entry unlocked
+// and retries on the new directory, where a copied lock would wedge it.
 func doubled(old *directory) *directory {
 	if old.depth >= maxDepth {
 		return nil
 	}
 	nd := newDirectory(old.depth + 1)
 	for j := range old.entries {
-		e := atomic.LoadUint64(&old.entries[j])
+		e := entryUnlock(atomic.LoadUint64(&old.entries[j]))
 		nd.entries[2*j] = e
 		nd.entries[2*j+1] = e
 	}
@@ -199,7 +202,7 @@ func halve(old *directory, floor uint) *directory {
 	}
 	nd := newDirectory(old.depth - 1)
 	for j := range nd.entries {
-		nd.entries[j] = atomic.LoadUint64(&old.entries[2*j])
+		nd.entries[j] = entryUnlock(atomic.LoadUint64(&old.entries[2*j])) // as in doubled
 	}
 	return nd
 }
