@@ -1,7 +1,5 @@
 package core
 
-import "spash/internal/obs"
-
 // ConcurrencyMode selects the concurrency-control protocol. The
 // default HTM mode is the paper's contribution; the lock modes are the
 // ablation variants of Fig 12(c), mirroring the protocols of Dash
@@ -162,14 +160,11 @@ type Config struct {
 	// way). Ignored when the registry is disabled.
 	SpanSample int
 
-	// Obs supplies an externally owned observability registry (shared
-	// across indexes, exported over HTTP). Nil with DisableObs false
-	// (the default) creates a private registry; see internal/obs.
-	Obs *obs.Registry
 	// DisableObs turns structural-event accounting off entirely: the
 	// index runs with a nil registry and every instrumentation site
 	// reduces to a nil check (the overhead baseline of
-	// BenchmarkObsOverhead).
+	// BenchmarkObsOverhead). Stats then reads 0 in every field but the
+	// two levels and the TM's abort counts.
 	DisableObs bool
 }
 

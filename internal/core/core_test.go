@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"spash/internal/alloc"
+	"spash/internal/obs"
 	"spash/internal/pmem"
 )
 
@@ -537,7 +538,7 @@ func TestExecBatchMatchesSequential(t *testing.T) {
 // Pipelined searches must overlap PM read latency. The index is sized
 // well beyond the simulated cache so the searched buckets are cold.
 func TestPipelineReducesVirtualTime(t *testing.T) {
-	run := func(pd int) int64 {
+	run := func(pd int) (clock, batches int64) {
 		pool := pmem.New(pmem.Config{PoolSize: 128 << 20, CacheSize: 64 << 10})
 		c := pool.NewCtx()
 		al, err := alloc.New(c, pool)
@@ -562,10 +563,13 @@ func TestPipelineReducesVirtualTime(t *testing.T) {
 		}
 		c.ResetClock()
 		h.ExecBatch(ops)
-		return c.Clock()
+		return c.Clock(), ix.Obs().Counter(obs.CPipelineBatches)
 	}
-	serial := run(1)
-	pipelined := run(4)
+	serial, _ := run(1)
+	pipelined, batches := run(4)
+	if batches == 0 {
+		t.Fatal("PD=4 batch counted no pipeline_batches")
+	}
 	if pipelined >= serial {
 		t.Fatalf("PD=4 virtual time %d >= PD=1 %d", pipelined, serial)
 	}

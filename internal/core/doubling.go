@@ -28,7 +28,6 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 		// operations wait out the whole copy — the blocking the
 		// paper's staged design eliminates (§IV-B).
 		ix.stopWorldResize(c, doubled)
-		ix.doubles.Add(1)
 		ix.reg.Inc(obs.CDoubles)
 		return
 	}
@@ -76,7 +75,6 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 	dc.Release()
 	ix.doubling.Store(nil)
 	ix.resizeFlag.Store(0)
-	ix.doubles.Add(1)
 	ix.reg.Inc(obs.CDoubles)
 }
 
@@ -109,9 +107,7 @@ func (ix *Index) copyStage(c *pmem.Ctx, ds *doublingState, part int, collab bool
 		})
 		switch code {
 		case htm.Committed:
-			ix.reg.Inc(obs.CDoublingStages)
 			if collab {
-				ix.collabStages.Add(1)
 				ix.reg.Inc(obs.CCollabStages)
 			}
 			return
@@ -162,7 +158,7 @@ func (ix *Index) doubleLocked(c *pmem.Ctx, fullDir *directory) {
 			if nd := doubled(old); nd != nil {
 				c.ChargeDRAM(3 * len(old.entries))
 				ix.dir.Store(nd)
-				ix.doubles.Add(1)
+				ix.reg.Inc(obs.CDoubles)
 			}
 		}
 	})
@@ -244,7 +240,6 @@ func (ix *Index) stopWorldResize(c *pmem.Ctx, build func(old *directory) *direct
 	}
 	cost := c.Clock() - start
 	ix.lastResizeCost.Store(cost)
-	ix.reg.Add(obs.CResizeStallNS, cost)
 	newDepth := int64(-1)
 	if nd != nil {
 		newDepth = int64(nd.depth)

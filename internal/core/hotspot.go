@@ -20,10 +20,6 @@ type hotspot struct {
 	bits  uint
 	q     int
 	parts []hotPart
-	// hits is written on every hot update; the words above are read by
-	// every touch, so it lives a host line apart.
-	_    [7]uint64
-	hits atomic.Int64
 }
 
 type hotPart struct {
@@ -51,7 +47,6 @@ func (hs *hotspot) touch(h uint64) bool {
 				atomic.StoreUint64(&p.keys[i], atomic.LoadUint64(&p.keys[0]))
 				atomic.StoreUint64(&p.keys[0], h)
 			}
-			hs.hits.Add(1)
 			return true
 		}
 	}

@@ -65,18 +65,23 @@ const (
 )
 
 // Stats are the index's operational counters (all cumulative).
+// Entries and Segments are levels. Every other field is a view of the
+// one site that counts its event: the TM for the abort counts, the obs
+// registry for the rest, which therefore read 0 under
+// Config.DisableObs.
 type Stats struct {
 	Entries  int64
 	Segments int64
 	Splits   int64
 	Merges   int64
 	Doubles  int64
-	// TxConflicts/TxCapacity count HTM aborts by cause; Fallbacks
-	// counts operations that ended up on the per-segment lock path.
+	// TxConflicts/TxCapacity count HTM aborts by cause, over every
+	// transaction the index's TM ran; Fallbacks counts operations and
+	// splits that ended up on a fallback-lock path.
 	TxConflicts int64
 	TxCapacity  int64
 	Fallbacks   int64
-	// HotHits counts updates classified hot by the detector.
+	// HotHits counts updates whose flush was skipped as hot.
 	HotHits int64
 	// CollabStages counts doubling stages completed by concurrent
 	// operations rather than the doubling thread.
@@ -147,10 +152,11 @@ type Index struct {
 	epoch   atomic.Uint64
 	applied atomic.Uint64
 
-	// The counters below are written by operations on every worker —
+	// The levels below are written by operations on every worker —
 	// entries by every insert and delete — and read only by Stats and
 	// Len, so they sit a host line apart from the words above that every
-	// operation reads.
+	// operation reads, and from the heap object after this one (another
+	// shard's Index, say).
 	_       [7]uint64
 	entries atomic.Int64
 	// entriesApprox is set when a quarantine dropped an unreadable
@@ -159,14 +165,8 @@ type Index struct {
 	// (CheckInvariants or Fsck) recomputes the truth.
 	entriesApprox atomic.Bool
 
-	segments     atomic.Int64
-	splits       atomic.Int64
-	merges       atomic.Int64
-	doubles      atomic.Int64
-	txConflicts  atomic.Int64
-	txCapacity   atomic.Int64
-	fallbacks    atomic.Int64
-	collabStages atomic.Int64
+	segments atomic.Int64
+	_        [8]uint64
 }
 
 // Open creates a new index on a freshly formatted pool.
@@ -216,7 +216,6 @@ func Open(c *pmem.Ctx, pool *pmem.Pool, al *alloc.Allocator, cfg Config) (*Index
 	}
 	pool.Fence(c)
 	h.Close()
-	ix.reg.Add(obs.CSegAlloc, int64(len(d.entries)))
 	ix.dir.Store(d)
 
 	pool.Store64(c, alloc.RootAddr(rootRegistry), regAddr)
@@ -240,8 +239,7 @@ func newIndex(pool *pmem.Pool, al *alloc.Allocator, cfg Config) *Index {
 	}
 	ix.tm = htm.New(htm.Config{})
 	ix.tm.Group = ix.group
-	ix.reg = cfg.Obs
-	if ix.reg == nil && !cfg.DisableObs {
+	if !cfg.DisableObs {
 		ix.reg = obs.NewRegistry()
 	}
 	ix.hot = newHotspot(cfg.HotspotPartitionBits, cfg.HotKeysPerPartition)
@@ -398,19 +396,21 @@ func (ix *Index) SetAppliedSeq(c *pmem.Ctx, seq uint64) {
 	ix.applied.Store(seq)
 }
 
-// Stats returns the operational counters.
+// Stats returns the operational counters: the two levels, the
+// registry's event counters and the TM's abort counts.
 func (ix *Index) Stats() Stats {
+	r, tm := ix.reg, ix.tm.Stats()
 	return Stats{
 		Entries:      ix.entries.Load(),
 		Segments:     ix.segments.Load(),
-		Splits:       ix.splits.Load(),
-		Merges:       ix.merges.Load(),
-		Doubles:      ix.doubles.Load(),
-		TxConflicts:  ix.txConflicts.Load(),
-		TxCapacity:   ix.txCapacity.Load(),
-		Fallbacks:    ix.fallbacks.Load(),
-		HotHits:      ix.hot.hits.Load(),
-		CollabStages: ix.collabStages.Load(),
+		Splits:       r.Counter(obs.CSplits),
+		Merges:       r.Counter(obs.CMerges),
+		Doubles:      r.Counter(obs.CDoubles),
+		TxConflicts:  tm.Conflicts,
+		TxCapacity:   tm.Capacities,
+		Fallbacks:    r.Counter(obs.CLockFallbacks) + r.Counter(obs.CSplitFallbacks),
+		HotHits:      r.Counter(obs.CFlushSkipHot),
+		CollabStages: r.Counter(obs.CCollabStages),
 	}
 }
 

@@ -51,11 +51,8 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 	}
 	h.ah.Free(h.c, freed, SegmentSize)
 	ix.segments.Add(-1)
-	ix.merges.Add(1)
 	h.lane.Inc(obs.CMerges)
-	h.lane.Inc(obs.CSegFree)
 	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth), int64(live))
-	ix.reg.ObserveKeyed(obs.HSegOccupancy, r.h, live)
 	return true
 }
 
@@ -72,13 +69,10 @@ func (h *Handle) mergeTx(hh uint64) (freed uint64, depth uint, live int) {
 		case htm.Committed:
 			return freed, depth, live
 		case htm.Conflict:
-			ix.txConflicts.Add(1)
-			h.lane.Inc(obs.CHTMConflicts)
 			continue
-		case htm.Capacity:
-			ix.txCapacity.Add(1)
-			h.lane.Inc(obs.CHTMCapacity) // covering range too wide; not worth forcing
 		}
+		// Any other abort (capacity: the covering range is too wide)
+		// is not worth forcing.
 		return 0, 0, 0
 	}
 	return 0, 0, 0

@@ -117,16 +117,12 @@ func (h *Handle) exec(r *req, readonly bool, body func(m mem, seg uint64) error)
 			return nil
 		case htm.Conflict:
 			h.spanAbort(attempt)
-			ix.txConflicts.Add(1)
-			h.lane.Inc(obs.CHTMConflicts)
 			conflicts++
 			if conflicts > ix.cfg.MaxTxRetries {
 				return h.execFallback(r, body)
 			}
 		case htm.Capacity:
 			h.spanAbort(attempt)
-			ix.txCapacity.Add(1)
-			h.lane.Inc(obs.CHTMCapacity)
 			ix.reg.Trace(obs.EvHTMCapacity, h.c.Clock(), int64(r.h>>48), 0)
 			return h.execFallback(r, body)
 		case htm.Explicit:
@@ -165,7 +161,6 @@ func (h *Handle) exec(r *req, readonly bool, body func(m mem, seg uint64) error)
 // the touched lines abort cleanly.
 func (h *Handle) execFallback(r *req, body func(m mem, seg uint64) error) error {
 	ix := h.ix
-	ix.fallbacks.Add(1)
 	h.lane.Inc(obs.CLockFallbacks)
 	ix.reg.Trace(obs.EvLockFallback, h.c.Clock(), int64(r.h>>48), 0)
 	// Everything up to the irrevocable body — lock spins, resize waits
@@ -530,7 +525,6 @@ func (h *Handle) updateFlushPolicy(r *req, recAddr uint64, size int) {
 	//spash:allow flushfence -- hot entries stay cache-resident by design (Table I); the cold path falls through to the flush below the switch
 	case UpdateOracle:
 		if ix.cfg.OracleHot != nil && ix.cfg.OracleHot(r.h) {
-			ix.hot.hits.Add(1)
 			h.lane.Inc(obs.CFlushSkipHot)
 			return
 		}

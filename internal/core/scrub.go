@@ -166,13 +166,11 @@ func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 		}
 		segs++
 		s.stats.Segments++
-		ix.reg.Inc(obs.CScrubSegments)
 		if !corrupt {
 			return true
 		}
 		corr++
 		s.stats.Corruptions++
-		ix.reg.Inc(obs.CScrubCorruptions)
 		if !s.opt.Repair {
 			return true
 		}

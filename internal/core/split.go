@@ -26,10 +26,6 @@ var errRelayout = errors.New("core: split relayout failed")
 // before falling back to locking every covering directory entry.
 const splitConflictBudget = 32
 
-// splitOccSalt decorrelates the observation stripes of the two halves
-// of one split when recording their post-split occupancies.
-const splitOccSalt = 0x9E3779B97F4A7C15
-
 // splitPlan is one split in the making: seg (local depth depth, hash
 // prefix prefix) splits into imgA, which stays, and imgB, which moves to
 // the fresh segment newSeg; liveA/liveB are the halves' live entries (the
@@ -144,16 +140,12 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 			h.splitDone(hh)
 			return nil
 		case htm.Conflict:
-			ix.txConflicts.Add(1)
-			h.lane.Inc(obs.CHTMConflicts)
 			h.ah.Free(c, p.newSeg, SegmentSize)
 			conflicts++
 			if conflicts > splitConflictBudget {
 				return ix.splitFallback(h, hh)
 			}
 		case htm.Capacity:
-			ix.txCapacity.Add(1)
-			h.lane.Inc(obs.CHTMCapacity)
 			h.ah.Free(c, p.newSeg, SegmentSize)
 			return ix.splitFallback(h, hh)
 		case htm.Explicit:
@@ -277,13 +269,9 @@ func (h *Handle) splitDone(hh uint64) {
 		ix.pool.Flush(c, ix.regAddrOf(p.newSeg), 8)
 		ix.pool.Fence(c)
 	}
-	ix.splits.Add(1)
 	ix.segments.Add(1)
 	h.lane.Inc(obs.CSplits)
-	h.lane.Inc(obs.CSegAlloc)
 	ix.reg.Trace(obs.EvSplit, c.Clock(), int64(p.depth+1), int64(p.liveA+p.liveB))
-	ix.reg.ObserveKeyed(obs.HSegOccupancy, hh, p.liveA)
-	ix.reg.ObserveKeyed(obs.HSegOccupancy, hh^splitOccSalt, p.liveB)
 }
 
 // hintKeyRecords asks the host for every out-of-line key record the
@@ -355,7 +343,6 @@ func (ix *Index) splitView(tx *htm.Txn, hh uint64, depth uint) ([]uint64, uint, 
 // hitting the HTM capacity limit).
 func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 	c := h.c
-	ix.fallbacks.Add(1)
 	h.lane.Inc(obs.CSplitFallbacks)
 	ix.reg.Trace(obs.EvSplitFallback, c.Clock(), int64(hh>>48), 0)
 	for {

@@ -32,18 +32,6 @@ func BenchmarkLaneObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkObserveKeyedParallel(b *testing.B) {
-	r := NewRegistrySized(64, 64)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		k := uint64(0)
-		for pb.Next() {
-			k += 0x9E3779B97F4A7C15
-			r.ObserveKeyed(HProbeLen, k, int(k&7))
-		}
-	})
-}
-
 func BenchmarkTraceAdd(b *testing.B) {
 	r := NewRegistrySized(4, DefaultRingSize)
 	b.ReportAllocs()

@@ -1,9 +1,15 @@
 package obs
 
 import (
+	"bufio"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
+
+	"spash/internal/alloc"
+	"spash/internal/htm"
+	"spash/internal/pmem"
 )
 
 // TestServeStopJoins pins Serve's lifetime contract: the returned
@@ -37,5 +43,45 @@ func TestServeStopJoins(t *testing.T) {
 func TestServeBadAddr(t *testing.T) {
 	if _, _, err := Serve("256.0.0.1:bad"); err == nil {
 		t.Fatal("Serve on a bad address succeeded")
+	}
+}
+
+// TestPrometheusSeriesAreUnique renders a snapshot in which every
+// subsystem counter, registry counter, gauge and histogram is non-zero
+// (the TM's conflict count included) and fails on any series
+// (name{labels}) printed twice: a registry metric must not shadow a
+// subsystem series, as a registry htm_conflicts counter once did.
+func TestPrometheusSeriesAreUnique(t *testing.T) {
+	r := NewRegistrySized(1, 8)
+	ln := r.Lane()
+	for c := Counter(0); c < numCounters; c++ {
+		ln.Add(c, int64(c)+1)
+	}
+	for g := Gauge(0); g < numGauges; g++ {
+		r.SetGauge(g, int64(g)+1)
+	}
+	for h := Hist(0); h < numHists; h++ {
+		ln.Observe(h, 3)
+	}
+	s := Capture(
+		pmem.Stats{XPLineReads: 1, XPLineWrites: 2, CachelineReads: 3, CachelineWrites: 4,
+			Flushes: 5, Fences: 6, Evictions: 7, NTStores: 8, CacheHits: 9, CacheMisses: 10},
+		htm.Stats{Commits: 11, Conflicts: 12, Capacities: 13, Explicits: 14, Irrevocable: 15},
+		alloc.Stats{WatermarkBytes: 16, Arenas: 17, FreeBlocks: 18},
+		r,
+	)
+	var b strings.Builder
+	s.WritePrometheus(&b)
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(strings.NewReader(b.String()))
+	for sc.Scan() {
+		series, _, _ := strings.Cut(sc.Text(), " ")
+		if seen[series] {
+			t.Errorf("series %s rendered twice", series)
+		}
+		seen[series] = true
+	}
+	if !seen["spash_htm_conflicts_total"] {
+		t.Fatalf("spash_htm_conflicts_total missing from:\n%s", b.String())
 	}
 }

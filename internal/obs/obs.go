@@ -9,8 +9,10 @@
 // The paper validates every design claim by counting exactly these
 // events: ipmctl media read/write bytes for the write-amplification
 // argument (Fig 8), HTM abort rates for the two-phase protocol (§IV-A)
-// and doubling stall time for the staged-doubling claim (§IV-B). The
-// registry makes those quantities first-class for any run.
+// and the structural events of splits and staged doubling (§IV-B). The
+// registry makes those quantities first-class for any run; each event
+// is counted at one site, and every metric has a named reader
+// (consumers_test.go).
 //
 // Hot-path cost. All mutation methods are nil-safe: a disabled
 // registry is a nil *Registry (and nil *Lane), so instrumentation
@@ -26,7 +28,7 @@ import (
 
 // Counter identifies one structural-event counter. The set mirrors the
 // events the paper reasons about; see CounterNames for the export
-// names and the README's taxonomy table for the figure mapping.
+// names and EXPERIMENTS.md's observable table for the figure mapping.
 type Counter int
 
 const (
@@ -39,20 +41,12 @@ const (
 	CMerges
 	// CDoubles counts completed directory doublings (§IV-B).
 	CDoubles
-	// CDoublingStages counts partition-copy stages executed by the
-	// doubling thread; CCollabStages those executed collaboratively by
-	// concurrent operations.
-	CDoublingStages
+	// CCollabStages counts doubling partition-copy stages executed
+	// collaboratively by concurrent operations.
 	CCollabStages
-	// CResizeStallNS accumulates the virtual duration (ns) of
-	// stop-the-world resizes — the blocking §IV-B's staged design
-	// eliminates.
-	CResizeStallNS
-	// CHTMConflicts / CHTMCapacity count HTM aborts by cause;
 	// CLockFallbacks counts operations that took the per-segment
-	// fallback lock (the two-phase protocol's slow path, §IV-A).
-	CHTMConflicts
-	CHTMCapacity
+	// fallback lock (the two-phase protocol's slow path, §IV-A). HTM
+	// aborts are counted once, by the TM (Snapshot.HTM).
 	CLockFallbacks
 	// CUpdateInPlace / CUpdateAppend classify adaptive updates
 	// (§III-B): value overwritten in place (same size class or inline)
@@ -69,30 +63,16 @@ const (
 	// (§III-C); CRecordFlushes counts individual record flushes.
 	CChunkFlushes
 	CRecordFlushes
-	// CSegAlloc / CSegFree count segment churn at the allocator.
-	CSegAlloc
-	CSegFree
 	// CPipelineBatches counts pipelined batch executions (§III-D).
 	CPipelineBatches
-	// CScrubSegments / CScrubCorruptions count segments verified by the
-	// online scrubber and the corruptions it found; CQuarantines counts
-	// damaged segments dropped and rebuilt (scrubber or fsck).
-	CScrubSegments
-	CScrubCorruptions
+	// CQuarantines counts damaged segments dropped and rebuilt
+	// (scrubber or fsck). The scrubber's own tallies are ScrubStats.
 	CQuarantines
-	// CReplShipRecords / CReplShipSegments count committed op records
-	// and sealed-segment ranges shipped by a replication primary
-	// (internal/repl); CReplApplyRecords / CReplApplySegments count
-	// the frames applied on the replica side.
-	CReplShipRecords
+	// CReplShipSegments counts sealed-segment ranges shipped by a
+	// replication primary (internal/repl); CReplApplySegments the
+	// segment frames applied on the replica side.
 	CReplShipSegments
-	CReplApplyRecords
 	CReplApplySegments
-	// CReplFetches counts authoritative range fetches served to a
-	// peer; CReplRepairKeys counts keys restored locally by replica
-	// read-repair.
-	CReplFetches
-	CReplRepairKeys
 	// Unreliable-transport hardening (internal/repl): CReplRetries
 	// counts ship re-attempts after a transport timeout;
 	// CReplApplyDupes counts duplicate frames the replica acked and
@@ -139,11 +119,7 @@ var CounterNames = [...]string{
 	CSplitFallbacks:  "split_fallbacks",
 	CMerges:          "merges",
 	CDoubles:         "doubles",
-	CDoublingStages:  "doubling_stages",
 	CCollabStages:    "collab_stages",
-	CResizeStallNS:   "resize_stall_ns",
-	CHTMConflicts:    "htm_conflicts",
-	CHTMCapacity:     "htm_capacity",
 	CLockFallbacks:   "lock_fallbacks",
 	CUpdateInPlace:   "update_inplace",
 	CUpdateAppend:    "update_append",
@@ -152,20 +128,12 @@ var CounterNames = [...]string{
 	CUpdateFlushes:   "update_flushes",
 	CChunkFlushes:    "chunk_flushes",
 	CRecordFlushes:   "record_flushes",
-	CSegAlloc:        "seg_alloc",
-	CSegFree:         "seg_free",
 	CPipelineBatches: "pipeline_batches",
 
-	CScrubSegments:    "scrub_segments",
-	CScrubCorruptions: "scrub_corruptions",
-	CQuarantines:      "quarantines",
+	CQuarantines: "quarantines",
 
-	CReplShipRecords:   "repl_ship_records",
 	CReplShipSegments:  "repl_ship_segments",
-	CReplApplyRecords:  "repl_apply_records",
 	CReplApplySegments: "repl_apply_segments",
-	CReplFetches:       "repl_fetches",
-	CReplRepairKeys:    "repl_repair_keys",
 
 	CReplRetries:      "repl_retries",
 	CReplApplyDupes:   "repl_apply_dupes",
@@ -241,10 +209,6 @@ const (
 	// locate before a hit or a proven miss (the every-overflow-entry-
 	// has-a-hint invariant bounds it by one segment, §III-A).
 	HProbeLen Hist = iota
-	// HSegOccupancy is the live-entry count of a segment observed at
-	// restructure time (split/merge), the distribution behind the
-	// load-factor claim of Fig 9.
-	HSegOccupancy
 	// HServeBatch is the op count of one server-side ExecBatch (the
 	// size of a drained read burst, clamped at the backpressure
 	// window). Values ≥ histBuckets land in the top bucket.
@@ -255,15 +219,14 @@ const (
 
 // HistNames are the stable export names, indexed by Hist.
 var HistNames = [...]string{
-	HProbeLen:     "probe_len",
-	HSegOccupancy: "seg_occupancy",
-	HServeBatch:   "serve_batch",
+	HProbeLen:   "probe_len",
+	HServeBatch: "serve_batch",
 }
 
 // histBuckets is the value range of a histogram: values are clamped to
-// [0, histBuckets). Both tracked quantities are structurally bounded
-// well below this (probe length by the 16-slot segment plus hint scan,
-// occupancy by 16 slots), so bucket index == exact value.
+// [0, histBuckets). Probe length is structurally bounded well below
+// this (the 16-slot segment plus hint scan), so bucket index == exact
+// value.
 const histBuckets = 48
 
 // lane is one stripe of the registry. The trailing pad keeps adjacent
@@ -368,21 +331,6 @@ func (r *Registry) Add(c Counter, d int64) {
 	r.lanes[uint64(c)&r.mask].counters[c].Add(d)
 }
 
-// ObserveKeyed records v in histogram h on the stripe selected by key
-// (a key hash spreads contending workers without a lane).
-func (r *Registry) ObserveKeyed(h Hist, key uint64, v int) {
-	if r == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	} else if v >= histBuckets {
-		v = histBuckets - 1
-	}
-	x := key * 0x9E3779B97F4A7C15
-	r.lanes[(x>>32)&r.mask].hists[h][v].Add(1)
-}
-
 // SetGauge overwrites gauge g with v. Nil-safe.
 func (r *Registry) SetGauge(g Gauge, v int64) {
 	if r == nil {
@@ -421,19 +369,25 @@ func (r *Registry) Gauges() map[string]int64 {
 	return m
 }
 
-// Counters sums every lane and returns the totals keyed by export
-// name. Nil-safe: a nil registry returns an empty map.
+// Counter sums counter c over every lane. Nil-safe: a nil registry
+// reads 0.
+func (r *Registry) Counter(c Counter) int64 {
+	if r == nil {
+		return 0
+	}
+	var t int64
+	for i := range r.lanes {
+		t += r.lanes[i].counters[c].Load()
+	}
+	return t
+}
+
+// Counters returns the non-zero counter totals keyed by export name.
+// Nil-safe: a nil registry returns an empty map.
 func (r *Registry) Counters() map[string]int64 {
 	m := make(map[string]int64, int(numCounters))
-	if r == nil {
-		return m
-	}
 	for c := Counter(0); c < numCounters; c++ {
-		var t int64
-		for i := range r.lanes {
-			t += r.lanes[i].counters[c].Load()
-		}
-		if t != 0 {
+		if t := r.Counter(c); t != 0 {
 			m[CounterNames[c]] = t
 		}
 	}

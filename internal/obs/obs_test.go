@@ -17,7 +17,7 @@ func testSnapshot(scale int64) Snapshot {
 	r := NewRegistrySized(4, 64)
 	ln := r.Lane()
 	ln.Add(CSplits, 3*scale)
-	ln.Add(CHTMConflicts, 7*scale)
+	ln.Add(CLockFallbacks, 7*scale)
 	r.Add(CDoubles, scale)
 	for i := int64(0); i < 5*scale; i++ {
 		ln.Observe(HProbeLen, int(i%9))
@@ -183,7 +183,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	ln.Observe(HProbeLen, 3)
 	r.Inc(CSplits)
 	r.Add(CMerges, 2)
-	r.ObserveKeyed(HProbeLen, 42, 1)
 	r.Trace(EvSplit, 1, 2, 3)
 	if n := len(r.Counters()); n != 0 {
 		t.Fatalf("nil registry has %d counters", n)
@@ -196,7 +195,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 }
 
-// TestStripedCountersRace hammers lanes, keyed observations and the
+// TestStripedCountersRace hammers lanes, registry-striped counters and the
 // trace ring from many goroutines while concurrently summing; run
 // under -race in CI.
 func TestStripedCountersRace(t *testing.T) {
@@ -213,7 +212,6 @@ func TestStripedCountersRace(t *testing.T) {
 				ln.Inc(CSplits)
 				ln.Observe(HProbeLen, i%10)
 				r.Add(CMerges, 1)
-				r.ObserveKeyed(HSegOccupancy, uint64(w*perWorker+i), i%16)
 				if i%64 == 0 {
 					r.Trace(EvSplit, int64(i), int64(w), 0)
 				}

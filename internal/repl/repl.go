@@ -314,7 +314,6 @@ func (p *Primary) shipRecord(op RecOp, key, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("repl: shipping record: %w", err)
 	}
-	reg.Inc(obs.CReplShipRecords)
 	return nil
 }
 
@@ -393,7 +392,6 @@ func (p *Primary) ReadRepair(rep *spash.FsckReport) (*RepairReport, error) {
 		}
 		out.Ranges++
 		out.Fetched += len(kvs)
-		restored := int64(0)
 		for _, kv := range kvs {
 			if _, found, gerr := p.s.Get(kv.Key, nil); gerr == nil && found {
 				continue
@@ -402,9 +400,7 @@ func (p *Primary) ReadRepair(rep *spash.FsckReport) (*RepairReport, error) {
 				return out, fmt.Errorf("repl: restoring key: %w", ierr)
 			}
 			out.Restored++
-			restored++
 		}
-		p.db.Indexes()[q.Shard].Obs().Add(obs.CReplRepairKeys, restored)
 	}
 	return out, nil
 }
@@ -725,7 +721,6 @@ func (r *Replica) applyLocked(f *Frame) error {
 		default:
 			return fmt.Errorf("repl: unknown record op %d", int(f.Op))
 		}
-		ix.Obs().Inc(obs.CReplApplyRecords)
 	case FrameSegment:
 		if f.Replace {
 			if err := r.reconcileLocked(f); err != nil {
@@ -808,7 +803,6 @@ func (r *Replica) Serve(req FetchReq) ([]KV, error) {
 		return nil, &spash.ReplicationError{Op: "fetch", Shard: req.Shard,
 			Epoch: r.db.Epoch(), Err: err}
 	}
-	r.db.Indexes()[req.Shard].Obs().Inc(obs.CReplFetches)
 	return kvs, nil
 }
 
