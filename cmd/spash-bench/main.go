@@ -5,16 +5,14 @@
 // Usage:
 //
 //	spash-bench [-fig all|NAME[,NAME...]] [-scale small|medium|large] [-shards N[,N...]]
-//	            [-json DIR] [-metrics-addr HOST:PORT]
+//	            [-json DIR]
 //
 // The figure names are the rows of harness.Figures (-h lists them).
 // Output is a sequence of labelled tables (one per figure panel); see
 // EXPERIMENTS.md for the mapping to the paper's figures and the
 // expected shapes. With -json each figure additionally writes a
 // machine-readable BENCH_<fig>.json artifact (results + obs snapshot)
-// into DIR. With -metrics-addr the process serves /metrics (Prometheus
-// text over the latest snapshot), /debug/vars, /debug/obs/trace and
-// /debug/pprof while the figures run.
+// into DIR.
 package main
 
 import (
@@ -24,17 +22,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"spash"
 	"spash/internal/harness"
-	"spash/internal/obs"
 )
-
-// curRec is the recorder of the figure currently running; the
-// /metrics source reads it so scrapes follow the active figure.
-var curRec atomic.Pointer[harness.Recorder]
 
 func main() {
 	var figNames []string
@@ -44,7 +36,6 @@ func main() {
 	figFlag := flag.String("fig", "all", "comma-separated figures to regenerate: all, "+strings.Join(figNames, ", "))
 	scaleFlag := flag.String("scale", "medium", "workload scale (small, medium, large)")
 	jsonDir := flag.String("json", "", "write one BENCH_<fig>.json artifact per figure into this directory")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/obs/trace and /debug/pprof on this address (off when empty)")
 	shardsFlag := flag.String("shards", "", "comma-separated shard counts for the shards figure (default 1,2,4,8)")
 	flag.Parse()
 
@@ -69,16 +60,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if *metricsAddr != "" {
-		obs.SetDefault(nil, func() obs.Snapshot { return curRec.Load().Obs() })
-		// The metrics server intentionally lives until process exit.
-		addr, _, err := obs.Serve(*metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 	}
 
 	wanted := strings.Split(*figFlag, ",")
@@ -106,7 +87,6 @@ func main() {
 			artName = "fig" + artName
 		}
 		rec := harness.NewRecorder(artName, map[string]string{"scale": *scaleFlag})
-		curRec.Store(rec)
 		harness.SetRecorder(rec)
 		// A fresh sheet per figure: each artifact records its own phases.
 		err := harness.NewSheet(scale, counts).Render(os.Stdout, f)

@@ -3,9 +3,9 @@
 // per-phase latency percentiles from sampled spans, the slow-op log,
 // and the health verdict, refreshed by diffing successive snapshots.
 //
-// It attaches to a process serving the observability mux (any bench
-// tool started with -metrics-addr, reading the /debug/spash JSON
-// feeds), or runs a self-hosted demo database with background load:
+// It attaches to a process serving the observability mux (spash-serve
+// started with -metrics-addr, reading the /debug/spash JSON feeds), or
+// runs a self-hosted demo database with background load:
 //
 //	spash-top -addr 127.0.0.1:8080
 //	spash-top -demo -shards 4
@@ -362,19 +362,14 @@ func (h *httpFeed) snapshot() (obs.Snapshot, error) {
 
 func (h *httpFeed) perShard() ([]obs.Snapshot, error) {
 	var s []obs.Snapshot
-	// Optional feed: a single-index exporter serves 503 here.
-	if err := h.get("/debug/spash/shards", &s); err != nil {
-		return nil, nil
-	}
-	return s, nil
+	err := h.get("/debug/spash/shards", &s)
+	return s, err
 }
 
 func (h *httpFeed) slowOps(n int) ([]obs.SlowOp, error) {
 	var s []obs.SlowOp
-	if err := h.get(fmt.Sprintf("/debug/spash/slowlog?n=%d", n), &s); err != nil {
-		return nil, nil
-	}
-	return s, nil
+	err := h.get(fmt.Sprintf("/debug/spash/slowlog?n=%d", n), &s)
+	return s, err
 }
 
 func (h *httpFeed) healthNow() (obs.Health, error) {

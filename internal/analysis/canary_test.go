@@ -139,23 +139,23 @@ func TestDeletedCursorFlushIsCaught(t *testing.T) {
 	expectOnly(t, diags, "epochgate", "SetAppliedSeq stores a durable epoch/cursor word without flushing")
 }
 
-// TestDeletedDecodeCaseIsCaught: removing the LAG decode case makes
-// the encode map's LAG entry a one-way translation — wireerr.
+// TestDeletedDecodeCaseIsCaught: removing the code table's LAG row
+// (the decode case and the encode case at once) leaves a sentinel the
+// replication transport refuses with no wire encoding — wireerr.
 func TestDeletedDecodeCaseIsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/server twice")
 	}
 	root := moduleRoot(t)
 	path := filepath.Join(root, "internal", "server", "wire.go")
-	const lagCase = `	case "LAG":
-		sentinel = spash.ErrReplicaLag
+	const lagRow = `	{"LAG", spash.ErrReplicaLag},
 `
-	mutated := mutateSource(t, path, lagCase, "")
+	mutated := mutateSource(t, path, lagRow, "")
 	if diags := runSuite(t, root, "./internal/server", nil); len(diags) != 0 {
 		t.Fatalf("pristine internal/server should be clean, got %v", diags)
 	}
 	diags := runSuite(t, root, "./internal/server", map[string][]byte{path: mutated})
-	expectOnly(t, diags, "wireerr", `wire code "LAG" (encoding spash.ErrReplicaLag) is never decoded`)
+	expectOnly(t, diags, "wireerr", "transport sentinel spash.ErrReplicaLag has no wire encoding")
 }
 
 // TestDeletedGuardAnnotationIsCaught: stripping SetAppliedSeq's

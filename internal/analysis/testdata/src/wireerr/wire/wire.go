@@ -1,8 +1,8 @@
-// Fixture wire package for the wireerr analyzer: an encode/decode map
-// pair with deliberate drift in every direction the analyzer diffs —
-// encoded-but-never-decoded, decoded-but-never-encoded, the same code
-// translating to different sentinels, and (via the transport fixture's
-// WireSentinels fact) a transport sentinel with no encoding at all.
+// Fixture wire package for the wireerr analyzer: a code table with
+// deliberate drift in every direction the analyzer diffs — a code
+// listed twice (mistranslation on decode), a sentinel listed twice
+// (dead code on encode), and (via the transport fixture's
+// WireSentinels fact) a transport sentinel with no row at all.
 package wire
 
 import (
@@ -14,35 +14,37 @@ import (
 
 var _ transport.Carrier = nil
 
-// encode renders a refusal as a wire code. The fact diff reports at
-// the switch below: the transport references spash.ErrTransportTimeout
-// but no case here encodes it.
+// codes is the fixture's code table. The fact diff reports at the
+// literal: the transport references spash.ErrTransportTimeout but no
+// row carries it.
+var codes = []struct { // want `transport sentinel spash\.ErrTransportTimeout has no wire encoding`
+	code string
+	err  error
+}{
+	{"NOTPRIMARY", spash.ErrNotPrimary},
+	{"LAG", spash.ErrReplicaLag},
+	{"CLOSED", spash.ErrClosed},
+	{"CLOSED", spash.ErrRetryExhausted},  // want `wire code "CLOSED" is listed twice: it decodes to spash\.ErrClosed only, so spash\.ErrRetryExhausted is mistranslated`
+	{"STALE", spash.ErrReplicaLag},       // want `spash\.ErrReplicaLag is listed twice: it encodes as "LAG" only, so wire code "STALE" is dead vocabulary`
+	{code: "SHUT", err: spash.ErrClosed}, //spash:allow wireerr -- fixture: a legacy alias kept for old clients
+}
+
+// encode renders a refusal as a wire code.
 func encode(err error) string {
-	code := "ERR"
-	switch { // want `transport sentinel spash\.ErrTransportTimeout has no wire encoding`
-	case errors.Is(err, spash.ErrNotPrimary):
-		code = "NOTPRIMARY"
-	case errors.Is(err, spash.ErrReplicaLag):
-		code = "LAG" // want `wire code "LAG" \(encoding spash\.ErrReplicaLag\) is never decoded`
-	case errors.Is(err, spash.ErrClosed):
-		code = "CLOSED" // want `wire code "CLOSED" encodes spash\.ErrClosed but decodes to spash\.ErrRetryExhausted`
-	case errors.Is(err, spash.ErrNeedsReseed):
-		//spash:allow wireerr -- fixture: reseed refusals stay in-process by design
-		code = "RESEED"
+	for _, c := range codes {
+		if errors.Is(err, c.err) {
+			return c.code
+		}
 	}
-	return code
+	return "ERR"
 }
 
 // decode maps a wire code back to a sentinel.
 func decode(code string) error {
-	var err error
-	switch code {
-	case "NOTPRIMARY":
-		err = spash.ErrNotPrimary
-	case "CLOSED":
-		err = spash.ErrRetryExhausted
-	case "STALE": // want `wire code "STALE" is decoded but never encoded`
-		err = spash.ErrNeedsReseed
+	for _, c := range codes {
+		if c.code == code {
+			return c.err
+		}
 	}
-	return err
+	return nil
 }

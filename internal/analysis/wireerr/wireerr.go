@@ -9,20 +9,19 @@
 // Ship method — internal/repl) exports a WireSentinels package fact
 // listing the module sentinels its refusal paths reference. The
 // package that owns the wire mapping (internal/server's wire.go)
-// declares two switches: an encode map (tagless switch of errors.Is
-// cases assigning code literals) and a decode map (switch on the code
-// string assigning sentinels back). wireerr diffs the three:
+// declares one code table that both directions read: a slice of
+// struct rows, each a code string literal and a sentinel. Encoding
+// takes the first row whose sentinel the error matches, decoding the
+// first row whose code matches, so the two directions are inverses
+// unless the table repeats itself. wireerr diffs the table against
+// itself and against the fact:
 //
-//   - a code the encoder emits but the decoder never maps back turns a
-//     typed refusal into an untyped error on the client — retry/breaker
-//     policy silently degrades;
-//   - a code the decoder accepts but the encoder never emits is dead
-//     or drifted vocabulary;
-//   - the same code mapping to different sentinels on the two sides is
-//     a silent mistranslation;
-//   - a transport sentinel (from the fact) with no encode case falls
-//     through to the generic ERR code and loses its identity crossing
-//     the wire.
+//   - a code listed twice decodes to the first row's sentinel only:
+//     the later row's sentinel is mistranslated crossing the wire;
+//   - a sentinel listed twice encodes to the first row's code only: the
+//     later code is dead vocabulary;
+//   - a transport sentinel (from the fact) with no row falls through to
+//     the generic ERR code and loses its identity crossing the wire.
 package wireerr
 
 import (
@@ -52,16 +51,11 @@ var Analyzer = &framework.Analyzer{
 	FactTypes: []framework.Fact{(*WireSentinels)(nil)},
 }
 
-// entry is one side of a code<->sentinel mapping.
-type entry struct {
+// row is one code<->sentinel pair of the table.
+type row struct {
+	code     string
 	sentinel string // qualified sentinel name, e.g. "spash.ErrNotPrimary"
 	pos      token.Pos
-}
-
-// codeMap is one recognised mapping switch.
-type codeMap struct {
-	codes map[string]entry
-	pos   token.Pos
 }
 
 func run(pass *framework.Pass) error {
@@ -70,36 +64,25 @@ func run(pass *framework.Pass) error {
 			pass.ExportPackageFact(&WireSentinels{Names: names})
 		}
 	}
-	enc := findEncodeMap(pass)
-	dec := findDecodeMap(pass)
-	if enc == nil || dec == nil {
-		// Half a mapping in a package would be odd, but encode and
-		// decode legitimately live together (wire.go); nothing to diff
-		// until both exist.
+	rows, pos := findCodeTable(pass)
+	if rows == nil {
 		return nil
 	}
-	for _, code := range sortedKeys(enc.codes) {
-		e := enc.codes[code]
-		d, ok := dec.codes[code]
-		if !ok {
-			pass.Reportf(e.pos,
-				"wire code %q (encoding %s) is never decoded: the client gets an untyped error and errors.Is breaks across the wire — add the case to the decode map", code, e.sentinel)
-			continue
+	codes := map[string]row{}
+	encoded := map[string]row{}
+	for _, r := range rows {
+		if first, ok := codes[r.code]; ok {
+			pass.Reportf(r.pos,
+				"wire code %q is listed twice: it decodes to %s only, so %s is mistranslated crossing the wire", r.code, first.sentinel, r.sentinel)
+		} else {
+			codes[r.code] = r
 		}
-		if d.sentinel != e.sentinel {
-			pass.Reportf(e.pos,
-				"wire code %q encodes %s but decodes to %s: the sentinel is mistranslated crossing the wire", code, e.sentinel, d.sentinel)
+		if first, ok := encoded[r.sentinel]; ok {
+			pass.Reportf(r.pos,
+				"%s is listed twice: it encodes as %q only, so wire code %q is dead vocabulary — remove the row", r.sentinel, first.code, r.code)
+		} else {
+			encoded[r.sentinel] = r
 		}
-	}
-	for _, code := range sortedKeys(dec.codes) {
-		if _, ok := enc.codes[code]; !ok {
-			pass.Reportf(dec.codes[code].pos,
-				"wire code %q is decoded but never encoded: dead or drifted vocabulary — remove the case or add the matching encode entry", code)
-		}
-	}
-	encoded := map[string]bool{}
-	for _, e := range enc.codes {
-		encoded[e.sentinel] = true
 	}
 	for _, imp := range pass.Pkg.Imports() {
 		var ws WireSentinels
@@ -107,9 +90,9 @@ func run(pass *framework.Pass) error {
 			continue
 		}
 		for _, name := range ws.Names {
-			if !encoded[name] {
-				pass.Reportf(enc.pos,
-					"transport sentinel %s has no wire encoding: refusals carrying it degrade to a generic ERR across the wire — add an encode/decode pair", name)
+			if _, ok := encoded[name]; !ok {
+				pass.Reportf(pos,
+					"transport sentinel %s has no wire encoding: refusals carrying it degrade to a generic ERR across the wire — add a row to the code table", name)
 			}
 		}
 	}
@@ -155,108 +138,61 @@ func referencedSentinels(pass *framework.Pass) []string {
 	return out
 }
 
-// findEncodeMap finds the package's encode switch: a tagless switch
-// whose cases test errors.Is(err, <sentinel>) and assign a string
-// literal code. At least two such cases make it the encode map.
-func findEncodeMap(pass *framework.Pass) *codeMap {
-	var found *codeMap
-	eachSwitch(pass, func(sw *ast.SwitchStmt) {
-		if sw.Tag != nil || found != nil {
-			return
-		}
-		cm := &codeMap{codes: map[string]entry{}, pos: sw.Pos()}
-		for _, cl := range sw.Body.List {
-			cc, ok := cl.(*ast.CaseClause)
-			if !ok || len(cc.List) == 0 {
-				continue
-			}
-			sentinel := ""
-			for _, cond := range cc.List {
-				if s, ok := errorsIsSentinel(pass, cond); ok {
-					sentinel = s
-					break
-				}
-			}
-			if sentinel == "" {
-				continue
-			}
-			code, pos, ok := assignedStringLit(cc.Body)
-			if !ok {
-				continue
-			}
-			cm.codes[code] = entry{sentinel: sentinel, pos: pos}
-		}
-		if len(cm.codes) >= 2 {
-			found = cm
-		}
-	})
-	return found
-}
-
-// findDecodeMap finds the package's decode switch: a tagged switch
-// whose cases are string literals and whose bodies assign a sentinel.
-func findDecodeMap(pass *framework.Pass) *codeMap {
-	var found *codeMap
-	eachSwitch(pass, func(sw *ast.SwitchStmt) {
-		if sw.Tag == nil || found != nil {
-			return
-		}
-		cm := &codeMap{codes: map[string]entry{}, pos: sw.Pos()}
-		for _, cl := range sw.Body.List {
-			cc, ok := cl.(*ast.CaseClause)
-			if !ok || len(cc.List) == 0 {
-				continue
-			}
-			sentinel, ok := assignedSentinel(pass, cc.Body)
-			if !ok {
-				continue
-			}
-			for _, cond := range cc.List {
-				lit, ok := ast.Unparen(cond).(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					continue
-				}
-				code, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					continue
-				}
-				cm.codes[code] = entry{sentinel: sentinel, pos: lit.Pos()}
-			}
-		}
-		if len(cm.codes) >= 2 {
-			found = cm
-		}
-	})
-	return found
-}
-
-func eachSwitch(pass *framework.Pass, fn func(*ast.SwitchStmt)) {
+// findCodeTable finds the package's code table: a slice literal of
+// struct rows, each holding a string-literal code and a module
+// sentinel. At least two such rows make it the table; it returns the
+// rows in order and the literal's position.
+func findCodeTable(pass *framework.Pass) ([]row, token.Pos) {
+	var rows []row
+	var pos token.Pos
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if sw, ok := n.(*ast.SwitchStmt); ok {
-				fn(sw)
+			if rows != nil {
+				return false
+			}
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || pass.Info.Types[lit].Type == nil {
+				return true
+			}
+			if _, ok := pass.Info.Types[lit].Type.Underlying().(*types.Slice); !ok {
+				return true
+			}
+			var found []row
+			for _, elt := range lit.Elts {
+				if r, ok := tableRow(pass, elt); ok {
+					found = append(found, r)
+				}
+			}
+			if len(found) >= 2 {
+				rows, pos = found, lit.Pos()
 			}
 			return true
 		})
 	}
+	return rows, pos
 }
 
-// errorsIsSentinel matches errors.Is(err, <sentinel>) and returns the
-// sentinel's qualified name.
-func errorsIsSentinel(pass *framework.Pass, e ast.Expr) (string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return "", false
+// tableRow matches one row literal: a code string literal and a
+// sentinel, positional or keyed.
+func tableRow(pass *framework.Pass, e ast.Expr) (row, bool) {
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return row{}, false
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Is" {
-		return "", false
+	r := row{pos: lit.Pos()}
+	for _, f := range lit.Elts {
+		if kv, ok := f.(*ast.KeyValueExpr); ok {
+			f = kv.Value
+		}
+		if bl, ok := ast.Unparen(f).(*ast.BasicLit); ok && bl.Kind == token.STRING {
+			if code, err := strconv.Unquote(bl.Value); err == nil {
+				r.code = code
+			}
+		} else if name, ok := sentinelName(pass, f); ok {
+			r.sentinel = name
+		}
 	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "errors" {
-		return "", false
-	}
-	return sentinelName(pass, call.Args[1])
+	return r, r.code != "" && r.sentinel != ""
 }
 
 // sentinelName resolves e to a module sentinel's qualified name.
@@ -275,47 +211,4 @@ func sentinelName(pass *framework.Pass, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	return obj.Pkg().Path() + "." + obj.Name(), true
-}
-
-// assignedStringLit finds `x = "CODE"` in a case body.
-func assignedStringLit(body []ast.Stmt) (string, token.Pos, bool) {
-	for _, stmt := range body {
-		as, ok := stmt.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			continue
-		}
-		lit, ok := ast.Unparen(as.Rhs[0]).(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
-			continue
-		}
-		code, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			continue
-		}
-		return code, as.Pos(), true
-	}
-	return "", token.NoPos, false
-}
-
-// assignedSentinel finds `x = <sentinel>` in a case body.
-func assignedSentinel(pass *framework.Pass, body []ast.Stmt) (string, bool) {
-	for _, stmt := range body {
-		as, ok := stmt.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			continue
-		}
-		if name, ok := sentinelName(pass, as.Rhs[0]); ok {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

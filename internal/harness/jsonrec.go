@@ -32,21 +32,20 @@ func resultJSON(r Result) ResultJSON {
 	}
 }
 
-// Artifact is the machine-readable record of one benchmark invocation
-// (one figure, or one YCSB run), written as BENCH_<name>.json so CI
-// and analysis scripts consume measurements without parsing tables.
+// Artifact is the machine-readable record of one figure run, written
+// as BENCH_<name>.json so CI and analysis scripts consume measurements
+// without parsing tables.
 type Artifact struct {
 	Schema  string            `json:"schema"`
 	Name    string            `json:"name"`
 	Config  map[string]string `json:"config,omitempty"`
 	Results []ResultJSON      `json:"results"`
 	Latency *LatencySummary   `json:"latency,omitempty"`
-	// Obs is the unified observability snapshot of the measured phase
-	// (media traffic, HTM, structural counters, probe/occupancy
-	// histograms, derived rates); ObsTotal is the cumulative snapshot
-	// over the index's whole lifetime, including the load phase (this
-	// is where splits, doublings and segment churn show up).
-	Obs      *obs.Snapshot `json:"obs,omitempty"`
+	// ObsTotal is the unified observability snapshot (media traffic,
+	// HTM, structural counters, probe histograms, derived rates) of the
+	// last observed index under test, cumulative over its whole
+	// lifetime, including the load phase (this is where splits,
+	// doublings and segment churn show up).
 	ObsTotal *obs.Snapshot `json:"obs_total,omitempty"`
 	// ObsShards are the per-shard cumulative snapshots (shard order;
 	// one for a monolithic Spash) of an observed index under test — the
@@ -67,7 +66,7 @@ type Recorder struct {
 	art Artifact
 }
 
-// NewRecorder starts an artifact named name (e.g. "fig10", "ycsb_a")
+// NewRecorder starts an artifact named name (e.g. "fig10", "shards")
 // with optional free-form configuration (flag values, scale).
 func NewRecorder(name string, config map[string]string) *Recorder {
 	return &Recorder{art: Artifact{Schema: ArtifactSchema, Name: name, Config: config}}
@@ -79,16 +78,6 @@ func (r *Recorder) record(res Result) {
 	}
 	r.mu.Lock()
 	r.art.Results = append(r.art.Results, resultJSON(res))
-	r.mu.Unlock()
-}
-
-// SetObs attaches (or replaces) the artifact's phase obs snapshot.
-func (r *Recorder) SetObs(s obs.Snapshot) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.art.Obs = &s
 	r.mu.Unlock()
 }
 
@@ -120,24 +109,6 @@ func (r *Recorder) SetLatency(s LatencySummary) {
 	r.mu.Lock()
 	r.art.Latency = &s
 	r.mu.Unlock()
-}
-
-// Obs returns the latest attached snapshot, preferring the cumulative
-// one (zero when none); it backs the /metrics source of the bench
-// commands.
-func (r *Recorder) Obs() obs.Snapshot {
-	if r == nil {
-		return obs.Snapshot{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.art.ObsTotal != nil {
-		return *r.art.ObsTotal
-	}
-	if r.art.Obs == nil {
-		return obs.Snapshot{}
-	}
-	return *r.art.Obs
 }
 
 // Artifact returns a copy of the accumulated artifact.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"spash/internal/alloc"
 	"spash/internal/baselines/cceh"
@@ -53,7 +52,7 @@ func baseline[T ixapi.Index](build func(*pmem.Ctx, *pmem.Pool, *alloc.Allocator)
 }
 
 // roster is the constructor table: every figure, the conformance run
-// (TestConformance), BenchmarkIndex and spash-ycsb -index iterate it.
+// (TestConformance) and BenchmarkIndex iterate it.
 // Adding an index under test is adding a row here.
 var roster = []Entry{
 	SpashEntry("Spash", 1, core.Config{}),
@@ -76,17 +75,6 @@ func MacroRoster() []Entry { return roster }
 // large dataset). The capacity is clipped so that appending to the
 // result copies instead of overwriting Halo's row.
 func MicroRoster() []Entry { return roster[: len(roster)-1 : len(roster)-1] }
-
-// ByName looks an entry up by name, ignoring case and dashes (the
-// -index flag of spash-ycsb accepts "spash-nopipe" and "spashnopipe").
-func ByName(name string) (Entry, error) {
-	for _, e := range roster {
-		if strings.EqualFold(e.Name, name) || strings.EqualFold(strings.ReplaceAll(e.Name, "-", ""), name) {
-			return e, nil
-		}
-	}
-	return Entry{}, fmt.Errorf("unknown index %q", name)
-}
 
 // --- key/value generation -------------------------------------------
 
@@ -133,16 +121,12 @@ func insertSource(base uint64, perWorker int) OpSource {
 
 // MixSource returns a run-phase OpSource issuing a YCSB mix with values
 // of valSize bytes (8 = inline) over a scrambled-zipfian key
-// distribution of the given skew, or over uniform keys when theta <= 0.
+// distribution of the given skew.
 func MixSource(mix ycsb.Mix, n uint64, theta float64, valSize int, seed int64) OpSource {
-	keys := func(workerSeed int64) ycsb.Generator { return ycsb.NewUniform(n, workerSeed) }
-	if theta > 0 {
-		// The zipfian constants are computed once; workers fork.
-		base := ycsb.NewScrambled(n, theta, seed)
-		keys = func(workerSeed int64) ycsb.Generator { return base.Fork(workerSeed) }
-	}
+	// The zipfian constants are computed once; workers fork.
+	base := ycsb.NewScrambled(n, theta, seed)
 	return func(id int) func(i int) Op {
-		gen := keys(seed + int64(id)*104729)
+		gen := base.Fork(seed + int64(id)*104729)
 		rng := rand.New(rand.NewSource(seed + int64(id)*15485863))
 		kb := make([]byte, keyBytes16)
 		vb := make([]byte, valSize)

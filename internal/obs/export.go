@@ -17,9 +17,8 @@ import (
 // Source produces the current cumulative snapshot of a live index.
 type Source func() Snapshot
 
-// Sources bundles every export feed a live DB can offer. Snapshot is
-// required; the rest are optional (their endpoints report 503 when
-// absent).
+// Sources bundles the export feeds of a live DB (spash.DB.ExportSources
+// fills every one). All feeds are required.
 type Sources struct {
 	// Snapshot produces the cumulative aggregate snapshot.
 	Snapshot Source
@@ -34,27 +33,15 @@ type Sources struct {
 }
 
 // defaultSources is the process-wide export target: the most recently
-// registered observable index. Benchmarks open many indexes in
-// sequence; the export endpoints follow the live one.
+// registered live DB.
 var (
 	defaultSources atomic.Pointer[Sources]
 	expvarOnce     sync.Once
 )
 
-// SetDefault registers reg and snap as the process-wide export target
-// for /metrics, /debug/vars and /debug/obs/trace. Passing a nil snap
-// clears the target. Shorthand for SetSources with only the required
-// feed.
-func SetDefault(reg *Registry, snap Source) {
-	if snap == nil {
-		defaultSources.Store(nil)
-		return
-	}
-	SetSources(Sources{Snapshot: snap, Registry: reg})
-}
-
-// SetSources registers the full export bundle (see Sources). A nil
-// Snapshot feed clears the target.
+// SetSources registers the export bundle (see Sources) as the
+// process-wide target of NewMux's endpoints. A nil Snapshot feed, as in
+// SetSources(Sources{}), clears the target.
 func SetSources(s Sources) {
 	if s.Snapshot == nil {
 		defaultSources.Store(nil)
@@ -180,7 +167,7 @@ func Handler() http.Handler {
 func traceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		s := currentSources()
-		if s == nil || s.Registry == nil {
+		if s == nil {
 			http.Error(w, "no observable index registered", http.StatusServiceUnavailable)
 			return
 		}
@@ -189,53 +176,43 @@ func traceHandler() http.Handler {
 	})
 }
 
-// jsonHandler serves fn's result as JSON, 503 when the feed is absent.
-func jsonHandler(fn func(s *Sources, req *http.Request) (any, bool)) http.Handler {
+// jsonHandler serves fn's result as JSON, 503 when no source is
+// registered.
+func jsonHandler(fn func(s *Sources, req *http.Request) any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		s := currentSources()
 		if s == nil {
 			http.Error(w, "no observable index registered", http.StatusServiceUnavailable)
 			return
 		}
-		v, ok := fn(s, req)
-		if !ok {
-			http.Error(w, "feed not available", http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(v)
+		json.NewEncoder(w).Encode(fn(s, req))
 	})
 }
 
 // snapshotHandler serves the finalized cumulative snapshot as JSON.
 func snapshotHandler() http.Handler {
-	return jsonHandler(func(s *Sources, _ *http.Request) (any, bool) {
+	return jsonHandler(func(s *Sources, _ *http.Request) any {
 		snap := s.Snapshot()
 		snap.Finalize()
-		return snap, true
+		return snap
 	})
 }
 
 // shardsHandler serves per-shard finalized snapshots as a JSON array.
 func shardsHandler() http.Handler {
-	return jsonHandler(func(s *Sources, _ *http.Request) (any, bool) {
-		if s.Shards == nil {
-			return nil, false
-		}
+	return jsonHandler(func(s *Sources, _ *http.Request) any {
 		snaps := s.Shards()
 		for i := range snaps {
 			snaps[i].Finalize()
 		}
-		return snaps, true
+		return snaps
 	})
 }
 
 // slowlogHandler serves the worst-n retained ops (?n=, default 32).
 func slowlogHandler() http.Handler {
-	return jsonHandler(func(s *Sources, req *http.Request) (any, bool) {
-		if s.SlowOps == nil {
-			return nil, false
-		}
+	return jsonHandler(func(s *Sources, req *http.Request) any {
 		n := 32
 		if q := req.URL.Query().Get("n"); q != "" {
 			if v, err := strconv.Atoi(q); err == nil && v > 0 {
@@ -246,17 +223,14 @@ func slowlogHandler() http.Handler {
 		if ops == nil {
 			ops = []SlowOp{}
 		}
-		return ops, true
+		return ops
 	})
 }
 
 // healthHandler serves the current health verdict.
 func healthHandler() http.Handler {
-	return jsonHandler(func(s *Sources, _ *http.Request) (any, bool) {
-		if s.Health == nil {
-			return nil, false
-		}
-		return s.Health(), true
+	return jsonHandler(func(s *Sources, _ *http.Request) any {
+		return s.Health()
 	})
 }
 

@@ -252,11 +252,18 @@ func TestPrometheusAndMux(t *testing.T) {
 	s.Finalize()
 	reg := NewRegistrySized(1, 8)
 	reg.Trace(EvSplit, 1, 2, 3)
-	SetDefault(reg, func() Snapshot { return s })
-	defer SetDefault(nil, nil)
+	SetSources(Sources{
+		Snapshot: func() Snapshot { return s },
+		Shards:   func() []Snapshot { return []Snapshot{s} },
+		SlowOps:  func(int) []SlowOp { return nil },
+		Health:   func() Health { return Health{} },
+		Registry: reg,
+	})
+	defer SetSources(Sources{})
 
 	mux := NewMux()
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/obs/trace", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/debug/vars", "/debug/obs/trace", "/debug/pprof/",
+		"/debug/spash/snapshot", "/debug/spash/shards", "/debug/spash/slowlog", "/debug/spash/health"} {
 		req := httptest.NewRequest("GET", path, nil)
 		rw := httptest.NewRecorder()
 		mux.ServeHTTP(rw, req)
@@ -279,11 +286,13 @@ func TestPrometheusAndMux(t *testing.T) {
 		}
 	}
 
-	// Clearing the default turns the endpoints into 503s.
-	SetDefault(nil, nil)
-	rw = httptest.NewRecorder()
-	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
-	if rw.Code != 503 {
-		t.Fatalf("cleared /metrics: status %d, want 503", rw.Code)
+	// Clearing the target turns the endpoints into 503s.
+	SetSources(Sources{})
+	for _, path := range []string{"/metrics", "/debug/obs/trace", "/debug/spash/health"} {
+		rw = httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
+		if rw.Code != 503 {
+			t.Fatalf("cleared %s: status %d, want 503", path, rw.Code)
+		}
 	}
 }

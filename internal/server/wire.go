@@ -107,24 +107,31 @@ func (c *connState) handleRepl(v replVerb, args [][]byte) {
 	}
 }
 
+// replCodes maps each typed replication refusal to its wire code, in
+// match order: encodeReplError sends the first sentinel err matches.
+var replCodes = []struct {
+	code string
+	err  error
+}{
+	{"NOTPRIMARY", spash.ErrNotPrimary},
+	{"LAG", spash.ErrReplicaLag},
+	{"RESEED", spash.ErrNeedsReseed},
+	{"TIMEOUT", spash.ErrTransportTimeout},
+	{"EXHAUSTED", spash.ErrRetryExhausted},
+	{"CLOSED", spash.ErrClosed},
+	{"NOSPACE", spash.ErrNoSpace},
+}
+
 // encodeReplError renders a typed replication refusal as a structured
 // error line the client can reconstruct: "REPL <CODE> shard=<n>
 // epoch=<n> <text>".
 func encodeReplError(err error) string {
 	code := "ERR"
-	switch {
-	case errors.Is(err, spash.ErrNotPrimary):
-		code = "NOTPRIMARY"
-	case errors.Is(err, spash.ErrReplicaLag):
-		code = "LAG"
-	case errors.Is(err, spash.ErrNeedsReseed):
-		code = "RESEED"
-	case errors.Is(err, spash.ErrTransportTimeout):
-		code = "TIMEOUT"
-	case errors.Is(err, spash.ErrRetryExhausted):
-		code = "EXHAUSTED"
-	case errors.Is(err, spash.ErrClosed):
-		code = "CLOSED"
+	for _, c := range replCodes {
+		if errors.Is(err, c.err) {
+			code = c.code
+			break
+		}
 	}
 	shard, epoch := -1, uint64(0)
 	var re *spash.ReplicationError
@@ -148,19 +155,11 @@ func decodeReplError(msg string) error {
 		return fmt.Errorf("server: repl refused: %s", msg)
 	}
 	var sentinel error
-	switch fields[0] {
-	case "NOTPRIMARY":
-		sentinel = spash.ErrNotPrimary
-	case "LAG":
-		sentinel = spash.ErrReplicaLag
-	case "RESEED":
-		sentinel = spash.ErrNeedsReseed
-	case "TIMEOUT":
-		sentinel = spash.ErrTransportTimeout
-	case "EXHAUSTED":
-		sentinel = spash.ErrRetryExhausted
-	case "CLOSED":
-		sentinel = spash.ErrClosed
+	for _, c := range replCodes {
+		if fields[0] == c.code {
+			sentinel = c.err
+			break
+		}
 	}
 	shard := -1
 	if v, ok := strings.CutPrefix(fields[1], "shard="); ok {

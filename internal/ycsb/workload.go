@@ -44,7 +44,6 @@ var (
 	ReadIntensive  = Mix{SearchPct: 90, UpdatePct: 10}
 	Balanced       = Mix{SearchPct: 50, UpdatePct: 50}
 	WriteIntensive = Mix{SearchPct: 10, UpdatePct: 90}
-	SearchOnly     = Mix{SearchPct: 100}
 	UpdateOnly     = Mix{UpdatePct: 100}
 	InsertOnly     = Mix{InsertPct: 100}
 )
@@ -58,8 +57,6 @@ func (m Mix) Name() string {
 		return "balanced(50/50)"
 	case WriteIntensive:
 		return "write-intensive(10/90)"
-	case SearchOnly:
-		return "search-only"
 	case UpdateOnly:
 		return "update-only"
 	case InsertOnly:

@@ -3,9 +3,8 @@
 // macro evaluation uses (§VI-C): a zipfian request-key generator with
 // the classic Gray et al. algorithm (the same one YCSB core uses,
 // supporting the default skew θ = 0.99), its scrambled variant that
-// spreads hot ranks over the whole key space, a uniform generator for
-// the micro-benchmarks, and the read/update mixes of the evaluated
-// workloads.
+// spreads hot ranks over the whole key space, and the read/update mixes
+// of the evaluated workloads.
 //
 // Generators are deterministic given a seed; each worker should own
 // its generator (they share only immutable precomputed constants).
@@ -17,27 +16,6 @@ import (
 
 	"spash/internal/hash"
 )
-
-// Generator produces request keys in [0, N).
-type Generator interface {
-	// Next returns the next key id.
-	Next() uint64
-}
-
-// Uniform generates uniformly distributed keys, the access pattern of
-// the paper's micro-benchmarks (§VI-B).
-type Uniform struct {
-	n   uint64
-	rng *rand.Rand
-}
-
-// NewUniform returns a uniform generator over [0, n).
-func NewUniform(n uint64, seed int64) *Uniform {
-	return &Uniform{n: n, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next key id.
-func (u *Uniform) Next() uint64 { return u.rng.Uint64() % u.n }
 
 // zipfConsts holds the precomputed constants of Gray's algorithm;
 // they depend only on (n, theta) and are shared between workers.

@@ -7,30 +7,6 @@ import (
 	"testing"
 )
 
-func TestUniformRange(t *testing.T) {
-	u := NewUniform(1000, 1)
-	for i := 0; i < 10000; i++ {
-		if k := u.Next(); k >= 1000 {
-			t.Fatalf("key %d out of range", k)
-		}
-	}
-}
-
-func TestUniformIsRoughlyUniform(t *testing.T) {
-	const n, draws = 100, 100000
-	u := NewUniform(n, 2)
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[u.Next()]++
-	}
-	want := draws / n
-	for k, c := range counts {
-		if c < want/2 || c > want*2 {
-			t.Errorf("key %d drawn %d times, want ~%d", k, c, want)
-		}
-	}
-}
-
 // The zipfian generator must match the theoretical rank probabilities
 // p(i) = (1/i^θ)/H_{n,θ}.
 func TestZipfianMatchesTheory(t *testing.T) {
@@ -144,7 +120,7 @@ func TestMixPick(t *testing.T) {
 }
 
 func TestMixSums(t *testing.T) {
-	for _, m := range []Mix{ReadIntensive, Balanced, WriteIntensive, SearchOnly, UpdateOnly, InsertOnly} {
+	for _, m := range []Mix{ReadIntensive, Balanced, WriteIntensive, UpdateOnly, InsertOnly} {
 		if s := m.SearchPct + m.UpdatePct + m.InsertPct + m.DeletePct; s != 100 {
 			t.Errorf("mix %s sums to %d", m.Name(), s)
 		}
