@@ -17,8 +17,9 @@ type req struct {
 	// kpay/kInline: the inline payload if the key inlines.
 	kpay    uint64
 	kInline bool
-	// bucket is ExecBatch's guess at the main bucket's address, passed
-	// from one hint stage to the next (pipeline.go); operations ignore it.
+	// bucket is ExecBatch's main bucket address: hintBucket's guess,
+	// then the one prefetchOp resolved and asked for, which the record
+	// stages read (pipeline.go); operations ignore it.
 	bucket uint64
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 
 	"spash/internal/alloc"
@@ -71,6 +74,102 @@ func FuzzSlotCodec(f *testing.F) {
 		if !hintValid(vw) || hintFP(vw) != ofp || hintIdx(vw) != idx ||
 			valueIsInline(vw) != inline || wordPayload(vw) != p {
 			t.Fatalf("value word round trip: %#x", vw)
+		}
+	})
+}
+
+// FuzzExecBatch is the batch pipeline's differential check: a seeded
+// stream of mixed batches — inline and out-of-line keys and values, a
+// refused empty key now and then — runs through ExecBatch on one index
+// and one operation at a time on a twin. Every result and error, and the
+// final ForEach image, must agree.
+func FuzzExecBatch(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(63))
+	f.Add(int64(2), uint8(1), uint8(6))
+	f.Add(int64(3), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(8), uint8(17))
+	f.Fuzz(func(t *testing.T, seed int64, pd, size uint8) {
+		cfg := Config{InitialDepth: 1, PipelineDepth: 1 + int(pd%8)}
+		twin := func() *Handle {
+			pool := pmem.New(pmem.Config{PoolSize: 16 << 20, CacheSize: 64 << 10})
+			c := pool.NewCtx()
+			al, err := alloc.New(c, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Open(c, pool, al, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix.NewHandle(c)
+		}
+		hB, hS := twin(), twin()
+		rng := rand.New(rand.NewSource(seed))
+		key := func(id int) []byte {
+			switch id % 4 {
+			case 0:
+				return k64(uint64(id)) // inline
+			case 1:
+				return []byte(fmt.Sprintf("key-%012d", id))
+			case 2:
+				return []byte(fmt.Sprintf("a-key-whose-record-spans-two-lines-%030d", id))
+			}
+			if id%16 == 3 {
+				return nil // refused: empty
+			}
+			return []byte(fmt.Sprintf("k%d", id))
+		}
+		val := func(gen int) []byte {
+			switch gen % 4 {
+			case 0:
+				return k64(uint64(gen)) // inline
+			case 1:
+				return []byte(fmt.Sprintf("%024d", gen))
+			case 2:
+				return []byte(fmt.Sprintf("%072d", gen))
+			}
+			return []byte(fmt.Sprintf("%300d", gen))
+		}
+		n := 1 + int(size)%64
+		ops := make([]BatchOp, n)
+		for b := 0; b < 30; b++ {
+			for i := range ops {
+				id, gen := rng.Intn(400), rng.Intn(1000)
+				switch k := rng.Intn(10); {
+				case k < 4:
+					ops[i] = BatchOp{Kind: OpSearch, Key: key(id)}
+				case k < 6:
+					ops[i] = BatchOp{Kind: OpUpdate, Key: key(id), Value: val(gen)}
+				case k < 9:
+					ops[i] = BatchOp{Kind: OpInsert, Key: key(id), Value: val(gen)}
+				default:
+					ops[i] = BatchOp{Kind: OpDelete, Key: key(id)}
+				}
+			}
+			want := append([]BatchOp(nil), ops...)
+			for i := range want {
+				execSingle(t, hS, &want[i])
+			}
+			hB.ExecBatch(ops)
+			for i := range ops {
+				if !sameOutcome(ops[i], want[i]) {
+					t.Fatalf("batch %d op %d (%v %q): batched %q %v %v, single %q %v %v", b, i, ops[i].Kind, ops[i].Key,
+						ops[i].Result, ops[i].Found, ops[i].Err, want[i].Result, want[i].Found, want[i].Err)
+				}
+			}
+		}
+		image := func(h *Handle) map[string]string {
+			m := map[string]string{}
+			if err := h.ix.ForEach(h, func(k, v []byte) bool {
+				m[string(k)] = string(v)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		if got, want := image(hB), image(hS); !maps.Equal(got, want) {
+			t.Fatalf("ForEach images differ: %d entries batched, %d single", len(got), len(want))
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -100,7 +100,11 @@ func goldenBatchStream(t *testing.T, pd int, mode pmem.Mode) batchAccount {
 // record and segment copies became one access per line instead of one
 // per word, only CacheHits and the clock fell, and so they did again when
 // a commit started publishing each run of same-line words with one
-// access.
+// access. Only the PipelineDepth 4 account moved when the record stage
+// started prefetching the key and value records of out-of-line keys (PD 1
+// runs no record stage): the clock fell 13 %, each stage's bucket load
+// added a cache hit, and the earlier record fills moved a few misses,
+// evictions and write-backs.
 func TestBatchStreamReproducesGoldenAccounting(t *testing.T) {
 	for _, g := range []struct {
 		pd   int
@@ -124,9 +128,9 @@ var (
 			XPLineReads: 14700, XPLineWrites: 8585, Flushes: 9093, Fences: 12, Evictions: 6612},
 		clock: 7053370, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 350, found: 8974}
 	goldenPD4 = batchAccount{
-		mem: pmem.Stats{CacheHits: 238275, CacheMisses: 23228, CachelineReads: 23228, CachelineWrites: 15689,
-			XPLineReads: 14709, XPLineWrites: 8581, Flushes: 9093, Fences: 12, Evictions: 6611},
-		clock: 6654572, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 350, found: 8974}
+		mem: pmem.Stats{CacheHits: 255226, CacheMisses: 23230, CachelineReads: 23230, CachelineWrites: 15690,
+			XPLineReads: 14709, XPLineWrites: 8584, Flushes: 9093, Fences: 12, Evictions: 6612},
+		clock: 5771443, tm: htm.Stats{Commits: 20611, Explicits: 399}, dirty: 350, found: 8974}
 )
 
 // singleOpAccount is batchAccount for a stream that also restructures:
@@ -376,14 +380,20 @@ func FuzzHintRecordsPeek(f *testing.F) {
 	})
 }
 
-// Batches (hint stages included) racing an inserter that forces splits
-// and directory doublings: run under -race.
+// Batches (hint stages and the record stage included) racing an inserter
+// that forces splits and directory doublings: run under -race. Every
+// other batch reads 16-byte keys, whose records the record stage
+// prefetches through buckets the inserter is splitting.
 func TestBatchesRaceSplitsAndDoubling(t *testing.T) {
 	ix, _ := newTestIndex(t, Config{InitialDepth: 1})
 	const preload, grow = 2000, 20000
 	load := ix.NewHandle(nil)
+	wide := func(i uint64) []byte { return []byte(fmt.Sprintf("wide-%011d", i)) }
 	for i := uint64(0); i < preload; i++ {
 		if err := load.Insert(k64(i), k64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := load.Insert(wide(i), wide(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,13 +416,16 @@ func TestBatchesRaceSplitsAndDoubling(t *testing.T) {
 	ops := make([]BatchOp, 64)
 	bufs := make([][]byte, len(ops))
 	for b := uint64(0); !stop.Load(); b++ {
+		key := k64
+		if b%2 == 1 {
+			key = wide
+		}
 		for i := range ops {
-			ops[i] = BatchOp{Kind: OpSearch, Key: k64((b*64 + uint64(i)) % preload), ResultBuf: bufs[i][:0]}
+			ops[i] = BatchOp{Kind: OpSearch, Key: key((b*64 + uint64(i)) % preload), ResultBuf: bufs[i][:0]}
 		}
 		h.ExecBatch(ops)
 		for i := range ops {
-			if ops[i].Err != nil || !ops[i].Found ||
-				binary.LittleEndian.Uint64(ops[i].Result) != binary.LittleEndian.Uint64(ops[i].Key) {
+			if ops[i].Err != nil || !ops[i].Found || !bytes.Equal(ops[i].Result, ops[i].Key) {
 				t.Fatalf("batch %d op %d: found %v err %v result %x", b, i, ops[i].Found, ops[i].Err, ops[i].Result)
 			}
 			bufs[i] = ops[i].Result

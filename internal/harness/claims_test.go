@@ -96,7 +96,7 @@ var claims = []claim{
 			}
 			return ok
 		},
-		"at 10 000 keys Plush's DRAM buffers never flush, so it leads the 16 B read-intensive mix (24 vs 16 Mops); CCEH and Dash also overtake Spash on write-intensive 256 B and 1 KB values"},
+		"at 10 000 keys Plush's DRAM buffers never flush, so it leads the 16 B read-intensive mix (26 vs 25 Mops); CCEH and Dash also overtake Spash on write-intensive 256 B and 1 KB values"},
 	{"fig12a-adaptive-over-flush", "12a", "§VI-D (Fig 12a): adaptive updates are 1.2-2.2× faster than in-place updates with flush",
 		func(c *cells) bool {
 			return c.at(0, "adaptive", "256B") >= 1.2*c.at(0, "in-place w/ flush", "256B") &&

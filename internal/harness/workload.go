@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"sync"
 
 	"spash/internal/core"
@@ -31,6 +32,12 @@ const batchSize = 64
 // across it, summed over shard contexts for a partitioned worker — and
 // forces the one-call-per-request path, where an operation has a
 // latency of its own.
+//
+// A worker yields after every batch, or every batchSize single calls, so
+// the workers take turns at that grain whatever else the host runs. Left
+// to the scheduler, a loaded host runs each worker's whole phase in one
+// time slice, one worker takes every cold miss, and its clock sets the
+// phase's elapsed time (ROADMAP item 8).
 func Run(name string, ix ixapi.Index, workers, opsPerWorker int, pipeline bool, src OpSource, lat *LatencyHist) Result {
 	m := startMeasure(ix)
 	clocks := make([]int64, workers)
@@ -78,6 +85,9 @@ func runSequential(w ixapi.Worker, next func(i int) Op, n int, lat *LatencyHist)
 		case ycsb.OpDelete:
 			w.Delete(op.Key)
 		}
+		if i%batchSize == batchSize-1 {
+			runtime.Gosched()
+		}
 		if lat != nil {
 			now := w.Clock()
 			samples = append(samples, now-prev)
@@ -99,6 +109,7 @@ func runBatched(bw ixapi.Batcher, next func(i int) Op, n int) {
 		if len(batch) > 0 {
 			bw.ExecBatch(batch)
 			batch = batch[:0]
+			runtime.Gosched()
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -11,10 +11,6 @@ const (
 	memoDirty = 2
 )
 
-// maxPrefetch bounds the number of in-flight asynchronous loads a
-// single worker can track. The paper's pipeline depth tops out at 8.
-const maxPrefetch = 16
-
 // Ctx is the per-worker execution context. Every memory operation on a
 // Pool takes a Ctx; the pool charges virtual time to the Ctx's clock
 // and accumulates the worker's event counters locally, so the hot path
@@ -32,13 +28,8 @@ type Ctx struct {
 	// fence; it determines the fence's drain cost.
 	pendingFlushes int
 
-	// prefetch tracks in-flight asynchronous loads: the line address
-	// and the virtual time at which its data becomes available.
-	prefetch [maxPrefetch]struct {
-		line uint64
-		done int64
-	}
-	nprefetch int
+	// pf tracks in-flight asynchronous loads (prefetch.go).
+	pf prefetchTable
 
 	// memo is the line memo (DESIGN.md §2 "The line memo"), a direct-mapped
 	// table indexed by the low bits of a line's cache-set index. An entry
@@ -81,13 +72,14 @@ type Ctx struct {
 // panics, because a mid-operation power cut is only well-defined when
 // taken through the deterministic fault injector.
 //
-// The outermost BeginOp empties the line memo: what a neighbour did to
-// a line between two operations is never papered over by an entry made
-// in the first.
+// The outermost BeginOp empties the line memo and unsettles every
+// pending prefetch: what a neighbour did to a line between two operations
+// is never papered over by an entry made in the first.
 func (c *Ctx) BeginOp() {
 	if c.opDepth == 0 {
 		c.inOp.Store(true)
 		c.memo = [memoSlots]uint64{}
+		c.pf.unsettleAll()
 	}
 	c.opDepth++
 }
@@ -136,39 +128,4 @@ func (c *Ctx) memoSlot(line, si uint64) *uint64 {
 		return e
 	}
 	return nil
-}
-
-// notePrefetch records that line will be available at virtual time
-// done. If the table is full the oldest entry is dropped (matching a
-// hardware prefetcher's limited tracking).
-func (c *Ctx) notePrefetch(line uint64, done int64) {
-	for i := 0; i < c.nprefetch; i++ {
-		if c.prefetch[i].line == line {
-			if done < c.prefetch[i].done {
-				c.prefetch[i].done = done
-			}
-			return
-		}
-	}
-	if c.nprefetch == maxPrefetch {
-		copy(c.prefetch[:], c.prefetch[1:])
-		c.nprefetch--
-	}
-	c.prefetch[c.nprefetch].line = line
-	c.prefetch[c.nprefetch].done = done
-	c.nprefetch++
-}
-
-// takePrefetch looks up (and removes) an in-flight load of line. It
-// returns the completion time and whether a prefetch was found.
-func (c *Ctx) takePrefetch(line uint64) (int64, bool) {
-	for i := 0; i < c.nprefetch; i++ {
-		if c.prefetch[i].line == line {
-			done := c.prefetch[i].done
-			c.nprefetch--
-			c.prefetch[i] = c.prefetch[c.nprefetch]
-			return done, true
-		}
-	}
-	return 0, false
 }

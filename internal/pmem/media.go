@@ -197,6 +197,18 @@ func (p *Pool) checkPoison(c *Ctx, addr, size uint64) {
 	p.poisonMu.Unlock()
 }
 
+// poisoned reports whether the XPLine holding addr is poisoned, without
+// the machine check checkPoison raises.
+func (p *Pool) poisoned(addr uint64) bool {
+	if p.poisonN.Load() == 0 {
+		return false
+	}
+	p.poisonMu.Lock()
+	_, ok := p.poison[addr&^uint64(XPLineSize-1)]
+	p.poisonMu.Unlock()
+	return ok
+}
+
 // clearPoison heals every poisoned XPLine overlapping [addr,
 // addr+size): a store overwrites the uncorrectable data, which is how
 // real PM clears poison.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -697,5 +698,69 @@ func TestFaultyTransportEndToEnd(t *testing.T) {
 	st := ft.Stats()
 	if st.Drops == 0 && st.Delays == 0 && st.Dups == 0 && st.Reorders == 0 {
 		t.Fatalf("fault injection idle: %+v", st)
+	}
+}
+
+// A replica whose device is full refuses a frame with ErrNoSpace, and
+// waiting does not make room: the primary ships the frame once, opens
+// the breaker, spills the frame and still acknowledges the local write,
+// in one transport call.
+func TestFullReplicaOpensBreakerOnFirstRefusal(t *testing.T) {
+	pdb, err := spash.Open(testOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropts := testOpts(1)
+	ropts.Replica = true
+	ropts.Platform.PoolSize = 2 << 20 // half the primary's: it fills first
+	rdb, err := spash.Open(ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := repl.NewReplica(rdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{inner: &repl.InProc{R: rep}}
+	prim, err := repl.NewPrimaryWith(pdb, ct, repl.PrimaryOptions{Retry: fastRetry(4), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		prim.Close()
+		rep.Close()
+		pdb.Close()
+		rdb.Close()
+	})
+	counter := func(c obs.Counter) int64 { return prim.DB().ObsSnapshot().Counters[obs.CounterNames[c]] }
+	val := make([]byte, 100)
+	for i := 0; ; i++ {
+		if i > 1<<16 {
+			t.Fatal("the replica never filled")
+		}
+		calls, spills := ct.calls(), counter(obs.CReplSpills)
+		if err := prim.Insert([]byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
+			t.Fatalf("insert %d: %v, want the local write acknowledged", i, err)
+		}
+		st, reason := prim.Breaker()
+		if st == repl.BreakerClosed {
+			continue
+		}
+		if st != repl.BreakerOpen || !strings.Contains(reason, spash.ErrNoSpace.Error()) {
+			t.Fatalf("insert %d: breaker %v (%s), want open on the replica's NOSPACE", i, st, reason)
+		}
+		if n := ct.calls() - calls; n != 1 {
+			t.Errorf("insert %d: %d transport calls for the refused frame, want 1", i, n)
+		}
+		if n := counter(obs.CReplSpills) - spills; n != 1 {
+			t.Errorf("insert %d: repl_spills +%d, want +1", i, n)
+		}
+		if n := counter(obs.CReplRetries); n != 0 {
+			t.Errorf("repl_retries = %d, want 0", n)
+		}
+		if _, ok, err := prim.DB().Session().Get([]byte(fmt.Sprintf("key-%012d", i)), nil); err != nil || !ok {
+			t.Errorf("insert %d is not readable on the primary: %v, %v", i, ok, err)
+		}
+		return
 	}
 }

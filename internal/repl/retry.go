@@ -102,12 +102,12 @@ func isAny(err error, targets ...error) bool {
 
 // retryableShip reports whether a Ship error is worth retrying.
 // Typed protocol refusals are not transport noise: fencing
-// (ErrNotPrimary) is permanent, and cursor refusals (ErrReplicaLag,
-// ErrNeedsReseed) need a resync, not a resend of the same frame.
+// (ErrNotPrimary) is permanent, cursor refusals (ErrReplicaLag,
+// ErrNeedsReseed) need a resync, not a resend of the same frame, and a
+// full replica (ErrNoSpace) gains no room by waiting — the breaker
+// opens on the first refusal and the prober takes over.
 func retryableShip(err error) bool {
-	return !errors.Is(err, spash.ErrNotPrimary) &&
-		!errors.Is(err, spash.ErrReplicaLag) &&
-		!errors.Is(err, spash.ErrNeedsReseed)
+	return !isAny(err, spash.ErrNotPrimary, spash.ErrReplicaLag, spash.ErrNeedsReseed, spash.ErrNoSpace)
 }
 
 // shipRetryLocked delivers one frame through the retry policy:

@@ -45,7 +45,6 @@ var (
 	Balanced       = Mix{SearchPct: 50, UpdatePct: 50}
 	WriteIntensive = Mix{SearchPct: 10, UpdatePct: 90}
 	UpdateOnly     = Mix{UpdatePct: 100}
-	InsertOnly     = Mix{InsertPct: 100}
 )
 
 // Name returns a short label for a known mix.
@@ -59,8 +58,6 @@ func (m Mix) Name() string {
 		return "write-intensive(10/90)"
 	case UpdateOnly:
 		return "update-only"
-	case InsertOnly:
-		return "insert-only"
 	}
 	return fmt.Sprintf("mix(%d/%d/%d/%d)", m.SearchPct, m.UpdatePct, m.InsertPct, m.DeletePct)
 }

@@ -117,49 +117,3 @@ func (s *Scrambled) Next() uint64 {
 func scramble(rank, n uint64) uint64 {
 	return hash.Sum64Uint64(rank) % n
 }
-
-// HotSet returns the k most-popular key ids of a scrambled-zipfian
-// distribution over [0, n) — the oracle the paper compares its hotspot
-// detector against (Fig 12a): ranks 0..k-1 after scrambling.
-func HotSet(n uint64, k int) map[uint64]struct{} {
-	set := make(map[uint64]struct{}, k)
-	for rank := uint64(0); int(rank) < k; rank++ {
-		set[scramble(rank, n)] = struct{}{}
-	}
-	return set
-}
-
-// IsHot reports whether key is among the top-k scrambled-zipfian keys.
-// Convenience for oracle-mode hotness checks.
-func IsHot(set map[uint64]struct{}, key uint64) bool {
-	_, ok := set[key]
-	return ok
-}
-
-// Latest is YCSB's "latest" distribution: recently inserted keys are
-// the most popular (rank 0 = the newest key). The insertion frontier
-// advances via Advance, e.g. as new records are appended.
-type Latest struct {
-	z   *Zipfian
-	max uint64
-}
-
-// NewLatest returns a latest-distribution generator whose newest key
-// id is max-1.
-func NewLatest(max uint64, theta float64, seed int64) *Latest {
-	return &Latest{z: NewZipfian(max, theta, seed), max: max}
-}
-
-// Next returns the next key id, skewed towards the newest.
-func (l *Latest) Next() uint64 {
-	r := l.z.Next()
-	if r >= l.max {
-		r = l.max - 1
-	}
-	return l.max - 1 - r
-}
-
-// Advance moves the insertion frontier forward by n keys. The
-// underlying zipfian constants are reused (an approximation YCSB
-// itself makes between recomputations).
-func (l *Latest) Advance(n uint64) { l.max += n }

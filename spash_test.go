@@ -202,6 +202,84 @@ func TestFullPoolRefusesWritesWithErrNoSpace(t *testing.T) {
 	}
 }
 
+// A full device recovers: fill a 2 MB pool to ErrNoSpace, cut the power
+// and RecoverAll, under eADR and under ADR. Every acknowledged key reads
+// back through batched Gets (which run the pipeline's record stage over
+// the recovered index), and a delete still makes room for a re-insert.
+// Under ADR the cache is written back before the cut: what is under test
+// is a full pool's recovery, not ADR's rollback of unflushed lines, which
+// the crash drills cover.
+func TestFullPoolRecovers(t *testing.T) {
+	for _, mode := range []pmem.Mode{pmem.EADR, pmem.ADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := Options{Shards: 1, Platform: pmem.Config{PoolSize: 2 << 20, CacheSize: 64 << 10, Mode: mode}}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session()
+			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
+			val := func(i int) []byte { return []byte(fmt.Sprintf("%0100d", i)) }
+			n := 0
+			for ; ; n++ {
+				if n > 1<<20 {
+					t.Fatal("pool never filled")
+				}
+				if err = s.Insert(key(n), val(n)); err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("insert %d on a full pool: %v, want ErrNoSpace", n, err)
+			}
+			s.Close()
+			platforms := db.Platforms()
+			if mode == pmem.ADR {
+				for _, p := range platforms {
+					c := p.NewCtx()
+					p.Flush(c, 0, p.Size())
+					p.Fence(c)
+					c.Release()
+				}
+			}
+			if lost := db.Crash(); lost != 0 {
+				t.Fatalf("the cut lost %d lines", lost)
+			}
+			db2, err := RecoverAll(platforms, opts)
+			if err != nil {
+				t.Fatalf("recovering a full pool: %v", err)
+			}
+			if db2.Len() != n {
+				t.Fatalf("recovered %d keys, %d were acknowledged", db2.Len(), n)
+			}
+			s2 := db2.Session()
+			defer s2.Close()
+			ops := make([]Op, 0, 64)
+			for i := 0; i < n; i += len(ops) {
+				ops = ops[:0]
+				for j := i; j < n && len(ops) < cap(ops); j++ {
+					ops = append(ops, Op{Kind: OpGet, Key: key(j)})
+				}
+				s2.ExecBatch(ops)
+				for j := range ops {
+					if ops[j].Err != nil || !ops[j].Found || !bytes.Equal(ops[j].Result, val(i+j)) {
+						t.Fatalf("batched Get of acknowledged key %d after recovery: %q, %v, %v", i+j, ops[j].Result, ops[j].Found, ops[j].Err)
+					}
+				}
+			}
+			if ok, err := s2.Delete(key(0)); err != nil || !ok {
+				t.Fatalf("Delete on the recovered full pool: %v, %v", ok, err)
+			}
+			if err := s2.Insert(key(0), val(0)); err != nil {
+				t.Fatalf("re-insert after a delete: %v", err)
+			}
+			if v, ok, err := s2.Get(key(0), nil); err != nil || !ok || !bytes.Equal(v, val(0)) {
+				t.Fatalf("Get of the re-inserted key: %q, %v, %v", v, ok, err)
+			}
+		})
+	}
+}
+
 // Property: arbitrary byte keys and values round-trip.
 func TestPublicRoundTripProperty(t *testing.T) {
 	db, _ := Open(Options{})
