@@ -94,6 +94,8 @@ fuzz-smoke:
 	go test ./internal/core -run '^$$' -fuzz=FuzzSlotCodec -fuzztime=30s
 	go test ./internal/core -run '^$$' -fuzz=FuzzMergeDecline -fuzztime=30s
 	go test ./internal/core -run '^$$' -fuzz=FuzzExecBatch -fuzztime=30s
+	go test ./internal/core -run '^$$' -fuzz=FuzzRecordStagePeek -fuzztime=30s
+	go test ./internal/core -run '^$$' -fuzz=FuzzProbePrefetchPeek -fuzztime=30s
 	go test ./internal/resp -run '^$$' -fuzz=FuzzReadCommand -fuzztime=30s
 	go test ./internal/resp -run '^$$' -fuzz=FuzzReadReply -fuzztime=30s
 

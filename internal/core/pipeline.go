@@ -252,62 +252,72 @@ func (h *Handle) prefetchOp(r *req) {
 // k+1 before request k executes: it loads the request's main bucket,
 // which prefetchOp asked for at least one request earlier, and for each
 // slot whose fingerprint matches starts the asynchronous load of what the
-// operation will read there — the key record, for the compare, and of
-// the value record every line for a Get, the header line (its length) for
-// the writes. So the operation finds every record line in flight instead
-// of missing on the key record and then on the value record one after
-// the other.
+// operation will read there — the key record, for the compare, and the
+// value record's lines (prefetchValue). So the operation finds every
+// record line in flight instead of missing on the key record and then on
+// the value record one after the other, and its probe, told so by
+// r.staged, asks for none of them again (Index.locate).
 //
 // It runs only for keys that do not inline: an inline key is compared in
 // the slot. The bucket's words are unvalidated — the segment may have
 // split, merged or been freed since prefetchOp — and this stage runs
 // outside the operation's corruption guard, so a poisoned bucket line is
-// skipped (pmem.Pool.LoadPrefetched), a record outside the pool is not
-// asked for, and a value's length comes from a peek at its header, what
-// the operation's own read will find there; garbage costs only loads no
-// operation makes. The stage stops at the first line the context has no
-// room for (pmem.Pool.Prefetch): a large value's remaining lines are the
+// skipped (pmem.Pool.LoadPrefetched) and the records are asked for as
+// prefetchValue asks; garbage costs only loads no operation makes. The
+// stage stops at the first line the context has no room for
+// (pmem.Pool.Prefetch): a large value's remaining lines are the
 // operation's own misses.
 func (h *Handle) prefetchRecords(r *req, get bool) {
-	pool := h.ix.pool
+	ix := h.ix
 	var b [pmem.CachelineSize / 8]uint64
-	if r.kInline || !pool.LoadPrefetched(h.c, r.bucket, &b) {
+	if r.kInline || !ix.pool.LoadPrefetched(h.c, r.bucket, &b) {
 		return
 	}
+	r.staged = true
 	for s := 0; s < SlotsPerBucket; s++ {
 		kw, vw := b[2*s], b[2*s+1]
 		if !keyOccupied(kw) || keyIsInline(kw) || keyFP(kw) != r.fp {
 			continue
 		}
-		if !h.prefetchLines(wordPayload(kw), recordSpace(len(r.key))) {
-			return
-		}
-		if valueIsInline(vw) {
-			continue
-		}
-		v, span := wordPayload(vw), recordHeader
-		if get {
-			if n := int(pool.Peek(v) & recordLenMask); n <= MaxKVLen {
-				span = recordSpace(n)
-			}
-		}
-		if !h.prefetchLines(v, span) {
+		if !ix.prefetchLines(h.c, wordPayload(kw), recordSpace(len(r.key))) ||
+			!ix.prefetchValue(h.c, vw, get) {
 			return
 		}
 	}
 }
 
+// prefetchValue starts the asynchronous load of what an operation will
+// read of the value record vw names, if it is out of line: every line for
+// a Get (whole), the header line, with the length, for the writes. The
+// length comes from a peek at the header, what the operation's own read
+// will find there; past MaxKVLen, where that read stops too, only the
+// header is asked for. vw may be garbage, read from a bucket the caller
+// has not validated, so a record outside the pool is not asked for and a
+// misaligned one peeks a length of 0. It reports false if the context ran
+// out of room for loads in flight.
+func (ix *Index) prefetchValue(c *pmem.Ctx, vw uint64, whole bool) bool {
+	if valueIsInline(vw) {
+		return true
+	}
+	v, span := wordPayload(vw), recordHeader
+	if whole {
+		if n := int(ix.pool.Peek(v) & recordLenMask); n <= MaxKVLen {
+			span = recordSpace(n)
+		}
+	}
+	return ix.prefetchLines(c, v, span)
+}
+
 // prefetchLines starts the asynchronous load of every line of
 // [addr, addr+n), unless part of it lies outside the pool. It reports
 // false if the context ran out of room for loads in flight.
-func (h *Handle) prefetchLines(addr uint64, n int) bool {
-	pool := h.ix.pool
+func (ix *Index) prefetchLines(c *pmem.Ctx, addr uint64, n int) bool {
 	end := addr + uint64(n)
-	if end < addr || end > pool.Size() {
+	if end < addr || end > ix.pool.Size() {
 		return true
 	}
 	for l := addr &^ (pmem.CachelineSize - 1); l < end; l += pmem.CachelineSize {
-		if !pool.Prefetch(h.c, l) {
+		if !ix.pool.Prefetch(c, l) {
 			return false
 		}
 	}

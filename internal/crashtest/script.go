@@ -105,6 +105,39 @@ func DefaultScript() Script {
 	return s
 }
 
+// FillScript is the fill-to-exhaustion workload for a pool of
+// poolSize bytes: out-of-line inserts (16 B keys, values of five sizes
+// from 100 to 580 B) until their payload is one and a half times the
+// pool, so the tail is refused with ErrNoSpace; then, on the full pool,
+// same-class updates (in place, accepted), class-changing ones (refused
+// while nothing is free) and updates to an inline value (accepted,
+// freeing records); deletes of every fourth key; and re-inserts of the
+// deleted keys and of as many fresh ones, which fill the freed room and
+// are refused again.
+func FillScript(poolSize int) Script {
+	key := func(i int) string { return fmt.Sprintf("fill-%011d", i) }
+	size := func(i int) int { return 100 + i%5*120 }
+	var s Script
+	n := 0
+	for bytes := 0; bytes < poolSize*3/2; n++ {
+		s = append(s, Op{OpInsert, key(n), pad(n, size(n))})
+		bytes += size(n)
+	}
+	for i := 0; i < n/2; i += 7 {
+		s = append(s, Op{OpUpdate, key(i), pad(n+i, size(i))})             // same class
+		s = append(s, Op{OpUpdate, key(i + 1), pad(n+i+1, size(i+1)+700)}) // class change
+		s = append(s, Op{OpUpdate, key(i + 2), val8(i + 2)})               // to inline
+	}
+	for i := 0; i < n; i += 4 {
+		s = append(s, Op{OpDelete, key(i), ""})
+	}
+	for i := 0; i < n; i += 4 {
+		s = append(s, Op{OpInsert, key(i), pad(2*n+i, size(i+1))})
+		s = append(s, Op{OpInsert, key(n + i), pad(3*n+i, size(i))})
+	}
+	return s
+}
+
 // SeededScript generates a reproducible random workload of ops
 // operations over a key universe sized to spread across shards:
 // inserts dominate early, then updates and deletes mix in. The same

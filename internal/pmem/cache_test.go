@@ -351,6 +351,7 @@ func diffStream(t *testing.T, mode Mode, ways, sets int, seed int64, storeRuns, 
 			if inOp {
 				c.EndOp()
 			} else {
+				r.ctx.pf.dropArrived(r.ctx.clock) // as the outermost BeginOp does
 				c.BeginOp()
 			}
 			inOp = !inOp

@@ -72,14 +72,16 @@ type Ctx struct {
 // panics, because a mid-operation power cut is only well-defined when
 // taken through the deterministic fault injector.
 //
-// The outermost BeginOp empties the line memo and unsettles every
-// pending prefetch: what a neighbour did to a line between two operations
-// is never papered over by an entry made in the first.
+// The outermost BeginOp empties the line memo, unsettles every pending
+// prefetch and drops those whose data has arrived: what a neighbour did
+// to a line between two operations is never papered over by an entry
+// made in the first.
 func (c *Ctx) BeginOp() {
 	if c.opDepth == 0 {
 		c.inOp.Store(true)
 		c.memo = [memoSlots]uint64{}
 		c.pf.unsettleAll()
+		c.pf.dropArrived(c.clock)
 	}
 	c.opDepth++
 }

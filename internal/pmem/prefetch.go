@@ -3,10 +3,12 @@ package pmem
 // maxPrefetch bounds the number of asynchronous loads a single worker
 // keeps in flight, as a core's fill buffers do. A batch has up to
 // PipelineDepth+1 bucket loads (the paper's depth tops out at 8) and two
-// requests' record lines pending. A load still in flight is never
-// dropped to make room: when all of them are, a prefetch is not issued
-// (Pool.Prefetch), so a large value's later lines are the operation's own
-// misses.
+// requests' record lines pending; a probe adds the value lines of the
+// fingerprint matches its record stage did not cover, and a single
+// operation has only those: a Get's whole value, a write's header line.
+// A load still in flight is never dropped to make room: when all of them
+// are, a prefetch is not issued (Pool.Prefetch), so a large value's later
+// lines are the operation's own misses.
 const maxPrefetch = 16
 
 // pfSlots is the number of counters in a prefetch table's line filter (a
@@ -175,6 +177,22 @@ func (t *prefetchTable) settle(r int, si uint64) {
 
 // settled reports whether e is still settled.
 func (t *prefetchTable) settled(e *pfEntry) bool { return e.settled == t.epoch+1 }
+
+// dropArrived removes every entry whose data has arrived by now: a
+// prefetch its operation did not consume (a fingerprint match whose key
+// differed) would otherwise stay until the table fills, making each later
+// access to a line that shares its counter scan the ring, and a later
+// prefetch of its own line would inherit its done time. An entry still in
+// flight stays: its wait is owed.
+func (t *prefetchTable) dropArrived(now int64) {
+	for k := 0; k < t.n; {
+		if r := (t.head + k) % maxPrefetch; t.ring[r].done <= now {
+			t.remove(r) // the newest entry moves into r: look at r again
+		} else {
+			k++
+		}
+	}
+}
 
 // unsettleAll unsettles every entry.
 func (t *prefetchTable) unsettleAll() { t.epoch++ }
