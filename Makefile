@@ -35,12 +35,13 @@ cross-build:
 
 # loc prints the size numbers ROADMAP item 5 tracks per PR: non-test Go
 # lines in the root module (bench/ and testdata excluded), in
-# internal/core, internal/repl, internal/crashtest and cmd/, and the
-# exported functions and methods of package spash. CI's build-test job
-# writes them to its job summary.
+# internal/core, internal/pmem, internal/repl, internal/crashtest and
+# cmd/, and the exported functions and methods of package spash. CI's
+# build-test job writes them to its job summary.
 loc:
 	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)"
 	@echo "non-test Go lines, internal/core: $$(git ls-files 'internal/core/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "non-test Go lines, internal/pmem: $$(git ls-files 'internal/pmem/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "non-test Go lines, internal/repl: $$(git ls-files 'internal/repl/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "non-test Go lines, internal/crashtest: $$(git ls-files 'internal/crashtest/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "non-test Go lines, cmd/: $$(git ls-files 'cmd/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"

@@ -246,12 +246,25 @@ func tolerate(faults mediaFaults, fn func()) (fault *pmem.AccessError) {
 	return nil
 }
 
+// registryStopEvery is how many registry words a walk reads between two
+// looks at its stop channel: a pass reads every word of the registry
+// (one per 256 B of pool) whether or not a segment was ever carved there.
+const registryStopEvery = 4096
+
 // eachRegistered walks the persistent registry in frame order and calls
 // fn for every word naming a live segment and for every word it cannot
-// read (poisoned, with prefix and depth 0), until fn returns false.
-// What an unreadable word means is fn's to decide.
-func (ix *Index) eachRegistered(c *pmem.Ctx, fn func(seg, prefix uint64, depth uint, poisoned bool) bool) {
+// read (poisoned, with prefix and depth 0), until fn returns false or
+// stop is closed, which it checks every registryStopEvery words (a nil
+// stop never is). What an unreadable word means is fn's to decide.
+func (ix *Index) eachRegistered(c *pmem.Ctx, stop <-chan struct{}, fn func(seg, prefix uint64, depth uint, poisoned bool) bool) {
 	for i := uint64(0); i < ix.registryCap; i++ {
+		if i%registryStopEvery == 0 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
 		var e uint64
 		poisoned := tolerate(anyAccess, func() { e = ix.pool.Load64(c, ix.registryAddr+i*8) }) != nil
 		if !poisoned && e&regValid == 0 {
@@ -696,7 +709,7 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 		repairing = 1
 	}
 	ix.reg.Trace(obs.EvFsckStart, c.Clock(), repairing, 0)
-	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+	ix.eachRegistered(c, nil, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		if poisoned {
 			f := SegmentFault{Seg: seg, Poisoned: true, Cause: "registry frame unreadable (poisoned)"}
 			rep.Faults = append(rep.Faults, f)
@@ -741,7 +754,7 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 // countOccupied walks every live segment and counts occupied slots,
 // skipping unreadable frames.
 func (ix *Index) countOccupied(c *pmem.Ctx) (total int64) {
-	ix.eachRegistered(c, func(seg, _ uint64, _ uint, poisoned bool) bool {
+	ix.eachRegistered(c, nil, func(seg, _ uint64, _ uint, poisoned bool) bool {
 		if poisoned {
 			return true
 		}
@@ -771,7 +784,7 @@ func KeyHash(key []byte) uint64 { return hashKey(key) }
 // quiescent.
 func (ix *Index) CheckPlacement(c *pmem.Ctx) (misplaced int) {
 	m := rawMem{ix.pool, c}
-	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+	ix.eachRegistered(c, nil, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		if poisoned {
 			return true
 		}

@@ -134,11 +134,13 @@ func (s *Scrubber) run() {
 	}
 }
 
-// scanPass walks the registry once, verifying every live segment.
+// scanPass walks the registry once, verifying every live segment. It
+// looks at stop before each segment and every registryStopEvery registry
+// words, so Stop does not wait out the rest of a pass.
 func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 	ix := s.ix
 	var next time.Time
-	ix.eachRegistered(s.h.c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+	ix.eachRegistered(s.h.c, s.stop, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		select {
 		case <-s.stop:
 			return false

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"spash/internal/pmem"
 )
 
 // TestScrubRepairsUnderLoad runs the online scrubber against live
@@ -149,5 +151,29 @@ func TestScrubDetectsPoisonWithoutChecksums(t *testing.T) {
 	}
 	if err := ix.CheckInvariants(h.c); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScrubStopEndsTheRegistryWalk: a stopped scrubber reads at most
+// registryStopEvery more registry words of its pass, however many words
+// lie before the next live segment (the frames of the 4 MB registry
+// itself are some 16 000 words that name none), and the other walks,
+// which pass no stop, read every word.
+func TestScrubStopEndsTheRegistryWalk(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2})
+	s := &Scrubber{ix: ix, h: ix.NewHandle(nil), stop: make(chan struct{})}
+	defer s.h.Close()
+	close(s.stop)
+	reads := func(c *pmem.Ctx, f func()) uint64 {
+		before := c.Stats()
+		f()
+		after := c.Stats()
+		return after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses
+	}
+	if n := reads(s.h.c, func() { s.scanPass(0) }); n > registryStopEvery {
+		t.Errorf("a stopped pass read %d registry words, want at most %d", n, registryStopEvery)
+	}
+	if n := reads(h.c, func() { ix.SegmentAddrs(h.c) }); n != ix.registryCap {
+		t.Errorf("SegmentAddrs read %d registry words, want all %d", n, ix.registryCap)
 	}
 }

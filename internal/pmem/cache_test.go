@@ -220,8 +220,9 @@ func linesOf(addr, n uint64) (first, last uint64) {
 // every operation: counters, set state and the virtual clock, which the
 // reference charges from Timing (hit, miss, prefetched hit, flush, fence,
 // NTStore) with the context's own prefetch table. With more sets than
-// memo slots a line's memo entry can be gone while its prefetch is still
-// settled, which is when a load takes the settled path.
+// memo slots two sets share a slot, so a pass through one replaces the
+// entry another's line left — a prefetched line's among them, whose load
+// must then enter its set again and still be charged the prefetched hit.
 //
 // With storeRuns, one operation in eight is instead a run of 2 to 16
 // Store64/CAS64 to one line — what a record publish or a segment fill
@@ -234,8 +235,9 @@ func linesOf(addr, n uint64) (first, last uint64) {
 // touched (a bucket, its key record, the bucket again), it prefetches a
 // line and then loads it several times while other prefetches are still
 // pending (a pipelined batch), it prefetches a run of lines and then loads
-// each (a record stage, whose loads find their prefetch settled), and it
-// opens and closes operations (BeginOp/EndOp) around all of it.
+// each (a record stage, whose loads find the memo entry their prefetch
+// left unless a later pass took its slot), and it opens and closes
+// operations (BeginOp/EndOp) around all of it.
 func diffStream(t *testing.T, mode Mode, ways, sets int, seed int64, storeRuns, revisits bool) {
 	const span = 64 << 10
 	p := New(Config{PoolSize: span, Mode: mode, CacheSize: uint64(sets * ways * CachelineSize),
@@ -422,8 +424,9 @@ func diffStream(t *testing.T, mode Mode, ways, sets int, seed int64, storeRuns, 
 				continue
 			case k == 3:
 				// A batch's record stage: lines prefetched back to back,
-				// more than the memo keeps, then loaded in turn, so most
-				// loads find their prefetch settled and still in flight.
+				// then loaded in turn, so most loads find their prefetch
+				// still in flight and, where no other line of the run took
+				// its memo slot, its memo entry still there.
 				var lines [12]uint64
 				run := lines[:3+rng.Intn(len(lines)-2)]
 				for j := range run {
@@ -490,6 +493,12 @@ func TestPackedSetMatchesTickLRU(t *testing.T) {
 					diffStream(t, mode, ways, 4, seed, true, false)
 					diffStream(t, mode, ways, 4, seed, true, true)
 					diffStream(t, mode, ways, 16, seed, true, true)
+					// More sets than memo slots; the stream crashes about
+					// every hundred operations, so only a cache of at most
+					// 512 lines fills up and evicts between its crashes.
+					if 4*memoSlots*ways <= 512 {
+						diffStream(t, mode, ways, 4*memoSlots, seed, true, true)
+					}
 				}
 			})
 		}

@@ -1,12 +1,19 @@
 package pmem
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
-// memoSlots is the number of lines a context's memo can hold, a power
-// of two picked by the 4/8/16 sweep in EXPERIMENTS.md; the low bits of
-// an entry flag it valid and dirty.
+// memoSlots is the number of lines a context's memo can hold: a power
+// of two, at most 64 (Ctx.memoUsed has a bit per slot). A batch's
+// prefetched lines wait in it for their loads, up to maxPrefetch of them
+// besides the operation's own runs, and with 32 slots a batch enters
+// more sets than TestSetEntriesPerOperation allows (EXPERIMENTS.md "Line
+// memo serves prefetched loads"). The low bits of an entry flag it valid
+// and dirty.
 const (
-	memoSlots = 8
+	memoSlots = 64
 	memoValid = 1
 	memoDirty = 2
 )
@@ -40,10 +47,13 @@ type Ctx struct {
 	// again would change nothing, and Pool.touch does not. The entries are
 	// believed only while memoCrashes is the pool's crash count, and none
 	// outlives the operation that made it (BeginOp). memoLast is the slot
-	// of the last access, checked before the line is hashed.
+	// of the last access, checked before the line is hashed. memoUsed has
+	// a bit for every slot lookup wrote since the table was last emptied,
+	// so emptying it clears those slots, not all memoSlots.
 	memo        [memoSlots]uint64
 	memoLast    uint64
 	memoCrashes uint64
+	memoUsed    uint64
 	// setEntries counts this context's passes through a cache set, for the
 	// gate that pins how many an operation makes (setentries_test.go).
 	setEntries uint64
@@ -72,15 +82,14 @@ type Ctx struct {
 // panics, because a mid-operation power cut is only well-defined when
 // taken through the deterministic fault injector.
 //
-// The outermost BeginOp empties the line memo, unsettles every pending
-// prefetch and drops those whose data has arrived: what a neighbour did
-// to a line between two operations is never papered over by an entry
-// made in the first.
+// The outermost BeginOp empties the line memo and drops the pending
+// prefetches whose data has arrived: what a neighbour did to a line
+// between two operations is never papered over by an entry made in the
+// first.
 func (c *Ctx) BeginOp() {
 	if c.opDepth == 0 {
 		c.inOp.Store(true)
-		c.memo = [memoSlots]uint64{}
-		c.pf.unsettleAll()
+		c.memoClear()
 		c.pf.dropArrived(c.clock)
 	}
 	c.opDepth++
@@ -121,6 +130,14 @@ func (c *Ctx) Stats() Stats { return c.stats }
 func (c *Ctx) Release() {
 	c.pool.retire(c)
 	c.pool = nil
+}
+
+// memoClear empties the line memo.
+func (c *Ctx) memoClear() {
+	for u := c.memoUsed; u != 0; u &= u - 1 {
+		c.memo[bits.TrailingZeros64(u)&(memoSlots-1)] = 0
+	}
+	c.memoUsed = 0
 }
 
 // memoSlot returns the memo slot of set index si when it holds line,

@@ -8,7 +8,7 @@ import (
 )
 
 // TestConcurrentCutDrainsAtomicSection pins the multi-worker firing
-// contract: a failure-atomic section that passed its counted step
+// contract: a failure-atomic section that got past its counted step
 // before another worker fired the cut must complete its publish in
 // full — the cut serialises after the section, never inside it.
 // Before the drain existed, worker B's stores below would unwind

@@ -137,8 +137,7 @@ func (p *Pool) checkAligned(addr uint64) {
 
 // lookup runs one line access through cache set si — the one door into
 // cache.access — and leaves the line's memo entry behind, flagged when
-// the access leaves the line dirty; the set's other lines lose their
-// settled prefetches (prefetchTable). The crash count is read before the
+// the access leaves the line dirty. The crash count is read before the
 // set is entered, so a power cut racing the access leaves a memo that is
 // already stale, never one that outlives the emptied cache; a count that
 // moved empties the table, and so does every entry made outside an
@@ -146,11 +145,9 @@ func (p *Pool) checkAligned(addr uint64) {
 // others wrong.
 func (p *Pool) lookup(c *Ctx, line, si uint64, store bool) (hit bool) {
 	if n := p.crashes.Load(); n != c.memoCrashes || c.opDepth == 0 {
-		c.memo = [memoSlots]uint64{}
+		c.memoClear()
 		c.memoCrashes = n
-		c.pf.unsettleAll()
 	}
-	c.pf.passed(si, line)
 	c.setEntries++
 	hit, dirty := p.cache.access(p, c, line, si, store)
 	e := line | memoValid
@@ -159,21 +156,22 @@ func (p *Pool) lookup(c *Ctx, line, si uint64, store bool) (hit bool) {
 	}
 	c.memoLast = si & (memoSlots - 1)
 	c.memo[c.memoLast] = e
+	c.memoUsed |= 1 << c.memoLast
 	return hit
 }
 
 // touch performs the cache-model bookkeeping for one line access and
 // charges the context's virtual clock, consuming a pending prefetch of
-// the line if one exists. A load whose prefetch is still settled
-// (prefetchTable) is that prefetched hit without entering the set, on
-// the argument below.
+// the line if one exists.
 //
 // An access to a line with a memo entry (Ctx.memo) is a hit that would
 // leave the set exactly as it is, and is charged without taking the set
 // lock: the line's way already holds rank 0 of the set's LRU order, so a
 // load has nothing to do there but consume the line's pending prefetch;
 // and when the entry is memoDirty the way is dirty and its ADR snapshot
-// taken, so neither has a store. A pass through any set of the slot
+// taken, so neither has a store. A prefetched line is one of these: the
+// prefetch's own pass left the entry, and its load is the prefetched hit
+// without entering the set again. A pass through any set of the slot
 // replaces the entry, the context's own Flush (which cleans the line:
 // the next store must re-snapshot and re-dirty it) clears memoDirty, its
 // NTStore drops the entry, and any Crash or the next outermost BeginOp
@@ -217,21 +215,8 @@ func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 		si = p.cache.setIndex(line)
 	}
 	done, prefetched := int64(0), false
-	if !store {
-		if r := c.pf.settledAt(si, line); r >= 0 && c.opDepth > 0 && c.memoCrashes == p.crashes.Load() {
-			// The prefetch was the last pass through the set and still
-			// holds rank 0 there: the load is the hit below without
-			// entering the set, and leaves the memo entry lookup would.
-			c.clock = max(c.clock, c.pf.ring[r].done) + t.CacheHitLoad
-			c.stats.CacheHits++
-			c.pf.remove(r)
-			c.memoLast = si & (memoSlots - 1)
-			c.memo[c.memoLast] = want
-			return
-		}
-		if c.pf.mayHold(line) {
-			done, prefetched = c.pf.take(line)
-		}
+	if !store && c.pf.mayHold(line) {
+		done, prefetched = c.pf.take(line)
 	}
 	hit := p.lookup(c, line, si, store)
 	switch {
@@ -386,7 +371,6 @@ func (p *Pool) NTStore(c *Ctx, addr uint64, src []byte) {
 		if e := c.memoSlot(line, si); e != nil {
 			*e = 0 // the line is gone from the cache
 		}
-		c.pf.passed(si, ^uint64(0))
 		p.cache.invalidateLine(line, si)
 		c.stats.CachelineWrites++
 		c.stats.NTStores++
@@ -441,9 +425,9 @@ func (p *Pool) Fence(c *Ctx) {
 // same line only waits out the residual latency. This is the mechanism
 // behind the paper's pipelined execution (§III-D).
 //
-// The line enters its set here, once: inside an operation the prefetch
-// is settled, and a load that finds it still settled is charged without
-// entering the set again (Pool.touch).
+// The line enters its set here, once: the pass leaves a line memo entry
+// like any other, and a load that still finds it is charged the
+// prefetched hit without entering the set again (Pool.touch).
 //
 // A context keeps at most maxPrefetch loads in flight. A full table
 // drops one whose data has arrived; when every one is still in flight
@@ -456,8 +440,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) bool {
 	if !c.pf.room(line, c.clock) {
 		return false
 	}
-	si := p.cache.setIndex(line)
-	hit := p.lookup(c, line, si, false)
+	hit := p.lookup(c, line, p.cache.setIndex(line), false)
 	c.clock += t.DRAMAccess // issue cost
 	lat := t.CacheMissLoad
 	if hit {
@@ -465,10 +448,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) bool {
 	} else {
 		c.stats.CacheMisses++
 	}
-	r := c.pf.note(line, c.clock+lat)
-	if c.opDepth > 0 {
-		c.pf.settle(r, si)
-	}
+	c.pf.note(line, c.clock+lat)
 	return true
 }
 

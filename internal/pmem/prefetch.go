@@ -8,7 +8,10 @@ package pmem
 // operation has only those: a Get's whole value, a write's header line.
 // A load still in flight is never dropped to make room: when all of them
 // are, a prefetch is not issued (Pool.Prefetch), so a large value's later
-// lines are the operation's own misses.
+// lines are the operation's own misses. The table only times the loads;
+// that a prefetched line need not enter its set again is the line memo's
+// to say, whose memoSlots slots hold all of them but the ones that share
+// a slot with a later pass.
 const maxPrefetch = 16
 
 // pfSlots is the number of counters in a prefetch table's line filter (a
@@ -21,14 +24,10 @@ const (
 )
 
 // pfEntry is one in-flight asynchronous load: the line, and the virtual
-// time at which its data becomes usable. settled is one more than the
-// table's epoch when the prefetch was the context's last pass through the
-// line's cache set si, 0 when it is not known to be (prefetchTable).
+// time at which its data becomes usable.
 type pfEntry struct {
-	line    uint64
-	done    int64
-	settled uint64
-	si      uint32
+	line uint64
+	done int64
 }
 
 // prefetchTable is a context's record of its in-flight asynchronous
@@ -38,24 +37,14 @@ type pfEntry struct {
 // slot, so the many lookups for lines with no entry read one counter, and
 // a line that has one is found by a scan of at most maxPrefetch entries.
 // Noting, consuming and dropping the oldest each change one counter.
-//
-// An entry is settled while its settled value is epoch+1. For a context
-// alone on its pool, a settled line still holds rank 0 of its set: a
-// load of it would enter the set only to change nothing there, and
-// Pool.touch charges it without entering (DESIGN.md §2 "The line
-// memo"; the argument is the memo's). Every pass of the context through
-// a set unsettles that set's settled entry for another line (passed), a
-// power cut or a pass outside an operation unsettles them all, and so
-// does the next outermost BeginOp. At most one entry is settled per
-// group of sets with one si%64 — settling a second unsettles the first —
-// and bySet names its ring slot plus one, so a pass checks one entry.
+// Which prefetched lines still hold rank 0 of their set is not the
+// table's to know: a prefetch's pass leaves a line memo entry like any
+// other (Pool.lookup), and that entry is what serves the load.
 type prefetchTable struct {
-	ring  [maxPrefetch]pfEntry
-	head  int
-	n     int
-	cnt   [pfSlots]uint8
-	bySet [64]uint8
-	epoch uint64
+	ring [maxPrefetch]pfEntry
+	head int
+	n    int
+	cnt  [pfSlots]uint8
 }
 
 func (t *prefetchTable) home(line uint64) int {
@@ -76,13 +65,13 @@ func (t *prefetchTable) find(line uint64) int {
 }
 
 // note records that line will be available at virtual time done (the
-// earlier time if it is already in flight) and returns its ring slot. A
-// full table drops the oldest entry first, as a hardware prefetcher with
-// limited tracking would.
-func (t *prefetchTable) note(line uint64, done int64) int {
+// earlier time if it is already in flight). A full table drops the
+// oldest entry first, as a hardware prefetcher with limited tracking
+// would.
+func (t *prefetchTable) note(line uint64, done int64) {
 	if r := t.find(line); r >= 0 {
 		t.ring[r].done = min(t.ring[r].done, done)
-		return r
+		return
 	}
 	if t.n == maxPrefetch {
 		t.cnt[t.home(t.ring[t.head].line)]--
@@ -93,7 +82,6 @@ func (t *prefetchTable) note(line uint64, done int64) int {
 	t.ring[r] = pfEntry{line: line, done: done}
 	t.cnt[t.home(line)]++
 	t.n++
-	return r
 }
 
 // room makes space to note line at virtual time now without dropping a
@@ -135,48 +123,15 @@ func (t *prefetchTable) take(line uint64) (done int64, ok bool) {
 	return done, true
 }
 
-// settledAt returns the ring slot of line's settled entry, found through
-// its set si without hashing the line, or -1.
-func (t *prefetchTable) settledAt(si, line uint64) int {
-	if o := int(t.bySet[si%64]) - 1; o >= 0 {
-		if e := &t.ring[o]; e.line == line && t.settled(e) {
-			return o
-		}
-	}
-	return -1
-}
-
 // remove deletes the entry in ring slot r, moving the newest entry into
 // its place.
 func (t *prefetchTable) remove(r int) {
-	e := &t.ring[r]
-	if t.settled(e) {
-		t.bySet[e.si%64] = 0
-	}
-	t.cnt[t.home(e.line)]--
+	t.cnt[t.home(t.ring[r].line)]--
 	t.n--
 	if last := (t.head + t.n) % maxPrefetch; last != r {
-		*e = t.ring[last]
-		if t.settled(e) {
-			t.bySet[e.si%64] = uint8(r + 1)
-		}
+		t.ring[r] = t.ring[last]
 	}
 }
-
-// settle marks the entry in ring slot r, whose line is in set si, as the
-// context's last pass through that set, unsettling the one settled entry
-// its group of sets may hold.
-func (t *prefetchTable) settle(r int, si uint64) {
-	g := si % 64
-	if o := int(t.bySet[g]) - 1; o >= 0 && o != r && t.settled(&t.ring[o]) && uint64(t.ring[o].si)%64 == g {
-		t.ring[o].settled = 0
-	}
-	t.ring[r].si, t.ring[r].settled = uint32(si), t.epoch+1
-	t.bySet[g] = uint8(r + 1)
-}
-
-// settled reports whether e is still settled.
-func (t *prefetchTable) settled(e *pfEntry) bool { return e.settled == t.epoch+1 }
 
 // dropArrived removes every entry whose data has arrived by now: a
 // prefetch its operation did not consume (a fingerprint match whose key
@@ -190,20 +145,6 @@ func (t *prefetchTable) dropArrived(now int64) {
 			t.remove(r) // the newest entry moves into r: look at r again
 		} else {
 			k++
-		}
-	}
-}
-
-// unsettleAll unsettles every entry.
-func (t *prefetchTable) unsettleAll() { t.epoch++ }
-
-// passed notes the context's pass through set si for line: a settled
-// entry of another line in that set now ranks below it. A line no entry
-// can hold (^0) unsettles the set's entry whatever its line.
-func (t *prefetchTable) passed(si, line uint64) {
-	if o := t.bySet[si%64]; o != 0 {
-		if e := &t.ring[o-1]; uint64(e.si) == si && e.line != line {
-			e.settled = 0
 		}
 	}
 }
