@@ -143,9 +143,9 @@ func (ix *Index) checkSegment(c *pmem.Ctx, m mem, buf *[SegmentSize]byte, seg, p
 		case !v.hinted:
 			return 0, fmt.Errorf("segment %#x slot %d: overflow entry without hint", seg, s)
 		}
-		// The entry must be locatable through the public read path.
+		// The entry must be locatable through the public read path (run
+		// outside an operation, the probe prefetches nothing).
 		r := makeReq(v.key)
-		r.staged = true // nothing of the value is read: prefetch none of it
 		if idx, _, _, _ := ix.locate(m, c, seg, &r, false); idx != s {
 			return 0, fmt.Errorf("segment %#x slot %d: locate found %d", seg, s, idx)
 		}

@@ -21,11 +21,10 @@ type req struct {
 	// then the one prefetchOp resolved and asked for, which the record
 	// stages read (pipeline.go); operations ignore it.
 	bucket uint64
-	// staged tells the probe to ask for none of a match's records
-	// (locate). ExecBatch's record stage sets it once it has asked for
-	// the records of the main bucket's fingerprint matches; the
-	// invariant check, which reads no value, sets it before it probes.
-	staged bool
+	// loaded is the bucket whose fingerprint matches' records ExecBatch's
+	// record stage asked for (0: none), so the probe asks again only for
+	// matches in other buckets (locate).
+	loaded uint64
 }
 
 func makeReq(key []byte) req {
@@ -77,12 +76,13 @@ func (ix *Index) keyMatches(c *pmem.Ctx, kw uint64, r *req) bool {
 // load of what the operation reads of its value record (prefetchValue:
 // every line when whole, for a Get; the header, with the length, for the
 // writes) before the compare waits out the key record's miss, so
-// the two records' misses overlap (§III-D within one operation). A
-// request marked r.staged prefetches nothing: ExecBatch's record stage
-// has its records in flight already, or the caller reads no value. The header is peeked, not
-// loaded, and a doomed transaction may be probing a freed and reused
-// segment, so both words may be garbage: that costs only a useless
-// prefetch, never a load past the pool, a fault step or a machine check.
+// the two records' misses overlap (§III-D within one operation). It
+// skips a match in r.loaded, whose records the record stage has in
+// flight, and a probe outside an operation (the invariant check, a
+// test's lookup) reads no value and skips every match. The header is
+// peeked, and a doomed transaction may probe a freed and reused segment,
+// so both words may be garbage: that costs only a useless prefetch,
+// never a load past the pool, a fault step or a machine check.
 func (ix *Index) locate(m mem, c *pmem.Ctx, seg uint64, r *req, whole bool) (idx int, kw, vw uint64, probes int) {
 	b := mainBucket(r.h)
 	base := b * SlotsPerBucket
@@ -121,15 +121,15 @@ func (ix *Index) locate(m mem, c *pmem.Ctx, seg uint64, r *req, whole bool) (idx
 // word kw carries r's fingerprint, holds r's key, and if so its value
 // word, prefetching as locate says.
 func (ix *Index) matchSlot(m mem, c *pmem.Ctx, a, kw uint64, r *req, whole bool) (vw uint64, ok bool) {
-	if r.staged || keyIsInline(kw) {
-		if !ix.keyMatches(c, kw, r) {
-			return 0, false
-		}
-		return m.load(a + 8), true
+	if !keyIsInline(kw) && a&^(pmem.CachelineSize-1) != r.loaded && c.InOp() {
+		vw = m.load(a + 8)
+		ix.prefetchValue(c, vw, whole)
+		return vw, ix.keyMatches(c, kw, r)
 	}
-	vw = m.load(a + 8)
-	ix.prefetchValue(c, vw, whole)
-	return vw, ix.keyMatches(c, kw, r)
+	if !ix.keyMatches(c, kw, r) {
+		return 0, false
+	}
+	return m.load(a + 8), true
 }
 
 // findFree picks the slot for a new entry following circular probing

@@ -256,7 +256,10 @@ func (h *Handle) prefetchOp(r *req) {
 // value record's lines (prefetchValue). So the operation finds every
 // record line in flight instead of missing on the key record and then on
 // the value record one after the other, and its probe, told so by
-// r.staged, asks for none of them again (Index.locate).
+// r.loaded, asks for none of them again (Index.locate). When no slot's
+// fingerprint matches, the entry, if any, is behind a hint: the stage
+// asks the host for, and starts the load of, each overflow bucket a hint
+// with r's overflow fingerprint names; the probe asks for its records.
 //
 // It runs only for keys that do not inline: an inline key is compared in
 // the slot. The bucket's words are unvalidated — the segment may have
@@ -273,15 +276,25 @@ func (h *Handle) prefetchRecords(r *req, get bool) {
 	if r.kInline || !ix.pool.LoadPrefetched(h.c, r.bucket, &b) {
 		return
 	}
-	r.staged = true
+	r.loaded = r.bucket
+	matched := false
 	for s := 0; s < SlotsPerBucket; s++ {
 		kw, vw := b[2*s], b[2*s+1]
 		if !keyOccupied(kw) || keyIsInline(kw) || keyFP(kw) != r.fp {
 			continue
 		}
+		matched = true
 		if !ix.prefetchLines(h.c, wordPayload(kw), recordSpace(len(r.key))) ||
 			!ix.prefetchValue(h.c, vw, get) {
 			return
+		}
+	}
+	seg := r.bucket - uint64(mainBucket(r.h))*pmem.CachelineSize
+	for s := 0; s < SlotsPerBucket && !matched; s++ {
+		if hv := b[2*s+1]; hintValid(hv) && hintFP(hv) == r.ofp {
+			a := seg + uint64(bucketOf(hintIdx(hv)))*pmem.CachelineSize
+			ix.tm.Hint(ix.pool, a) // no hint stage has seen this bucket's address
+			ix.prefetchLines(h.c, a, pmem.CachelineSize)
 		}
 	}
 }

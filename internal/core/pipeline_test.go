@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -10,6 +12,21 @@ import (
 // calls, including batches that mix mutations (splits/doubling happen
 // mid-batch).
 func TestConcurrentBatches(t *testing.T) {
+	concurrentBatches(t, k64, func(k uint64) []byte { return k64(k * 3) })
+}
+
+// The same with 16-byte keys and 64-byte values, out of line: the record
+// stage and the probe prefetch then run on every request, reading bucket
+// and hint words that other workers' splits and doublings rewrite.
+func TestConcurrentBatchesOutOfLine(t *testing.T) {
+	concurrentBatches(t,
+		func(k uint64) []byte { return []byte(fmt.Sprintf("okey-%011d", k)) },
+		func(k uint64) []byte { return []byte(fmt.Sprintf("%064d", k*3)) })
+}
+
+// concurrentBatches runs six workers that each insert their own keys in
+// batches of 64 and read every batch back, pipelined.
+func concurrentBatches(t *testing.T, key, val func(k uint64) []byte) {
 	ix, _ := newTestIndex(t, Config{InitialDepth: 2, PipelineDepth: 4})
 	const workers, batches, batchLen = 6, 40, 64
 	var wg sync.WaitGroup
@@ -20,19 +37,11 @@ func TestConcurrentBatches(t *testing.T) {
 			h := ix.NewHandle(nil)
 			defer h.Close()
 			base := uint64(w * batches * batchLen)
-			keys := make([][]byte, batchLen)
-			vals := make([][]byte, batchLen)
-			for i := range keys {
-				keys[i] = make([]byte, 8)
-				vals[i] = make([]byte, 8)
-			}
 			ops := make([]BatchOp, batchLen)
 			for b := 0; b < batches; b++ {
 				for i := range ops {
 					k := base + uint64(b*batchLen+i)
-					binary.LittleEndian.PutUint64(keys[i], k)
-					binary.LittleEndian.PutUint64(vals[i], k*3)
-					ops[i] = BatchOp{Kind: OpInsert, Key: keys[i], Value: vals[i]}
+					ops[i] = BatchOp{Kind: OpInsert, Key: key(k), Value: val(k)}
 				}
 				h.ExecBatch(ops)
 				for i := range ops {
@@ -43,7 +52,7 @@ func TestConcurrentBatches(t *testing.T) {
 				}
 				// Read the batch back, pipelined.
 				for i := range ops {
-					ops[i] = BatchOp{Kind: OpSearch, Key: keys[i]}
+					ops[i] = BatchOp{Kind: OpSearch, Key: ops[i].Key}
 				}
 				h.ExecBatch(ops)
 				for i := range ops {
@@ -51,8 +60,8 @@ func TestConcurrentBatches(t *testing.T) {
 						t.Errorf("worker %d batch %d op %d not found", w, b, i)
 						return
 					}
-					if got := binary.LittleEndian.Uint64(ops[i].Result); got != (base+uint64(b*batchLen+i))*3 {
-						t.Errorf("worker %d: wrong value %d", w, got)
+					if want := val(base + uint64(b*batchLen+i)); !bytes.Equal(ops[i].Result, want) {
+						t.Errorf("worker %d: wrong value %q, want %q", w, ops[i].Result, want)
 						return
 					}
 				}

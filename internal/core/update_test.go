@@ -19,7 +19,6 @@ var updateModes = []Config{
 // valueOf returns the value word key's slot holds (0 when absent).
 func valueOf(h *Handle, key []byte) uint64 {
 	r := makeReq(key)
-	r.staged = true
 	_, e := h.ix.resolveRaw(r.h)
 	idx, _, vw, _ := h.ix.locate(rawMem{h.ix.pool, h.c}, h.c, entrySeg(e), &r, false)
 	if idx < 0 {

@@ -107,6 +107,9 @@ func (c *Ctx) EndOp() {
 	}
 }
 
+// InOp reports whether this worker has an operation in flight (BeginOp).
+func (c *Ctx) InOp() bool { return c.opDepth > 0 }
+
 // Clock returns the worker's virtual time in nanoseconds.
 func (c *Ctx) Clock() int64 { return c.clock }
 

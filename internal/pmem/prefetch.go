@@ -1,11 +1,15 @@
 package pmem
 
 // maxPrefetch bounds the number of asynchronous loads a single worker
-// keeps in flight, as a core's fill buffers do. A batch has up to
-// PipelineDepth+1 bucket loads (the paper's depth tops out at 8) and two
-// requests' record lines pending; a probe adds the value lines of the
-// fingerprint matches its record stage did not cover, and a single
-// operation has only those: a Get's whole value, a write's header line.
+// keeps in flight, as a core's fill buffers do. Three callers in the
+// index issue them. A batch's bucket stage has up to PipelineDepth+1
+// main bucket lines pending (the paper's depth tops out at 8). Its record
+// stage adds, for two requests at a time, the key and value record lines
+// of the fingerprint matches in a main bucket, or else the overflow
+// bucket lines the bucket's hints name. The probe adds the value lines of
+// a match in any bucket the record stage did not load, and in a single
+// operation it is the only caller: a Get's whole value, a write's header
+// line.
 // A load still in flight is never dropped to make room: when all of them
 // are, a prefetch is not issued (Pool.Prefetch), so a large value's later
 // lines are the operation's own misses. The table only times the loads;
