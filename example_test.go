@@ -19,9 +19,9 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	platform := db.Platforms()[0]
+	platforms := db.Platforms()
 	lost := db.Crash() // power failure; eADR cache is persistent
-	db2, err := spash.Recover(platform, spash.Options{})
+	db2, err := spash.RecoverAll(platforms, spash.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,11 +109,11 @@ func adr() {
 			log.Fatal(err)
 		}
 	}
-	platform := db.Platforms()[0]
+	platforms := db.Platforms()
 	lost := db.Crash()
 	fmt.Printf("power failure: %d dirty cachelines rolled back (volatile cache!)\n", lost)
 
-	db2, err := spash.Recover(platform, spash.Options{})
+	db2, err := spash.RecoverAll(platforms, spash.Options{})
 	if err != nil {
 		fmt.Printf("recovery failed outright: %v\n", err)
 		fmt.Println("(the index's own metadata was among the lost lines)")

@@ -143,13 +143,6 @@ type Pass struct {
 	facts *FactStore
 }
 
-// NewPass prepares a pass of a over pkg with an empty fact store
-// (callers that need cross-package facts use Run, which shares one
-// store across the ordered packages).
-func NewPass(a *Analyzer, pkg *Package) *Pass {
-	return newPass(a, pkg, NewFactStore())
-}
-
 func newPass(a *Analyzer, pkg *Package, facts *FactStore) *Pass {
 	return &Pass{
 		Analyzer:   a,

@@ -284,24 +284,15 @@ type FixtureDir struct {
 	ImportPath string
 }
 
-// LoadDir type-checks a loose directory of Go files (an analysistest
-// fixture) under the given import path. deps lists go packages the
-// fixture may import (transitive closures are resolved automatically);
-// the spash module packages and any std package reachable from them
-// are available.
-func (l *Loader) LoadDir(dir, importPath string, deps ...string) (*Package, error) {
-	pkgs, err := l.LoadDirs([]FixtureDir{{Dir: dir, ImportPath: importPath}}, deps...)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
-// LoadDirs type-checks several fixture directories as one multi-package
-// fixture: later fixtures may import earlier ones by their fixture
-// import path (so a facts-producing "reader" package can be consumed
-// by a "user" package, exercising cross-package propagation). Fixtures
-// must be listed dependency-first.
+// LoadDirs type-checks loose directories of Go files (analysistest
+// fixtures) as one multi-package fixture, each under its import path:
+// later fixtures may import earlier ones by their fixture import path
+// (so a facts-producing "reader" package can be consumed by a "user"
+// package, exercising cross-package propagation). Fixtures must be
+// listed dependency-first. deps lists go packages the fixtures may
+// import (transitive closures are resolved automatically); the spash
+// module packages and any std package reachable from them are
+// available.
 func (l *Loader) LoadDirs(fixtures []FixtureDir, deps ...string) ([]*Package, error) {
 	if len(deps) > 0 {
 		entries, err := l.goList(deps...)

@@ -96,15 +96,6 @@ func TMMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return methodOn(info, call, HTMPath, "TM")
 }
 
-// TxnMethod returns the method name if call invokes a method on
-// *htm.Txn or *htm.ITxn.
-func TxnMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if n, ok := methodOn(info, call, HTMPath, "Txn"); ok {
-		return n, true
-	}
-	return methodOn(info, call, HTMPath, "ITxn")
-}
-
 // MutatingPoolMethods are the pmem.Pool methods that change PM
 // contents. Load64/Read/Flush/Fence/Prefetch are not mutations.
 var MutatingPoolMethods = map[string]bool{

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"spash/internal/alloc"
 	"spash/internal/hash"
@@ -447,17 +446,7 @@ func (h *Handle) Quarantine(hh uint64, expectSeg uint64) (*QuarantineReport, err
 	ix := h.ix
 	c := h.c
 	for {
-		if atomic.LoadUint64(&ix.dirGen)&1 == 1 {
-			ix.waitResize()
-			continue
-		}
-		d := ix.dir.Load()
-		_, e := ix.resolveRaw(hh)
-		if entryLocked(e) {
-			ix.pool.CheckLive()
-			runtime.Gosched()
-			continue
-		}
+		d, e := ix.unlockedEntry(hh)
 		seg, depth := entrySeg(e), entryDepth(e)
 		if expectSeg != 0 && seg != expectSeg {
 			return nil, nil
@@ -465,26 +454,7 @@ func (h *Handle) Quarantine(hh uint64, expectSeg uint64) (*QuarantineReport, err
 		prefix := hash.Prefix(hh, depth)
 		base := prefix << (d.depth - depth)
 		n := uint64(1) << (d.depth - depth)
-
-		locked := uint64(0)
-		ok := true
-		for j := uint64(0); j < n; j++ {
-			ptr := &d.entries[base+j]
-			cur := atomic.LoadUint64(ptr)
-			if entryLocked(cur) || entrySeg(cur) != seg || entryDepth(cur) != depth ||
-				!ix.tm.BumpCASVol(c, ptr, cur, cur|entryLock) {
-				ok = false
-				break
-			}
-			locked++
-		}
-		if !ok || ix.dir.Load() != d {
-			for j := uint64(0); j < locked; j++ {
-				ptr := &d.entries[base+j]
-				ix.tm.BumpStoreVol(c, ptr, entryUnlock(atomic.LoadUint64(ptr)))
-			}
-			ix.pool.CheckLive()
-			runtime.Gosched()
+		if !ix.lockCovering(c, d, base, n, seg, depth) {
 			continue
 		}
 
@@ -576,10 +546,7 @@ func (h *Handle) Quarantine(hh uint64, expectSeg uint64) (*QuarantineReport, err
 			return nil
 		})
 		if err != nil {
-			for j := uint64(0); j < n; j++ {
-				ptr := &d.entries[base+j]
-				ix.tm.BumpStoreVol(c, ptr, entryUnlock(atomic.LoadUint64(ptr)))
-			}
+			ix.unlockCovering(c, d, base, n)
 			return nil, err
 		}
 		// Drain the replacement segment's write-back before freeing the

@@ -20,11 +20,6 @@ import (
 
 // ScrubOptions parameterises StartScrub.
 type ScrubOptions struct {
-	// Rate caps verification at this many segments per second
-	// (0 = unthrottled). The cap bounds the scrubber's read bandwidth,
-	// the knob a production deployment would tune against foreground
-	// interference.
-	Rate int
 	// Passes stops the scrubber after this many full pool walks
 	// (0 = run until Stop).
 	Passes int
@@ -114,12 +109,8 @@ func (s *Scrubber) Wait() {
 func (s *Scrubber) run() {
 	defer close(s.done)
 	defer s.h.Close()
-	var gap time.Duration
-	if s.opt.Rate > 0 {
-		gap = time.Second / time.Duration(s.opt.Rate)
-	}
 	for pass := 0; s.opt.Passes == 0 || pass < s.opt.Passes; pass++ {
-		segs, corr := s.scanPass(gap)
+		segs, corr := s.scanPass()
 		s.stats.Passes++
 		s.ix.reg.Trace(obs.EvScrubPass, s.h.c.Clock(), segs, corr)
 		s.ix.reg.SetGauge(obs.GScrubPasses, int64(s.stats.Passes))
@@ -137,9 +128,8 @@ func (s *Scrubber) run() {
 // scanPass walks the registry once, verifying every live segment. It
 // looks at stop before each segment and every registryStopEvery registry
 // words, so Stop does not wait out the rest of a pass.
-func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
+func (s *Scrubber) scanPass() (segs, corr int64) {
 	ix := s.ix
-	var next time.Time
 	ix.eachRegistered(s.h.c, s.stop, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		select {
 		case <-s.stop:
@@ -148,18 +138,6 @@ func (s *Scrubber) scanPass(gap time.Duration) (segs, corr int64) {
 		}
 		if poisoned {
 			return true
-		}
-		if gap > 0 {
-			if now := time.Now(); now.Before(next) {
-				select {
-				case <-s.stop:
-					return false
-				case <-time.After(next.Sub(now)):
-				}
-				next = next.Add(gap)
-			} else {
-				next = now.Add(gap)
-			}
 		}
 		corrupt, skipped := s.verifyOnline(seg, prefix, depth)
 		if skipped {

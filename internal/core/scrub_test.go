@@ -114,7 +114,7 @@ func TestScrubRepairsUnderLoad(t *testing.T) {
 func TestScrubCleanPoolFindsNothing(t *testing.T) {
 	ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: true})
 	fillIntegrity(t, h, 600)
-	s := ix.StartScrub(ScrubOptions{Passes: 2, Rate: 100000, Repair: true})
+	s := ix.StartScrub(ScrubOptions{Passes: 2, Repair: true})
 	s.Wait()
 	stats := s.Stop()
 	if stats.Corruptions != 0 || stats.Quarantines != 0 {
@@ -169,7 +169,7 @@ func TestScrubStopEndsTheRegistryWalk(t *testing.T) {
 		after := c.Stats()
 		return after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses
 	}
-	if n := reads(s.h.c, func() { s.scanPass(0) }); n > registryStopEvery {
+	if n := reads(s.h.c, func() { s.scanPass() }); n > registryStopEvery {
 		t.Errorf("a stopped pass read %d registry words, want at most %d", n, registryStopEvery)
 	}
 	if n := reads(h.c, func() { ix.SegmentAddrs(h.c) }); n != ix.registryCap {

@@ -346,17 +346,7 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 	h.lane.Inc(obs.CSplitFallbacks)
 	ix.reg.Trace(obs.EvSplitFallback, c.Clock(), int64(hh>>48), 0)
 	for {
-		if atomic.LoadUint64(&ix.dirGen)&1 == 1 {
-			ix.waitResize()
-			continue
-		}
-		d := ix.dir.Load()
-		_, e := ix.resolveRaw(hh)
-		if entryLocked(e) {
-			ix.pool.CheckLive()
-			runtime.Gosched()
-			continue
-		}
+		d, e := ix.unlockedEntry(hh)
 		seg, depth := entrySeg(e), entryDepth(e)
 		if depth >= maxDepth {
 			return errMaxDepth
@@ -368,28 +358,7 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 		prefix := hash.Prefix(hh, depth)
 		base := prefix << (d.depth - depth)
 		n := uint64(1) << (d.depth - depth)
-
-		// Lock every covering entry (ascending order, CAS with bump so
-		// optimistic transactions conflict).
-		locked := uint64(0)
-		ok := true
-		for j := uint64(0); j < n; j++ {
-			ptr := &d.entries[base+j]
-			cur := atomic.LoadUint64(ptr)
-			if entryLocked(cur) || entrySeg(cur) != seg || entryDepth(cur) != depth ||
-				!ix.tm.BumpCASVol(c, ptr, cur, cur|entryLock) {
-				ok = false
-				break
-			}
-			locked++
-		}
-		if !ok || ix.dir.Load() != d {
-			for j := uint64(0); j < locked; j++ {
-				ptr := &d.entries[base+j]
-				ix.tm.BumpStoreVol(c, ptr, entryUnlock(atomic.LoadUint64(ptr)))
-			}
-			ix.pool.CheckLive()
-			runtime.Gosched()
+		if !ix.lockCovering(c, d, base, n, seg, depth) {
 			continue
 		}
 
@@ -405,14 +374,61 @@ func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 			return nil
 		})
 		if err != nil {
-			// Unlock with original values on failure.
-			for j := uint64(0); j < n; j++ {
-				ptr := &d.entries[base+j]
-				ix.tm.BumpStoreVol(c, ptr, entryUnlock(atomic.LoadUint64(ptr)))
-			}
+			ix.unlockCovering(c, d, base, n)
 			return err
 		}
 		h.splitDone(hh)
 		return nil
+	}
+}
+
+// unlockedEntry waits out a directory resize and any fallback lock on
+// hh's directory entry, and returns the entry with the directory it
+// was read from.
+func (ix *Index) unlockedEntry(hh uint64) (*directory, uint64) {
+	for {
+		if atomic.LoadUint64(&ix.dirGen)&1 == 1 {
+			ix.waitResize()
+			continue
+		}
+		d := ix.dir.Load()
+		if _, e := ix.resolveRaw(hh); !entryLocked(e) {
+			return d, e
+		}
+		ix.pool.CheckLive()
+		runtime.Gosched()
+	}
+}
+
+// lockCovering fallback-locks the n entries of d from base, which must
+// all still map seg at depth: in ascending order, each a CAS with a
+// version bump so optimistic transactions conflict. If an entry has
+// changed or d has been replaced, it unlocks what it took, yields and
+// reports false, and the caller resolves the entry again.
+func (ix *Index) lockCovering(c *pmem.Ctx, d *directory, base, n, seg uint64, depth uint) bool {
+	locked := uint64(0)
+	for ; locked < n; locked++ {
+		ptr := &d.entries[base+locked]
+		cur := atomic.LoadUint64(ptr)
+		if entryLocked(cur) || entrySeg(cur) != seg || entryDepth(cur) != depth ||
+			!ix.tm.BumpCASVol(c, ptr, cur, cur|entryLock) {
+			break
+		}
+	}
+	if locked == n && ix.dir.Load() == d {
+		return true
+	}
+	ix.unlockCovering(c, d, base, locked)
+	ix.pool.CheckLive()
+	runtime.Gosched()
+	return false
+}
+
+// unlockCovering releases the fallback locks on the n entries of d
+// from base.
+func (ix *Index) unlockCovering(c *pmem.Ctx, d *directory, base, n uint64) {
+	for j := uint64(0); j < n; j++ {
+		ptr := &d.entries[base+j]
+		ix.tm.BumpStoreVol(c, ptr, entryUnlock(atomic.LoadUint64(ptr)))
 	}
 }

@@ -101,7 +101,7 @@ func fig1Bandwidth(s Scale, zipf bool, mode flushMode, size int) float64 {
 	}
 	wg.Wait()
 
-	res := combine("", pool.Config().Timing, clocks, []pmem.Stats{pool.Stats()}, 0, int64(workers)*int64(ops))
+	res := combine("", clocks, []pmem.Stats{pool.Stats()}, 0, int64(workers)*int64(ops))
 	appBytes := float64(res.Ops) * float64(size)
 	return appBytes / float64(res.Elapsed) // bytes per ns == GB/s
 }

@@ -98,7 +98,7 @@ func (m *measure) finish(name string, clocks []int64, ops int64) Result {
 			serial = d
 		}
 	}
-	res := combine(name, m.pools[0].Config().Timing, clocks, deltas, serial, ops)
+	res := combine(name, clocks, deltas, serial, ops)
 	recordPhase(m.ix, res)
 	return res
 }

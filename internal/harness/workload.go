@@ -136,7 +136,7 @@ func runBatched(bw ixapi.Batcher, next func(i int) Op, n int) {
 	flush()
 }
 
-func combine(name string, t pmem.Timing, clocks []int64, memDeltas []pmem.Stats, serial int64, ops int64) Result {
+func combine(name string, clocks []int64, memDeltas []pmem.Stats, serial int64, ops int64) Result {
 	var maxClock int64
 	for _, c := range clocks {
 		if c > maxClock {
@@ -147,6 +147,7 @@ func combine(name string, t pmem.Timing, clocks []int64, memDeltas []pmem.Stats,
 	// the hottest device's, while the reported delta sums all of them.
 	var mem pmem.Stats
 	var readNS, writeNS int64
+	t := pmem.DefaultTiming()
 	for _, d := range memDeltas {
 		r := int64(float64(d.MediaReadBytes()) / t.PMReadBandwidth * 1e9)
 		w := int64(float64(d.MediaWriteBytes()) / t.PMWriteBandwidth * 1e9)

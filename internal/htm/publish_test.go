@@ -143,7 +143,7 @@ func TestPublishRunsAreConsecutiveSameLineWords(t *testing.T) {
 	if d.CacheHits != 3 || d.CacheMisses != 0 {
 		t.Fatalf("A, A, B, A commit: %d hits and %d misses, want 3 accesses (one per run)", d.CacheHits, d.CacheMisses)
 	}
-	want := int64(beginCostNS + commitBaseNS + 3*commitPerLineNS + 3*pool.Config().Timing.CacheHitStore)
+	want := int64(beginCostNS + commitBaseNS + 3*commitPerLineNS + 3*pmem.DefaultTiming().CacheHitStore)
 	if ns := c.Clock() - t0; ns != want {
 		t.Errorf("A, A, B, A commit cost %d ns, want %d (three units, three store hits)", ns, want)
 	}

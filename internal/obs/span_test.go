@@ -248,18 +248,18 @@ func TestSpanSnapshotDiffConcurrent(t *testing.T) {
 
 func TestEvalHealth(t *testing.T) {
 	base := Snapshot{HTM: htm.Stats{Commits: 1000, Conflicts: 10}}
-	if h := EvalHealth(base, HealthWatermarks{}); h.Status != HealthOK {
+	if h := EvalHealth(base); h.Status != HealthOK {
 		t.Fatalf("clean snapshot: %v (%v)", h.Status, h.Reasons)
 	}
 
 	quar := base
 	quar.Counters = map[string]int64{CounterNames[CQuarantines]: 2}
-	h := EvalHealth(quar, HealthWatermarks{})
+	h := EvalHealth(quar)
 	if h.Status != HealthDegraded || h.Quarantines != 2 {
 		t.Fatalf("quarantine: %v %+v", h.Status, h)
 	}
 	quar.Counters[CounterNames[CQuarantines]] = 16
-	if h = EvalHealth(quar, HealthWatermarks{}); h.Status != HealthCritical {
+	if h = EvalHealth(quar); h.Status != HealthCritical {
 		t.Fatalf("quarantine critical: %v", h.Status)
 	}
 
@@ -268,7 +268,7 @@ func TestEvalHealth(t *testing.T) {
 		GaugeNames[GReplLagRecords]: 12,
 		GaugeNames[GReplLagBytes]:   4096,
 	}
-	h = EvalHealth(lag, HealthWatermarks{})
+	h = EvalHealth(lag)
 	if h.Status != HealthDegraded || h.ReplLagRecords != 12 || h.ReplLagBytes != 4096 {
 		t.Fatalf("repl lag: %v %+v", h.Status, h)
 	}
@@ -276,58 +276,28 @@ func TestEvalHealth(t *testing.T) {
 		t.Fatalf("repl lag reasons: %v", h.Reasons)
 	}
 	lag.Gauges[GaugeNames[GReplLagRecords]] = 5000
-	if h = EvalHealth(lag, HealthWatermarks{}); h.Status != HealthCritical {
+	if h = EvalHealth(lag); h.Status != HealthCritical {
 		t.Fatalf("repl lag critical: %v", h.Status)
-	}
-	// Disabled check: negative watermark ignores the signal.
-	h = EvalHealth(lag, HealthWatermarks{ReplLagDegraded: -1, ReplLagCritical: -1})
-	if h.Status != HealthOK {
-		t.Fatalf("disabled lag check still fired: %v %v", h.Status, h.Reasons)
 	}
 
 	hot := base
 	hot.HTM = htm.Stats{Commits: 100, Conflicts: 150, Capacities: 20, Explicits: 30}
-	h = EvalHealth(hot, HealthWatermarks{})
+	h = EvalHealth(hot)
 	if h.Status != HealthDegraded || h.AbortRate != 2.0 {
 		t.Fatalf("abort rate: %v rate=%v", h.Status, h.AbortRate)
 	}
 
 	fsck := base
 	fsck.Gauges = map[string]int64{GaugeNames[GFsckUnrecoverable]: 1}
-	if h = EvalHealth(fsck, HealthWatermarks{}); h.Status != HealthCritical {
+	if h = EvalHealth(fsck); h.Status != HealthCritical {
 		t.Fatalf("unrecoverable: %v", h.Status)
 	}
 
+	// Scrub passes are reported, not judged.
 	scrub := base
-	h = EvalHealth(scrub, HealthWatermarks{MinScrubPasses: 1})
-	if h.Status != HealthDegraded {
-		t.Fatalf("scrub coverage: %v", h.Status)
-	}
 	scrub.Gauges = map[string]int64{GaugeNames[GScrubPasses]: 3}
-	if h = EvalHealth(scrub, HealthWatermarks{MinScrubPasses: 1}); h.Status != HealthOK {
-		t.Fatalf("scrub coverage met: %v (%v)", h.Status, h.Reasons)
-	}
-}
-
-func TestMergeHealth(t *testing.T) {
-	shards := []Health{
-		{Status: HealthOK, ScrubPasses: 2},
-		{Status: HealthDegraded, Reasons: []string{"replica 3 record(s) / 96 byte(s) behind"},
-			ReplLagRecords: 3, ReplLagBytes: 96, AbortRate: 0.5},
-		{Status: HealthOK, Quarantines: 1, AbortRate: 1.5},
-	}
-	m := MergeHealth(shards)
-	if m.Status != HealthDegraded {
-		t.Fatalf("merged status: %v", m.Status)
-	}
-	if len(m.Reasons) != 1 || !strings.HasPrefix(m.Reasons[0], "shard 1:") {
-		t.Fatalf("merged reasons: %v", m.Reasons)
-	}
-	if m.ReplLagRecords != 3 || m.Quarantines != 1 || m.ScrubPasses != 2 {
-		t.Fatalf("merged signals: %+v", m)
-	}
-	if m.AbortRate != 1.5 {
-		t.Fatalf("merged abort rate: %v (want max)", m.AbortRate)
+	if h = EvalHealth(scrub); h.Status != HealthOK || h.ScrubPasses != 3 {
+		t.Fatalf("scrub passes: %v %+v", h.Status, h)
 	}
 }
 

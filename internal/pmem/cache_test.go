@@ -244,7 +244,7 @@ func diffStream(t *testing.T, mode Mode, ways, sets int, seed int64, storeRuns, 
 		CacheWays: ways, XPBufferLines: 8})
 	c := p.NewCtx()
 	r := newRefCache(p)
-	st, tm := &r.ctx.stats, &p.cfg.Timing
+	st, tm := &r.ctx.stats, DefaultTiming()
 	// touch mirrors Pool.touch's accounting on the reference: every line
 	// enters its set, a load first consuming the line's pending prefetch.
 	touch := func(addr, n uint64, store bool) {

@@ -21,7 +21,7 @@
 // Because the host running this reproduction has no PM hardware and
 // may have a single CPU, performance is measured in virtual time: each
 // worker goroutine owns a Ctx whose clock is charged for every memory
-// event according to the cost model in Timing. The harness combines
+// event according to the cost model (DefaultTiming). The harness combines
 // worker clocks with the media bandwidth counters to obtain elapsed
 // time for a multi-worker run (see the harness package).
 package pmem
@@ -53,57 +53,63 @@ func (m Mode) String() string {
 	return "eADR"
 }
 
-// Timing is the virtual-time cost model, in nanoseconds. The defaults
-// approximate the Optane DCPMM characterisation from the paper and
-// from Yang et al. (FAST'20).
-type Timing struct {
-	// CacheHitLoad is charged for a load served by the CPU cache.
-	CacheHitLoad int64
-	// CacheMissLoad is charged for a load that misses the cache and
+// The virtual-time cost model, in nanoseconds: the one device the paper
+// measures. The values approximate the Optane DCPMM characterisation
+// from the paper and from Yang et al. (FAST'20). The hot path charges
+// these constants; DefaultTiming hands them to the harness and tests.
+const (
+	// hitLoadNS is charged for a load served by the CPU cache.
+	hitLoadNS = 8
+	// missLoadNS is charged for a load that misses the cache and
 	// fetches the line from PM media.
-	CacheMissLoad int64
-	// CacheHitStore is charged for a store to a resident line.
-	CacheHitStore int64
-	// CacheMissStore is charged for a store that must first fetch
+	missLoadNS = 300
+	// hitStoreNS is charged for a store to a resident line.
+	hitStoreNS = 8
+	// missStoreNS is charged for a store that must first fetch
 	// (write-allocate) the line from PM media. Much lower than the
 	// load miss: the store buffer and out-of-order engine hide most
 	// of the RFO latency (the fetched data is not a dependency), so
 	// write-heavy workloads are bandwidth-bound, not latency-bound —
 	// as on the paper's testbed.
-	CacheMissStore int64
-	// FlushIssue is charged for issuing a clwb; the write-back itself
-	// proceeds asynchronously and is accounted in media bandwidth.
-	FlushIssue int64
-	// FenceDrain is charged by Fence when flushes are outstanding.
-	FenceDrain int64
-	// FenceIdle is charged by Fence when nothing is outstanding.
-	FenceIdle int64
-	// NTStoreLine is charged per cacheline moved by a non-temporal
+	missStoreNS = 60
+	// flushIssueNS is charged for issuing a clwb; the write-back
+	// itself proceeds asynchronously and is accounted in media
+	// bandwidth.
+	flushIssueNS = 25
+	// fenceDrainNS is charged by Fence when flushes are outstanding,
+	// fenceIdleNS when nothing is.
+	fenceDrainNS = 90
+	fenceIdleNS  = 5
+	// ntStoreLineNS is charged per cacheline moved by a non-temporal
 	// store.
-	NTStoreLine int64
-	// DRAMAccess is the cost helpers charge for touching volatile
+	ntStoreLineNS = 60
+	// dramAccessNS is the cost helpers charge for touching volatile
 	// (DRAM) structures such as the directory.
-	DRAMAccess int64
+	dramAccessNS = 5
+)
 
-	// PMReadBandwidth and PMWriteBandwidth are the aggregate media
-	// bandwidths in bytes per second, used by the harness to bound
-	// elapsed time from the media byte counters.
-	PMReadBandwidth  float64
-	PMWriteBandwidth float64
+// Timing is the cost model as a value; each cost field holds the constant
+// of the same meaning above. PMReadBandwidth and PMWriteBandwidth are the
+// aggregate media bandwidths in bytes per second, used by the harness
+// to bound elapsed time from the media byte counters.
+type Timing struct {
+	CacheHitLoad, CacheMissLoad, CacheHitStore, CacheMissStore int64
+	FlushIssue, FenceDrain, FenceIdle, NTStoreLine, DRAMAccess int64
+	PMReadBandwidth, PMWriteBandwidth                          float64
 }
 
-// DefaultTiming returns the cost model used throughout the evaluation.
+// DefaultTiming returns the cost model every Pool charges.
 func DefaultTiming() Timing {
 	return Timing{
-		CacheHitLoad:     8,
-		CacheMissLoad:    300,
-		CacheHitStore:    8,
-		CacheMissStore:   60,
-		FlushIssue:       25,
-		FenceDrain:       90,
-		FenceIdle:        5,
-		NTStoreLine:      60,
-		DRAMAccess:       5,
+		CacheHitLoad:     hitLoadNS,
+		CacheMissLoad:    missLoadNS,
+		CacheHitStore:    hitStoreNS,
+		CacheMissStore:   missStoreNS,
+		FlushIssue:       flushIssueNS,
+		FenceDrain:       fenceDrainNS,
+		FenceIdle:        fenceIdleNS,
+		NTStoreLine:      ntStoreLineNS,
+		DRAMAccess:       dramAccessNS,
 		PMReadBandwidth:  40e9,
 		PMWriteBandwidth: 15e9,
 	}
@@ -125,9 +131,6 @@ type Config struct {
 	// XPBufferLines is the number of XPLine entries in the media
 	// write-combining buffer.
 	XPBufferLines int
-	// Timing is the virtual-time cost model; zero value means
-	// DefaultTiming.
-	Timing Timing
 }
 
 // DefaultConfig returns a platform sized for tests and examples:
@@ -139,7 +142,6 @@ func DefaultConfig() Config {
 		CacheSize:     8 << 20,
 		CacheWays:     16,
 		XPBufferLines: 64,
-		Timing:        DefaultTiming(),
 	}
 }
 
@@ -156,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.XPBufferLines == 0 {
 		c.XPBufferLines = 64
-	}
-	if c.Timing == (Timing{}) {
-		c.Timing = DefaultTiming()
 	}
 	return c
 }

@@ -123,7 +123,7 @@ func (c *Ctx) ResetClock() { c.clock = 0 }
 func (c *Ctx) Charge(ns int64) { c.clock += ns }
 
 // ChargeDRAM advances the clock by n DRAM access costs.
-func (c *Ctx) ChargeDRAM(n int) { c.clock += int64(n) * c.pool.cfg.Timing.DRAMAccess }
+func (c *Ctx) ChargeDRAM(n int) { c.clock += int64(n) * dramAccessNS }
 
 // Stats returns the events recorded through this context so far.
 func (c *Ctx) Stats() Stats { return c.stats }

@@ -182,7 +182,6 @@ func (p *Pool) lookup(c *Ctx, line, si uint64, store bool) (hit bool) {
 // which under ADR an eviction may make any store do — for at most the
 // rest of one operation.
 func (p *Pool) touch(c *Ctx, line uint64, store bool) {
-	t := &p.cfg.Timing
 	// The slot of the previous access is tried before the line is
 	// hashed: a run of accesses to one line costs one compare each. (The
 	// mask only tells the compiler memoLast is in range.)
@@ -202,11 +201,11 @@ func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 					c.clock = done // as a prefetched hit in the set would wait
 				}
 			}
-			c.clock += t.CacheHitLoad
+			c.clock += hitLoadNS
 			c.stats.CacheHits++
 			return
 		case e&memoDirty != 0:
-			c.clock += t.CacheHitStore
+			c.clock += hitStoreNS
 			c.stats.CacheHits++
 			return
 		}
@@ -226,20 +225,20 @@ func (p *Pool) touch(c *Ctx, line uint64, store bool) {
 		if done > c.clock {
 			c.clock = done
 		}
-		c.clock += t.CacheHitLoad
+		c.clock += hitLoadNS
 		c.stats.CacheHits++
 	case hit:
 		if store {
-			c.clock += t.CacheHitStore
+			c.clock += hitStoreNS
 		} else {
-			c.clock += t.CacheHitLoad
+			c.clock += hitLoadNS
 		}
 		c.stats.CacheHits++
 	default:
 		if store {
-			c.clock += t.CacheMissStore
+			c.clock += missStoreNS
 		} else {
-			c.clock += t.CacheMissLoad
+			c.clock += missLoadNS
 		}
 		c.stats.CacheMisses++
 	}
@@ -363,7 +362,6 @@ func (p *Pool) NTStore(c *Ctx, addr uint64, src []byte) {
 	}
 	p.clearPoison(addr, n)
 	p.step(c)
-	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + n - 1) &^ uint64(CachelineSize-1)
 	for line := first; line <= last; line += CachelineSize {
@@ -375,7 +373,7 @@ func (p *Pool) NTStore(c *Ctx, addr uint64, src []byte) {
 		c.stats.CachelineWrites++
 		c.stats.NTStores++
 		p.xpb.write(c, line)
-		c.clock += t.NTStoreLine
+		c.clock += ntStoreLineNS
 	}
 	p.copyIn(addr, src)
 }
@@ -390,12 +388,11 @@ func (p *Pool) Flush(c *Ctx, addr, size uint64) {
 	}
 	p.check(addr, size)
 	p.step(c)
-	t := &p.cfg.Timing
 	first := addr &^ uint64(CachelineSize-1)
 	last := (addr + size - 1) &^ uint64(CachelineSize-1)
 	for line := first; line <= last; line += CachelineSize {
 		c.stats.Flushes++
-		c.clock += t.FlushIssue
+		c.clock += flushIssueNS
 		si := p.cache.setIndex(line)
 		if e := c.memoSlot(line, si); e != nil {
 			*e &^= memoDirty // clean again: the next store must enter the set
@@ -409,13 +406,12 @@ func (p *Pool) Flush(c *Ctx, addr, size uint64) {
 // flushes issued through this context.
 func (p *Pool) Fence(c *Ctx) {
 	p.step(c)
-	t := &p.cfg.Timing
 	c.stats.Fences++
 	if c.pendingFlushes > 0 {
-		c.clock += t.FenceDrain
+		c.clock += fenceDrainNS
 		c.pendingFlushes = 0
 	} else {
-		c.clock += t.FenceIdle
+		c.clock += fenceIdleNS
 	}
 }
 
@@ -435,16 +431,15 @@ func (p *Pool) Fence(c *Ctx) {
 // false, and the line's own load later misses in full.
 func (p *Pool) Prefetch(c *Ctx, addr uint64) bool {
 	p.check(addr, 1)
-	t := &p.cfg.Timing
 	line := addr &^ uint64(CachelineSize-1)
 	if !c.pf.room(line, c.clock) {
 		return false
 	}
 	hit := p.lookup(c, line, p.cache.setIndex(line), false)
-	c.clock += t.DRAMAccess // issue cost
-	lat := t.CacheMissLoad
+	c.clock += dramAccessNS // issue cost
+	lat := int64(missLoadNS)
 	if hit {
-		lat = t.CacheHitLoad
+		lat = hitLoadNS
 	} else {
 		c.stats.CacheMisses++
 	}
@@ -470,7 +465,7 @@ func (p *Pool) LoadPrefetched(c *Ctx, addr uint64, dst *[CachelineSize / 8]uint6
 	if r < 0 || p.poisoned(line) {
 		return false
 	}
-	c.clock = max(c.clock, c.pf.ring[r].done) + p.cfg.Timing.CacheHitLoad
+	c.clock = max(c.clock, c.pf.ring[r].done) + hitLoadNS
 	c.stats.CacheHits++
 	for i := range dst {
 		dst[i] = atomic.LoadUint64(&p.words[line/8+uint64(i)])

@@ -279,7 +279,7 @@ func TestADREvictedLinesSurvive(t *testing.T) {
 
 func TestPrefetchOverlapsLatency(t *testing.T) {
 	p := testPool(t, EADR)
-	miss := p.cfg.Timing.CacheMissLoad
+	miss := DefaultTiming().CacheMissLoad
 
 	// Cold loads back-to-back: full miss latency each.
 	c1 := p.NewCtx()

@@ -84,7 +84,7 @@ func TestPrefetchTableMatchesList(t *testing.T) {
 // it as before.
 func TestPrefetchKeepsLoadsInFlight(t *testing.T) {
 	p := New(Config{PoolSize: 1 << 20, CacheSize: 1 << 20})
-	tm := p.Config().Timing
+	tm := DefaultTiming()
 	c := p.NewCtx()
 	c.BeginOp()
 	defer c.EndOp()

@@ -79,13 +79,6 @@ func (t *FaultyTransport) Stats() FaultStats {
 	return t.stats
 }
 
-// Partitioned reports whether the transport is currently cut.
-func (t *FaultyTransport) Partitioned() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.partitioned
-}
-
 // Cut hard-partitions the transport immediately: every Ship, Fetch,
 // and Hello fails until Heal. The deterministic alternative to
 // PartitionAfter for drills that cut at a workload position rather

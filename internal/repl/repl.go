@@ -406,8 +406,8 @@ func (p *Primary) ReadRepair(rep *spash.FsckReport) (*RepairReport, error) {
 }
 
 // replicaLogFrames bounds the replica's pending log. No caller needs
-// another value; obs.EvalHealth's default critical lag watermark is
-// the same number, so a full log reads CRITICAL.
+// another value; obs.EvalHealth's critical lag threshold is the same
+// number, so a full log reads CRITICAL.
 const replicaLogFrames = 4096
 
 // Replica wraps a replica-role DB with the apply side of the

@@ -14,18 +14,20 @@ import (
 	"spash/internal/obs"
 )
 
+// The backoff before a frame's second attempt is baseDelay; each
+// further attempt doubles it, up to maxDelay. The actual sleep is
+// jittered in [delay/2, 3*delay/2) so a fleet of retriers does not
+// synchronise.
+const (
+	baseDelay = 200 * time.Microsecond
+	maxDelay  = 20 * time.Millisecond
+)
+
 // RetryPolicy bounds one frame's delivery attempts.
 type RetryPolicy struct {
 	// MaxAttempts caps the Ship calls per frame (first try included).
 	// Default 4.
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt; each further
-	// attempt doubles it (Multiplier) up to MaxDelay. The actual sleep
-	// is jittered in [delay/2, 3*delay/2) so a fleet of retriers does
-	// not synchronise. Defaults 200µs base, 20ms cap, multiplier 2.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
 	// Deadline bounds one Ship attempt's wall-clock time; an attempt
 	// past it fails with spash.ErrTransportTimeout (the attempt's
 	// goroutine is abandoned — a late ack becomes a duplicate).
@@ -42,15 +44,6 @@ type RetryPolicy struct {
 func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.MaxAttempts <= 0 {
 		rp.MaxAttempts = 4
-	}
-	if rp.BaseDelay <= 0 {
-		rp.BaseDelay = 200 * time.Microsecond
-	}
-	if rp.MaxDelay <= 0 {
-		rp.MaxDelay = 20 * time.Millisecond
-	}
-	if rp.Multiplier < 1 {
-		rp.Multiplier = 2
 	}
 	if rp.Deadline == 0 {
 		rp.Deadline = time.Second
@@ -121,7 +114,7 @@ func retryableShip(err error) bool {
 func (p *Primary) shipRetryLocked(f *Frame) error {
 	rp := p.opts.Retry
 	var last error
-	delay := rp.BaseDelay
+	delay := baseDelay
 	for attempt := 1; ; attempt++ {
 		err := p.shipOnceLocked(f)
 		if err == nil {
@@ -137,10 +130,7 @@ func (p *Primary) shipRetryLocked(f *Frame) error {
 		}
 		p.db.Indexes()[boundShard(p.db, f.Shard)].Obs().Inc(obs.CReplRetries)
 		rp.Sleep(p.jitter(delay))
-		delay = time.Duration(float64(delay) * rp.Multiplier)
-		if delay > rp.MaxDelay {
-			delay = rp.MaxDelay
-		}
+		delay = min(2*delay, maxDelay)
 	}
 }
 

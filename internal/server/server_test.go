@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -453,4 +454,54 @@ func TestFullPoolRepliesOOM(t *testing.T) {
 		t.Fatalf("DEL on a full pool = %+v, %v (want :1)", rep, err)
 	}
 	c.Release()
+}
+
+// IdleTimeout closes a connection whose next command is late, keeps one
+// that stays busy, and does not hold up Close while its read deadline is
+// armed.
+func TestIdleTimeoutClosesIdleConnection(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	db, _, addr := startServer(t, 1, server.Config{IdleTimeout: idle})
+
+	quiet, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	busy := dial(t, addr)
+
+	// The busy client pings every 20 ms for 200 ms: never idle for long.
+	start := time.Now()
+	for time.Since(start) < 200*time.Millisecond {
+		wantSimple(t, busy, []string{"PING"}, "PONG")
+		time.Sleep(20 * time.Millisecond)
+	}
+	wantSimple(t, busy, []string{"PING"}, "PONG")
+
+	// The quiet client sent nothing: the server hung up on it long ago.
+	_ = quiet.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := quiet.Read(make([]byte, 16)); err != io.EOF {
+		t.Fatalf("idle connection: read %d bytes, err %v; want EOF from the server", n, err)
+	}
+	if got := db.Obs().GaugeValue(obs.GServeConns); got != 1 {
+		t.Fatalf("serve_conns gauge = %d with one live client, want 1", got)
+	}
+
+	// Close wakes a reader whose idle deadline is armed but far off.
+	_, srv, addr := startServer(t, 1, server.Config{IdleTimeout: time.Hour})
+	waiting := dial(t, addr)
+	wantSimple(t, waiting, []string{"PING"}, "PONG")
+	closed := make(chan struct{})
+	go func() {
+		_ = srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not drain a connection with an armed idle deadline")
+	}
+	if _, err := waiting.Do("PING"); err == nil {
+		t.Fatal("connection still served after Close")
+	}
 }

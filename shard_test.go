@@ -219,9 +219,9 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 	if err := s.Insert([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	platform := db.Platforms()[0]
+	platforms := db.Platforms()
 	db.Crash()
-	_, err = Recover(platform, Options{Index: IndexOptions{Checksums: true}})
+	_, err = RecoverAll(platforms, Options{Index: IndexOptions{Checksums: true}})
 	if !errors.Is(err, ErrGeometry) {
 		t.Fatalf("checksum mismatch: got %v, want ErrGeometry", err)
 	}
@@ -232,7 +232,7 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 
 	// A corrupted geometry stamp (here: a different segment size) is
 	// rejected before any structural state is trusted.
-	db2, err := Recover(platform, Options{})
+	db2, err := RecoverAll(platforms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRecoverGeometryMismatch(t *testing.T) {
 	geom := p2.Load64(c, alloc.RootAddr(rootGeomWord))
 	p2.Store64(c, alloc.RootAddr(rootGeomWord), geom+(1<<32))
 	db2.Crash()
-	_, err = Recover(p2, Options{})
+	_, err = RecoverAll([]*pmem.Pool{p2}, Options{})
 	if !errors.Is(err, ErrGeometry) {
 		t.Fatalf("corrupt stamp: got %v, want ErrGeometry", err)
 	}

@@ -208,19 +208,13 @@ type Options struct {
 	Index core.Config
 	// Shards is the number of independent partitions. 0 means
 	// GOMAXPROCS; 1 preserves the exact single-index behaviour of
-	// earlier versions (spash.Recover works only in that
-	// configuration).
+	// earlier versions.
 	Shards int
 	// Replica opens the DB in the replica role: client writes fail
 	// typed with ErrNotPrimary (reads stay available) and only the
 	// replication apply path (ApplierSession) may mutate it, until
 	// Promote. See replication.go and internal/repl.
 	Replica bool
-	// Health sets the watermarks DB.Health evaluates the live
-	// snapshot against; zero fields take the obs defaults (quarantine
-	// ≥1 degraded, replica lag ≥1 record degraded, HTM abort rate ≥1
-	// per commit degraded, any fsck-unrecoverable segment critical).
-	Health obs.HealthWatermarks
 }
 
 // shardCount resolves the Shards option.
@@ -241,8 +235,6 @@ type DB struct {
 	// replica is the current replication role (replication.go): true
 	// fences every non-applier Session write with ErrNotPrimary.
 	replica atomic.Bool
-	// health holds the watermarks DB.Health evaluates against.
-	health obs.HealthWatermarks
 
 	mu        sync.Mutex
 	scrubbers map[*Scrubber]struct{}
@@ -260,31 +252,20 @@ func Open(opts Options) (*DB, error) {
 }
 
 func newDB(units []*shard.Unit, opts Options) *DB {
-	db := &DB{units: units, health: opts.Health,
-		scrubbers: make(map[*Scrubber]struct{})}
+	db := &DB{units: units, scrubbers: make(map[*Scrubber]struct{})}
 	db.replica.Store(opts.Replica)
 	return db
 }
 
-// Recover reopens a single-shard index on an existing device, e.g.
-// after Crash on a DB opened with Shards: 1. The volatile directory,
-// allocator free lists and counters are rebuilt from persistent state.
-// Options.Index is validated against the geometry stamped on the
-// device; a mismatch returns a GeometryError (errors.Is ErrGeometry).
-// For multi-shard databases use RecoverAll.
-func Recover(platform *pmem.Pool, opts Options) (*DB, error) {
-	if platform == nil {
-		return nil, errors.New("spash: nil platform")
-	}
-	return RecoverAll([]*pmem.Pool{platform}, opts)
-}
-
 // RecoverAll reopens an index on the existing devices of a crashed
-// multi-shard DB, one shard per device, recovered in parallel (first
-// error in shard order wins). The slice must be in the original shard
-// order — Platforms() returns it that way — because key routing
-// depends on the position. Options.Shards is ignored; the device
-// count is the shard count.
+// DB, one shard per device, recovered in parallel (first error in shard
+// order wins). Each shard's volatile directory, allocator free lists
+// and counters are rebuilt from persistent state. The slice must be in
+// the original shard order — Platforms() returns it that way — because
+// key routing depends on the position. Options.Shards is ignored; the
+// device count is the shard count. Options.Index is validated against
+// the geometry stamped on each device; a mismatch returns a
+// GeometryError (errors.Is ErrGeometry).
 func RecoverAll(platforms []*pmem.Pool, opts Options) (*DB, error) {
 	units, err := shard.RecoverAll(platforms, opts.Index)
 	if err != nil {
@@ -447,12 +428,11 @@ func (db *DB) SlowOps(n int) []obs.SlowOp {
 	return obs.MergeSlowOps(lists, n)
 }
 
-// Health evaluates the live aggregate snapshot against the DB's
-// watermarks (Options.Health): quarantined segments, replication lag,
-// HTM abort rate, fsck damage and scrub coverage reduce to
-// OK/DEGRADED/CRITICAL with reasons.
+// Health evaluates the live aggregate snapshot against obs's fixed
+// thresholds: quarantined segments, replication lag, HTM abort rate and
+// fsck damage reduce to OK/DEGRADED/CRITICAL with reasons.
 func (db *DB) Health() obs.Health {
-	return obs.EvalHealth(db.ObsSnapshot(), db.health)
+	return obs.EvalHealth(db.ObsSnapshot())
 }
 
 // ExportSources bundles the DB's export feeds for obs.SetSources: the

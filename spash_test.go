@@ -78,11 +78,11 @@ func TestPublicCrashRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	platform := db.Platforms()[0]
+	platforms := db.Platforms()
 	if lost := db.Crash(); lost != 0 {
 		t.Fatalf("eADR crash lost %d lines", lost)
 	}
-	db2, err := Recover(platform, Options{})
+	db2, err := RecoverAll(platforms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
