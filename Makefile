@@ -54,7 +54,7 @@ race:
 	go test -race . -run 'Sharded|Shard|Close|Scrubber'
 	go test -race ./internal/crashtest -short
 	go test -race ./internal/core -run 'Concurrent|Linearizab|LockModes|Merge|Shrink' -count=3
-	go test -race ./internal/htm -run 'Commit|Publish|Read' -count=3
+	go test -race ./internal/htm -run 'Commit|Publish|Read|LoadLine' -count=3
 
 # lint runs the invariant suite plus the external linters when they are
 # installed. The external tools are skipped (with a note) when absent so

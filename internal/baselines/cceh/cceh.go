@@ -161,32 +161,34 @@ func (w *Worker) lookupSeg(m *dirMeta, h uint64) uint64 {
 	return w.t.pool.Load64(w.c, m.addr+hash.Prefix(h, m.depth)*8)
 }
 
-// probe scans the bounded probe window for key; returns the slot index
-// and key word, or -1.
+// probe scans the bounded probe window for key, reading each bucket's
+// cacheline once; returns the slot index and value word, or -1.
 func (w *Worker) probe(seg uint64, h uint64, key []byte) (int, uint64) {
 	t := w.t
 	b := int(h % bucketsPerSeg)
 	for off := 0; off < probeBuckets; off++ {
 		bb := (b + off) % bucketsPerSeg
-		for s := bb * slotsPerBucket; s < (bb+1)*slotsPerBucket; s++ {
-			kw := t.pool.Load64(w.c, slotAddr(seg, s))
-			if common.IsOccupied(kw) && common.KeyWordMatches(w.c, t.pool, kw, key) {
-				return s, kw
+		l := t.pool.LoadLine(w.c, slotAddr(seg, bb*slotsPerBucket))
+		for i := 0; i < slotsPerBucket; i++ {
+			if kw := l[2*i]; common.IsOccupied(kw) && common.KeyWordMatches(w.c, t.pool, kw, key) {
+				return bb*slotsPerBucket + i, l[2*i+1]
 			}
 		}
 	}
 	return -1, 0
 }
 
-// freeSlot finds a free slot in the probe window, or -1.
+// freeSlot finds a free slot in the probe window, reading each bucket's
+// cacheline once, or -1.
 func (w *Worker) freeSlot(seg uint64, h uint64) int {
 	t := w.t
 	b := int(h % bucketsPerSeg)
 	for off := 0; off < probeBuckets; off++ {
 		bb := (b + off) % bucketsPerSeg
-		for s := bb * slotsPerBucket; s < (bb+1)*slotsPerBucket; s++ {
-			if !common.IsOccupied(t.pool.Load64(w.c, slotAddr(seg, s))) {
-				return s
+		l := t.pool.LoadLine(w.c, slotAddr(seg, bb*slotsPerBucket))
+		for i := 0; i < slotsPerBucket; i++ {
+			if !common.IsOccupied(l[2*i]) {
+				return bb*slotsPerBucket + i
 			}
 		}
 	}
@@ -237,11 +239,10 @@ func (w *Worker) Search(key, dst []byte) ([]byte, bool, error) {
 	found := false
 	err := w.withSeg(h, false, func(seg uint64) error {
 		found = false
-		s, _ := w.probe(seg, h, key)
+		s, vw := w.probe(seg, h, key)
 		if s < 0 {
 			return nil
 		}
-		vw := w.t.pool.Load64(w.c, slotAddr(seg, s)+8)
 		out = common.LoadValueWord(w.c, w.t.pool, vw, dst)
 		found = true
 		return nil
@@ -378,9 +379,13 @@ func (w *Worker) split(h uint64) error {
 		}
 		// Move entries whose next prefix bit is 1 (re-hashing inline
 		// keys; dereferencing key records, extra PM reads as in the
-		// original).
+		// original), reading each bucket's cacheline once.
+		var l pmem.Line
 		for s := 0; s < slotsPerSeg; s++ {
-			kw := t.pool.Load64(w.c, slotAddr(seg, s))
+			if s%slotsPerBucket == 0 {
+				l = t.pool.LoadLine(w.c, slotAddr(seg, s))
+			}
+			kw, vw := l[2*(s%slotsPerBucket)], l[2*(s%slotsPerBucket)+1]
 			if !common.IsOccupied(kw) {
 				continue
 			}
@@ -394,7 +399,6 @@ func (w *Worker) split(h uint64) error {
 				kh = common.HashKey(buf)
 			}
 			if kh>>(63-depth)&1 == 1 {
-				vw := t.pool.Load64(w.c, slotAddr(seg, s)+8)
 				t.pool.Store64(w.c, slotAddr(newSeg, s)+8, vw)
 				t.pool.Store64(w.c, slotAddr(newSeg, s), kw)
 				t.pool.Store64(w.c, slotAddr(seg, s), 0)

@@ -177,17 +177,24 @@ func slotAddr(l level, b uint64, s int) uint64 {
 	return l.addr + b*bucketBytes + uint64(s)*8
 }
 
+// loadBucket reads the slots of bucket b of level l with one access to
+// the cacheline holding them (two buckets share a line).
+func (t *CLevel) loadBucket(c *pmem.Ctx, l level, b uint64) (slots [slotsPerBucket]uint64) {
+	a := slotAddr(l, b, 0)
+	line := t.pool.LoadLine(c, a)
+	copy(slots[:], line[a%pmem.CachelineSize/8:])
+	return slots
+}
+
 // findSlot locates key anywhere in the level list; returns the slot
 // address and the record pointer.
 func (w *Worker) findSlot(tab *ctab, h1, h2 uint64, key []byte) (uint64, uint64, bool) {
 	t := w.t
 	for _, l := range tab.levels {
 		for _, b := range [2]uint64{h1 % l.buckets, h2 % l.buckets} {
-			for s := 0; s < slotsPerBucket; s++ {
-				sa := slotAddr(l, b, s)
-				p := t.pool.Load64(w.c, sa)
+			for s, p := range t.loadBucket(w.c, l, b) {
 				if p != 0 && t.recordKeyMatches(w.c, p, key) {
-					return sa, p, true
+					return slotAddr(l, b, s), p, true
 				}
 			}
 		}
@@ -238,13 +245,7 @@ func (w *Worker) Insert(key, val []byte) error {
 		l := tab.levels[0]
 		var placedAt uint64
 		for _, b := range [2]uint64{h1 % l.buckets, h2 % l.buckets} {
-			for s := 0; s < slotsPerBucket && placedAt == 0; s++ {
-				sa := slotAddr(l, b, s)
-				if t.pool.Load64(w.c, sa) == 0 && t.pool.CAS64(w.c, sa, 0, rec) {
-					placedAt = sa
-				}
-			}
-			if placedAt != 0 {
+			if placedAt = t.claimFree(w.c, l, b, rec); placedAt != 0 {
 				break
 			}
 		}
@@ -344,16 +345,12 @@ func (t *CLevel) resize(w *Worker) {
 	mid := &ctab{levels: append([]level{newTop}, old.levels...), drain: bottom.addr}
 	t.tab.Store(mid)
 
-	// Drain the bottom level into the new top.
+	// Drain the bottom level into the new top, reading each bucket once.
 	drained := true
 	for b := uint64(0); b < bottom.buckets; b++ {
-		for s := 0; s < slotsPerBucket; s++ {
+		for s, p := range t.loadBucket(w.c, bottom, b) {
 			sa := slotAddr(bottom, b, s)
-			for {
-				p := t.pool.Load64(w.c, sa)
-				if p == 0 {
-					break
-				}
+			for p != 0 {
 				copyAt := t.migrate(w, newTop, p)
 				if copyAt == 0 {
 					// No room in the new top (pathological): leave the
@@ -367,6 +364,7 @@ func (t *CLevel) resize(w *Worker) {
 				// The slot changed under us (an update raced): undo
 				// the copy and retry with the fresh pointer.
 				t.pool.CAS64(w.c, copyAt, p, 0)
+				p = t.pool.Load64(w.c, sa)
 			}
 		}
 	}
@@ -391,11 +389,20 @@ func (t *CLevel) migrate(w *Worker, l level, p uint64) uint64 {
 	t.pool.Read(w.c, p+8, key)
 	h1, h2 := hashes(key)
 	for _, b := range [2]uint64{h1 % l.buckets, h2 % l.buckets} {
-		for s := 0; s < slotsPerBucket; s++ {
-			sa := slotAddr(l, b, s)
-			if t.pool.Load64(w.c, sa) == 0 && t.pool.CAS64(w.c, sa, 0, p) {
-				return sa
-			}
+		if sa := t.claimFree(w.c, l, b, p); sa != 0 {
+			return sa
+		}
+	}
+	return 0
+}
+
+// claimFree CASes record p into the first slot of bucket b of level l
+// that reads empty, reading the bucket once; it returns the slot address,
+// 0 when every slot was taken.
+func (t *CLevel) claimFree(c *pmem.Ctx, l level, b, p uint64) uint64 {
+	for s, cur := range t.loadBucket(c, l, b) {
+		if sa := slotAddr(l, b, s); cur == 0 && t.pool.CAS64(c, sa, 0, p) {
+			return sa
 		}
 	}
 	return 0

@@ -19,6 +19,7 @@ package dash
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -173,10 +174,43 @@ func (w *Worker) lookupSeg(m *dirMeta, h uint64) uint64 {
 	return w.t.pool.Load64(w.c, m.addr+hash.Prefix(h, m.depth)*8)
 }
 
-// bucketFP reads the fingerprint byte of slot s.
-func (w *Worker) bucketFP(seg uint64, b, s int) byte {
-	word := w.t.pool.Load64(w.c, bucketAddr(seg, b)+offFP+uint64(s/8)*8)
-	return byte(word >> (8 * uint(s%8)))
+// bucketLines reads a 256-byte bucket's four cachelines on demand, each
+// at most once: head, the first, holds the version, the bitmap, the
+// fingerprints and slots 0-1, and is read when the bucket is opened; a
+// later slot's line is read when the slot is first asked for.
+type bucketLines struct {
+	addr uint64
+	head pmem.Line
+	cur  pmem.Line
+	at   int // index of the line in cur; 0: none yet
+}
+
+// openBucket reads bucket b's first cacheline.
+func (w *Worker) openBucket(seg uint64, b int) bucketLines {
+	a := bucketAddr(seg, b)
+	return bucketLines{addr: a, head: w.t.pool.LoadLine(w.c, a)}
+}
+
+func (bl *bucketLines) bitmap() uint64 { return bl.head[offBitmap/8] }
+
+// fp returns the fingerprint byte of slot s.
+func (bl *bucketLines) fp(s int) byte {
+	return byte(bl.head[offFP/8+s/8] >> (8 * uint(s%8)))
+}
+
+// slot returns slot s's key and value words, reading its cacheline if no
+// earlier slot asked for it. Slots are asked for in ascending order.
+func (bl *bucketLines) slot(w *Worker, s int) (kw, vw uint64) {
+	off := offSlots + s*16
+	l := &bl.head
+	if i := off / pmem.CachelineSize; i > 0 {
+		if i != bl.at {
+			bl.cur, bl.at = w.t.pool.LoadLine(w.c, bl.addr+uint64(i)*pmem.CachelineSize), i
+		}
+		l = &bl.cur
+	}
+	wi := off % pmem.CachelineSize / 8
+	return l[wi], l[wi+1]
 }
 
 func (w *Worker) setFP(seg uint64, b, s int, fp byte) {
@@ -187,20 +221,21 @@ func (w *Worker) setFP(seg uint64, b, s int, fp byte) {
 	w.t.pool.Store64(w.c, addr, word)
 }
 
-// findInBucket scans a bucket for key via fingerprints + bitmap.
-func (w *Worker) findInBucket(seg uint64, b int, fp byte, key []byte) int {
-	t := w.t
-	bm := t.pool.Load64(w.c, bucketAddr(seg, b)+offBitmap)
+// findInBucket scans an opened bucket for key via fingerprints + bitmap,
+// reading a slot's cacheline only for a fingerprint match; it returns the
+// slot and its value word, or -1.
+func (w *Worker) findInBucket(bl *bucketLines, fp byte, key []byte) (int, uint64) {
+	bm := bl.bitmap()
 	for s := 0; s < slotsPerBucket; s++ {
-		if bm&(1<<uint(s)) == 0 || w.bucketFP(seg, b, s) != fp {
+		if bm&(1<<uint(s)) == 0 || bl.fp(s) != fp {
 			continue
 		}
-		kw := t.pool.Load64(w.c, slotAddr(seg, b, s))
-		if common.IsOccupied(kw) && common.KeyWordMatches(w.c, t.pool, kw, key) {
-			return s
+		kw, vw := bl.slot(w, s)
+		if common.IsOccupied(kw) && common.KeyWordMatches(w.c, w.t.pool, kw, key) {
+			return s, vw
 		}
 	}
-	return -1
+	return -1, 0
 }
 
 // targetBuckets returns the target and probing bucket for h.
@@ -210,31 +245,20 @@ func targetBuckets(h uint64) (int, int) {
 }
 
 // searchOnce performs one optimistic (seqlock-validated) lookup
-// attempt; ok=false means a concurrent writer interfered.
+// attempt; ok=false means a concurrent writer interfered. The target
+// bucket's version is the first word of the first line the probe reads
+// (LoadLine reads a line's words in address order), and is read again
+// after the probe.
 func (w *Worker) searchOnce(seg uint64, h uint64, key []byte, dst []byte) (val []byte, found, ok bool) {
 	t := w.t
-	b1, b2 := targetBuckets(h)
-	fp := fingerprint(h)
-	v1 := t.pool.Load64(w.c, bucketAddr(seg, b1)+offVersion)
+	b1, _ := targetBuckets(h)
+	target := w.openBucket(seg, b1)
+	v1 := target.head[offVersion/8]
 	if v1&1 == 1 {
 		return nil, false, false
 	}
-	scan := func(b int) (val []byte, found bool) {
-		if s := w.findInBucket(seg, b, fp, key); s >= 0 {
-			vw := t.pool.Load64(w.c, slotAddr(seg, b, s)+8)
-			return common.LoadValueWord(w.c, t.pool, vw, dst), true
-		}
-		return nil, false
-	}
-	if val, found = scan(b1); !found {
-		if val, found = scan(b2); !found {
-			// Stash scan only when the target advertises overflow.
-			if t.pool.Load64(w.c, bucketAddr(seg, b1)+offBitmap)&overflowFlag != 0 {
-				for sb := normalBuckets; sb < totalBuckets && !found; sb++ {
-					val, found = scan(sb)
-				}
-			}
-		}
+	if b, _, vw, _ := w.find(seg, h, &target, key); b >= 0 {
+		val, found = common.LoadValueWord(w.c, t.pool, vw, dst), true
 	}
 	if t.pool.Load64(w.c, bucketAddr(seg, b1)+offVersion) != v1 {
 		return nil, false, false
@@ -290,25 +314,39 @@ func (w *Worker) withSegW(h uint64, fn func(seg uint64) error) error {
 	}
 }
 
-// locate finds key anywhere in the segment (target, probe, stash).
-// Caller holds the segment lock.
-func (w *Worker) locate(seg uint64, h uint64, key []byte) (int, int) {
+// find looks for key in the target bucket (opened by the caller), the
+// probing bucket and, when the target advertises overflow, the stash,
+// reading each of their lines at most once. It returns the bucket and slot
+// holding key with its value word, or b = -1 and the probing bucket's
+// bitmap, by which an insert places the key.
+func (w *Worker) find(seg, h uint64, target *bucketLines, key []byte) (b, s int, vw, bm2 uint64) {
 	b1, b2 := targetBuckets(h)
 	fp := fingerprint(h)
-	if s := w.findInBucket(seg, b1, fp, key); s >= 0 {
-		return b1, s
+	if s, vw := w.findInBucket(target, fp, key); s >= 0 {
+		return b1, s, vw, 0
 	}
-	if s := w.findInBucket(seg, b2, fp, key); s >= 0 {
-		return b2, s
+	probing := w.openBucket(seg, b2)
+	if s, vw := w.findInBucket(&probing, fp, key); s >= 0 {
+		return b2, s, vw, 0
 	}
-	if w.t.pool.Load64(w.c, bucketAddr(seg, b1)+offBitmap)&overflowFlag != 0 {
+	if target.bitmap()&overflowFlag != 0 {
 		for sb := normalBuckets; sb < totalBuckets; sb++ {
-			if s := w.findInBucket(seg, sb, fp, key); s >= 0 {
-				return sb, s
+			stash := w.openBucket(seg, sb)
+			if s, vw := w.findInBucket(&stash, fp, key); s >= 0 {
+				return sb, s, vw, 0
 			}
 		}
 	}
-	return -1, -1
+	return -1, -1, 0, probing.bitmap()
+}
+
+// locate finds key anywhere in the segment (find). Caller holds the
+// segment lock.
+func (w *Worker) locate(seg uint64, h uint64, key []byte) (int, int) {
+	b1, _ := targetBuckets(h)
+	target := w.openBucket(seg, b1)
+	b, s, _, _ := w.find(seg, h, &target, key)
+	return b, s
 }
 
 // putSlot installs an entry into bucket b, updating slot, fingerprint
@@ -324,25 +362,19 @@ func (w *Worker) putSlot(seg uint64, b, s int, fp byte, kw, vw uint64) {
 
 // freeIn returns a free slot index in bucket b, or -1.
 func (w *Worker) freeIn(seg uint64, b int) int {
-	bm := w.t.pool.Load64(w.c, bucketAddr(seg, b)+offBitmap)
-	for s := 0; s < slotsPerBucket; s++ {
-		if bm&(1<<uint(s)) == 0 {
-			return s
-		}
+	return firstFree(w.t.pool.Load64(w.c, bucketAddr(seg, b)+offBitmap))
+}
+
+// firstFree returns the first slot bitmap bm marks free, or -1.
+func firstFree(bm uint64) int {
+	if s := bits.TrailingZeros64(^bm); s < slotsPerBucket {
+		return s
 	}
 	return -1
 }
 
-func (w *Worker) loadCount(seg uint64, b int) int {
-	bm := w.t.pool.Load64(w.c, bucketAddr(seg, b)+offBitmap)
-	n := 0
-	for s := 0; s < slotsPerBucket; s++ {
-		if bm&(1<<uint(s)) != 0 {
-			n++
-		}
-	}
-	return n
-}
+// loadCount is how many slots bitmap bm marks taken.
+func loadCount(bm uint64) int { return bits.OnesCount64(bm & (1<<slotsPerBucket - 1)) }
 
 // Insert implements ixapi.Worker (upsert; balanced insert across the
 // target pair, then stash, then split).
@@ -358,21 +390,24 @@ func (w *Worker) Insert(key, val []byte) error {
 		full := false
 		err := w.withSegW(h, func(seg uint64) error {
 			b1, b2 := targetBuckets(h)
-			if b, s := w.locate(seg, h, key); b >= 0 {
+			target := w.openBucket(seg, b1)
+			b, s, _, bm2 := w.find(seg, h, &target, key)
+			if b >= 0 {
 				w.bumpVersion(seg, b1)
 				t.pool.Store64(w.c, slotAddr(seg, b, s)+8, vw)
 				w.bumpVersion(seg, b1)
 				return nil
 			}
-			// Balanced insert: less-loaded of target/probing bucket.
-			cand := b1
-			if w.loadCount(seg, b2) < w.loadCount(seg, b1) {
-				cand = b2
+			// Balanced insert: less-loaded of target/probing bucket, by
+			// the bitmaps the lookup read.
+			cand, bm, other := b1, target.bitmap(), bm2
+			if loadCount(bm2) < loadCount(bm) {
+				cand, bm, other = b2, bm2, bm
 			}
-			s := w.freeIn(seg, cand)
+			s = firstFree(bm)
 			if s < 0 {
 				cand = b1 ^ b2 ^ cand // the other one
-				s = w.freeIn(seg, cand)
+				s = firstFree(other)
 			}
 			if s >= 0 {
 				w.bumpVersion(seg, b1)
@@ -497,12 +532,13 @@ func (w *Worker) split(h uint64) error {
 			w.bumpVersion(seg, b) // odd: readers retry
 		}
 		for b := 0; b < totalBuckets; b++ {
-			bm := t.pool.Load64(w.c, bucketAddr(seg, b)+offBitmap)
+			bl := w.openBucket(seg, b)
+			bm := bl.bitmap()
 			for s := 0; s < slotsPerBucket; s++ {
 				if bm&(1<<uint(s)) == 0 {
 					continue
 				}
-				kw := t.pool.Load64(w.c, slotAddr(seg, b, s))
+				kw, vw := bl.slot(w, s)
 				var kh uint64
 				if common.IsInline(kw) {
 					var kb [8]byte
@@ -517,7 +553,6 @@ func (w *Worker) split(h uint64) error {
 				if kh>>(63-depth)&1 == 0 {
 					continue
 				}
-				vw := t.pool.Load64(w.c, slotAddr(seg, b, s)+8)
 				fp := fingerprint(kh)
 				if !w.placeDuringSplit(newSeg, kh, fp, kw, vw) {
 					// Should not happen (same load, double space).
@@ -526,9 +561,8 @@ func (w *Worker) split(h uint64) error {
 					return errors.New("dash: split overflow")
 				}
 				t.pool.Store64(w.c, slotAddr(seg, b, s), 0)
-				bmAddr := bucketAddr(seg, b) + offBitmap
-				bm = t.pool.Load64(w.c, bmAddr) &^ (1 << uint(s))
-				t.pool.Store64(w.c, bmAddr, bm)
+				bm &^= 1 << uint(s)
+				t.pool.Store64(w.c, bucketAddr(seg, b)+offBitmap, bm)
 			}
 		}
 		t.pool.Store64(w.c, seg, uint64(depth+1))

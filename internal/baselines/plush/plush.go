@@ -273,9 +273,9 @@ func (w *Worker) lookupLocked(p *partition, h uint64, key, dst []byte) ([]byte, 
 		return common.LoadValueWord(w.c, w.t.pool, e.vw, dst), true
 	}
 	for _, l := range p.levels {
-		b := h % l.buckets
+		line := w.t.pool.LoadLine(w.c, slotAddr(l, h%l.buckets, 0))
 		for s := 0; s < slotsPerBucket; s++ {
-			kw := w.t.pool.Load64(w.c, slotAddr(l, b, s))
+			kw := line[2*s]
 			if !common.IsOccupied(kw) {
 				continue
 			}
@@ -283,8 +283,7 @@ func (w *Worker) lookupLocked(p *partition, h uint64, key, dst []byte) ([]byte, 
 				if kw&tombstone != 0 {
 					return nil, false
 				}
-				vw := w.t.pool.Load64(w.c, slotAddr(l, b, s)+8)
-				return common.LoadValueWord(w.c, w.t.pool, vw, dst), true
+				return common.LoadValueWord(w.c, w.t.pool, line[2*s+1], dst), true
 			}
 		}
 	}
@@ -317,8 +316,9 @@ func (w *Worker) insertLevel(p *partition, li int, h uint64, kw, vw uint64) erro
 		b := h % l.buckets
 		key := w.keyOf(kw)
 		free := -1
+		line := t.pool.LoadLine(w.c, slotAddr(l, b, 0))
 		for s := 0; s < slotsPerBucket; s++ {
-			cur := t.pool.Load64(w.c, slotAddr(l, b, s))
+			cur := line[2*s]
 			if !common.IsOccupied(cur) {
 				if free < 0 {
 					free = s
@@ -376,12 +376,12 @@ func (w *Worker) mergeDown(p *partition, li int) error {
 	}
 	l := p.levels[li]
 	for b := uint64(0); b < l.buckets; b++ {
+		line := t.pool.LoadLine(w.c, slotAddr(l, b, 0))
 		for s := 0; s < slotsPerBucket; s++ {
-			kw := t.pool.Load64(w.c, slotAddr(l, b, s))
+			kw, vw := line[2*s], line[2*s+1]
 			if !common.IsOccupied(kw) {
 				continue
 			}
-			vw := t.pool.Load64(w.c, slotAddr(l, b, s)+8)
 			h := common.HashKey(w.keyOf(kw))
 			if err := w.insertLevel(p, li+1, h, kw, vw); err != nil {
 				return err

@@ -146,7 +146,7 @@ func (ix *Index) checkSegment(c *pmem.Ctx, m mem, buf *[SegmentSize]byte, seg, p
 		// The entry must be locatable through the public read path (run
 		// outside an operation, the probe prefetches nothing).
 		r := makeReq(v.key)
-		if idx, _, _, _ := ix.locate(m, c, seg, &r, false); idx != s {
+		if idx, _, _, _, _ := ix.locate(m, c, seg, &r, false); idx != s {
 			return 0, fmt.Errorf("segment %#x slot %d: locate found %d", seg, s, idx)
 		}
 	}

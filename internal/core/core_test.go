@@ -675,14 +675,14 @@ func TestDataCarryingMerge(t *testing.T) {
 	}
 }
 
-// keyWords counts no occupied slot in a fresh segment.
+// loadLines counts no occupied slot in a fresh segment.
 func TestSegmentEmptyHelper(t *testing.T) {
 	ix, h := newTestIndex(t, Config{})
 	m := rawMem{ix.pool, h.c}
 	d := ix.dir.Load()
 	seg := entrySeg(d.entries[0])
-	var kws [SlotsPerSegment]uint64
-	if n := keyWords(m, seg, &kws); n != 0 {
+	var img [SegmentSize / 8]uint64
+	if n := loadLines(m, seg, &img); n != 0 {
 		t.Fatalf("fresh segment has %d occupied slots", n)
 	}
 }

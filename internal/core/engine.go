@@ -69,136 +69,142 @@ func (ix *Index) keyMatches(c *pmem.Ctx, kw uint64, r *req) bool {
 // the overflow entries advertised by the bucket's hints. Thanks to the
 // every-overflow-entry-has-a-hint invariant, a miss here proves
 // absence. Returns the slot index with its current words, or idx = -1,
-// plus the number of slot words probed (the probe-length observable).
+// the number of slot words probed (the probe-length observable) and the
+// main bucket's line as the probe read it.
+//
+// The main bucket is one cacheline, read once (loadLine): its key words,
+// the value word of a match and the hints all come from that one access.
+// An overflow slot a hint names costs one read of its own bucket's line.
 //
 // On an out-of-line key whose fingerprint matches, in either scan, the
-// probe loads the slot's value word first and starts the asynchronous
-// load of what the operation reads of its value record (prefetchValue:
-// every line when whole, for a Get; the header, with the length, for the
-// writes) before the compare waits out the key record's miss, so
-// the two records' misses overlap (§III-D within one operation). It
-// skips a match in r.loaded, whose records the record stage has in
-// flight, and a probe outside an operation (the invariant check, a
-// test's lookup) reads no value and skips every match. The header is
+// probe starts the asynchronous load of what the operation reads of its
+// value record (prefetchValue: every line when whole, for a Get; the
+// header, with the length, for the writes) before the compare waits out
+// the key record's miss, so the two records' misses overlap (§III-D
+// within one operation). It skips a match in r.loaded, whose records the
+// record stage has in flight, and a probe outside an operation (the
+// invariant check, a test's lookup) skips every match. The header is
 // peeked, and a doomed transaction may probe a freed and reused segment,
 // so both words may be garbage: that costs only a useless prefetch,
 // never a load past the pool, a fault step or a machine check.
-func (ix *Index) locate(m mem, c *pmem.Ctx, seg uint64, r *req, whole bool) (idx int, kw, vw uint64, probes int) {
-	b := mainBucket(r.h)
-	base := b * SlotsPerBucket
-	// Main bucket scan.
-	for s := base; s < base+SlotsPerBucket; s++ {
-		w := m.load(slotAddr(seg, s))
+func (ix *Index) locate(m mem, c *pmem.Ctx, seg uint64, r *req, whole bool) (idx int, kw, vw uint64, probes int, main pmem.Line) {
+	base := mainBucket(r.h) * SlotsPerBucket
+	main = m.loadLine(slotAddr(seg, base))
+	for i := range SlotsPerBucket {
+		w := main[2*i]
 		probes++
 		if !keyOccupied(w) || keyFP(w) != r.fp {
 			continue
 		}
-		if vw, ok := ix.matchSlot(m, c, slotAddr(seg, s), w, r, whole); ok {
-			return s, w, vw, probes
+		if ix.matchSlot(c, slotAddr(seg, base+i), w, main[2*i+1], r, whole) {
+			return base + i, w, main[2*i+1], probes, main
 		}
 	}
 	// Hint scan: every overflow entry homed in this bucket has a hint
 	// in one of the bucket's four value words.
-	for s := base; s < base+SlotsPerBucket; s++ {
-		hv := m.load(slotAddr(seg, s) + 8)
+	for i := range SlotsPerBucket {
+		hv := main[2*i+1]
 		if !hintValid(hv) || hintFP(hv) != r.ofp {
 			continue
 		}
 		oi := hintIdx(hv)
-		w := m.load(slotAddr(seg, oi))
+		l := m.loadLine(slotAddr(seg, oi))
+		w, ov := l[2*(oi%SlotsPerBucket)], l[2*(oi%SlotsPerBucket)+1]
 		probes++
 		if !keyOccupied(w) || keyFP(w) != r.fp {
 			continue
 		}
-		if vw, ok := ix.matchSlot(m, c, slotAddr(seg, oi), w, r, whole); ok {
-			return oi, w, vw, probes
+		if ix.matchSlot(c, slotAddr(seg, oi), w, ov, r, whole) {
+			return oi, w, ov, probes, main
 		}
 	}
-	return -1, 0, 0, probes
+	return -1, 0, 0, probes, main
 }
 
 // matchSlot reports whether the slot at address a, whose occupied key
-// word kw carries r's fingerprint, holds r's key, and if so its value
-// word, prefetching as locate says.
-func (ix *Index) matchSlot(m mem, c *pmem.Ctx, a, kw uint64, r *req, whole bool) (vw uint64, ok bool) {
+// word kw carries r's fingerprint and whose value word is vw, holds r's
+// key, prefetching as locate says.
+func (ix *Index) matchSlot(c *pmem.Ctx, a, kw, vw uint64, r *req, whole bool) bool {
 	if !keyIsInline(kw) && a&^(pmem.CachelineSize-1) != r.loaded && c.InOp() {
-		vw = m.load(a + 8)
 		ix.prefetchValue(c, vw, whole)
-		return vw, ix.keyMatches(c, kw, r)
 	}
-	if !ix.keyMatches(c, kw, r) {
-		return 0, false
-	}
-	return m.load(a + 8), true
+	return ix.keyMatches(c, kw, r)
+}
+
+// freeSlot is where a new entry goes: slot idx, whose value word vw
+// carries hint bits the entry keeps, and, when idx lies outside the main
+// bucket, the main-bucket slot hint (-1: none) whose value word hw takes
+// the entry's overflow hint.
+type freeSlot struct {
+	idx, hint int
+	vw, hw    uint64
 }
 
 // findFree picks the slot for a new entry following circular probing
 // (§III-A): the main bucket's first free slot, else the first free
 // slot of the overflow buckets in circular order — which additionally
-// requires a free hint word in the main bucket. It returns the slot
-// index, the hint-word slot (-1 when none is needed) and ok=false when
-// the segment cannot take the entry (split required).
-func findFree(m mem, seg uint64, h uint64) (idx, hintSlot int, ok bool) {
+// requires a free hint word in the main bucket. main is the main
+// bucket's line as locate read it; each overflow bucket costs one read
+// of its line. ok=false when the segment cannot take the entry (split
+// required).
+func findFree(m mem, seg uint64, h uint64, main *pmem.Line) (f freeSlot, ok bool) {
 	b := mainBucket(h)
 	base := b * SlotsPerBucket
-	for s := base; s < base+SlotsPerBucket; s++ {
-		if !keyOccupied(m.load(slotAddr(seg, s))) {
-			return s, -1, true
+	for i := range SlotsPerBucket {
+		if !keyOccupied(main[2*i]) {
+			return freeSlot{idx: base + i, hint: -1, vw: main[2*i+1]}, true
 		}
 	}
 	// Main bucket full: find a hint word first.
-	hintSlot = -1
-	for s := base; s < base+SlotsPerBucket; s++ {
-		if !hintValid(m.load(slotAddr(seg, s) + 8)) {
-			hintSlot = s
+	f.hint = -1
+	for i := range SlotsPerBucket {
+		if !hintValid(main[2*i+1]) {
+			f.hint, f.hw = base+i, main[2*i+1]
 			break
 		}
 	}
-	if hintSlot < 0 {
-		return 0, 0, false
+	if f.hint < 0 {
+		return f, false
 	}
 	for off := 1; off < BucketsPerSegment; off++ {
-		ob := (b + off) % BucketsPerSegment
-		for s := ob * SlotsPerBucket; s < (ob+1)*SlotsPerBucket; s++ {
-			if !keyOccupied(m.load(slotAddr(seg, s))) {
-				return s, hintSlot, true
+		ob := (b + off) % BucketsPerSegment * SlotsPerBucket
+		l := m.loadLine(slotAddr(seg, ob))
+		for i := range SlotsPerBucket {
+			if !keyOccupied(l[2*i]) {
+				f.idx, f.vw = ob+i, l[2*i+1]
+				return f, true
 			}
 		}
 	}
-	return 0, 0, false
+	return f, false
 }
 
-// placeEntry writes a new entry into slot idx, preserving the target
-// value word's hint bits and installing the overflow hint when idx is
-// outside the main bucket.
-func placeEntry(m mem, seg uint64, idx, hintSlot int, r *req, kw, vwBase uint64) {
-	va := slotAddr(seg, idx) + 8
-	m.store(va, m.load(va)&hintMask|vwBase)
-	m.store(slotAddr(seg, idx), kw)
-	if hintSlot >= 0 {
-		ha := slotAddr(seg, hintSlot) + 8
-		m.store(ha, m.load(ha)&^hintMask|makeHint(r.ofp, idx))
+// placeEntry writes a new entry into the free slot f, preserving the
+// slot's hint bits and installing the overflow hint when f lies outside
+// the main bucket.
+func placeEntry(m mem, seg uint64, f freeSlot, r *req, kw, vwBase uint64) {
+	m.store(slotAddr(seg, f.idx)+8, f.vw&hintMask|vwBase)
+	m.store(slotAddr(seg, f.idx), kw)
+	if f.hint >= 0 {
+		m.store(slotAddr(seg, f.hint)+8, f.hw&^hintMask|makeHint(r.ofp, f.idx))
 	}
 }
 
-// clearEntry removes the entry at slot idx: the key word is zeroed and
-// the value word keeps only its hint bits (which belong to the bucket,
-// not to this entry). If the entry lived in an overflow bucket, its
-// hint in the main bucket is cleared as well.
-func clearEntry(m mem, seg uint64, idx int, h uint64) {
+// clearEntry removes the entry at slot idx, whose value word is vw: the
+// key word is zeroed and the value word keeps only its hint bits (which
+// belong to the bucket, not to this entry). If the entry lived in an
+// overflow bucket, its hint in the main bucket, whose line locate read as
+// main, is cleared as well.
+func clearEntry(m mem, seg uint64, idx int, vw uint64, main *pmem.Line, h uint64) {
 	m.store(slotAddr(seg, idx), 0)
-	va := slotAddr(seg, idx) + 8
-	m.store(va, m.load(va)&hintMask)
-	b := mainBucket(h)
-	if bucketOf(idx) == b {
+	m.store(slotAddr(seg, idx)+8, vw&hintMask)
+	base := mainBucket(h) * SlotsPerBucket
+	if bucketOf(idx) == base/SlotsPerBucket {
 		return
 	}
-	base := b * SlotsPerBucket
-	for s := base; s < base+SlotsPerBucket; s++ {
-		ha := slotAddr(seg, s) + 8
-		hv := m.load(ha)
-		if hintValid(hv) && hintIdx(hv) == idx {
-			m.store(ha, hv&^hintMask)
+	for i := range SlotsPerBucket {
+		if hv := main[2*i+1]; hintValid(hv) && hintIdx(hv) == idx {
+			m.store(slotAddr(seg, base+i)+8, hv&^hintMask)
 			return
 		}
 	}
@@ -231,46 +237,31 @@ type segEntries struct {
 func (l *segEntries) add(e segEntry)   { l.e[l.n] = e; l.n++ }
 func (l *segEntries) live() []segEntry { return l.e[:l.n] }
 
-// segSnap is a captured segment image that serves engine reads: the
-// snapshot a split decodes and its transaction validates.
-type segSnap struct {
-	base  uint64
-	words [SegmentSize / 8]uint64
-}
-
-func (s *segSnap) load(addr uint64) uint64 { return s.words[(addr-s.base)/8] }
-func (s *segSnap) store(uint64, uint64)    { panic("core: store into snapshot") }
-
-func (s *segSnap) read(addr uint64, dst []byte) {
-	for i := range dst {
-		a := addr + uint64(i) - s.base
-		dst[i] = byte(s.words[a/8] >> (8 * (a % 8)))
-	}
-}
-
-// keyWords loads every slot's key word of the segment through m into kws
-// and returns how many are occupied: the number of entries decodeSegment
-// will find among them.
-func keyWords(m mem, seg uint64, kws *[SlotsPerSegment]uint64) (occupied int) {
-	for s := range kws {
-		kws[s] = m.load(slotAddr(seg, s))
-		if keyOccupied(kws[s]) {
-			occupied++
+// loadLines reads the segment's four bucket lines through m into img,
+// one access each, and returns how many of its key words are occupied:
+// the number of entries decodeSegment will find in img.
+func loadLines(m mem, seg uint64, img *[SegmentSize / 8]uint64) (occupied int) {
+	for b := 0; b < BucketsPerSegment; b++ {
+		l := m.loadLine(slotAddr(seg, b*SlotsPerBucket))
+		copy(img[b*len(l):], l[:])
+		for i := 0; i < len(l); i += 2 {
+			if keyOccupied(l[i]) {
+				occupied++
+			}
 		}
 	}
 	return occupied
 }
 
-// decodeSegment appends to out the live entries among the segment's key
-// words kws (as keyWords loaded them), reading their value words through m
-// and their key hashes (re-hashing inline keys, reading key records raw
+// decodeSegment appends to out the live entries of the segment image img
+// with their key hashes (re-hashing inline keys, reading key records raw
 // for out-of-line ones).
-func (h *Handle) decodeSegment(m mem, seg uint64, kws *[SlotsPerSegment]uint64, out *segEntries) {
-	for s, kw := range kws {
+func (h *Handle) decodeSegment(img *[SegmentSize / 8]uint64, out *segEntries) {
+	for s := range SlotsPerSegment {
+		kw := img[2*s]
 		if !keyOccupied(kw) {
 			continue
 		}
-		vw := m.load(slotAddr(seg, s) + 8)
 		var kh uint64
 		if keyIsInline(kw) {
 			kh = hash.Sum64Uint64(wordPayload(kw))
@@ -278,7 +269,7 @@ func (h *Handle) decodeSegment(m mem, seg uint64, kws *[SlotsPerSegment]uint64, 
 			h.keyBuf = readRecord(&h.raw, wordPayload(kw), h.keyBuf[:0])
 			kh = hashKey(h.keyBuf)
 		}
-		out.add(segEntry{kw: kw, vw: vw &^ hintMask, h: kh})
+		out.add(segEntry{kw: kw, vw: img[2*s+1] &^ hintMask, h: kh})
 	}
 }
 

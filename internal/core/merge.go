@@ -160,13 +160,13 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 // returns their live entries as one list, seg's first; ok=false when
 // together they exceed mergeThreshold. The occupied key words alone
 // decide that (decodeSegment finds one entry per occupied key word), so a
-// declined pair costs its key words and no value word or key record.
+// declined pair costs its eight bucket lines and no key record.
 func (h *Handle) decodeBuddies(m mem, seg, buddySeg uint64) (live segEntries, ok bool) {
-	var kws, bkws [SlotsPerSegment]uint64
-	if keyWords(m, seg, &kws)+keyWords(m, buddySeg, &bkws) > mergeThreshold {
+	var img, bimg [SegmentSize / 8]uint64
+	if loadLines(m, seg, &img)+loadLines(m, buddySeg, &bimg) > mergeThreshold {
 		return live, false
 	}
-	h.decodeSegment(m, seg, &kws, &live)
-	h.decodeSegment(m, buddySeg, &bkws, &live)
+	h.decodeSegment(&img, &live)
+	h.decodeSegment(&bimg, &live)
 	return live, true
 }

@@ -62,7 +62,7 @@ func (b *buddyBench) layout(occ, inl [2]uint16) {
 
 // checkDecline lays out the pair and checks decodeBuddies against a full
 // decode of both segments: the same decision, the same entries when it
-// merges, and nothing read but the 32 key words when it declines.
+// merges, and nothing read but the 8 bucket lines when it declines.
 func (b *buddyBench) checkDecline(t *testing.T, occ, inl [2]uint16) {
 	t.Helper()
 	b.layout(occ, inl)
@@ -70,9 +70,9 @@ func (b *buddyBench) checkDecline(t *testing.T, occ, inl [2]uint16) {
 	m := rawMem{h.ix.pool, h.c}
 	var each [2]segEntries
 	for i, seg := range []uint64{b.seg, b.buddy} {
-		var kws [SlotsPerSegment]uint64
-		keyWords(m, seg, &kws)
-		h.decodeSegment(m, seg, &kws, &each[i])
+		var img [SegmentSize / 8]uint64
+		loadLines(m, seg, &img)
+		h.decodeSegment(&img, &each[i])
 	}
 	want := append(each[0].live(), each[1].live()...)
 	before := h.c.Stats()
@@ -82,8 +82,8 @@ func (b *buddyBench) checkDecline(t *testing.T, occ, inl [2]uint16) {
 		t.Fatalf("occupancy %016b/%016b: decodeBuddies ok=%v, the full decode (%d entries) says %v", occ[0], occ[1], ok, len(want), wantOK)
 	}
 	if !ok {
-		if got := d.CacheHits + d.CacheMisses; got != 2*SlotsPerSegment {
-			t.Fatalf("occupancy %016b/%016b: a declined probe made %d loads, want the %d key words", occ[0], occ[1], got, 2*SlotsPerSegment)
+		if got := d.CacheHits + d.CacheMisses; got != 2*BucketsPerSegment {
+			t.Fatalf("occupancy %016b/%016b: a declined probe made %d accesses, want one per bucket line (%d)", occ[0], occ[1], got, 2*BucketsPerSegment)
 		}
 		return
 	}

@@ -11,12 +11,14 @@ import (
 )
 
 // mem abstracts PM access so the slot/record engine can run inside any
-// atomic section (below) and over a captured segment image. A compare
-// loads word by word, as it may stop early; a copy of a record or a
-// segment image is one read, charged one access per cacheline like the
-// baselines' Pool.Read.
+// atomic section (below) and over a captured segment image. A record
+// compare loads word by word, as it may stop early; a bucket scan loads
+// its line once (loadLine), and a copy of a record or a segment image is
+// one read: both are charged one access per cacheline, like the
+// baselines' Pool.LoadLine and Pool.Read.
 type mem interface {
 	load(addr uint64) uint64
+	loadLine(addr uint64) pmem.Line
 	read(addr uint64, dst []byte)
 	store(addr uint64, v uint64)
 }
@@ -35,19 +37,21 @@ type section interface {
 
 type txMem struct{ tx *htm.Txn }
 
-func (m txMem) load(addr uint64) uint64      { return m.tx.Load(addr) }
-func (m txMem) read(addr uint64, dst []byte) { m.tx.Read(addr, dst) }
-func (m txMem) store(addr uint64, v uint64)  { m.tx.Store(addr, v) }
-func (m txMem) loadVol(p *uint64) uint64     { return m.tx.LoadVol(p) }
-func (m txMem) storeVol(p *uint64, v uint64) { m.tx.StoreVol(p, v) }
+func (m txMem) load(addr uint64) uint64        { return m.tx.Load(addr) }
+func (m txMem) loadLine(addr uint64) pmem.Line { return m.tx.LoadLine(addr) }
+func (m txMem) read(addr uint64, dst []byte)   { m.tx.Read(addr, dst) }
+func (m txMem) store(addr uint64, v uint64)    { m.tx.Store(addr, v) }
+func (m txMem) loadVol(p *uint64) uint64       { return m.tx.LoadVol(p) }
+func (m txMem) storeVol(p *uint64, v uint64)   { m.tx.StoreVol(p, v) }
 
 type rawMem struct {
 	pool *pmem.Pool
 	c    *pmem.Ctx
 }
 
-func (m rawMem) load(addr uint64) uint64      { return m.pool.Load64(m.c, addr) }
-func (m rawMem) read(addr uint64, dst []byte) { m.pool.Read(m.c, addr, dst) }
+func (m rawMem) load(addr uint64) uint64        { return m.pool.Load64(m.c, addr) }
+func (m rawMem) loadLine(addr uint64) pmem.Line { return m.pool.LoadLine(m.c, addr) }
+func (m rawMem) read(addr uint64, dst []byte)   { m.pool.Read(m.c, addr, dst) }
 
 //spash:guarded rawMem stores only on recovery and fsck, under a lock mode's covering stripe lock, and into a fresh split segment no directory entry points at yet: serialised outside the HTM domain
 func (m rawMem) store(addr uint64, v uint64) { m.pool.Store64(m.c, addr, v) }
@@ -61,11 +65,12 @@ func (rawMem) storeVol(p *uint64, v uint64) { atomic.StoreUint64(p, v) }
 // half-published optimistic commit.
 type iMem struct{ it *htm.ITxn }
 
-func (m iMem) load(addr uint64) uint64      { return m.it.Load(addr) }
-func (m iMem) read(addr uint64, dst []byte) { m.it.Read(addr, dst) }
-func (m iMem) store(addr uint64, v uint64)  { m.it.Store(addr, v) }
-func (m iMem) loadVol(p *uint64) uint64     { return m.it.LoadVol(p) }
-func (m iMem) storeVol(p *uint64, v uint64) { m.it.StoreVol(p, v) }
+func (m iMem) load(addr uint64) uint64        { return m.it.Load(addr) }
+func (m iMem) loadLine(addr uint64) pmem.Line { return m.it.LoadLine(addr) }
+func (m iMem) read(addr uint64, dst []byte)   { m.it.Read(addr, dst) }
+func (m iMem) store(addr uint64, v uint64)    { m.it.Store(addr, v) }
+func (m iMem) loadVol(p *uint64) uint64       { return m.it.LoadVol(p) }
+func (m iMem) storeVol(p *uint64, v uint64)   { m.it.StoreVol(p, v) }
 
 // Out-of-line record layout: one header word — CRC32C of the payload
 // in the high 32 bits, the byte length in the low 32 — followed by the

@@ -233,7 +233,7 @@ func TestProbePrefetchOverlapsRecordMisses(t *testing.T) {
 	for id := 0; id < keys && key == nil; id++ {
 		r := makeReq(stageKey(id))
 		_, e := ix.resolveRaw(r.h)
-		idx, kw, vw, _ := ix.locate(h.raw, h.c, entrySeg(e), &r, false)
+		idx, kw, vw, _, _ := ix.locate(h.raw, h.c, entrySeg(e), &r, false)
 		if idx < 0 || r.h>>32&0xF == 0 {
 			continue
 		}
@@ -305,7 +305,7 @@ func TestRecordStageCoversOverflowEntries(t *testing.T) {
 	for id := 0; id < keys && len(ops) < batch; id++ {
 		r := makeReq(stageKey(id))
 		_, e := ix.resolveRaw(r.h)
-		if idx, _, _, _ := ix.locate(h.raw, h.c, entrySeg(e), &r, false); idx >= 0 && bucketOf(idx) != mainBucket(r.h) {
+		if idx, _, _, _, _ := ix.locate(h.raw, h.c, entrySeg(e), &r, false); idx >= 0 && bucketOf(idx) != mainBucket(r.h) {
 			ops = append(ops, BatchOp{Kind: OpSearch, Key: r.key})
 			ids = append(ids, id)
 		}
@@ -514,7 +514,7 @@ func FuzzProbePrefetchPeek(f *testing.F) {
 		_, hB, poolB := build()
 		decoy := makeReq(stageKey(3))
 		_, e := ixA.resolveRaw(decoy.h)
-		di, dkw, dvw, _ := ixA.locate(hA.raw, hA.c, entrySeg(e), &decoy, false)
+		di, dkw, dvw, _, _ := ixA.locate(hA.raw, hA.c, entrySeg(e), &decoy, false)
 		if di < 0 {
 			t.Fatal("the decoy key is missing")
 		}

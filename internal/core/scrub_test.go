@@ -60,7 +60,7 @@ func TestScrubRepairsUnderLoad(t *testing.T) {
 	r := makeReq(victim)
 	_, e := ix.resolveRaw(r.h)
 	seg := entrySeg(e)
-	idx, _, _, _ := ix.locate(rawMem{ix.pool, c}, c, seg, &r, false)
+	idx, _, _, _, _ := ix.locate(rawMem{ix.pool, c}, c, seg, &r, false)
 	if idx < 0 {
 		t.Fatal("victim key not in its segment")
 	}

@@ -108,7 +108,7 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 			runtime.Gosched()
 			continue
 		}
-		p, snap := &h.split, &h.snap.words
+		p, snap := &h.split, &h.snap
 		code, terr := ix.tm.Run(c, ix.pool, func(tx *htm.Txn) error {
 			ents, g2, rerr := ix.splitView(tx, hh, depth)
 			if rerr != nil {
@@ -197,15 +197,13 @@ func (h *Handle) splitLocked(hh uint64) error {
 func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
 	defer poisonAsCorruption(&seg, &err)
 	ix, c, p := h.ix, h.c, &h.split
-	h.snap.base, h.snap.words = seg, loadSegment(m, seg, &h.segBuf)
+	h.snap = loadSegment(m, seg, &h.segBuf)
 	p.seg, p.depth, p.prefix = seg, depth, hash.Prefix(hh, depth)
 
 	// Entries whose bit (63-depth) of the hash is 0 stay, 1 move.
 	var all, stay, move segEntries
-	var kws [SlotsPerSegment]uint64
-	ix.hintKeyRecords(&h.snap.words)
-	keyWords(&h.snap, seg, &kws)
-	h.decodeSegment(&h.snap, seg, &kws, &all)
+	ix.hintKeyRecords(&h.snap)
+	h.decodeSegment(&h.snap, &all)
 	for _, en := range all.live() {
 		if en.h>>(63-depth)&1 == 1 {
 			move.add(en)
@@ -238,7 +236,7 @@ func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
 func (h *Handle) commitSplit(s section, ents []uint64, base, n uint64) {
 	ix, p := h.ix, &h.split
 	for i, w := range p.imgA {
-		if w != h.snap.words[i] {
+		if w != h.snap[i] {
 			s.store(p.seg+uint64(i)*8, w)
 		}
 	}

@@ -20,7 +20,7 @@ var updateModes = []Config{
 func valueOf(h *Handle, key []byte) uint64 {
 	r := makeReq(key)
 	_, e := h.ix.resolveRaw(r.h)
-	idx, _, vw, _ := h.ix.locate(rawMem{h.ix.pool, h.c}, h.c, entrySeg(e), &r, false)
+	idx, _, vw, _, _ := h.ix.locate(rawMem{h.ix.pool, h.c}, h.c, entrySeg(e), &r, false)
 	if idx < 0 {
 		return 0
 	}

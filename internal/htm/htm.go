@@ -249,10 +249,8 @@ type Txn struct {
 	// nread counts transactional loads: the read footprint in words that
 	// ReadCapacityWords bounds, while rs holds one entry per line run.
 	nread int
-	// cur is the version word of the line the previous load read
-	// (curLine) and curVer the version recorded for it in rs: loads that
-	// stay on the line skip the hash, the pre-check and the rs append,
-	// never the re-validation after the data read.
+	// cur is the version word of the line the previous read entered
+	// (curLine) and curVer the version recorded for it in rs (enter).
 	cur     *atomic.Uint64
 	curLine uintptr
 	curVer  uint64
@@ -335,17 +333,7 @@ func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 		panic(capacitySignal{})
 	}
 	tx.nread++
-	s, v1 := tx.cur, tx.curVer
-	if line := key >> lineShift; s == nil || line != tx.curLine {
-		i := tx.tm.stripeFor(key)
-		s = &tx.tm.vers[i]
-		v1 = s.Load()
-		if v1&1 != 0 || v1>>1 > tx.rv {
-			tx.abortConflict()
-		}
-		tx.rs = append(tx.rs, rsEntry{i, v1})
-		tx.cur, tx.curLine, tx.curVer = s, line, v1
-	}
+	s, v1 := tx.enter(key)
 	var val uint64
 	if pm {
 		val = tx.pool.Load64(tx.ctx, addr)
@@ -353,10 +341,75 @@ func (tx *Txn) load(key uintptr, addr uint64, ptr *uint64, pm bool) uint64 {
 		val = atomic.LoadUint64(ptr)
 		tx.ctx.ChargeDRAM(1)
 	}
-	if s.Load() != v1 {
+	tx.recheck(s, v1)
+	return val
+}
+
+// enter returns the version word of key's cacheline and the version the
+// read set holds for it, pre-checking the line when the previous access
+// was to another one: loads that stay on a line skip the hash, the
+// pre-check and the read-set append, never the re-validation after the
+// data read.
+func (tx *Txn) enter(key uintptr) (*atomic.Uint64, uint64) {
+	if tx.cur == nil || key>>lineShift != tx.curLine {
+		tx.preCheck(key)
+	}
+	return tx.cur, tx.curVer
+}
+
+// preCheck is the per-line version check every transactional read makes
+// before it reads the line: the stripe of key's line must be unlocked and
+// no newer than the transaction's read version. The version goes into the
+// read set (one entry) and becomes the current line's.
+func (tx *Txn) preCheck(key uintptr) {
+	i := tx.tm.stripeFor(key)
+	s := &tx.tm.vers[i]
+	v := s.Load()
+	if v&1 != 0 || v>>1 > tx.rv {
 		tx.abortConflict()
 	}
-	return val
+	tx.rs = append(tx.rs, rsEntry{i, v})
+	tx.cur, tx.curLine, tx.curVer = s, key>>lineShift, v
+}
+
+// LoadLine reads the eight words of the PM cacheline holding addr
+// transactionally, charged like Pool.LoadLine: one cache access, where a
+// Load of each word is eight. The line is pre-checked once (one read-set
+// entry, none when the previous access was to the same line), all eight
+// words count against ReadCapacityWords, the version is re-checked once
+// after the read, and words the transaction has stored read back
+// buffered.
+func (tx *Txn) LoadLine(addr uint64) pmem.Line {
+	l, s, v := tx.readLine(addr)
+	tx.recheck(s, v)
+	return l
+}
+
+// readLine is LoadLine up to its re-check: the capacity count, the
+// pre-check, the read and the buffered words; it returns the line with the
+// version word and version the re-check compares.
+func (tx *Txn) readLine(addr uint64) (l pmem.Line, s *atomic.Uint64, v uint64) {
+	line := addr &^ (pmem.CachelineSize - 1)
+	if tx.nread+len(l) > tx.tm.cfg.ReadCapacityWords {
+		panic(capacitySignal{})
+	}
+	tx.nread += len(l)
+	s, v = tx.enter(uintptr(line))
+	l = tx.pool.LoadLine(tx.ctx, line)
+	for _, w := range tx.ws {
+		if w.pm && w.addr&^(pmem.CachelineSize-1) == line {
+			l[(w.addr-line)/8] = w.val
+		}
+	}
+	return l, s, v
+}
+
+// recheck aborts the transaction when version word s no longer reads v:
+// the line changed since its pre-check.
+func (tx *Txn) recheck(s *atomic.Uint64, v uint64) {
+	if s.Load() != v {
+		tx.abortConflict()
+	}
 }
 
 // buffered returns the value the transaction has stored at key, if any.
@@ -398,14 +451,7 @@ func (tx *Txn) copyLines(addr uint64, dst []byte) {
 				panic(capacitySignal{})
 			}
 			tx.nread += k
-			i := tx.tm.stripeFor(uintptr(line))
-			s := &tx.tm.vers[i]
-			v := s.Load()
-			if v&1 != 0 || v>>1 > tx.rv {
-				tx.abortConflict()
-			}
-			tx.rs = append(tx.rs, rsEntry{i, v})
-			tx.cur, tx.curLine, tx.curVer = s, uintptr(line)>>lineShift, v
+			tx.preCheck(uintptr(line))
 			tx.pool.Read(tx.ctx, a, chunk)
 		}
 		if len(tx.ws) > 0 {
@@ -447,9 +493,7 @@ func (tx *Txn) overlay(a uint64, dst []byte) {
 // index from on, aborting when a line changed since its pre-check.
 func (tx *Txn) validateFrom(from int) {
 	for _, r := range tx.rs[from:] {
-		if tx.tm.vers[r.stripe].Load() != r.ver {
-			tx.abortConflict()
-		}
+		tx.recheck(&tx.tm.vers[r.stripe], r.ver)
 	}
 }
 

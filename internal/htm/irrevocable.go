@@ -101,6 +101,14 @@ func (it *ITxn) Load(addr uint64) uint64 {
 	return it.pool.Load64(it.ctx, addr)
 }
 
+// LoadLine reads the eight words of the PM cacheline holding addr under
+// the line's stripe lock, taken once: Pool.LoadLine's accounting, one
+// access for the line.
+func (it *ITxn) LoadLine(addr uint64) pmem.Line {
+	it.acquire(uintptr(addr))
+	return it.pool.LoadLine(it.ctx, addr)
+}
+
 // Read copies len(dst) bytes of PM starting at addr into dst, taking the
 // stripe lock of each line before copying it: Pool.Read's accounting,
 // one access per cacheline.

@@ -227,3 +227,154 @@ func TestReadCapacity(t *testing.T) {
 		}
 	}
 }
+
+// lineWith reads the cacheline at addr with one of the readers from a
+// fresh fixture whose line 4160 is warm: "pool" (Pool.LoadLine), "txn"
+// and "itxn" (LoadLine in a transaction and an irrevocable one) or
+// "loads" (eight Loads).
+func lineWith(t *testing.T, how string, addr uint64) (l pmem.Line, r readResult) {
+	t.Helper()
+	tm, pool, c := readFixture(4096)
+	measure := func(read func()) {
+		t0 := c.Clock()
+		read()
+		r.ns, r.stats = c.Clock()-t0, c.Stats()
+	}
+	switch how {
+	case "pool":
+		measure(func() { l = pool.LoadLine(c, addr) })
+	case "txn":
+		mustCommit(t, tm, c, pool, func(tx *Txn) error {
+			measure(func() { l = tx.LoadLine(addr) })
+			return nil
+		})
+	case "itxn":
+		if err := tm.Irrevocable(c, pool, func(it *ITxn) error {
+			measure(func() { l = it.LoadLine(addr) })
+			if len(it.held) != 1 {
+				return fmt.Errorf("holds %d stripes after the line load, want 1", len(it.held))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	case "loads":
+		mustCommit(t, tm, c, pool, func(tx *Txn) error {
+			measure(func() {
+				for i := range l {
+					l[i] = tx.Load(addr + uint64(i)*8)
+				}
+			})
+			return nil
+		})
+	}
+	return l, r
+}
+
+// A line load in a transaction or an irrevocable one leaves the counters
+// and costs the clock of Pool.LoadLine, and it reads the words eight
+// Loads read with the same counters but CacheHits: seven fewer hits and
+// the clock they cost.
+func TestLoadLineEqualsEightLoadsButForHits(t *testing.T) {
+	for _, addr := range []uint64{4096, 4096 + 64} { // a cold line, a hit
+		want, ws := lineWith(t, "pool", addr)
+		for _, how := range []string{"txn", "itxn"} {
+			if l, r := lineWith(t, how, addr); l != want || r.stats != ws.stats || r.ns != ws.ns {
+				t.Errorf("%#x %s: %x, %+v, %d ns; Pool.LoadLine: %x, %+v, %d ns", addr, how, l, r.stats, r.ns, want, ws.stats, ws.ns)
+			}
+		}
+		loop, ls := lineWith(t, "loads", addr)
+		_, lr := lineWith(t, "txn", addr)
+		if loop != want {
+			t.Fatalf("%#x: eight Loads read %x, the line load %x", addr, loop, want)
+		}
+		hits := ls.stats.CacheHits - lr.stats.CacheHits
+		ls.stats.CacheHits = lr.stats.CacheHits
+		if hitNS := int64(hits) * pmem.DefaultTiming().CacheHitLoad; hits != 7 || ls.stats != lr.stats || ls.ns-lr.ns != hitNS {
+			t.Errorf("%#x: loads %+v, %d ns; line load %+v, %d ns; want only 7 fewer hits and their %d ns",
+				addr, ls.stats, ls.ns, lr.stats, lr.ns, hitNS)
+		}
+	}
+}
+
+// A line load over words the transaction has stored returns the buffered
+// words and the line's others, with one access.
+func TestLoadLineReturnsBufferedWords(t *testing.T) {
+	const addr = 4096
+	tm, pool, c := readFixture(addr)
+	want := pool.LoadLine(c, addr)
+	want[2], want[7] = 0x1111, 0x2222
+	code, err := tm.Run(c, pool, func(tx *Txn) error {
+		tx.Store(addr+16, 0x1111)
+		tx.Store(addr+56, 0x2222)
+		tx.Store(addr+64, 0x3333) // the next line
+		before := c.Stats()
+		if got := tx.LoadLine(addr + 8); got != want {
+			return fmt.Errorf("line load over buffered words: %x, want %x", got, want)
+		}
+		if d := c.Stats().Sub(before); d.CacheHits+d.CacheMisses != 1 {
+			return fmt.Errorf("line load made %d accesses, want 1", d.CacheHits+d.CacheMisses)
+		}
+		return ErrAbort // publish nothing
+	})
+	if code != Explicit || err != ErrAbort {
+		t.Fatalf("Run = %v, %v", code, err)
+	}
+}
+
+// A commit to the line between a line load's pre-check and its re-check
+// dooms the loading transaction; a commit to another line, or none, does
+// not.
+func TestCommitBetweenLoadLineAndRecheckConflicts(t *testing.T) {
+	const addr = 4096
+	for _, tc := range []struct {
+		name   string
+		commit int64 // offset of the committed word from addr; -1: none
+		want   Code
+	}{
+		{"no commit", -1, Committed},
+		{"a commit to the line", 40, Conflict},
+		{"a commit to the next line", 64 + 40, Committed},
+	} {
+		tm, pool, c := readFixture(addr)
+		wc := pool.NewCtx()
+		code, _ := tm.Run(c, pool, func(tx *Txn) error {
+			_, s, v := tx.readLine(addr)
+			if tc.commit >= 0 {
+				mustCommit(t, tm, wc, pool, func(w *Txn) error {
+					w.Store(addr+uint64(tc.commit), 1)
+					return nil
+				})
+			}
+			tx.recheck(s, v)
+			return nil
+		})
+		if code != tc.want {
+			t.Errorf("%s between pre-check and re-check: %v, want %v", tc.name, code, tc.want)
+		}
+	}
+}
+
+// A line load counts all eight words against ReadCapacityWords: one that
+// ends exactly at the budget commits, one word more aborts with Capacity.
+func TestLoadLineCapacity(t *testing.T) {
+	tm, pool, c := newTestTM() // ReadCapacityWords: 1024
+	for _, tc := range []struct {
+		before int // words loaded before the line
+		want   Code
+	}{
+		{1016, Committed},
+		{1017, Capacity},
+	} {
+		code, _ := tm.Run(c, pool, func(tx *Txn) error {
+			for i := 0; i < tc.before; i++ {
+				tx.Load(64)
+			}
+			tx.LoadLine(1 << 20)
+			return nil
+		})
+		if code != tc.want {
+			t.Errorf("%d words loaded, then a line: %v, want %v", tc.before, code, tc.want)
+		}
+	}
+}

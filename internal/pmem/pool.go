@@ -261,6 +261,35 @@ func (p *Pool) Load64(c *Ctx, addr uint64) uint64 {
 	return v
 }
 
+// Line is the content of one cacheline, word by word.
+type Line = [CachelineSize / 8]uint64
+
+// LoadLine atomically loads each word of the cacheline holding addr, in
+// address order, as one cache access: the scan of a bucket that is a
+// line, as a core compares the words of a line it has loaded. Bounds and
+// poison are checked once for the line; a poisoned XPLine machine-checks
+// as Load64 does, and a line outside the pool panics with the same
+// AccessError.
+//
+// The host fetch of the words is started before the cache bookkeeping
+// and the words are read after it. Read first, as Load64 reads its word,
+// they would be stored into the result before the set lock is taken, and
+// the lock's atomic instruction waits for every earlier store: the
+// word's host miss and the set's would run one after the other instead
+// of overlapping.
+func (p *Pool) LoadLine(c *Ctx, addr uint64) (l Line) {
+	line := addr &^ uint64(CachelineSize-1)
+	p.check(line, CachelineSize)
+	p.checkPoison(c, line, CachelineSize)
+	w := p.words[line/8 : line/8+uint64(len(l))]
+	hostpf.Line(unsafe.Pointer(&w[0]))
+	p.touch(c, line, false)
+	for i := range l {
+		l[i] = atomic.LoadUint64(&w[i])
+	}
+	return l
+}
+
 // Store64 atomically stores v to the 64-bit word at addr. The line
 // becomes dirty in the simulated cache; under eADR it is already
 // durable, under ADR it is durable only once flushed or evicted.
@@ -456,7 +485,7 @@ func (p *Pool) Prefetch(c *Ctx, addr uint64) bool {
 // reads addresses outside any operation's corruption guard, so a
 // poisoned line is reported, not machine-checked (no PoisonReads, no
 // panic). Like Prefetch it is no fault-injection step.
-func (p *Pool) LoadPrefetched(c *Ctx, addr uint64, dst *[CachelineSize / 8]uint64) bool {
+func (p *Pool) LoadPrefetched(c *Ctx, addr uint64, dst *Line) bool {
 	line := addr &^ uint64(CachelineSize-1)
 	if line >= p.cfg.PoolSize {
 		return false
