@@ -272,7 +272,7 @@ func (h *Handle) prefetchOp(r *req) {
 // operation's own misses.
 func (h *Handle) prefetchRecords(r *req, get bool) {
 	ix := h.ix
-	var b [pmem.CachelineSize / 8]uint64
+	var b pmem.Line
 	if r.kInline || !ix.pool.LoadPrefetched(h.c, r.bucket, &b) {
 		return
 	}
