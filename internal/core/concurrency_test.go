@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -407,5 +408,49 @@ func TestStopWorldBuildersDropFallbackLocks(t *testing.T) {
 		if e != entryUnlock(old.entries[2*j]) {
 			t.Errorf("halve: entry %d = %#x, want %#x", j, e, entryUnlock(old.entries[2*j]))
 		}
+	}
+}
+
+// A transaction that finds its segment fallback-locked waits for the
+// holder without charging its clock: the waiter pays for the attempt
+// that met the lock and for its retry, however long the holder keeps
+// the lock in real time, which the host's scheduler decides.
+func TestFallbackLockWaitChargesOneAttempt(t *testing.T) {
+	ix, h := newTestIndex(t, Config{})
+	key := k64(42)
+	if err := h.Insert(key, k64(7)); err != nil {
+		t.Fatal(err)
+	}
+	w := ix.NewHandle(nil)
+	defer w.Close()
+	search := func() int64 {
+		start := w.c.Clock()
+		if _, ok, err := w.Search(key, nil); err != nil || !ok {
+			t.Errorf("search: found %v, err %v", ok, err)
+		}
+		return w.c.Clock() - start
+	}
+	search()
+	free := search()
+
+	cPtr, ce, _, ok := ix.resolveCanonicalNoWait(hashKey(key))
+	if !ok {
+		t.Fatal("no canonical entry")
+	}
+	atomic.StoreUint64(cPtr, ce|entryLock)
+	var unlocked atomic.Bool
+	done := make(chan int64)
+	go func() {
+		d := search()
+		if !unlocked.Load() {
+			t.Error("the search returned while its segment was fallback-locked")
+		}
+		done <- d
+	}()
+	time.Sleep(20 * time.Millisecond)
+	unlocked.Store(true)
+	atomic.StoreUint64(cPtr, ce)
+	if waited := <-done; waited > 2*free {
+		t.Fatalf("a search that waited out a fallback lock charged %d ns, want at most 2x the %d ns of an unlocked one", waited, free)
 	}
 }

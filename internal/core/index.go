@@ -454,6 +454,23 @@ func (ix *Index) waitResizeCtx(c *pmem.Ctx) {
 	c.Charge(ix.lastResizeCost.Load())
 }
 
+// waitUnlocked yields, charging no clock, until the segment covering h
+// is no longer fallback-locked, so a transaction that found the lock
+// held pays for that one attempt and its retry. How many attempts would
+// fit in the wait depends on how the host schedules the holder, not on
+// the index; like a blocked vsync waiter, the waiter pays nothing for
+// the holder's critical section. During a halving it returns and the
+// caller's retry meets the resize.
+func (ix *Index) waitUnlocked(h uint64) {
+	for {
+		ix.pool.CheckLive()
+		runtime.Gosched()
+		if _, ce, _, ok := ix.resolveCanonicalNoWait(h); !ok || !entryLocked(ce) {
+			return
+		}
+	}
+}
+
 // resolveTx resolves the authoritative directory entry inside a
 // transaction (the transaction-phase validation of §IV-A): the
 // generation word, the partition-progress words (during doubling), the
