@@ -4,8 +4,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"spash/internal/pmem"
 )
@@ -29,9 +31,17 @@ var allocTestKeys = []struct {
 // off for both runs of f. A cycle in the window empties htm's descriptor
 // pool, and the fresh descriptor's write set then grows on the heap the
 // first time a merge or split needs more than its initial capacity: an
-// allocation of the collector's making, not the write path's.
+// allocation of the collector's making, not the write path's. A cycle
+// that started just before leaves the runtime work it starts on goroutines
+// of its own — the unique package's map cleanup, finalizers — which
+// allocates, and on a loaded host that work was seen to land in the
+// measured run (runtime.MemProfile put one such allocation in
+// unique.registerCleanup). So a cycle is run to its end first, and those
+// goroutines get the processors for a moment before the window opens.
 func allocsWithGCOff(f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
 	return testing.AllocsPerRun(1, f)
 }
 

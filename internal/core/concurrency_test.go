@@ -43,11 +43,27 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 			for i := uint64(0); i < workers*per; i++ {
 				v, ok, err := h0.Search(k64(i), nil)
 				if err != nil || !ok || binary.LittleEndian.Uint64(v) != i*2 {
-					t.Fatalf("key %d: ok=%v err=%v", i, ok, err)
+					t.Fatalf("key %d: ok=%v err=%v; %s", i, ok, err, missReport(ix, h0, k64(i)))
 				}
 			}
 		})
 	}
+}
+
+// missReport says what the index looks like around a key a search
+// missed: whether the invariant scan passes, whether ForEach still
+// visits the key, and the key's directory entry and depths.
+func missReport(ix *Index, h *Handle, key []byte) string {
+	visited := false
+	ferr := ix.ForEach(h, func(k, _ []byte) bool {
+		visited = bytes.Equal(k, key)
+		return !visited
+	})
+	d := ix.dir.Load()
+	idx := d.index(hashKey(key))
+	e := atomic.LoadUint64(&d.entries[idx])
+	return fmt.Sprintf("CheckInvariants: %v; ForEach visits it: %v (err %v); directory entry %d of %d (global depth %d) = %#x: segment %#x, local depth %d, locked %v",
+		ix.CheckInvariants(h.c), visited, ferr, idx, len(d.entries), d.depth, e, entrySeg(e), entryDepth(e), entryLocked(e))
 }
 
 // Concurrent updates of a single hot key: the final value must be one
@@ -408,6 +424,72 @@ func TestStopWorldBuildersDropFallbackLocks(t *testing.T) {
 		if e != entryUnlock(old.entries[2*j]) {
 			t.Errorf("halve: entry %d = %#x, want %#x", j, e, entryUnlock(old.entries[2*j]))
 		}
+	}
+}
+
+// A split whose transaction finds a covering directory entry
+// fallback-locked waits for the holder as an operation's transaction
+// does (TestFallbackLockWaitChargesOneAttempt): it pays for the attempt
+// that met the lock and for its retry, each a charged snapshot and
+// transaction, not for one of them on every pass of the host's scheduler
+// while the holder keeps the lock. The split's key is covered by an
+// entry other than its segment's canonical one, so only the transaction,
+// which validates every covering entry, meets the lock.
+func TestSplitLockWaitChargesOneAttempt(t *testing.T) {
+	// build fills an index until some segment is covered by several
+	// entries and returns a key covered by one that is not the first;
+	// two builds are the same index.
+	build := func() (*Index, uint64) {
+		ix, h := newTestIndex(t, Config{})
+		for i := uint64(0); i < 2000; i++ {
+			if err := h.Insert(k64(i), k64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := ix.dir.Load()
+		for i := uint64(0); i < 2000; i++ {
+			hh := hashKey(k64(i))
+			idx := d.index(hh)
+			depth := entryDepth(d.entries[idx])
+			if depth < d.depth && idx&(uint64(1)<<(d.depth-depth)-1) != 0 {
+				return ix, hh
+			}
+		}
+		t.Fatal("no key is covered by a segment's second entry")
+		return nil, 0
+	}
+	split := func(ix *Index, hh uint64) int64 {
+		w := ix.NewHandle(nil)
+		defer w.Close()
+		start := w.c.Clock()
+		if err := ix.split(w, hh); err != nil {
+			t.Errorf("split: %v", err)
+		}
+		return w.c.Clock() - start
+	}
+	ix, hh := build()
+	free := split(ix, hh)
+
+	ix, hh = build()
+	cPtr, ce, _, ok := ix.resolveCanonicalNoWait(hh)
+	if !ok {
+		t.Fatal("no canonical entry")
+	}
+	atomic.StoreUint64(cPtr, ce|entryLock)
+	var unlocked atomic.Bool
+	done := make(chan int64)
+	go func() {
+		d := split(ix, hh)
+		if !unlocked.Load() {
+			t.Error("the split committed while a covering entry was fallback-locked")
+		}
+		done <- d
+	}()
+	time.Sleep(20 * time.Millisecond)
+	unlocked.Store(true)
+	atomic.StoreUint64(cPtr, ce)
+	if waited := <-done; waited > 2*free {
+		t.Fatalf("a split that waited out a fallback lock charged %d ns, want at most 2x the %d ns of an unlocked one", waited, free)
 	}
 }
 

@@ -59,31 +59,26 @@ func (ix *Index) Dump(c *pmem.Ctx) DumpInfo {
 // dumpSegment accumulates one segment's statistics, reporting false
 // (and counting nothing) when its media is poisoned.
 func dumpSegment(m mem, seg uint64, info *DumpInfo) (ok bool) {
-	return tolerate(poisonOnly, func() {
-		occ := 0
-		for s := 0; s < SlotsPerSegment; s++ {
-			kw := m.load(slotAddr(seg, s))
-			if !keyOccupied(kw) {
-				continue
-			}
-			occ++
-			if !keyIsInline(kw) {
-				info.KeyRecords++
-			}
-			vw := m.load(slotAddr(seg, s) + 8)
-			if !valueIsInline(vw) {
-				info.ValueRecords++
-			}
+	var img [SegmentSize / 8]uint64
+	occ := 0
+	if tolerate(poisonOnly, func() { occ = loadLines(m, seg, &img) }) != nil {
+		return false
+	}
+	info.OccupancyHistogram[occ]++
+	for s := range SlotsPerSegment {
+		kw, vw := img[2*s], img[2*s+1]
+		if keyOccupied(kw) && !keyIsInline(kw) {
+			info.KeyRecords++
 		}
-		info.OccupancyHistogram[occ]++
+		if keyOccupied(kw) && !valueIsInline(vw) {
+			info.ValueRecords++
+		}
 		// Overflow entries: occupied slots referenced by a hint.
-		for s := 0; s < SlotsPerSegment; s++ {
-			hv := m.load(slotAddr(seg, s) + 8)
-			if hintValid(hv) && keyOccupied(m.load(slotAddr(seg, hintIdx(hv)))) {
-				info.OverflowEntries++
-			}
+		if hintValid(vw) && keyOccupied(img[2*hintIdx(vw)]) {
+			info.OverflowEntries++
 		}
-	}) == nil
+	}
+	return true
 }
 
 // ForEach visits every live entry once, calling fn with the key and
@@ -113,12 +108,14 @@ func (ix *Index) forEach(h *Handle, fn func(key, val []byte) bool) {
 		seen[seg] = true
 		type kvPair struct{ k, v []byte }
 		var batch []kvPair
+		var img [SegmentSize / 8]uint64
 		for {
 			code, _ := ix.tm.Run(h.c, ix.pool, func(tx *htm.Txn) error {
 				batch = batch[:0]
 				m := txMem{tx}
-				for s := 0; s < SlotsPerSegment; s++ {
-					kw := m.load(slotAddr(seg, s))
+				loadLines(m, seg, &img)
+				for s := range SlotsPerSegment {
+					kw, vw := img[2*s], img[2*s+1]
 					if !keyOccupied(kw) {
 						continue
 					}
@@ -129,7 +126,6 @@ func (ix *Index) forEach(h *Handle, fn func(key, val []byte) bool) {
 					} else {
 						key = readRecord(m, wordPayload(kw), nil)
 					}
-					vw := m.load(slotAddr(seg, s) + 8)
 					batch = append(batch, kvPair{key, loadValue(m, vw, nil)})
 				}
 				return nil

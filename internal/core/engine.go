@@ -21,6 +21,10 @@ type req struct {
 	// then the one prefetchOp resolved and asked for, which the record
 	// stages read (pipeline.go); operations ignore it.
 	bucket uint64
+	// arrives is when prefetchOp's load of bucket arrives on the
+	// context's clock (pmem.Ctx.Arrives): the record stage runs ahead of
+	// its fixed lead only for a request whose bucket is in.
+	arrives int64
 	// loaded is the bucket whose fingerprint matches' records ExecBatch's
 	// record stage asked for (0: none), so the probe asks again only for
 	// matches in other buckets (locate).

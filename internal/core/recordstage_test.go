@@ -329,6 +329,114 @@ func TestRecordStageCoversOverflowEntries(t *testing.T) {
 	}
 }
 
+// At PipelineDepth 4 the record stage runs for a request as soon as its
+// bucket has arrived, and for the next request in any case. The batch is
+// an Insert, whose first persistence step cuts the power, and three Gets
+// of 16-byte keys with 64 B values: A's bucket is cold, B's and C's and
+// the Insert's are in the cache. So when the Insert executes, the stage
+// must already have run for all three Gets, which the cut leaves in the
+// context's prefetch table: for A, one request ahead, after waiting for
+// its bucket; for B and C, two and three requests ahead, with no wait of
+// their own, so their record loads were issued within a quarter of a
+// miss of A's.
+func TestRecordStageRunsOnArrival(t *testing.T) {
+	const records = 200
+	miss := pmem.DefaultTiming().CacheMissLoad
+	value := func(id int) []byte { return []byte(fmt.Sprintf("%064d", id)) }
+	pool := pmem.New(pmem.Config{PoolSize: 8 << 20, CacheSize: 64 << 20, XPBufferLines: 1 << 16})
+	c := pool.NewCtx()
+	al, err := alloc.New(c, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(c, pool, al, Config{InitialDepth: 4, PipelineDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ix.NewHandle(c)
+	for id := 0; id < records; id++ {
+		if err := h.Insert(stageKey(id), value(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pick the Gets: entries in their main buckets, no two buckets or
+	// record lines shared. recs holds each Get's record lines.
+	type get struct {
+		key    []byte
+		bucket uint64
+		recs   []uint64
+	}
+	used := map[uint64]bool{}
+	lines := func(addr uint64, n int) (ls []uint64) {
+		for l := addr &^ (pmem.CachelineSize - 1); l < addr+uint64(n); l += pmem.CachelineSize {
+			ls = append(ls, l)
+		}
+		return ls
+	}
+	var gets []get
+	for id := 0; id < records && len(gets) < 3; id++ {
+		r := makeReq(stageKey(id))
+		_, e := ix.resolveRaw(r.h)
+		idx, kw, vw, _, _ := ix.locate(h.raw, h.c, entrySeg(e), &r, false)
+		g := get{key: r.key, bucket: mainBucketAddr(e, r.h)}
+		g.recs = append(lines(wordPayload(kw), recordSpace(len(r.key))), lines(wordPayload(vw), recordSpace(64))...)
+		fresh := idx >= 0 && bucketOf(idx) == mainBucket(r.h) && !used[g.bucket]
+		for _, l := range g.recs {
+			fresh = fresh && !used[l]
+		}
+		if fresh {
+			used[g.bucket] = true
+			for _, l := range g.recs {
+				used[l] = true
+			}
+			gets = append(gets, g)
+		}
+	}
+	if len(gets) < 3 {
+		t.Fatal("fewer than three keys have buckets and records of their own")
+	}
+	ins := makeReq(stageKey(records))
+	_, e := ix.resolveRaw(ins.h)
+	if used[mainBucketAddr(e, ins.h)] {
+		t.Fatal("the Insert shares a bucket with a Get")
+	}
+
+	pool.Crash() // eADR: nothing is lost, and the cache comes back empty
+	for _, b := range []uint64{mainBucketAddr(e, ins.h), gets[1].bucket, gets[2].bucket} {
+		pool.Load64(h.c, b)
+	}
+	ops := []BatchOp{{Kind: OpInsert, Key: ins.key, Value: value(records)}}
+	for _, g := range gets {
+		ops = append(ops, BatchOp{Kind: OpSearch, Key: g.key})
+	}
+	pool.ArmFault(&pmem.FaultPlan{CrashAtStep: 1})
+	if err := pmem.CatchCrash(func() error { h.ExecBatch(ops); return nil }); err != pmem.ErrInjectedCrash {
+		t.Fatalf("the Insert did not cut the power: %v", err)
+	}
+	arrives := func(g get) (first, last int64) {
+		for i, l := range g.recs {
+			a := h.c.Arrives(l)
+			if a == 0 {
+				t.Fatalf("Get %s: no load of record line %#x in flight when the Insert ran", g.key, l)
+			}
+			if i == 0 || a < first {
+				first = a
+			}
+			last = max(last, a)
+		}
+		return first, last
+	}
+	a0, a1 := arrives(gets[0])
+	if bucket := h.c.Arrives(gets[0].bucket); a0 < bucket+miss {
+		t.Errorf("Get A's records arrive at %d ns, less than a miss after its bucket (%d ns): the stage did not wait for the bucket", a0, bucket)
+	}
+	for i, name := range []string{"B", "C"} {
+		if b0, _ := arrives(gets[i+1]); b0-a1 > miss/4 {
+			t.Errorf("Get %s's records arrive %d ns after A's, want under %d: its stage waited", name, b0-a1, miss/4)
+		}
+	}
+}
+
 // execSingle runs op through the Handle method of its kind, filling in its
 // outcome as ExecBatch would.
 func execSingle(t testing.TB, h *Handle, op *BatchOp) {

@@ -177,23 +177,21 @@ func Recover(c *pmem.Ctx, pool *pmem.Pool, cfg Config) (_ *Index, _ *alloc.Alloc
 // exactly what the later quarantine/repair of that segment assumes —
 // so a single bad XPLine cannot fail the entire recovery.
 func markSegment(al *alloc.Allocator, m mem, seg uint64) (live int64) {
-	if tolerate(poisonOnly, func() {
-		for slot := 0; slot < SlotsPerSegment; slot++ {
-			kw := m.load(slotAddr(seg, slot))
-			if !keyOccupied(kw) {
-				continue
-			}
-			live++
-			if !keyIsInline(kw) {
-				al.MarkLive(wordPayload(kw))
-			}
-			vw := m.load(slotAddr(seg, slot) + 8)
-			if !valueIsInline(vw) {
-				al.MarkLive(wordPayload(vw))
-			}
-		}
-	}) != nil {
+	var img [SegmentSize / 8]uint64
+	if tolerate(poisonOnly, func() { live = int64(loadLines(m, seg, &img)) }) != nil {
 		return 0
+	}
+	for s := range SlotsPerSegment {
+		kw, vw := img[2*s], img[2*s+1]
+		if !keyOccupied(kw) {
+			continue
+		}
+		if !keyIsInline(kw) {
+			al.MarkLive(wordPayload(kw))
+		}
+		if !valueIsInline(vw) {
+			al.MarkLive(wordPayload(vw))
+		}
 	}
 	return live
 }

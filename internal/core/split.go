@@ -156,9 +156,10 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 					// Another thread restructured the segment; the
 					// caller's retry will split again if still needed.
 					return nil
-				case errLocked, errResizing:
-					ix.pool.CheckLive()
-					runtime.Gosched()
+				case errLocked:
+					ix.waitUnlocked(hh)
+				case errResizing:
+					ix.waitResizeCtx(c)
 				}
 				continue
 			}

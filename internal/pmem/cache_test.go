@@ -496,8 +496,8 @@ func TestPackedSetMatchesTickLRU(t *testing.T) {
 					// More sets than memo slots; the stream crashes about
 					// every hundred operations, so only a cache of at most
 					// 512 lines fills up and evicts between its crashes.
-					if 4*memoSlots*ways <= 512 {
-						diffStream(t, mode, ways, 4*memoSlots, seed, true, true)
+					if 2*memoSlots*ways <= 512 {
+						diffStream(t, mode, ways, 2*memoSlots, seed, true, true)
 					}
 				}
 			})

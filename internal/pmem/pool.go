@@ -156,7 +156,7 @@ func (p *Pool) lookup(c *Ctx, line, si uint64, store bool) (hit bool) {
 	}
 	c.memoLast = si & (memoSlots - 1)
 	c.memo[c.memoLast] = e
-	c.memoUsed |= 1 << c.memoLast
+	c.memoUsed[c.memoLast/64] |= 1 << (c.memoLast % 64)
 	return hit
 }
 
