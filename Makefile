@@ -51,7 +51,7 @@ race:
 	go test -race ./internal/core ./internal/pmem ./internal/htm ./internal/obs \
 		./internal/harness ./internal/shard ./internal/alloc ./internal/repl \
 		./internal/resp ./internal/server
-	go test -race . -run 'Sharded|Shard|Close|Scrubber'
+	go test -race . -run 'Sharded|Shard|Close'
 	go test -race ./internal/crashtest -short
 	go test -race ./internal/core -run 'Concurrent|Linearizab|LockModes|Merge|Shrink' -count=3
 	go test -race ./internal/htm -run 'Commit|Publish|Read|LoadLine' -count=3

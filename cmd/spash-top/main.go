@@ -168,8 +168,8 @@ func render(w interface{ WriteString(string) (int, error) }, cur, prev *frame, i
 		fmt.Fprintf(&b, "  (%s)", strings.Join(h.Reasons, "; "))
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "quarantines %d  repl lag %d recs / %s  abort rate %.3f/commit  scrub passes %d\n",
-		h.Quarantines, h.ReplLagRecords, fmtBytes(h.ReplLagBytes), h.AbortRate, h.ScrubPasses)
+	fmt.Fprintf(&b, "quarantines %d  repl lag %d recs / %s  abort rate %.3f/commit\n",
+		h.Quarantines, h.ReplLagRecords, fmtBytes(h.ReplLagBytes), h.AbortRate)
 	// Delivery hardening: breaker state and spill depth are levels from
 	// the health verdict; retry/resync counters are cumulative (not
 	// interval-diffed) so a glance shows whether the transport has ever

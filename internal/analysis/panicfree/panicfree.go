@@ -29,7 +29,6 @@ var Analyzer = &framework.Analyzer{
 // ScopeFiles are file basenames that hold recovery-path code wholesale.
 var ScopeFiles = map[string]bool{
 	"recover.go":   true,
-	"scrub.go":     true,
 	"check.go":     true,
 	"dump.go":      true,
 	"integrity.go": true,

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spash/internal/alloc"
+	"spash/internal/hash"
+	"spash/internal/htm"
 	"spash/internal/pmem"
 )
 
@@ -20,50 +23,116 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			ix, h0 := newTestIndex(t, Config{Concurrency: mode, InitialDepth: 2, LockStripeBits: 4})
 			const workers, per = 8, 3000
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := ix.NewHandle(nil)
-					defer h.Close()
-					for i := 0; i < per; i++ {
-						key := uint64(w*per + i)
-						if err := h.Insert(k64(key), k64(key*2)); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
+			hist := insertDisjoint(t, ix, workers, per)
 			if got := ix.Len(); got != workers*per {
 				t.Fatalf("len = %d, want %d", got, workers*per)
 			}
-			for i := uint64(0); i < workers*per; i++ {
-				v, ok, err := h0.Search(k64(i), nil)
-				if err != nil || !ok || binary.LittleEndian.Uint64(v) != i*2 {
-					t.Fatalf("key %d: ok=%v err=%v; %s", i, ok, err, missReport(ix, h0, k64(i)))
+			for i := range hist {
+				if !holds(h0, uint64(i)) {
+					t.Fatalf("key %d: %s", i, missReport(ix, h0, uint64(i), hist[i]))
 				}
 			}
 		})
 	}
 }
 
+// TestInsertsAcrossDoublings has 32 workers, on as many threads (more
+// than the host has CPUs), insert disjoint keys into HTM indexes that
+// start at depth 1 and double ten times, and requires every acknowledged
+// insert to read back. Preemption inside a fallback path while the
+// directory doubles is what lost inserts here; with both of those paths
+// mended (TestSplitFallbackBehindADoublingCopy,
+// TestFallbackResolveWaitsOutACopyInFlight) no round may lose one. Before
+// the fixes 7 rounds in 6 000 did, so one run is a smoke test: CI runs it
+// with -count=130, which catches that rate 95 % of the time. On a loss it
+// logs missReport for the first key missed.
+func TestInsertsAcrossDoublings(t *testing.T) {
+	const workers, per, rounds = 32, 250, 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	for r := 0; r < rounds; r++ {
+		ix, h0 := newTestIndex(t, Config{InitialDepth: 1})
+		hist := insertDisjoint(t, ix, workers, per)
+		lost := 0
+		for i := range hist {
+			if holds(h0, uint64(i)) {
+				continue
+			}
+			if lost++; lost == 1 {
+				t.Logf("round %d, key %d: %s", r, i, missReport(ix, h0, uint64(i), hist[i]))
+			}
+		}
+		if lost > 0 {
+			t.Errorf("round %d lost %d of %d acknowledged inserts", r, lost, len(hist))
+		}
+	}
+}
+
+// insertRecord is what a worker saw of its key's directory entry right
+// after the insert was acknowledged: segment, local depth and directory
+// generation (odd while a resize runs).
+type insertRecord struct {
+	seg   uint64
+	depth uint
+	gen   uint64
+}
+
+// insertDisjoint has workers insert keys w*per+i, each with twice the
+// key as value, and returns per key what its worker saw on return.
+func insertDisjoint(t *testing.T, ix *Index, workers, per int) []insertRecord {
+	hist := make([]insertRecord, workers*per)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := ix.NewHandle(nil)
+			defer h.Close()
+			for i := 0; i < per; i++ {
+				key := uint64(w*per + i)
+				if err := h.Insert(k64(key), k64(key*2)); err != nil {
+					t.Error(err)
+					return
+				}
+				_, e := ix.resolveRaw(makeReq(k64(key)).h)
+				hist[key] = insertRecord{entrySeg(e), entryDepth(e), atomic.LoadUint64(&ix.dirGen)}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return hist
+}
+
+// holds reports whether key reads back the value insertDisjoint gave it.
+func holds(h *Handle, key uint64) bool {
+	v, ok, err := h.Search(k64(key), nil)
+	return err == nil && ok && binary.LittleEndian.Uint64(v) == key*2
+}
+
 // missReport says what the index looks like around a key a search
 // missed: whether the invariant scan passes, whether ForEach still
-// visits the key, and the key's directory entry and depths.
-func missReport(ix *Index, h *Handle, key []byte) string {
+// visits the key, the key's directory entry and depths, what the
+// inserting worker saw when the insert returned (and what the registry
+// now says of that segment), and how many splits, fallbacks and
+// doublings the index ran.
+func missReport(ix *Index, h *Handle, key uint64, at insertRecord) string {
+	k := k64(key)
+	_, ok, serr := h.Search(k, nil)
 	visited := false
-	ferr := ix.ForEach(h, func(k, _ []byte) bool {
-		visited = bytes.Equal(k, key)
+	ferr := ix.ForEach(h, func(fk, _ []byte) bool {
+		visited = bytes.Equal(fk, k)
 		return !visited
 	})
 	d := ix.dir.Load()
-	idx := d.index(hashKey(key))
+	idx := d.index(hashKey(k))
 	e := atomic.LoadUint64(&d.entries[idx])
-	return fmt.Sprintf("CheckInvariants: %v; ForEach visits it: %v (err %v); directory entry %d of %d (global depth %d) = %#x: segment %#x, local depth %d, locked %v",
-		ix.CheckInvariants(h.c), visited, ferr, idx, len(d.entries), d.depth, e, entrySeg(e), entryDepth(e), entryLocked(e))
+	re := ix.pool.Load64(h.c, ix.regAddrOf(at.seg))
+	st := ix.Stats()
+	return fmt.Sprintf("found %v (err %v); CheckInvariants: %v; ForEach visits it: %v (err %v); directory entry %d of %d (global depth %d) = %#x: segment %#x, local depth %d, locked %v; "+
+		"acknowledged against segment %#x, local depth %d, directory generation %d (now %d), whose registry word now reads prefix %#x depth %d valid %v; "+
+		"%d splits, %d fallbacks, %d doublings, %d collaborative stages",
+		ok, serr, ix.CheckInvariants(h.c), visited, ferr, idx, len(d.entries), d.depth, e, entrySeg(e), entryDepth(e), entryLocked(e),
+		at.seg, at.depth, at.gen, atomic.LoadUint64(&ix.dirGen), regPrefix(re), regDepth(re), re&regValid != 0,
+		st.Splits, st.Fallbacks, st.Doubles, st.CollabStages)
 }
 
 // Concurrent updates of a single hot key: the final value must be one
@@ -381,6 +450,171 @@ func TestFallbackBodiesNeverBumpTheirOwnLines(t *testing.T) {
 			t.Fatalf("key %d after the fallbacks: %x, %v, %v", i, v, ok, err)
 		}
 	}
+}
+
+// TestSplitFallbackBehindADoublingCopy replays, step by step, the
+// interleaving that lost acknowledged inserts in HTM mode. A split on the
+// fallback path reads the directory while no resize runs; a doubling then
+// starts and copies the segment's covering entries into its new
+// directory; only then does the split lock the entries. The old
+// directory is still current, but a split written into it alone would be
+// undone when the doubling installs its copy: the directory would route
+// the moved half's keys to the half that no longer holds them, and route
+// later inserts of those keys into it. lockCovering must refuse, and the
+// split must land once the doubling is done.
+func TestSplitFallbackBehindADoublingCopy(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2})
+	c := h.c
+	const n = 600
+	for i := uint64(0); i < n; i++ {
+		if err := h.Insert(k64(i), k64(i*2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A segment shallower than the directory, which a split may divide
+	// without doubling first.
+	var hh uint64
+	d := ix.dir.Load()
+	for i := uint64(0); ; i++ {
+		if i == n {
+			t.Fatal("every segment is as deep as the directory")
+		}
+		hh = makeReq(k64(i)).h
+		if _, e := ix.resolveRaw(hh); entryDepth(e) < d.depth {
+			break
+		}
+	}
+	d, e := ix.unlockedEntry(hh)
+	seg, depth := entrySeg(e), entryDepth(e)
+	base := hash.Prefix(hh, depth) << (d.depth - depth)
+	cover := uint64(1) << (d.depth - depth)
+
+	// A doubling starts and copies the partitions covering the segment.
+	ds := startDoubling(t, ix, c)
+	for p := ds.partOf(base); p <= ds.partOf(base+cover-1); p++ {
+		ix.copyStage(c, ds, p, false)
+	}
+
+	if ix.lockCovering(c, d, base, cover, seg, depth) {
+		t.Fatal("lockCovering locked entries a running doubling has already copied")
+	}
+
+	// The doubling finishes; the split then goes through.
+	finishDoubling(ix, c, ds)
+	if err := ix.splitFallback(h, hh); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.CheckInvariants(c); err != nil {
+		t.Fatalf("after the split: %v", err)
+	}
+	for i := uint64(0); i < n; i++ {
+		v, ok, err := h.Search(k64(i), nil)
+		if err != nil || !ok || binary.LittleEndian.Uint64(v) != i*2 {
+			t.Fatalf("key %d after the split: ok=%v err=%v", i, ok, err)
+		}
+	}
+}
+
+// TestFallbackResolveWaitsOutACopyInFlight replays the other interleaving
+// that lost acknowledged inserts in HTM mode. During a doubling, a copy
+// stage that has validated holds its partition's progress-word stripe
+// until it has stored the word, so a fallback lock taken on an old
+// directory entry in that window is ordered after the copy: the entry is
+// no longer the authoritative one. A raw read of the progress word still
+// said "not copied", and the fallback ran its body on a segment that a
+// split then divided in the new directory. resolveCanonicalNoWait, which
+// execFallback calls again once it holds the lock, must refuse (ok=false,
+// so the fallback unlocks and waits the doubling out) until the copy is
+// stored, and then answer with the new directory's entry.
+func TestFallbackResolveWaitsOutACopyInFlight(t *testing.T) {
+	ix, h := newTestIndex(t, Config{InitialDepth: 2})
+	c := h.c
+	const n = 600
+	for i := uint64(0); i < n; i++ {
+		if err := h.Insert(k64(i), k64(i*2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hh := makeReq(k64(0)).h
+
+	ds := startDoubling(t, ix, c)
+	d := ds.old
+
+	// A copy of hh's partition that has validated and holds the
+	// progress word's stripe, with nothing stored yet.
+	part := ds.partOf(ds.old.index(hh))
+	held, release, copied := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	go func() {
+		defer close(copied)
+		dc := ix.pool.NewCtx()
+		defer dc.Release()
+		_ = ix.tm.Irrevocable(dc, ix.pool, func(it *htm.ITxn) error {
+			it.LoadVol(ds.partDonePtr(part))
+			close(held)
+			<-release
+			for j := part * entriesPerPartition; j < min((part+1)*entriesPerPartition, len(d.entries)); j++ {
+				e := atomic.LoadUint64(&d.entries[j])
+				it.StoreVol(&ds.new.entries[2*j], e)
+				it.StoreVol(&ds.new.entries[2*j+1], e)
+			}
+			it.StoreVol(ds.partDonePtr(part), 1)
+			return nil
+		})
+	}()
+	<-held
+
+	if cPtr, _, _, ok := ix.resolveCanonicalNoWait(hh); ok {
+		t.Fatalf("resolved hh's canonical entry to %p while the copy of its partition was in flight", cPtr)
+	}
+	releaseOnce()
+	<-copied
+	e := atomic.LoadUint64(&ds.new.entries[ds.new.index(hh)])
+	want := &ds.new.entries[ds.new.index(hh)]
+	if depth := entryDepth(e); depth <= ds.old.depth {
+		want = &ds.new.entries[(ds.old.index(hh)&^(uint64(1)<<(ds.old.depth-depth)-1))<<1]
+	}
+	if cPtr, _, _, ok := ix.resolveCanonicalNoWait(hh); !ok || cPtr != want {
+		t.Fatal("after the copy, hh's canonical entry did not resolve to the new directory")
+	}
+
+	finishDoubling(ix, c, ds)
+	if err := ix.CheckInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if !holds(h, i) {
+			t.Fatalf("key %d lost across the doubling", i)
+		}
+	}
+}
+
+// startDoubling begins a staged doubling the way triggerDouble does and
+// copies nothing: the caller plays the stages.
+func startDoubling(t *testing.T, ix *Index, c *pmem.Ctx) *doublingState {
+	t.Helper()
+	if !ix.resizeFlag.CompareAndSwap(0, 1) {
+		t.Fatal("a resize is already in flight")
+	}
+	old := ix.dir.Load()
+	ds := &doublingState{old: old, new: newDirectory(old.depth + 1)}
+	ds.partDone = make([]uint64, ds.partitions())
+	ix.doubling.Store(ds)
+	ix.tm.BumpStoreVol(c, &ix.dirGen, atomic.LoadUint64(&ix.dirGen)+1)
+	return ds
+}
+
+// finishDoubling copies what startDoubling's caller left and installs
+// the new directory, as triggerDouble ends a doubling.
+func finishDoubling(ix *Index, c *pmem.Ctx, ds *doublingState) {
+	for p := 0; p < ds.partitions(); p++ {
+		ix.copyStage(c, ds, p, false)
+	}
+	ix.dir.Store(ds.new)
+	ix.tm.BumpStoreVol(c, &ix.dirGen, atomic.LoadUint64(&ix.dirGen)+1)
+	ix.doubling.Store(nil)
+	ix.resizeFlag.Store(0)
 }
 
 // Every split path writes both halves back as whole XPLines once it has

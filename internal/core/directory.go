@@ -136,7 +136,10 @@ func (ix *Index) resolveRawNoWait(h uint64) (*uint64, uint64, bool) {
 
 // resolveCanonicalNoWait returns the canonical lock entry (see
 // resolveTx) for hash h: the pointer to lock, its current value, and
-// the segment address. ok=false during a halving.
+// the segment address. ok=false during a halving, and while a copy
+// stage holds the stripe of a partition-progress word it reads: such a
+// stage is ordered before a fallback lock taken now, but may not have
+// stored the word yet.
 func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, seg uint64, ok bool) {
 	for {
 		gen := atomic.LoadUint64(&ix.dirGen)
@@ -164,8 +167,12 @@ func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, 
 			return nil, 0, 0, false
 		}
 		oldIdx := ds.old.index(h)
+		done, settled := ix.tm.PeekVol(ds.partDonePtr(ds.partOf(oldIdx)))
+		if !settled {
+			return nil, 0, 0, false
+		}
 		var ptr *uint64
-		if atomic.LoadUint64(ds.partDonePtr(ds.partOf(oldIdx))) == 1 {
+		if done == 1 {
 			ptr = &ds.new.entries[ds.new.index(h)]
 		} else {
 			ptr = &ds.old.entries[oldIdx]
@@ -176,7 +183,10 @@ func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, 
 			return ptr, e, entrySeg(e), true // own entry is canonical
 		}
 		cOld := oldIdx &^ (uint64(1)<<(ds.old.depth-depth) - 1)
-		if atomic.LoadUint64(ds.partDonePtr(ds.partOf(cOld))) == 1 {
+		if done, settled = ix.tm.PeekVol(ds.partDonePtr(ds.partOf(cOld))); !settled {
+			return nil, 0, 0, false
+		}
+		if done == 1 {
 			cPtr = &ds.new.entries[cOld<<1]
 		} else {
 			cPtr = &ds.old.entries[cOld]

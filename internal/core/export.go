@@ -36,7 +36,7 @@ func rangeIntersects(p1 uint64, d1 uint, p2 uint64, d2 uint) bool {
 func (ix *Index) ExportRange(c *pmem.Ctx, prefix uint64, depth uint, fn func(key, val []byte) error) (err error) {
 	m := rawMem{ix.pool, c}
 	buf := new([SegmentSize]byte)
-	ix.eachRegistered(c, nil, func(seg, p uint64, d uint, poisoned bool) bool {
+	ix.eachRegistered(c, func(seg, p uint64, d uint, poisoned bool) bool {
 		switch {
 		case poisoned:
 			err = &CorruptionError{Seg: seg, Bucket: -1,

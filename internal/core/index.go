@@ -316,7 +316,7 @@ func (ix *Index) sealAddrOf(seg uint64) uint64 {
 // skipped). The index must be quiescent. Used by fault-injection
 // harnesses (to aim media damage at index frames) and tests.
 func (ix *Index) SegmentAddrs(c *pmem.Ctx) (out []uint64) {
-	ix.eachRegistered(c, nil, func(seg, _ uint64, _ uint, poisoned bool) bool {
+	ix.eachRegistered(c, func(seg, _ uint64, _ uint, poisoned bool) bool {
 		if !poisoned {
 			out = append(out, seg)
 		}

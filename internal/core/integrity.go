@@ -18,11 +18,11 @@ import (
 // pool XPLine, packing the four per-bucket CRC32Cs of the segment in
 // that frame (16 bits per 64-byte bucket). Seals are maintained inside
 // the same atomic sections that mutate segments, validated on every
-// operation when Config.Checksums is on, and checked offline by Fsck
-// and online by the scrubber. A segment that fails validation is
-// quarantined: its directory range is repointed at a freshly rebuilt
-// segment holding the entries that survive salvage, and the keys that
-// did not are reported — wrong answers are never returned.
+// operation when Config.Checksums is on, and checked by Fsck. A segment
+// that fails validation is quarantined: its directory range is repointed
+// at a freshly rebuilt segment holding the entries that survive salvage,
+// and the keys that did not are reported — wrong answers are never
+// returned.
 
 // ErrCorrupted matches (via errors.Is) every *CorruptionError.
 var ErrCorrupted = errors.New("core: data corruption detected")
@@ -114,7 +114,7 @@ func (ix *Index) verifySeal(m mem, seg uint64, buf *[SegmentSize]byte) (badMask 
 // sealMask compares a stored seal word with the seal computed from the
 // segment's contents and returns the mismatching buckets as a 4-bit
 // mask (0 = clean). Every seal check — the operation guard, fsck's
-// verification, salvage and the scrubber — reads its verdict here.
+// verification and salvage — reads its verdict here.
 func sealMask(want, got uint64) (badMask int) {
 	for b := 0; b < BucketsPerSegment; b++ {
 		if (want^got)>>(16*b)&0xFFFF != 0 {
@@ -210,10 +210,10 @@ func poisonAsCorruption(seg *uint64, err *error) {
 	}
 }
 
-// The maintenance readers — Fsck, the scrubber, ExportRange, the
-// invariant and placement checks, Dump, ForEach and recovery's mark
-// phase — share three primitives: one poison guard (tolerate), one
-// registry walk (eachRegistered) and one slot verdict (judgeSlot).
+// The maintenance readers — Fsck, ExportRange, the invariant and
+// placement checks, Dump, ForEach and recovery's mark phase — share
+// three primitives: one poison guard (tolerate), one registry walk
+// (eachRegistered) and one slot verdict (judgeSlot).
 
 // mediaFaults names the class of pmem.AccessError a guard turns into a
 // result; every other panic passes through it.
@@ -245,25 +245,12 @@ func tolerate(faults mediaFaults, fn func()) (fault *pmem.AccessError) {
 	return nil
 }
 
-// registryStopEvery is how many registry words a walk reads between two
-// looks at its stop channel: a pass reads every word of the registry
-// (one per 256 B of pool) whether or not a segment was ever carved there.
-const registryStopEvery = 4096
-
 // eachRegistered walks the persistent registry in frame order and calls
 // fn for every word naming a live segment and for every word it cannot
-// read (poisoned, with prefix and depth 0), until fn returns false or
-// stop is closed, which it checks every registryStopEvery words (a nil
-// stop never is). What an unreadable word means is fn's to decide.
-func (ix *Index) eachRegistered(c *pmem.Ctx, stop <-chan struct{}, fn func(seg, prefix uint64, depth uint, poisoned bool) bool) {
+// read (poisoned, with prefix and depth 0), until fn returns false. What
+// an unreadable word means is fn's to decide.
+func (ix *Index) eachRegistered(c *pmem.Ctx, fn func(seg, prefix uint64, depth uint, poisoned bool) bool) {
 	for i := uint64(0); i < ix.registryCap; i++ {
-		if i%registryStopEvery == 0 {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
 		var e uint64
 		poisoned := tolerate(anyAccess, func() { e = ix.pool.Load64(c, ix.registryAddr+i*8) }) != nil
 		if !poisoned && e&regValid == 0 {
@@ -344,8 +331,7 @@ type SegmentFault struct {
 // verifySegment checks one segment against its registry claim and
 // returns a fault description, or nil when clean. It never panics:
 // poison is reported as a fault. Read-only; usable on a live index
-// only when the segment is quiesced (Fsck) — the online path is the
-// scrubber, which verifies transactionally.
+// only when the segment is quiesced (Fsck).
 //
 // A slot is valid when every check of its verdict passes: decodable key
 // (record CRC for out-of-line keys), correct routing prefix, matching
@@ -665,8 +651,8 @@ func (r *FsckReport) LostKeys() [][]byte {
 
 // Fsck walks the persistent registry, verifies every live segment and
 // — when repair is set — quarantines and rebuilds the damaged ones.
-// The index should be quiescent (it is the offline spash-fsck path;
-// online re-verification is StartScrub's job).
+// The index should be quiescent: it is the offline spash-fsck path, and
+// online it runs through Session.Fsck on an index nothing else writes.
 func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 	ix := h.ix
 	c := h.c
@@ -676,7 +662,7 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 		repairing = 1
 	}
 	ix.reg.Trace(obs.EvFsckStart, c.Clock(), repairing, 0)
-	ix.eachRegistered(c, nil, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		if poisoned {
 			f := SegmentFault{Seg: seg, Poisoned: true, Cause: "registry frame unreadable (poisoned)"}
 			rep.Faults = append(rep.Faults, f)
@@ -721,7 +707,7 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 // countOccupied walks every live segment and counts occupied slots,
 // skipping unreadable frames.
 func (ix *Index) countOccupied(c *pmem.Ctx) (total int64) {
-	ix.eachRegistered(c, nil, func(seg, _ uint64, _ uint, poisoned bool) bool {
+	ix.eachRegistered(c, func(seg, _ uint64, _ uint, poisoned bool) bool {
 		if poisoned {
 			return true
 		}
@@ -751,7 +737,7 @@ func KeyHash(key []byte) uint64 { return hashKey(key) }
 // quiescent.
 func (ix *Index) CheckPlacement(c *pmem.Ctx) (misplaced int) {
 	m := rawMem{ix.pool, c}
-	ix.eachRegistered(c, nil, func(seg, prefix uint64, depth uint, poisoned bool) bool {
+	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		if poisoned {
 			return true
 		}

@@ -196,43 +196,51 @@ func TestSealDetectsBitFlipAndFsckRepairs(t *testing.T) {
 	}
 }
 
+// TestPoisonedSegmentQuarantine poisons the segment holding a key: the
+// read path refuses it with a typed error, and Fsck(true) finds it,
+// rebuilds it and heals the line, with seals on and off (without seals
+// the poisoned read itself is the evidence).
 func TestPoisonedSegmentQuarantine(t *testing.T) {
-	ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: true})
-	c := h.c
-	const n = 1500
-	fillIntegrity(t, h, n)
+	for _, checksums := range []bool{true, false} {
+		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
+			ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: checksums})
+			c := h.c
+			const n = 1500
+			fillIntegrity(t, h, n)
 
-	victim := integrityKey(99)
-	r := makeReq(victim)
-	_, e := ix.resolveRaw(r.h)
-	seg := entrySeg(e)
-	ix.pool.PoisonLine(seg)
+			victim := integrityKey(99)
+			r := makeReq(victim)
+			_, e := ix.resolveRaw(r.h)
+			seg := entrySeg(e)
+			ix.pool.PoisonLine(seg)
 
-	_, _, err := h.Search(victim, nil)
-	if !errors.Is(err, ErrCorrupted) || !errors.Is(err, pmem.ErrPoisoned) {
-		t.Fatalf("Search on poisoned segment: %v", err)
-	}
+			_, _, err := h.Search(victim, nil)
+			if !errors.Is(err, ErrCorrupted) || !errors.Is(err, pmem.ErrPoisoned) {
+				t.Fatalf("Search on poisoned segment: %v", err)
+			}
 
-	rep, ferr := h.Fsck(true)
-	if ferr != nil {
-		t.Fatal(ferr)
+			rep, ferr := h.Fsck(true)
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			if rep.ExitCode() != 1 {
+				t.Fatalf("fsck exit %d, report %+v", rep.ExitCode(), rep)
+			}
+			if len(rep.Faults) != 1 || !rep.Faults[0].Poisoned {
+				t.Fatalf("faults: %+v", rep.Faults)
+			}
+			if len(rep.Repairs) != 1 || rep.Repairs[0].Salvaged != 0 {
+				t.Fatalf("poisoned frame must salvage nothing: %+v", rep.Repairs)
+			}
+			if ix.pool.PoisonedLines() != 0 {
+				t.Fatalf("%d poisoned lines survive repair (rebuild must heal)", ix.pool.PoisonedLines())
+			}
+			if err := ix.CheckInvariants(c); err != nil {
+				t.Fatalf("invariants after poison repair: %v", err)
+			}
+			checkSurvivors(t, h, n, rep)
+		})
 	}
-	if rep.ExitCode() != 1 {
-		t.Fatalf("fsck exit %d, report %+v", rep.ExitCode(), rep)
-	}
-	if len(rep.Faults) != 1 || !rep.Faults[0].Poisoned {
-		t.Fatalf("faults: %+v", rep.Faults)
-	}
-	if len(rep.Repairs) != 1 || rep.Repairs[0].Salvaged != 0 {
-		t.Fatalf("poisoned frame must salvage nothing: %+v", rep.Repairs)
-	}
-	if ix.pool.PoisonedLines() != 0 {
-		t.Fatalf("%d poisoned lines survive repair (rebuild must heal)", ix.pool.PoisonedLines())
-	}
-	if err := ix.CheckInvariants(c); err != nil {
-		t.Fatalf("invariants after poison repair: %v", err)
-	}
-	checkSurvivors(t, h, n, rep)
 }
 
 func TestFsckWithoutRepairReportsExit2(t *testing.T) {
@@ -329,8 +337,8 @@ func TestSealMaintainedAcrossSplitsAndMerges(t *testing.T) {
 // TestPoisonedRegistryFrame poisons the XPLine holding live segments'
 // registry words and pins each registry reader's response to it: Fsck
 // records every unreadable word as an unrepairable fault, ExportRange
-// refuses with a typed poison error, CheckPlacement and a scrub pass
-// skip the frame, and Recover fails with an error instead of a panic.
+// refuses with a typed poison error, CheckPlacement skips the frame,
+// and Recover fails with an error instead of a panic.
 func TestPoisonedRegistryFrame(t *testing.T) {
 	ix, h := newTestIndex(t, Config{InitialDepth: 2, Checksums: true})
 	c := h.c
@@ -364,11 +372,6 @@ func TestPoisonedRegistryFrame(t *testing.T) {
 
 	if got := ix.CheckPlacement(c); got != 0 {
 		t.Fatalf("CheckPlacement = %d, want 0", got)
-	}
-	s := ix.StartScrub(ScrubOptions{Passes: 1, Repair: true})
-	s.Wait()
-	if st := s.Stop(); st.Passes != 1 || st.Corruptions != 0 || st.Segments != int64(len(segs)-words) {
-		t.Fatalf("scrub stats %+v, want one clean pass over %d segments", st, len(segs)-words)
 	}
 
 	ix.pool.Crash()

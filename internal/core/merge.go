@@ -26,7 +26,7 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 	h.c.BeginOp()
 	defer h.c.EndOp()
 	// Merging decodes both buddies' key records; on poisoned media the
-	// merge is simply abandoned (the scrubber/fsck will quarantine).
+	// merge is simply abandoned (fsck's repair will quarantine).
 	defer func() {
 		if r := recover(); r != nil {
 			if ae, ok := r.(pmem.AccessError); ok && ae.Poisoned {
@@ -128,7 +128,7 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 	// comfortably in one (the reverse of a split, §III-A).
 	if ix.sealAddr != 0 && (ix.verifySeal(s, seg, &h.segBuf) != 0 || ix.verifySeal(s, buddySeg, &h.segBuf) != 0) {
 		// Relayouting a damaged buddy would launder corrupt words
-		// under a fresh seal; leave it for scrub/fsck.
+		// under a fresh seal; leave it for fsck.
 		return 0, 0, 0
 	}
 	entries, ok := h.decodeBuddies(s, seg, buddySeg)

@@ -76,7 +76,7 @@ func (m iMem) storeVol(p *uint64, v uint64)   { m.it.StoreVol(p, v) }
 // in the high 32 bits, the byte length in the low 32 — followed by the
 // payload padded to whole words. The CRC is always written (it rides in
 // bits the length never uses), so any pool can later be verified by
-// fsck or the scrubber; it is *validated* on the hot read path only
+// fsck; it is *validated* on the hot read path only
 // when Config.Checksums is on. Key records are immutable once a slot
 // referencing them is published; value records may be updated in place
 // (transactionally), so readers that need linearizable values must

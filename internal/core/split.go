@@ -402,8 +402,10 @@ func (ix *Index) unlockedEntry(hh uint64) (*directory, uint64) {
 // lockCovering fallback-locks the n entries of d from base, which must
 // all still map seg at depth: in ascending order, each a CAS with a
 // version bump so optimistic transactions conflict. If an entry has
-// changed or d has been replaced, it unlocks what it took, yields and
-// reports false, and the caller resolves the entry again.
+// changed, or a resize is running (a doubling may have copied the
+// entries before they were locked) or has replaced d, it unlocks what it
+// took, yields and reports false, and the caller resolves the entry
+// again.
 func (ix *Index) lockCovering(c *pmem.Ctx, d *directory, base, n, seg uint64, depth uint) bool {
 	locked := uint64(0)
 	for ; locked < n; locked++ {
@@ -414,7 +416,7 @@ func (ix *Index) lockCovering(c *pmem.Ctx, d *directory, base, n, seg uint64, de
 			break
 		}
 	}
-	if locked == n && ix.dir.Load() == d {
+	if locked == n && atomic.LoadUint64(&ix.dirGen)&1 == 0 && ix.dir.Load() == d {
 		return true
 	}
 	ix.unlockCovering(c, d, base, locked)

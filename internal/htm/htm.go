@@ -660,6 +660,19 @@ func (tm *TM) BumpStore64(c *pmem.Ctx, pool *pmem.Pool, addr uint64, v uint64) {
 	tm.unlockStripe(s)
 }
 
+// PeekVol reads the volatile word at p outside any transaction. ok is
+// false while a commit (which may not have stored the word yet) or an
+// irrevocable transaction holds the word's stripe.
+func (tm *TM) PeekVol(p *uint64) (v uint64, ok bool) {
+	s := &tm.vers[tm.stripeFor(ptrKey(p))]
+	ver := s.Load()
+	if ver&1 != 0 {
+		return 0, false
+	}
+	v = atomic.LoadUint64(p)
+	return v, s.Load() == ver
+}
+
 // BumpStoreVol performs a non-transactional volatile store with
 // stripe-version advancement.
 func (tm *TM) BumpStoreVol(c *pmem.Ctx, p *uint64, v uint64) {

@@ -55,7 +55,6 @@ var consumers = map[string]string{
 	// Gauges.
 	"repl_lag_records":   "cmd/spash-top/main.go",
 	"repl_lag_bytes":     "internal/obs/health.go",
-	"scrub_passes":       "internal/obs/health.go",
 	"fsck_unrecoverable": "internal/obs/health.go",
 	"repl_breaker_state": "internal/obs/health.go",
 	"repl_spill_depth":   "internal/obs/health.go",

@@ -5,8 +5,7 @@ import "fmt"
 // Health model: a Snapshot reduced against fixed thresholds to one of
 // OK / DEGRADED / CRITICAL, with human-readable reasons. The inputs are
 // the signals an operator acts on: quarantined segments, replication
-// lag, HTM abort rate, fsck damage; scrub passes are reported beside
-// them.
+// lag, HTM abort rate, fsck damage.
 
 // HealthStatus is the overall verdict.
 type HealthStatus int
@@ -85,7 +84,6 @@ type Health struct {
 	ReplLagRecords    int64   `json:"repl_lag_records"`
 	ReplLagBytes      int64   `json:"repl_lag_bytes"`
 	AbortRate         float64 `json:"abort_rate"`
-	ScrubPasses       int64   `json:"scrub_passes"`
 	// BreakerState is the shipping circuit breaker's state on a
 	// replication primary (0 closed, 1 half-open, 2 open) and
 	// SpillDepth the frames its log still owes the peer.
@@ -101,7 +99,6 @@ func EvalHealth(s Snapshot) Health {
 		ReplLagRecords:    s.Gauges[GaugeNames[GReplLagRecords]],
 		ReplLagBytes:      s.Gauges[GaugeNames[GReplLagBytes]],
 		FsckUnrecoverable: s.Gauges[GaugeNames[GFsckUnrecoverable]],
-		ScrubPasses:       s.Gauges[GaugeNames[GScrubPasses]],
 		BreakerState:      s.Gauges[GaugeNames[GReplBreakerState]],
 		SpillDepth:        s.Gauges[GaugeNames[GReplSpillDepth]],
 	}

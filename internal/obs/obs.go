@@ -65,8 +65,8 @@ const (
 	CRecordFlushes
 	// CPipelineBatches counts pipelined batch executions (§III-D).
 	CPipelineBatches
-	// CQuarantines counts damaged segments dropped and rebuilt
-	// (scrubber or fsck). The scrubber's own tallies are ScrubStats.
+	// CQuarantines counts damaged segments dropped and rebuilt by
+	// fsck's repair.
 	CQuarantines
 	// CReplShipSegments counts sealed-segment ranges shipped by a
 	// replication primary (internal/repl); CReplApplySegments the
@@ -165,8 +165,6 @@ const (
 	// owning shard (internal/repl).
 	GReplLagRecords Gauge = iota
 	GReplLagBytes
-	// GScrubPasses: completed full passes of the online scrubber.
-	GScrubPasses
 	// GFsckUnrecoverable: segments the last Fsck could not repair.
 	GFsckUnrecoverable
 	// GReplBreakerState: the shipping circuit breaker's state on a
@@ -192,7 +190,6 @@ const (
 var GaugeNames = [...]string{
 	GReplLagRecords:    "repl_lag_records",
 	GReplLagBytes:      "repl_lag_bytes",
-	GScrubPasses:       "scrub_passes",
 	GFsckUnrecoverable: "fsck_unrecoverable",
 	GReplBreakerState:  "repl_breaker_state",
 	GReplSpillDepth:    "repl_spill_depth",

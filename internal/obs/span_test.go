@@ -292,13 +292,6 @@ func TestEvalHealth(t *testing.T) {
 	if h = EvalHealth(fsck); h.Status != HealthCritical {
 		t.Fatalf("unrecoverable: %v", h.Status)
 	}
-
-	// Scrub passes are reported, not judged.
-	scrub := base
-	scrub.Gauges = map[string]int64{GaugeNames[GScrubPasses]: 3}
-	if h = EvalHealth(scrub); h.Status != HealthOK || h.ScrubPasses != 3 {
-		t.Fatalf("scrub passes: %v %+v", h.Status, h)
-	}
 }
 
 func TestGaugeSnapshotSemantics(t *testing.T) {

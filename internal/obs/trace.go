@@ -38,9 +38,6 @@ const (
 	// EvQuarantine: a damaged segment was dropped and rebuilt from
 	// salvage. A = segment address, B = entries salvaged.
 	EvQuarantine
-	// EvScrubPass: the online scrubber completed one full pass.
-	// A = segments verified, B = corruptions found.
-	EvScrubPass
 	// EvRecoverStart / EvRecoverDone bracket a shard recovery.
 	// Done: A = virtual duration (ns), B = segments adopted.
 	EvRecoverStart
@@ -65,7 +62,6 @@ var EventKindNames = [...]string{
 	EvLockFallback:  "lock_fallback",
 	EvHTMCapacity:   "htm_capacity",
 	EvQuarantine:    "quarantine",
-	EvScrubPass:     "scrub_pass",
 	EvRecoverStart:  "recover_start",
 	EvRecoverDone:   "recover_done",
 	EvFsckStart:     "fsck_start",

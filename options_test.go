@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spash"
-	"spash/internal/core"
 	"spash/internal/htm"
 	"spash/internal/repl"
 	"spash/internal/server"
@@ -46,10 +45,6 @@ var setters = map[string]string{
 	"core.Config.SpanSample":           "cmd/spash-top/main.go",
 	"core.Config.DisableObs":           "internal/core/obs_bench_test.go",
 
-	"core.ScrubOptions.Passes": "internal/core/scrub_test.go",
-	"core.ScrubOptions.Pause":  "internal/core/scrub_test.go",
-	"core.ScrubOptions.Repair": "internal/core/scrub_test.go",
-
 	"htm.Config.Stripes":            "internal/htm/htm_test.go",
 	"htm.Config.WriteCapacityWords": "internal/htm/htm_test.go",
 	"htm.Config.ReadCapacityWords":  "internal/htm/htm_test.go",
@@ -70,7 +65,6 @@ var setters = map[string]string{
 var notSetters = map[string]bool{
 	"spash.go":                  true,
 	"internal/core/config.go":   true,
-	"internal/core/scrub.go":    true,
 	"internal/pmem/config.go":   true,
 	"internal/htm/htm.go":       true,
 	"internal/server/server.go": true,
@@ -100,7 +94,7 @@ func optionLeaves(t reflect.Type) []string {
 // (a composite-literal key or an assignment to it).
 func TestEveryOptionHasASetter(t *testing.T) {
 	var leaves []string
-	for _, v := range []any{spash.Options{}, core.ScrubOptions{}, htm.Config{},
+	for _, v := range []any{spash.Options{}, htm.Config{},
 		server.Config{}, repl.PrimaryOptions{}} {
 		leaves = append(leaves, optionLeaves(reflect.TypeOf(v))...)
 	}

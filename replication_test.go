@@ -3,7 +3,6 @@ package spash
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"spash/internal/pmem"
@@ -90,7 +89,13 @@ func TestPromotionEpochSurvivesRecovery(t *testing.T) {
 	}
 }
 
+// TestDescribeErrorReplication pins DescribeError's advice: where to
+// send a write a replica refused, and how to repair media corruption.
 func TestDescribeErrorReplication(t *testing.T) {
+	corrupt := &CorruptionError{Seg: 0x4000, Bucket: 2, Cause: errors.New("seal mismatch")}
+	if d := DescribeError(corrupt); !strings.Contains(d, "spash-fsck -repair") || strings.Contains(strings.ToLower(d), "scrub") {
+		t.Fatalf("DescribeError(CorruptionError) = %q", d)
+	}
 	notPrimary := &ReplicationError{Op: "insert", Shard: 1, Epoch: 3, Err: ErrNotPrimary}
 	if d := DescribeError(notPrimary); !strings.Contains(d, "retry against the current primary") {
 		t.Fatalf("DescribeError(ErrNotPrimary) = %q", d)
@@ -102,52 +107,6 @@ func TestDescribeErrorReplication(t *testing.T) {
 	other := &ReplicationError{Op: "fetch", Shard: 0, Epoch: 1, Err: errors.New("wire down")}
 	if d := DescribeError(other); d != other.Error() {
 		t.Fatalf("DescribeError(other) = %q", d)
-	}
-}
-
-// TestCloseScrubberRace: Close racing StartScrub must either stop the
-// scrubber or refuse to start it with ErrClosed — a scrub goroutine
-// can never outlive Close unobserved. Run under -race in CI.
-func TestCloseScrubberRace(t *testing.T) {
-	for iter := 0; iter < 25; iter++ {
-		db, err := Open(Options{Platform: smallPlatform(), Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := make(chan struct{})
-		var scrubs []*Scrubber
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			<-start
-			for n := 0; n < 50; n++ {
-				sc, err := db.StartScrub(ScrubOptions{})
-				if err != nil {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("StartScrub: %v", err)
-					}
-					return
-				}
-				mu.Lock()
-				scrubs = append(scrubs, sc)
-				mu.Unlock()
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			<-start
-			db.Close()
-		}()
-		close(start)
-		wg.Wait()
-		// Every scrubber that did launch was stopped by Close; Stop is
-		// idempotent and must return promptly rather than hang on a
-		// still-running walker.
-		for _, sc := range scrubs {
-			_ = sc.Stop()
-		}
 	}
 }
 

@@ -140,11 +140,6 @@ func TestCloseInvalidatesSessions(t *testing.T) {
 	if err := s.Insert([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	scrub, err := db.StartScrub(ScrubOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	db.Close()
 	db.Close() // double close is safe
 
@@ -173,37 +168,6 @@ func TestCloseInvalidatesSessions(t *testing.T) {
 	}
 	if s.TryMerge([]byte("k")) {
 		t.Fatal("TryMerge succeeded after close")
-	}
-	// The scrubber was stopped by Close; Stop again is idempotent and
-	// returns the merged tally without hanging.
-	_ = scrub.Stop()
-	s.Close()
-}
-
-func TestScrubberMergesShardStats(t *testing.T) {
-	db, err := Open(Options{
-		Platform: smallPlatform(),
-		Shards:   2,
-		Index:    IndexOptions{Checksums: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := db.Session()
-	for i := uint64(0); i < 4000; i++ {
-		if err := s.Insert(key64(i), key64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc, err := db.StartScrub(ScrubOptions{Passes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Wait()
-	st := sc.Stop()
-	if st.Segments == 0 {
-		t.Fatalf("merged scrub stats empty: %+v", st)
 	}
 	s.Close()
 }

@@ -54,7 +54,6 @@ package spash
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"spash/internal/alloc"
@@ -114,9 +113,8 @@ const (
 func DefaultPlatform() PlatformOptions { return pmem.DefaultConfig() }
 
 // Corruption-tolerance re-exports: typed errors the read path returns
-// on damaged media, the offline repair report, and the online scrubber
-// knobs. Callers match with errors.Is/As and never import internal
-// packages.
+// on damaged media and the repair report. Callers match with
+// errors.Is/As and never import internal packages.
 var (
 	// ErrCorrupted matches (errors.Is) every CorruptionError.
 	ErrCorrupted = core.ErrCorrupted
@@ -148,10 +146,6 @@ type (
 	GeometryError = core.GeometryError
 	// FsckReport is the result of Session.Fsck.
 	FsckReport = core.FsckReport
-	// ScrubOptions configures DB.StartScrub.
-	ScrubOptions = core.ScrubOptions
-	// ScrubStats is the scrubber's final tally.
-	ScrubStats = core.ScrubStats
 )
 
 // DescribeError renders err for operator-facing diagnostics: typed
@@ -164,7 +158,7 @@ func DescribeError(err error) string {
 		if ce.Bucket >= 0 {
 			loc = fmt.Sprintf("%s bucket %d", loc, ce.Bucket)
 		}
-		return fmt.Sprintf("media corruption in %s: %v (repair: spash-fsck -repair, or online via StartScrub)", loc, ce.Cause)
+		return fmt.Sprintf("media corruption in %s: %v (repair: spash-fsck -repair)", loc, ce.Cause)
 	}
 	if errors.Is(err, ErrNoSpace) {
 		return fmt.Sprintf("%v (the shard's device is full: delete keys, or open a larger Platform.PoolSize; reads and deletes still work)", err)
@@ -235,9 +229,6 @@ type DB struct {
 	// replica is the current replication role (replication.go): true
 	// fences every non-applier Session write with ErrNotPrimary.
 	replica atomic.Bool
-
-	mu        sync.Mutex
-	scrubbers map[*Scrubber]struct{}
 }
 
 // Open creates a fresh index on newly provisioned simulated PM
@@ -252,7 +243,7 @@ func Open(opts Options) (*DB, error) {
 }
 
 func newDB(units []*shard.Unit, opts Options) *DB {
-	db := &DB{units: units, scrubbers: make(map[*Scrubber]struct{})}
+	db := &DB{units: units}
 	db.replica.Store(opts.Replica)
 	return db
 }
@@ -304,9 +295,8 @@ func (db *DB) Indexes() []*core.Index {
 // Crash simulates a simultaneous power failure across every shard's
 // device. With eADR (default) the persistent CPU cache is flushed by
 // the reserve energy and nothing is lost; with ADR all unflushed
-// cachelines roll back. The DB must be quiescent (stop scrubbers
-// first); after Crash the DB is unusable — call RecoverAll on
-// Platforms(). Returns the total number of lost (rolled-back)
+// cachelines roll back. The DB must be quiescent; after Crash the DB
+// is unusable — call RecoverAll on Platforms(). Returns the total number of lost (rolled-back)
 // cachelines across all shards; the per-shard breakdown is recorded
 // in each device's stats (Stats().Shards[i].Memory.CrashLostLines,
 // also visible as ObsSnapshots()[i].Mem.CrashLostLines), so failover
@@ -319,24 +309,10 @@ func (db *DB) Crash() int {
 	return lost
 }
 
-// Close stops every running Scrubber and invalidates outstanding
-// Sessions: any operation on them afterwards fails with ErrClosed.
-// Close is idempotent; the simulated devices (and the data on them)
-// remain available via Platforms().
-func (db *DB) Close() {
-	if !db.closed.CompareAndSwap(false, true) {
-		return
-	}
-	db.mu.Lock()
-	running := make([]*Scrubber, 0, len(db.scrubbers))
-	for s := range db.scrubbers {
-		running = append(running, s)
-	}
-	db.mu.Unlock()
-	for _, s := range running {
-		s.Stop()
-	}
-}
+// Close invalidates outstanding Sessions: any operation on them
+// afterwards fails with ErrClosed. Close is idempotent; the simulated
+// devices (and the data on them) remain available via Platforms().
+func (db *DB) Close() { db.closed.Store(true) }
 
 // Len returns the number of live key-value pairs across all shards.
 func (db *DB) Len() int {
@@ -468,66 +444,6 @@ func (db *DB) Groups() []*vsync.Group {
 		out[i] = u.Ix.Group()
 	}
 	return out
-}
-
-// Scrubber is a running online scrub across every shard (one
-// background scrubber per shard). Stop halts all of them and returns
-// the merged tally.
-type Scrubber struct {
-	db    *DB
-	subs  []*core.Scrubber
-	once  sync.Once
-	stats ScrubStats
-}
-
-// Stop halts the scrub on every shard and returns the merged stats.
-// Stop is idempotent.
-func (s *Scrubber) Stop() ScrubStats {
-	s.once.Do(func() {
-		for _, sub := range s.subs {
-			s.stats = s.stats.Add(sub.Stop())
-		}
-		s.db.mu.Lock()
-		delete(s.db.scrubbers, s)
-		s.db.mu.Unlock()
-	})
-	return s.stats
-}
-
-// Wait blocks until every shard's bounded scrub (Passes > 0) has
-// completed its walks; Stop is still required to collect the merged
-// stats. Without it, a Stop issued right after StartScrub can abort
-// the first pass before any segment was verified.
-func (s *Scrubber) Wait() {
-	for _, sub := range s.subs {
-		sub.Wait()
-	}
-}
-
-// StartScrub launches the online background scrubber on every shard:
-// each re-verifies its segments incrementally through the optimistic
-// read protocol (never blocking writers) and, with
-// ScrubOptions.Repair, quarantines damaged ones as it finds them.
-// DB.Close stops any scrubbers still running; stop them explicitly
-// before Crash. After Close, StartScrub returns ErrClosed.
-//
-// The start-and-register sequence runs under the registration lock:
-// a Close racing with StartScrub either observes the registration
-// (and stops the scrubber) or wins the race first (and StartScrub
-// returns ErrClosed without launching anything) — a scrub goroutine
-// can never outlive Close unobserved.
-func (db *DB) StartScrub(opt ScrubOptions) (*Scrubber, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	s := &Scrubber{db: db, subs: make([]*core.Scrubber, len(db.units))}
-	for i, u := range db.units {
-		s.subs[i] = u.Ix.StartScrub(opt)
-	}
-	db.scrubbers[s] = struct{}{}
-	return s, nil
 }
 
 // TryShrink halves each shard's directory where every segment's local
