@@ -1,43 +1,23 @@
-// Command spash-vet runs the spash invariant analyzers over the tree.
-//
-// Standalone:
+// Command spash-vet runs the spash invariant analyzers over the tree:
 //
 //	go run ./cmd/spash-vet ./...            # whole module
 //	go run ./cmd/spash-vet -summary ./...   # + suppressions & annotations
-//	go run ./cmd/spash-vet -json ./...      # machine-readable findings
 //	go run ./cmd/spash-vet -sarif ./...     # SARIF 2.1.0 (code scanning)
-//	go run ./cmd/spash-vet -baseline .spash-vet-baseline ./...
-//	go run ./cmd/spash-vet -write-baseline .spash-vet-baseline ./...
 //
-// A baseline file lists findings that do not fail the run
-// (path:analyzer:message, sorted, deduplicated). Baselines only
-// shrink: entries matching no current finding fail the run as stale.
-//
-// As a vet tool (one package per invocation, driven by the go command):
-//
-//	go build -o /tmp/spash-vet ./cmd/spash-vet
-//	go vet -vettool=/tmp/spash-vet ./...
-//
-// In vettool mode the units exchange analyzer facts through the go
-// command's .vetx files, so cross-package analyzers (respalias,
-// golifetime, epochgate, wireerr) see their dependencies' facts just
-// as the standalone driver does — with per-package caching from the
-// build cache for free.
+// One run loads every matched package, plus the module-local packages
+// they import, and runs the suite over them in dependency order, so the
+// cross-package analyzers (respalias, golifetime, epochgate, wireerr)
+// see their dependencies' facts however narrow the pattern. A pattern
+// that matches no package is an error, not a clean run.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"io"
 	"os"
-	"strings"
 
 	"spash/internal/analysis"
 	"spash/internal/analysis/framework"
@@ -46,330 +26,79 @@ import (
 const version = "spash-vet version 2 (spash invariant suite)"
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet probes the tool's identity with -V=full and its flag set
-	// with -flags before use.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Println(version)
-			return 0
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	// A single *.cfg argument means the go command is driving us as a
-	// vet tool, one package per invocation.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runUnit(args[0])
-	}
-	return runStandalone(args)
-}
-
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("spash-vet", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spash-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	summary := fs.Bool("summary", false, "print //spash:allow suppressions and //spash:guarded annotations after the findings")
-	asJSON := fs.Bool("json", false, "emit findings as JSON")
 	asSARIF := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 (for code scanning upload)")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings; covered findings pass, stale entries fail")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings to this baseline file and exit clean")
-	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	suite := analysis.Suite()
-	if *disable != "" {
-		off := map[string]bool{}
-		for _, name := range strings.Split(*disable, ",") {
-			off[strings.TrimSpace(name)] = true
-		}
-		var kept []*framework.Analyzer
-		for _, a := range suite {
-			if !off[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		suite = kept
-	}
-
-	loader := &framework.Loader{}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := (&framework.Loader{}).Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
+		fmt.Fprintf(stderr, "spash-vet: %v\n", err)
 		return 2
 	}
 	diags, supp, err := framework.Run(pkgs, suite)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
+		fmt.Fprintf(stderr, "spash-vet: %v\n", err)
 		return 2
 	}
 
-	// Baseline keys and SARIF URIs are relative to the module root the
-	// loader ran in (the working directory).
-	root, err := os.Getwd()
-	if err != nil {
-		root = ""
-	}
-
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, framework.FormatBaseline(root, diags), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "spash-vet: wrote baseline with %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	var stale []string
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-			return 2
-		}
-		entries, err := framework.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spash-vet: %s: %v\n", *baselinePath, err)
-			return 2
-		}
-		diags, stale = framework.ApplyBaseline(entries, root, diags)
-	}
-
 	if *asSARIF {
+		// SARIF URIs are relative to the directory the loader ran in
+		// (absolute if it cannot be read).
+		root, _ := os.Getwd()
 		out, err := framework.SARIF(root, version, suite, diags)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
+			fmt.Fprintf(stderr, "spash-vet: %v\n", err)
 			return 2
 		}
-		os.Stdout.Write(out)
-		fmt.Println()
-	} else if *asJSON {
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := struct {
-			Findings    []finding               `json:"findings"`
-			Suppressed  []framework.Suppression `json:"suppressed"`
-			Annotations []framework.Annotation  `json:"annotations"`
-		}{Findings: []finding{}, Suppressed: supp}
-		for _, d := range diags {
-			out.Findings = append(out.Findings, finding{
-				File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-		}
-		for _, pkg := range pkgs {
-			out.Annotations = append(out.Annotations, framework.Annotations(pkg)...)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		fmt.Fprintf(stdout, "%s\n", out)
 	} else {
 		for _, d := range diags {
-			fmt.Printf("%s\n", d)
+			fmt.Fprintf(stdout, "%s\n", d)
 		}
 		if *summary {
-			printSummary(pkgs, supp)
+			printSummary(stdout, pkgs, supp)
 		}
 	}
 
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "spash-vet: stale baseline entry (no matching finding): %s\n", s)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		if !*asJSON && !*asSARIF && len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "spash-vet: %d finding(s)\n", len(diags))
+	if len(diags) > 0 {
+		if !*asSARIF {
+			fmt.Fprintf(stderr, "spash-vet: %d finding(s)\n", len(diags))
 		}
 		return 1
 	}
 	return 0
 }
 
-func printSummary(pkgs []*framework.Package, supp []framework.Suppression) {
-	fmt.Printf("\n== suppressions (//spash:allow) ==\n")
+func printSummary(w io.Writer, pkgs []*framework.Package, supp []framework.Suppression) {
+	fmt.Fprintf(w, "\n== suppressions (//spash:allow) ==\n")
 	if len(supp) == 0 {
-		fmt.Println("  (none)")
+		fmt.Fprintln(w, "  (none)")
 	}
 	for _, s := range supp {
-		fmt.Printf("  %s: [%s] %s\n      reason: %s\n", s.Pos, s.Analyzer, s.Message, s.Reason)
+		fmt.Fprintf(w, "  %s: [%s] %s\n      reason: %s\n", s.Pos, s.Analyzer, s.Message, s.Reason)
 	}
-	fmt.Printf("\n== guarded functions (//spash:guarded) ==\n")
+	fmt.Fprintf(w, "\n== guarded functions (//spash:guarded) ==\n")
 	n := 0
 	for _, pkg := range pkgs {
 		for _, a := range framework.Annotations(pkg) {
-			fmt.Printf("  %s: %s\n      reason: %s\n", a.Pos, a.Func, a.Reason)
+			fmt.Fprintf(w, "  %s: %s\n      reason: %s\n", a.Pos, a.Func, a.Reason)
 			n++
 		}
 	}
 	if n == 0 {
-		fmt.Println("  (none)")
+		fmt.Fprintln(w, "  (none)")
 	}
-}
-
-// vetConfig is the JSON the go command passes to a -vettool per
-// package (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// spashPath reports whether an import path belongs to this module —
-// the only packages whose facts the suite consumes.
-func spashPath(p string) bool {
-	return p == "spash" || strings.HasPrefix(p, "spash/")
-}
-
-// analyzable reports whether this unit should run the suite at all.
-// VetxOnly units of this module still run (facts-only — their exported
-// facts feed dependents through the .vetx exchange); VetxOnly units of
-// other modules contribute nothing and are skipped. Test-binary
-// packages are skipped: tests deliberately violate the invariants to
-// inject faults.
-func (cfg *vetConfig) analyzable() bool {
-	if cfg.VetxOnly && !spashPath(cfg.ImportPath) {
-		return false
-	}
-	return !strings.Contains(cfg.ImportPath, " [") &&
-		!strings.HasSuffix(cfg.ImportPath, ".test") &&
-		!strings.HasSuffix(cfg.ImportPath, "_test")
-}
-
-// productionFiles drops _test.go files from the unit: the go command
-// hands vet the test variant of each package, and the invariants apply
-// to production code only. The remaining files always type-check on
-// their own (test files cannot be referenced by non-test files).
-func productionFiles(files []string) []string {
-	var out []string
-	for _, f := range files {
-		if !strings.HasSuffix(f, "_test.go") {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func runUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	if !cfg.analyzable() {
-		return writeVetx(cfg, nil)
-	}
-	goFiles := productionFiles(cfg.GoFiles)
-	if len(goFiles) == 0 {
-		return writeVetx(cfg, nil)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, fn := range goFiles {
-		af, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx(cfg, nil)
-			}
-			fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-			return 2
-		}
-		files = append(files, af)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	pkg, err := framework.CheckFiles(fset, cfg.ImportPath, goFiles, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg, nil)
-		}
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-		return 2
-	}
-	// A VetxOnly unit runs for its exported facts alone; its own
-	// diagnostics belong to the go vet invocation that targets it.
-	pkg.FactsOnly = cfg.VetxOnly
-
-	suite := analysis.Suite()
-	facts := framework.NewFactStore()
-	registry := framework.FactTypes(suite)
-	for dep, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			// A dependency with no readable vetx simply contributed
-			// no facts (e.g. it was built by an older tool).
-			continue
-		}
-		if err := facts.DecodeFacts(data, registry); err != nil {
-			fmt.Fprintf(os.Stderr, "spash-vet: facts of %s: %v\n", dep, err)
-			return 2
-		}
-	}
-
-	diags, _, err := framework.RunWithFacts([]*framework.Package{pkg}, suite, facts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-		return 2
-	}
-	vetx, err := facts.EncodePackageFacts(cfg.ImportPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-		return 2
-	}
-	if rc := writeVetx(cfg, vetx); rc != 0 {
-		return rc
-	}
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
-		}
-		return 2 // unitchecker protocol: nonzero means findings
-	}
-	return 0
-}
-
-// writeVetx writes the unit's facts file (possibly empty) where the go
-// command expects it; dependents read it back through PackageVetx.
-func writeVetx(cfg vetConfig, facts []byte) int {
-	if cfg.VetxOutput == "" {
-		return 0
-	}
-	if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
-		fmt.Fprintf(os.Stderr, "spash-vet: %v\n", err)
-		return 2
-	}
-	return 0
 }

@@ -43,10 +43,9 @@ type EpochGated struct{}
 func (*EpochGated) AFact() {}
 
 var Analyzer = &framework.Analyzer{
-	Name:      "epochgate",
-	Doc:       "replication apply/promote paths must fence on the frame epoch, persist epoch words with flush+fence, and bound frame shard indexes",
-	Run:       run,
-	FactTypes: []framework.Fact{(*EpochGated)(nil)},
+	Name: "epochgate",
+	Doc:  "replication apply/promote paths must fence on the frame epoch, persist epoch words with flush+fence, and bound frame shard indexes",
+	Run:  run,
 }
 
 var scope = []string{"internal/repl", "internal/core", "internal/server", "epochgate"}

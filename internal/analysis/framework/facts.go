@@ -7,31 +7,20 @@
 // therefore stable strings (import path + a receiver-qualified name),
 // never object identity.
 //
-// Facts live in a FactStore that is filled in dependency order: Run
+// Facts live in a factStore that is filled in dependency order: Run
 // processes packages topologically, so by the time a consumer package
 // runs, every fact of its dependencies is present — Go's acyclic
 // import graph makes one topological pass the cross-package fixpoint.
-// The store serialises to a gob stream, which is how the vettool mode
-// of cmd/spash-vet exchanges facts between `go vet` units: each unit
-// writes its package's facts to the .vetx output and the go command
-// hands dependents the dep's .vetx files back (the build cache then
-// gives per-package caching of facts across runs for free).
 package framework
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"sync"
 )
 
 // A Fact is a typed datum an analyzer attaches to a package-level
-// object or a package. Concrete fact types must be gob-encodable and
-// listed in their analyzer's FactTypes so the vettool mode can decode
-// them.
+// object or a package. Facts are handled as pointers to their concrete
+// type; an importer passes a pointer of the type it wants filled.
 type Fact interface {
 	AFact() // marker
 }
@@ -44,16 +33,9 @@ type factKey struct {
 	typ string
 }
 
-// FactStore holds every fact exported so far in a run. Safe for
-// concurrent use (package loading is parallel; analysis is ordered,
-// but keeping the store locked costs nothing).
-type FactStore struct {
-	mu sync.Mutex
-	m  map[factKey]Fact
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore { return &FactStore{m: map[factKey]Fact{}} }
+// factStore holds every fact exported so far in a run. Run analyses
+// one package at a time, so the store needs no lock.
+type factStore map[factKey]Fact
 
 // factTypeName names f's concrete type, pointer-stripped: facts are
 // handled as pointers, named by their element type.
@@ -65,11 +47,11 @@ func factTypeName(f Fact) string {
 	return rt.String()
 }
 
-// ObjectKey derives the stable cross-package key for a package-level
+// objectKey derives the stable cross-package key for a package-level
 // object: "Name" for functions/vars/consts, "(Recv).Name" for methods,
 // "type Name" for type names. Objects without a package (universe,
 // locals) have no key.
-func ObjectKey(obj types.Object) (pkgPath, key string, ok bool) {
+func objectKey(obj types.Object) (pkgPath, key string, ok bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", "", false
 	}
@@ -100,52 +82,39 @@ func ObjectKey(obj types.Object) (pkgPath, key string, ok bool) {
 	}
 }
 
-func (s *FactStore) put(k factKey, f Fact) {
-	s.mu.Lock()
-	s.m[k] = f
-	s.mu.Unlock()
-}
-
-func (s *FactStore) get(k factKey) (Fact, bool) {
-	s.mu.Lock()
-	f, ok := s.m[k]
-	s.mu.Unlock()
-	return f, ok
-}
-
 // exportObject records f for obj. Objects without a stable key are
 // silently ignored (facts on locals are meaningless across packages).
-func (s *FactStore) exportObject(obj types.Object, f Fact) {
-	pkg, key, ok := ObjectKey(obj)
+func (s factStore) exportObject(obj types.Object, f Fact) {
+	pkg, key, ok := objectKey(obj)
 	if !ok {
 		return
 	}
-	s.put(factKey{pkg: pkg, obj: key, typ: factTypeName(f)}, f)
+	s[factKey{pkg: pkg, obj: key, typ: factTypeName(f)}] = f
 }
 
 // importObject copies the stored fact of f's concrete type for obj
 // into f, reporting whether one was found.
-func (s *FactStore) importObject(obj types.Object, f Fact) bool {
-	pkg, key, ok := ObjectKey(obj)
+func (s factStore) importObject(obj types.Object, f Fact) bool {
+	pkg, key, ok := objectKey(obj)
 	if !ok {
 		return false
 	}
 	return s.fill(factKey{pkg: pkg, obj: key, typ: factTypeName(f)}, f)
 }
 
-func (s *FactStore) exportPackage(pkgPath string, f Fact) {
-	s.put(factKey{pkg: pkgPath, typ: factTypeName(f)}, f)
+func (s factStore) exportPackage(pkgPath string, f Fact) {
+	s[factKey{pkg: pkgPath, typ: factTypeName(f)}] = f
 }
 
-func (s *FactStore) importPackage(pkgPath string, f Fact) bool {
+func (s factStore) importPackage(pkgPath string, f Fact) bool {
 	return s.fill(factKey{pkg: pkgPath, typ: factTypeName(f)}, f)
 }
 
 // fill copies the stored fact at k into dst via reflection (dst must
 // be a pointer to the same concrete type, which the typ component of
 // the key guarantees).
-func (s *FactStore) fill(k factKey, dst Fact) bool {
-	src, ok := s.get(k)
+func (s factStore) fill(k factKey, dst Fact) bool {
+	src, ok := s[k]
 	if !ok {
 		return false
 	}
@@ -156,96 +125,4 @@ func (s *FactStore) fill(k factKey, dst Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// wireFact is the serialised form of one fact.
-type wireFact struct {
-	Pkg  string
-	Obj  string
-	Type string
-	Data []byte
-}
-
-// EncodePackageFacts serialises every fact owned by pkgPath (the form
-// a vettool unit writes to its .vetx output).
-func (s *FactStore) EncodePackageFacts(pkgPath string) ([]byte, error) {
-	s.mu.Lock()
-	var keys []factKey
-	for k := range s.m {
-		if k.pkg == pkgPath {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.obj != b.obj {
-			return a.obj < b.obj
-		}
-		return a.typ < b.typ
-	})
-	var wire []wireFact
-	for _, k := range keys {
-		f, _ := s.get(k)
-		var data bytes.Buffer
-		if err := gob.NewEncoder(&data).EncodeValue(reflect.ValueOf(f).Elem()); err != nil {
-			return nil, fmt.Errorf("encoding fact %s.%s (%s): %v", k.pkg, k.obj, k.typ, err)
-		}
-		wire = append(wire, wireFact{Pkg: k.pkg, Obj: k.obj, Type: k.typ, Data: data.Bytes()})
-	}
-	if len(wire) == 0 {
-		return nil, nil
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(wire); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// DecodeFacts merges a serialised fact stream into the store. types
-// maps concrete fact type names to their reflect types (built by
-// FactTypes from the analyzer list); facts of unknown types are
-// skipped — an older tool's vetx simply contributes nothing.
-func (s *FactStore) DecodeFacts(data []byte, types map[string]reflect.Type) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("decoding facts: %v", err)
-	}
-	for _, w := range wire {
-		rt, ok := types[w.Type]
-		if !ok {
-			continue
-		}
-		fv := reflect.New(rt)
-		if err := gob.NewDecoder(bytes.NewReader(w.Data)).DecodeValue(fv.Elem()); err != nil {
-			return fmt.Errorf("decoding fact %s.%s (%s): %v", w.Pkg, w.Obj, w.Type, err)
-		}
-		f, ok := fv.Interface().(Fact)
-		if !ok {
-			continue
-		}
-		s.put(factKey{pkg: w.Pkg, obj: w.Obj, typ: w.Type}, f)
-	}
-	return nil
-}
-
-// FactTypes builds the fact-type registry of an analyzer list (for
-// DecodeFacts). Each analyzer declares its concrete fact types in
-// Analyzer.FactTypes.
-func FactTypes(analyzers []*Analyzer) map[string]reflect.Type {
-	out := map[string]reflect.Type{}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			rt := reflect.TypeOf(f)
-			if rt.Kind() == reflect.Pointer {
-				rt = rt.Elem()
-			}
-			out[rt.String()] = rt
-		}
-	}
-	return out
 }

@@ -25,7 +25,11 @@
 //
 // The package mirrors go/analysis closely enough that the analyzers
 // can be ported to the real framework by swapping imports once the
-// module is allowed to vendor golang.org/x/tools.
+// module is allowed to vendor golang.org/x/tools. The port re-adds
+// FactTypes to the four fact-carrying analyzers (respalias,
+// golifetime, epochgate, wireerr): go/analysis serialises facts
+// between units and must know their concrete types; this framework
+// runs every package in one process and needs no such list.
 package framework
 
 import (
@@ -37,15 +41,11 @@ import (
 	"strings"
 )
 
-// An Analyzer is one named invariant check. Analyzers that export or
-// import facts list their concrete fact types in FactTypes (as nil
-// pointers, e.g. (*ReturnsAlias)(nil)) so the vettool mode can decode
-// them from dependency .vetx files.
+// An Analyzer is one named invariant check.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	FactTypes []Fact
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // A Diagnostic is one reported invariant violation.
@@ -140,10 +140,10 @@ type Pass struct {
 	Suppressed  []Suppression
 
 	dirs  *directiveSet
-	facts *FactStore
+	facts factStore
 }
 
-func newPass(a *Analyzer, pkg *Package, facts *FactStore) *Pass {
+func newPass(a *Analyzer, pkg *Package, facts factStore) *Pass {
 	return &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
@@ -247,12 +247,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // diagnostics. Malformed, unknown, and stale directives are reported
 // under the pseudo-analyzer "directive".
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Suppression, error) {
-	return RunWithFacts(pkgs, analyzers, NewFactStore())
-}
-
-// RunWithFacts is Run with a caller-supplied fact store (the vettool
-// mode pre-fills it with dependency facts decoded from .vetx files).
-func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, []Suppression, error) {
+	facts := factStore{}
 	var diags []Diagnostic
 	var supp []Suppression
 	names := map[string]bool{}
@@ -275,7 +270,7 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) ([]D
 	return diags, supp, nil
 }
 
-func runPackage(pkg *Package, analyzers []*Analyzer, facts *FactStore, names map[string]bool) ([]Diagnostic, []Suppression, error) {
+func runPackage(pkg *Package, analyzers []*Analyzer, facts factStore, names map[string]bool) ([]Diagnostic, []Suppression, error) {
 	diags := checkDirectives(pkg, names)
 	var supp []Suppression
 	ds := directivesOf(pkg)
@@ -306,8 +301,9 @@ func runPackage(pkg *Package, analyzers []*Analyzer, facts *FactStore, names map
 }
 
 // topoOrder sorts the packages so that every package follows the
-// packages it imports (only edges inside the given set matter; facts
-// from outside arrive via the pre-filled store). Go's import graph is
+// packages it imports (only edges inside the given set matter: the
+// loader adds every module-local dependency, and packages outside the
+// module carry no facts). Go's import graph is
 // acyclic, so one pass is the cross-package fixpoint; ties keep the
 // deterministic by-path order.
 func topoOrder(pkgs []*Package) []*Package {

@@ -50,14 +50,14 @@ type listEntry struct {
 	Imports    []string
 	Standard   bool
 	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Loader loads module packages for analysis. It shells out to the go
-// tool for package metadata and export data (the same information a
-// `go vet` unit receives), then parses and type-checks the target
-// packages — and, for cross-package facts, the module-local
-// dependencies — from source, in parallel. A Loader is not safe for
-// concurrent use (the packages it returns are).
+// tool for package metadata and export data, then parses and
+// type-checks the target packages — and, for cross-package facts, the
+// module-local dependencies — from source, in parallel. A Loader is not
+// safe for concurrent use (the packages it returns are).
 type Loader struct {
 	// Dir is the directory go list runs in (the module root). Empty
 	// means the current directory.
@@ -82,7 +82,7 @@ func (l *Loader) Fset() *token.FileSet {
 
 func (l *Loader) goList(args ...string) ([]listEntry, error) {
 	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Imports,Standard,DepOnly"}, args...)...)
+		"-json=ImportPath,Dir,Export,GoFiles,Imports,Standard,DepOnly,Error"}, args...)...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -98,6 +98,11 @@ func (l *Loader) goList(args ...string) ([]listEntry, error) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
+		}
+		// Under -e, go list reports a missing or broken package as
+		// an entry's Error instead of failing; any one fails the load.
+		if e.Error != nil {
+			return nil, fmt.Errorf("go list %s: %s", strings.Join(args, " "), e.Error.Err)
 		}
 		entries = append(entries, e)
 	}
@@ -164,7 +169,10 @@ func (l *Loader) parseFile(filename string) (*ast.File, error) {
 // Module-local dependencies outside the patterns are loaded from
 // source too, marked FactsOnly, so cross-package facts are complete no
 // matter how narrow the pattern; standard-library dependencies stay on
-// export data. Packages are parsed and type-checked in parallel.
+// export data. Packages are parsed and type-checked in parallel. A
+// pattern that names a missing or broken package is an error, and so
+// are patterns that match no package with Go files: a run that
+// analyses nothing must not pass as clean.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	entries, err := l.goList(patterns...)
 	if err != nil {
@@ -173,11 +181,16 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	l.ensureImporter(entries)
 	l.Fset() // materialise before the parallel phase
 	var targets []listEntry
+	matched := false
 	for _, e := range entries {
 		if e.Standard || len(e.GoFiles) == 0 {
 			continue
 		}
 		targets = append(targets, e)
+		matched = matched || !e.DepOnly
+	}
+	if !matched {
+		return nil, fmt.Errorf("%s: matched no packages", strings.Join(patterns, " "))
 	}
 	pkgs := make([]*Package, len(targets))
 	errs := make([]error, len(targets))
@@ -230,32 +243,6 @@ func (l *Loader) check(e listEntry) (*Package, error) {
 		Types:      tpkg,
 		Info:       info,
 		FactsOnly:  e.DepOnly,
-	}, nil
-}
-
-// CheckFiles type-checks already-parsed files as one package using the
-// given importer. Used by the vettool mode of cmd/spash-vet, where the
-// go vet driver supplies the file list and export-data map.
-func CheckFiles(fset *token.FileSet, importPath string, filenames []string, files []*ast.File, imp types.Importer) (*Package, error) {
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	dir := ""
-	if len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
-	}
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Imports:    astImports(files),
-		Fset:       fset,
-		Files:      files,
-		Filenames:  filenames,
-		Types:      tpkg,
-		Info:       info,
 	}, nil
 }
 

@@ -44,10 +44,9 @@ type HasShutdownEdge struct{}
 func (*HasShutdownEdge) AFact() {}
 
 var Analyzer = &framework.Analyzer{
-	Name:      "golifetime",
-	Doc:       "goroutines in the serving layers must have a reachable shutdown edge (join, signal channel, or bounded errand)",
-	Run:       run,
-	FactTypes: []framework.Fact{(*HasShutdownEdge)(nil)},
+	Name: "golifetime",
+	Doc:  "goroutines in the serving layers must have a reachable shutdown edge (join, signal channel, or bounded errand)",
+	Run:  run,
 }
 
 // scope lists the package-path suffixes the check applies to: the

@@ -54,10 +54,9 @@ type AliasArena struct{}
 func (*AliasArena) AFact() {}
 
 var Analyzer = &framework.Analyzer{
-	Name:      "respalias",
-	Doc:       "values aliasing a resp.Reader buffer must not escape their Release window without a copy",
-	Run:       run,
-	FactTypes: []framework.Fact{(*ReturnsAlias)(nil), (*AliasCarrier)(nil), (*AliasArena)(nil)},
+	Name: "respalias",
+	Doc:  "values aliasing a resp.Reader buffer must not escape their Release window without a copy",
+	Run:  run,
 }
 
 const maxRounds = 32

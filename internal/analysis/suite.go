@@ -7,8 +7,7 @@
 // edges in the serving layers (golifetime), replication epoch fencing
 // and durable-word ordering (epochgate), and wire error round-tripping
 // (wireerr). The last four are cross-package: they exchange facts
-// through the framework's topological run (or, under `go vet`,
-// through .vetx files).
+// through the framework's topological run.
 package analysis
 
 import (

@@ -45,10 +45,9 @@ type WireSentinels struct {
 func (*WireSentinels) AFact() {}
 
 var Analyzer = &framework.Analyzer{
-	Name:      "wireerr",
-	Doc:       "every -REPL <CODE> wire error must round-trip encode/decode to the same registered sentinel",
-	Run:       run,
-	FactTypes: []framework.Fact{(*WireSentinels)(nil)},
+	Name: "wireerr",
+	Doc:  "every -REPL <CODE> wire error must round-trip encode/decode to the same registered sentinel",
+	Run:  run,
 }
 
 // row is one code<->sentinel pair of the table.
