@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate count-gate count-gate-update pairs bench bench-tiny clean
+.PHONY: all build test examples fmt-check cross-build loc race lint vet vet-sarif staticcheck govulncheck fuzz-smoke serve-smoke alloc-gate count-gate count-gate-update pairs bench bench-tiny clean
 
 all: build test
 
@@ -15,6 +15,18 @@ build:
 
 test:
 	go test ./...
+
+# examples builds the programs under examples/ (the README advertises
+# them) into a temporary directory and runs each with a timeout; a
+# non-zero exit, a hang or a build failure fails the target. CI's
+# build-test job runs it.
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	go build -o "$$dir/" ./examples/... || exit 1; \
+	for p in "$$dir"/*; do \
+		echo "== examples/$$(basename "$$p")"; \
+		timeout 120 "$$p" || { echo "examples/$$(basename "$$p") failed (exit $$?)"; exit 1; }; \
+	done
 
 # fmt-check fails (listing the files) when anything is not gofmt-clean;
 # CI's build-test job runs the same check.

@@ -28,14 +28,26 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	var ue usageError
+	switch {
+	case errors.As(err, &ue):
+		fmt.Fprintf(os.Stderr, "spash-dump: %v\n", err)
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
+// usageError is a flag value out of its range; main exits 2 on it.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 // run builds the index the flags describe and writes the report to w.
-// A bad flag exits 2 and -h exits 0, as with the default flag set.
+// A bad flag exits 2 and -h exits 0, as with the default flag set; an
+// out-of-range value returns a usageError before anything is built.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("spash-dump", flag.ExitOnError)
 	records := fs.Int("records", 100000, "records to insert")
@@ -43,6 +55,14 @@ func run(args []string, w io.Writer) error {
 	deletes := fs.Float64("deletes", 0.2, "fraction of records deleted afterwards")
 	shards := fs.Int("shards", 1, "shard count (independent devices + HTM domains)")
 	fs.Parse(args)
+	switch {
+	case *records < 0:
+		return usageError(fmt.Sprintf("-records %d is negative", *records))
+	case *valSize < 0:
+		return usageError(fmt.Sprintf("-valuesize %d is negative", *valSize))
+	case !(*deletes >= 0 && *deletes <= 1):
+		return usageError(fmt.Sprintf("-deletes %v is outside [0, 1]", *deletes))
+	}
 
 	platform := spash.DefaultPlatform()
 	platform.PoolSize = 1 << 30

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -29,5 +30,26 @@ func TestReportGolden(t *testing.T) {
 				t.Fatalf("spash-dump %s:\n%s\nwant:\n%s", args, got.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestRunRefusesOutOfRangeFlags: a fraction above 1 used to report
+// more deletes than records, a negative one never ended (the product
+// converted to a huge delete count) and a negative value size panicked
+// in make. Each is a usageError (main exits 2) and builds nothing.
+func TestRunRefusesOutOfRangeFlags(t *testing.T) {
+	for _, args := range []string{
+		"-records 1000 -deletes 3",
+		"-records 1000 -deletes -0.1",
+		"-records 1000 -deletes NaN",
+		"-records 1000 -valuesize -1",
+		"-records -1",
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(args), &out)
+		var ue usageError
+		if !errors.As(err, &ue) || out.Len() != 0 {
+			t.Fatalf("spash-dump %s: err %v, report %q; want a usageError and no report", args, err, out.String())
+		}
 	}
 }

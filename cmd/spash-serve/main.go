@@ -13,8 +13,8 @@
 //	spash-cli -connect 127.0.0.1:6399
 //
 // With -metrics-addr the process serves /metrics (Prometheus text),
-// /debug/vars, /debug/obs/trace, the /debug/spash JSON feeds (so
-// spash-top -addr can attach to the live server) and /debug/pprof.
+// the /debug/spash JSON feeds (so spash-top -addr can attach to the
+// live server) and /debug/pprof.
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 			os.Exit(1)
 		}
 		stopMetrics = stop
-		fmt.Printf("metrics: http://%s/metrics (also /debug/spash/*, /debug/vars, /debug/pprof)\n", maddr)
+		fmt.Printf("metrics: http://%s/metrics (also /debug/spash/*, /debug/pprof)\n", maddr)
 	}
 
 	srv := server.New(db, server.Config{

@@ -19,6 +19,7 @@ package main
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -37,37 +38,66 @@ import (
 	"spash/internal/repl"
 )
 
+// config is what the command line asks for.
+type config struct {
+	addr       string
+	demo, once bool
+	interval   time.Duration
+	shards     int
+	slowN      int
+}
+
+// parse turns the command line into a config, refusing values the
+// viewer cannot render.
+func parse(args []string) (config, error) {
+	fs := flag.NewFlagSet("spash-top", flag.ContinueOnError)
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", "", "attach to a /debug/spash exporter at this host:port")
+	fs.BoolVar(&cfg.demo, "demo", false, "run a self-hosted demo DB with background load")
+	fs.BoolVar(&cfg.once, "once", false, "print one frame and exit (no screen control)")
+	fs.DurationVar(&cfg.interval, "interval", time.Second, "refresh interval")
+	fs.IntVar(&cfg.shards, "shards", 4, "demo DB shard count")
+	fs.IntVar(&cfg.slowN, "n", 8, "slow-op rows shown")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	switch {
+	case !cfg.demo && cfg.addr == "":
+		return cfg, errors.New("need -addr host:port or -demo")
+	case cfg.slowN < 0:
+		return cfg, fmt.Errorf("-n %d is negative", cfg.slowN)
+	case cfg.interval <= 0:
+		return cfg, fmt.Errorf("-interval %v is not positive", cfg.interval)
+	}
+	return cfg, nil
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", "", "attach to a /debug/spash exporter at this host:port")
-		demo     = flag.Bool("demo", false, "run a self-hosted demo DB with background load")
-		once     = flag.Bool("once", false, "print one frame and exit (no screen control)")
-		interval = flag.Duration("interval", time.Second, "refresh interval")
-		shards   = flag.Int("shards", 4, "demo DB shard count")
-		slowN    = flag.Int("n", 8, "slow-op rows shown")
-	)
-	flag.Parse()
+	cfg, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spash-top: %v\n", err)
+		os.Exit(2)
+	}
 
 	var f feed
-	switch {
-	case *demo:
-		d, stop, err := startDemo(*shards)
+	if cfg.demo {
+		d, stop, err := startDemo(cfg.shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, spash.DescribeError(err))
 			os.Exit(1)
 		}
 		defer stop()
 		f = d
-	case *addr != "":
-		f = &httpFeed{base: "http://" + strings.TrimPrefix(*addr, "http://")}
-	default:
-		fmt.Fprintln(os.Stderr, "spash-top: need -addr host:port or -demo")
-		os.Exit(2)
+	} else {
+		f = &httpFeed{base: "http://" + strings.TrimPrefix(cfg.addr, "http://")}
 	}
 
-	if *once {
+	if cfg.once {
 		// Give a demo DB a beat of load so the frame has content.
-		if *demo {
+		if cfg.demo {
 			time.Sleep(300 * time.Millisecond)
 		}
 		frame, err := capture(f)
@@ -75,14 +105,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spash-top: %v\n", err)
 			os.Exit(1)
 		}
-		render(os.Stdout, frame, nil, *interval, *slowN)
+		render(os.Stdout, frame, nil, cfg.interval, cfg.slowN)
 		return
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	var prev *frame
-	tick := time.NewTicker(*interval)
+	tick := time.NewTicker(cfg.interval)
 	defer tick.Stop()
 	for {
 		cur, err := capture(f)
@@ -92,7 +122,7 @@ func main() {
 		}
 		var b strings.Builder
 		b.WriteString("\x1b[2J\x1b[H") // clear, home
-		render(&b, cur, prev, *interval, *slowN)
+		render(&b, cur, prev, cfg.interval, cfg.slowN)
 		os.Stdout.WriteString(b.String())
 		prev = cur
 		select {

@@ -65,3 +65,23 @@ func TestAttachToDBExporter(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesOutOfRangeFlags: a negative row count used to panic
+// in render's slice and a non-positive interval inside time.NewTicker;
+// both are refused at parse time (main exits 2).
+func TestParseRefusesOutOfRangeFlags(t *testing.T) {
+	for _, args := range []string{
+		"-demo -once -n -1",
+		"-demo -interval 0",
+		"-demo -interval -1s",
+		"-once",
+	} {
+		if _, err := parse(strings.Fields(args)); err == nil {
+			t.Errorf("parse(%q) accepted", args)
+		}
+	}
+	cfg, err := parse(strings.Fields("-addr 127.0.0.1:9100 -n 0 -interval 250ms"))
+	if err != nil || cfg.slowN != 0 || cfg.interval != 250*time.Millisecond {
+		t.Fatalf("parse of valid flags: %+v, %v", cfg, err)
+	}
+}

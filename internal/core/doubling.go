@@ -36,7 +36,6 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 		ix.resizeFlag.Store(0)
 		return
 	}
-	ix.reg.Trace(obs.EvDoubleStart, c.Clock(), int64(old.depth), 0)
 	ds := &doublingState{
 		old: old,
 		new: newDirectory(old.depth + 1),
@@ -71,7 +70,6 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 
 	ix.dir.Store(ds.new)
 	ix.tm.BumpStoreVol(dc, &ix.dirGen, gen+2) // even: doubling done
-	ix.reg.Trace(obs.EvDoubleDone, dc.Clock(), int64(ds.new.depth), parts)
 	dc.Release()
 	ix.doubling.Store(nil)
 	ix.resizeFlag.Store(0)
@@ -238,13 +236,7 @@ func (ix *Index) stopWorldResize(c *pmem.Ctx, build func(old *directory) *direct
 		c.ChargeDRAM(len(old.entries) + len(nd.entries))
 		ix.dir.Store(nd)
 	}
-	cost := c.Clock() - start
-	ix.lastResizeCost.Store(cost)
-	newDepth := int64(-1)
-	if nd != nil {
-		newDepth = int64(nd.depth)
-	}
-	ix.reg.Trace(obs.EvStopWorld, c.Clock(), newDepth, cost)
+	ix.lastResizeCost.Store(c.Clock() - start)
 	ix.resizeEpoch.Add(1)
 	ix.tm.BumpStoreVol(c, &ix.dirGen, gen+2)
 	ix.doubling.Store(nil)

@@ -98,7 +98,7 @@ type Index struct {
 	// virtual-time model.
 	group *vsync.Group
 	// reg is the observability registry (nil when DisableObs): striped
-	// structural-event counters, histograms and the trace ring.
+	// structural-event counters, gauges and histograms.
 	reg *obs.Registry
 	// shardID identifies this index within a sharded DB (0 when
 	// unsharded); stamped onto sampled spans for slow-op attribution.

@@ -544,7 +544,6 @@ func (h *Handle) Quarantine(hh uint64, expectSeg uint64) (*QuarantineReport, err
 			h.ah.Free(c, seg, SegmentSize)
 		}
 		ix.reg.Inc(obs.CQuarantines)
-		ix.reg.Trace(obs.EvQuarantine, c.Clock(), int64(seg), int64(report.Salvaged))
 		return report, nil
 	}
 }
@@ -657,11 +656,6 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 	ix := h.ix
 	c := h.c
 	rep := &FsckReport{}
-	var repairing int64
-	if repair {
-		repairing = 1
-	}
-	ix.reg.Trace(obs.EvFsckStart, c.Clock(), repairing, 0)
 	ix.eachRegistered(c, func(seg, prefix uint64, depth uint, poisoned bool) bool {
 		if poisoned {
 			f := SegmentFault{Seg: seg, Poisoned: true, Cause: "registry frame unreadable (poisoned)"}
@@ -699,7 +693,6 @@ func (h *Handle) Fsck(repair bool) (*FsckReport, error) {
 		ix.entries.Store(ix.countOccupied(c))
 		ix.entriesApprox.Store(false)
 	}
-	ix.reg.Trace(obs.EvFsckDone, c.Clock(), int64(len(rep.Faults)), int64(len(rep.Failed)))
 	ix.reg.SetGauge(obs.GFsckUnrecoverable, int64(len(rep.Failed)))
 	return rep, nil
 }

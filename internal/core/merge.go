@@ -39,12 +39,10 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 	r := makeReq(key)
 	ix := h.ix
 	var freed uint64
-	var depth uint
-	var live int
 	if ix.stripes != nil {
-		freed, depth, live = h.mergeLocked(r.h)
+		freed = h.mergeLocked(r.h)
 	} else {
-		freed, depth, live = h.mergeTx(r.h)
+		freed = h.mergeTx(r.h)
 	}
 	if freed == 0 {
 		return false
@@ -52,35 +50,34 @@ func (h *Handle) TryMerge(key []byte) (merged bool) {
 	h.ah.Free(h.c, freed, SegmentSize)
 	ix.segments.Add(-1)
 	h.lane.Inc(obs.CMerges)
-	ix.reg.Trace(obs.EvMerge, h.c.Clock(), int64(depth), int64(live))
 	return true
 }
 
 // mergeTx runs mergeBody in an HTM transaction, giving up after
 // mergeAttempts conflicts or at any other abort.
-func (h *Handle) mergeTx(hh uint64) (freed uint64, depth uint, live int) {
+func (h *Handle) mergeTx(hh uint64) (freed uint64) {
 	ix := h.ix
 	for attempt := 0; attempt < mergeAttempts; attempt++ {
 		code, _ := ix.tm.Run(h.c, ix.pool, func(tx *htm.Txn) error {
-			freed, depth, live = h.mergeBody(txMem{tx}, hh)
+			freed = h.mergeBody(txMem{tx}, hh)
 			return nil
 		})
 		switch code {
 		case htm.Committed:
-			return freed, depth, live
+			return freed
 		case htm.Conflict:
 			continue
 		}
 		// Any other abort (capacity: the covering range is too wide)
 		// is not worth forcing.
-		return 0, 0, 0
+		return 0
 	}
-	return 0, 0, 0
+	return 0
 }
 
 // mergeLocked runs mergeBody under hh's stripe lock. mergeBody declines
 // any pair shallower than the stripes, so the lock covers both buddies.
-func (h *Handle) mergeLocked(hh uint64) (freed uint64, depth uint, live int) {
+func (h *Handle) mergeLocked(hh uint64) (freed uint64) {
 	s := h.ix.stripeOf(hh)
 	h.ix.stripes.lock(h.c, s)
 	defer h.ix.stripes.unlock(h.c, s)
@@ -93,22 +90,22 @@ func (h *Handle) mergeLocked(hh uint64) (freed uint64, depth uint, live int) {
 // damaged seal, and when the survivors do not lay out in one segment.
 // Otherwise it rewrites the buddy with the survivors, storing only the
 // words that change, repoints every covering entry of the pair at it, and
-// reports the freed segment, the merged depth and its live entries.
-func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live int) {
+// reports the freed segment.
+func (h *Handle) mergeBody(s section, hh uint64) (freed uint64) {
 	ix := h.ix
 	if s.loadVol(&ix.dirGen)&1 == 1 {
-		return 0, 0, 0 // skip during resizes
+		return 0 // skip during resizes
 	}
 	d := ix.dir.Load()
 	e := s.loadVol(&d.entries[d.index(hh)])
 	seg, depth := entrySeg(e), entryDepth(e)
 	if entryLocked(e) || depth <= ix.stripeBits {
-		return 0, 0, 0
+		return 0
 	}
 	p := hash.Prefix(hh, depth)
 	be := s.loadVol(&d.entries[(p^1)<<(d.depth-depth)])
 	if entryLocked(be) || entryDepth(be) != depth {
-		return 0, 0, 0
+		return 0
 	}
 	buddySeg := entrySeg(be)
 	lo := p >> 1 << (d.depth - depth + 1)
@@ -118,10 +115,10 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 	for j := uint64(0); j < n; j++ {
 		cur := s.loadVol(&d.entries[lo+j])
 		if entryLocked(cur) || entryDepth(cur) != depth {
-			return 0, 0, 0
+			return 0
 		}
 		if cs := entrySeg(cur); cs != seg && cs != buddySeg {
-			return 0, 0, 0
+			return 0
 		}
 	}
 	// Merge carries data: both segments' live entries must fit
@@ -129,15 +126,15 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 	if ix.sealAddr != 0 && (ix.verifySeal(s, seg, &h.segBuf) != 0 || ix.verifySeal(s, buddySeg, &h.segBuf) != 0) {
 		// Relayouting a damaged buddy would launder corrupt words
 		// under a fresh seal; leave it for fsck.
-		return 0, 0, 0
+		return 0
 	}
 	entries, ok := h.decodeBuddies(s, seg, buddySeg)
 	if !ok {
-		return 0, 0, 0
+		return 0
 	}
 	img, ok := layoutSegment(entries.live())
 	if !ok {
-		return 0, 0, 0 // pathological bucket skew; keep both
+		return 0 // pathological bucket skew; keep both
 	}
 	for i, w := range img {
 		if addr := buddySeg + uint64(i)*8; s.load(addr) != w {
@@ -153,7 +150,7 @@ func (h *Handle) mergeBody(s section, hh uint64) (freed uint64, depth uint, live
 		s.store(ix.sealAddrOf(buddySeg), sealOfImage(&img))
 		s.store(ix.sealAddrOf(seg), 0)
 	}
-	return seg, depth - 1, entries.n
+	return seg
 }
 
 // decodeBuddies decodes both segments of a buddy pair through m and

@@ -123,7 +123,6 @@ func (h *Handle) exec(r *req, readonly bool, body func(m mem, seg uint64) error)
 			}
 		case htm.Capacity:
 			h.spanAbort(attempt)
-			ix.reg.Trace(obs.EvHTMCapacity, h.c.Clock(), int64(r.h>>48), 0)
 			return h.execFallback(r, body)
 		case htm.Explicit:
 			h.spanAbort(attempt)
@@ -161,7 +160,6 @@ func (h *Handle) exec(r *req, readonly bool, body func(m mem, seg uint64) error)
 func (h *Handle) execFallback(r *req, body func(m mem, seg uint64) error) error {
 	ix := h.ix
 	h.lane.Inc(obs.CLockFallbacks)
-	ix.reg.Trace(obs.EvLockFallback, h.c.Clock(), int64(r.h>>48), 0)
 	// Everything up to the irrevocable body — lock spins, resize waits
 	// — is retry cost; the body itself splits probe/publish like a
 	// committed attempt.

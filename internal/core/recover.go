@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"spash/internal/alloc"
-	"spash/internal/obs"
 	"spash/internal/pmem"
 )
 
@@ -51,8 +50,6 @@ func Recover(c *pmem.Ctx, pool *pmem.Pool, cfg Config) (_ *Index, _ *alloc.Alloc
 	}
 	cfg = cfg.withDefaults()
 	ix := newIndex(pool, al, cfg)
-	recoverStart := c.Clock()
-	ix.reg.Trace(obs.EvRecoverStart, recoverStart, 0, 0)
 	ix.registryAddr = pool.Load64(c, alloc.RootAddr(rootRegistry))
 	ix.registryCap = pool.Size() / SegmentSize
 
@@ -167,7 +164,6 @@ func Recover(c *pmem.Ctx, pool *pmem.Pool, cfg Config) (_ *Index, _ *alloc.Alloc
 	if err := al.FinishRecovery(c); err != nil {
 		return nil, nil, err
 	}
-	ix.reg.Trace(obs.EvRecoverDone, c.Clock(), c.Clock()-recoverStart, int64(len(segs)))
 	return ix, al, nil
 }
 

@@ -28,13 +28,11 @@ const splitConflictBudget = 32
 
 // splitPlan is one split in the making: seg (local depth depth, hash
 // prefix prefix) splits into imgA, which stays, and imgB, which moves to
-// the fresh segment newSeg; liveA/liveB are the halves' live entries (the
-// post-split occupancy observable).
+// the fresh segment newSeg.
 type splitPlan struct {
 	seg, newSeg, prefix uint64
 	depth               uint
 	imgA, imgB          [SegmentSize / 8]uint64
-	liveA, liveB        int
 }
 
 // split divides the segment holding hash hh into two fine-grained
@@ -212,7 +210,6 @@ func (h *Handle) prepareSplit(m mem, hh, seg uint64, depth uint) (err error) {
 			stay.add(en)
 		}
 	}
-	p.liveA, p.liveB = stay.n, move.n
 	var ok bool
 	if p.imgA, ok = layoutSegment(stay.live()); !ok {
 		return fmt.Errorf("%w (stay half)", errRelayout)
@@ -270,7 +267,6 @@ func (h *Handle) splitDone(hh uint64) {
 	}
 	ix.segments.Add(1)
 	h.lane.Inc(obs.CSplits)
-	ix.reg.Trace(obs.EvSplit, c.Clock(), int64(p.depth+1), int64(p.liveA+p.liveB))
 }
 
 // hintKeyRecords asks the host for every out-of-line key record the
@@ -343,7 +339,6 @@ func (ix *Index) splitView(tx *htm.Txn, hh uint64, depth uint) ([]uint64, uint, 
 func (ix *Index) splitFallback(h *Handle, hh uint64) error {
 	c := h.c
 	h.lane.Inc(obs.CSplitFallbacks)
-	ix.reg.Trace(obs.EvSplitFallback, c.Clock(), int64(hh>>48), 0)
 	for {
 		d, e := ix.unlockedEntry(hh)
 		seg, depth := entrySeg(e), entryDepth(e)

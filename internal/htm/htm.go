@@ -524,10 +524,6 @@ func (tx *Txn) store(key uintptr, addr uint64, ptr *uint64, pm bool, v uint64) {
 	tx.ws = append(tx.ws, wsEntry{key: key, addr: addr, ptr: ptr, val: v, pm: pm})
 }
 
-// WriteSetSize returns the current number of buffered writes
-// (diagnostic; used by staged-doubling tests).
-func (tx *Txn) WriteSetSize() int { return len(tx.ws) }
-
 // commit implements the TL2 commit: lock write stripes, validate the
 // read set, publish, bump versions.
 func (tx *Txn) commit() bool {

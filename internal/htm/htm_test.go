@@ -337,19 +337,6 @@ func TestCommitSerialAccounting(t *testing.T) {
 	}
 }
 
-func TestWriteSetSize(t *testing.T) {
-	tm, pool, c := newTestTM()
-	mustCommit(t, tm, c, pool, func(tx *Txn) error {
-		tx.Store(64, 1)
-		tx.Store(72, 2)
-		tx.Store(64, 3) // dedup
-		if tx.WriteSetSize() != 2 {
-			return fmt.Errorf("write set = %d", tx.WriteSetSize())
-		}
-		return nil
-	})
-}
-
 // A panic raised by the body that is not an abort signal must
 // propagate to the caller, not be swallowed.
 func TestForeignPanicPropagates(t *testing.T) {

@@ -9,7 +9,7 @@ import "testing"
 // internal/core).
 
 func BenchmarkLaneInc(b *testing.B) {
-	ln := NewRegistrySized(4, 64).Lane()
+	ln := NewRegistrySized(4).Lane()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ln.Inc(CSplits)
@@ -25,18 +25,10 @@ func BenchmarkLaneIncDisabled(b *testing.B) {
 }
 
 func BenchmarkLaneObserve(b *testing.B) {
-	ln := NewRegistrySized(4, 64).Lane()
+	ln := NewRegistrySized(4).Lane()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ln.Observe(HProbeLen, i&7)
-	}
-}
-
-func BenchmarkTraceAdd(b *testing.B) {
-	r := NewRegistrySized(4, DefaultRingSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Trace(EvSplit, int64(i), 1, 2)
 	}
 }
 
@@ -45,7 +37,7 @@ func BenchmarkTraceAdd(b *testing.B) {
 // offer at operation end only.
 
 func BenchmarkSpanRecordSampled(b *testing.B) {
-	ln := NewRegistrySized(4, 64).Lane()
+	ln := NewRegistrySized(4).Lane()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := Span{Active: true, Kind: SpanInsert, Key: uint64(i)}
@@ -56,7 +48,7 @@ func BenchmarkSpanRecordSampled(b *testing.B) {
 }
 
 func BenchmarkSpanRecordUnsampled(b *testing.B) {
-	ln := NewRegistrySized(4, 64).Lane()
+	ln := NewRegistrySized(4).Lane()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := Span{} // Active=false: the per-op cost when not elected

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -10,7 +9,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -26,18 +24,11 @@ type Sources struct {
 	Shards func() []Snapshot
 	// SlowOps returns the worst-n retained operations, slowest first.
 	SlowOps func(n int) []SlowOp
-	// Health evaluates the current health verdict.
-	Health func() Health
-	// Registry backs the trace-ring endpoint.
-	Registry *Registry
 }
 
 // defaultSources is the process-wide export target: the most recently
 // registered live DB.
-var (
-	defaultSources atomic.Pointer[Sources]
-	expvarOnce     sync.Once
-)
+var defaultSources atomic.Pointer[Sources]
 
 // SetSources registers the export bundle (see Sources) as the
 // process-wide target of NewMux's endpoints. A nil Snapshot feed, as in
@@ -52,14 +43,6 @@ func SetSources(s Sources) {
 
 func currentSources() *Sources {
 	return defaultSources.Load()
-}
-
-func currentSnapshot() (Snapshot, bool) {
-	s := currentSources()
-	if s == nil {
-		return Snapshot{}, false
-	}
-	return s.Snapshot(), true
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text
@@ -153,26 +136,13 @@ func writeDurMap(w io.Writer, metric, label string, m map[string]DurSnapshot) {
 // Handler serves the current default snapshot as Prometheus text.
 func Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		s, ok := currentSnapshot()
-		if !ok {
-			http.Error(w, "no observable index registered", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.WritePrometheus(w)
-	})
-}
-
-// traceHandler serves the default registry's trace ring as JSON.
-func traceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		s := currentSources()
 		if s == nil {
 			http.Error(w, "no observable index registered", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		s.Registry.ring.WriteJSON(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		s.Snapshot().WritePrometheus(w)
 	})
 }
 
@@ -227,37 +197,19 @@ func slowlogHandler() http.Handler {
 	})
 }
 
-// healthHandler serves the current health verdict.
+// healthHandler serves the health verdict of the current snapshot.
 func healthHandler() http.Handler {
 	return jsonHandler(func(s *Sources, _ *http.Request) any {
-		return s.Health()
-	})
-}
-
-// publishExpvar exposes the default snapshot under the expvar key
-// "spash" (idempotent; expvar panics on duplicate names).
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("spash", expvar.Func(func() any {
-			s, ok := currentSnapshot()
-			if !ok {
-				return nil
-			}
-			return s
-		}))
+		return EvalHealth(s.Snapshot())
 	})
 }
 
 // NewMux returns the observability mux: /metrics (Prometheus text of
-// the default snapshot), /debug/vars (expvar, including the "spash"
-// snapshot), /debug/pprof/*, /debug/obs/trace (trace-ring JSON) and
-// the /debug/spash/* JSON feeds (snapshot, shards, slowlog, health).
+// the default snapshot), the /debug/spash/* JSON feeds (snapshot,
+// shards, slowlog, health) and /debug/pprof/*.
 func NewMux() *http.ServeMux {
-	publishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/debug/obs/trace", traceHandler())
 	mux.Handle("/debug/spash/snapshot", snapshotHandler())
 	mux.Handle("/debug/spash/shards", shardsHandler())
 	mux.Handle("/debug/spash/slowlog", slowlogHandler())

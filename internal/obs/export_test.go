@@ -52,7 +52,7 @@ func TestServeBadAddr(t *testing.T) {
 // (name{labels}) printed twice: a registry metric must not shadow a
 // subsystem series, as a registry htm_conflicts counter once did.
 func TestPrometheusSeriesAreUnique(t *testing.T) {
-	r := NewRegistrySized(1, 8)
+	r := NewRegistrySized(1)
 	ln := r.Lane()
 	for c := Counter(0); c < numCounters; c++ {
 		ln.Add(c, int64(c)+1)

@@ -1,10 +1,9 @@
 // Package obs is the unified observability layer: a metrics registry
 // of cache-line-padded striped counters and bounded-value histograms,
-// a lock-free trace ring of timestamped structural events, a Snapshot
-// type that unifies the per-subsystem counters (pmem media traffic,
-// HTM outcomes, allocator occupancy, index structure churn) into one
-// diffable document, and an export surface (expvar, Prometheus text,
-// pprof — see export.go).
+// a Snapshot type that unifies the per-subsystem counters (pmem media
+// traffic, HTM outcomes, allocator occupancy, index structure churn)
+// into one diffable document, and an export surface (Prometheus text,
+// the /debug/spash JSON feeds, pprof — see export.go).
 //
 // The paper validates every design claim by counting exactly these
 // events: ipmctl media read/write bytes for the write-amplification
@@ -245,20 +244,19 @@ type Registry struct {
 	lanes  []lane
 	mask   uint64
 	next   atomic.Uint64
-	ring   *Ring
 	gauges [numGauges]atomic.Int64
 	slow   slowLog
 }
 
 // NewRegistry returns an enabled registry sized for the current
-// GOMAXPROCS, with the default trace-ring capacity.
+// GOMAXPROCS.
 func NewRegistry() *Registry {
-	return NewRegistrySized(2*runtime.GOMAXPROCS(0), DefaultRingSize)
+	return NewRegistrySized(2 * runtime.GOMAXPROCS(0))
 }
 
 // NewRegistrySized returns a registry with at least lanes stripes
-// (rounded up to a power of two) and a trace ring of ringSize events.
-func NewRegistrySized(lanes, ringSize int) *Registry {
+// (rounded up to a power of two).
+func NewRegistrySized(lanes int) *Registry {
 	n := 1
 	for n < lanes {
 		n <<= 1
@@ -266,7 +264,6 @@ func NewRegistrySized(lanes, ringSize int) *Registry {
 	return &Registry{
 		lanes: make([]lane, n),
 		mask:  uint64(n - 1),
-		ring:  newRing(ringSize),
 	}
 }
 
@@ -403,22 +400,4 @@ func (r *Registry) HistSnapshot(h Hist) HistSnapshot {
 		}
 	}
 	return s
-}
-
-// Trace appends a structural event to the trace ring. ts is the
-// emitting worker's virtual clock (ns). Nil-safe.
-func (r *Registry) Trace(kind EventKind, ts int64, a, b int64) {
-	if r == nil {
-		return
-	}
-	r.ring.add(kind, ts, a, b)
-}
-
-// TraceRing returns the registry's event ring (nil for a disabled
-// registry).
-func (r *Registry) TraceRing() *Ring {
-	if r == nil {
-		return nil
-	}
-	return r.ring
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func testSnapshot(scale int64) Snapshot {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	ln.Add(CSplits, 3*scale)
 	ln.Add(CLockFallbacks, 7*scale)
@@ -88,7 +88,7 @@ func TestDerivedRates(t *testing.T) {
 }
 
 func TestHistBucketBoundaries(t *testing.T) {
-	r := NewRegistrySized(1, 16)
+	r := NewRegistrySized(1)
 	ln := r.Lane()
 	ln.Observe(HProbeLen, -5)            // clamps to 0
 	ln.Observe(HProbeLen, 0)             // exact 0
@@ -130,46 +130,6 @@ func TestHistPercentiles(t *testing.T) {
 	}
 }
 
-func TestTraceRingWraparound(t *testing.T) {
-	r := newRing(8)
-	for i := 0; i < 20; i++ {
-		r.add(EvSplit, int64(i*10), int64(i), 0)
-	}
-	evs := r.Drain()
-	if len(evs) != 8 {
-		t.Fatalf("drained %d events, want 8 (ring capacity)", len(evs))
-	}
-	// The retained window is the newest 8, oldest first.
-	for i, ev := range evs {
-		wantSeq := uint64(13 + i) // events 13..20 survive
-		if ev.Seq != wantSeq {
-			t.Fatalf("event %d: seq %d, want %d", i, ev.Seq, wantSeq)
-		}
-		if ev.A != int64(wantSeq-1) || ev.TS != int64(wantSeq-1)*10 {
-			t.Fatalf("event %d: fields (ts=%d a=%d) inconsistent with seq %d", i, ev.TS, ev.A, ev.Seq)
-		}
-	}
-	if r.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", r.Len())
-	}
-}
-
-func TestTraceEventJSON(t *testing.T) {
-	r := NewRegistrySized(1, 8)
-	r.Trace(EvDoubleDone, 1234, 5, 678)
-	var sb strings.Builder
-	if err := r.TraceRing().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &evs); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0]["ev"] != "double_done" || evs[0]["ts_ns"] != float64(1234) {
-		t.Fatalf("unexpected trace JSON: %s", sb.String())
-	}
-}
-
 // TestNilRegistrySafe exercises every mutation and read path on the
 // disabled (nil) registry and lane.
 func TestNilRegistrySafe(t *testing.T) {
@@ -183,40 +143,33 @@ func TestNilRegistrySafe(t *testing.T) {
 	ln.Observe(HProbeLen, 3)
 	r.Inc(CSplits)
 	r.Add(CMerges, 2)
-	r.Trace(EvSplit, 1, 2, 3)
 	if n := len(r.Counters()); n != 0 {
 		t.Fatalf("nil registry has %d counters", n)
 	}
 	if c := r.HistSnapshot(HProbeLen).Count(); c != 0 {
 		t.Fatalf("nil registry hist count %d", c)
 	}
-	if r.TraceRing() != nil || r.TraceRing().Len() != 0 || r.TraceRing().Drain() != nil {
-		t.Fatal("nil registry trace ring not inert")
-	}
 }
 
-// TestStripedCountersRace hammers lanes, registry-striped counters and the
-// trace ring from many goroutines while concurrently summing; run
-// under -race in CI.
+// TestStripedCountersRace hammers lanes and registry-striped counters
+// from many goroutines while concurrently summing; run under -race in
+// CI.
 func TestStripedCountersRace(t *testing.T) {
-	r := NewRegistrySized(8, 64)
+	r := NewRegistrySized(8)
 	const workers = 16
 	const perWorker = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			ln := r.Lane()
 			for i := 0; i < perWorker; i++ {
 				ln.Inc(CSplits)
 				ln.Observe(HProbeLen, i%10)
 				r.Add(CMerges, 1)
-				if i%64 == 0 {
-					r.Trace(EvSplit, int64(i), int64(w), 0)
-				}
 			}
-		}(w)
+		}()
 	}
 	// Concurrent readers.
 	done := make(chan struct{})
@@ -228,7 +181,6 @@ func TestStripedCountersRace(t *testing.T) {
 			default:
 				r.Counters()
 				r.HistSnapshot(HProbeLen)
-				r.TraceRing().Drain()
 			}
 		}
 	}()
@@ -249,26 +201,32 @@ func TestStripedCountersRace(t *testing.T) {
 
 func TestPrometheusAndMux(t *testing.T) {
 	s := testSnapshot(1)
+	s.Counters[CounterNames[CQuarantines]] = 1
 	s.Finalize()
-	reg := NewRegistrySized(1, 8)
-	reg.Trace(EvSplit, 1, 2, 3)
 	SetSources(Sources{
 		Snapshot: func() Snapshot { return s },
 		Shards:   func() []Snapshot { return []Snapshot{s} },
 		SlowOps:  func(int) []SlowOp { return nil },
-		Health:   func() Health { return Health{} },
-		Registry: reg,
 	})
 	defer SetSources(Sources{})
 
 	mux := NewMux()
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/obs/trace", "/debug/pprof/",
+	for _, path := range []string{"/metrics", "/debug/pprof/",
 		"/debug/spash/snapshot", "/debug/spash/shards", "/debug/spash/slowlog", "/debug/spash/health"} {
 		req := httptest.NewRequest("GET", path, nil)
 		rw := httptest.NewRecorder()
 		mux.ServeHTTP(rw, req)
 		if rw.Code != 200 {
 			t.Fatalf("GET %s: status %d", path, rw.Code)
+		}
+	}
+	// Each signal has one export: the trace ring and the expvar mirror
+	// of the snapshot are gone.
+	for _, path := range []string{"/debug/obs/trace", "/debug/vars"} {
+		rw := httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
+		if rw.Code != 404 {
+			t.Fatalf("GET %s: status %d, want 404", path, rw.Code)
 		}
 	}
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -286,9 +244,21 @@ func TestPrometheusAndMux(t *testing.T) {
 		}
 	}
 
+	// The health feed is EvalHealth of the registered snapshot: one
+	// quarantine reads DEGRADED.
+	rw = httptest.NewRecorder()
+	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/spash/health", nil))
+	var got Health
+	if err := json.Unmarshal(rw.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := EvalHealth(s); got.Status != HealthDegraded || !reflect.DeepEqual(got, want) {
+		t.Fatalf("/debug/spash/health = %+v, want %+v (DEGRADED)", got, want)
+	}
+
 	// Clearing the target turns the endpoints into 503s.
 	SetSources(Sources{})
-	for _, path := range []string{"/metrics", "/debug/obs/trace", "/debug/spash/health"} {
+	for _, path := range []string{"/metrics", "/debug/spash/health"} {
 		rw = httptest.NewRecorder()
 		mux.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
 		if rw.Code != 503 {

@@ -19,7 +19,7 @@ func spanFor(kind SpanKind, key uint64, total int64) Span {
 }
 
 func TestRecordSpanHistograms(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	for i := int64(1); i <= 100; i++ {
 		sp := spanFor(SpanInsert, uint64(i), i)
@@ -45,7 +45,7 @@ func TestRecordSpanHistograms(t *testing.T) {
 }
 
 func TestRecordSpanInactiveNoop(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	sp := Span{} // Active=false
 	sp.Dur[PhaseProbe] = 1000
@@ -61,7 +61,7 @@ func TestRecordSpanInactiveNoop(t *testing.T) {
 // The unsampled path must not allocate: neither the inactive
 // RecordSpan call nor the nil-lane call.
 func TestUnsampledSpanZeroAlloc(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := Span{}
@@ -83,7 +83,7 @@ func TestUnsampledSpanZeroAlloc(t *testing.T) {
 // Even the sampled record path is allocation-free (histogram adds and
 // the slow log's atomic slots; snapshots are where allocation belongs).
 func TestSampledSpanRecordZeroAlloc(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	i := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -97,7 +97,7 @@ func TestSampledSpanRecordZeroAlloc(t *testing.T) {
 }
 
 func TestSlowLogWorstNEviction(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	// 200 spans with totals 1..200ns: only the worst slowLogSize may
 	// survive, and everything retained must beat everything evicted.
@@ -138,7 +138,7 @@ func TestSlowLogWorstNEviction(t *testing.T) {
 }
 
 func TestSlowLogSeqTieBreak(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	ln := r.Lane()
 	for i := 0; i < 3; i++ {
 		sp := spanFor(SpanGet, uint64(i), 100)
@@ -170,7 +170,7 @@ func TestMergeSlowOps(t *testing.T) {
 // captured and diffed; run under -race this validates the seqlock
 // protocol and the lock-free histograms.
 func TestSpanSnapshotDiffConcurrent(t *testing.T) {
-	r := NewRegistrySized(8, 64)
+	r := NewRegistrySized(8)
 	pre := Capture(pmem.Stats{}, htm.Stats{}, alloc.Stats{}, r)
 
 	const writers = 4
@@ -295,7 +295,7 @@ func TestEvalHealth(t *testing.T) {
 }
 
 func TestGaugeSnapshotSemantics(t *testing.T) {
-	r := NewRegistrySized(4, 64)
+	r := NewRegistrySized(4)
 	r.SetGauge(GReplLagRecords, 10)
 	r.AddGauge(GReplLagBytes, 320)
 	a := Capture(pmem.Stats{}, htm.Stats{}, alloc.Stats{}, r)

@@ -145,9 +145,6 @@ func TestReplicaWriteFence(t *testing.T) {
 	if _, err := s.Delete(key64(1)); !errors.Is(err, spash.ErrNotPrimary) {
 		t.Fatalf("replica Delete: %v", err)
 	}
-	if s.TryMerge(key64(1)) {
-		t.Fatal("replica TryMerge reported success")
-	}
 
 	// Batches: writes fail typed positionally, reads still execute.
 	if err := rep.Apply(&repl.Frame{Kind: repl.FrameRecord, Epoch: 1, Seq: 1,

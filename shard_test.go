@@ -166,9 +166,6 @@ func TestCloseInvalidatesSessions(t *testing.T) {
 	if _, err := s.Fsck(false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Fsck after close: %v", err)
 	}
-	if s.TryMerge([]byte("k")) {
-		t.Fatal("TryMerge succeeded after close")
-	}
 	s.Close()
 }
 

@@ -412,8 +412,8 @@ func (db *DB) Health() obs.Health {
 }
 
 // ExportSources bundles the DB's export feeds for obs.SetSources: the
-// aggregate and per-shard snapshots, the merged slow-op log, the
-// health verdict, and shard 0's registry (trace endpoint). Typically:
+// aggregate and per-shard snapshots and the merged slow-op log.
+// Typically:
 //
 //	obs.SetSources(db.ExportSources())
 //	obs.Serve(addr)
@@ -422,8 +422,6 @@ func (db *DB) ExportSources() obs.Sources {
 		Snapshot: db.ObsSnapshot,
 		Shards:   db.ObsSnapshots,
 		SlowOps:  db.SlowOps,
-		Health:   db.Health,
-		Registry: db.units[0].Ix.Obs(),
 	}
 }
 
@@ -608,18 +606,6 @@ func (s *Session) ExecBatch(ops []Op) {
 		return
 	}
 	shard.SplitBatch(s.hs, ops)
-}
-
-// TryMerge attempts to merge the segment responsible for key with its
-// buddy, which succeeds when their combined live entries fit in half a
-// segment (maintenance after bulk deletes). On a replica-role
-// DB it reports false without merging (structural maintenance arrives
-// through the apply stream).
-func (s *Session) TryMerge(key []byte) bool {
-	if s.db.closed.Load() || (s.db.replica.Load() && !s.applier) {
-		return false
-	}
-	return s.route(key).TryMerge(key)
 }
 
 // ForEach visits every live key-value pair once, shard by shard
