@@ -58,6 +58,8 @@ loc:
 	@echo "non-test Go lines, internal/crashtest: $$(git ls-files 'internal/crashtest/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "non-test Go lines, cmd/: $$(git ls-files 'cmd/*.go' | grep -v '_test.go$$' | xargs cat | wc -l)"
 	@echo "package spash exported funcs+methods: $$(go doc -all . | grep -c '^func ')"
+	@echo "option leaf fields: $$(go test -run '^TestEveryOptionHasASetter$$' -v . | sed -n 's/.*checked \([0-9]*\) option fields.*/\1/p')"
+	@echo "CLI flags, cmd/: $$(git grep -cE '\b(flag|fs)\.(Bool|Int|Int64|Uint64|Float64|String|Duration)(Var)?\(' -- 'cmd/*.go' ':!*_test.go' | awk -F: '{n += $$NF} END {print n + 0}')"
 
 race:
 	go test -race ./internal/core ./internal/pmem ./internal/htm ./internal/obs \
@@ -65,7 +67,7 @@ race:
 		./internal/resp ./internal/server
 	go test -race . -run 'Sharded|Shard|Close'
 	go test -race ./internal/crashtest -short
-	go test -race ./internal/core -run 'Concurrent|Linearizab|LockModes|Merge|Shrink' -count=3
+	go test -race ./internal/core -run 'Concurrent|Linearizab|LockModes|Merge' -count=3
 	go test -race ./internal/htm -run 'Commit|Publish|Read|LoadLine' -count=3
 
 # lint runs the invariant suite plus the external linters when they are

@@ -3,31 +3,31 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
 	"spash/internal/resp"
 )
 
-// runConnect is the remote shell: every input line is sent to the
-// server as one RESP command (the local shell's put and len are
-// accepted as aliases of SET and DBSIZE so both sessions read alike)
-// and the reply is printed redis-cli style.
-func runConnect(addr string) {
+// runConnect is the shell: every line read from in is sent to the
+// server at addr as one RESP command (put and len are accepted as
+// aliases of SET and DBSIZE) and the reply is written to out
+// redis-cli style. It returns at end of input or quit, and on a dial
+// or connection error.
+func runConnect(addr string, in io.Reader, out io.Writer) error {
 	cl, err := resp.Dial(addr, 5*time.Second)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer cl.Close()
-	fmt.Printf("spash-cli — connected to %s\n", addr)
+	fmt.Fprintf(out, "spash-cli — connected to %s\n", addr)
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for {
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 		if !sc.Scan() {
-			return
+			return sc.Err()
 		}
 		args := strings.Fields(sc.Text())
 		if len(args) == 0 {
@@ -35,7 +35,7 @@ func runConnect(addr string) {
 		}
 		switch strings.ToLower(args[0]) {
 		case "quit", "exit":
-			return
+			return nil
 		case "put":
 			args[0] = "SET"
 		case "len":
@@ -43,29 +43,28 @@ func runConnect(addr string) {
 		}
 		rep, err := cl.Do(args...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "connection error:", err)
-			os.Exit(1)
+			return fmt.Errorf("connection error: %w", err)
 		}
-		printReply(rep, "")
+		printReply(out, rep, "")
 		cl.Release()
 	}
 }
 
-func printReply(r resp.Reply, indent string) {
+func printReply(out io.Writer, r resp.Reply, indent string) {
 	switch {
 	case r.Null:
-		fmt.Println(indent + "(nil)")
+		fmt.Fprintln(out, indent+"(nil)")
 	case r.Kind == resp.ErrorReply:
-		fmt.Printf("%s(error) %s\n", indent, r.Str)
+		fmt.Fprintf(out, "%s(error) %s\n", indent, r.Str)
 	case r.Kind == resp.Integer:
-		fmt.Printf("%s(integer) %d\n", indent, r.Int)
+		fmt.Fprintf(out, "%s(integer) %d\n", indent, r.Int)
 	case r.Kind == resp.Array:
 		for i, e := range r.Arr {
-			printReply(e, fmt.Sprintf("%s%d) ", indent, i+1))
+			printReply(out, e, fmt.Sprintf("%s%d) ", indent, i+1))
 		}
 	case r.Kind == resp.BulkString:
-		fmt.Printf("%s%q\n", indent, r.Str)
+		fmt.Fprintf(out, "%s%q\n", indent, r.Str)
 	default:
-		fmt.Printf("%s%s\n", indent, r.Str)
+		fmt.Fprintf(out, "%s%s\n", indent, r.Str)
 	}
 }

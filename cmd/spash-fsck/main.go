@@ -129,6 +129,21 @@ func parse(args []string) (crashtest.Drill, config, error) {
 	if err := fs.Parse(args); err != nil {
 		return crashtest.Drill{}, cfg, err
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"records", int64(cfg.records)}, {"churn", int64(cfg.churn)},
+		{"bitflips", int64(*bitFlips)}, {"torn", int64(*torn)}, {"poison", int64(*poison)},
+		{"crashstep", *crashStep}, {"poolmb", int64(*poolMB)}, {"cachekb", int64(*cacheKB)},
+	} {
+		if f.v < 0 {
+			return crashtest.Drill{}, cfg, fmt.Errorf("-%s %d is negative", f.name, f.v)
+		}
+	}
+	if !(*chaosRate >= 0 && *chaosRate <= 1) {
+		return crashtest.Drill{}, cfg, fmt.Errorf("-chaos %g is outside [0, 1]", *chaosRate)
+	}
 
 	platform := spash.DefaultPlatform()
 	platform.PoolSize = uint64(*poolMB) << 20
@@ -147,8 +162,8 @@ func parse(args []string) (crashtest.Drill, config, error) {
 		Script: crashtest.ChurnScript(cfg.records, cfg.churn, cfg.seed),
 		// Injected faults aim at shard 0's device; -crashstep, when
 		// given, is the only cut.
-		CrashStep:  max(*crashStep, 0),
-		PowerCycle: *crash && *crashStep <= 0,
+		CrashStep:  *crashStep,
+		PowerCycle: *crash && *crashStep == 0,
 		Media: crashtest.Media{Seed: *faultSeed, BitFlips: *bitFlips,
 			TornLines: *torn, PoisonLines: *poison},
 		Repair: *repair,

@@ -36,12 +36,26 @@ func TestParseRefusesFrameFaultsAtCrashStep(t *testing.T) {
 	}
 }
 
-// TestParseRejectsBadValues: the other refusals keep their reasons.
+// TestParseRejectsBadValues: the other refusals keep their reasons,
+// and each out-of-range count, size or rate is refused by name before
+// anything is built: unchecked, a negative -records or -churn panics in
+// ChurnScript and the others read as 0, "disabled" or a huge size.
 func TestParseRejectsBadValues(t *testing.T) {
 	for want, args := range map[string][]string{
-		"unknown -mode":        {"-mode", "dram"},
-		"unknown -repair-from": {"-repair-from", "tape"},
-		"-chaos requires":      {"-chaos", "0.3"},
+		"unknown -mode":             {"-mode", "dram"},
+		"unknown -repair-from":      {"-repair-from", "tape"},
+		"-chaos requires":           {"-chaos", "0.3"},
+		"-records -5 is negative":   {"-records", "-5", "-churn", "0"},
+		"-churn -2 is negative":     {"-churn", "-2"},
+		"-bitflips -1 is negative":  {"-bitflips", "-1"},
+		"-torn -1 is negative":      {"-torn", "-1"},
+		"-poison -3 is negative":    {"-poison", "-3"},
+		"-crashstep -4 is negative": {"-crashstep", "-4"},
+		"-poolmb -1 is negative":    {"-poolmb", "-1"},
+		"-cachekb -1 is negative":   {"-cachekb", "-1"},
+		"-chaos 4 is outside":       {"-repair-from", "replica", "-chaos", "4"},
+		"-chaos -0.5 is outside":    {"-repair-from", "replica", "-chaos", "-0.5"},
+		"-chaos NaN is outside":     {"-repair-from", "replica", "-chaos", "NaN"},
 	} {
 		if _, _, err := parse(append([]string{"-records", "10"}, args...)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%v: err = %v, want %q", args, err, want)

@@ -57,7 +57,7 @@ func TestInvariantsAfterMixedHistory(t *testing.T) {
 	}
 }
 
-func TestInvariantsAfterMergeAndShrink(t *testing.T) {
+func TestInvariantsAfterMerge(t *testing.T) {
 	ix, h := newTestIndex(t, Config{InitialDepth: 2})
 	for i := uint64(0); i < 20000; i++ {
 		if err := h.Insert(k64(i), k64(i)); err != nil {
@@ -69,8 +69,6 @@ func TestInvariantsAfterMergeAndShrink(t *testing.T) {
 	}
 	for i := uint64(0); i < 20000; i += 2 {
 		h.TryMerge(k64(i))
-	}
-	for ix.TryShrink(h.c) {
 	}
 	if err := ix.CheckInvariants(h.c); err != nil {
 		t.Fatal(err)

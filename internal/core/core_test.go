@@ -468,45 +468,6 @@ func TestMergeAfterMassDelete(t *testing.T) {
 	}
 }
 
-func TestTryShrink(t *testing.T) {
-	for _, cfg := range updateModes {
-		t.Run(cfg.Concurrency.String(), func(t *testing.T) {
-			ix, h := newTestIndex(t, cfg)
-			const n = 20000
-			for i := uint64(0); i < n; i++ {
-				if err := h.Insert(k64(i), k64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := uint64(0); i < n; i++ {
-				h.Delete(k64(i))
-			}
-			for i := uint64(0); i < n; i += 2 {
-				h.TryMerge(k64(i))
-			}
-			before := ix.Depth()
-			shrunk := false
-			for ix.TryShrink(h.c) {
-				shrunk = true
-			}
-			if !shrunk {
-				t.Skip("no shrink possible (all segments still at max depth)")
-			}
-			if ix.Depth() >= before {
-				t.Fatalf("depth %d did not shrink from %d", ix.Depth(), before)
-			}
-			for i := uint64(0); i < 100; i++ {
-				if err := h.Insert(k64(i), k64(i)); err != nil {
-					t.Fatal(err)
-				}
-				if _, ok, _ := h.Search(k64(i), nil); !ok {
-					t.Fatalf("post-shrink key %d", i)
-				}
-			}
-		})
-	}
-}
-
 func TestExecBatchMatchesSequential(t *testing.T) {
 	_, h := newTestIndex(t, Config{PipelineDepth: 4})
 	const n = 5000

@@ -31,7 +31,7 @@ func entryUnlock(e uint64) uint64 { return e &^ entryLock }
 
 // directory is one immutable-size snapshot of the volatile directory.
 // Entries are mutated in place (transactionally or under locks); the
-// slice itself is replaced only by doubling/halving.
+// slice itself is replaced only by a doubling.
 //
 // Eight entries share a cacheline, the HTM's unit of conflict: taking
 // or dropping one segment's fallback lock (a bumping store to its
@@ -70,9 +70,9 @@ type doublingState struct {
 	// next is the next stage the doubling thread will claim;
 	// collaborators take specific stages out of order.
 	next atomic.Int64
-	// halving marks a stop-the-world maintenance resize (TryShrink);
+	// stopWorld marks a stop-the-world doubling (MonolithicResize):
 	// concurrent operations wait instead of collaborating.
-	halving bool
+	stopWorld bool
 }
 
 func (ds *doublingState) partitions() int {
@@ -100,10 +100,10 @@ func (ix *Index) resolveRaw(h uint64) (*uint64, uint64) {
 	}
 }
 
-// resolveRawNoWait is resolveRaw except that during a halving it
-// reports ok=false instead of blocking — callers that hold a fallback
-// lock must use it (and release their lock before waiting) to avoid
-// deadlocking against the halving thread's lock-drain phase.
+// resolveRawNoWait is resolveRaw except that during a stop-the-world
+// resize it reports ok=false instead of blocking — callers that hold a
+// fallback lock must use it (and release their lock before waiting) to
+// avoid deadlocking against the resizing thread's lock-drain phase.
 func (ix *Index) resolveRawNoWait(h uint64) (*uint64, uint64, bool) {
 	for {
 		gen := atomic.LoadUint64(&ix.dirGen)
@@ -120,7 +120,7 @@ func (ix *Index) resolveRawNoWait(h uint64) (*uint64, uint64, bool) {
 		if ds == nil {
 			continue // raced with completion
 		}
-		if ds.halving {
+		if ds.stopWorld {
 			return nil, 0, false
 		}
 		oldIdx := ds.old.index(h)
@@ -136,10 +136,10 @@ func (ix *Index) resolveRawNoWait(h uint64) (*uint64, uint64, bool) {
 
 // resolveCanonicalNoWait returns the canonical lock entry (see
 // resolveTx) for hash h: the pointer to lock, its current value, and
-// the segment address. ok=false during a halving, and while a copy
-// stage holds the stripe of a partition-progress word it reads: such a
-// stage is ordered before a fallback lock taken now, but may not have
-// stored the word yet.
+// the segment address. ok=false during a stop-the-world resize, and
+// while a copy stage holds the stripe of a partition-progress word it
+// reads: such a stage is ordered before a fallback lock taken now, but
+// may not have stored the word yet.
 func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, seg uint64, ok bool) {
 	for {
 		gen := atomic.LoadUint64(&ix.dirGen)
@@ -163,7 +163,7 @@ func (ix *Index) resolveCanonicalNoWait(h uint64) (cPtr *uint64, centry uint64, 
 		if ds == nil {
 			continue
 		}
-		if ds.halving {
+		if ds.stopWorld {
 			return nil, 0, 0, false
 		}
 		oldIdx := ds.old.index(h)

@@ -27,7 +27,7 @@ func (ix *Index) triggerDouble(c *pmem.Ctx) {
 		// Ablation: traditional stop-the-world doubling. Concurrent
 		// operations wait out the whole copy — the blocking the
 		// paper's staged design eliminates (§IV-B).
-		ix.stopWorldResize(c, doubled)
+		ix.stopWorldResize(c)
 		ix.reg.Inc(obs.CDoubles)
 		return
 	}
@@ -120,31 +120,6 @@ func (ix *Index) copyStage(c *pmem.Ctx, ds *doublingState, part int, collab bool
 	}
 }
 
-// TryShrink halves the directory when every segment's local depth is
-// below the global depth. Unlike doubling — which the paper engineers
-// to be fully concurrent because it sits on the insert path — halving
-// is a maintenance operation here: it briefly quiesces the index
-// (concurrent operations wait out the resize, or every stripe lock in
-// the lock modes) and swaps in the halved directory. Returns whether a
-// halving was performed.
-func (ix *Index) TryShrink(c *pmem.Ctx) (shrunk bool) {
-	if ix.stripes != nil {
-		ix.allStripes(c, func() {
-			if nd := halve(ix.dir.Load(), ix.stripeBits); nd != nil {
-				ix.dir.Store(nd)
-				shrunk = true
-			}
-		})
-		return shrunk
-	}
-	if !ix.resizeFlag.CompareAndSwap(0, 1) {
-		return false
-	}
-	return ix.stopWorldResize(c, func(old *directory) *directory {
-		return halve(old, ix.stripeBits)
-	})
-}
-
 // doubleLocked grows the directory in the lock modes, under every stripe
 // lock. fullDir is the directory the caller found insufficient: if
 // another worker already replaced it, the doubling is skipped — without
@@ -182,33 +157,14 @@ func doubled(old *directory) *directory {
 	return nd
 }
 
-// halve returns old at half its depth, or nil when some segment is as
-// deep as old or old is at floor (depth 1 at least): no directory is
-// shallower than the stripes it is locked by.
-func halve(old *directory, floor uint) *directory {
-	if old.depth <= max(floor, 1) {
-		return nil
-	}
-	for i := range old.entries {
-		if entryDepth(atomic.LoadUint64(&old.entries[i])) >= old.depth {
-			return nil
-		}
-	}
-	nd := newDirectory(old.depth - 1)
-	for j := range nd.entries {
-		nd.entries[j] = entryUnlock(atomic.LoadUint64(&old.entries[2*j])) // as in doubled
-	}
-	return nd
-}
-
 // stopWorldResize quiesces the index (in-flight transactions abort on
 // the generation word, new operations wait, fallback-lock holders
-// drain) and swaps in the directory returned by build (nil = abort the
-// resize). The caller must hold resizeFlag; it is released here.
-func (ix *Index) stopWorldResize(c *pmem.Ctx, build func(old *directory) *directory) bool {
+// drain) and swaps in the doubled directory (none at maxDepth). The
+// caller must hold resizeFlag; it is released here.
+func (ix *Index) stopWorldResize(c *pmem.Ctx) {
 	start := c.Clock()
 	old := ix.dir.Load()
-	ds := &doublingState{old: old, new: nil, halving: true}
+	ds := &doublingState{old: old, stopWorld: true}
 	ix.doubling.Store(ds)
 	gen := atomic.LoadUint64(&ix.dirGen)
 	ix.tm.BumpStoreVol(c, &ix.dirGen, gen+1)
@@ -229,8 +185,7 @@ func (ix *Index) stopWorldResize(c *pmem.Ctx, build func(old *directory) *direct
 		runtime.Gosched()
 	}
 
-	nd := build(old)
-	if nd != nil {
+	if nd := doubled(old); nd != nil {
 		// The copy is DRAM work; charge it so the resize has a
 		// virtual duration.
 		c.ChargeDRAM(len(old.entries) + len(nd.entries))
@@ -241,5 +196,4 @@ func (ix *Index) stopWorldResize(c *pmem.Ctx, build func(old *directory) *direct
 	ix.tm.BumpStoreVol(c, &ix.dirGen, gen+2)
 	ix.doubling.Store(nil)
 	ix.resizeFlag.Store(0)
-	return nd != nil
 }

@@ -344,13 +344,13 @@ func TestHostileHints(t *testing.T) {
 	}
 }
 
-// The hint stages never wait for a resize: with a halving (and then a
-// doubling) held open for ever they still return.
+// The hint stages never wait for a resize: with a stop-the-world
+// doubling (and then a staged one) held open for ever they still return.
 func TestHintStagesDoNotWaitForResize(t *testing.T) {
 	ix, h, _ := hintIndex(t)
 	old := ix.dir.Load()
 	for _, ds := range []*doublingState{
-		{old: old, new: newDirectory(old.depth - 1), halving: true},
+		{old: old, stopWorld: true},
 		{old: old, new: newDirectory(old.depth + 1), partDone: make([]uint64, 1)},
 	} {
 		ix.doubling.Store(ds)
@@ -365,7 +365,7 @@ func TestHintStagesDoNotWaitForResize(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("hint stages blocked on a resize (halving=%v)", ds.halving)
+			t.Fatalf("hint stages blocked on a resize (stopWorld=%v)", ds.stopWorld)
 		}
 	}
 	ix.doubling.Store(nil)

@@ -104,7 +104,7 @@ type Index struct {
 	// unsharded); stamped onto sampled spans for slow-op attribution.
 	shardID atomic.Int32
 
-	// dirGen is odd while a resize (doubling or halving) is in
+	// dirGen is odd while a resize (staged or stop-the-world) is in
 	// progress; every transaction reads it, and the HTM tracks conflicts
 	// per cacheline, so it is padded to a line of its own: no other
 	// transactional word can ever share (and falsely bump) its version.
@@ -129,8 +129,8 @@ type Index struct {
 
 	// stripes is the lock modes' per-stripe lock table; nil under HTM,
 	// whose operations run exec's transaction instead. stripeBits is the
-	// stripes' hash-prefix width (0 under HTM): no merge and no halving
-	// takes a segment or the directory below it.
+	// stripes' hash-prefix width (0 under HTM): no merge takes a
+	// segment below it.
 	stripes    stripeLocks
 	stripeBits uint
 
@@ -459,8 +459,8 @@ func (ix *Index) waitResizeCtx(c *pmem.Ctx) {
 // held pays for that one attempt and its retry. How many attempts would
 // fit in the wait depends on how the host schedules the holder, not on
 // the index; like a blocked vsync waiter, the waiter pays nothing for
-// the holder's critical section. During a halving it returns and the
-// caller's retry meets the resize.
+// the holder's critical section. During a stop-the-world resize it
+// returns and the caller's retry meets the resize.
 func (ix *Index) waitUnlocked(h uint64) {
 	for {
 		ix.pool.CheckLive()
@@ -477,7 +477,8 @@ func (ix *Index) waitUnlocked(h uint64) {
 // entry itself AND the segment's canonical lock entry all join the
 // read set, so any concurrent split, doubling stage, or fallback-lock
 // acquisition aborts this transaction. Returns errLocked if the
-// segment's fallback lock is held, errResizing during a halving.
+// segment's fallback lock is held, errResizing during a stop-the-world
+// resize.
 //
 // The per-segment fallback lock lives on the canonical covering entry
 // — the first directory entry of the segment's covering range. A
@@ -505,7 +506,7 @@ func (ix *Index) resolveTx(tx *htm.Txn, h uint64) (ptr *uint64, entry uint64, er
 		return ptr, entry, nil
 	}
 	ds := ix.doubling.Load()
-	if ds == nil || ds.halving {
+	if ds == nil || ds.stopWorld {
 		return nil, 0, errResizing
 	}
 	oldIdx := ds.old.index(h)

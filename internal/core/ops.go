@@ -180,7 +180,8 @@ func (h *Handle) execFallback(r *req, body func(m mem, seg uint64) error) error 
 		}
 		// The canonical entry may have stopped being authoritative
 		// between the read and the CAS (a doubling stage copied its
-		// partition or is storing the copy, or a halving started).
+		// partition or is storing the copy, or a stop-the-world resize
+		// started).
 		// Never block while holding the lock.
 		cPtr2, _, seg2, ok2 := ix.resolveCanonicalNoWait(r.h)
 		if !ok2 || cPtr2 != cPtr || seg2 != seg {

@@ -218,8 +218,8 @@ func (h *Handle) hintDir(r *req) {
 
 // hintBucket is the second: it reads the entry hintDir asked for and
 // hints the main bucket's line. r.bucket keeps the address until
-// prefetchOp replaces it with the one it resolved (0: unknown, a halving
-// is in progress).
+// prefetchOp replaces it with the one it resolved (0: unknown, a
+// stop-the-world resize is in progress).
 func (h *Handle) hintBucket(r *req) {
 	r.bucket = 0
 	if _, e, ok := h.ix.resolveRawNoWait(r.h); ok {

@@ -68,7 +68,7 @@ func (ix *Index) split(h *Handle, hh uint64) error {
 			if ds == nil {
 				continue
 			}
-			if ds.halving {
+			if ds.stopWorld {
 				ix.waitResize()
 				continue
 			}
@@ -310,7 +310,7 @@ func (ix *Index) splitView(tx *htm.Txn, hh uint64, depth uint) ([]uint64, uint, 
 		return d.entries, d.depth, nil
 	}
 	ds := ix.doubling.Load()
-	if ds == nil || ds.halving {
+	if ds == nil || ds.stopWorld {
 		return nil, 0, errResizing
 	}
 	if depth >= ds.new.depth {

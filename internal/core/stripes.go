@@ -69,7 +69,7 @@ func (st rwStripes) readEnd(c *pmem.Ctx, s, _ uint64) bool {
 
 // stripeOf maps a key hash to its lock stripe. Because the stripe is a
 // hash prefix no longer than any segment's local depth (enforced by
-// withDefaults, merge and halve), one stripe always covers whole
+// withDefaults and merge), one stripe always covers whole
 // segments.
 func (ix *Index) stripeOf(h uint64) uint64 {
 	return h >> (64 - ix.stripeBits)

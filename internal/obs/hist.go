@@ -57,19 +57,6 @@ type HistSnapshot struct {
 // Count returns the total number of samples.
 func (h HistSnapshot) Count() int64 { return buckets(h.Counts).count() }
 
-// Mean returns the average sample value (0 when empty).
-func (h HistSnapshot) Mean() float64 {
-	var n, sum int64
-	for v, c := range h.Counts {
-		n += c
-		sum += int64(v) * c
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
 // Percentile returns the smallest value v such that at least p percent
 // of the samples are ≤ v (0 when empty). p is in [0, 100].
 func (h HistSnapshot) Percentile(p float64) int { return buckets(h.Counts).percentile(p) }

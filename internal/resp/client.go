@@ -50,9 +50,6 @@ func (c *Client) CmdString(args ...string) {
 	c.pending++
 }
 
-// Pending reports queued commands whose replies have not been read.
-func (c *Client) Pending() int { return c.pending }
-
 // Flush pushes all queued commands to the server.
 func (c *Client) Flush() error { return c.wr.Flush() }
 

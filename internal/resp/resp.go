@@ -101,9 +101,6 @@ func (rd *Reader) Release() {
 	rd.replies = rd.replies[:0]
 }
 
-// Buffered reports how many unparsed bytes are already buffered.
-func (rd *Reader) Buffered() int { return rd.w - rd.r }
-
 // fill reads more input. It first compacts the buffer if no live
 // aliases pin the front, then grows it if full (a single huge frame),
 // then performs one blocking Read.
@@ -493,9 +490,6 @@ func (w *Writer) Flush() error {
 	}
 	return err
 }
-
-// Buffered reports the bytes queued but not yet flushed.
-func (w *Writer) Buffered() int { return len(w.buf) }
 
 func (w *Writer) appendInt(n int64) {
 	var tmp [20]byte

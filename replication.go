@@ -106,8 +106,10 @@ func (db *DB) Promote() (uint64, error) {
 		return db.Epoch(), &ReplicationError{Op: "promote", Shard: -1, Epoch: db.Epoch(),
 			Err: errors.New("already primary")}
 	}
-	// Each shard gets a fresh context (same reasoning as TryShrink:
-	// the bootstrap context's virtual clock must stay per-worker).
+	// Each shard gets a fresh context: BumpEpoch runs on the caller's
+	// goroutine, and the shard's bootstrap context would share one
+	// virtual clock between concurrent callers, breaking the
+	// per-worker timing contract pmem.Ctx enforces.
 	for _, u := range db.units {
 		c := u.Pool.NewCtx()
 		u.Ix.BumpEpoch(c)

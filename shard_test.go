@@ -2,7 +2,6 @@ package spash
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"spash/internal/alloc"
@@ -297,62 +296,5 @@ func TestShardRoutingStable(t *testing.T) {
 	}
 	if int64(rep.Segments) != segs {
 		t.Fatalf("fsck walked %d segments, shards hold %d", rep.Segments, segs)
-	}
-}
-
-// TestShardedTryShrinkConcurrent guards the fix for DB.TryShrink
-// reusing the shards' bootstrap contexts: pmem.Ctx is per-worker
-// state, so two concurrent TryShrink callers (or TryShrink racing
-// other maintenance on Unit.Ctx) would share one virtual clock.
-// TryShrink now takes a fresh context per shard per call; this test
-// fails under -race with the old implementation.
-func TestShardedTryShrinkConcurrent(t *testing.T) {
-	db, err := Open(Options{Platform: smallPlatform(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := db.Session()
-	defer s.Close()
-	const n = 4000
-	for i := uint64(0); i < n; i++ {
-		if err := s.Insert(key64(i), key64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Deleting most keys gives TryShrink real shrink work to race on.
-	for i := uint64(0); i < n-8; i++ {
-		if _, err := s.Delete(key64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				db.TryShrink()
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s2 := db.Session()
-		defer s2.Close()
-		for i := uint64(0); i < 2000; i++ {
-			if err := s2.Insert(key64(n+i), key64(i)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	got, found, err := s.Get(key64(n-1), nil)
-	if err != nil || !found || string(got) != string(key64(n-1)) {
-		t.Fatalf("surviving key lost after concurrent shrink: found=%v err=%v", found, err)
 	}
 }

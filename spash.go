@@ -444,27 +444,6 @@ func (db *DB) Groups() []*vsync.Group {
 	return out
 }
 
-// TryShrink halves each shard's directory where every segment's local
-// depth allows it (maintenance; see core.Index.TryShrink), reporting
-// whether any shard shrank.
-//
-// Each shard gets a fresh context for the call: TryShrink runs on the
-// caller's goroutine, and reusing the shard's bootstrap context here
-// would share one virtual clock between concurrent callers (and with
-// any maintenance still using it), corrupting the per-worker timing
-// contract that pmem.Ctx enforces.
-func (db *DB) TryShrink() bool {
-	shrank := false
-	for _, u := range db.units {
-		c := u.Pool.NewCtx()
-		if u.Ix.TryShrink(c) {
-			shrank = true
-		}
-		c.Release()
-	}
-	return shrank
-}
-
 // Session is a per-worker handle: it owns the worker's virtual clock
 // and, per shard, the allocator caches (including the compacted-flush
 // chunk) and pipeline state. Sessions are not safe for concurrent use;
